@@ -13,6 +13,7 @@ import os
 
 from benchmarks.conftest import run_once
 from repro.experiments.parallel import RunRequest, run_requests
+from repro.experiments.runner import ExperimentSpec
 from repro.experiments.sensitivity import set_config_field
 
 DISCIPLINES = ("fifo", "sjf", "aging")
@@ -25,9 +26,11 @@ def test_queue_discipline_sweep(benchmark, report, ablation_config):
     # an OLAP class *is* its per-period velocity series.
     requests = [
         RunRequest(
-            controller="qs",
-            config=set_config_field(
-                ablation_config, "planner.queue_discipline", discipline
+            spec=ExperimentSpec(
+                controller="qs",
+                config=set_config_field(
+                    ablation_config, "planner.queue_discipline", discipline
+                ),
             ),
             label=discipline,
         )

@@ -17,7 +17,7 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 
 
 def _slow_cadence_config():
@@ -33,8 +33,8 @@ def test_detection_recovers_slow_cadence(benchmark, report):
 
     def run_both():
         return (
-            run_experiment(controller="qs", config=config),
-            run_experiment(controller="qs_detect", config=config),
+            run_spec(ExperimentSpec(controller="qs", config=config)),
+            run_spec(ExperimentSpec(controller="qs_detect", config=config)),
         )
 
     fixed, detecting = run_once(benchmark, run_both)

@@ -10,7 +10,7 @@ paper workload and compares differentiated goal attainment.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 
 CONTROLLERS = ("none", "mpl", "qs")
 
@@ -19,7 +19,7 @@ def test_mpl_vs_cost_based(benchmark, report, ablation_config):
     def sweep():
         rows = {}
         for controller in CONTROLLERS:
-            result = run_experiment(controller=controller, config=ablation_config)
+            result = run_spec(ExperimentSpec(controller=controller, config=ablation_config))
             rows[controller] = result.goal_attainment()
         return rows
 

@@ -15,7 +15,7 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import format_period_table, format_summary
 from repro.workloads.schedule import PeriodSchedule
 
@@ -36,7 +36,7 @@ def main() -> None:
         planner=PlannerConfig(control_interval=45.0),
     )
 
-    result = run_experiment(controller="qs", config=config, schedule=schedule)
+    result = run_spec(ExperimentSpec(controller="qs", config=config, schedule=schedule))
 
     print(result.bundle.controller.describe())
     print()

@@ -16,7 +16,7 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 
 CONTROLLERS = (
     ("none", "No class control (Fig. 4)"),
@@ -36,7 +36,7 @@ def main() -> None:
     rows = []
     for name, label in CONTROLLERS:
         print("running {} ...".format(label))
-        result = run_experiment(controller=name, config=config)
+        result = run_spec(ExperimentSpec(controller=name, config=config))
         attainment = result.goal_attainment()
         class3_series = [
             v

@@ -8,9 +8,9 @@ EXPERIMENTS.md for paper-vs-measured results.
 
 Quick start::
 
-    from repro import run_experiment
+    from repro import ExperimentSpec, run_spec
 
-    result = run_experiment(controller="qs")
+    result = run_spec(ExperimentSpec(controller="qs"))
     print(result.goal_attainment())
 """
 
@@ -47,7 +47,6 @@ from repro.experiments import (
     compare,
     fit_oltp_slope,
     replicate,
-    run_experiment,
     run_spec,
     sweep,
     sweep_system_cost_limit,
@@ -80,7 +79,6 @@ __all__ = [
     "VelocityGoal",
     "ResponseTimeGoal",
     "SchedulingPlan",
-    "run_experiment",
     "run_spec",
     "ExperimentSpec",
     "build_bundle",

@@ -190,7 +190,7 @@ def _solver_inputs(num_classes: int, variant: int):
 
 
 def _make_solver(num_classes: int):
-    from repro.core.models import OLTPResponseTimeModel
+    from repro.core.modeling import OLTPResponseTimeModel
     from repro.core.solver import PerformanceSolver
     from repro.core.utility import make_utility
 
@@ -240,7 +240,7 @@ def _bench_replication(scale: BenchScale) -> Dict[str, float]:
         WorkloadScaleConfig,
         default_config,
     )
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.runner import ExperimentSpec, run_spec
 
     config = default_config(
         seed=7,
@@ -257,7 +257,7 @@ def _bench_replication(scale: BenchScale) -> Dict[str, float]:
         ),
     )
     started = time.perf_counter()
-    result = run_experiment(controller="qs", config=config)
+    result = run_spec(ExperimentSpec(controller="qs", config=config))
     elapsed = time.perf_counter() - started
     engine = result.bundle.engine
     sim = result.bundle.sim

@@ -42,7 +42,6 @@ from repro.experiments.figures import figure2, figure3
 from repro.experiments.runner import (
     CONTROLLER_NAMES,
     ExperimentSpec,
-    run_experiment,
     run_spec,
 )
 from repro.runtime import BACKEND_NAMES
@@ -67,60 +66,65 @@ def _sweep_value(text: str):
 
 
 def _build_config(args: argparse.Namespace):
+    """The configuration the scale options describe.
+
+    Only ``run``/``serve`` leave those options unset (``None``): their
+    defaults depend on the backend — the sim runs minutes of virtual time
+    for free, the sqlite backend burns real wall-clock.
+    """
+    sim = (vars(args).get("backend") or "sim") == "sim"
+    defaults = (9, 120.0, 60.0) if sim else (3, 2.0, 1.0)
+    given = (args.periods, args.period_seconds, args.control_interval)
+    periods, period_seconds, control_interval = (
+        value if value is not None else default
+        for value, default in zip(given, defaults)
+    )
     return default_config(
-        seed=args.seed,
+        seed=args.seed if args.seed is not None else 7,
         scale=WorkloadScaleConfig(
-            period_seconds=args.period_seconds, num_periods=args.periods
+            period_seconds=period_seconds, num_periods=periods
         ),
         monitor=MonitorConfig(
-            snapshot_interval=min(10.0, max(0.05, args.control_interval / 2.0)),
-            response_time_window=max(args.control_interval / 2.0, 10.0),
+            snapshot_interval=min(10.0, max(0.05, control_interval / 2.0)),
+            response_time_window=max(control_interval / 2.0, 10.0),
         ),
         planner=PlannerConfig(
-            control_interval=args.control_interval,
-            model=getattr(args, "model", None) or "paper",
+            control_interval=control_interval,
+            model=vars(args).get("model") or "paper",
         ),
     )
 
 
-def _scenario_result(args: argparse.Namespace, hub=None):
-    """Resolve, compile and run ``--scenario``; returns the result."""
-    from repro.scenarios import find_scenario, to_experiment_spec
+def _spec_from_args(
+    args: argparse.Namespace,
+    base: Optional[ExperimentSpec] = None,
+    **fields,
+) -> ExperimentSpec:
+    """The one args -> ``ExperimentSpec`` mapping every run-like subcommand uses.
 
-    scenario = find_scenario(args.scenario)
-    spec = to_experiment_spec(
-        scenario,
-        smoke=args.smoke,
-        invariants=args.invariants,
-        seed=args.seed,
-    )
-    overrides = {"tracing": bool(args.trace_events)}
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if getattr(args, "model", None):
+    Without ``base`` the spec is the paper workload at the scale options'
+    size.  ``base`` is a compiled scenario spec, which owns everything the
+    explicit ``--backend``/``--horizon``/``--model`` flags do not override.
+    ``fields`` are what the subcommand itself fixes (``spans`` always
+    traces, ``check`` takes its mode from ``--mode``).
+    """
+    option = vars(args).get
+    if base is None:
+        base = ExperimentSpec(
+            controller=option("controller", "qs"),
+            config=_build_config(args),
+            invariants=option("invariants") or "off",
+        )
+    elif option("model"):
         from repro.experiments.sensitivity import set_config_field
 
-        overrides["config"] = set_config_field(
-            spec.config, "planner.model", args.model
+        fields["config"] = set_config_field(
+            base.config, "planner.model", args.model
         )
-    spec = spec.with_overrides(**overrides)
-    print(
-        "scenario {} (controller={}, backend={}, {} periods x {:g}s, "
-        "invariants={}{})".format(
-            scenario.name,
-            spec.controller,
-            spec.backend,
-            spec.schedule.num_periods,
-            spec.schedule.period_seconds,
-            spec.invariants,
-            ", smoke" if args.smoke else "",
-        )
-    )
-    if scenario.description:
-        print(scenario.description.strip())
-    return run_spec(spec, hub=hub)
+    for name in ("backend", "horizon"):
+        if option(name) is not None:
+            fields[name] = option(name)
+    return base.with_overrides(**fields)
 
 
 def _start_live(args: argparse.Namespace):
@@ -163,7 +167,7 @@ def _stop_live(server) -> None:
         server.stop()
 
 
-def _cmd_run_sharded(args: argparse.Namespace) -> int:
+def _cmd_run_sharded(args: argparse.Namespace, scenario) -> int:
     """The ``run --shards`` path: fleet run, merged cross-shard report."""
     from repro.errors import (
         ConfigurationError,
@@ -171,7 +175,6 @@ def _cmd_run_sharded(args: argparse.Namespace) -> int:
         InvariantViolation,
         ScenarioError,
     )
-    from repro.experiments.runner import ExperimentSpec
     from repro.shard import (
         ShardedExperimentSpec,
         format_sharded_report,
@@ -188,10 +191,9 @@ def _cmd_run_sharded(args: argparse.Namespace) -> int:
         return 2
     hub = server = None
     try:
-        if args.scenario:
-            from repro.scenarios import find_scenario, to_sharded_experiment_spec
+        if scenario is not None:
+            from repro.scenarios import to_sharded_experiment_spec
 
-            scenario = find_scenario(args.scenario)
             spec = to_sharded_experiment_spec(
                 scenario,
                 smoke=args.smoke,
@@ -201,45 +203,14 @@ def _cmd_run_sharded(args: argparse.Namespace) -> int:
                 router=args.router,
                 rebalance=args.rebalance,
             )
-            overrides = {}
-            if args.backend is not None:
-                overrides["backend"] = args.backend
-            if args.horizon is not None:
-                overrides["horizon"] = args.horizon
-            if getattr(args, "model", None):
-                from repro.experiments.sensitivity import set_config_field
-
-                overrides["config"] = set_config_field(
-                    spec.base.config, "planner.model", args.model
-                )
-            if overrides:
-                spec = spec.with_overrides(
-                    base=spec.base.with_overrides(**overrides)
-                ).validate()
+            spec = spec.with_overrides(
+                base=_spec_from_args(args, base=spec.base)
+            ).validate()
             source = "scenario {}".format(scenario.name)
         else:
-            backend = args.backend if args.backend is not None else "sim"
-            sim_defaults = (9, 120.0, 60.0)
-            sqlite_defaults = (3, 2.0, 1.0)
-            defaults = sim_defaults if backend == "sim" else sqlite_defaults
-            if args.periods is None:
-                args.periods = defaults[0]
-            if args.period_seconds is None:
-                args.period_seconds = defaults[1]
-            if args.control_interval is None:
-                args.control_interval = defaults[2]
-            if args.seed is None:
-                args.seed = 7
-            base = ExperimentSpec(
-                controller=args.controller,
-                config=_build_config(args),
-                invariants=args.invariants or "off",
-                backend=backend,
-                horizon=args.horizon,
-            )
             spec = ShardedExperimentSpec(
-                base=base,
-                shards=args.shards if args.shards is not None else 1,
+                base=_spec_from_args(args),
+                shards=args.shards,
                 router=args.router or "hash",
                 rebalance=args.rebalance or "static",
             ).validate()
@@ -308,27 +279,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.smoke and not args.scenario:
         print("--smoke only applies to --scenario runs", file=sys.stderr)
         return 2
-    if args.shards is not None and args.shards > 1:
-        return _cmd_run_sharded(args)
     if (args.router or args.rebalance) and args.shards is None:
         print(
             "--router/--rebalance only apply to sharded runs (pass --shards N)",
             file=sys.stderr,
         )
         return 2
-    if args.scenario and args.shards is None:
-        # A scenario with a multi-shard ``shards:`` block takes the
-        # sharded path by itself; --shards 1 forces the unsharded path.
-        try:
-            from repro.scenarios import find_scenario
+    scenario = None
+    if args.scenario:
+        from repro.scenarios import find_scenario
 
+        try:
             scenario = find_scenario(args.scenario)
         except ScenarioError as exc:
             print("scenario error: {}".format(exc), file=sys.stderr)
             return 2
-        if scenario.shards is not None and scenario.shards.count > 1:
-            return _cmd_run_sharded(args)
-    if args.scenario:
+    # A scenario with a multi-shard ``shards:`` block takes the sharded
+    # path by itself; --shards 1 forces the unsharded path.
+    shards = args.shards
+    if shards is None and scenario is not None and scenario.shards is not None:
+        shards = scenario.shards.count
+    if shards is not None and shards > 1:
+        return _cmd_run_sharded(args, scenario)
+    tracing = bool(args.trace_events)
+    if scenario is None:
+        spec = _spec_from_args(args, tracing=tracing)
+    else:
         conflicting = [
             flag
             for flag, value in (
@@ -347,42 +323,38 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        hub, server = _start_live(args)
+        from repro.scenarios import to_experiment_spec
+
         try:
-            result = _scenario_result(args, hub=hub)
+            spec = _spec_from_args(
+                args,
+                base=to_experiment_spec(
+                    scenario,
+                    smoke=args.smoke,
+                    invariants=args.invariants,
+                    seed=args.seed,
+                ),
+                tracing=tracing,
+            )
         except ScenarioError as exc:
-            _stop_live(server)
             print("scenario error: {}".format(exc), file=sys.stderr)
             return 2
-    else:
-        backend = args.backend if args.backend is not None else "sim"
-        # Workload-scale defaults depend on the backend: the sim runs
-        # minutes of virtual time for free, the sqlite backend burns real
-        # wall-clock.
-        sim_defaults = (9, 120.0, 60.0)
-        sqlite_defaults = (3, 2.0, 1.0)
-        defaults = sim_defaults if backend == "sim" else sqlite_defaults
-        if args.periods is None:
-            args.periods = defaults[0]
-        if args.period_seconds is None:
-            args.period_seconds = defaults[1]
-        if args.control_interval is None:
-            args.control_interval = defaults[2]
-        if args.seed is None:
-            args.seed = 7
-        config = _build_config(args)
-        hub, server = _start_live(args)
-        result = run_spec(
-            ExperimentSpec(
-                controller=args.controller,
-                config=config,
-                invariants=args.invariants or "off",
-                tracing=bool(args.trace_events),
-                backend=backend,
-                horizon=args.horizon,
-            ),
-            hub=hub,
+        print(
+            "scenario {} (controller={}, backend={}, {} periods x {:g}s, "
+            "invariants={}{})".format(
+                scenario.name,
+                spec.controller,
+                spec.backend,
+                spec.schedule.num_periods,
+                spec.schedule.period_seconds,
+                spec.invariants,
+                ", smoke" if args.smoke else "",
+            )
         )
+        if scenario.description:
+            print(scenario.description.strip())
+    hub, server = _start_live(args)
+    result = run_spec(spec, hub=hub)
     if args.output:
         from repro.metrics.export import save_result
 
@@ -460,10 +432,7 @@ def _format_harness_summary(harness) -> str:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    result = run_experiment(
-        controller=args.controller, config=config, invariants=args.invariants
-    )
+    result = run_spec(_spec_from_args(args))
     store = result.extras.get("telemetry")
     if store is None:
         print(
@@ -584,10 +553,7 @@ def _cmd_spans(args: argparse.Namespace) -> int:
         spans = load_spans(args.input)
         print("loaded {} spans from {}".format(len(spans), args.input))
     else:
-        config = _build_config(args)
-        result = run_experiment(
-            controller=args.controller, config=config, tracing=True
-        )
+        result = run_spec(_spec_from_args(args, tracing=True))
         tracer = result.extras["tracer"]
         tracer.assert_balanced()
         spans = tracer.spans
@@ -713,9 +679,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.experiments.runner import build_bundle, make_controller
     from repro.validation import ControlLoopWorld, core_invariants
 
-    config = _build_config(args)
     if args.list:
-        bundle = build_bundle(config=config)
+        bundle = build_bundle(config=_build_config(args))
         make_controller(bundle, args.controller)
         registry = core_invariants(ControlLoopWorld.from_bundle(bundle))
         for invariant in registry:
@@ -724,9 +689,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             ))
         return 0
     try:
-        result = run_experiment(
-            controller=args.controller, config=config, invariants=args.mode
-        )
+        result = run_spec(_spec_from_args(args, invariants=args.mode))
     except InvariantViolation as violation:
         print("invariant violated: {}".format(violation), file=sys.stderr)
         return 1
@@ -841,7 +804,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    config = _build_config(args)
     number = args.number
     if number == 2:
         data = figure2(
@@ -867,7 +829,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 0
     if number in (4, 5, 6, 7):
         controller = {4: "none", 5: "qp", 6: "qs", 7: "qs"}[number]
-        result = run_experiment(controller=controller, config=config)
+        result = run_spec(_spec_from_args(args, controller=controller))
         print(format_period_table(
             result.collector, result.classes,
             title="Figure {}: controller={}".format(number, controller),

@@ -5,9 +5,10 @@ from repro.experiments.runner import (
     ExperimentResult,
     ExperimentSpec,
     SimulationBundle,
+    assemble_run,
     build_bundle,
+    finish_run,
     make_controller,
-    run_experiment,
     run_spec,
 )
 from repro.experiments.calibration import (
@@ -57,8 +58,9 @@ __all__ = [
     "ExperimentSpec",
     "build_bundle",
     "make_controller",
-    "run_experiment",
+    "assemble_run",
     "run_spec",
+    "finish_run",
     "sweep_system_cost_limit",
     "fit_oltp_slope",
     "figure2",

@@ -23,7 +23,7 @@ from repro.core.service_class import (
     ServiceClass,
     VelocityGoal,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.workloads.schedule import constant_schedule
 
 
@@ -65,11 +65,13 @@ def sweep_system_cost_limit(
     schedule = constant_schedule(period_seconds, num_periods, {"olap": olap_clients})
     for limit in limits:
         run_config = base.with_updates(system_cost_limit=float(limit))
-        result = run_experiment(
-            controller="none",
-            config=run_config,
-            schedule=schedule,
-            classes=classes,
+        result = run_spec(
+            ExperimentSpec(
+                controller="none",
+                config=run_config,
+                schedule=schedule,
+                classes=classes,
+            )
         )
         throughput = _steady_state_mean(
             result.collector.metric_series("olap", "throughput"), warmup_periods
@@ -112,11 +114,13 @@ def measure_oltp_response_time(
         {"olap": olap_clients, "class3": oltp_clients},
     )
     run_config = base.with_updates(system_cost_limit=float(olap_limit))
-    result = run_experiment(
-        controller="none",
-        config=run_config,
-        schedule=schedule,
-        classes=classes,
+    result = run_spec(
+        ExperimentSpec(
+            controller="none",
+            config=run_config,
+            schedule=schedule,
+            classes=classes,
+        )
     )
     return _steady_state_mean(
         result.collector.metric_series("class3", "response_time"), warmup_periods

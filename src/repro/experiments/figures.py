@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SimulationConfig, default_config
 from repro.experiments.calibration import measure_oltp_response_time
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentResult, ExperimentSpec, run_spec
 from repro.workloads.schedule import paper_schedule
 
 #: Digit-reconstructed Figure 2 client mixes: (OLTP clients, OLAP clients).
@@ -57,10 +57,10 @@ def _controlled_run(
     config: Optional[SimulationConfig],
     **kwargs,
 ) -> ExperimentResult:
-    return run_experiment(
-        controller=controller,
-        config=config or default_config(),
-        **kwargs,
+    return run_spec(
+        ExperimentSpec(
+            controller=controller, config=config or default_config(), **kwargs
+        )
     )
 
 

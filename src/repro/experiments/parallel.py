@@ -12,9 +12,9 @@ clients, listener closures — and cannot cross a process boundary.
 
 This module supplies the picklable counterparts:
 
-* :class:`RunRequest` — what to run: controller name, validated
-  configuration, optional schedule and service classes (all plain frozen
-  dataclasses or simple containers, so the request pickles cleanly);
+* :class:`RunRequest` — what to run: an
+  :class:`~repro.experiments.runner.ExperimentSpec` (plain dataclasses and
+  simple containers, so the request pickles cleanly) plus a display label;
 * :class:`RunSummary` — what came back, extracted *inside* the worker:
   per-class goal attainment, the per-period goal-metric series, the
   controller telemetry interval records, and solver statistics;
@@ -39,17 +39,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import SimulationConfig
-from repro.core.service_class import ServiceClass
 from repro.errors import ConfigurationError
-from repro.experiments.runner import (
-    ExperimentResult,
-    ExperimentSpec,
-    run_experiment,
-    run_spec,
-)
+from repro.experiments.runner import ExperimentResult, ExperimentSpec, run_spec
 from repro.metrics.telemetry import ControlIntervalRecord, TelemetryStore
-from repro.workloads.schedule import PeriodSchedule
 
 #: Progress hook signature: ``(outcome, completed_count, total_count)``.
 #: Called in *completion* order as runs finish; the outcome's ``index``
@@ -61,35 +53,19 @@ ProgressCallback = Callable[["RunOutcome", int, int], None]
 class RunRequest:
     """A picklable description of one experiment run.
 
-    Carries exactly what :func:`~repro.experiments.runner.run_experiment`
-    needs — controller name, configuration, schedule, service classes,
-    optional static OLAP limit — plus a free-form ``label`` used by
-    progress reporting.  All fields are immutable values (frozen
-    dataclasses, tuples, floats), so a request crosses a process boundary
-    without ceremony.
-
-    A request may instead carry a full
-    :class:`~repro.experiments.runner.ExperimentSpec` in ``spec`` — the
-    scenario path, where backend choice, invariant mode, and scheduled
-    faults must cross the process boundary too.  When ``spec`` is set it
-    is authoritative and the individual fields are ignored (``controller``
-    should mirror ``spec.controller`` for display purposes).
+    The :class:`~repro.experiments.runner.ExperimentSpec` to run —
+    controller, configuration, backend choice, invariant mode and
+    scheduled faults all cross the process boundary inside it — plus a
+    free-form ``label`` used by progress reporting.
     """
 
-    controller: str
-    config: Optional[SimulationConfig] = None
-    schedule: Optional[PeriodSchedule] = None
-    classes: Optional[Tuple[ServiceClass, ...]] = None
-    static_olap_limit: Optional[float] = None
+    spec: ExperimentSpec
     label: Optional[str] = None
-    spec: Optional[ExperimentSpec] = None
 
     @property
     def seed(self) -> Optional[int]:
         """The request's seed (None when the default config will be used)."""
-        if self.spec is not None and self.spec.config is not None:
-            return self.spec.config.seed
-        return self.config.seed if self.config is not None else None
+        return self.spec.config.seed if self.spec.config is not None else None
 
     @property
     def request_label(self) -> str:
@@ -106,8 +82,8 @@ class RunRequest:
             return self.label
         seed = self.seed
         if seed is not None:
-            return "{}:seed={}".format(self.controller, seed)
-        return self.controller
+            return "{}:seed={}".format(self.spec.controller, seed)
+        return self.spec.controller
 
 
 @dataclass
@@ -219,17 +195,7 @@ def summarize_result(
 
 def execute_request(request: RunRequest) -> RunSummary:
     """Run one request in-process and summarize it (raises on failure)."""
-    if request.spec is not None:
-        result = run_spec(request.spec)
-    else:
-        result = run_experiment(
-            controller=request.controller,
-            config=request.config,
-            schedule=request.schedule,
-            classes=list(request.classes) if request.classes is not None else None,
-            static_olap_limit=request.static_olap_limit,
-        )
-    return summarize_result(result, label=request.label)
+    return summarize_result(run_spec(request.spec), label=request.label)
 
 
 def _execute_indexed(index: int, request: RunRequest) -> RunOutcome:

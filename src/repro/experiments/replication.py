@@ -27,6 +27,7 @@ from repro.experiments.parallel import (
     RunRequest,
     run_requests,
 )
+from repro.experiments.runner import ExperimentSpec
 from repro.sim.stats import WelfordAccumulator
 from repro.workloads.schedule import PeriodSchedule
 
@@ -121,10 +122,12 @@ def _seed_requests(
     """One request per seed, in seed order."""
     return [
         RunRequest(
-            controller=controller,
-            config=base.with_updates(seed=int(seed)),
-            schedule=schedule,
-            classes=tuple(classes) if classes is not None else None,
+            spec=ExperimentSpec(
+                controller=controller,
+                config=base.with_updates(seed=int(seed)),
+                schedule=schedule,
+                classes=classes,
+            ),
             label="{}:seed={}".format(controller, int(seed)),
         )
         for seed in seeds

@@ -6,10 +6,17 @@ Patroller on top, workload clients connecting through QP, then one
 *controller* — the Query Scheduler or a baseline — installed as QP's
 release handler.
 
-Backend selection flows through ``build_bundle(backend=...)`` /
-``run_experiment(backend=...)`` / ``ExperimentSpec(backend=...)``: the
-controller stack itself only ever sees the :mod:`repro.runtime` protocols,
-so the same controller code drives both substrates.
+Backend selection flows through ``ExperimentSpec(backend=...)`` (or
+``build_bundle(backend=...)``): the controller stack itself only ever sees
+the :mod:`repro.runtime` protocols, so the same controller code drives
+both substrates.
+
+An :class:`ExperimentSpec` is the one description of a run and this module
+holds the one assembly of it: :func:`assemble_run` builds and starts the
+deployment, ``bundle.run(horizon)`` is the sole time-advancing call, and
+:func:`finish_run` closes it into an :class:`ExperimentResult`.
+:func:`run_spec` does the three in a row; the lockstep shard coordinator
+does them for N deployments with its re-split between slices of ``run``.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ class SimulationBundle:
     schedule: PeriodSchedule
     manager: ClientPoolManager
     collector: MetricsCollector
-    backend: Optional[ExecutionBackend] = None
+    backend: ExecutionBackend
     controller: Optional[object] = None
 
     def historical_olap_costs(self) -> List[float]:
@@ -101,25 +108,20 @@ class SimulationBundle:
     def run(self, horizon: Optional[float] = None) -> None:
         """Run the deployment to its schedule horizon (or ``horizon``)."""
         end = horizon if horizon is not None else self.schedule.horizon
-        if self.backend is not None:
-            self.backend.run_until(end)
-        else:
-            self.sim.run_until(end)
+        self.backend.run_until(end)
 
     def close(self) -> None:
         """Release backend resources (idempotent; no-op for the sim)."""
-        if self.backend is not None:
-            self.backend.close()
+        self.backend.close()
 
 
 @dataclass
 class ExperimentSpec:
     """One experiment, as data.
 
-    Replaces :func:`run_experiment`'s keyword sprawl: build a spec, tweak
-    it with :func:`dataclasses.replace`, hand it to :func:`run_spec` (or
-    ``run_experiment(spec=...)``).  The old ``run_experiment`` keywords
-    remain a thin shim over this.
+    The only description of a run: build a spec, tweak it with
+    :meth:`with_overrides`, hand it to :func:`run_spec` (or wrap it in a
+    ``RunRequest`` / ``ShardedExperimentSpec`` for batches and fleets).
 
     ``faults`` are behavioral :class:`~repro.faults.ScheduledFault`
     injections applied to the assembled bundle before the run starts (the
@@ -347,12 +349,116 @@ def make_controller(
     return controller
 
 
+def assemble_run(
+    spec: ExperimentSpec,
+    hub: Optional["TelemetryHub"] = None,  # noqa: F821
+    shard: Optional[int] = None,
+) -> ExperimentResult:
+    """Build, wire and start the deployment ``spec`` describes.
+
+    Returns the (not yet run) result: its ``bundle`` is started and ready
+    for ``bundle.run(horizon)``, and its ``extras`` already hold every
+    observer that rides along.  The caller owns the bundle from here —
+    advance it, then hand the result to :func:`finish_run` (or close the
+    bundle if the run fails).  A failure during assembly closes the
+    backend before propagating.
+
+    Observers attach in a fixed order, each seeing what the previous one
+    wrote at an interval boundary: collector plan listener, tracer,
+    invariant harness (so a check sees the interval's telemetry record
+    and can embed its violations there), then the hub publisher (so each
+    ``interval`` event carries the record with violations embedded).
+    """
+    if spec.backend not in BACKEND_NAMES:
+        raise ConfigurationError(
+            "unknown backend {!r}; expected one of {}".format(
+                spec.backend, BACKEND_NAMES
+            )
+        )
+    bundle = build_bundle(
+        config=spec.config,
+        schedule=spec.schedule,
+        classes=spec.classes,
+        backend=spec.backend,
+        backend_options=dict(spec.backend_options),
+    )
+    result = ExperimentResult(
+        controller_name=spec.controller,
+        config=bundle.config,
+        classes=bundle.classes,
+        schedule=bundle.schedule,
+        collector=bundle.collector,
+        bundle=bundle,
+    )
+    extras = result.extras
+    try:
+        built = make_controller(
+            bundle, spec.controller, static_olap_limit=spec.static_olap_limit
+        )
+        if isinstance(built, QueryScheduler):  # covers qs and qs_detect
+            built.planner.add_plan_listener(bundle.collector.on_plan)
+            extras["telemetry"] = built.telemetry.store
+            extras["metrics_registry"] = built.registry
+        tracer = None
+        if spec.tracing:
+            tracer = extras["tracer"] = QueryTracer(
+                clock=bundle.sim,
+                patroller=bundle.patroller,
+                engine=bundle.engine,
+                schedule=bundle.schedule,
+            )
+        harness = attach_harness(bundle, mode=spec.invariants)
+        if harness is not None:
+            extras["validation"] = harness
+        if hub is not None:
+            from repro.obs.live.publish import RunPublisher
+
+            publisher = extras["live_publisher"] = RunPublisher(
+                hub, bundle, built, shard=shard, tracer=tracer
+            )
+            publisher.attach()
+            if shard is None:
+                publisher.publish_start()
+        built.start()
+        bundle.manager.start()
+        if spec.faults:
+            from repro.faults import FaultInjector
+
+            injector = extras["faults"] = FaultInjector(bundle)
+            for fault in spec.faults:
+                injector.apply(fault)
+    except BaseException:
+        bundle.close()
+        raise
+    return result
+
+
+def finish_run(result: ExperimentResult) -> ExperimentResult:
+    """Close an assembled deployment after its last ``bundle.run`` call.
+
+    Closes the backend (real-time backends stop their worker threads and
+    remove the database; the collected metrics remain readable), finalises
+    the tracer and publishes the deployment's ``run_end`` event.
+    """
+    result.bundle.close()
+    tracer = result.extras.get("tracer")
+    if tracer is not None:
+        tracer.finalize()
+    publisher = result.extras.get("live_publisher")
+    if publisher is not None:
+        publisher.publish_end(result)
+    return result
+
+
 def run_spec(
     spec: ExperimentSpec,
     hub: Optional["TelemetryHub"] = None,  # noqa: F821
     shard: Optional[int] = None,
 ) -> ExperimentResult:
     """Run one full scheduled experiment described by ``spec``.
+
+    Assemble (:func:`assemble_run`), advance to ``spec.horizon`` (default:
+    the schedule horizon), finish (:func:`finish_run`).
 
     ``spec.invariants`` selects the runtime validation mode: ``"off"`` (no
     harness), ``"warn"`` (check at every control interval, record
@@ -378,112 +484,10 @@ def run_spec(
     removed) before this returns, even on failure; the collected metrics
     remain readable afterwards.
     """
-    if spec.backend not in BACKEND_NAMES:
-        raise ConfigurationError(
-            "unknown backend {!r}; expected one of {}".format(
-                spec.backend, BACKEND_NAMES
-            )
-        )
-    bundle = build_bundle(
-        config=spec.config,
-        schedule=spec.schedule,
-        classes=spec.classes,
-        backend=spec.backend,
-        backend_options=dict(spec.backend_options),
-    )
+    result = assemble_run(spec, hub=hub, shard=shard)
     try:
-        built = make_controller(
-            bundle, spec.controller, static_olap_limit=spec.static_olap_limit
-        )
-        if isinstance(built, QueryScheduler):  # covers qs and qs_detect
-            built.planner.add_plan_listener(bundle.collector.on_plan)
-        tracer = None
-        if spec.tracing:
-            tracer = QueryTracer(
-                clock=bundle.sim,
-                patroller=bundle.patroller,
-                engine=bundle.engine,
-                schedule=bundle.schedule,
-            )
-        # The harness attaches after the telemetry and collector listeners
-        # so a check at an interval boundary sees the interval's record
-        # already written (and can embed its violations there).
-        harness = attach_harness(bundle, mode=spec.invariants)
-        publisher = None
-        if hub is not None:
-            from repro.obs.live.publish import RunPublisher
-
-            # After the harness: each interval event then carries the
-            # record with any violations already embedded.
-            publisher = RunPublisher(
-                hub, bundle, built, shard=shard, tracer=tracer
-            )
-            publisher.attach()
-            if shard is None:
-                publisher.publish_start()
-        built.start()
-        bundle.manager.start()
-        injector = None
-        if spec.faults:
-            from repro.faults import FaultInjector
-
-            injector = FaultInjector(bundle)
-            for fault in spec.faults:
-                injector.apply(fault)
-        bundle.run(horizon=spec.horizon)
-    finally:
-        bundle.close()
-    result = ExperimentResult(
-        controller_name=spec.controller,
-        config=bundle.config,
-        classes=bundle.classes,
-        schedule=bundle.schedule,
-        collector=bundle.collector,
-        bundle=bundle,
-    )
-    if isinstance(built, QueryScheduler):
-        result.extras["telemetry"] = built.telemetry.store
-        result.extras["metrics_registry"] = built.registry
-    if harness is not None:
-        result.extras["validation"] = harness
-    if injector is not None:
-        result.extras["faults"] = injector
-    if tracer is not None:
-        tracer.finalize()
-        result.extras["tracer"] = tracer
-    if publisher is not None:
-        result.extras["live_publisher"] = publisher
-        publisher.publish_end(result)
-    return result
-
-
-def run_experiment(
-    controller: str = "qs",
-    config: Optional[SimulationConfig] = None,
-    schedule: Optional[PeriodSchedule] = None,
-    classes: Optional[List[ServiceClass]] = None,
-    static_olap_limit: Optional[float] = None,
-    invariants: str = "off",
-    tracing: bool = False,
-    backend: str = "sim",
-    horizon: Optional[float] = None,
-    spec: Optional[ExperimentSpec] = None,
-) -> ExperimentResult:
-    """Run one experiment (thin keyword shim over :func:`run_spec`).
-
-    Pass ``spec=`` to supply an :class:`ExperimentSpec` directly; the
-    individual keywords are then ignored.
-    """
-    if spec is None:
-        spec = ExperimentSpec(
-            controller=controller,
-            config=config,
-            schedule=schedule,
-            classes=classes,
-            static_olap_limit=static_olap_limit,
-            invariants=invariants,
-            tracing=tracing,
-            backend=backend,
-            horizon=horizon,
-        )
-    return run_spec(spec)
+        result.bundle.run(horizon=spec.horizon)
+    except BaseException:
+        result.bundle.close()
+        raise
+    return finish_run(result)

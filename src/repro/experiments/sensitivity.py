@@ -17,6 +17,7 @@ from repro.config import SimulationConfig, default_config
 from repro.core.service_class import ServiceClass
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.parallel import ProgressCallback, RunRequest, run_requests
+from repro.experiments.runner import ExperimentSpec
 from repro.workloads.schedule import PeriodSchedule
 
 #: One sweep point: the swept value and its per-class goal attainment.
@@ -78,7 +79,7 @@ def sweep(
     classes: Optional[List[ServiceClass]] = None,
     jobs: Optional[int] = 1,
     progress: Optional[ProgressCallback] = None,
-    base_spec: Optional["ExperimentSpec"] = None,  # noqa: F821
+    base_spec: Optional[ExperimentSpec] = None,
 ) -> List[SweepEntry]:
     """Run the experiment once per value of the addressed field.
 
@@ -94,46 +95,34 @@ def sweep(
     ``jobs`` fans the points over worker processes (``1`` = serial,
     ``None`` = one per CPU) without changing the results.
 
-    ``base_spec`` sweeps around a full
-    :class:`~repro.experiments.runner.ExperimentSpec` instead of bare
-    keywords — the scenario path (``repro sweep --scenario``): each point
-    re-runs the spec (backend, invariant mode, scheduled faults and all)
-    with only the addressed configuration field changed.  ``controller``,
-    ``config``, ``schedule`` and ``classes`` are then taken from the spec
-    and must not be passed separately.
+    Every point re-runs one base
+    :class:`~repro.experiments.runner.ExperimentSpec` with only the
+    addressed configuration field changed.  Pass it as ``base_spec`` (the
+    scenario path, ``repro sweep --scenario``: backend, invariant mode,
+    scheduled faults and all); ``controller``/``config``/``schedule``/
+    ``classes`` are shorthand for a plain spec of those four fields and
+    must not be combined with ``base_spec``.
     """
     values = list(values)
     if not values:
         raise ConfigurationError("sweep needs at least one value")
-    labels = _sweep_labels(dotted_path, values)
-    if base_spec is not None:
-        if any(arg is not None for arg in (config, schedule, classes)):
-            raise ConfigurationError(
-                "sweep: pass either base_spec or config/schedule/classes, not both"
-            )
-        base = (base_spec.config or default_config()).validate()
-        requests = [
-            RunRequest(
-                controller=base_spec.controller,
-                label=label,
-                spec=base_spec.with_overrides(
-                    config=set_config_field(base, dotted_path, value)
-                ),
-            )
-            for value, label in zip(values, labels)
-        ]
-        outcomes = run_requests(requests, jobs=jobs, progress=progress)
-        return _collect_entries(dotted_path, values, outcomes)
-    base = (config or default_config()).validate()
+    if base_spec is None:
+        base_spec = ExperimentSpec(
+            controller=controller, config=config, schedule=schedule, classes=classes
+        )
+    elif any(arg is not None for arg in (config, schedule, classes)):
+        raise ConfigurationError(
+            "sweep: pass either base_spec or config/schedule/classes, not both"
+        )
+    base = (base_spec.config or default_config()).validate()
     requests = [
         RunRequest(
-            controller=controller,
-            config=set_config_field(base, dotted_path, value),
-            schedule=schedule,
-            classes=tuple(classes) if classes is not None else None,
+            spec=base_spec.with_overrides(
+                config=set_config_field(base, dotted_path, value)
+            ),
             label=label,
         )
-        for value, label in zip(values, labels)
+        for value, label in zip(values, _sweep_labels(dotted_path, values))
     ]
     outcomes = run_requests(requests, jobs=jobs, progress=progress)
     return _collect_entries(dotted_path, values, outcomes)

@@ -23,7 +23,7 @@ from repro.runtime.protocols import (
     TimerService,
 )
 
-#: Valid values for ``--backend`` / ``run_experiment(backend=...)``.
+#: Valid values for ``--backend`` / ``ExperimentSpec(backend=...)``.
 BACKEND_NAMES = ("sim", "sqlite")
 
 _LAZY = {

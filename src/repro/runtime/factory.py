@@ -1,7 +1,7 @@
 """Backend construction by name.
 
 The single place that maps the user-facing backend identifiers
-(``repro run --backend {sim,sqlite}``, ``run_experiment(backend=...)``)
+(``repro run --backend {sim,sqlite}``, ``ExperimentSpec(backend=...)``)
 to concrete :class:`~repro.runtime.protocols.ExecutionBackend` instances.
 """
 

@@ -647,6 +647,19 @@ def scenario_from_mapping(mapping: Mapping) -> ScenarioSpec:
     shards_raw = mapping.get("shards")
     shards = None if shards_raw is None else ShardPlan.from_value(shards_raw)
 
+    # YAML 1.1 reads an unquoted ``off`` as boolean False (and ``on`` as
+    # True, which names no mode).
+    invariants = mapping.get("invariants", "off")
+    if invariants is False:
+        invariants = "off"
+    elif invariants is True:
+        from repro.validation import MODES
+
+        raise ScenarioError(
+            "'invariants' must be one of {} (an unquoted on/yes/true is "
+            "read by YAML as a boolean)".format(MODES)
+        )
+
     horizon = mapping.get("horizon")
     spec = ScenarioSpec(
         name=str(_require(mapping, "name", "scenario")),
@@ -659,7 +672,7 @@ def scenario_from_mapping(mapping: Mapping) -> ScenarioSpec:
         controller=str(mapping.get("controller", "qs")),
         backend=str(mapping.get("backend", "sim")),
         backend_options=dict(backend_options),
-        invariants=str(mapping.get("invariants", "off")),
+        invariants=str(invariants),
         horizon=None if horizon is None else float(horizon),
         control=dict(control),
         faults=faults,

@@ -45,10 +45,9 @@ from repro.experiments.parallel import (
     summarize_result,
 )
 from repro.experiments.runner import (
-    ExperimentResult,
     ExperimentSpec,
-    build_bundle,
-    make_controller,
+    assemble_run,
+    finish_run,
     run_spec,
 )
 from repro.shard.invariants import (
@@ -62,7 +61,7 @@ from repro.shard.spec import (
     default_class_weights,
     split_cost_limit,
 )
-from repro.validation import Violation, attach_harness
+from repro.validation import Violation
 
 
 @dataclass
@@ -191,11 +190,7 @@ def run_sharded(
             summaries.append(summarize_result(result, label=_shard_label(index)))
     else:
         requests = [
-            RunRequest(
-                controller=shard_spec.controller,
-                label=_shard_label(index),
-                spec=shard_spec,
-            )
+            RunRequest(spec=shard_spec, label=_shard_label(index))
             for index, shard_spec in enumerate(shard_specs)
         ]
         outcomes = run_requests(requests, jobs=jobs, progress=progress)
@@ -280,11 +275,14 @@ def _run_lockstep(
 ) -> "tuple[List[RunSummary], List[float]]":
     """Advance every shard in control-interval slices, re-splitting limits.
 
-    Mirrors :func:`~repro.experiments.runner.run_spec`'s assembly per
-    shard (bundle, controller, plan listener, per-shard invariant
-    harness), but owns the time loop: all shards run to the same slice
-    boundary before the coordinator reads their live demand and
-    retargets every shard solver with its new share.
+    Each shard is the same deployment a single run would be
+    (:func:`~repro.experiments.runner.assemble_run` /
+    :func:`~repro.experiments.runner.finish_run`, so tracing, scheduled
+    faults and invariant harnesses behave exactly as in
+    :func:`~repro.experiments.runner.run_spec`); only the time loop is
+    owned here: all shards run to the same slice boundary before the
+    coordinator reads their live demand and retargets every shard solver
+    with its new share.
     """
     base = spec.base
     if base.controller not in ("qs", "qs_detect"):
@@ -298,48 +296,18 @@ def _run_lockstep(
             "rebalance='interval' advances shards in virtual-time lockstep "
             "and requires the simulation backend, got {!r}".format(base.backend)
         )
-    if base.tracing or base.faults:
-        raise ConfigurationError(
-            "rebalance='interval' does not support tracing or scheduled "
-            "faults; use rebalance='static'"
-        )
     config = (base.config or default_config()).validate()
-    classes = spec.resolved_classes()
-    weights = default_class_weights(classes)
+    weights = default_class_weights(spec.resolved_classes())
     mean_weight = sum(weights.values()) / len(weights) if weights else 1.0
     total_limit = config.system_cost_limit
     floor = spec.cost_floor()
     interval = config.planner.control_interval
 
-    bundles = []
-    controllers = []
-    publishers = []
+    runs = []
     try:
         for index, shard_spec in enumerate(shard_specs):
-            bundle = build_bundle(
-                config=shard_spec.config,
-                schedule=shard_spec.schedule,
-                classes=shard_spec.classes,
-                backend=shard_spec.backend,
-                backend_options=dict(shard_spec.backend_options),
-            )
-            controller = make_controller(
-                bundle,
-                shard_spec.controller,
-                static_olap_limit=shard_spec.static_olap_limit,
-            )
-            controller.planner.add_plan_listener(bundle.collector.on_plan)
-            attach_harness(bundle, mode=shard_spec.invariants)
-            if hub is not None:
-                from repro.obs.live.publish import RunPublisher
-
-                publisher = RunPublisher(hub, bundle, controller, shard=index)
-                publisher.attach()
-                publishers.append(publisher)
-            controller.start()
-            bundle.manager.start()
-            bundles.append(bundle)
-            controllers.append(controller)
+            runs.append(assemble_run(shard_spec, hub=hub, shard=index))
+        bundles = [run.bundle for run in runs]
 
         horizon = max(bundle.schedule.horizon for bundle in bundles)
         if base.horizon is not None:
@@ -358,8 +326,8 @@ def _run_lockstep(
                 for bundle in bundles
             ]
             limits = split_cost_limit(total_limit, demands, floor)
-            for controller, limit in zip(controllers, limits):
-                controller.solver.set_system_cost_limit(limit)
+            for bundle, limit in zip(bundles, limits):
+                bundle.controller.solver.set_system_cost_limit(limit)
             if hub is not None:
                 hub.publish(
                     "shard_rebalance",
@@ -370,25 +338,12 @@ def _run_lockstep(
                     },
                     time=now,
                 )
-    finally:
-        for bundle in bundles:
-            bundle.close()
-
-    summaries = []
-    for index, (shard_spec, bundle) in enumerate(zip(shard_specs, bundles)):
-        result = ExperimentResult(
-            controller_name=shard_spec.controller,
-            config=bundle.config,
-            classes=bundle.classes,
-            schedule=bundle.schedule,
-            collector=bundle.collector,
-            bundle=bundle,
-        )
-        controller = controllers[index]
-        telemetry = getattr(controller, "telemetry", None)
-        if telemetry is not None:
-            result.extras["telemetry"] = telemetry.store
-        if index < len(publishers):
-            publishers[index].publish_end(result)
-        summaries.append(summarize_result(result, label=_shard_label(index)))
+    except BaseException:
+        for run in runs:
+            run.bundle.close()
+        raise
+    summaries = [
+        summarize_result(finish_run(run), label=_shard_label(index))
+        for index, run in enumerate(runs)
+    ]
     return summaries, list(limits)

@@ -18,7 +18,6 @@ from repro.sim.stats import (
     TimeWeightedValue,
     WelfordAccumulator,
 )
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -34,6 +33,4 @@ __all__ = [
     "SlidingWindow",
     "TimeWeightedValue",
     "Histogram",
-    "Tracer",
-    "TraceRecord",
 ]

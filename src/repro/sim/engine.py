@@ -15,7 +15,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import DEFAULT_PRIORITY, Event
-from repro.sim.trace import Tracer
 
 #: Heap entries are ``(time, priority, seq, event)`` tuples so the heap
 #: compares at C speed (seq is unique, so the event object never compares).
@@ -28,22 +27,14 @@ _COMPACT_MIN_TOMBSTONES = 256
 
 
 class Simulator:
-    """Heap-based discrete-event simulator.
-
-    Parameters
-    ----------
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer`; when provided, every fired
-        event is recorded, which is invaluable when debugging scheduling
-        interleavings but too expensive to leave on for long runs.
-    """
+    """Heap-based discrete-event simulator."""
 
     #: Declared past-deadline contract (see
     #: :mod:`repro.runtime.conformance`): on a virtual clock "the past" is
     #: always a bug, so ``schedule_at`` before ``now`` raises.
     past_deadline_policy = "raise"
 
-    def __init__(self, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
         self._heap: List[_HeapEntry] = []
         self._seq = 0
@@ -51,7 +42,6 @@ class Simulator:
         self._tombstones = 0
         self._compactions = 0
         self._running = False
-        self.tracer = tracer
 
     # ------------------------------------------------------------------
     # Clock
@@ -158,8 +148,6 @@ class Simulator:
             # Mark as consumed so that late cancel() calls become no-ops.
             event.cancelled = True
             self._fired += 1
-            if self.tracer is not None:
-                self.tracer.record(self.now, "event", event.label)
             event.callback()
             return True
         return False
@@ -179,7 +167,6 @@ class Simulator:
             raise SimulationError("run_until() called re-entrantly from a callback")
         self._running = True
         heap = self._heap
-        tracer = self.tracer
         try:
             while heap:
                 time, _, _, event = heap[0]
@@ -197,8 +184,6 @@ class Simulator:
                 # Mark as consumed so late cancel() calls become no-ops.
                 event.cancelled = True
                 self._fired += 1
-                if tracer is not None:
-                    tracer.record(time, "event", event.label)
                 event.callback()
                 heap = self._heap
             self.now = max(self.now, end_time)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.models import OLAPVelocityModel, OLTPResponseTimeModel
+from repro.core.modeling import OLAPVelocityModel, OLTPResponseTimeModel
 from repro.errors import ConfigurationError
 
 

@@ -9,7 +9,7 @@ from repro.config import (
     default_config,
 )
 from repro.core.dispatcher import Dispatcher
-from repro.core.models import OLTPResponseTimeModel
+from repro.core.modeling import OLTPResponseTimeModel
 from repro.core.monitor import Monitor
 from repro.core.plan import SchedulingPlan
 from repro.core.planner import SchedulingPlanner

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.models import OLTPResponseTimeModel
+from repro.core.modeling import OLTPResponseTimeModel
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import (
     ResponseTimeGoal,

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core.models import OLTPResponseTimeModel
+from repro.core.modeling import OLTPResponseTimeModel
 from repro.core.service_class import (
     ResponseTimeGoal,
     ServiceClass,

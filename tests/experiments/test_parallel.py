@@ -23,6 +23,7 @@ from repro.experiments.parallel import (
     run_requests,
 )
 from repro.experiments.replication import compare, replicate
+from repro.experiments.runner import ExperimentSpec
 from repro.workloads.schedule import constant_schedule
 
 
@@ -41,9 +42,11 @@ def tiny_schedule():
 
 def tiny_request(controller="none", seed=7, label=None):
     return RunRequest(
-        controller=controller,
-        config=tiny_config(seed),
-        schedule=tiny_schedule(),
+        spec=ExperimentSpec(
+            controller=controller,
+            config=tiny_config(seed),
+            schedule=tiny_schedule(),
+        ),
         label=label,
     )
 
@@ -52,16 +55,21 @@ class TestRunRequest:
     def test_roundtrips_through_pickle(self):
         request = tiny_request(label="x")
         clone = pickle.loads(pickle.dumps(request))
-        assert clone.controller == request.controller
-        assert clone.config == request.config
-        assert clone.schedule.counts == request.schedule.counts
+        assert clone.spec.controller == request.spec.controller
+        assert clone.spec.config == request.spec.config
+        assert clone.spec.schedule.counts == request.spec.schedule.counts
         assert clone.label == "x"
+
+    def test_has_exactly_the_fields_spec_and_label(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(RunRequest)] == ["spec", "label"]
 
     def test_describe_prefers_label_then_seed(self):
         assert tiny_request(label="lab").describe() == "lab"
         assert tiny_request(seed=3).describe() == "none:seed=3"
-        assert RunRequest(controller="qs").describe() == "qs"
-        assert RunRequest(controller="qs").seed is None
+        assert RunRequest(ExperimentSpec(controller="qs")).describe() == "qs"
+        assert RunRequest(ExperimentSpec(controller="qs")).seed is None
 
 
 class TestExecuteRequest:
@@ -213,8 +221,6 @@ class TestSpecRequests:
     """RunRequest carrying a full ExperimentSpec (the scenario path)."""
 
     def _spec(self, controller="qs", invariants="off"):
-        from repro.experiments.runner import ExperimentSpec
-
         return ExperimentSpec(
             controller=controller,
             config=tiny_config(),
@@ -224,7 +230,7 @@ class TestSpecRequests:
 
     def test_spec_request_pickles_and_reports_its_seed(self):
         spec = self._spec()
-        request = RunRequest(controller=spec.controller, spec=spec, label="s")
+        request = RunRequest(spec=spec, label="s")
         clone = pickle.loads(pickle.dumps(request))
         assert clone.spec.controller == "qs"
         assert request.seed == 7
@@ -239,7 +245,7 @@ class TestSpecRequests:
                 params={"class_name": "class1", "count": 2},
             ),),
         )
-        request = RunRequest(controller=spec.controller, spec=spec)
+        request = RunRequest(spec=spec)
         summary = execute_request(request)
         assert summary.controller == "qs"
         assert summary.attainment  # the run completed and measured classes
@@ -250,7 +256,7 @@ class TestSpecRequests:
             for seed in (7, 21)
         ]
         requests = [
-            RunRequest(controller=s.controller, spec=s, label=str(i))
+            RunRequest(spec=s, label=str(i))
             for i, s in enumerate(specs)
         ]
         serial = run_requests(requests, jobs=1)

@@ -15,9 +15,10 @@ from repro.core.scheduler import QueryScheduler
 from repro.core.service_class import ServiceClass, VelocityGoal
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
+    ExperimentSpec,
     build_bundle,
     make_controller,
-    run_experiment,
+    run_spec,
 )
 from repro.workloads.schedule import constant_schedule
 
@@ -115,9 +116,9 @@ class TestMakeController:
 
 class TestRunExperiment:
     def test_runs_to_horizon_and_collects(self):
-        result = run_experiment(
+        result = run_spec(ExperimentSpec(
             controller="none", config=quick_config(), schedule=tiny_schedule()
-        )
+        ))
         assert result.bundle.sim.now == pytest.approx(60.0)
         assert result.collector.total_completions > 20
         series = result.performance_series()
@@ -125,9 +126,9 @@ class TestRunExperiment:
         assert any(v is not None for v in series["class3"])
 
     def test_qs_run_records_plans(self):
-        result = run_experiment(
+        result = run_spec(ExperimentSpec(
             controller="qs", config=quick_config(), schedule=tiny_schedule()
-        )
+        ))
         assert len(result.collector.plan_series("class3")) >= 2
         attainment = result.goal_attainment()
         assert set(attainment) == {"class1", "class2", "class3"}
@@ -137,8 +138,6 @@ class TestExperimentSpecIsolation:
     """Regression: specs derived from one base must not share mutable state."""
 
     def test_backend_options_independent_via_with_overrides(self):
-        from repro.experiments.runner import ExperimentSpec
-
         base = ExperimentSpec(backend_options={"busy_timeout": 1.0})
         derived = base.with_overrides(controller="none")
         derived.backend_options["busy_timeout"] = 99.0
@@ -148,23 +147,18 @@ class TestExperimentSpecIsolation:
     def test_backend_options_independent_via_replace(self):
         import dataclasses
 
-        from repro.experiments.runner import ExperimentSpec
-
         base = ExperimentSpec(backend_options={"nested": {"a": 1}})
         derived = dataclasses.replace(base)
         derived.backend_options["nested"]["a"] = 2
         assert base.backend_options == {"nested": {"a": 1}}
 
     def test_constructor_copies_the_caller_dict(self):
-        from repro.experiments.runner import ExperimentSpec
-
         options = {"busy_timeout": 1.0}
         spec = ExperimentSpec(backend_options=options)
         options["busy_timeout"] = 5.0
         assert spec.backend_options == {"busy_timeout": 1.0}
 
     def test_faults_normalized_to_tuple(self):
-        from repro.experiments.runner import ExperimentSpec
         from repro.faults import ScheduledFault
 
         spec = ExperimentSpec(faults=[ScheduledFault(kind="cancel_storm")])
@@ -173,7 +167,6 @@ class TestExperimentSpecIsolation:
 
 class TestRunSpecFaults:
     def test_scheduled_faults_apply_and_ride_in_extras(self):
-        from repro.experiments.runner import ExperimentSpec, run_spec
         from repro.faults import ScheduledFault
 
         result = run_spec(ExperimentSpec(

@@ -130,6 +130,18 @@ class TestSweepBaseSpec:
         for _, attainment in entries:
             assert set(attainment) == {"class1", "class2", "class3"}
 
+    def test_keywords_are_shorthand_for_a_plain_base_spec(self):
+        """One code path: keywords fold into a spec up front."""
+        base = self._base_spec().with_overrides(invariants="off")
+        by_keywords = sweep(
+            "optimizer.noise_sigma", [0.1, 0.3],
+            controller=base.controller, config=base.config,
+            schedule=base.schedule,
+        )
+        assert by_keywords == sweep(
+            "optimizer.noise_sigma", [0.1, 0.3], base_spec=base
+        )
+
     def test_base_spec_conflicts_with_bare_keywords(self):
         with pytest.raises(ConfigurationError, match="not both"):
             sweep(

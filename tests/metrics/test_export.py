@@ -12,7 +12,7 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.export import (
     load_result_dict,
     result_to_csv,
@@ -31,7 +31,7 @@ def small_result():
         planner=PlannerConfig(control_interval=10.0),
     )
     schedule = constant_schedule(20.0, 2, {"class1": 2, "class2": 2, "class3": 5})
-    return run_experiment(controller="qs", config=config, schedule=schedule)
+    return run_spec(ExperimentSpec(controller="qs", config=config, schedule=schedule))
 
 
 def test_dict_structure(small_result):

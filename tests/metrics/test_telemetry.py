@@ -11,7 +11,7 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import format_prediction_summary
 from repro.metrics.telemetry import (
     ControlIntervalRecord,
@@ -180,7 +180,7 @@ def qs_run():
         monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=15.0),
         planner=PlannerConfig(control_interval=10.0),
     )
-    return run_experiment(controller="qs", config=config)
+    return run_spec(ExperimentSpec(controller="qs", config=config))
 
 
 class TestLiveTelemetry:
@@ -263,7 +263,7 @@ def test_deficit_allocator_yields_records_without_model_data():
         monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=15.0),
         planner=PlannerConfig(control_interval=10.0, allocator="deficit"),
     )
-    result = run_experiment(controller="qs", config=config)
+    result = run_spec(ExperimentSpec(controller="qs", config=config))
     store = result.extras["telemetry"]
     assert len(store) > 0
     for record in store:

@@ -200,14 +200,14 @@ class TestLiveWiring:
             WorkloadScaleConfig,
             default_config,
         )
-        from repro.experiments.runner import run_experiment
+        from repro.experiments.runner import ExperimentSpec, run_spec
 
         config = default_config(
             scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=2),
             monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=10.0),
             planner=PlannerConfig(control_interval=10.0),
         )
-        return run_experiment(controller="qs", config=config)
+        return run_spec(ExperimentSpec(controller="qs", config=config))
 
     def test_components_register_instruments(self, qs_result):
         registry = qs_result.extras["metrics_registry"]

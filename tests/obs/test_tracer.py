@@ -197,14 +197,14 @@ class TestTracedExperiment:
             WorkloadScaleConfig,
             default_config,
         )
-        from repro.experiments.runner import run_experiment
+        from repro.experiments.runner import ExperimentSpec, run_spec
 
         config = default_config(
             scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=2),
             monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=10.0),
             planner=PlannerConfig(control_interval=10.0),
         )
-        return run_experiment(controller="qs", config=config, tracing=True)
+        return run_spec(ExperimentSpec(controller="qs", config=config, tracing=True))
 
     def test_tracer_rides_in_extras_balanced(self, traced_result):
         tracer = traced_result.extras["tracer"]
@@ -226,10 +226,10 @@ class TestTracedExperiment:
 
     def test_untraced_run_has_no_tracer(self):
         from repro.config import WorkloadScaleConfig, default_config
-        from repro.experiments.runner import run_experiment
+        from repro.experiments.runner import ExperimentSpec, run_spec
 
         config = default_config(
             scale=WorkloadScaleConfig(period_seconds=10.0, num_periods=1)
         )
-        result = run_experiment(controller="none", config=config)
+        result = run_spec(ExperimentSpec(controller="none", config=config))
         assert "tracer" not in result.extras

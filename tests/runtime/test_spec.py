@@ -1,4 +1,4 @@
-"""ExperimentSpec and the backward-compatible ``run_experiment`` shim."""
+"""ExperimentSpec and the assemble / run / finish lifecycle around it."""
 
 from __future__ import annotations
 
@@ -11,7 +11,12 @@ from repro.config import (
     default_config,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.runner import ExperimentSpec, run_experiment, run_spec
+from repro.experiments.runner import (
+    ExperimentSpec,
+    assemble_run,
+    finish_run,
+    run_spec,
+)
 
 
 def _cheap_config(seed=13):
@@ -40,21 +45,40 @@ def test_with_overrides_returns_new_spec():
     assert spec.controller == "none"  # original unchanged
 
 
-def test_old_kwargs_and_spec_produce_identical_runs():
-    old = run_experiment(controller="qs", config=_cheap_config())
-    new = run_spec(ExperimentSpec(controller="qs", config=_cheap_config()))
-    assert old.goal_attainment() == new.goal_attainment()
-    assert old.performance_series() == new.performance_series()
+def test_manual_lifecycle_in_slices_equals_run_spec():
+    """assemble -> run (sliced) -> finish is exactly what run_spec does."""
+    spec = ExperimentSpec(controller="qs", config=_cheap_config(), tracing=True)
+    whole = run_spec(spec)
+    sliced = assemble_run(spec)
+    for end in (7.5, 33.0, sliced.schedule.horizon):
+        sliced.bundle.run(horizon=end)
+    assert finish_run(sliced) is sliced
+    assert sliced.goal_attainment() == whole.goal_attainment()
+    assert sliced.performance_series() == whole.performance_series()
     assert (
-        old.bundle.engine.completed_queries == new.bundle.engine.completed_queries
+        sliced.bundle.engine.completed_queries
+        == whole.bundle.engine.completed_queries
     )
+    assert sorted(sliced.extras) == sorted(whole.extras)
+    assert sliced.extras["tracer"].balanced
+    assert len(sliced.extras["tracer"].spans) == len(whole.extras["tracer"].spans)
 
 
-def test_run_experiment_spec_kwarg_wins():
-    spec = ExperimentSpec(controller="mpl", config=_cheap_config())
-    via_spec = run_experiment(spec=spec)
-    direct = run_spec(ExperimentSpec(controller="mpl", config=_cheap_config()))
-    assert via_spec.goal_attainment() == direct.goal_attainment()
+def test_failed_assembly_closes_the_backend(monkeypatch):
+    from repro.errors import SchedulingError
+    from repro.faults import ScheduledFault
+    from repro.runtime.sim_backend import SimulationBackend
+
+    closed = []
+    monkeypatch.setattr(SimulationBackend, "close", lambda self: closed.append(self))
+    spec = ExperimentSpec(
+        controller="none",
+        config=_cheap_config(),
+        faults=(ScheduledFault(kind="no_such_fault"),),
+    )
+    with pytest.raises(SchedulingError):
+        assemble_run(spec)
+    assert len(closed) == 1
 
 
 def test_unknown_backend_in_spec_rejected():

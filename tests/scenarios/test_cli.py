@@ -33,6 +33,22 @@ class TestRunScenario:
         assert code == 0
         assert "scenario flash-crowd" in capsys.readouterr().out
 
+    def test_lockstep_shards_run_a_scenario_with_scheduled_faults(self, capsys):
+        """Interval mode used to refuse any spec carrying faults."""
+        code = main([
+            "run", "--scenario", "cancel-storm-under-load", "--smoke",
+            "--shards", "2", "--rebalance", "interval",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "rebalance=interval" in out
+        assert "global invariants: ok" in out
+
+    def test_unknown_scenario_is_the_same_error_on_the_sharded_path(self, capsys):
+        code = main(["run", "--scenario", "atlantis", "--shards", "3"])
+        assert code == 2
+        assert "scenario error" in capsys.readouterr().err
+
     def test_unknown_scenario_is_a_clear_error(self, capsys):
         code = main(["run", "--scenario", "atlantis"])
         err = capsys.readouterr().err

@@ -94,6 +94,22 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="unknown invariant mode"):
             scenario_from_mapping(minimal_mapping(invariants="pedantic"))
 
+    def test_unquoted_invariants_off_in_yaml_means_off(self):
+        """YAML 1.1 reads a bare ``off`` as boolean False."""
+        text = scenario_to_yaml(scenario_from_mapping(minimal_mapping()))
+        text = text.replace("invariants: 'off'", "invariants: off")
+        assert "invariants: off" in text
+        assert yaml.safe_load(text)["invariants"] is False
+        spec = loads_scenario(text)
+        assert spec.invariants == "off"
+        assert loads_scenario(scenario_to_yaml(spec)) == spec
+
+    def test_unquoted_invariants_on_names_the_valid_modes(self):
+        text = scenario_to_yaml(scenario_from_mapping(minimal_mapping()))
+        text = text.replace("invariants: 'off'", "invariants: on")
+        with pytest.raises(ScenarioError, match="off.*warn.*strict"):
+            loads_scenario(text)
+
     def test_duplicate_class_names_rejected(self):
         mapping = minimal_mapping()
         mapping["classes"][1]["name"] = "class1"

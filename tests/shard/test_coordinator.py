@@ -43,6 +43,60 @@ def test_single_shard_matches_unsharded_run_bitwise():
     assert summary.class_completions == direct.collector.completions_by_class()
 
 
+def test_single_shard_lockstep_matches_one_run():
+    """Sliced lockstep over the shared assembly == one run_spec call."""
+    from repro.experiments.parallel import summarize_result
+
+    base = tiny_base()
+    direct = summarize_result(run_spec(base))
+    sharded = run_sharded(
+        ShardedExperimentSpec(base=base, shards=1, rebalance="interval")
+    )
+    assert sharded.ok
+    (summary,) = sharded.summaries
+    assert summary.attainment == direct.attainment
+    assert summary.performance_series == direct.performance_series
+    assert summary.class_completions == direct.class_completions
+    assert summary.total_completions == direct.total_completions
+    assert len(summary.telemetry_records) == len(direct.telemetry_records)
+
+
+def test_lockstep_honours_tracing_and_scheduled_faults(monkeypatch):
+    """The shared assembly gives interval mode what a single run has."""
+    from repro.faults import ScheduledFault
+    from repro.shard import coordinator
+
+    finished = []
+
+    def recording_finish(run):
+        finished.append(coordinator_finish(run))
+        return finished[-1]
+
+    coordinator_finish = coordinator.finish_run
+    monkeypatch.setattr(coordinator, "finish_run", recording_finish)
+    base = tiny_base().with_overrides(
+        tracing=True,
+        faults=(
+            ScheduledFault(
+                kind="cancel_storm", at=12.0, params={"class_name": "class1"}
+            ),
+        ),
+    )
+    result = run_sharded(
+        ShardedExperimentSpec(base=base, shards=2, rebalance="interval")
+    )
+    assert result.ok
+    assert len(finished) == 2
+    for shard_result in finished:
+        tracer = shard_result.extras["tracer"]
+        assert tracer.spans and tracer.balanced
+        assert tracer.validate() == []
+        injected = shard_result.extras["faults"].injected
+        assert [entry["fault"] for entry in injected] == ["cancel_storm"]
+        assert injected[0]["time"] == 12.0
+        assert shard_result.extras["validation"].violations == []
+
+
 def test_static_mode_worker_count_never_changes_results():
     spec = ShardedExperimentSpec(base=tiny_base(), shards=2, router="hash")
     serial = run_sharded(spec, jobs=1)
@@ -131,7 +185,6 @@ def test_sharded_sweep_smoke():
         for index, shard_spec in enumerate(spec.shard_specs()):
             requests.append(
                 RunRequest(
-                    controller=shard_spec.controller,
                     label="seed={}:shard{:02d}".format(seed, index),
                     spec=shard_spec.with_overrides(
                         config=shard_spec.config.with_updates(seed=seed + index * 1000)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
 
 
 def test_clock_starts_at_zero(sim):
@@ -156,16 +155,3 @@ def test_fired_event_count(sim):
         sim.schedule(delay, lambda: None)
     sim.run()
     assert sim.fired_events == 3
-
-
-def test_tracer_records_fired_events():
-    from repro.sim.trace import Tracer
-
-    tracer = Tracer()
-    sim = Simulator(tracer=tracer)
-    sim.schedule(1.0, lambda: None, label="my-event")
-    sim.run()
-    events = tracer.filter("event")
-    assert len(events) == 1
-    assert events[0].detail == "my-event"
-    assert events[0].time == 1.0

@@ -334,6 +334,63 @@ def test_run_shards_one_uses_unsharded_path(capsys):
     assert "sharded run" not in out
 
 
+def test_every_run_like_subcommand_derives_its_spec_from_one_helper():
+    from repro.cli import _spec_from_args
+
+    def spec_for(*argv, **fields):
+        return _spec_from_args(build_parser().parse_args(list(argv)), **fields)
+
+    # run / serve: scale defaults follow the backend, once, for the
+    # sharded and the unsharded path alike.
+    sim = spec_for("run")
+    assert (sim.backend, sim.invariants, sim.horizon) == ("sim", "off", None)
+    assert sim.config.seed == 7
+    assert sim.config.scale.num_periods == 9
+    assert sim.config.scale.period_seconds == 120.0
+    assert sim.config.planner.control_interval == 60.0
+    realtime = spec_for("run", "--backend", "sqlite", "--horizon", "4",
+                        "--shards", "2", "--invariants", "strict")
+    assert (realtime.backend, realtime.horizon) == ("sqlite", 4.0)
+    assert realtime.invariants == "strict"
+    assert realtime.config.scale.num_periods == 3
+    assert realtime.config.scale.period_seconds == 2.0
+    assert realtime.config.planner.control_interval == 1.0
+    explicit = spec_for("run", "--backend", "sqlite", "--periods", "5",
+                        "--model", "oracle", "--seed", "3")
+    assert explicit.config.scale.num_periods == 5
+    assert explicit.config.planner.model == "oracle"
+    assert explicit.config.seed == 3
+    # the other subcommands fix one field each on top of the same mapping
+    assert spec_for("trace").invariants == "warn"
+    assert spec_for("spans", tracing=True).tracing is True
+    check = spec_for("check", "--controller", "qs_detect", invariants="strict")
+    assert (check.controller, check.invariants) == ("qs_detect", "strict")
+    assert check.config.scale.num_periods == 3
+    assert spec_for("figure", "5", controller="qp").controller == "qp"
+
+
+def test_scenario_flags_override_only_what_they_name():
+    pytest.importorskip("yaml")
+    from repro.cli import _spec_from_args
+    from repro.scenarios import find_scenario, to_experiment_spec
+
+    base = to_experiment_spec(find_scenario("cancel-storm-under-load"), smoke=True)
+    untouched = _spec_from_args(
+        build_parser().parse_args(["run", "--scenario", "cancel-storm-under-load"]),
+        base=base,
+    )
+    assert untouched == base
+    args = build_parser().parse_args(
+        ["run", "--scenario", "cancel-storm-under-load", "--horizon", "9",
+         "--model", "learned"]
+    )
+    changed = _spec_from_args(args, base=base, tracing=True)
+    assert (changed.horizon, changed.tracing) == (9.0, True)
+    assert changed.config.planner.model == "learned"
+    assert changed.faults == base.faults and changed.schedule is base.schedule
+    assert base.config.planner.model == "paper"
+
+
 def test_run_router_without_shards_is_an_error(capsys):
     code = main(["run", "--router", "hash"] + FAST_RUN)
     err = capsys.readouterr().err

@@ -13,7 +13,7 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.runner import CONTROLLER_NAMES, run_experiment
+from repro.experiments.runner import CONTROLLER_NAMES, ExperimentSpec, run_spec
 from repro.workloads.schedule import constant_schedule
 
 
@@ -54,19 +54,19 @@ def fingerprint(result):
 
 @pytest.mark.parametrize("controller", CONTROLLER_NAMES)
 def test_every_controller_is_seed_deterministic(controller):
-    first = run_experiment(controller=controller, config=tiny_config(),
-                           schedule=tiny_schedule())
-    second = run_experiment(controller=controller, config=tiny_config(),
-                            schedule=tiny_schedule())
+    first = run_spec(ExperimentSpec(controller=controller, config=tiny_config(),
+                           schedule=tiny_schedule()))
+    second = run_spec(ExperimentSpec(controller=controller, config=tiny_config(),
+                            schedule=tiny_schedule()))
     assert fingerprint(first) == fingerprint(second)
 
 
 def test_seed_changes_every_controllers_outcome():
     for controller in ("none", "qs"):
-        a = run_experiment(controller=controller, config=tiny_config(seed=1),
-                           schedule=tiny_schedule())
-        b = run_experiment(controller=controller, config=tiny_config(seed=2),
-                           schedule=tiny_schedule())
+        a = run_spec(ExperimentSpec(controller=controller, config=tiny_config(seed=1),
+                           schedule=tiny_schedule()))
+        b = run_spec(ExperimentSpec(controller=controller, config=tiny_config(seed=2),
+                           schedule=tiny_schedule()))
         assert fingerprint(a) != fingerprint(b)
 
 

@@ -223,7 +223,7 @@ class TestReportChartIntegration:
         from repro.config import (
             MonitorConfig, PlannerConfig, WorkloadScaleConfig, default_config,
         )
-        from repro.experiments.runner import run_experiment
+        from repro.experiments.runner import ExperimentSpec, run_spec
         from repro.metrics.report import render_series_chart
         from repro.workloads.schedule import constant_schedule
 
@@ -232,10 +232,10 @@ class TestReportChartIntegration:
             monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=10.0),
             planner=PlannerConfig(control_interval=10.0),
         )
-        result = run_experiment(
+        result = run_spec(ExperimentSpec(
             controller="none", config=config,
             schedule=constant_schedule(20.0, 2, {"class1": 2, "class2": 2, "class3": 4}),
-        )
+        ))
         chart = render_series_chart(
             {c.name: result.collector.performance_series(c) for c in result.classes},
             goal_lines={c.name: c.goal.target for c in result.classes},

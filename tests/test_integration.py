@@ -13,7 +13,7 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.workloads.schedule import PeriodSchedule
 
 #: Mixed-intensity mini-schedule: OLTP light / heavy / light / heavy.
@@ -39,12 +39,12 @@ def mini_config(seed=7):
 
 @pytest.fixture(scope="module")
 def qs_result():
-    return run_experiment(controller="qs", config=mini_config(), schedule=MINI)
+    return run_spec(ExperimentSpec(controller="qs", config=mini_config(), schedule=MINI))
 
 
 @pytest.fixture(scope="module")
 def none_result():
-    return run_experiment(controller="none", config=mini_config(), schedule=MINI)
+    return run_spec(ExperimentSpec(controller="none", config=mini_config(), schedule=MINI))
 
 
 def test_all_classes_complete_work(qs_result):
@@ -112,8 +112,8 @@ def test_no_control_gives_no_differentiation(none_result):
 
 
 def test_deterministic_given_seed():
-    first = run_experiment(controller="qs", config=mini_config(seed=42), schedule=MINI)
-    second = run_experiment(controller="qs", config=mini_config(seed=42), schedule=MINI)
+    first = run_spec(ExperimentSpec(controller="qs", config=mini_config(seed=42), schedule=MINI))
+    second = run_spec(ExperimentSpec(controller="qs", config=mini_config(seed=42), schedule=MINI))
     assert first.collector.total_completions == second.collector.total_completions
     class3 = next(c for c in first.classes if c.name == "class3")
     assert first.collector.performance_series(class3) == pytest.approx(
@@ -122,8 +122,8 @@ def test_deterministic_given_seed():
 
 
 def test_different_seeds_differ():
-    first = run_experiment(controller="qs", config=mini_config(seed=1), schedule=MINI)
-    second = run_experiment(controller="qs", config=mini_config(seed=2), schedule=MINI)
+    first = run_spec(ExperimentSpec(controller="qs", config=mini_config(seed=1), schedule=MINI))
+    second = run_spec(ExperimentSpec(controller="qs", config=mini_config(seed=2), schedule=MINI))
     assert first.collector.total_completions != second.collector.total_completions
 
 

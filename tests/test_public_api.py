@@ -55,10 +55,15 @@ def test_package_docstrings_reference_the_paper():
 
 def test_public_classes_expose_documented_methods():
     """Spot-check the objects the README shows."""
-    from repro import run_experiment, default_config, paper_classes
+    import dataclasses
 
-    signature = inspect.signature(run_experiment)
-    assert list(signature.parameters)[:2] == ["controller", "config"]
+    from repro import ExperimentSpec, default_config, paper_classes, run_spec
+
+    assert list(inspect.signature(run_spec).parameters)[0] == "spec"
+    assert [f.name for f in dataclasses.fields(ExperimentSpec)][:2] == [
+        "controller",
+        "config",
+    ]
     config = default_config()
     assert config.system_cost_limit == 30_000.0
     classes = paper_classes()

@@ -20,7 +20,12 @@ from repro.core.service_class import (
     VelocityGoal,
     paper_classes,
 )
-from repro.experiments.runner import build_bundle, make_controller, run_experiment
+from repro.experiments.runner import (
+    ExperimentSpec,
+    build_bundle,
+    make_controller,
+    run_spec,
+)
 from repro.workloads.openloop import OpenLoopSource
 from repro.workloads.schedule import PeriodSchedule, constant_schedule
 from repro.workloads.spec import QueryTemplate, WorkloadMix
@@ -42,7 +47,7 @@ def test_zero_client_periods_do_not_crash():
     schedule = PeriodSchedule(
         30.0, {"class1": (0, 2), "class2": (0, 0), "class3": (5, 0)}
     )
-    result = run_experiment(controller="qs", config=quick_config(), schedule=schedule)
+    result = run_spec(ExperimentSpec(controller="qs", config=quick_config(), schedule=schedule))
     assert result.bundle.sim.now == pytest.approx(60.0)
     # Planner kept running even with empty classes.
     assert result.bundle.controller.planner.intervals_run >= 3
@@ -121,7 +126,7 @@ def test_min_budget_plan_everywhere_still_progresses():
     """Force the system cost limit to the bare minimum the solver accepts."""
     config = quick_config(system_cost_limit=3_000.0)
     schedule = constant_schedule(30.0, 2, {"class1": 2, "class2": 2, "class3": 4})
-    result = run_experiment(controller="qs", config=config, schedule=schedule)
+    result = run_spec(ExperimentSpec(controller="qs", config=config, schedule=schedule))
     assert result.collector.total_completions > 0
     for _, limits in result.collector._plan_points:
         assert sum(limits.values()) <= 3_000.0 + 1e-6
@@ -129,9 +134,9 @@ def test_min_budget_plan_everywhere_still_progresses():
 
 def test_extreme_optimizer_noise_never_wedges():
     config = quick_config(optimizer=OptimizerConfig(noise_sigma=1.5))
-    result = run_experiment(controller="qs", config=config,
+    result = run_spec(ExperimentSpec(controller="qs", config=config,
                             schedule=constant_schedule(30.0, 2,
-                                {"class1": 2, "class2": 2, "class3": 6}))
+                                {"class1": 2, "class2": 2, "class3": 6})))
     assert result.collector.total_completions > 50
 
 
@@ -154,5 +159,5 @@ def test_all_controllers_survive_burst_schedule():
     )
     config = quick_config(scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=3))
     for controller in ("none", "qp", "qs", "mpl", "direct"):
-        result = run_experiment(controller=controller, config=config, schedule=burst)
+        result = run_spec(ExperimentSpec(controller=controller, config=config, schedule=burst))
         assert result.collector.total_completions > 0, controller

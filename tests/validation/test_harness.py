@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import InvariantViolation, SchedulingError
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.faults import FaultInjector
 from repro.validation import (
     ControlLoopWorld,
@@ -19,9 +19,9 @@ from tests.validation.conftest import make_qs_bundle, small_config
 
 class TestCleanRuns:
     def test_strict_clean_run_has_zero_violations(self):
-        result = run_experiment(
+        result = run_spec(ExperimentSpec(
             controller="qs", config=small_config(), invariants="strict"
-        )
+        ))
         harness = result.extras["validation"]
         assert harness.mode == "strict"
         assert harness.violations == []
@@ -29,9 +29,9 @@ class TestCleanRuns:
         assert result.extras["telemetry"].violations() == []
 
     def test_off_mode_attaches_nothing(self):
-        result = run_experiment(
+        result = run_spec(ExperimentSpec(
             controller="qs", config=small_config(), invariants="off"
-        )
+        ))
         assert "validation" not in result.extras
 
     def test_unknown_mode_rejected(self, qs_bundle):
