@@ -5,7 +5,10 @@ Launches a short sharded sqlite-backend run with ``--dashboard`` on an
 ephemeral port, then — while the run executes — exercises every endpoint:
 
 * ``/api/snapshot`` parses as JSON and carries protocol version 1;
-* ``/events`` streams SSE: at least 2 ``interval`` events arrive;
+* ``/events`` streams SSE: at least 2 ``interval`` events arrive, and
+  each carries the control interval's record (the one object the planner
+  built, serialised by the publisher) with matching ``interval_index``
+  and a ``violations`` list;
 * ``/metrics`` renders the Prometheus exposition with per-shard labels;
 * ``/`` serves the embedded dashboard HTML;
 
@@ -50,22 +53,39 @@ def wait_for_port(path, proc, deadline):
     raise SystemExit("timed out waiting for the dashboard port file")
 
 
-def count_sse_intervals(base, want, deadline):
-    """Read the SSE stream until ``want`` interval events (or deadline)."""
-    seen = 0
+def read_sse_intervals(base, want, deadline):
+    """Read the SSE stream until ``want`` interval events (or deadline).
+
+    Returns the parsed ``data:`` payload (the wire event) of each.
+    """
+    events = []
+    event_type = None
     request = urllib.request.Request(
         base + "events", headers={"Accept": "text/event-stream"}
     )
     with urllib.request.urlopen(request, timeout=30.0) as stream:
         for raw in stream:
             line = raw.decode("utf-8").rstrip("\n")
-            if line == "event: interval":
-                seen += 1
-                if seen >= want:
-                    return seen
+            if line.startswith("event: "):
+                event_type = line[len("event: "):]
+            elif line.startswith("data: ") and event_type == "interval":
+                events.append(json.loads(line[len("data: "):]))
+                if len(events) >= want:
+                    return events
             if time.monotonic() > deadline:
-                return seen
-    return seen
+                return events
+    return events
+
+
+def check_interval_record(event):
+    """The record path end to end: planner -> publisher -> hub -> HTTP."""
+    data = event["data"]
+    record = data["record"]
+    assert isinstance(record, dict), "interval event without a record: {}".format(data)
+    assert record["interval_index"] == data["interval_index"], (
+        record["interval_index"], data["interval_index"]
+    )
+    assert isinstance(record["violations"], list), record["violations"]
 
 
 def main():
@@ -89,15 +109,19 @@ def main():
             assert snapshot["v"] == 1, snapshot
             print("snapshot OK (seq={})".format(snapshot["seq"]))
 
-            intervals = count_sse_intervals(
+            intervals = read_sse_intervals(
                 base, SSE_INTERVAL_EVENTS, deadline
             )
-            assert intervals >= SSE_INTERVAL_EVENTS, (
+            assert len(intervals) >= SSE_INTERVAL_EVENTS, (
                 "only {} SSE interval events (need >= {})".format(
-                    intervals, SSE_INTERVAL_EVENTS
+                    len(intervals), SSE_INTERVAL_EVENTS
                 )
             )
-            print("SSE OK ({} interval events)".format(intervals))
+            for event in intervals:
+                check_interval_record(event)
+            print("SSE OK ({} interval events, each with its record)".format(
+                len(intervals)
+            ))
 
             metrics = fetch(base + "metrics")
             assert "# HELP" in metrics and "# TYPE" in metrics, metrics[:200]

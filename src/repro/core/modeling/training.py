@@ -28,6 +28,7 @@ from repro.core.modeling.protocol import (
     MixSnapshot,
 )
 from repro.errors import ConfigurationError, ExportError
+from repro.metrics.telemetry import TelemetryStore
 
 
 def _metric_kind(metric: str) -> str:
@@ -169,8 +170,7 @@ def load_telemetry_records(path: str) -> List[Dict]:
         return records
     if not os.path.exists(path):
         raise ConfigurationError("telemetry path {!r} does not exist".format(path))
-    with open(path) as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+    return TelemetryStore.load_jsonl(path)
 
 
 def save_model(model: LearnedPerformanceModel, path: str, overwrite: bool = True) -> None:

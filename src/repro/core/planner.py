@@ -9,13 +9,15 @@ the Dispatcher" (Section 2).  Each control interval the planner:
    observation from the interval that just ended (Section 3.2);
 3. asks the solver for the utility-optimal plan given the measurements and
    the active limits;
-4. installs the plan on the dispatcher and records it (the record is what
-   Figure 7 plots).
+4. installs the plan on the dispatcher and records the whole decision as
+   one :class:`~repro.metrics.telemetry.ControlIntervalRecord` — appended
+   to :attr:`SchedulingPlanner.history` and handed to every plan listener
+   (the record is what Figure 7 plots and what ``repro trace`` exports).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import PlannerConfig
 from repro.core.dispatcher import Dispatcher
@@ -31,32 +33,16 @@ from repro.core.plan import SchedulingPlan
 from repro.core.service_class import ServiceClass
 from repro.core.solver import ClassStatus, PerformanceSolver
 from repro.errors import SchedulingError
+from repro.metrics.telemetry import (
+    ControlIntervalRecord,
+    DispatcherClassTelemetry,
+    PredictionTelemetry,
+    SolverTelemetry,
+)
 from repro.obs.profiling import IntervalProfiler
 from repro.runtime import TimerService
 
-
-class PlanRecord(NamedTuple):
-    """One control-interval decision, kept for analysis and Figure 7.
-
-    ``predictions`` holds the solver's predicted goal-metric value per class
-    under the plan just installed (what the models expect the *next*
-    measurement to look like); ``trigger`` distinguishes the fixed-interval
-    loop from detection-driven early re-plans; ``interval_index`` counts
-    decisions from zero.  ``overhead`` is the real wall-clock cost of this
-    decision (``monitor_s``/``solver_s``/``dispatcher_s``/``total_s``),
-    measured with ``time.perf_counter`` — never simulated time.
-    """
-
-    time: float
-    plan: SchedulingPlan
-    measurements: Dict[str, ClassMeasurement]
-    predictions: Dict[str, float] = {}
-    trigger: str = "scheduled"
-    interval_index: int = 0
-    overhead: Dict[str, float] = {}
-
-
-PlanListener = Callable[[PlanRecord], None]
+PlanListener = Callable[[ControlIntervalRecord], None]
 
 
 class SchedulingPlanner:
@@ -88,7 +74,10 @@ class SchedulingPlanner:
         self._oltp_class: Optional[ServiceClass] = (
             oltp_classes[0] if oltp_classes else None
         )
-        self.history: List[PlanRecord] = []
+        #: Every decision so far, in order — the one list of records; a
+        #: :class:`~repro.metrics.telemetry.TelemetryStore` over it is the
+        #: queryable/exportable view.
+        self.history: List[ControlIntervalRecord] = []
         self._listeners: List[PlanListener] = []
         self._previous_oltp: Optional[ClassMeasurement] = None
         self._started = False
@@ -172,8 +161,15 @@ class SchedulingPlanner:
         self.run_interval(trigger="early")
         return True
 
-    def run_interval(self, trigger: str = "scheduled") -> PlanRecord:
-        """One control-interval decision (public for tests and manual use)."""
+    def run_interval(self, trigger: str = "scheduled") -> ControlIntervalRecord:
+        """One control-interval decision (public for tests and manual use).
+
+        ``trigger`` distinguishes the fixed-interval loop (``"scheduled"``)
+        from detection-driven early re-plans (``"early"``).  The returned
+        record is built after the plan is installed and the prediction
+        pass has run, and before any listener sees it; its ``overhead``
+        (real wall-clock, never simulated time) closes before either.
+        """
         now = self.sim.now
         self._last_interval_at = now
         self.profiler.begin()
@@ -196,13 +192,17 @@ class SchedulingPlanner:
         overhead = self.profiler.finish()
         if self._oltp_class is not None:
             self._previous_oltp = measurements.get(self._oltp_class.name)
-        record = PlanRecord(
+        record = ControlIntervalRecord(
             time=now,
+            interval_index=len(self.history),
+            trigger=trigger,
             plan=plan,
             measurements=measurements,
-            predictions=self._predict_under(statuses, plan, mix),
-            trigger=trigger,
-            interval_index=len(self.history),
+            predictions=self._prediction_telemetry(
+                measurements, self._predict_under(statuses, plan, mix)
+            ),
+            solver=self._solver_telemetry(plan),
+            dispatcher=self._dispatcher_telemetry(),
             overhead=overhead,
         )
         self.history.append(record)
@@ -230,6 +230,69 @@ class SchedulingPlanner:
             )
             for status in statuses
         }
+
+    def _prediction_telemetry(
+        self,
+        measurements: Dict[str, ClassMeasurement],
+        predicted: Dict[str, float],
+    ) -> Dict[str, PredictionTelemetry]:
+        """Promise under the new plan, realised value, one-step error.
+
+        The error is this interval's measurement minus what the previous
+        decision promised for it.
+        """
+        promised = self.history[-1].predictions if self.history else {}
+        telemetry: Dict[str, PredictionTelemetry] = {}
+        for name in {**predicted, **measurements}:  # class order, no repeats
+            realized = self._value_of(measurements, name)
+            previous = promised[name].predicted if name in promised else None
+            telemetry[name] = PredictionTelemetry(
+                predicted=predicted.get(name),
+                realized=realized,
+                error=(
+                    realized - previous
+                    if realized is not None and previous is not None
+                    else None
+                ),
+            )
+        return telemetry
+
+    def _solver_telemetry(self, plan: SchedulingPlan) -> SolverTelemetry:
+        """The solver's decision and model state.  Model-free allocators
+        simply yield no objective/model data."""
+        model = self.model
+        description = model.describe() if model is not None else {}
+        return SolverTelemetry(
+            allocation=plan.as_dict(),
+            objective=getattr(self.solver, "last_score", None),
+            evaluations=getattr(self.solver, "last_evaluations", 0),
+            solve_calls=getattr(self.solver, "solve_calls", 0),
+            oltp_slope=description.get("slope"),
+            oltp_observations=description.get("observations"),
+            model=description,
+        )
+
+    def _dispatcher_telemetry(self) -> Dict[str, DispatcherClassTelemetry]:
+        """Per-class dispatcher accounting right after the plan install."""
+        dispatcher = self.dispatcher
+        before = self.history[-1].dispatcher if self.history else {}
+        telemetry: Dict[str, DispatcherClassTelemetry] = {}
+        for service_class in self.classes:
+            name = service_class.name
+            released = dispatcher.released_count(name)
+            released_before = before[name].released_total if name in before else 0
+            telemetry[name] = DispatcherClassTelemetry(
+                queue_length=dispatcher.queue_length(name),
+                in_flight_cost=dispatcher.in_flight_cost(name),
+                in_flight_count=dispatcher.in_flight_count(name),
+                released_total=released,
+                completed_total=dispatcher.completed_count(name),
+                cancelled_total=dispatcher.cancelled_count(name),
+                released_this_interval=released - released_before,
+                enqueued_total=dispatcher.enqueued_count(name),
+                queue_cancelled_total=dispatcher.queue_cancelled_count(name),
+            )
+        return telemetry
 
     @staticmethod
     def _value_of(

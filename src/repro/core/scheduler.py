@@ -35,7 +35,7 @@ from repro.core.solver import PerformanceSolver
 from repro.core.utility import make_utility
 from repro.dbms.query import Query
 from repro.errors import SchedulingError
-from repro.metrics.telemetry import ControllerTelemetry
+from repro.metrics.telemetry import TelemetryStore
 from repro.obs.registry import MetricsRegistry
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import ExecutionEngine, TimerService
@@ -112,12 +112,8 @@ class QueryScheduler:
         self.planner = SchedulingPlanner(
             sim, self.monitor, self.dispatcher, self.solver, self.classes, config.planner
         )
-        self.telemetry = ControllerTelemetry(
-            planner=self.planner,
-            dispatcher=self.dispatcher,
-            solver=self.solver,
-            classes=self.classes,
-        )
+        #: Queryable/exportable view over the planner's own record list.
+        self.telemetry = TelemetryStore(self.planner.history)
         self.monitor.set_forward(self._classify_and_enqueue)
         patroller.set_release_handler(self.monitor.on_intercepted)
         patroller.add_cancel_listener(self.monitor.on_cancelled)

@@ -67,17 +67,12 @@ class RunRequest:
         """The request's seed (None when the default config will be used)."""
         return self.spec.config.seed if self.spec.config is not None else None
 
-    @property
-    def request_label(self) -> str:
-        """The request's display identity — the explicit label, or a
-        derived ``controller:seed`` form.  Batch builders (``sweep``,
-        ``replicate``, the sharded runner) guarantee these are unique
-        within one batch, so progress lines and result tables never
-        conflate two runs."""
-        return self.describe()
-
     def describe(self) -> str:
-        """Short human-readable identity for logs and progress lines."""
+        """Short human-readable identity for logs and progress lines —
+        the explicit label, or a derived ``controller:seed`` form.  Batch
+        builders (``sweep``, ``replicate``, the sharded runner) guarantee
+        these are unique within one batch, so progress lines and result
+        tables never conflate two runs."""
         if self.label:
             return self.label
         seed = self.seed
@@ -126,11 +121,8 @@ class RunSummary:
         return sum(values) / len(values)
 
     def telemetry_store(self) -> TelemetryStore:
-        """Rebuild a queryable :class:`TelemetryStore` from the records."""
-        store = TelemetryStore()
-        for record in self.telemetry_records:
-            store.append(record)
-        return store
+        """A queryable :class:`TelemetryStore` over the records."""
+        return TelemetryStore(list(self.telemetry_records))
 
 
 @dataclass

@@ -363,11 +363,11 @@ def assemble_run(
     bundle if the run fails).  A failure during assembly closes the
     backend before propagating.
 
-    Observers attach in a fixed order, each seeing what the previous one
-    wrote at an interval boundary: collector plan listener, tracer,
-    invariant harness (so a check sees the interval's telemetry record
-    and can embed its violations there), then the hub publisher (so each
-    ``interval`` event carries the record with violations embedded).
+    Every plan listener is handed the interval's one
+    :class:`~repro.metrics.telemetry.ControlIntervalRecord`.  The only
+    ordering that matters: the hub publisher attaches after the invariant
+    harness, so the record it serialises already carries the interval's
+    violations.
     """
     if spec.backend not in BACKEND_NAMES:
         raise ConfigurationError(
@@ -397,7 +397,7 @@ def assemble_run(
         )
         if isinstance(built, QueryScheduler):  # covers qs and qs_detect
             built.planner.add_plan_listener(bundle.collector.on_plan)
-            extras["telemetry"] = built.telemetry.store
+            extras["telemetry"] = built.telemetry
             extras["metrics_registry"] = built.registry
         tracer = None
         if spec.tracing:

@@ -133,7 +133,7 @@ def _sweep_labels(dotted_path: str, values) -> List[str]:
 
     Repeated values (a legitimate sweep — e.g. probing run-to-run noise
     by sweeping ``seed`` over ``[7, 7, 7]``) get an ordinal suffix, so
-    ``RunRequest.request_label`` values are unique within the batch and
+    ``RunRequest.describe()`` values are unique within the batch and
     progress lines never conflate two points.
     """
     labels: List[str] = []

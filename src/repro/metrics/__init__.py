@@ -17,9 +17,7 @@ from repro.metrics.report import (
 )
 from repro.metrics.telemetry import (
     ControlIntervalRecord,
-    ControllerTelemetry,
     DispatcherClassTelemetry,
-    MeasurementTelemetry,
     PredictionErrorSummary,
     PredictionTelemetry,
     SolverTelemetry,
@@ -28,9 +26,7 @@ from repro.metrics.telemetry import (
 
 __all__ = [
     "ControlIntervalRecord",
-    "ControllerTelemetry",
     "DispatcherClassTelemetry",
-    "MeasurementTelemetry",
     "MetricsCollector",
     "PeriodClassMetrics",
     "PredictionErrorSummary",

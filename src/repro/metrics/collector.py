@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.planner import PlanRecord
 from repro.core.service_class import ServiceClass
 from repro.runtime import ExecutionEngine
 from repro.dbms.query import Query
 from repro.errors import MetricsError
+from repro.metrics.telemetry import ControlIntervalRecord
 from repro.sim.stats import Histogram, WelfordAccumulator
 from repro.workloads.schedule import PeriodSchedule
 
@@ -124,7 +124,7 @@ class MetricsCollector:
         cell.add(query)
         self._total_completions += 1
 
-    def on_plan(self, record: PlanRecord) -> None:
+    def on_plan(self, record: ControlIntervalRecord) -> None:
         """Planner decision hook (register via planner.add_plan_listener)."""
         self._plan_points.append((record.time, record.plan.as_dict()))
 

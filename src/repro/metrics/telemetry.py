@@ -3,12 +3,13 @@
 The Query Scheduler is a closed-loop controller (Monitor -> Planner/Solver
 -> Dispatcher), and a controller whose per-interval decisions are invisible
 cannot be debugged or trusted — accounting leaks in exactly this loop went
-unnoticed until it was traced.  :class:`ControllerTelemetry` attaches to the
-Scheduling Planner and, at every control interval, snapshots the whole loop
-into one :class:`ControlIntervalRecord`:
+unnoticed until it was traced.  At every control interval the Scheduling
+Planner snapshots the whole loop into one :class:`ControlIntervalRecord` —
+the only record of that decision; every plan listener receives that object:
 
-* **measurements** — each class's monitored value, sample count and
-  staleness (how old the freshest sample is);
+* **plan** and **measurements** — the installed plan and each class's
+  monitored value, sample count and staleness (how old the freshest
+  sample is);
 * **predictions** — what the performance models promised last interval
   versus what was realised this interval (the per-class prediction error),
   plus what they promise under the plan just installed;
@@ -18,8 +19,8 @@ into one :class:`ControlIntervalRecord`:
   released / completed / cancelled counters whose balance proves the
   accounting is leak-free.
 
-Records accumulate in a queryable in-memory :class:`TelemetryStore` and
-export as JSONL (`repro trace` on the command line).
+A :class:`TelemetryStore` is the queryable view over the planner's list of
+records and exports it as JSONL (`repro trace` on the command line).
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro.errors import ExportError
+from repro.errors import ConfigurationError, ExportError
 
 if TYPE_CHECKING:  # imported lazily to keep this importable from anywhere
-    from repro.core.dispatcher import Dispatcher
-    from repro.core.planner import PlanRecord, SchedulingPlanner
-    from repro.core.service_class import ServiceClass
+    from repro.core.monitor import ClassMeasurement
+    from repro.core.plan import SchedulingPlan
 
 
 def _finite(value: Optional[float]) -> Optional[float]:
@@ -44,25 +44,6 @@ def _finite(value: Optional[float]) -> Optional[float]:
         return None
     value = float(value)
     return value if math.isfinite(value) else None
-
-
-@dataclass(frozen=True)
-class MeasurementTelemetry:
-    """One class's monitored state at a control interval."""
-
-    metric: str  # "velocity" or "response_time"
-    value: float
-    sample_count: int
-    staleness: float  # seconds since the measurement was taken
-
-    def to_dict(self) -> Dict:
-        """JSON-ready representation."""
-        return {
-            "metric": self.metric,
-            "value": _finite(self.value),
-            "sample_count": self.sample_count,
-            "staleness": _finite(self.staleness),
-        }
 
 
 @dataclass(frozen=True)
@@ -148,10 +129,15 @@ class DispatcherClassTelemetry:
 class ControlIntervalRecord:
     """Everything the control loop saw and decided in one interval.
 
+    Built once by :meth:`SchedulingPlanner.run_interval
+    <repro.core.planner.SchedulingPlanner.run_interval>` — after the plan
+    is installed and the prediction pass has run, before any plan listener
+    — and handed as-is to every listener.
+
     ``violations`` holds the invariant violations the validation harness
     observed at this interval boundary (as JSON-ready dicts; empty when the
     harness is off or the loop is consistent).  The harness appends into
-    the list after the record is created, which is why the field is a
+    the list of the record it is handed, which is why the field is a
     mutable list on an otherwise frozen record.
 
     ``overhead`` is the controller's own wall-clock cost for this decision
@@ -161,9 +147,10 @@ class ControlIntervalRecord:
     """
 
     time: float
-    interval_index: int
+    interval_index: int  # counts decisions from zero
     trigger: str  # "scheduled" or "early"
-    measurements: Dict[str, MeasurementTelemetry]
+    plan: "SchedulingPlan"
+    measurements: Dict[str, "ClassMeasurement"]
     predictions: Dict[str, PredictionTelemetry]
     solver: SolverTelemetry
     dispatcher: Dict[str, DispatcherClassTelemetry]
@@ -171,12 +158,24 @@ class ControlIntervalRecord:
     overhead: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        """Flatten into a JSON-serialisable dict (one JSONL line)."""
+        """Flatten into a JSON-serialisable dict (one JSONL line).
+
+        The plan is exported as ``solver.allocation``; a measurement's
+        ``staleness`` is how many seconds before this decision it was taken.
+        """
         return {
             "time": self.time,
             "interval_index": self.interval_index,
             "trigger": self.trigger,
-            "measurements": {n: m.to_dict() for n, m in self.measurements.items()},
+            "measurements": {
+                name: {
+                    "metric": m.metric,
+                    "value": _finite(m.value),
+                    "sample_count": m.sample_count,
+                    "staleness": _finite(self.time - m.measured_at),
+                }
+                for name, m in self.measurements.items()
+            },
             "predictions": {n: p.to_dict() for n, p in self.predictions.items()},
             "solver": self.solver.to_dict(),
             "dispatcher": {n: d.to_dict() for n, d in self.dispatcher.items()},
@@ -220,17 +219,16 @@ class PredictionErrorSummary:
 
 
 class TelemetryStore:
-    """Queryable in-memory sequence of control-interval records."""
+    """Queryable view over a list of control-interval records.
 
-    def __init__(self) -> None:
-        self._records: List[ControlIntervalRecord] = []
+    The list is used as given, not copied: a live run's store is backed by
+    ``planner.history`` itself and grows as the planner appends to it.
+    """
 
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
-    def append(self, record: ControlIntervalRecord) -> None:
-        """Add one interval record (recorder hook)."""
-        self._records.append(record)
+    def __init__(self, records: Optional[List[ControlIntervalRecord]] = None) -> None:
+        self._records: List[ControlIntervalRecord] = (
+            records if records is not None else []
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -245,11 +243,6 @@ class TelemetryStore:
     def records(self) -> List[ControlIntervalRecord]:
         """All records in interval order (a copy)."""
         return list(self._records)
-
-    @property
-    def last(self) -> Optional[ControlIntervalRecord]:
-        """The most recent record (None when empty)."""
-        return self._records[-1] if self._records else None
 
     def between(self, start: float, end: float) -> List[ControlIntervalRecord]:
         """Records with ``start <= time <= end``."""
@@ -305,8 +298,7 @@ class TelemetryStore:
         in_flight_count`` for every class — the invariant the accounting
         regression tests pin.
         """
-        last = self.last
-        if last is None:
+        if not self._records:
             return {}
         return {
             name: {
@@ -316,7 +308,7 @@ class TelemetryStore:
                 "in_flight": d.in_flight_count,
                 "queue_cancelled": d.queue_cancelled_total,
             }
-            for name, d in last.dispatcher.items()
+            for name, d in self._records[-1].dispatcher.items()
         }
 
     # ------------------------------------------------------------------
@@ -344,107 +336,23 @@ class TelemetryStore:
 
     @staticmethod
     def load_jsonl(path: str) -> List[Dict]:
-        """Read back a JSONL export as plain dicts."""
+        """Read back a JSONL export as plain dicts.
+
+        A line that is not valid JSON (a truncated or corrupted export)
+        raises :class:`~repro.errors.ConfigurationError` naming the file
+        and the 1-based line number.
+        """
+        records: List[Dict] = []
         with open(path) as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-
-
-class ControllerTelemetry:
-    """The recorder: subscribes to the planner, snapshots the whole loop.
-
-    Construct with the live controller components and every subsequent
-    control interval (scheduled or early-triggered) appends exactly one
-    :class:`ControlIntervalRecord` to :attr:`store`.  Works with any solver
-    that quacks like :class:`~repro.core.solver.PerformanceSolver`; model-
-    free allocators simply yield records without objective/prediction data.
-    """
-
-    def __init__(
-        self,
-        planner: "SchedulingPlanner",
-        dispatcher: "Dispatcher",
-        solver: object,
-        classes: List["ServiceClass"],
-        store: Optional[TelemetryStore] = None,
-    ) -> None:
-        self.planner = planner
-        self.dispatcher = dispatcher
-        self.solver = solver
-        self.classes = list(classes)
-        self.store = store if store is not None else TelemetryStore()
-        self._previous_predictions: Dict[str, float] = {}
-        self._previous_released: Dict[str, int] = {
-            c.name: 0 for c in self.classes
-        }
-        planner.add_plan_listener(self.record_interval)
-
-    def record_interval(self, record: "PlanRecord") -> None:
-        """Planner plan-listener hook: snapshot one control interval."""
-        measurements = {
-            name: MeasurementTelemetry(
-                metric=m.metric,
-                value=m.value,
-                sample_count=m.sample_count,
-                staleness=record.time - m.measured_at,
-            )
-            for name, m in record.measurements.items()
-        }
-        predictions: Dict[str, PredictionTelemetry] = {}
-        class_names = set(record.predictions) | set(record.measurements)
-        for name in class_names:
-            realized = (
-                record.measurements[name].value
-                if name in record.measurements
-                else None
-            )
-            previous = self._previous_predictions.get(name)
-            error = (
-                realized - previous
-                if realized is not None and previous is not None
-                else None
-            )
-            predictions[name] = PredictionTelemetry(
-                predicted=record.predictions.get(name),
-                realized=realized,
-                error=error,
-            )
-        self._previous_predictions = dict(record.predictions)
-        model = getattr(self.solver, "model", None)
-        description = model.describe() if model is not None else {}
-        solver_snapshot = SolverTelemetry(
-            allocation=record.plan.as_dict(),
-            objective=getattr(self.solver, "last_score", None),
-            evaluations=getattr(self.solver, "last_evaluations", 0),
-            solve_calls=getattr(self.solver, "solve_calls", 0),
-            oltp_slope=description.get("slope"),
-            oltp_observations=description.get("observations"),
-            model=description,
-        )
-        dispatcher_snapshot: Dict[str, DispatcherClassTelemetry] = {}
-        for service_class in self.classes:
-            name = service_class.name
-            released = self.dispatcher.released_count(name)
-            dispatcher_snapshot[name] = DispatcherClassTelemetry(
-                queue_length=self.dispatcher.queue_length(name),
-                in_flight_cost=self.dispatcher.in_flight_cost(name),
-                in_flight_count=self.dispatcher.in_flight_count(name),
-                released_total=released,
-                completed_total=self.dispatcher.completed_count(name),
-                cancelled_total=self.dispatcher.cancelled_count(name),
-                released_this_interval=released - self._previous_released[name],
-                enqueued_total=self.dispatcher.enqueued_count(name),
-                queue_cancelled_total=self.dispatcher.queue_cancelled_count(name),
-            )
-            self._previous_released[name] = released
-        self.store.append(
-            ControlIntervalRecord(
-                time=record.time,
-                interval_index=record.interval_index,
-                trigger=record.trigger,
-                measurements=measurements,
-                predictions=predictions,
-                solver=solver_snapshot,
-                dispatcher=dispatcher_snapshot,
-                overhead=dict(record.overhead),
-            )
-        )
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except ValueError as exc:
+                    raise ConfigurationError(
+                        "telemetry file {!r}, line {}: not valid JSON ({})".format(
+                            path, number, exc
+                        )
+                    )
+        return records

@@ -5,13 +5,12 @@ single unsharded run) and bridges the existing observability instruments
 onto the hub's wire protocol:
 
 * the controller's plan listener → one ``interval`` event per control
-  interval, carrying the full
-  :class:`~repro.metrics.telemetry.ControlIntervalRecord` dict (the
-  harness has already embedded any invariant violations by the time the
-  publisher fires — it is registered *after* the validation harness)
-  plus collector-derived per-class progress;
+  interval, carrying the
+  :class:`~repro.metrics.telemetry.ControlIntervalRecord` it was handed,
+  as a dict, plus collector-derived per-class progress;
 * the (optional) :class:`~repro.obs.QueryTracer` → a ``spans`` event per
-  interval with the slowest spans that finished since the previous one;
+  interval with the slowest spans that finished since the previous one
+  (a span still open at the boundary is published once it closes);
 * run completion → a ``run_end`` event with final attainment.
 
 Everything here is read-only over the run's state: no RNG draws, no
@@ -26,8 +25,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.obs.live.hub import TelemetryHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.planner import PlanRecord
     from repro.experiments.runner import ExperimentResult, SimulationBundle
+    from repro.metrics.telemetry import ControlIntervalRecord
+    from repro.obs.spans import Span
     from repro.obs.tracer import QueryTracer
 
 #: Registry sampling bound applied to serve-mode runs (satellite: long
@@ -79,7 +79,9 @@ class RunPublisher:
         self.controller = controller
         self.shard = shard
         self.tracer = tracer
-        self._spans_published = 0
+        self._spans_seen = 0
+        #: Traced spans seen at an earlier boundary that had not closed yet.
+        self._open_spans: List["Span"] = []
         self.intervals_published = 0
 
     # ------------------------------------------------------------------
@@ -90,8 +92,6 @@ class RunPublisher:
 
         Returns whether interval events will flow — controllers without a
         planner (the static baselines) publish only start/end events.
-        Call *after* the validation harness is attached so each interval
-        event sees its record's violations already embedded.
         """
         planner = getattr(self.controller, "planner", None)
         if planner is None:
@@ -121,21 +121,15 @@ class RunPublisher:
             }
         return progress
 
-    def on_plan(self, record: "PlanRecord") -> None:
+    def on_plan(self, record: "ControlIntervalRecord") -> None:
         """Plan-listener hook: publish this control interval."""
-        telemetry = getattr(self.controller, "telemetry", None)
-        record_dict: Optional[Dict] = None
-        if telemetry is not None and telemetry.store.last is not None:
-            last = telemetry.store.last
-            if last.time == record.time:
-                record_dict = last.to_dict()
         data = {
             "interval_index": record.interval_index,
             "trigger": record.trigger,
             "cost_limits": record.plan.as_dict(),
             "classes": self._class_progress(),
             "total_completions": self.bundle.collector.total_completions,
-            "record": record_dict,
+            "record": record.to_dict(),
         }
         self.hub.publish("interval", data, time=record.time, shard=self.shard)
         self.intervals_published += 1
@@ -144,13 +138,13 @@ class RunPublisher:
     def _publish_recent_spans(self, now: float) -> None:
         if self.tracer is None:
             return
-        spans = self.tracer.spans
-        new = spans[self._spans_published:]
-        self._spans_published = len(spans)
-        finished = [
-            s for s in new
-            if s.end is not None and s.phase in ("queue_wait", "execute")
+        new = self.tracer.spans_from(self._spans_seen)
+        self._spans_seen += len(new)
+        candidates = self._open_spans + [
+            s for s in new if s.phase in ("queue_wait", "execute")
         ]
+        self._open_spans = [s for s in candidates if s.end is None]
+        finished = [s for s in candidates if s.end is not None]
         if not finished:
             return
         finished.sort(key=lambda s: s.duration, reverse=True)

@@ -13,7 +13,9 @@ what a production deployment of this controller would actually burn).
 planner can wrap its existing stages without restructuring.  Per-interval
 results are dicts of ``<section>_s`` wall-second entries plus ``total_s``;
 :func:`summarize_overhead` aggregates them to mean/max per section for the
-``repro trace --summary`` overhead line and the telemetry export.
+``repro trace --summary`` overhead line and the telemetry export
+(:meth:`TelemetryStore.overhead_summary
+<repro.metrics.telemetry.TelemetryStore.overhead_summary>`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class IntervalProfiler:
         self.clock: Clock = as_clock(clock)
         self._current: Optional[Dict[str, float]] = None
         self._started_at = 0.0
-        self.history: List[Dict[str, float]] = []
 
     def begin(self) -> None:
         """Start timing one interval's work."""
@@ -87,12 +88,7 @@ class IntervalProfiler:
         record = self._current
         self._current = None
         record["total_s"] = self.clock.now - self._started_at
-        self.history.append(record)
-        return dict(record)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Across-interval mean/max/count per section."""
-        return summarize_overhead(self.history)
+        return record
 
 
 def summarize_overhead(
@@ -100,9 +96,9 @@ def summarize_overhead(
 ) -> Dict[str, Dict[str, float]]:
     """Aggregate per-interval overhead dicts to mean/max/count per key.
 
-    Accepts any iterable of ``{key: wall_seconds}`` dicts (the profiler's
-    history, or the ``overhead`` sections of telemetry records) and skips
-    keys absent from a record rather than counting them as zero.
+    Accepts any iterable of ``{key: wall_seconds}`` dicts (the ``overhead``
+    sections of telemetry records) and skips keys absent from a record
+    rather than counting them as zero.
     """
     sums: Dict[str, float] = {}
     maxima: Dict[str, float] = {}

@@ -86,7 +86,12 @@ class QueryTracer:
     @property
     def spans(self) -> List[Span]:
         """Every recorded span in open order (a copy)."""
-        return list(self._spans)
+        return self.spans_from(0)
+
+    def spans_from(self, start: int) -> List[Span]:
+        """The spans recorded from position ``start`` on (a copy), so a
+        poller's work is proportional to what is new."""
+        return self._spans[start:]
 
     @property
     def opened(self) -> int:

@@ -200,7 +200,7 @@ def run_sharded(
                 "{} of {} shards failed; first failure ({}):\n{}".format(
                     len(failures),
                     len(outcomes),
-                    failures[0].request.request_label,
+                    failures[0].request.describe(),
                     failures[0].error,
                 )
             )

@@ -17,7 +17,7 @@ Three pieces:
   per-class conservation, velocity range and the OLTP slope clamp band;
 * :class:`ValidationHarness` — evaluates a registry against the world at
   every plan decision (and on demand), records violations into the
-  controller telemetry, and in strict mode raises
+  interval's telemetry record, and in strict mode raises
   :class:`~repro.errors.InvariantViolation`.
 """
 
@@ -31,10 +31,11 @@ from repro.config import SimulationConfig
 from repro.core.dispatcher import Dispatcher
 from repro.core.modeling import OLTPResponseTimeModel
 from repro.core.monitor import Monitor
-from repro.core.planner import PlanRecord, SchedulingPlanner
+from repro.core.planner import SchedulingPlanner
 from repro.core.service_class import ServiceClass
 from repro.dbms.query import QueryState
 from repro.errors import InvariantViolation, SchedulingError
+from repro.metrics.telemetry import ControlIntervalRecord
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import ExecutionEngine, TimerService
 from repro.validation.invariants import (
@@ -373,8 +374,7 @@ def core_invariants(world: ControlLoopWorld) -> InvariantRegistry:
 class ValidationHarness:
     """Evaluates an invariant registry against the live loop.
 
-    Attach with :meth:`on_plan` as a plan listener (after the telemetry
-    layer, so the current interval's record exists) or call :meth:`check`
+    Attach with :meth:`on_plan` as a plan listener or call :meth:`check`
     directly at any simulation time.
     """
 
@@ -383,7 +383,6 @@ class ValidationHarness:
         world: ControlLoopWorld,
         registry: Optional[InvariantRegistry] = None,
         mode: str = "warn",
-        store: Optional["TelemetryStore"] = None,  # noqa: F821
     ) -> None:
         if mode not in MODES:
             raise SchedulingError(
@@ -392,44 +391,45 @@ class ValidationHarness:
         self.world = world
         self.registry = registry if registry is not None else core_invariants(world)
         self.mode = mode
-        self.store = store
         self.violations: List[Violation] = []
         self.checks_run = 0
 
-    def on_plan(self, record: PlanRecord) -> None:
-        """Plan-listener hook: validate at a control-interval boundary."""
-        self.check(now=record.time)
+    def on_plan(self, record: ControlIntervalRecord) -> None:
+        """Plan-listener hook: validate at a control-interval boundary.
+
+        Violations are embedded into ``record`` — before strict mode
+        raises — so they ride along in exports, ``repro trace`` and the
+        live hub's ``interval`` events.
+        """
+        found = self._evaluate(record.time)
+        record.violations.extend(v.to_dict() for v in found)
+        self._enforce(found)
 
     def check(self, now: Optional[float] = None) -> List[Violation]:
         """Run every invariant now; record (and maybe raise) violations.
 
-        Violations are appended to the harness's log and, when the current
-        telemetry record carries the same timestamp (i.e. the check runs at
-        a control-interval boundary), embedded into that record so they
-        ride along in exports and ``repro trace``.  In strict mode any
+        Violations are appended to the harness's log.  In strict mode any
         violation of severity ERROR or above raises
         :class:`InvariantViolation` after recording.
         """
+        found = self._evaluate(self.world.now if now is None else now)
+        self._enforce(found)
+        return found
+
+    def _evaluate(self, now: float) -> List[Violation]:
         if self.mode == "off":
             return []
-        if now is None:
-            now = self.world.now
         self.checks_run += 1
         found = self.registry.evaluate(self.world, now=now)
-        if not found:
-            return []
         self.violations.extend(found)
-        if self.store is not None:
-            last = self.store.last
-            if last is not None and last.time == now:
-                last.violations.extend(v.to_dict() for v in found)
-        if self.mode == "strict":
-            fatal = [v for v in found if v.severity >= Severity.ERROR]
-            if fatal:
-                raise InvariantViolation(
-                    "; ".join(v.describe() for v in fatal)
-                )
         return found
+
+    def _enforce(self, found: List[Violation]) -> None:
+        if self.mode != "strict":
+            return
+        fatal = [v for v in found if v.severity >= Severity.ERROR]
+        if fatal:
+            raise InvariantViolation("; ".join(v.describe() for v in fatal))
 
 
 def attach_harness(
@@ -439,11 +439,10 @@ def attach_harness(
 ) -> Optional[ValidationHarness]:
     """Wire a validation harness into an assembled experiment bundle.
 
-    With a Query Scheduler controller the harness subscribes as the *last*
-    plan listener, so it runs after the telemetry layer has recorded the
-    interval and can embed violations into that record.  Other controllers
-    get a recurring check at the configured control interval.  Returns the
-    harness, or None when ``mode`` is ``"off"``.
+    With a Query Scheduler controller the harness subscribes as a plan
+    listener and embeds violations into each interval's record.  Other
+    controllers get a recurring check at the configured control interval.
+    Returns the harness, or None when ``mode`` is ``"off"``.
     """
     if mode not in MODES:
         raise SchedulingError(
@@ -452,12 +451,7 @@ def attach_harness(
     if mode == "off":
         return None
     world = ControlLoopWorld.from_bundle(bundle)
-    controller = bundle.controller
-    store = None
-    telemetry = getattr(controller, "telemetry", None)
-    if telemetry is not None:
-        store = telemetry.store
-    harness = ValidationHarness(world, registry=registry, mode=mode, store=store)
+    harness = ValidationHarness(world, registry=registry, mode=mode)
     if world.planner is not None:
         world.planner.add_plan_listener(harness.on_plan)
     else:

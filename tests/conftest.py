@@ -16,13 +16,37 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
+from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
+from repro.metrics.telemetry import ControlIntervalRecord, SolverTelemetry
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.schedule import constant_schedule
 from repro.workloads.spec import QueryFactory
+
+
+def decision_record(time: float, plan: SchedulingPlan) -> ControlIntervalRecord:
+    """A bare control-interval record: just the decision, for feeding sinks
+    that read only ``time`` and ``plan`` (the collector's plan hook)."""
+    return ControlIntervalRecord(
+        time=time,
+        interval_index=0,
+        trigger="scheduled",
+        plan=plan,
+        measurements={},
+        predictions={},
+        solver=SolverTelemetry(
+            allocation=plan.as_dict(),
+            objective=None,
+            evaluations=0,
+            solve_calls=0,
+            oltp_slope=None,
+            oltp_observations=None,
+        ),
+        dispatcher={},
+    )
 
 
 @pytest.fixture

@@ -80,14 +80,78 @@ def test_run_interval_installs_plan_on_dispatcher():
     assert record.plan.total_allocated <= 30_000.0 + 1e-6
 
 
-def test_plan_listener_invoked():
+def test_every_listener_is_handed_the_one_history_record():
     sim, engine, monitor, dispatcher, planner = make_planner()
-    records = []
-    planner.add_plan_listener(records.append)
+    first, second = [], []
+    planner.add_plan_listener(first.append)
+    planner.add_plan_listener(second.append)
+    returned = [planner.run_interval(), planner.run_interval(trigger="early")]
+    assert len(planner.history) == 2
+    for index, record in enumerate(planner.history):
+        assert record is returned[index]
+        assert record is first[index] and record is second[index]
+        assert record.interval_index == index
+        assert record.plan.as_dict() == record.solver.allocation
+    assert [r.trigger for r in planner.history] == ["scheduled", "early"]
+
+
+def test_record_is_complete_before_the_first_listener_runs():
+    """The dispatcher/solver snapshot and the overhead are taken before any
+    listener: a listener sees a finished record with the installed plan."""
+    sim, engine, monitor, dispatcher, planner = make_planner()
+    seen = []
+
+    def listener(record):
+        seen.append(
+            (
+                dispatcher.plan is record.plan,
+                planner.history[-1] is record,
+                set(record.dispatcher),
+                record.solver.solve_calls,
+                sorted(record.overhead),
+            )
+        )
+
+    planner.add_plan_listener(listener)
     planner.run_interval()
     planner.run_interval()
-    assert len(records) == 2
-    assert records[0].plan is planner.history[0].plan
+    names = {c.name for c in planner.classes}
+    keys = ["dispatcher_s", "monitor_s", "solver_s", "total_s"]
+    assert seen == [(True, True, names, 1, keys), (True, True, names, 2, keys)]
+
+
+def test_history_keeps_each_intervals_overhead():
+    """What ``IntervalProfiler.history`` used to hold lives on the records."""
+    from repro.metrics.telemetry import TelemetryStore
+    from repro.obs.profiling import IntervalProfiler
+
+    sim, engine, monitor, dispatcher, planner = make_planner()
+    ticks = iter(range(1000))
+    planner.profiler = IntervalProfiler(clock=lambda: float(next(ticks)))
+    planner.run_interval()
+    planner.run_interval()
+    # begin, three timed sections (two reads each), finish: 8 clock reads.
+    expected = {"monitor_s": 1.0, "solver_s": 1.0, "dispatcher_s": 1.0, "total_s": 7.0}
+    assert [r.overhead for r in planner.history] == [expected, expected]
+    summary = TelemetryStore(planner.history).overhead_summary()
+    assert summary["total_s"] == {"mean_s": 7.0, "max_s": 7.0, "count": 2}
+
+
+def test_prediction_error_is_measured_against_the_previous_promise():
+    from repro.core.monitor import ClassMeasurement
+
+    sim, engine, monitor, dispatcher, planner = make_planner()
+    for i, value in enumerate([0.30, 0.25, 0.35]):
+        monitor._last_measurement["class3"] = ClassMeasurement(
+            "class3", "response_time", value, 5, float(i)
+        )
+        planner.run_interval()
+    first, second, third = (r.predictions["class3"] for r in planner.history)
+    assert first.error is None and first.realized == 0.30
+    assert first.predicted is not None
+    assert second.error == pytest.approx(0.25 - first.predicted)
+    assert third.error == pytest.approx(0.35 - second.predicted)
+    assert planner.history[1].measurements["class3"].value == 0.25
 
 
 def test_no_measurements_yields_stable_plan():

@@ -93,7 +93,7 @@ class TestExecuteRequest:
         assert summary.solver_stats["total_evaluations"] >= 1
         store = summary.telemetry_store()
         assert len(store) == len(summary.telemetry_records)
-        assert store.last.interval_index == len(store) - 1
+        assert store.records[-1].interval_index == len(store) - 1
         clone = pickle.loads(pickle.dumps(summary))
         assert len(clone.telemetry_records) == len(summary.telemetry_records)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import default_config
 from repro.core.plan import SchedulingPlan
-from repro.core.planner import PlanRecord
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Phase, Query
@@ -12,6 +11,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.schedule import constant_schedule
+from tests.conftest import decision_record
 
 
 def make_collector(period=10.0, periods=3):
@@ -106,7 +106,7 @@ def test_plan_series_and_period_means():
             {"class1": limit, "class2": 1_000.0, "class3": 1_000.0}, 30_000.0,
             created_at=time,
         )
-        collector.on_plan(PlanRecord(time=time, plan=plan, measurements={}))
+        collector.on_plan(decision_record(time, plan))
     series = collector.plan_series("class1")
     assert [limit for _, limit in series] == [10_000.0, 14_000.0, 20_000.0]
     means = collector.plan_period_means("class1")

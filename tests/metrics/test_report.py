@@ -2,7 +2,6 @@
 
 from repro.config import default_config
 from repro.core.plan import SchedulingPlan
-from repro.core.planner import PlanRecord
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Phase, Query
@@ -16,6 +15,7 @@ from repro.metrics.report import (
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.schedule import constant_schedule
+from tests.conftest import decision_record
 
 
 def make_populated_collector():
@@ -39,7 +39,7 @@ def make_populated_collector():
     plan = SchedulingPlan(
         {"class1": 9_000.0, "class2": 9_000.0, "class3": 12_000.0}, 30_000.0
     )
-    collector.on_plan(PlanRecord(time=1.0, plan=plan, measurements={}))
+    collector.on_plan(decision_record(1.0, plan))
     return collector, classes
 
 

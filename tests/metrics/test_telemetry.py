@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import pytest
 
@@ -11,12 +12,14 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
+from repro.core.monitor import ClassMeasurement
+from repro.core.plan import SchedulingPlan
+from repro.experiments.parallel import summarize_result
 from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import format_prediction_summary
 from repro.metrics.telemetry import (
     ControlIntervalRecord,
     DispatcherClassTelemetry,
-    MeasurementTelemetry,
     PredictionTelemetry,
     SolverTelemetry,
     TelemetryStore,
@@ -28,10 +31,9 @@ def _record(time=0.0, index=0, trigger="scheduled", predictions=None):
         time=time,
         interval_index=index,
         trigger=trigger,
+        plan=SchedulingPlan({"class1": 10_000.0}, 10_000.0, created_at=time),
         measurements={
-            "class1": MeasurementTelemetry(
-                metric="velocity", value=0.4, sample_count=3, staleness=0.0
-            )
+            "class1": ClassMeasurement("class1", "velocity", 0.4, 3, time - 2.5)
         },
         predictions=predictions
         or {
@@ -60,33 +62,30 @@ def _record(time=0.0, index=0, trigger="scheduled", predictions=None):
 
 
 class TestTelemetryStore:
-    def test_append_len_last(self):
-        store = TelemetryStore()
-        assert len(store) == 0
-        assert store.last is None
-        store.append(_record(time=10.0))
-        store.append(_record(time=20.0, index=1))
+    def test_len_iter_and_shared_backing_list(self):
+        assert len(TelemetryStore()) == 0
+        records = [_record(time=10.0)]
+        store = TelemetryStore(records)
+        records.append(_record(time=20.0, index=1))  # the planner's append
         assert len(store) == 2
-        assert store.last.time == 20.0
+        assert store.records[-1] is records[-1]
         assert [r.interval_index for r in store] == [0, 1]
 
     def test_between(self):
-        store = TelemetryStore()
-        for index, time in enumerate([10.0, 20.0, 30.0]):
-            store.append(_record(time=time, index=index))
+        store = TelemetryStore(
+            [_record(time=t, index=i) for i, t in enumerate([10.0, 20.0, 30.0])]
+        )
         assert [r.time for r in store.between(15.0, 30.0)] == [20.0, 30.0]
 
     def test_allocation_series(self):
-        store = TelemetryStore()
-        store.append(_record())
-        store.append(_record(index=1))
+        store = TelemetryStore([_record(), _record(index=1)])
         assert store.allocation_series("class1") == [10_000.0, 10_000.0]
         assert store.allocation_series("unknown") == []
 
     def test_jsonl_roundtrip(self, tmp_path):
-        store = TelemetryStore()
-        store.append(_record(time=10.0))
-        store.append(_record(time=20.0, index=1, trigger="early"))
+        store = TelemetryStore(
+            [_record(time=10.0), _record(time=20.0, index=1, trigger="early")]
+        )
         path = str(tmp_path / "trace.jsonl")
         store.save_jsonl(path)
         rows = TelemetryStore.load_jsonl(path)
@@ -95,6 +94,15 @@ class TestTelemetryStore:
         assert rows[1]["trigger"] == "early"
         assert rows[0]["solver"]["allocation"]["class1"] == 10_000.0
         assert rows[0]["dispatcher"]["class1"]["released_total"] == 5
+        # A measurement is a ClassMeasurement; its staleness is derived on
+        # export, and the plan is exported as the solver's allocation.
+        assert rows[0]["measurements"]["class1"] == {
+            "metric": "velocity",
+            "value": 0.4,
+            "sample_count": 3,
+            "staleness": 2.5,
+        }
+        assert "plan" not in rows[0]
 
     def test_to_dict_sanitises_non_finite(self):
         record = _record(
@@ -112,17 +120,18 @@ class TestTelemetryStore:
         assert payload["predictions"]["class1"]["error"] is None
 
     def test_prediction_error_summary(self):
-        store = TelemetryStore()
-        store.append(_record())
-        store.append(
-            _record(
-                index=1,
-                predictions={
-                    "class1": PredictionTelemetry(
-                        predicted=0.5, realized=0.6, error=0.3
-                    )
-                },
-            )
+        store = TelemetryStore(
+            [
+                _record(),
+                _record(
+                    index=1,
+                    predictions={
+                        "class1": PredictionTelemetry(
+                            predicted=0.5, realized=0.6, error=0.3
+                        )
+                    },
+                ),
+            ]
         )
         summary = store.prediction_error_summary()["class1"]
         assert summary.count == 2
@@ -131,24 +140,23 @@ class TestTelemetryStore:
         assert summary.to_dict()["count"] == 2
 
     def test_prediction_errors_skips_none(self):
-        store = TelemetryStore()
-        store.append(
-            _record(
-                predictions={
-                    "class1": PredictionTelemetry(
-                        predicted=0.5, realized=None, error=None
-                    )
-                }
-            )
+        store = TelemetryStore(
+            [
+                _record(
+                    predictions={
+                        "class1": PredictionTelemetry(
+                            predicted=0.5, realized=None, error=None
+                        )
+                    }
+                ),
+                _record(index=1),
+            ]
         )
-        store.append(_record(index=1))
         assert store.prediction_errors("class1") == [-0.1]
 
     def test_dispatcher_balance(self):
-        store = TelemetryStore()
-        assert store.dispatcher_balance() == {}
-        store.append(_record())
-        balance = store.dispatcher_balance()["class1"]
+        assert TelemetryStore().dispatcher_balance() == {}
+        balance = TelemetryStore([_record()]).dispatcher_balance()["class1"]
         assert balance == {
             "released": 5,
             "completed": 3,
@@ -159,8 +167,7 @@ class TestTelemetryStore:
 
 
 def test_format_prediction_summary():
-    store = TelemetryStore()
-    store.append(_record())
+    store = TelemetryStore([_record()])
     text = format_prediction_summary(
         store.prediction_error_summary(), title="Prediction error"
     )
@@ -188,9 +195,17 @@ class TestLiveTelemetry:
         scheduler = qs_run.bundle.controller
         store = qs_run.extras["telemetry"]
         assert len(store) == scheduler.planner.intervals_run
-        assert len(store) == len(scheduler.planner.history)
         assert [r.interval_index for r in store] == list(range(len(store)))
         assert all(r.trigger == "scheduled" for r in store)
+
+    def test_store_and_planner_history_hold_the_identical_objects(self, qs_run):
+        """One record, one list: the store is a view over planner.history."""
+        history = qs_run.bundle.controller.planner.history
+        records = qs_run.extras["telemetry"].records
+        assert len(records) == len(history) > 0
+        for index, record in enumerate(history):
+            assert record is records[index]
+        assert qs_run.extras["telemetry"] is qs_run.bundle.controller.telemetry
 
     def test_records_cover_all_classes(self, qs_run):
         store = qs_run.extras["telemetry"]
@@ -199,12 +214,31 @@ class TestLiveTelemetry:
             assert set(record.dispatcher) == names
             assert set(record.solver.allocation) == names
 
-    def test_allocation_matches_plan_history(self, qs_run):
-        scheduler = qs_run.bundle.controller
+    def test_allocation_matches_plan_and_collector_points(self, qs_run):
         store = qs_run.extras["telemetry"]
-        for record, plan_record in zip(store, scheduler.planner.history):
-            assert record.solver.allocation == plan_record.plan.as_dict()
-            assert record.time == plan_record.time
+        for record in store:
+            assert record.solver.allocation == record.plan.as_dict()
+        for service_class in qs_run.classes:
+            name = service_class.name
+            assert qs_run.collector.plan_series(name) == [
+                (record.time, record.plan.limit(name)) for record in store
+            ]
+
+    def test_measurements_are_the_monitors_and_export_with_staleness(self, qs_run):
+        measured = 0
+        for record in qs_run.extras["telemetry"]:
+            exported = record.to_dict()["measurements"]
+            assert set(exported) == set(record.measurements)
+            for name, measurement in record.measurements.items():
+                measured += 1
+                assert isinstance(measurement, ClassMeasurement)
+                assert measurement.class_name == name
+                assert exported[name]["value"] == measurement.value
+                assert exported[name]["staleness"] == (
+                    record.time - measurement.measured_at
+                )
+                assert exported[name]["staleness"] >= 0.0
+        assert measured > 0
 
     def test_dispatcher_balance_invariant_every_interval(self, qs_run):
         """released == completed + cancelled + in-flight at every snapshot."""
@@ -219,7 +253,7 @@ class TestLiveTelemetry:
 
     def test_solver_state_recorded(self, qs_run):
         store = qs_run.extras["telemetry"]
-        last = store.last
+        last = store.records[-1]
         assert last.solver.evaluations > 0
         assert last.solver.solve_calls == len(store)
         assert last.solver.objective is not None
@@ -256,6 +290,19 @@ class TestLiveTelemetry:
             assert {"time", "interval_index", "trigger", "measurements",
                     "predictions", "solver", "dispatcher"} <= set(row)
 
+    def test_record_round_trips_through_pickle_and_summarize_result(self, qs_run):
+        """Records cross the process boundary inside a RunSummary unchanged."""
+        records = qs_run.extras["telemetry"].records
+        summary = pickle.loads(pickle.dumps(summarize_result(qs_run)))
+        assert len(summary.telemetry_records) == len(records) > 0
+        for original, copy in zip(records, summary.telemetry_records):
+            assert copy == original and copy is not original
+            assert copy.plan == original.plan
+            assert copy.to_dict() == original.to_dict()
+        assert summary.telemetry_store().to_jsonl() == (
+            qs_run.extras["telemetry"].to_jsonl()
+        )
+
 
 def test_deficit_allocator_yields_records_without_model_data():
     config = default_config(
@@ -289,14 +336,11 @@ class TestOverheadTelemetry:
         assert payload["overhead"]["total_s"] == 1.5
 
     def test_overhead_summary_aggregates_records(self):
-        store = TelemetryStore()
         first = _record()
         first.overhead.update({"solver_s": 1.0, "total_s": 2.0})
         second = _record(index=1)
         second.overhead.update({"solver_s": 3.0, "total_s": 4.0})
-        store.append(first)
-        store.append(second)
-        summary = store.overhead_summary()
+        summary = TelemetryStore([first, second]).overhead_summary()
         assert summary["solver_s"]["mean_s"] == pytest.approx(2.0)
         assert summary["solver_s"]["max_s"] == pytest.approx(3.0)
         assert summary["total_s"]["count"] == 2
@@ -318,8 +362,7 @@ class TestSaveJsonlOverwriteGuard:
     def test_refuses_existing_file_by_default(self, tmp_path):
         from repro.errors import ExportError
 
-        store = TelemetryStore()
-        store.append(_record(time=10.0))
+        store = TelemetryStore([_record(time=10.0)])
         path = tmp_path / "trace.jsonl"
         path.write_text("precious\n")
         with pytest.raises(ExportError, match="overwrite"):
@@ -327,8 +370,7 @@ class TestSaveJsonlOverwriteGuard:
         assert path.read_text() == "precious\n"
 
     def test_overwrite_flag_replaces_file(self, tmp_path):
-        store = TelemetryStore()
-        store.append(_record(time=10.0))
+        store = TelemetryStore([_record(time=10.0)])
         path = tmp_path / "trace.jsonl"
         path.write_text("precious\n")
         store.save_jsonl(str(path), overwrite=True)

@@ -182,6 +182,39 @@ class TestTrainCLI:
         ]) == 2
         assert "train error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("as_directory", [False, True], ids=["file", "dir"])
+    @pytest.mark.parametrize(
+        "damage, bad_line",
+        [
+            (lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]], 5),
+            (lambda lines: lines[:2] + ["<<< not json >>>"] + lines[3:], 3),
+        ],
+        ids=["truncated-last-line", "garbage-middle-line"],
+    )
+    def test_train_names_file_and_line_of_a_bad_record(
+        self, tmp_path, capsys, damage, bad_line, as_directory
+    ):
+        """Regression: a damaged export used to die with a raw
+        JSONDecodeError whose "line 1" was the offset inside the line."""
+        good = tmp_path / "a-good.jsonl"
+        good.write_text("".join(json.dumps(r) + "\n" for r in synthetic_records(3)))
+        lines = [json.dumps(r) for r in synthetic_records(4)]
+        lines.insert(1, "")  # blank lines are skipped but still counted
+        broken = tmp_path / "b-broken.jsonl"
+        broken.write_text("\n".join(damage(lines)))
+        output = tmp_path / "out" / "model.json"
+        output.parent.mkdir()
+        assert main([
+            "train", "--telemetry", str(tmp_path if as_directory else broken),
+            "--output", str(output),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("train error: ")
+        assert repr(str(broken)) in captured.err
+        assert "line {}:".format(bad_line) in captured.err
+        assert "Traceback" not in captured.err
+        assert not output.exists()
+
     def test_run_rejects_unknown_model(self, capsys):
         assert main(["run", "--model", "quantum"]) == 2
         assert "model error" in capsys.readouterr().err

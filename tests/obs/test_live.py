@@ -27,6 +27,7 @@ from repro.obs.live import (
     TelemetryHub,
 )
 from repro.obs.live.hub import SNAPSHOT_REBALANCES
+from repro.obs.live.publish import SPANS_PER_EVENT
 from repro.obs.registry import MetricsRegistry
 from repro.shard.coordinator import run_sharded
 from repro.shard.spec import ShardedExperimentSpec
@@ -249,6 +250,66 @@ class TestRunPublisher:
             assert slowest
             durations = [s["duration"] for s in slowest]
             assert durations == sorted(durations, reverse=True)
+
+    def test_spans_straddling_an_interval_boundary_are_published(self):
+        """Regression: the tracer lists a span when it *opens*, so a span
+        longer than the control interval is still open when the publisher
+        first sees it; it must stay pending and go out once it closes."""
+        hub = TelemetryHub()
+        sub = hub.subscribe(max_queue=100_000)
+        result = run_spec(_tiny_spec(tracing=True), hub=hub)
+        interval = result.config.planner.control_interval
+        candidates = [
+            s for s in result.extras["tracer"].spans
+            if s.phase in ("queue_wait", "execute") and not s.truncated
+        ]
+        events = [e for e in sub.drain() if e.type == "spans"]
+        published = [s for e in events for s in e.data["slowest"]]
+        assert any(s["duration"] > interval for s in published)
+        previous = 0.0
+        for event in events:
+            finished = sorted(
+                (s for s in candidates if previous < s.end <= event.time),
+                key=lambda s: s.duration,
+                reverse=True,
+            )[:SPANS_PER_EVENT]
+            assert [(s["query_id"], s["phase"]) for s in event.data["slowest"]] == [
+                (s.query_id, s.phase) for s in finished
+            ], event.time
+            previous = event.time
+        keys = [(s["query_id"], s["phase"]) for s in published]
+        assert len(keys) == len(set(keys))  # each span goes out once
+
+    def test_publisher_reads_only_the_record_it_is_handed(self):
+        """No lookup through the controller's telemetry, no dependence on
+        another listener having run first: a publisher that knows only the
+        planner, attached *before* the harness, still gets every record."""
+        from types import SimpleNamespace
+
+        from repro.experiments.runner import build_bundle, make_controller
+        from repro.validation import attach_harness
+
+        bundle = build_bundle(config=_tiny_config())
+        scheduler = make_controller(bundle, "qs")
+        hub = TelemetryHub()
+        sub = hub.subscribe()
+        publisher = RunPublisher(
+            hub, bundle, SimpleNamespace(planner=scheduler.planner)
+        )
+        assert publisher.attach()
+        attach_harness(bundle, mode="warn")
+        scheduler.start()
+        bundle.manager.start()
+        bundle.run()
+        events = [e for e in sub.drain() if e.type == "interval"]
+        history = scheduler.planner.history
+        assert len(events) == len(history) > 0
+        for event, record in zip(events, history):
+            assert event.data["record"] == record.to_dict()
+            assert event.data["record"]["interval_index"] == (
+                event.data["interval_index"]
+            )
+            assert event.data["cost_limits"] == record.plan.as_dict()
 
     def test_static_controller_publishes_start_and_end_only(self):
         hub = TelemetryHub()

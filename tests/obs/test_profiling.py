@@ -41,7 +41,6 @@ class TestIntervalProfiler:
             "solver_s": pytest.approx(2.5),
             "total_s": pytest.approx(4.25),
         }
-        assert profiler.history == [record]
 
     def test_reentered_sections_accumulate(self, profiler, clock):
         profiler.begin()
@@ -78,20 +77,24 @@ class TestIntervalProfiler:
     def test_finish_resets_for_next_interval(self, profiler, clock):
         profiler.begin()
         clock.t = 1.0
-        profiler.finish()
+        with profiler.section("solver"):
+            clock.t = 1.5
+        first = profiler.finish()
         profiler.begin()
         clock.t = 3.0
-        profiler.finish()
-        totals = [record["total_s"] for record in profiler.history]
-        assert totals == pytest.approx([1.0, 2.0])
+        second = profiler.finish()
+        assert first == {"solver_s": pytest.approx(0.5), "total_s": pytest.approx(1.5)}
+        assert second == {"total_s": pytest.approx(1.5)}  # nothing carried over
+        assert second is not first
 
-    def test_summary_aggregates_history(self, profiler, clock):
+    def test_finished_intervals_summarise(self, profiler, clock):
+        finished = []
         for duration in (1.0, 3.0):
             start = clock.t
             profiler.begin()
             clock.t = start + duration
-            profiler.finish()
-        summary = profiler.summary()
+            finished.append(profiler.finish())
+        summary = summarize_overhead(finished)
         assert summary["total_s"]["mean_s"] == pytest.approx(2.0)
         assert summary["total_s"]["max_s"] == pytest.approx(3.0)
         assert summary["total_s"]["count"] == 2

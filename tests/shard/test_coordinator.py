@@ -191,7 +191,7 @@ def test_sharded_sweep_smoke():
                     ),
                 )
             )
-    labels = [r.request_label for r in requests]
+    labels = [r.describe() for r in requests]
     assert len(set(labels)) == len(labels)
     outcomes = run_requests(requests, jobs=2)
     assert [o.index for o in outcomes] == list(range(len(requests)))

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro.core.plan import SchedulingPlan
 from repro.errors import ExportError
 from repro.experiments.parallel import RunSummary
-from repro.metrics.telemetry import ControlIntervalRecord, SolverTelemetry
 from repro.shard.report import (
     build_sharded_report,
     export_shard_telemetry,
@@ -16,6 +16,7 @@ from repro.shard.report import (
     sharded_report_to_dict,
 )
 from repro.sim.stats import Histogram
+from tests.conftest import decision_record
 
 
 def make_summary(seed, attainment, completions, histogram=None, records=()):
@@ -122,22 +123,7 @@ class TestSaveShardedReport:
 
 class TestExportShardTelemetry:
     def record(self):
-        return ControlIntervalRecord(
-            time=1.0,
-            interval_index=0,
-            trigger="scheduled",
-            measurements={},
-            predictions={},
-            solver=SolverTelemetry(
-                allocation={},
-                objective=None,
-                evaluations=0,
-                solve_calls=1,
-                oltp_slope=None,
-                oltp_observations=None,
-            ),
-            dispatcher={},
-        )
+        return decision_record(1.0, SchedulingPlan({"c": 1_000.0}, 1_000.0))
 
     def test_writes_suffixed_paths(self, tmp_path):
         summaries = [

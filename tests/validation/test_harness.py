@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.errors import InvariantViolation, SchedulingError
-from repro.experiments.runner import ExperimentSpec, run_spec
+from repro.experiments.runner import ExperimentSpec, assemble_run, run_spec
 from repro.faults import FaultInjector
+from repro.obs.live import TelemetryHub
 from repro.validation import (
     ControlLoopWorld,
     ValidationHarness,
@@ -127,7 +128,7 @@ class TestTelemetryEmbedding:
             5.0, lambda: injector.leak_dispatcher_slot("class1")
         )
         qs_bundle.run()
-        store = qs_bundle.controller.telemetry.store
+        store = qs_bundle.controller.telemetry
         embedded = store.violations()
         assert embedded
         assert any(
@@ -150,5 +151,55 @@ class TestTelemetryEmbedding:
         assert found
         # The interval record at t=10 must not carry a violation observed
         # at t=13; it rides only in the harness log.
-        store = qs_bundle.controller.telemetry.store
+        store = qs_bundle.controller.telemetry
         assert store.violations() == []
+
+    @pytest.mark.parametrize("mode", ["warn", "strict"])
+    def test_corruption_lands_in_exactly_its_interval_record_and_hub_event(
+        self, mode
+    ):
+        """A slot leaked at t=15 is first seen at the t=20 boundary: that
+        interval's record (the one the harness was handed) carries the
+        violations, the t=10 record stays clean, and the hub publishes
+        what the record holds.  Strict mode embeds before it raises."""
+        hub = TelemetryHub()
+        subscription = hub.subscribe(max_queue=10_000)
+        result = assemble_run(
+            ExperimentSpec(controller="qs", config=small_config(), invariants=mode),
+            hub=hub,
+        )
+        bundle = result.bundle
+        injector = FaultInjector(bundle)
+        bundle.sim.schedule(15.0, lambda: injector.leak_dispatcher_slot("class1"))
+        try:
+            if mode == "strict":
+                with pytest.raises(InvariantViolation):
+                    bundle.run()
+            else:
+                bundle.run()
+        finally:
+            bundle.close()
+        history = bundle.controller.planner.history
+        harness = result.extras["validation"]
+        assert history[0].time == 10.0 and history[0].violations == []
+        detected = history[1]
+        assert detected.time == 20.0
+        assert {v["name"] for v in detected.violations} >= {
+            "dispatcher_in_flight_consistent"
+        }
+        assert all(v["time"] == 20.0 for v in detected.violations)
+        assert [v.to_dict() for v in harness.violations] == [
+            v for record in history for v in record.violations
+        ]
+        events = [e for e in subscription.drain() if e.type == "interval"]
+        if mode == "strict":
+            # The run died inside the t=20 decision: nothing after it exists,
+            # and the publisher (after the harness) never saw that interval.
+            assert len(history) == 2
+            assert [e.data["interval_index"] for e in events] == [0]
+        else:
+            assert len(events) == len(history) > 2
+        for event in events:
+            record = history[event.data["interval_index"]]
+            assert event.data["record"]["violations"] == record.violations
+            assert event.data["record"] == record.to_dict()
