@@ -31,11 +31,7 @@ from repro.core.modeling.analytic import (
     OLAPVelocityModel,
     OLTPResponseTimeModel,
 )
-from repro.core.modeling.protocol import (
-    ClassMixState,
-    IntervalObservation,
-    MixSnapshot,
-)
+from repro.core.modeling.protocol import IntervalObservation, MixSnapshot
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -57,39 +53,50 @@ _MAX_CORRECTION_RATIO = 0.75
 _MIN_CORRECTION_SCALE = 0.25
 
 
-def _features(
-    value: float,
-    current_limit: float,
-    proposed_limit: float,
-    own: Optional[ClassMixState],
-    mix: Optional[MixSnapshot],
-    class_name: str,
-) -> List[float]:
-    """The fixed-length mix-conditioned feature vector.
+def _mix_features(
+    mix: Optional[MixSnapshot], class_name: str
+) -> Tuple[float, float, float, float]:
+    """The four features that depend on the concurrent mix alone.
 
-    ``own``/``mix`` may be None (predictions outside a control loop);
-    mix-dependent features then fall back to zero and the model degrades
-    gracefully toward its own-knob terms.
+    Own queue depth, own in-flight count, the other classes' summed limit
+    and summed queue depth (both accumulated in mix order), each scaled.
+    ``mix`` may be None (predictions outside a control loop): the
+    features are then zero and the model degrades gracefully toward its
+    own-knob terms.
     """
+    queue_length = 0.0
+    in_flight = 0.0
     others_limit = 0.0
     others_queue = 0.0
     if mix is not None:
         for state in mix.classes:
             if state.name == class_name:
+                queue_length = float(state.queue_length)
+                in_flight = float(state.in_flight_count)
                 continue
             others_limit += state.limit
             others_queue += state.queue_length
-    queue_length = float(own.queue_length) if own is not None else 0.0
-    in_flight = float(own.in_flight_count) if own is not None else 0.0
+    return (
+        queue_length / _QUEUE_SCALE,
+        in_flight / _QUEUE_SCALE,
+        others_limit / _LIMIT_SCALE,
+        others_queue / _QUEUE_SCALE,
+    )
+
+
+def _features(
+    value: float,
+    current_limit: float,
+    proposed_limit: float,
+    mix_features: Tuple[float, float, float, float],
+) -> List[float]:
+    """The fixed-length feature vector: own-knob terms, then the mix's."""
     return [
         1.0,
         (proposed_limit - current_limit) / _LIMIT_SCALE,
         value,
         proposed_limit / _LIMIT_SCALE,
-        queue_length / _QUEUE_SCALE,
-        in_flight / _QUEUE_SCALE,
-        others_limit / _LIMIT_SCALE,
-        others_queue / _QUEUE_SCALE,
+        *mix_features,
     ]
 
 
@@ -116,22 +123,40 @@ class _ClassPredictor:
         return total
 
     def update(self, x: List[float], residual: float, forgetting: float) -> None:
-        """One RLS fold-in of (features, realised residual)."""
+        """One RLS fold-in of (features, realised residual).
+
+        Every dot product accumulates from ``0.0`` left to right in index
+        order with plain float adds (never builtin ``sum``, which is
+        compensated on Python >= 3.12), so the learned weights are the
+        same bits on every supported interpreter.
+        """
         if not math.isfinite(residual):
             return
         # k = P x / (lambda + x' P x);  w += k * (y - w'x);  P = (P - k x'P)/lambda
-        px = [sum(row[j] * x[j] for j in range(FEATURE_DIM)) for row in self.p]
-        denom = forgetting + sum(px[i] * x[i] for i in range(FEATURE_DIM))
+        p = self.p
+        px = []
+        for row in p:
+            total = 0.0
+            for pij, xj in zip(row, x):
+                total += pij * xj
+            px.append(total)
+        total = 0.0
+        for pxi, xi in zip(px, x):
+            total += pxi * xi
+        denom = forgetting + total
         if denom <= 0 or not math.isfinite(denom):
             return
-        gain = [px[i] / denom for i in range(FEATURE_DIM)]
+        gain = [pxi / denom for pxi in px]
         error = residual - self.correction(x)
-        for i in range(FEATURE_DIM):
-            self.w[i] += gain[i] * error
-        xp = [sum(self.p[i][j] * x[i] for i in range(FEATURE_DIM)) for j in range(FEATURE_DIM)]
-        for i in range(FEATURE_DIM):
-            for j in range(FEATURE_DIM):
-                self.p[i][j] = (self.p[i][j] - gain[i] * xp[j]) / forgetting
+        w = self.w
+        for i, gi in enumerate(gain):
+            w[i] += gi * error
+        xp = [0.0] * FEATURE_DIM
+        for row, xi in zip(p, x):
+            for j, pij in enumerate(row):
+                xp[j] += pij * xi
+        for row, gi in zip(p, gain):
+            row[:] = [(pij - gi * xpj) / forgetting for pij, xpj in zip(row, xp)]
         self.observations += 1
 
     def to_dict(self) -> Dict[str, object]:
@@ -188,6 +213,30 @@ class LearnedPerformanceModel:
         self._classes: Dict[str, _ClassPredictor] = {}
         self._pending: Optional[MixSnapshot] = None
         self._corrupted = False
+        #: :func:`_mix_features` by class name for ``_featured_mix`` — one
+        #: snapshot serves every candidate limit of an interval (and the
+        #: next interval's ``observe``), so they are derived once each.
+        self._featured_mix: Optional[MixSnapshot] = None
+        self._features_by_class: Dict[str, Tuple[float, float, float, float]] = {}
+
+    def _mix_features_of(
+        self, mix: Optional[MixSnapshot], class_name: str
+    ) -> Tuple[float, float, float, float]:
+        """:func:`_mix_features`, kept for as long as ``mix`` is current.
+
+        Keyed by the snapshot's identity (snapshots are immutable and the
+        reference held here keeps the identity from being reused): a new
+        snapshot, equal or not, starts from nothing.
+        """
+        if mix is not self._featured_mix:
+            self._featured_mix = mix
+            self._features_by_class = {}
+        features = self._features_by_class.get(class_name)
+        if features is None:
+            features = self._features_by_class[class_name] = _mix_features(
+                mix, class_name
+            )
+        return features
 
     # ------------------------------------------------------------------
     # Base (analytic) prediction and clamping
@@ -231,11 +280,14 @@ class LearnedPerformanceModel:
         predictor = self._classes.get(service_class.name)
         if predictor is None or predictor.observations == 0:
             return self._clamp(kind, base)
-        own = mix.get(service_class.name) if mix is not None else None
-        x = _features(
-            value, status.current_limit, proposed_limit, own, mix, service_class.name
+        correction = predictor.correction(
+            _features(
+                value,
+                status.current_limit,
+                proposed_limit,
+                self._mix_features_of(mix, service_class.name),
+            )
         )
-        correction = predictor.correction(x)
         bound = max(
             _MAX_CORRECTION_RATIO * abs(base), _MIN_CORRECTION_SCALE
         )
@@ -267,7 +319,10 @@ class LearnedPerformanceModel:
                 state.kind, before.value, before.limit, state.limit
             )
             x = _features(
-                before.value, before.limit, state.limit, before, previous, state.name
+                before.value,
+                before.limit,
+                state.limit,
+                self._mix_features_of(previous, state.name),
             )
             self._predictor(state.name, state.kind).update(
                 x, state.value - base, self.forgetting
@@ -304,6 +359,8 @@ class LearnedPerformanceModel:
         self._classes = {}
         self._pending = None
         self._corrupted = False
+        self._featured_mix = None
+        self._features_by_class = {}
 
     @property
     def observations(self) -> int:

@@ -206,8 +206,19 @@ class SchedulingPlanner:
             overhead=overhead,
         )
         self.history.append(record)
+        # Every listener sees the record, also when an earlier one raises
+        # (the strict invariant harness does, after writing its violations
+        # into the record): the sinks behind it — the live hub — must not
+        # lose the very interval that tripped.
+        failure: Optional[Exception] = None
         for listener in self._listeners:
-            listener(record)
+            try:
+                listener(record)
+            except Exception as error:
+                if failure is None:
+                    failure = error
+        if failure is not None:
+            raise failure
         return record
 
     def _predict_under(

@@ -228,12 +228,38 @@ class PerformanceSolver:
         limits: Sequence[float],
         mix: Optional[MixSnapshot] = None,
     ) -> float:
-        """Total utility of a full candidate allocation."""
+        """Total utility of a full candidate allocation.
+
+        Accumulated left to right from ``0.0`` with plain float adds —
+        builtin ``sum`` is compensated summation on Python >= 3.12 and
+        would score the same allocation differently per interpreter.
+        """
         self._evaluations += 1
-        return sum(
-            self.class_utility(status, limit, mix)
-            for status, limit in zip(statuses, limits)
-        )
+        score = 0.0
+        for status, limit in zip(statuses, limits):
+            score += self.class_utility(status, limit, mix)
+        return score
+
+    def _memo_utility(
+        self,
+        statuses: Sequence[ClassStatus],
+        memos: List[Dict[int, float]],
+        index: int,
+        count: int,
+        mix: Optional[MixSnapshot] = None,
+    ) -> float:
+        """Class ``index``'s utility at ``count`` grid units, computed once.
+
+        The objective is separable — a sum of per-class utilities, each a
+        function of that class's limit alone — so within one solve a class
+        utility at a given unit count never changes.
+        """
+        memo = memos[index]
+        utility = memo.get(count)
+        if utility is None:
+            utility = self.class_utility(statuses[index], count * self.grid, mix)
+            memo[count] = utility
+        return utility
 
     def _memo_objective(
         self,
@@ -242,25 +268,20 @@ class PerformanceSolver:
         units: Sequence[int],
         mix: Optional[MixSnapshot] = None,
     ) -> float:
-        """:meth:`objective` with per-class utilities memoized by unit count.
+        """:meth:`objective` over memoized per-class utilities.
 
-        The objective is separable — a sum of per-class utilities, each a
-        function of that class's limit alone — so within one solve a class
-        utility at a given unit count never changes and can be computed
-        once.  The candidate score is still accumulated left-to-right in
-        status order, exactly as :meth:`objective`'s ``sum`` does, so
-        scores (and therefore tie-breaks and chosen plans) are bit-identical
-        to the unmemoized search.
+        Scores one full allocation of the exhaustive enumeration (and the
+        greedy ascent's start point).  The score is accumulated left to
+        right in status order from ``0.0``, the same additions
+        :meth:`objective` performs, so scores (and therefore tie-breaks
+        and chosen plans) are bit-identical to the unmemoized search.
         """
         self._evaluations += 1
         score = 0.0
-        grid = self.grid
         for index, count in enumerate(units):
-            memo = memos[index]
-            utility = memo.get(count)
+            utility = memos[index].get(count)
             if utility is None:
-                utility = self.class_utility(statuses[index], count * grid, mix)
-                memo[count] = utility
+                utility = self._memo_utility(statuses, memos, index, count, mix)
             score += utility
         return score
 
@@ -397,7 +418,9 @@ class PerformanceSolver:
     ) -> Tuple[Tuple[int, ...], float]:
         count = len(statuses)
         # Start proportional to current limits (projected onto the grid).
-        current_total = sum(max(s.current_limit, 1.0) for s in statuses)
+        current_total = 0.0
+        for status in statuses:
+            current_total += max(status.current_limit, 1.0)
         units: List[int] = []
         for status in statuses:
             share = max(status.current_limit, 1.0) / current_total
@@ -412,39 +435,65 @@ class PerformanceSolver:
             index = min(range(count), key=lambda i: units[i])
             units[index] += 1
         # Hill-climb single-unit transfers until no move improves.  A move
-        # only changes the donor's and recipient's unit counts, so with the
-        # per-class memo every candidate rescore costs two utility lookups
-        # (new counts) plus the cheap status-order re-sum; the model and
-        # utility evaluations that used to dominate are computed once per
-        # distinct (class, unit count) pair.
+        # changes only the donor's and the recipient's unit counts, so the
+        # search keeps each class's utility at units-1 (``less``; None for
+        # a class that cannot donate), units (``here``) and units+1
+        # (``more``) and looks a class up again only after it moved.  Every
+        # candidate is then the status-order sum of ``here`` with two
+        # entries swapped — the additions :meth:`objective` performs for
+        # that allocation, from ``0.0``, left to right.
         memos: List[Dict[int, float]] = [{} for _ in statuses]
         best_score = self._memo_objective(statuses, memos, units, mix)
-        improved = True
-        while improved:
-            improved = False
-            best_move: Optional[Tuple[float, int, int]] = None
-            for donor in range(count):
-                if units[donor] <= min_units:
-                    continue
-                for recipient in range(count):
+        indices = range(count)
+        here: List[float] = [0.0] * count
+        more: List[float] = [0.0] * count
+        less: List[Optional[float]] = [None] * count
+
+        def look_up(index: int) -> None:
+            held = units[index]
+            here[index] = self._memo_utility(statuses, memos, index, held, mix)
+            more[index] = self._memo_utility(statuses, memos, index, held + 1, mix)
+            less[index] = (
+                self._memo_utility(statuses, memos, index, held - 1, mix)
+                if held > min_units
+                else None
+            )
+
+        for index in indices:
+            look_up(index)
+        while True:
+            donors = [index for index in indices if less[index] is not None]
+            self._evaluations += len(donors) * (count - 1)
+            # ``bar`` is the score a candidate must beat: the standing
+            # score, then the round's best so far (first best wins, in
+            # donor-major order).  It is NaN only while nothing has scored.
+            bar = best_score
+            move: Optional[Tuple[int, int]] = None
+            trial = list(here)
+            for donor in donors:
+                trial[donor] = less[donor]
+                for recipient in indices:
                     if recipient == donor:
                         continue
-                    units[donor] -= 1
-                    units[recipient] += 1
-                    score = self._memo_objective(statuses, memos, units, mix)
-                    units[donor] += 1
-                    units[recipient] -= 1
-                    if math.isnan(score):
+                    trial[recipient] = more[recipient]
+                    score = 0.0
+                    for utility in trial:
+                        score += utility
+                    trial[recipient] = here[recipient]
+                    if score != score:  # NaN: not a candidate
                         continue
-                    improves = math.isnan(best_score) or score > best_score
-                    if improves and (best_move is None or score > best_move[0]):
-                        best_move = (score, donor, recipient)
-            if best_move is not None:
-                _, donor, recipient = best_move
-                units[donor] -= 1
-                units[recipient] += 1
-                best_score = best_move[0]
-                improved = True
+                    if score > bar or bar != bar:
+                        bar = score
+                        move = (donor, recipient)
+                trial[donor] = here[donor]
+            if move is None:
+                break
+            donor, recipient = move
+            units[donor] -= 1
+            units[recipient] += 1
+            best_score = bar
+            look_up(donor)
+            look_up(recipient)
         return tuple(units), best_score
 
 

@@ -9,7 +9,7 @@ period in which each query *finished*.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.service_class import ServiceClass
 from repro.runtime import ExecutionEngine
@@ -106,6 +106,12 @@ class MetricsCollector:
         self._cells: Dict[Tuple[int, str], PeriodClassMetrics] = {}
         self._plan_points: List[Tuple[float, Dict[str, float]]] = []
         self._total_completions = 0
+        self._class_completions: Dict[str, int] = {c.name: 0 for c in self.classes}
+        #: The latest period a completion landed in — the only one whose
+        #: cells can still change — and, per class, the ``(met, observed)``
+        #: goal tally of the periods before it, filled on demand.
+        self._open_period = 0
+        self._closed_tally: Dict[ServiceClass, Tuple[int, int]] = {}
         engine.add_completion_listener(self.on_completion)
 
     # ------------------------------------------------------------------
@@ -116,6 +122,11 @@ class MetricsCollector:
         if query.finish_time is None:
             return
         period = self.schedule.period_at(query.finish_time)
+        if period != self._open_period:
+            # A later period opened, or (wall-clock backends) a straggler
+            # landed in an earlier one: the closed-period tallies are stale.
+            self._open_period = max(period, self._open_period)
+            self._closed_tally.clear()
         key = (period, query.class_name)
         cell = self._cells.get(key)
         if cell is None:
@@ -123,6 +134,8 @@ class MetricsCollector:
             self._cells[key] = cell
         cell.add(query)
         self._total_completions += 1
+        totals = self._class_completions
+        totals[query.class_name] = totals.get(query.class_name, 0) + 1
 
     def on_plan(self, record: ControlIntervalRecord) -> None:
         """Planner decision hook (register via planner.add_plan_listener)."""
@@ -172,19 +185,47 @@ class MetricsCollector:
                 series.append(getattr(cell, metric).mean)
         return series
 
+    @staticmethod
+    def _goal_metric(service_class: ServiceClass) -> str:
+        return "velocity" if service_class.kind == "olap" else "response_time"
+
     def performance_series(self, service_class: ServiceClass) -> List[Optional[float]]:
         """The class's goal metric per period (velocity or response time)."""
-        metric = "velocity" if service_class.kind == "olap" else "response_time"
-        return self.metric_series(service_class.name, metric)
+        return self.metric_series(service_class.name, self._goal_metric(service_class))
+
+    def _goal_tally(
+        self, service_class: ServiceClass, periods: Iterable[int]
+    ) -> Tuple[int, int]:
+        """``(periods that met the goal, non-empty periods)`` among ``periods``."""
+        metric = self._goal_metric(service_class)
+        met = observed = 0
+        for period in periods:
+            cell = self._cells.get((period, service_class.name))
+            if cell is None or cell.completions == 0:
+                continue
+            observed += 1
+            if service_class.goal.satisfied(getattr(cell, metric).mean):
+                met += 1
+        return met, observed
 
     def goal_attainment(self, service_class: ServiceClass) -> float:
-        """Fraction of (non-empty) periods in which the class met its goal."""
-        series = self.performance_series(service_class)
-        observed = [v for v in series if v is not None]
+        """Fraction of (non-empty) periods in which the class met its goal.
+
+        Periods before the open one can no longer change, so their tally
+        is kept per class and only the open period is looked at again — a
+        live publisher asks every control interval.
+        """
+        closed = self._closed_tally.get(service_class)
+        if closed is None:
+            closed = self._closed_tally[service_class] = self._goal_tally(
+                service_class, range(self._open_period)
+            )
+        met, observed = self._goal_tally(service_class, (self._open_period,))
+        met += closed[0]
+        observed += closed[1]
         if not observed:
             return 0.0
-        met = sum(1 for v in observed if service_class.goal.satisfied(v))
-        return met / len(observed)
+        return met / observed
 
     def completions_by_class(self) -> Dict[str, int]:
         """Total completed queries per class (zero for idle classes).
@@ -192,10 +233,7 @@ class MetricsCollector:
         The weights for cross-run/cross-shard attainment aggregation —
         see :func:`repro.metrics.aggregate.weighted_attainment`.
         """
-        totals = {service_class.name: 0 for service_class in self.classes}
-        for (_, class_name), cell in self._cells.items():
-            totals[class_name] = totals.get(class_name, 0) + cell.completions
-        return totals
+        return dict(self._class_completions)
 
     def class_response_histogram(self, class_name: str) -> Optional[Histogram]:
         """One response-time histogram over all periods of a class.

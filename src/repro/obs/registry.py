@@ -219,6 +219,14 @@ class MetricsRegistry:
 
     def __init__(self, max_samples: Optional[int] = None) -> None:
         self._families: Dict[str, _Family] = {}
+        #: What :meth:`sample` walks, in iteration order: ``(series key,
+        #: None, instrument)``, or ``(count key, sum key, histogram)``.
+        #: Dropped whenever an instrument is registered and rebuilt by the
+        #: next sample, so labels are rendered and escaped once per
+        #: instrument and every sample dict shares the same key strings.
+        self._sample_plan: Optional[
+            List[Tuple[str, Optional[str], Instrument]]
+        ] = None
         self._samples: Deque[Tuple[float, Dict[str, float]]] = deque()
         self._max_samples: Optional[int] = None
         #: Samples evicted from the ring buffer so far (never resets).
@@ -269,6 +277,20 @@ class MetricsRegistry:
             family.description = description
         return family
 
+    def _member(
+        self,
+        family: _Family,
+        labels: Optional[Dict[str, str]],
+        create: Callable[[LabelSet], Instrument],
+    ) -> Instrument:
+        """Get or create the family's member with the given labels."""
+        key = _label_key(labels)
+        member = family.members.get(key)
+        if member is None:
+            member = family.members[key] = create(key)
+            self._sample_plan = None
+        return member
+
     def counter(
         self,
         name: str,
@@ -278,13 +300,11 @@ class MetricsRegistry:
         callback: Optional[Callable[[], float]] = None,
     ) -> Counter:
         """Get or create the counter ``name`` with the given labels."""
-        family = self._family(name, COUNTER, description, unit)
-        key = _label_key(labels)
-        member = family.members.get(key)
-        if member is None:
-            member = Counter(name, key, callback=callback)
-            family.members[key] = member
-        return member  # type: ignore[return-value]
+        return self._member(  # type: ignore[return-value]
+            self._family(name, COUNTER, description, unit),
+            labels,
+            lambda key: Counter(name, key, callback=callback),
+        )
 
     def gauge(
         self,
@@ -295,13 +315,11 @@ class MetricsRegistry:
         callback: Optional[Callable[[], float]] = None,
     ) -> Gauge:
         """Get or create the gauge ``name`` with the given labels."""
-        family = self._family(name, GAUGE, description, unit)
-        key = _label_key(labels)
-        member = family.members.get(key)
-        if member is None:
-            member = Gauge(name, key, callback=callback)
-            family.members[key] = member
-        return member  # type: ignore[return-value]
+        return self._member(  # type: ignore[return-value]
+            self._family(name, GAUGE, description, unit),
+            labels,
+            lambda key: Gauge(name, key, callback=callback),
+        )
 
     def histogram(
         self,
@@ -312,13 +330,11 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> HistogramInstrument:
         """Get or create the histogram ``name`` with the given labels."""
-        family = self._family(name, HISTOGRAM, description, unit)
-        key = _label_key(labels)
-        member = family.members.get(key)
-        if member is None:
-            member = HistogramInstrument(name, key, buckets=buckets)
-            family.members[key] = member
-        return member  # type: ignore[return-value]
+        return self._member(  # type: ignore[return-value]
+            self._family(name, HISTOGRAM, description, unit),
+            labels,
+            lambda key: HistogramInstrument(name, key, buckets=buckets),
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -370,14 +386,22 @@ class MetricsRegistry:
         Histograms contribute their observation count and sum as
         ``name_count`` / ``name_sum`` entries.
         """
+        plan = self._sample_plan
+        if plan is None:
+            plan = self._sample_plan = []
+            for instrument in self:
+                key = self._series_key(instrument.name, instrument.labels)
+                if isinstance(instrument, HistogramInstrument):
+                    plan.append((key + "_count", key + "_sum", instrument))
+                else:
+                    plan.append((key, None, instrument))
         values: Dict[str, float] = {}
-        for instrument in self:
-            key = self._series_key(instrument.name, instrument.labels)
-            if isinstance(instrument, HistogramInstrument):
-                values[key + "_count"] = float(instrument.count)
-                values[key + "_sum"] = instrument.sum
-            else:
+        for key, sum_key, instrument in plan:
+            if sum_key is None:
                 values[key] = instrument.value
+            else:
+                values[key] = float(instrument.count)
+                values[sum_key] = instrument.sum
         if (
             self._max_samples is not None
             and len(self._samples) >= self._max_samples

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core.modeling import (
     OracleLastValueModel,
     PaperAnalyticModel,
 )
+from repro.core.modeling.learned import FEATURE_DIM, _ClassPredictor
 from repro.core.service_class import ResponseTimeGoal, ServiceClass, VelocityGoal
 from repro.core.solver import ClassStatus
 from repro.errors import ConfigurationError
@@ -31,6 +33,111 @@ def oltp_status(value, limit=10_000.0, name="c3"):
 def mix_of(time, value, limit=10_000.0, queue=4, in_flight=2, name="c1"):
     state = ClassMixState(name, "olap", limit, value, queue, in_flight, 800.0)
     return MixSnapshot(time=time, classes=(state,))
+
+
+def make_mix(statuses, rng, time=0.0):
+    """A random concurrent mix over the classes of ``statuses``."""
+    return MixSnapshot(
+        time=time,
+        classes=tuple(
+            ClassMixState(
+                name=status.service_class.name,
+                kind=status.service_class.kind,
+                limit=status.current_limit,
+                value=status.current_value,
+                queue_length=rng.randint(0, 40),
+                in_flight_count=rng.randint(0, 12),
+                in_flight_cost=rng.uniform(0.0, 9_000.0),
+            )
+            for status in statuses
+        ),
+    )
+
+
+def trained_model(statuses, seed, intervals=12):
+    """A learned model with non-trivial weights for every class."""
+    rng = random.Random(seed)
+    model = LearnedPerformanceModel()
+    for step in range(intervals):
+        noisy = [
+            ClassStatus(
+                status.service_class,
+                status.current_limit * rng.uniform(0.6, 1.4),
+                status.current_value * rng.uniform(0.7, 1.3),
+            )
+            for status in statuses
+        ]
+        model.observe(
+            IntervalObservation(float(step), make_mix(noisy, rng, float(step)))
+        )
+    return model
+
+
+def textbook_rls_update(w, p, x, residual, forgetting):
+    """The RLS fold-in written out index by index — the operation order
+    ``_ClassPredictor.update`` must keep: k = P x / (λ + x'P x);
+    w += k (y - w'x); P = (P - k x'P) / λ, every dot product from 0.0 in
+    index order.  Returns whether the update was applied."""
+    dim = len(x)
+    if not math.isfinite(residual):
+        return False
+    px = []
+    for i in range(dim):
+        total = 0.0
+        for j in range(dim):
+            total += p[i][j] * x[j]
+        px.append(total)
+    total = 0.0
+    for i in range(dim):
+        total += px[i] * x[i]
+    denom = forgetting + total
+    if denom <= 0 or not math.isfinite(denom):
+        return False
+    gain = [px[i] / denom for i in range(dim)]
+    predicted = 0.0
+    for i in range(dim):
+        predicted += w[i] * x[i]
+    error = residual - predicted
+    for i in range(dim):
+        w[i] = w[i] + gain[i] * error
+    xp = []
+    for j in range(dim):
+        total = 0.0
+        for i in range(dim):
+            total += p[i][j] * x[i]
+        xp.append(total)
+    for i in range(dim):
+        for j in range(dim):
+            p[i][j] = (p[i][j] - gain[i] * xp[j]) / forgetting
+    return True
+
+
+class TestRecursiveLeastSquares:
+    def test_update_matches_the_textbook_fold_in_bit_for_bit(self):
+        rng = random.Random(2007)
+        predictor = _ClassPredictor("olap", ridge=4.0)
+        w = list(predictor.w)
+        p = [list(row) for row in predictor.p]
+        applied = 0
+        for step in range(200):
+            x = [1.0] + [rng.uniform(-2.0, 2.0) for _ in range(FEATURE_DIM - 1)]
+            residual = rng.uniform(-0.5, 0.5)
+            if step % 37 == 5:
+                residual = rng.choice([float("nan"), float("inf"), float("-inf")])
+            forgetting = rng.choice([1.0, 0.995, 0.9])
+            predictor.update(x, residual, forgetting)
+            applied += textbook_rls_update(w, p, x, residual, forgetting)
+            assert predictor.w == w and predictor.p == p, step
+        assert predictor.observations == applied == 200 - 6
+
+    def test_non_positive_denominator_is_skipped(self):
+        predictor = _ClassPredictor("olap", ridge=4.0)
+        # A covariance that is not positive definite: x'Px = -8 / ridge.
+        predictor.p = [[-value for value in row] for row in predictor.p]
+        before = ([*predictor.w], [list(row) for row in predictor.p])
+        predictor.update([1.0] * FEATURE_DIM, 0.3, forgetting=0.995)
+        assert (predictor.w, predictor.p) == before
+        assert predictor.observations == 0
 
 
 class TestColdStart:
@@ -141,6 +248,52 @@ class TestMixAwareness:
         b = model.mix_fingerprint(mix_of(0.0, 0.4, queue=9))
         assert a != b
         assert model.mix_fingerprint(None) is None
+
+
+    def test_features_follow_the_snapshot_not_the_previous_interval(self):
+        """The mix features are derived once per snapshot; the next
+        interval's snapshot (same class, same status, different mix) must
+        be featurized afresh, even when an equal snapshot is rebuilt."""
+        statuses = [olap_status(0.4, name="c1"), olap_status(0.6, name="c2")]
+        model = trained_model(statuses, seed=9)
+        quiet = make_mix(statuses, random.Random(1))
+        busy = MixSnapshot(
+            time=1.0,
+            classes=tuple(
+                state._replace(queue_length=state.queue_length + 25)
+                for state in quiet.classes
+            ),
+        )
+        fresh = LearnedPerformanceModel.from_dict(model.to_dict())
+        in_quiet = model.predict(statuses[0], 12_000.0, quiet)
+        assert model.predict(statuses[0], 14_000.0, quiet) == fresh.predict(
+            statuses[0], 14_000.0, quiet
+        )
+        in_busy = model.predict(statuses[0], 12_000.0, busy)
+        assert in_busy == fresh.predict(statuses[0], 12_000.0, busy)
+        assert in_busy != in_quiet
+        # An equal snapshot built anew, and no snapshot at all.
+        again = MixSnapshot(time=quiet.time, classes=tuple(quiet.classes))
+        assert model.predict(statuses[0], 12_000.0, again) == in_quiet
+        assert model.predict(statuses[0], 12_000.0, None) == fresh.predict(
+            statuses[0], 12_000.0, None
+        )
+
+    def test_observe_pairs_the_previous_snapshot_with_its_own_features(self):
+        """``observe`` featurizes the *previous* mix; predicting under that
+        mix first (which fills the per-snapshot features) changes nothing."""
+        statuses = [olap_status(0.4, name="c1"), olap_status(0.6, name="c2")]
+        warmed = trained_model(statuses, seed=3)
+        cold = trained_model(statuses, seed=3)
+        rng_a, rng_b = random.Random(8), random.Random(8)
+        for step in range(4):
+            mix_a = make_mix(statuses, rng_a, float(step))
+            mix_b = make_mix(statuses, rng_b, float(step))
+            warmed.observe(IntervalObservation(float(step), mix_a))
+            cold.observe(IntervalObservation(float(step), mix_b))
+            for status in statuses:  # only one model predicts in between
+                warmed.predict(status, 9_000.0, mix_a)
+        assert warmed.to_dict() == cold.to_dict()
 
 
 class TestOracle:

@@ -157,6 +157,52 @@ class TestSampling:
         with pytest.raises(MetricsError):
             registry.series("missing")
 
+    def test_instruments_registered_after_a_sample_join_the_next_one(
+        self, registry
+    ):
+        """The sampling order is built once, not frozen: every kind of
+        late registration — a new family, a new member of a sampled
+        family, a histogram — shows up, in name-then-label order."""
+        registry.counter("done_total", labels={"class": "b"}).inc(2)
+        assert list(registry.sample(1.0)) == ['done_total{class="b"}']
+        registry.counter("done_total", labels={"class": "a"}).inc(5)
+        registry.gauge("backlog", callback=lambda: 7)
+        registry.histogram("wait").observe(0.25)
+        values = registry.sample(2.0)
+        assert values == {
+            "backlog": 7.0,
+            'done_total{class="a"}': 5.0,
+            'done_total{class="b"}': 2.0,
+            "wait_count": 1.0,
+            "wait_sum": 0.25,
+        }
+        assert list(values) == sorted(values)
+        # Get-or-create of an existing member registers nothing new.
+        registry.counter("done_total", labels={"class": "a"}).inc()
+        assert registry.sample(3.0)['done_total{class="a"}'] == 6.0
+        assert registry.series("done_total", {"class": "a"}) == [(2.0, 5.0), (3.0, 6.0)]
+        assert registry.series("wait") == [(2.0, 1.0), (3.0, 1.0)]
+
+    def test_samples_share_their_series_key_strings(self, registry):
+        registry.counter("done_total", labels={"class": "class1"})
+        registry.histogram("wait")
+        first, second = registry.sample(1.0), registry.sample(2.0)
+        assert first is not second
+        for one, other in zip(first, second):
+            assert one is other
+
+    def test_hostile_label_value_is_escaped_in_the_series_key(self, registry):
+        hostile = 'he said "hi"\nback\\slash'
+        registry.counter("queries_total", labels={"template": hostile}).inc()
+        for _ in range(2):  # the first sample builds the key, the second reuses it
+            assert list(registry.sample(0.0)) == [
+                'queries_total{template="he said \\"hi\\"\\nback\\\\slash"}'
+            ]
+        assert registry.series("queries_total", {"template": hostile}) == [
+            (0.0, 1.0),
+            (0.0, 1.0),
+        ]
+
 
 class TestPrometheusExport:
     def test_renders_types_labels_and_values(self, registry):

@@ -193,13 +193,47 @@ class TestTelemetryEmbedding:
         ]
         events = [e for e in subscription.drain() if e.type == "interval"]
         if mode == "strict":
-            # The run died inside the t=20 decision: nothing after it exists,
-            # and the publisher (after the harness) never saw that interval.
+            # The run died inside the t=20 decision: nothing after it
+            # exists, but the publisher (after the harness) was still
+            # handed that interval, violations included.
             assert len(history) == 2
-            assert [e.data["interval_index"] for e in events] == [0]
+            assert [e.data["interval_index"] for e in events] == [0, 1]
+            assert events[-1].data["record"]["violations"]
         else:
             assert len(events) == len(history) > 2
         for event in events:
             record = history[event.data["interval_index"]]
             assert event.data["record"]["violations"] == record.violations
             assert event.data["record"] == record.to_dict()
+
+    def test_strict_run_spec_publishes_the_tripping_interval_then_raises(
+        self, monkeypatch
+    ):
+        """Through ``run_spec``: the hub's last ``interval`` event is the
+        interval whose invariant check failed, and the failure still
+        propagates to the caller."""
+        from repro.experiments import runner
+
+        def assemble_with_leak(spec, hub=None, shard=None):
+            result = assemble_run(spec, hub=hub, shard=shard)
+            injector = FaultInjector(result.bundle)
+            result.bundle.sim.schedule(
+                15.0, lambda: injector.leak_dispatcher_slot("class1")
+            )
+            return result
+
+        monkeypatch.setattr(runner, "assemble_run", assemble_with_leak)
+        hub = TelemetryHub()
+        subscription = hub.subscribe(max_queue=10_000)
+        with pytest.raises(InvariantViolation):
+            run_spec(
+                ExperimentSpec(
+                    controller="qs", config=small_config(), invariants="strict"
+                ),
+                hub=hub,
+            )
+        last = [e for e in subscription.drain() if e.type == "interval"][-1]
+        assert last.time == 20.0
+        assert {v["name"] for v in last.data["record"]["violations"]} >= {
+            "dispatcher_in_flight_consistent"
+        }
