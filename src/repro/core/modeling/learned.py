@@ -37,7 +37,9 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:
     from repro.core.solver import ClassStatus
 
-#: Feature-vector length (see :func:`_features`).
+#: Feature-vector length (see :func:`_features`).  The predictor's dot
+#: products are written out for exactly this many terms; another length
+#: fails loudly at their unpacking.
 FEATURE_DIM = 8
 
 #: Normalisation scales keeping every feature O(1): timeron budgets run in
@@ -117,46 +119,62 @@ class _ClassPredictor:
 
     def correction(self, x: List[float]) -> float:
         """The learned residual for a feature vector (0 until trained)."""
-        total = 0.0
-        for wi, xi in zip(self.w, x):
-            total += wi * xi
-        return total
+        w0, w1, w2, w3, w4, w5, w6, w7 = self.w
+        x0, x1, x2, x3, x4, x5, x6, x7 = x
+        return (
+            0.0 + w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3
+            + w4 * x4 + w5 * x5 + w6 * x6 + w7 * x7
+        )
 
     def update(self, x: List[float], residual: float, forgetting: float) -> None:
         """One RLS fold-in of (features, realised residual).
 
-        Every dot product accumulates from ``0.0`` left to right in index
-        order with plain float adds (never builtin ``sum``, which is
-        compensated on Python >= 3.12), so the learned weights are the
-        same bits on every supported interpreter.
+        Every dot product is written out as one left-associative chain
+        from ``0.0`` in index order — the additions a sequential
+        accumulator performs, without its loop (never builtin ``sum``,
+        which is compensated on Python >= 3.12) — so the learned weights
+        are the same bits on every supported interpreter.
         """
         if not math.isfinite(residual):
             return
         # k = P x / (lambda + x' P x);  w += k * (y - w'x);  P = (P - k x'P)/lambda
         p = self.p
-        px = []
-        for row in p:
-            total = 0.0
-            for pij, xj in zip(row, x):
-                total += pij * xj
-            px.append(total)
-        total = 0.0
-        for pxi, xi in zip(px, x):
-            total += pxi * xi
-        denom = forgetting + total
+        x0, x1, x2, x3, x4, x5, x6, x7 = x
+        px = [
+            0.0 + a * x0 + b * x1 + c * x2 + d * x3
+            + e * x4 + f * x5 + g * x6 + h * x7
+            for a, b, c, d, e, f, g, h in p
+        ]
+        q0, q1, q2, q3, q4, q5, q6, q7 = px
+        denom = forgetting + (
+            0.0 + q0 * x0 + q1 * x1 + q2 * x2 + q3 * x3
+            + q4 * x4 + q5 * x5 + q6 * x6 + q7 * x7
+        )
         if denom <= 0 or not math.isfinite(denom):
             return
         gain = [pxi / denom for pxi in px]
         error = residual - self.correction(x)
         w = self.w
-        for i, gi in enumerate(gain):
-            w[i] += gi * error
-        xp = [0.0] * FEATURE_DIM
-        for row, xi in zip(p, x):
-            for j, pij in enumerate(row):
-                xp[j] += pij * xi
+        w[:] = [wi + gi * error for wi, gi in zip(w, gain)]
+        # xp[j] = sum_i P[i][j] * x[i]: column j, accumulated over the rows.
+        xp = [
+            0.0 + a * x0 + b * x1 + c * x2 + d * x3
+            + e * x4 + f * x5 + g * x6 + h * x7
+            for a, b, c, d, e, f, g, h in zip(*p)
+        ]
+        y0, y1, y2, y3, y4, y5, y6, y7 = xp
         for row, gi in zip(p, gain):
-            row[:] = [(pij - gi * xpj) / forgetting for pij, xpj in zip(row, xp)]
+            a, b, c, d, e, f, g, h = row
+            row[:] = [
+                (a - gi * y0) / forgetting,
+                (b - gi * y1) / forgetting,
+                (c - gi * y2) / forgetting,
+                (d - gi * y3) / forgetting,
+                (e - gi * y4) / forgetting,
+                (f - gi * y5) / forgetting,
+                (g - gi * y6) / forgetting,
+                (h - gi * y7) / forgetting,
+            ]
         self.observations += 1
 
     def to_dict(self) -> Dict[str, object]:
@@ -239,7 +257,7 @@ class LearnedPerformanceModel:
         return features
 
     # ------------------------------------------------------------------
-    # Base (analytic) prediction and clamping
+    # Base (analytic) prediction
     # ------------------------------------------------------------------
     def _base_predict(
         self, kind: str, value: float, current_limit: float, new_limit: float
@@ -247,12 +265,6 @@ class LearnedPerformanceModel:
         if kind == "olap":
             return OLAPVelocityModel.predict(value, current_limit, new_limit)
         return self._base_oltp.predict(value, current_limit, new_limit)
-
-    @staticmethod
-    def _clamp(kind: str, predicted: float) -> float:
-        if kind == "olap":
-            return max(0.0, min(1.0, predicted))
-        return max(predicted, 1e-3)
 
     def _predictor(self, name: str, kind: str) -> _ClassPredictor:
         predictor = self._classes.get(name)
@@ -270,31 +282,48 @@ class LearnedPerformanceModel:
         proposed_limit: float,
         mix: Optional[MixSnapshot] = None,
     ) -> float:
-        """Analytic base plus the learned, clamped residual correction."""
+        """Analytic base plus the learned, clamped residual correction.
+
+        The solver asks ~40 times per control interval, so the clamps are
+        comparisons rather than ``max``/``min`` calls.  ``max(a, b)`` is
+        ``b if b > a else a`` and ``min(a, b)`` is ``b if b < a else a``
+        — NaN and signed zeros included — and each comparison below keeps
+        that operand order.
+        """
         service_class = status.service_class
         kind = service_class.kind
         value = status.current_value
-        base = self._base_predict(kind, value, status.current_limit, proposed_limit)
+        current_limit = status.current_limit
+        predicted = self._base_predict(kind, value, current_limit, proposed_limit)
         if self._corrupted:
             return float("nan")
         predictor = self._classes.get(service_class.name)
-        if predictor is None or predictor.observations == 0:
-            return self._clamp(kind, base)
-        correction = predictor.correction(
-            _features(
-                value,
-                status.current_limit,
-                proposed_limit,
-                self._mix_features_of(mix, service_class.name),
+        if predictor is not None and predictor.observations:
+            correction = predictor.correction(
+                _features(
+                    value,
+                    current_limit,
+                    proposed_limit,
+                    self._mix_features_of(mix, service_class.name),
+                )
             )
-        )
-        bound = max(
-            _MAX_CORRECTION_RATIO * abs(base), _MIN_CORRECTION_SCALE
-        )
-        if not math.isfinite(correction):
-            correction = 0.0
-        correction = min(max(correction, -bound), bound)
-        return self._clamp(kind, base + correction)
+            if not math.isfinite(correction):
+                correction = 0.0
+            # The correction stays within a ratio of the base prediction's
+            # magnitude (with an absolute floor): [-bound, bound].
+            bound = _MAX_CORRECTION_RATIO * abs(predicted)
+            if _MIN_CORRECTION_SCALE > bound:
+                bound = _MIN_CORRECTION_SCALE
+            if -bound > correction:
+                correction = -bound
+            if bound < correction:
+                correction = bound
+            predicted += correction
+        if kind == "olap":  # a velocity, in [0, 1]
+            if not predicted < 1.0:
+                predicted = 1.0
+            return predicted if predicted > 0.0 else 0.0
+        return 1e-3 if 1e-3 > predicted else predicted  # a response time
 
     def observe(self, observation: IntervalObservation) -> None:
         """One prequential update per control interval.

@@ -211,7 +211,7 @@ class PerformanceSolver:
         the controller aims slightly below its SLO (control headroom);
         reported attainment elsewhere always uses the true goal.
         """
-        predicted = self.predict_value(status, new_limit, mix)
+        predicted = self.model.predict(status, new_limit, mix)
         service_class = status.service_class
         if service_class.kind == "oltp" and self.oltp_target_margin < 1.0:
             # Equivalent to achievement against a margin-scaled target
@@ -279,10 +279,7 @@ class PerformanceSolver:
         self._evaluations += 1
         score = 0.0
         for index, count in enumerate(units):
-            utility = memos[index].get(count)
-            if utility is None:
-                utility = self._memo_utility(statuses, memos, index, count, mix)
-            score += utility
+            score += self._memo_utility(statuses, memos, index, count, mix)
         return score
 
     # ------------------------------------------------------------------

@@ -7,6 +7,8 @@ stays fast while still exercising the full pipeline.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.config import (
@@ -16,8 +18,15 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
+from repro.core.modeling import (
+    ClassMixState,
+    IntervalObservation,
+    LearnedPerformanceModel,
+    MixSnapshot,
+)
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
+from repro.core.solver import ClassStatus
 from repro.dbms.engine import DatabaseEngine
 from repro.metrics.telemetry import ControlIntervalRecord, SolverTelemetry
 from repro.patroller.patroller import QueryPatroller
@@ -47,6 +56,44 @@ def decision_record(time: float, plan: SchedulingPlan) -> ControlIntervalRecord:
         ),
         dispatcher={},
     )
+
+
+def make_mix(statuses, rng, time=0.0):
+    """A random concurrent mix over the classes of ``statuses``."""
+    return MixSnapshot(
+        time=time,
+        classes=tuple(
+            ClassMixState(
+                name=status.service_class.name,
+                kind=status.service_class.kind,
+                limit=status.current_limit,
+                value=status.current_value,
+                queue_length=rng.randint(0, 40),
+                in_flight_count=rng.randint(0, 12),
+                in_flight_cost=rng.uniform(0.0, 9_000.0),
+            )
+            for status in statuses
+        ),
+    )
+
+
+def trained_model(statuses, seed, intervals=12):
+    """A learned model with non-trivial weights for every class."""
+    rng = random.Random(seed)
+    model = LearnedPerformanceModel()
+    for step in range(intervals):
+        noisy = [
+            ClassStatus(
+                status.service_class,
+                status.current_limit * rng.uniform(0.6, 1.4),
+                status.current_value * rng.uniform(0.7, 1.3),
+            )
+            for status in statuses
+        ]
+        model.observe(
+            IntervalObservation(float(step), make_mix(noisy, rng, float(step)))
+        )
+    return model
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from repro.core.solver import (
 )
 from repro.core.utility import PiecewiseLinearUtility
 from repro.obs.registry import MetricsRegistry
+from tests.conftest import make_mix, trained_model
 
 
 def make_solver(num_classes=3, system_per_class=10_000.0):
@@ -241,8 +242,6 @@ class TestMemoizedSearchConformance:
     def test_greedy_matches_reference_under_the_learned_model(self):
         """Mix-aware predictions (trained residual weights, a live mix)
         flow through the same per-round utilities."""
-        from tests.modeling.test_learned import make_mix, trained_model
-
         rng = random.Random(11)
         for _ in range(6):
             num_classes = rng.randint(4, 8)

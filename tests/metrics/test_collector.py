@@ -99,6 +99,82 @@ def test_goal_attainment_zero_when_no_data():
     assert collector.goal_attainment(classes[0]) == 0.0
 
 
+def recomputed_attainment(collector, service_class):
+    """Goal attainment from scratch: a walk over the whole period series."""
+    observed = [v for v in collector.performance_series(service_class) if v is not None]
+    if not observed:
+        return 0.0
+    return sum(service_class.goal.satisfied(v) for v in observed) / len(observed)
+
+
+def recomputed_completions(collector):
+    """Per-class completion totals from a walk over every cell."""
+    totals = {c.name: 0 for c in collector.classes}
+    for (_, class_name), cell in collector._cells.items():
+        totals[class_name] += cell.completions
+    return totals
+
+
+def test_running_tallies_match_a_fresh_recompute_between_completions():
+    """The collector keeps closed-period goal tallies and per-class
+    completion totals as completions land; asked between any two
+    completions — also after a straggler lands in a period that had
+    already closed, which must drop the kept tallies — they equal a walk
+    over all cells."""
+    import random
+
+    rng = random.Random(16)
+    sim, engine, classes, collector = make_collector(period=10.0, periods=6)
+    clock = 0.0
+    stragglers = 0
+    for step in range(400):
+        clock += rng.uniform(0.0, 0.3)
+        # Mostly in order; now and then a completion stamped well before
+        # the open period (wall-clock backends deliver those).
+        finish = clock
+        if rng.random() < 0.1 and clock > 15.0:
+            finish = clock - rng.uniform(10.0, 15.0)
+            stragglers += 1
+        service_class = rng.choice(classes)
+        if service_class.kind == "olap":
+            response = rng.uniform(0.5, 4.0)
+            executing = response * rng.uniform(0.1, 1.0)
+        else:
+            response = executing = rng.uniform(0.05, 0.6)
+        collector.on_completion(
+            completed_query(
+                service_class.name,
+                service_class.kind,
+                finish - response,
+                finish - executing,
+                finish,
+            )
+        )
+        if step % 3 == 0:  # not after every completion: tallies must survive gaps
+            for candidate in classes:
+                assert collector.goal_attainment(candidate) == recomputed_attainment(
+                    collector, candidate
+                )
+            assert collector.completions_by_class() == recomputed_completions(collector)
+    assert stragglers > 5 and clock > 50.0  # closed periods were reopened, all six seen
+    assert sum(collector.completions_by_class().values()) == 400
+
+
+def test_straggler_in_a_closed_period_changes_the_attainment_already_reported():
+    sim, engine, classes, collector = make_collector(period=10.0, periods=3)
+    class3 = next(c for c in classes if c.name == "class3")
+    collector.on_completion(completed_query("class3", "oltp", 1.0, 1.0, 1.2))  # meets
+    collector.on_completion(completed_query("class3", "oltp", 12.0, 12.0, 12.2))  # meets
+    assert collector.goal_attainment(class3) == 1.0  # period 0's tally is now kept
+    # A slow statement stamped back in period 0 pulls that period's mean
+    # (0.2, 5.0) over the 0.25 s goal.
+    collector.on_completion(completed_query("class3", "oltp", 3.0, 3.0, 8.0))
+    assert collector.goal_attainment(class3) == 0.5
+    # ... and the later period stays the open one.
+    collector.on_completion(completed_query("class3", "oltp", 13.0, 13.0, 18.0))
+    assert collector.goal_attainment(class3) == 0.0
+
+
 def test_plan_series_and_period_means():
     sim, engine, classes, collector = make_collector(period=10.0, periods=3)
     for time, limit in ((1.0, 10_000.0), (6.0, 14_000.0), (11.0, 20_000.0)):

@@ -18,6 +18,7 @@ from repro.core.modeling.learned import FEATURE_DIM, _ClassPredictor
 from repro.core.service_class import ResponseTimeGoal, ServiceClass, VelocityGoal
 from repro.core.solver import ClassStatus
 from repro.errors import ConfigurationError
+from tests.conftest import make_mix, trained_model
 
 
 def olap_status(value, limit=10_000.0, name="c1"):
@@ -33,44 +34,6 @@ def oltp_status(value, limit=10_000.0, name="c3"):
 def mix_of(time, value, limit=10_000.0, queue=4, in_flight=2, name="c1"):
     state = ClassMixState(name, "olap", limit, value, queue, in_flight, 800.0)
     return MixSnapshot(time=time, classes=(state,))
-
-
-def make_mix(statuses, rng, time=0.0):
-    """A random concurrent mix over the classes of ``statuses``."""
-    return MixSnapshot(
-        time=time,
-        classes=tuple(
-            ClassMixState(
-                name=status.service_class.name,
-                kind=status.service_class.kind,
-                limit=status.current_limit,
-                value=status.current_value,
-                queue_length=rng.randint(0, 40),
-                in_flight_count=rng.randint(0, 12),
-                in_flight_cost=rng.uniform(0.0, 9_000.0),
-            )
-            for status in statuses
-        ),
-    )
-
-
-def trained_model(statuses, seed, intervals=12):
-    """A learned model with non-trivial weights for every class."""
-    rng = random.Random(seed)
-    model = LearnedPerformanceModel()
-    for step in range(intervals):
-        noisy = [
-            ClassStatus(
-                status.service_class,
-                status.current_limit * rng.uniform(0.6, 1.4),
-                status.current_value * rng.uniform(0.7, 1.3),
-            )
-            for status in statuses
-        ]
-        model.observe(
-            IntervalObservation(float(step), make_mix(noisy, rng, float(step)))
-        )
-    return model
 
 
 def textbook_rls_update(w, p, x, residual, forgetting):
@@ -183,6 +146,78 @@ class TestLearning:
         predictor.observations = 5
         predicted = model.predict(olap_status(0.4), 10_000.0, mix_of(0.0, 0.4))
         assert 0.0 <= predicted <= 1.0
+
+    def test_predict_equals_the_max_min_formulation(self):
+        """``predict`` clamps with comparisons; the definition is the
+        nested ``max``/``min`` kept here.  Same float (bit for bit, NaN
+        for NaN) over trained weights, random candidates and the values
+        where the two could part: NaN, infinities, signed zeros, a
+        poisoned weight."""
+        from repro.core.modeling.analytic import OLAPVelocityModel
+        from repro.core.modeling.learned import (
+            _MAX_CORRECTION_RATIO,
+            _MIN_CORRECTION_SCALE,
+            _features,
+            _mix_features,
+        )
+
+        def reference(model, status, limit, mix):
+            sc = status.service_class
+            if sc.kind == "olap":
+                base = OLAPVelocityModel.predict(
+                    status.current_value, status.current_limit, limit
+                )
+            else:
+                base = model._base_oltp.predict(
+                    status.current_value, status.current_limit, limit
+                )
+            predictor = model._classes.get(sc.name)
+            correction = 0.0
+            if predictor is not None and predictor.observations:
+                correction = predictor.correction(
+                    _features(
+                        status.current_value,
+                        status.current_limit,
+                        limit,
+                        _mix_features(mix, sc.name),
+                    )
+                )
+                if not math.isfinite(correction):
+                    correction = 0.0
+                bound = max(_MAX_CORRECTION_RATIO * abs(base), _MIN_CORRECTION_SCALE)
+                correction = min(max(correction, -bound), bound)
+            if sc.kind == "olap":
+                return max(0.0, min(1.0, base + correction))
+            return max(base + correction, 1e-3)
+
+        def same(a, b):
+            return (math.isnan(a) and math.isnan(b)) or (
+                a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+            )
+
+        rng = random.Random(2016)
+        nan, inf = float("nan"), float("inf")
+        odd_values = [nan, inf, -inf, 0.0, -0.0, 1.0, 1e-3, -5.0, 1e300]
+        statuses = [olap_status(0.4, name="c1"), oltp_status(0.3, name="c3")]
+        model = trained_model(statuses, seed=4)
+        checked = 0
+        for trial in range(300):
+            for status in statuses:
+                value = rng.uniform(0, 2)
+                if trial % 3 == 0:
+                    value = rng.choice(odd_values)
+                limit = rng.uniform(1e3, 3e4)
+                if trial % 5 == 0:
+                    limit = rng.choice([0.0, 1.0, 1e9, nan, inf])
+                probe = ClassStatus(status.service_class, rng.uniform(1.0, 3e4), value)
+                mix = make_mix(statuses, rng) if trial % 4 else None
+                if trial == 150:  # from here on: one weight is NaN, one infinite
+                    model._classes["c1"].w[2] = nan
+                    model._classes["c3"].w[0] = inf
+                got = model.predict(probe, limit, mix)
+                assert same(got, reference(model, probe, limit, mix)), (value, limit)
+                checked += 1
+        assert checked == 600
 
     def test_missing_values_are_skipped(self):
         model = LearnedPerformanceModel()
