@@ -13,20 +13,16 @@ from __future__ import annotations
 
 import os
 
-from benchmarks.conftest import run_once
 from repro.experiments.sensitivity import sweep
 
 ALLOCATORS = ("utility", "deficit")
 JOBS = min(len(ALLOCATORS), os.cpu_count() or 1)
 
 
-def test_allocator_sweep(benchmark, report, ablation_config):
-    rows = dict(run_once(
-        benchmark,
-        lambda: sweep(
-            "planner.allocator", ALLOCATORS,
-            controller="qs", config=ablation_config, jobs=JOBS,
-        ),
+def test_allocator_sweep(report, ablation_config):
+    rows = dict(sweep(
+        "planner.allocator", ALLOCATORS,
+        controller="qs", config=ablation_config, jobs=JOBS,
     ))
     report("")
     report("=== Ablation: plan construction strategy ===")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 
-from benchmarks.conftest import run_once
 from repro.experiments.parallel import RunRequest, run_requests
 from repro.experiments.runner import ExperimentSpec
 from repro.experiments.sensitivity import set_config_field
@@ -20,7 +19,7 @@ DISCIPLINES = ("fifo", "sjf", "aging")
 JOBS = min(len(DISCIPLINES), os.cpu_count() or 1)
 
 
-def test_queue_discipline_sweep(benchmark, report, ablation_config):
+def test_queue_discipline_sweep(report, ablation_config):
     # The sweep needs OLAP velocity means on top of attainment, so it uses
     # the parallel layer directly: the RunSummary's goal-metric series for
     # an OLAP class *is* its per-period velocity series.
@@ -37,21 +36,15 @@ def test_queue_discipline_sweep(benchmark, report, ablation_config):
         for discipline in DISCIPLINES
     ]
 
-    def fan_out():
-        rows = {}
-        for discipline, outcome in zip(
-            DISCIPLINES, run_requests(requests, jobs=JOBS)
-        ):
-            assert outcome.ok, outcome.error
-            summary = outcome.summary
-            velocities = {
-                name: summary.metric_mean(name) or 0.0
-                for name in ("class1", "class2")
-            }
-            rows[discipline] = (summary.attainment, velocities)
-        return rows
-
-    rows = run_once(benchmark, fan_out)
+    rows = {}
+    for discipline, outcome in zip(DISCIPLINES, run_requests(requests, jobs=JOBS)):
+        assert outcome.ok, outcome.error
+        summary = outcome.summary
+        velocities = {
+            name: summary.metric_mean(name) or 0.0
+            for name in ("class1", "class2")
+        }
+        rows[discipline] = (summary.attainment, velocities)
     report("")
     report("=== Ablation: within-class queue discipline ===")
     report("{:>8} | {:>8} | {:>8} | {:>8} | {:>10} | {:>10}".format(

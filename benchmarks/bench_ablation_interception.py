@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.config import default_config
 from repro.core.service_class import ResponseTimeGoal, ServiceClass
 from repro.experiments.runner import build_bundle
@@ -46,11 +45,9 @@ def _run(intercept_oltp: bool):
     return sum(rt) / len(rt), sum(tput) / len(tput)
 
 
-def test_interception_overhead_dominates_oltp(benchmark, report):
-    def run_both():
-        return _run(intercept_oltp=False), _run(intercept_oltp=True)
-
-    (bypass_rt, bypass_tput), (direct_rt, direct_tput) = run_once(benchmark, run_both)
+def test_interception_overhead_dominates_oltp(report):
+    bypass_rt, bypass_tput = _run(intercept_oltp=False)
+    direct_rt, direct_tput = _run(intercept_oltp=True)
     inflation = direct_rt / bypass_rt
     report("")
     report("=== Ablation: direct OLTP interception overhead ===")

@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import os
 
-from benchmarks.conftest import run_once
 from repro.experiments.sensitivity import sweep
 
 INTERVALS = (30.0, 60.0, 120.0)
 JOBS = min(len(INTERVALS), os.cpu_count() or 1)
 
 
-def test_control_interval_sweep(benchmark, report, ablation_config):
-    rows = dict(run_once(
-        benchmark,
-        lambda: sweep(
-            "planner.control_interval", INTERVALS,
-            controller="qs", config=ablation_config, jobs=JOBS,
-        ),
+def test_control_interval_sweep(report, ablation_config):
+    rows = dict(sweep(
+        "planner.control_interval", INTERVALS,
+        controller="qs", config=ablation_config, jobs=JOBS,
     ))
     report("")
     report("=== Ablation: control interval vs goal attainment ===")

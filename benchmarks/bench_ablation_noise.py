@@ -11,20 +11,16 @@ from __future__ import annotations
 
 import os
 
-from benchmarks.conftest import run_once
 from repro.experiments.sensitivity import sweep
 
 SIGMAS = (0.0, 0.1, 0.3, 0.6)
 JOBS = min(len(SIGMAS), os.cpu_count() or 1)
 
 
-def test_cost_noise_sweep(benchmark, report, ablation_config):
-    rows = dict(run_once(
-        benchmark,
-        lambda: sweep(
-            "optimizer.noise_sigma", SIGMAS,
-            controller="qs", config=ablation_config, jobs=JOBS,
-        ),
+def test_cost_noise_sweep(report, ablation_config):
+    rows = dict(sweep(
+        "optimizer.noise_sigma", SIGMAS,
+        controller="qs", config=ablation_config, jobs=JOBS,
     ))
     report("")
     report("=== Ablation: optimizer noise (sigma) vs goal attainment ===")

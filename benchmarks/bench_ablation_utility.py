@@ -12,20 +12,16 @@ from __future__ import annotations
 
 import os
 
-from benchmarks.conftest import run_once
 from repro.experiments.sensitivity import sweep
 
 FAMILIES = ("piecewise", "sigmoid", "step")
 JOBS = min(len(FAMILIES), os.cpu_count() or 1)
 
 
-def test_utility_family_sweep(benchmark, report, ablation_config):
-    rows = dict(run_once(
-        benchmark,
-        lambda: sweep(
-            "planner.utility", FAMILIES,
-            controller="qs", config=ablation_config, jobs=JOBS,
-        ),
+def test_utility_family_sweep(report, ablation_config):
+    rows = dict(sweep(
+        "planner.utility", FAMILIES,
+        controller="qs", config=ablation_config, jobs=JOBS,
     ))
     report("")
     report("=== Ablation: utility family vs goal attainment ===")

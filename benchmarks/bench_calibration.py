@@ -8,23 +8,19 @@ knee in the neighbourhood of the chosen limit.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.calibration import pick_knee_limit, sweep_system_cost_limit
 
 LIMITS = (10_000.0, 20_000.0, 30_000.0, 40_000.0, 50_000.0, 60_000.0)
 
 
-def test_throughput_vs_system_cost_limit(benchmark, report, paper_config):
-    curve = run_once(
-        benchmark,
-        lambda: sweep_system_cost_limit(
-            LIMITS,
-            config=paper_config,
-            olap_clients=32,
-            period_seconds=120.0,
-            num_periods=3,
-            warmup_periods=1,
-        ),
+def test_throughput_vs_system_cost_limit(report, paper_config):
+    curve = sweep_system_cost_limit(
+        LIMITS,
+        config=paper_config,
+        olap_clients=32,
+        period_seconds=120.0,
+        num_periods=3,
+        warmup_periods=1,
     )
     report("")
     report("=== Calibration: OLAP throughput vs system cost limit ===")

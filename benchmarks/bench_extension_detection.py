@@ -10,7 +10,6 @@ recovers most of the lost OLTP goal attainment.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.config import (
     MonitorConfig,
     PlannerConfig,
@@ -28,16 +27,11 @@ def _slow_cadence_config():
     )
 
 
-def test_detection_recovers_slow_cadence(benchmark, report):
+def test_detection_recovers_slow_cadence(report):
     config = _slow_cadence_config()
 
-    def run_both():
-        return (
-            run_spec(ExperimentSpec(controller="qs", config=config)),
-            run_spec(ExperimentSpec(controller="qs_detect", config=config)),
-        )
-
-    fixed, detecting = run_once(benchmark, run_both)
+    fixed = run_spec(ExperimentSpec(controller="qs", config=config))
+    detecting = run_spec(ExperimentSpec(controller="qs_detect", config=config))
     report("")
     report("=== Extension: workload detection at one plan per period ===")
     report("{:>12} | {:>8} | {:>8} | {:>8} | {:>14}".format(

@@ -15,7 +15,6 @@ the storm's expense.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.config import (
     MonitorConfig,
     PlannerConfig,
@@ -85,11 +84,8 @@ def _run(controller_name):
     return bundle
 
 
-def test_direct_control_rescues_latency_critical_oltp(benchmark, report):
-    def run_both():
-        return _run("none"), _run("direct")
-
-    baseline, direct = run_once(benchmark, run_both)
+def test_direct_control_rescues_latency_critical_oltp(report):
+    baseline, direct = _run("none"), _run("direct")
     report("")
     report("=== Extension: direct in-engine control vs no control ===")
     report("payments avg rt per period (goal 0.20s):")

@@ -9,21 +9,16 @@ paper workload and compares differentiated goal attainment.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.runner import ExperimentSpec, run_spec
 
 CONTROLLERS = ("none", "mpl", "qs")
 
 
-def test_mpl_vs_cost_based(benchmark, report, ablation_config):
-    def sweep():
-        rows = {}
-        for controller in CONTROLLERS:
-            result = run_spec(ExperimentSpec(controller=controller, config=ablation_config))
-            rows[controller] = result.goal_attainment()
-        return rows
-
-    rows = run_once(benchmark, sweep)
+def test_mpl_vs_cost_based(report, ablation_config):
+    rows = {}
+    for controller in CONTROLLERS:
+        result = run_spec(ExperimentSpec(controller=controller, config=ablation_config))
+        rows[controller] = result.goal_attainment()
     report("")
     report("=== Extension: MPL vs cost-based control (goal attainment) ===")
     report("{:>8} | {:>8} | {:>8} | {:>8}".format(

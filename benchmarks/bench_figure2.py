@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import FIGURE2_LIMITS, FIGURE2_PAIRS, figure2
 
 
@@ -27,17 +26,14 @@ def _fit(series):
     return slope, r2
 
 
-def test_oltp_response_vs_olap_limit(benchmark, report, paper_config):
-    data = run_once(
-        benchmark,
-        lambda: figure2(
-            config=paper_config,
-            olap_limits=FIGURE2_LIMITS,
-            pairs=FIGURE2_PAIRS,
-            period_seconds=120.0,
-            num_periods=3,
-            warmup_periods=1,
-        ),
+def test_oltp_response_vs_olap_limit(report, paper_config):
+    data = figure2(
+        config=paper_config,
+        olap_limits=FIGURE2_LIMITS,
+        pairs=FIGURE2_PAIRS,
+        period_seconds=120.0,
+        num_periods=3,
+        warmup_periods=1,
     )
     report("")
     report("=== Figure 2: OLTP avg response time vs OLAP cost limit ===")

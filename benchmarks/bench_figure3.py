@@ -6,12 +6,11 @@ bench prints the schedule and asserts every constraint the paper states.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import figure3
 
 
-def test_workload_schedule(benchmark, report):
-    counts = run_once(benchmark, figure3)
+def test_workload_schedule(report):
+    counts = figure3()
     report("")
     report("=== Figure 3: workload (number of clients per period) ===")
     report("{:>7} | {:>7} | {:>7} | {:>7}".format("period", "class1", "class2", "class3"))

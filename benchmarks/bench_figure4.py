@@ -9,15 +9,14 @@ Only the system cost limit is enforced.  Paper claims reproduced:
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import figure4
 from repro.metrics.report import format_period_table, format_summary
 
 HEAVY_PERIODS = (3, 6, 9, 12, 15, 18)
 
 
-def test_no_class_control(benchmark, report, paper_config):
-    result = run_once(benchmark, lambda: figure4(paper_config))
+def test_no_class_control(report, paper_config):
+    result = figure4(paper_config)
     report("")
     report(
         format_period_table(

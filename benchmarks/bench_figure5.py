@@ -11,15 +11,14 @@ Paper claims reproduced:
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import figure5
 from repro.metrics.report import format_period_table, format_summary
 
 HEAVY_PERIODS = (3, 6, 9, 12, 15, 18)
 
 
-def test_qp_priority_control(benchmark, report, paper_config):
-    result = run_once(benchmark, lambda: figure5(paper_config, priority_control=True))
+def test_qp_priority_control(report, paper_config):
+    result = figure5(paper_config, priority_control=True)
     report("")
     report(
         format_period_table(
@@ -49,10 +48,10 @@ def test_qp_priority_control(benchmark, report, paper_config):
     assert wins >= len(comparable) * 0.6
 
 
-def test_qp_without_priorities_resembles_no_control(benchmark, report, paper_config):
+def test_qp_without_priorities_resembles_no_control(report, paper_config):
     """Section 4.2.2: 'the performance was similar to the case with no
     control' when priority control is off."""
-    result = run_once(benchmark, lambda: figure5(paper_config, priority_control=False))
+    result = figure5(paper_config, priority_control=False)
     report("")
     report(
         format_period_table(

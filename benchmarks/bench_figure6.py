@@ -11,7 +11,6 @@ Paper claims reproduced:
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import figure6
 from repro.metrics.report import format_period_table, format_summary
 
@@ -20,8 +19,8 @@ MEDIUM = (2, 5, 8, 11, 14, 17)
 LIGHT = (1, 4, 7, 10, 13, 16)
 
 
-def test_query_scheduler_control(benchmark, report, paper_config):
-    result = run_once(benchmark, lambda: figure6(paper_config))
+def test_query_scheduler_control(report, paper_config):
+    result = figure6(paper_config)
     report("")
     report(
         format_period_table(

@@ -14,7 +14,6 @@ Paper claims reproduced:
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import figure6, figure7
 from repro.metrics.report import format_plan_table
 
@@ -34,8 +33,8 @@ def _end_of_period_limits(result, class_name):
     return limits
 
 
-def test_cost_limit_adjustment(benchmark, report, paper_config):
-    result = run_once(benchmark, lambda: figure6(paper_config))
+def test_cost_limit_adjustment(report, paper_config):
+    result = figure6(paper_config)
     plans = figure7(result=result)
     report("")
     report(

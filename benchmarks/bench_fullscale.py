@@ -9,7 +9,6 @@ control loop's lag shrinks relative to the period length).
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
 from repro.config import WorkloadScaleConfig, default_config
 from repro.experiments.figures import figure6
 from repro.metrics.report import format_summary
@@ -18,11 +17,11 @@ HEAVY = (3, 6, 9, 12, 15, 18)
 LIGHT = (1, 4, 7, 10, 13, 16)
 
 
-def test_fullscale_paper_periods(benchmark, report):
+def test_fullscale_paper_periods(report):
     config = default_config(
         scale=WorkloadScaleConfig(period_seconds=480.0, num_periods=18)
     )
-    result = run_once(benchmark, lambda: figure6(config))
+    result = figure6(config)
     report("")
     report("=== Full scale: 18 x 480s periods (the paper's dimensions) ===")
     report(format_summary(result.collector, result.classes))

@@ -1,10 +1,9 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-claims suite.
 
 Every bench regenerates one of the paper's tables/figures and *prints* the
 rows the paper reports (through pytest's capture so they appear in the
-tee'd bench log), then asserts the shape claims.  ``benchmark.pedantic``
-with a single round keeps pytest-benchmark's timing wrapper without
-re-simulating experiments that take tens of seconds.
+tee'd log), then asserts the shape claims.  Nothing here is timed: how
+fast the code runs is measured by ``perf/run.py`` alone.
 """
 
 from __future__ import annotations
@@ -49,8 +48,3 @@ def ablation_config():
         monitor=MonitorConfig(snapshot_interval=10.0, response_time_window=60.0),
         planner=PlannerConfig(control_interval=60.0),
     )
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

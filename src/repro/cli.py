@@ -13,9 +13,8 @@ Subcommands::
     python -m repro check      # run with the invariant harness in strict mode
     python -m repro replicate  # multi-seed controller comparison (--jobs N)
     python -m repro sweep      # config-field sensitivity sweep (--jobs N)
-    python -m repro bench      # micro+macro benchmark suite -> BENCH_<n>.json
 
-Every command prints the same ASCII tables the benchmark harness uses, so
+Every command prints the same ASCII tables the ``benchmarks/`` suite uses, so
 the CLI is the quickest way to poke at the system without writing code.
 ``replicate`` and ``sweep`` fan their runs over worker processes with
 ``--jobs`` (0 = one per CPU); results are identical at any worker count.
@@ -852,50 +851,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 2
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        BenchReport,
-        compare_reports,
-        format_comparison,
-        format_report,
-        next_bench_path,
-        run_suite,
-    )
-    from repro.errors import BenchError
-
-    try:
-        if args.compare:
-            before = BenchReport.load(args.compare[0])
-            after = BenchReport.load(args.compare[1])
-            print(format_comparison(compare_reports(before, after)))
-            return 0
-        trials = args.trials
-        if trials is None:
-            trials = 1 if args.smoke else 3
-        if not args.quiet:
-            def progress(name, trial, metrics):
-                wall = metrics.get("wall_s", 0.0)
-                print(
-                    "[bench] {} trial {}/{}: {:.3f}s".format(
-                        name, trial + 1, trials, wall
-                    ),
-                    file=sys.stderr,
-                )
-        else:
-            progress = None
-        report = run_suite(
-            trials=trials, smoke=args.smoke, only=args.only, progress=progress
-        )
-        path = args.output or next_bench_path(args.dir)
-        report.save(path)
-    except BenchError as exc:
-        print("bench error: {}".format(exc), file=sys.stderr)
-        return 2
-    print(format_report(report))
-    print("wrote {}".format(path))
-    return 0
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     """``repro train``: fit a learned model from exported telemetry."""
     from repro.core.modeling import (
@@ -1266,40 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig_parser.add_argument("--control-interval", type=float, default=60.0)
     fig_parser.add_argument("--seed", type=int, default=7)
     fig_parser.set_defaults(func=_cmd_figure)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="run the micro+macro benchmark suite, write BENCH_<n>.json",
-    )
-    bench_parser.add_argument(
-        "--trials", type=int, default=None,
-        help="repeated trials per benchmark (default: 3, or 1 with --smoke)",
-    )
-    bench_parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny scales for CI: seconds instead of minutes",
-    )
-    bench_parser.add_argument(
-        "--only", nargs="+", default=None, metavar="NAME",
-        help="run only these benchmarks (see docs/BENCHMARKS.md)",
-    )
-    bench_parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the report here instead of the next free BENCH_<n>.json",
-    )
-    bench_parser.add_argument(
-        "--dir", default=".",
-        help="directory scanned for the next BENCH_<n>.json (default: cwd)",
-    )
-    bench_parser.add_argument(
-        "--compare", nargs=2, default=None, metavar=("BEFORE", "AFTER"),
-        help="compare two bench reports instead of running the suite",
-    )
-    bench_parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-trial progress lines on stderr",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     train_parser = sub.add_parser(
         "train",

@@ -59,7 +59,7 @@ class DeficitAllocator:
     def set_system_cost_limit(self, limit: float) -> None:
         """Retarget the allocator to a new global budget.
 
-        Stateless between solves (no solution cache), so this is a plain
+        Stateless between solves, so this is a plain
         guarded assignment — kept as a method so both solver kinds share
         the interface the sharded rebalancer calls.
         """

@@ -216,8 +216,7 @@ class PaperAnalyticModel:
 
         The planner only attaches ``oltp_delta`` when online regression is
         configured and a valid pair exists, so the default (offline
-        constant) configuration leaves the slope untouched — and the
-        solution-cache fingerprint with it.
+        constant) configuration leaves the slope untouched.
         """
         if observation.oltp_delta is not None:
             self.oltp.observe(*observation.oltp_delta)
@@ -244,14 +243,6 @@ class PaperAnalyticModel:
     def reset(self) -> None:
         """Restore the freshly calibrated regression state."""
         self.oltp.reset()
-
-    def fingerprint(self) -> object:
-        """Observation count: bumps whenever the learned slope can move."""
-        return self.oltp.observations
-
-    def mix_fingerprint(self, mix: Optional[MixSnapshot]) -> object:
-        """The paper's models are mix-blind; the cache key ignores the mix."""
-        return None
 
     def slope_bounds(self) -> Tuple[float, float]:
         """Delegate the public clamp-band contract to the OLTP model."""

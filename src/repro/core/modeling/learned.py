@@ -396,14 +396,6 @@ class LearnedPerformanceModel:
         """Total residual observations folded in across classes."""
         return sum(p.observations for p in self._classes.values())
 
-    def fingerprint(self) -> object:
-        return (self.observations, self._corrupted)
-
-    def mix_fingerprint(self, mix: Optional[MixSnapshot]) -> object:
-        """Mix-aware: identical statuses under a different mix must not
-        share a cached solution."""
-        return mix.key() if mix is not None else None
-
     def slope_bounds(self) -> Optional[Tuple[float, float]]:
         """No scalar OLTP slope to bound; the harness skips the check."""
         return None
@@ -483,12 +475,6 @@ class OracleLastValueModel:
 
     def reset(self) -> None:
         self._corrupted = False
-
-    def fingerprint(self) -> object:
-        return self._corrupted
-
-    def mix_fingerprint(self, mix: Optional[MixSnapshot]) -> object:
-        return None
 
     def slope_bounds(self) -> Optional[Tuple[float, float]]:
         return None

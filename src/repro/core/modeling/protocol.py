@@ -75,13 +75,6 @@ class MixSnapshot(NamedTuple):
                 return state
         return None
 
-    def key(self) -> tuple:
-        """Hashable fingerprint for solver solution caching."""
-        return tuple(
-            (s.name, s.limit, s.value, s.queue_length, s.in_flight_count)
-            for s in self.classes
-        )
-
 
 class IntervalObservation(NamedTuple):
     """What the planner saw at one control interval, handed to ``observe``.
@@ -129,22 +122,6 @@ class PerformanceModel(Protocol):
 
     def reset(self) -> None:
         """Restore pristine (freshly constructed) state."""
-        ...
-
-    def fingerprint(self) -> object:
-        """Hashable version of the learned state, for solution caching.
-
-        Must change whenever :meth:`observe` changes what :meth:`predict`
-        would return; may stay constant otherwise.
-        """
-        ...
-
-    def mix_fingerprint(self, mix: Optional[MixSnapshot]) -> object:
-        """Hashable mix component of the solution-cache key.
-
-        Mix-blind models return ``None`` so identical statuses keep
-        hitting the cache; mix-aware models return ``mix.key()``.
-        """
         ...
 
     def slope_bounds(self) -> Optional[Tuple[float, float]]:

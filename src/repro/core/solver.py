@@ -32,11 +32,6 @@ from repro.errors import SchedulingError
 #: Class counts up to which the solver enumerates the simplex exhaustively.
 _EXHAUSTIVE_MAX_CLASSES = 3
 
-#: Solved-plan cache entries kept before the cache is dropped wholesale.
-#: Statuses repeat only while measurements are stable, so the cache stays
-#: tiny in practice; the cap merely bounds pathological churn.
-_SOLUTION_CACHE_MAX = 64
-
 
 class ClassStatus:
     """Solver input for one class: where it is now."""
@@ -64,7 +59,6 @@ class PerformanceSolver:
     def __init__(
         self,
         utility: UtilityFunction,
-        oltp_model: Optional[OLTPResponseTimeModel] = None,
         system_cost_limit: float = 0.0,
         grid_timerons: float = 1000.0,
         min_class_limit: float = 1000.0,
@@ -79,15 +73,9 @@ class PerformanceSolver:
             raise SchedulingError("system_cost_limit must be positive")
         if not 0 < oltp_target_margin <= 1:
             raise SchedulingError("oltp_target_margin must be in (0, 1]")
-        if model is not None and oltp_model is not None:
-            raise SchedulingError(
-                "pass either a PerformanceModel or an oltp_model, not both"
-            )
-        if model is None:
-            # Back-compat construction: an OLTP model (or nothing) wraps
-            # into the paper's analytic pair, the bit-identical default.
-            model = PaperAnalyticModel(oltp_model=oltp_model)
-        self.model: PerformanceModel = model
+        self.model: PerformanceModel = (
+            model if model is not None else PaperAnalyticModel()
+        )
         self.utility = utility
         self.system_cost_limit = system_cost_limit
         self.grid = grid_timerons
@@ -97,11 +85,6 @@ class PerformanceSolver:
         self._evaluations = 0
         self._last_score: Optional[float] = None
         self._last_evaluations = 0
-        # Solved (units, score) keyed by the full solver input: reused when
-        # the class statuses and the OLTP model are unchanged between
-        # control intervals.
-        self._solution_cache: Dict[tuple, Tuple[Tuple[int, ...], float]] = {}
-        self._cache_hits = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -127,42 +110,33 @@ class PerformanceSolver:
 
     @property
     def last_evaluations(self) -> int:
-        """Candidate allocations evaluated by the most recent solve.
-
-        Zero when the solve was served from the solution cache.
-        """
+        """Candidate allocations evaluated by the most recent solve."""
         return self._last_evaluations
 
     @property
     def cache_hits(self) -> int:
-        """Solves answered from the solution cache (inputs unchanged)."""
-        return self._cache_hits
+        # No solution cache exists; perf/measure.py is the only reader.
+        return 0
 
     @property
     def oltp_model(self) -> Optional[OLTPResponseTimeModel]:
         """The analytic OLTP regression, when the model keeps one.
 
-        Back-compat accessor: the paper model exposes its
-        :class:`OLTPResponseTimeModel` as ``.oltp``; learned/oracle
-        models have no scalar-slope regression and yield ``None``.
+        The paper model exposes its :class:`OLTPResponseTimeModel` as
+        ``.oltp``; learned/oracle models have no scalar-slope regression
+        and yield ``None``.
         """
         return getattr(self.model, "oltp", None)
 
     def set_system_cost_limit(self, limit: float) -> None:
         """Retarget the solver to a new global budget.
 
-        The solution cache is keyed only by class statuses and model
-        state (the budget is normally fixed per instance), so changing
-        the budget must drop it — a cached plan for the old budget would
-        otherwise be replayed under the new one.  The sharded control
-        plane's interval rebalancing re-splits the global limit across
-        shard solvers through this.
+        The sharded control plane's interval rebalancing re-splits the
+        global limit across shard solvers through this.
         """
         if limit <= 0:
             raise SchedulingError("system_cost_limit must be positive")
-        if limit != self.system_cost_limit:
-            self.system_cost_limit = limit
-            self._solution_cache.clear()
+        self.system_cost_limit = limit
 
     def register_instruments(self, registry: "MetricsRegistry") -> None:  # noqa: F821
         """Publish the solver's search counters into a registry."""
@@ -180,11 +154,6 @@ class PerformanceSolver:
             "solver_last_score",
             description="Objective score of the most recent solve",
             callback=lambda: self._last_score if self._last_score is not None else 0.0,
-        )
-        registry.counter(
-            "solver_cache_hits_total",
-            description="Solves answered from the solution cache",
-            callback=lambda: self._cache_hits,
         )
 
     # ------------------------------------------------------------------
@@ -306,26 +275,16 @@ class PerformanceSolver:
                     self.system_cost_limit, len(statuses), self.min_class_limit
                 )
             )
-        cache_key = self._cache_key(statuses, mix)
-        cached = self._solution_cache.get(cache_key)
-        if cached is not None:
-            best_units, best_score = cached
-            self._cache_hits += 1
-            self._last_evaluations = 0
+        evaluations_before = self._evaluations
+        if len(statuses) <= _EXHAUSTIVE_MAX_CLASSES:
+            best_units, best_score = self._solve_exhaustive(
+                statuses, total_units, min_units, mix
+            )
         else:
-            evaluations_before = self._evaluations
-            if len(statuses) <= _EXHAUSTIVE_MAX_CLASSES:
-                best_units, best_score = self._solve_exhaustive(
-                    statuses, total_units, min_units, mix
-                )
-            else:
-                best_units, best_score = self._solve_greedy(
-                    statuses, total_units, min_units, mix
-                )
-            self._last_evaluations = self._evaluations - evaluations_before
-            if len(self._solution_cache) >= _SOLUTION_CACHE_MAX:
-                self._solution_cache.clear()
-            self._solution_cache[cache_key] = (best_units, best_score)
+            best_units, best_score = self._solve_greedy(
+                statuses, total_units, min_units, mix
+            )
+        self._last_evaluations = self._evaluations - evaluations_before
         self._last_score = None if math.isnan(best_score) else best_score
         if len(best_units) != len(names):
             raise SchedulingError(
@@ -337,41 +296,6 @@ class PerformanceSolver:
             name: units * self.grid for name, units in zip(names, best_units)
         }
         return SchedulingPlan(limits, self.system_cost_limit, created_at=now)
-
-    def _cache_key(
-        self, statuses: Sequence[ClassStatus], mix: Optional[MixSnapshot] = None
-    ) -> tuple:
-        """Hashable fingerprint of everything a solve's outcome depends on.
-
-        Covers each class's identity, goal, importance and measured state,
-        plus the model's :meth:`~repro.core.modeling.PerformanceModel.fingerprint`
-        — it changes whenever learned state shifts predictions, versioning
-        the model without hashing its full internals.  Mix-aware models
-        additionally contribute a mix fingerprint (mix-blind models return
-        None there, preserving their cache behaviour).  The solver's own
-        parameters (grid, limits, utility shape) are fixed per instance and
-        need no key component.
-        """
-        parts = []
-        for status in statuses:
-            service_class = status.service_class
-            goal = service_class.goal
-            parts.append(
-                (
-                    service_class.name,
-                    service_class.kind,
-                    type(goal).__name__,
-                    goal.target,
-                    service_class.importance,
-                    status.current_limit,
-                    status.current_value,
-                )
-            )
-        return (
-            tuple(parts),
-            self.model.fingerprint(),
-            self.model.mix_fingerprint(mix),
-        )
 
     @staticmethod
     def _fallback_units(count: int, total_units: int, min_units: int) -> Tuple[int, ...]:

@@ -89,12 +89,3 @@ class ScenarioError(ReproError):
     schedule horizon, or a scenario name that matches neither the library
     nor a file path.
     """
-
-
-class BenchError(ReproError):
-    """A benchmark run or benchmark artifact is invalid.
-
-    Examples: a ``BENCH_*.json`` file that fails schema validation, an
-    unknown benchmark name passed to ``repro bench --only``, or a compare
-    between reports with no benchmarks in common.
-    """

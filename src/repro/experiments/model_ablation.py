@@ -19,8 +19,7 @@ and the trained weights then drive a fresh live run via
 ``learned:<path>``.  ``oracle`` is the last-value persistence baseline:
 any model worth its parameters must beat it on shifting workloads.
 
-``repro ablate-models`` is the CLI wrapper; ``repro bench --only
-model_ablation`` wraps the single-scenario smoke variant.
+``repro ablate-models`` is the CLI wrapper.
 """
 
 from __future__ import annotations

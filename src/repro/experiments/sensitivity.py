@@ -11,7 +11,7 @@ top-level ``"system_cost_limit"``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SimulationConfig, default_config
 from repro.core.service_class import ServiceClass
@@ -162,15 +162,11 @@ def _collect_entries(dotted_path: str, values, outcomes) -> List[SweepEntry]:
 
 def format_sweep(
     dotted_path: str,
-    results: Union[Sequence[SweepEntry], Dict],
+    entries: Sequence[SweepEntry],
     class_names: Sequence[str],
 ) -> str:
-    """ASCII table of a :func:`sweep` outcome.
-
-    Accepts the ordered ``(value, attainment)`` entries :func:`sweep`
-    returns (or a legacy ``{value: attainment}`` mapping).
-    """
-    entries = results.items() if isinstance(results, dict) else results
+    """ASCII table of the ordered ``(value, attainment)`` entries
+    :func:`sweep` returns."""
     lines = []
     header = "{:>24} |".format(dotted_path) + "".join(
         " {:>8} |".format(name) for name in class_names

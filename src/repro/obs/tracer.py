@@ -44,28 +44,18 @@ class QueryTracer:
 
     Timestamps come exclusively from the injected ``clock`` — any
     :class:`~repro.runtime.Clock` (the simulator under the sim backend, a
-    wall clock under real-time backends).  ``sim=`` is accepted as a
-    backward-compatible alias for ``clock=``.
+    wall clock under real-time backends).
     """
 
     def __init__(
         self,
-        clock: Optional["Clock"] = None,
-        patroller: "QueryPatroller" = None,
-        engine: "ExecutionEngine" = None,
+        clock: "Clock",
+        patroller: "QueryPatroller",
+        engine: "ExecutionEngine",
         schedule: Optional["PeriodSchedule"] = None,
         trace_bypassed: bool = False,
-        sim: Optional["Clock"] = None,
     ) -> None:
-        if clock is None:
-            clock = sim
-        if clock is None or patroller is None or engine is None:
-            raise SimulationError(
-                "QueryTracer needs a clock (or sim), a patroller and an engine"
-            )
         self.clock = clock
-        #: Backward-compatible alias for the injected clock.
-        self.sim = clock
         self.patroller = patroller
         self.engine = engine
         self.schedule = schedule

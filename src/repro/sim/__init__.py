@@ -9,7 +9,6 @@ statistics helpers used throughout the higher layers.
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventHandle
-from repro.sim.process import Delay, Process, WaitFor
 from repro.sim.resources import ProcessorSharingResource, PSJob
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import (
@@ -25,9 +24,6 @@ __all__ = [
     "EventHandle",
     "ProcessorSharingResource",
     "PSJob",
-    "Process",
-    "Delay",
-    "WaitFor",
     "RandomStreams",
     "WelfordAccumulator",
     "SlidingWindow",

@@ -9,7 +9,7 @@ from repro.config import (
     default_config,
 )
 from repro.core.dispatcher import Dispatcher
-from repro.core.modeling import OLTPResponseTimeModel
+from repro.core.modeling import OLTPResponseTimeModel, PaperAnalyticModel
 from repro.core.monitor import Monitor
 from repro.core.plan import SchedulingPlan
 from repro.core.planner import SchedulingPlanner
@@ -51,7 +51,9 @@ def make_planner(online_regression=False, classes=None):
     monitor = Monitor(sim, engine, classes, config.monitor)
     solver = PerformanceSolver(
         utility=PiecewiseLinearUtility(),
-        oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6),
+        model=PaperAnalyticModel(
+            oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
+        ),
         system_cost_limit=30_000.0,
     )
     planner = SchedulingPlanner(sim, monitor, dispatcher, solver, classes, planner_config)

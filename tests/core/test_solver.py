@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.modeling import OLTPResponseTimeModel
+from repro.core.modeling import OLTPResponseTimeModel, PaperAnalyticModel
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import (
     ResponseTimeGoal,
@@ -17,7 +17,9 @@ from repro.errors import SchedulingError
 def make_solver(system=30_000.0, grid=1_000.0, minimum=1_000.0, margin=1.0):
     return PerformanceSolver(
         utility=PiecewiseLinearUtility(),
-        oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6),
+        model=PaperAnalyticModel(
+            oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
+        ),
         system_cost_limit=system,
         grid_timerons=grid,
         min_class_limit=minimum,
@@ -180,7 +182,9 @@ class TestNaNResilience:
     def _nan_solver(self):
         return PerformanceSolver(
             utility=_NaNUtility(),
-            oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6),
+            model=PaperAnalyticModel(
+                oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
+            ),
             system_cost_limit=30_000.0,
             grid_timerons=1_000.0,
             min_class_limit=1_000.0,
@@ -243,7 +247,6 @@ def test_solver_validation():
     with pytest.raises(SchedulingError):
         PerformanceSolver(
             utility=PiecewiseLinearUtility(),
-            oltp_model=OLTPResponseTimeModel(),
             system_cost_limit=1000.0,
             min_class_limit=-5.0,
         )

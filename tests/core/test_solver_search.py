@@ -1,10 +1,8 @@
-"""Tests for the solver's memoized search and solution cache.
+"""Tests for the solver's memoized search.
 
 The optimized solver must be a pure speedup: for any inputs, the plan it
 produces (and the score it reports) must match a reference solver that
-re-evaluates the full objective for every candidate allocation, and a
-repeat solve on unchanged inputs must be a cache hit that returns the
-same plan without searching.
+re-evaluates the full objective for every candidate allocation.
 """
 
 import math
@@ -12,27 +10,27 @@ import random
 
 import pytest
 
-from repro.core.modeling import OLTPResponseTimeModel
+from repro.core.modeling import OLTPResponseTimeModel, PaperAnalyticModel
 from repro.core.service_class import (
     ResponseTimeGoal,
     ServiceClass,
     VelocityGoal,
 )
 from repro.core.solver import (
-    _SOLUTION_CACHE_MAX,
     ClassStatus,
     PerformanceSolver,
     _compositions,
 )
 from repro.core.utility import PiecewiseLinearUtility
-from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_mix, trained_model
 
 
 def make_solver(num_classes=3, system_per_class=10_000.0):
     return PerformanceSolver(
         utility=PiecewiseLinearUtility(),
-        oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6),
+        model=PaperAnalyticModel(
+            oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
+        ),
         system_cost_limit=system_per_class * num_classes,
         grid_timerons=1_000.0,
         min_class_limit=1_000.0,
@@ -303,56 +301,3 @@ class TestMemoizedSearchConformance:
         candidates = len(list(_compositions(free, 3)))
         assert solver.last_evaluations == candidates
 
-
-class TestSolutionCache:
-    def test_repeat_solve_is_cache_hit_with_same_plan(self):
-        rng = random.Random(11)
-        statuses = random_statuses(rng, 3)
-        solver = make_solver(3)
-        first = solver.solve(statuses, now=0.0)
-        assert solver.cache_hits == 0
-        second = solver.solve(statuses, now=60.0)
-        assert solver.cache_hits == 1
-        assert second.as_dict() == first.as_dict()
-        assert second.created_at == 60.0
-        assert solver.last_evaluations == 0  # served without searching
-        assert solver.solve_calls == 2
-
-    def test_changed_measurement_misses_cache(self):
-        solver = make_solver(3)
-        rng = random.Random(13)
-        statuses = random_statuses(rng, 3)
-        solver.solve(statuses)
-        statuses[0].current_value *= 0.5
-        solver.solve(statuses)
-        assert solver.cache_hits == 0
-        assert solver.last_evaluations > 0
-
-    def test_model_learning_invalidates_cache(self):
-        # observe() bumps the model's observation count, which is part of
-        # the cache key: a learned slope must not be served a stale plan.
-        solver = make_solver(3)
-        rng = random.Random(17)
-        statuses = random_statuses(rng, 3)
-        solver.solve(statuses)
-        solver.oltp_model.observe(2_000.0, -0.05)
-        solver.solve(statuses)
-        assert solver.cache_hits == 0
-
-    def test_cache_capacity_is_bounded(self):
-        solver = make_solver(3)
-        rng = random.Random(19)
-        for _ in range(_SOLUTION_CACHE_MAX + 10):
-            solver.solve(random_statuses(rng, 3))
-        assert len(solver._solution_cache) <= _SOLUTION_CACHE_MAX
-
-    def test_cache_hits_instrument_registered(self):
-        registry = MetricsRegistry()
-        solver = make_solver(3)
-        solver.register_instruments(registry)
-        rng = random.Random(23)
-        statuses = random_statuses(rng, 3)
-        solver.solve(statuses)
-        solver.solve(statuses)
-        sample = registry.sample(now=0.0)
-        assert sample["solver_cache_hits_total"] == 1

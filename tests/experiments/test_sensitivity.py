@@ -100,9 +100,7 @@ class TestSweep:
         missing = format_sweep("p", [(1, {"a": 0.5})], ["a", "zz"])
         assert "-" in missing
 
-    def test_format_sweep_accepts_legacy_dict_and_unhashable_values(self):
-        legacy = format_sweep("p", {1: {"a": 0.5}}, ["a"])
-        assert "50%" in legacy
+    def test_format_sweep_accepts_unhashable_values(self):
         unhashable = format_sweep("p", [([1, 2], {"a": 0.5})], ["a"])
         assert "[1, 2]" in unhashable
 

@@ -54,7 +54,6 @@ class TestDispatchEquivalence:
         with_mix = model.predict(olap_status(), 20_000.0, one_class_mix())
         without = model.predict(olap_status(), 20_000.0, None)
         assert with_mix == without
-        assert model.mix_fingerprint(one_class_mix()) is None
 
 
 class TestObserve:
@@ -64,13 +63,11 @@ class TestObserve:
             IntervalObservation(0.0, one_class_mix(), oltp_delta=(2_000.0, -0.01))
         )
         assert model.oltp.observations == 1
-        assert model.fingerprint() == 1
 
     def test_no_delta_leaves_regression_untouched(self):
         model = PaperAnalyticModel()
         model.observe(IntervalObservation(0.0, one_class_mix()))
         assert model.oltp.observations == 0
-        assert model.fingerprint() == 0
 
 
 class TestCorruptResetSeam:

@@ -238,12 +238,6 @@ class TestCorruptReset:
         with pytest.raises(ConfigurationError):
             LearnedPerformanceModel().corrupt("gamma")
 
-    def test_corruption_changes_fingerprint(self):
-        model = LearnedPerformanceModel()
-        before = model.fingerprint()
-        model.corrupt()
-        assert model.fingerprint() != before
-
 
 class TestSerialisation:
     def test_round_trip_preserves_predictions(self):
@@ -277,14 +271,6 @@ class TestSerialisation:
 
 
 class TestMixAwareness:
-    def test_mix_fingerprint_distinguishes_mixes(self):
-        model = LearnedPerformanceModel()
-        a = model.mix_fingerprint(mix_of(0.0, 0.4, queue=2))
-        b = model.mix_fingerprint(mix_of(0.0, 0.4, queue=9))
-        assert a != b
-        assert model.mix_fingerprint(None) is None
-
-
     def test_features_follow_the_snapshot_not_the_previous_interval(self):
         """The mix features are derived once per snapshot; the next
         interval's snapshot (same class, same status, different mix) must

@@ -12,6 +12,9 @@ from repro.core.modeling import (
     parse_model_spec,
     save_model,
 )
+from repro.core.service_class import ResponseTimeGoal, ServiceClass, VelocityGoal
+from repro.core.solver import ClassStatus, PerformanceSolver
+from repro.core.utility import PiecewiseLinearUtility
 from repro.errors import ConfigurationError
 
 
@@ -29,18 +32,57 @@ class TestProtocolConformance:
 
         json.dumps(factory().describe())
 
-    @pytest.mark.parametrize("factory", ALL_MODELS)
-    def test_fingerprint_is_hashable(self, factory):
-        model = factory()
-        hash(model.fingerprint())
-        hash(model.mix_fingerprint(None))
-
     def test_an_incomplete_object_fails_the_check(self):
         class NotAModel:
             def predict(self, status, proposed_limit, mix=None):
                 return 0.0
 
         assert not isinstance(NotAModel(), PerformanceModel)
+
+    def test_the_seven_protocol_members_are_all_a_model_needs(self):
+        class HoldsLastValue:
+            name = "minimal"
+
+            def predict(self, status, proposed_limit, mix=None):
+                return status.current_value
+
+            def observe(self, observation):
+                pass
+
+            def describe(self):
+                return {"name": self.name}
+
+            def corrupt(self, mode="regression"):
+                pass
+
+            def reset(self):
+                pass
+
+            def slope_bounds(self):
+                return None
+
+        model = HoldsLastValue()
+        assert isinstance(model, PerformanceModel)
+        solver = PerformanceSolver(
+            utility=PiecewiseLinearUtility(),
+            system_cost_limit=30_000.0,
+            model=model,
+        )
+        statuses = [
+            ClassStatus(
+                ServiceClass("class1", "olap", VelocityGoal(0.4), 1), 10_000.0, 0.3
+            ),
+            ClassStatus(
+                ServiceClass("class2", "olap", VelocityGoal(0.5), 2), 10_000.0, 0.6
+            ),
+            ClassStatus(
+                ServiceClass("class3", "oltp", ResponseTimeGoal(0.25), 3), 10_000.0, 0.2
+            ),
+        ]
+        plan = solver.solve(statuses)
+        assert sorted(plan.as_dict()) == ["class1", "class2", "class3"]
+        assert plan.total_allocated == 30_000.0
+        assert solver.last_evaluations > 0
 
 
 class TestRegistry:

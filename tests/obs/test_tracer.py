@@ -54,7 +54,7 @@ def rig():
     sim = FakeSim()
     patroller = FakePatroller()
     engine = FakeEngine()
-    tracer = QueryTracer(sim=sim, patroller=patroller, engine=engine)
+    tracer = QueryTracer(clock=sim, patroller=patroller, engine=engine)
     return sim, patroller, engine, tracer
 
 
@@ -132,7 +132,7 @@ class TestHandDrivenLifecycle:
         patroller = FakePatroller()
         engine = FakeEngine()
         tracer = QueryTracer(
-            sim=sim, patroller=patroller, engine=engine, trace_bypassed=True
+            clock=sim, patroller=patroller, engine=engine, trace_bypassed=True
         )
         q = query(qid=3, class_name="class3")
         sim.now = 2.0

@@ -16,7 +16,7 @@ from tests.validation.conftest import make_qs_bundle
 def traced_bundle(**kwargs):
     bundle = make_qs_bundle(**kwargs)
     tracer = QueryTracer(
-        sim=bundle.sim,
+        clock=bundle.sim,
         patroller=bundle.patroller,
         engine=bundle.engine,
         schedule=bundle.schedule,

@@ -35,6 +35,12 @@ def test_run_rejects_unknown_controller():
         main(["run", "--controller", "chaos"])
 
 
+def test_retired_bench_subcommand_is_an_invalid_choice():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+
+
 def test_trace_command_stdout_jsonl(capsys):
     import json
 

@@ -5,10 +5,12 @@ mechanically: referenced files exist, documented constants match the code,
 and the README's command lines are real.
 """
 
+import argparse
+import glob
 import os
 import re
-
-import pytest
+import subprocess
+import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -87,3 +89,45 @@ def test_paper_goals_quoted_consistently():
     assert PAPER_CLASSES[2][2] == 0.25
     assert "0.25" in read("EXPERIMENTS.md")
     assert "0.40 / 0.60" in read("EXPERIMENTS.md")
+
+
+def test_quoted_subcommands_are_registered():
+    """Every ``python -m repro <sub>`` / ```repro <sub>``` the docs quote
+    is a subcommand the parser knows."""
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    registered = set(subparsers.choices)
+    quoted = re.compile(r"(?:python3? -m repro|`repro) ([a-z][a-z-]*)")
+    documents = ["README.md", "EXPERIMENTS.md", "DESIGN.md"] + glob.glob(
+        os.path.join(REPO, "docs", "*.md")
+    )
+    assert quoted.findall(read("README.md")), "the pattern matches nothing"
+    for document in documents:
+        for name in quoted.findall(read(document)):
+            assert name in registered, "{} quotes 'repro {}'".format(document, name)
+
+
+def test_paper_claims_suite_runs_under_stock_pytest():
+    """``benchmarks/`` needs no plugin: two of its fastest files pass with
+    the ``benchmark`` fixture's plugin disabled (or absent)."""
+    search_path = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search_path)))
+    completed = subprocess.run(
+        [
+            sys.executable, "-m", "pytest",
+            "benchmarks/bench_figure3.py",
+            "benchmarks/bench_ablation_interception.py",
+            "-q", "-p", "no:benchmark", "-p", "no:cacheprovider",
+        ],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr

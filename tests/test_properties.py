@@ -16,7 +16,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.modeling import OLAPVelocityModel, OLTPResponseTimeModel
+from repro.core.modeling import (
+    OLAPVelocityModel,
+    OLTPResponseTimeModel,
+    PaperAnalyticModel,
+)
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import (
     ResponseTimeGoal,
@@ -248,7 +252,9 @@ def solver_inputs(draw):
 def test_solver_always_emits_feasible_full_allocation(statuses):
     solver = PerformanceSolver(
         utility=PiecewiseLinearUtility(),
-        oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6),
+        model=PaperAnalyticModel(
+            oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
+        ),
         system_cost_limit=30_000.0,
         grid_timerons=1_000.0,
         min_class_limit=1_000.0,
