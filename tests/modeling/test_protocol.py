@@ -12,7 +12,6 @@ from repro.core.modeling import (
     parse_model_spec,
     save_model,
 )
-from repro.core.service_class import ResponseTimeGoal, ServiceClass, VelocityGoal
 from repro.core.solver import ClassStatus, PerformanceSolver
 from repro.core.utility import PiecewiseLinearUtility
 from repro.errors import ConfigurationError
@@ -39,7 +38,7 @@ class TestProtocolConformance:
 
         assert not isinstance(NotAModel(), PerformanceModel)
 
-    def test_the_seven_protocol_members_are_all_a_model_needs(self):
+    def test_the_seven_protocol_members_are_all_a_model_needs(self, three_classes):
         class HoldsLastValue:
             name = "minimal"
 
@@ -68,18 +67,9 @@ class TestProtocolConformance:
             system_cost_limit=30_000.0,
             model=model,
         )
-        statuses = [
-            ClassStatus(
-                ServiceClass("class1", "olap", VelocityGoal(0.4), 1), 10_000.0, 0.3
-            ),
-            ClassStatus(
-                ServiceClass("class2", "olap", VelocityGoal(0.5), 2), 10_000.0, 0.6
-            ),
-            ClassStatus(
-                ServiceClass("class3", "oltp", ResponseTimeGoal(0.25), 3), 10_000.0, 0.2
-            ),
-        ]
-        plan = solver.solve(statuses)
+        plan = solver.solve(
+            [ClassStatus(c, 10_000.0, c.goal.target * 0.9) for c in three_classes]
+        )
         assert sorted(plan.as_dict()) == ["class1", "class2", "class3"]
         assert plan.total_allocated == 30_000.0
         assert solver.last_evaluations > 0
