@@ -29,7 +29,7 @@ from repro.core.service_class import ServiceClass
 from repro.dbms.query import Query, QueryState
 from repro.errors import SchedulingError
 from repro.runtime import Clock, ExecutionEngine, TimerService
-from repro.sim.stats import SlidingWindow
+from repro.sim.stats import SlidingWindow, sequential_sum
 
 
 class ClassMeasurement(NamedTuple):
@@ -261,7 +261,7 @@ class Monitor:
         return ClassMeasurement(
             class_name=service_class.name,
             metric="velocity",
-            value=sum(values) / len(values),
+            value=sequential_sum(values) / len(values),
             sample_count=len(values),
             measured_at=now,
         )

@@ -148,48 +148,51 @@ class DatabaseEngine:
         self.overload.admit(query.true_cost)
         for listener in self._start_listeners:
             listener(query)
-        self._run_next_phase(query)
+        self._next_phase(query)
 
-    def _run_next_phase(self, query: Query) -> None:
-        # One `advance` closure drives every phase of the query: it is the
-        # completion callback of each phase's job, so the per-phase lambda
-        # allocation (and the per-phase parallelism re-read) of the old
-        # shape disappears from the hottest path in the engine.
-        pools = self._pools
-        degree = max(1, int(query.parallelism))
+    def _phase_done(self, job: PSJob) -> None:
+        """Completion callback of every single-job phase."""
+        self._next_phase(job.owner)
 
-        def advance(_job: Optional[PSJob] = None) -> None:
-            phase = query.next_phase()
-            if phase is None:
-                self._finish(query)
-                return
-            pool = pools[phase.kind]
-            if degree == 1:
-                # The pool name is label enough: per-query formatted job
-                # names cost a format call per phase, and the query is
-                # recoverable from the completion callback.
-                pool.submit(PSJob(name=phase.kind, demand=phase.demand, on_complete=advance))
-                return
-            # Intra-query parallelism: the phase fans out into `degree`
-            # sub-jobs and the next phase starts when the last one finishes.
-            barrier = {"remaining": degree}
+    def _sub_done(self, job: PSJob) -> None:
+        """Completion callback of one sub-job of a parallel phase."""
+        barrier = job.owner
+        barrier[1] -= 1
+        if barrier[1] == 0:
+            self._next_phase(barrier[0])
 
-            def _sub_done(_sub: PSJob) -> None:
-                barrier["remaining"] -= 1
-                if barrier["remaining"] == 0:
-                    advance()
-
-            share = phase.demand / degree
-            for worker in range(degree):
-                pool.submit(
-                    PSJob(
-                        name="q{}:{}:{}".format(query.query_id, phase.kind, worker),
-                        demand=share,
-                        on_complete=_sub_done,
-                    )
+    def _next_phase(self, query: Query) -> None:
+        # Jobs name their query through `owner` and complete into bound
+        # methods, so nothing on this path closes over the query: no
+        # reference cycle is left for the cyclic collector to find.
+        index = query.phase_index
+        phases = query.phases
+        if index == len(phases):
+            self._finish(query)
+            return
+        query.phase_index = index + 1
+        kind, demand = phases[index]
+        pool = self._pools[kind]
+        if query.parallelism < 2:
+            # The pool name is label enough: per-query formatted job
+            # names cost a format call per phase, and the query is
+            # recoverable from the job's owner.
+            pool.submit(PSJob(kind, demand, self._phase_done, query))
+            return
+        # Intra-query parallelism: the phase fans out into `degree`
+        # sub-jobs and the next phase starts when the last one finishes.
+        degree = int(query.parallelism)
+        barrier = [query, degree]
+        share = demand / degree
+        for worker in range(degree):
+            pool.submit(
+                PSJob(
+                    "q{}:{}:{}".format(query.query_id, kind, worker),
+                    share,
+                    self._sub_done,
+                    barrier,
                 )
-
-        advance()
+            )
 
     def _finish(self, query: Query) -> None:
         query.state = QueryState.COMPLETED

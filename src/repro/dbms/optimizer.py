@@ -12,6 +12,8 @@ whose magnitude is configurable (and ablatable; see
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.config import OptimizerConfig
 from repro.sim.rng import RandomStreams
 
@@ -42,13 +44,18 @@ class CostEstimator:
         """Exact timeron cost of the given demands (no noise)."""
         return self.config.true_cost(cpu_demand, io_demand)
 
-    def estimate(self, cpu_demand: float, io_demand: float) -> float:
-        """Noisy timeron estimate, as the optimizer would report it.
+    def price(self, cpu_demand: float, io_demand: float) -> Tuple[float, float]:
+        """``(true cost, noisy estimate)`` of one statement, priced once.
 
         The error is multiplicative lognormal with median 1 so estimates are
-        unbiased in the median and never negative.
+        unbiased in the median and never negative.  One draw of the
+        ``"optimizer"`` stream per call.
         """
         self._estimates += 1
-        exact = self.true_cost(cpu_demand, io_demand)
+        exact = self.config.true_cost(cpu_demand, io_demand)
         factor = self._rng.lognormal_factor("optimizer", self.config.noise_sigma)
-        return exact * factor
+        return exact, exact * factor
+
+    def estimate(self, cpu_demand: float, io_demand: float) -> float:
+        """Noisy timeron estimate, as the optimizer would report it."""
+        return self.price(cpu_demand, io_demand)[1]

@@ -89,7 +89,7 @@ class Query:
         "priority",
         "on_complete",
         "parallelism",
-        "_phase_index",
+        "phase_index",
     )
 
     def __init__(
@@ -126,7 +126,8 @@ class Query:
         self.on_complete = None
         #: Intra-query degree of parallelism (sub-jobs per phase).
         self.parallelism = 1
-        self._phase_index = 0
+        #: Index into ``phases`` of the next one the engine will dispatch.
+        self.phase_index = 0
 
     # ------------------------------------------------------------------
     # Demand decomposition
@@ -141,18 +142,10 @@ class Query:
         """Total IO seconds-at-full-speed across phases."""
         return sum(p.demand for p in self.phases if p.kind == IO)
 
-    def next_phase(self) -> Optional[Phase]:
-        """Pop the next phase to execute; None when the query is done."""
-        if self._phase_index >= len(self.phases):
-            return None
-        phase = self.phases[self._phase_index]
-        self._phase_index += 1
-        return phase
-
     @property
     def phases_remaining(self) -> int:
         """Number of phases not yet dispatched to a resource pool."""
-        return len(self.phases) - self._phase_index
+        return len(self.phases) - self.phase_index
 
     # ------------------------------------------------------------------
     # Metrics (valid once COMPLETED)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.dbms.query import Query
+from repro.sim.stats import sequential_sum
 
 
 class SnapshotSample(NamedTuple):
@@ -51,12 +52,17 @@ class SnapshotMonitor:
     def record_completion(self, query: Query) -> None:
         """Called by the engine whenever a statement completes."""
         self._completions += 1
+        finish, submit = query.finish_time, query.submit_time
+        if finish is None or submit is None:
+            # Raises the properties' read-before-completion error.
+            execution, response = query.execution_time, query.response_time
+        else:
+            # The properties' arithmetic, derived once from the timestamps.
+            released = query.release_time
+            execution = finish - (released if released is not None else submit)
+            response = finish - submit
         self._last[query.client_id] = SnapshotSample(
-            client_id=query.client_id,
-            class_name=query.class_name,
-            finish_time=query.finish_time if query.finish_time is not None else 0.0,
-            execution_time=query.execution_time,
-            response_time=query.response_time,
+            query.client_id, query.class_name, finish, execution, response
         )
 
     def snapshot(
@@ -93,4 +99,4 @@ class SnapshotMonitor:
         samples = self.snapshot(class_name=class_name, since=since)
         if not samples:
             return None
-        return sum(s.response_time for s in samples) / len(samples)
+        return sequential_sum(s.response_time for s in samples) / len(samples)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.stats import Histogram
+from repro.sim.stats import Histogram, sequential_sum
 
 #: One aggregation input: (attainment fraction, completed-query weight).
 WeightedValue = Tuple[float, float]
@@ -37,10 +37,10 @@ def weighted_attainment(pairs: Iterable[WeightedValue]) -> float:
     pairs = list(pairs)
     if not pairs:
         return 0.0
-    total_weight = sum(weight for _, weight in pairs)
+    total_weight = sequential_sum(weight for _, weight in pairs)
     if total_weight <= 0:
-        return sum(value for value, _ in pairs) / len(pairs)
-    return sum(value * weight for value, weight in pairs) / total_weight
+        return sequential_sum(value for value, _ in pairs) / len(pairs)
+    return sequential_sum(value * weight for value, weight in pairs) / total_weight
 
 
 def merge_histograms(histograms: Sequence[Histogram]) -> Optional[Histogram]:

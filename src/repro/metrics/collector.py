@@ -64,8 +64,14 @@ class PeriodClassMetrics:
         # velocity/wait properties each re-derive these differences, which
         # adds up at a hundred thousand completions per run.  The float
         # arithmetic below is identical to the Query properties'.
-        response = query.response_time
-        execution = query.execution_time
+        finish, submit = query.finish_time, query.submit_time
+        if finish is None or submit is None:
+            # Raises the properties' read-before-completion error.
+            response, execution = query.response_time, query.execution_time
+        else:
+            released = query.release_time
+            response = finish - submit
+            execution = finish - (released if released is not None else submit)
         velocity = 1.0 if response <= 0 else min(1.0, execution / response)
         # The four accumulator updates are Welford's recurrence inlined
         # (state and arithmetic identical to WelfordAccumulator.add): four

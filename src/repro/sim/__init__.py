@@ -1,14 +1,15 @@
 """Discrete-event simulation kernel.
 
-This subpackage is the bottom-most substrate: a deterministic, heap-based
-event loop (:class:`~repro.sim.engine.Simulator`), named reproducible random
+This subpackage is the bottom-most substrate: a deterministic event loop
+(:class:`~repro.sim.engine.Simulator` — a heap for one-shot events,
+re-armable timers for the PS pools), named reproducible random
 streams (:class:`~repro.sim.rng.RandomStreams`), virtual-time processor-sharing
 resources (:class:`~repro.sim.resources.ProcessorSharingResource`), and online
 statistics helpers used throughout the higher layers.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event, Timer
 from repro.sim.resources import ProcessorSharingResource, PSJob
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import (
@@ -21,7 +22,7 @@ from repro.sim.stats import (
 __all__ = [
     "Simulator",
     "Event",
-    "EventHandle",
+    "Timer",
     "ProcessorSharingResource",
     "PSJob",
     "RandomStreams",

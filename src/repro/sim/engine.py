@@ -1,33 +1,31 @@
 """The discrete-event simulation engine.
 
-:class:`Simulator` owns the virtual clock and the event heap.  It is a plain
-callback-driven engine: components schedule zero-argument callables at future
-times and the engine fires them in ``(time, priority, sequence)`` order.  The
-engine is single-threaded and fully deterministic given deterministic
+:class:`Simulator` owns the virtual clock, the event heap and the re-armable
+timers beside it.  It is a plain callback-driven engine: components schedule
+zero-argument callables at future times — one-shot events on the heap, or a
+long-lived :class:`Timer` whose single deadline keeps moving — and the
+engine fires them all in one ``(time, priority, sequence)`` order.
+The engine is single-threaded and fully deterministic given deterministic
 callbacks, which is what makes every experiment in this repository exactly
 reproducible from a seed.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import DEFAULT_PRIORITY, Event
+from repro.sim.events import _IDLE, DEFAULT_PRIORITY, Event, Timer
 
 #: Heap entries are ``(time, priority, seq, event)`` tuples so the heap
 #: compares at C speed (seq is unique, so the event object never compares).
 _HeapEntry = Tuple[float, int, int, Event]
 
-#: Tombstone count past which (given tombstones outnumber live events)
-#: the heap is compacted.  Keeps cancel O(1) amortised without letting a
-#: cancel-heavy workload grow the heap without bound.
-_COMPACT_MIN_TOMBSTONES = 256
-
 
 class Simulator:
-    """Heap-based discrete-event simulator."""
+    """Discrete-event simulator: an event heap plus re-armable timers."""
 
     #: Declared past-deadline contract (see
     #: :mod:`repro.runtime.conformance`): on a virtual clock "the past" is
@@ -37,10 +35,9 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: List[_HeapEntry] = []
+        self._timers: List[Timer] = []
         self._seq = 0
         self._fired = 0
-        self._tombstones = 0
-        self._compactions = 0
         self._running = False
 
     # ------------------------------------------------------------------
@@ -48,23 +45,18 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of events still on the heap (including tombstones)."""
-        return len(self._heap)
+        """Events still on the heap (including tombstones) plus armed timers."""
+        return len(self._heap) + sum(1 for timer in self._timers if timer.active)
 
     @property
     def fired_events(self) -> int:
-        """Number of events executed so far."""
+        """Number of events and timers executed so far."""
         return self._fired
 
     @property
-    def cancelled_pending(self) -> int:
-        """Cancelled events still sitting in the heap as tombstones."""
-        return self._tombstones
-
-    @property
     def compactions(self) -> int:
-        """Times the heap was rebuilt to purge cancel tombstones."""
-        return self._compactions
+        """Always 0: kept only because ``perf/measure.py`` reads it."""
+        return 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -89,7 +81,7 @@ class Simulator:
                 "cannot schedule event {!r} with negative delay {}".format(label, delay)
             )
         time = self.now + delay
-        event = Event(time, priority, self._seq, callback, label, self)
+        event = Event(time, priority, self._seq, callback, label)
         heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
         return event
@@ -108,56 +100,83 @@ class Simulator:
                     label, time, self.now
                 )
             )
-        event = Event(time, priority, self._seq, callback, label, self)
+        event = Event(time, priority, self._seq, callback, label)
         heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
         return event
 
-    def _note_cancelled(self) -> None:
-        """An EventHandle cancelled a pending event (tombstone created)."""
-        self._tombstones += 1
-        if (
-            self._tombstones >= _COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 > len(self._heap)
-        ):
-            # Rebuild without tombstones.  Entries carry a unique seq, so
-            # heapify restores exactly the pop order the live events had.
-            self._heap = [
-                entry for entry in self._heap if not entry[3].cancelled
-            ]
-            heapify(self._heap)
-            self._tombstones = 0
-            self._compactions += 1
+    def timer(self, callback: Callable[[], Any], label: str = "") -> Timer:
+        """Create a re-armable :class:`Timer` that fires ``callback``.
+
+        Meant for the few components that move one deadline over and over
+        (the PS pools: two timers per engine, one simulator per shard).
+        Every event fired scans all of a simulator's timers for the
+        earliest armed one and timers are never unregistered, so one-shot
+        or numerous deadlines belong on the heap (:meth:`schedule`).
+        """
+        timer = Timer(self, callback, label)
+        self._timers.append(timer)
+        return timer
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.
+    def _fire(self, end_time: float, limit: int) -> int:
+        """Fire what is due by ``end_time`` in ``(time, priority, seq)`` order.
 
-        Returns False when the heap is exhausted, True otherwise.
+        Stops after ``limit`` firings (never, when negative); returns how
+        many events and timers fired.
         """
         heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            if event.cancelled:
-                if self._tombstones > 0:
-                    self._tombstones -= 1
-                continue
-            self.now = event.time
-            # Mark as consumed so that late cancel() calls become no-ops.
-            event.cancelled = True
+        timers = self._timers
+        idle = _IDLE
+        fired = 0
+        while fired != limit:
+            key = idle
+            for candidate in timers:
+                if candidate._key < key:
+                    timer = candidate
+                    key = candidate._key
+            # A heap entry and a timer key never compare equal (seq is
+            # unique), so the event object itself never compares.
+            if heap and heap[0] < key:
+                time, _, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if time > end_time:
+                    break
+                heappop(heap)
+                # Mark as consumed so late cancel() calls become no-ops.
+                event.cancelled = True
+                callback = event.callback
+            elif key is idle or key[0] > end_time:
+                break
+            else:
+                time = key[0]
+                # Disarm first: the callback usually re-arms.
+                timer._key = idle
+                callback = timer.callback
+            self.now = time
             self._fired += 1
-            event.callback()
-            return True
-        return False
+            fired += 1
+            callback()
+        return fired
+
+    def step(self) -> bool:
+        """Fire the next pending event or armed timer.
+
+        Returns False when nothing is pending, True otherwise.
+        """
+        return self._fire(inf, 1) == 1
 
     def run_until(self, end_time: float) -> None:
         """Run events until the clock reaches ``end_time``.
 
-        Events scheduled exactly at ``end_time`` are executed.  The clock is
-        left at ``end_time`` even if the heap drains early, so periodic
-        post-run measurements see a consistent horizon.
+        Events scheduled exactly at ``end_time`` are executed; a timer due
+        later stays armed.  The clock is left at ``end_time`` even if
+        everything drains early, so periodic post-run measurements see a
+        consistent horizon.
         """
         if end_time < self.now:
             raise SimulationError(
@@ -166,49 +185,26 @@ class Simulator:
         if self._running:
             raise SimulationError("run_until() called re-entrantly from a callback")
         self._running = True
-        heap = self._heap
         try:
-            while heap:
-                time, _, _, event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    if self._tombstones > 0:
-                        self._tombstones -= 1
-                    # A compaction in a callback may have replaced the list.
-                    heap = self._heap
-                    continue
-                if time > end_time:
-                    break
-                heappop(heap)
-                self.now = time
-                # Mark as consumed so late cancel() calls become no-ops.
-                event.cancelled = True
-                self._fired += 1
-                event.callback()
-                heap = self._heap
+            self._fire(end_time, -1)
             self.now = max(self.now, end_time)
         finally:
             self._running = False
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the heap drains (or ``max_events`` events fired).
+        """Run until nothing is pending (or ``max_events`` events fired).
 
         Returns the number of events fired by this call.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly from a callback")
         self._running = True
-        fired = 0
         try:
-            while self.step():
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    break
+            return self._fire(inf, -1 if max_events is None else max_events)
         finally:
             self._running = False
-        return fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Simulator(now={:.6f}, pending={}, fired={})".format(
-            self.now, len(self._heap), self._fired
+            self.now, self.pending_events, self._fired
         )

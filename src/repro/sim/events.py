@@ -1,21 +1,31 @@
-"""Event records for the discrete-event simulator.
+"""Event and timer records for the discrete-event simulator.
 
 An :class:`Event` couples a firing time with a zero-argument callback.  Events
 are totally ordered by ``(time, priority, sequence)`` so that simultaneous
 events fire in a deterministic order: first by explicit priority (lower fires
 first), then by scheduling order.
 
-Cancellation is handled through :class:`EventHandle` using the standard
-"tombstone" idiom: cancelling marks the event dead and the engine skips dead
-events when it pops them, which keeps cancellation O(1).
+Cancelling an event uses the standard "tombstone" idiom: it marks the event
+dead and the engine skips dead events when it pops them, which keeps
+cancellation O(1).  A :class:`Timer` is the re-armable alternative for a
+component that moves one deadline over and over: its pending fire time
+lives in the object instead of in a heap entry, so re-arming pushes
+nothing and leaves no tombstone behind.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from math import inf
+from typing import Any, Callable, Tuple
+
+from repro.errors import SimulationError
 
 #: Default event priority.  Most events use this; ties break on sequence.
 DEFAULT_PRIORITY = 0
+
+#: Key of a timer that is not armed: after every finite heap head and never
+#: less than itself, so the engine's earliest-timer scan skips it.
+_IDLE: Tuple[float, float, float] = (inf, inf, inf)
 
 
 class Event:
@@ -24,11 +34,10 @@ class Event:
     Instances are created by :meth:`repro.sim.engine.Simulator.schedule` and
     returned to the caller directly: an event is its own cancellation
     handle (it satisfies the ``TimerHandle`` protocol), so scheduling costs
-    a single allocation.  :class:`EventHandle` remains as a thin wrapper
-    for code that wants an explicit handle type.
+    a single allocation.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled", "owner")
+    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled")
 
     def __init__(
         self,
@@ -37,7 +46,6 @@ class Event:
         seq: int,
         callback: Callable[[], Any],
         label: str = "",
-        owner: Optional[Any] = None,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -45,7 +53,6 @@ class Event:
         self.callback = callback
         self.label = label
         self.cancelled = False
-        self.owner = owner
 
     def sort_key(self) -> tuple:
         """Total order used by the event heap."""
@@ -64,14 +71,11 @@ class Event:
 
         Returns True if this call cancelled the event, False if it was
         already cancelled or has already fired (fired events are marked
-        cancelled by the engine as they execute).  The owning simulator,
-        when set, is notified so it can compact tombstones.
+        cancelled by the engine as they execute).
         """
         if self.cancelled:
             return False
         self.cancelled = True
-        if self.owner is not None:
-            self.owner._note_cancelled()
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -82,56 +86,47 @@ class Event:
         )
 
 
-class EventHandle:
-    """Cancellable reference to a scheduled event.
+class Timer:
+    """A long-lived, re-armable timer kept beside the event heap.
 
-    ``owner`` (normally the scheduling :class:`~repro.sim.engine.Simulator`)
-    is notified of successful cancellations so it can compact tombstones
-    out of its heap once they accumulate; a bare handle without an owner
-    still cancels fine.
+    Created by :meth:`repro.sim.engine.Simulator.timer`.  :meth:`arm` sets
+    (or moves) the one pending fire time; it takes the sequence number a
+    ``schedule`` call at that point would have taken and the default
+    priority, and the engine merges armed timers with the heap by the same
+    ``(time, priority, seq)`` order — so a timer fires exactly where a
+    cancel-and-reschedule pair would have put a heap event.
     """
 
-    __slots__ = ("_event", "_owner")
+    __slots__ = ("callback", "label", "_sim", "_key")
 
-    def __init__(self, event: Event, owner: Optional[Any] = None) -> None:
-        self._event = event
-        self._owner = owner
-
-    @property
-    def time(self) -> float:
-        """The simulation time at which the event will fire."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """The diagnostic label attached at scheduling time."""
-        return self._event.label
+    def __init__(self, sim: Any, callback: Callable[[], Any], label: str = "") -> None:
+        self.callback = callback
+        self.label = label
+        self._sim = sim
+        self._key = _IDLE
 
     @property
     def active(self) -> bool:
-        """True while the event is still pending (not fired, not cancelled)."""
-        return not self._event.cancelled
+        """True while armed (not yet fired, not cancelled)."""
+        return self._key is not _IDLE
+
+    def arm(self, delay: float) -> None:
+        """Fire ``delay`` seconds from now, replacing any pending fire time."""
+        if delay < 0:
+            raise SimulationError(
+                "cannot arm timer {!r} with negative delay {}".format(self.label, delay)
+            )
+        sim = self._sim
+        self._key = (sim.now + delay, DEFAULT_PRIORITY, sim._seq)
+        sim._seq += 1
 
     def cancel(self) -> bool:
-        """Cancel the event if still pending.
-
-        Returns True if this call cancelled the event, False if it was
-        already cancelled or has already fired (fired events are marked
-        cancelled by the engine as they execute).
-        """
-        event = self._event
-        if event.cancelled:
+        """Disarm; True iff the timer was armed."""
+        if self._key is _IDLE:
             return False
-        if event.owner is not None:
-            # The event knows its simulator; let it do the notification.
-            return event.cancel()
-        event.cancelled = True
-        if self._owner is not None:
-            self._owner._note_cancelled()
+        self._key = _IDLE
         return True
 
-    def _raw(self) -> Optional[Event]:
-        return self._event
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "EventHandle({!r})".format(self._event)
+        state = "t={:.6f}".format(self._key[0]) if self.active else "idle"
+        return "Timer({}, {})".format(self.label or self.callback, state)

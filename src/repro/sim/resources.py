@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import ulp
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
 
 #: Relative tolerance used when deciding whether a job's finish virtual time
 #: has been reached.  The completion slack for a head job is
@@ -58,12 +57,17 @@ class PSJob:
         Service demand in seconds-at-full-speed.  Must be non-negative.
     on_complete:
         Callback invoked (with the job) when service finishes.
+    owner:
+        Whatever the submitter wants back in ``on_complete`` (the engine
+        passes the query), so one bound method can serve every job instead
+        of a closure per job.
     """
 
     __slots__ = (
         "name",
         "demand",
         "on_complete",
+        "owner",
         "finish_vtime",
         "seq",
         "cancelled",
@@ -76,12 +80,14 @@ class PSJob:
         name: str,
         demand: float,
         on_complete: Optional[Callable[["PSJob"], None]] = None,
+        owner: Any = None,
     ) -> None:
         if demand < 0:
             raise SimulationError("PSJob {!r} has negative demand {}".format(name, demand))
         self.name = name
         self.demand = float(demand)
         self.on_complete = on_complete
+        self.owner = owner
         self.finish_vtime = 0.0
         self.seq = 0
         self.cancelled = False
@@ -126,12 +132,13 @@ class ProcessorSharingResource:
         self._heap: List[_JobEntry] = []
         self._njobs = 0
         self._seq = 0
-        self._timer: Optional[Event] = None
-        # (head job seq, per-job rate) the armed timer was computed for:
+        self._timer = sim.timer(self._on_timer, "ps:{}:complete".format(name))
+        # Head job seq and per-job rate the armed timer was computed for:
         # while both are unchanged the timer's absolute fire time is still
-        # exact, so state changes that touch neither can keep it armed.
-        self._timer_key: Optional[Tuple[int, float]] = None
-        self._complete_label = "ps:{}:complete".format(name)
+        # exact, so state changes that touch neither leave it alone.  The
+        # seq is -1 (no job's) whenever the timer is not armed.
+        self._timer_seq = -1
+        self._timer_rate = 0.0
         # Statistics.
         self._start_time = sim.now
         self._completed_jobs = 0
@@ -251,16 +258,12 @@ class ProcessorSharingResource:
             rate = self.speed * (self.servers / njobs) * self._efficiency
         if rate <= 0:  # pragma: no cover - efficiency is validated positive
             raise SimulationError("resource {!r} stalled at rate 0".format(self.name))
-        key = (heap[0][1], rate)
-        timer = self._timer
-        if timer is not None:
-            if key == self._timer_key:
-                return job
-            timer.cancel()
-        remaining_v = heap[0][0] - self._vtime
-        delay = remaining_v / rate if remaining_v > 0.0 else 0.0
-        self._timer = self.sim.schedule(delay, self._on_timer, self._complete_label)
-        self._timer_key = key
+        head_vtime, head_seq, _ = heap[0]
+        if head_seq != self._timer_seq or rate != self._timer_rate:
+            remaining_v = head_vtime - self._vtime
+            self._timer.arm(remaining_v / rate if remaining_v > 0.0 else 0.0)
+            self._timer_seq = head_seq
+            self._timer_rate = rate
         return job
 
     def cancel(self, job: PSJob) -> bool:
@@ -337,21 +340,18 @@ class ProcessorSharingResource:
     def _reschedule(self) -> None:
         """(Re-)arm the completion timer for the earliest-finishing job.
 
-        Kept as-is when the head job and the per-job rate are both
-        unchanged: the armed timer's absolute fire time is then still the
-        head's exact completion instant, and skipping the cancel+schedule
-        round-trip avoids the tombstone churn that used to dominate the
-        event heap.
+        Left alone when the head job and the per-job rate are both
+        unchanged: the armed fire time is then still the head's exact
+        completion instant, and not re-arming keeps the sequence number
+        (hence the place among simultaneous events) it already holds.
         """
         # Drop tombstones so the heap head is a live job.
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heappop(heap)
         if not heap:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
-                self._timer_key = None
+            self._timer.cancel()
+            self._timer_seq = -1
             return
         njobs = self._njobs
         if njobs <= self.servers:
@@ -360,18 +360,15 @@ class ProcessorSharingResource:
             rate = self.speed * (self.servers / njobs) * self._efficiency
         if rate <= 0:  # pragma: no cover - efficiency is validated positive
             raise SimulationError("resource {!r} stalled at rate 0".format(self.name))
-        key = (heap[0][1], rate)
-        if self._timer is not None:
-            if key == self._timer_key:
-                return
-            self._timer.cancel()
-        remaining_v = heap[0][0] - self._vtime
-        delay = remaining_v / rate if remaining_v > 0.0 else 0.0
-        self._timer = self.sim.schedule(delay, self._on_timer, self._complete_label)
-        self._timer_key = key
+        head_vtime, head_seq, _ = heap[0]
+        if head_seq != self._timer_seq or rate != self._timer_rate:
+            remaining_v = head_vtime - self._vtime
+            self._timer.arm(remaining_v / rate if remaining_v > 0.0 else 0.0)
+            self._timer_seq = head_seq
+            self._timer_rate = rate
 
     def _on_timer(self) -> None:
-        self._timer = None
+        self._timer_seq = -1  # fired, so no longer armed
         # _advance() inlined (see submit() for why; arithmetic must stay
         # identical to the out-of-line twin).
         now = self.sim.now
@@ -392,31 +389,50 @@ class ProcessorSharingResource:
             self._vtime_updated_at = now
         vtime = self._vtime
         drift = _ULPS * ulp(vtime)
-        finished: List[PSJob] = []
+        # Nearly every firing completes exactly one job, held in `first`;
+        # only simultaneous completions allocate anything for `rest`.
+        first: Optional[PSJob] = None
+        rest: Tuple[PSJob, ...] = ()
         heap = self._heap
         while heap:
-            head = heap[0][2]
+            finish_vtime, _, head = heap[0]
             if head.cancelled:
                 heappop(heap)
-                continue
-            if head.finish_vtime - vtime <= _EPS * (1.0 + head.demand) + drift:
+            elif finish_vtime - vtime <= _EPS * (1.0 + head.demand) + drift:
                 heappop(heap)
-                finished.append(head)
-                continue
-            break
-        if not finished:
+                head.finish_time = now
+                head.cancelled = True  # block late cancel() calls
+                self._completed_demand += head.demand
+                if first is None:
+                    first = head
+                else:
+                    rest += (head,)
+            else:
+                break
+        if first is None:
             # Spurious wake-up (e.g. rate changed); just re-arm.
             self._reschedule()
             return
-        self._njobs -= len(finished)
-        for job in finished:
-            job.finish_time = now
-            job.cancelled = True  # block late cancel() calls
-            self._completed_demand += job.demand
-        self._completed_jobs += len(finished)
+        njobs = self._njobs - 1 - len(rest)
+        self._njobs = njobs
+        self._completed_jobs += 1 + len(rest)
         # Re-arm before invoking callbacks: callbacks may submit new work.
-        self._reschedule()
-        for job in finished:
+        # (_reschedule() inlined; the loop above left a live job at the
+        # heap head, and the firing already disarmed the timer.)
+        if heap:
+            if njobs <= self.servers:
+                rate = self.speed * self._efficiency
+            else:
+                rate = self.speed * (self.servers / njobs) * self._efficiency
+            if rate <= 0:  # pragma: no cover - efficiency is validated positive
+                raise SimulationError("resource {!r} stalled at rate 0".format(self.name))
+            remaining_v = heap[0][0] - vtime
+            self._timer.arm(remaining_v / rate if remaining_v > 0.0 else 0.0)
+            self._timer_seq = heap[0][1]
+            self._timer_rate = rate
+        if first.on_complete is not None:
+            first.on_complete(first)
+        for job in rest:
             if job.on_complete is not None:
                 job.on_complete(job)
 

@@ -8,7 +8,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, List, Tuple
+from typing import Deque, Iterable, List, Tuple
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right from ``0.0`` with plain ``+``.
+
+    The stand-in for builtin ``sum`` wherever a float total feeds a
+    decision or a reported result: ``sum`` is Neumaier-compensated on
+    Python >= 3.12, so the same values total differently per interpreter
+    (``[1e16, 1.0, -1e16, 1.0]`` gives ``1.0`` here, ``2.0`` compensated).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class WelfordAccumulator:

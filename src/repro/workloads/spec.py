@@ -168,17 +168,16 @@ class QueryFactory:
         factor = self.rng.lognormal_factor(stream, template.variability)
         cpu_demand = template.cpu_demand * factor
         io_demand = template.io_demand * factor
-        true_cost = self.estimator.true_cost(cpu_demand, io_demand)
-        estimated_cost = self.estimator.estimate(cpu_demand, io_demand)
+        true_cost, estimated_cost = self.estimator.price(cpu_demand, io_demand)
         query = Query(
-            query_id=self._next_id,
-            class_name=class_name,
-            client_id=client_id,
-            template=template.name,
-            kind=template.kind,
-            phases=make_phases(cpu_demand, io_demand, template.rounds),
-            true_cost=true_cost,
-            estimated_cost=estimated_cost,
+            self._next_id,
+            class_name,
+            client_id,
+            template.name,
+            template.kind,
+            make_phases(cpu_demand, io_demand, template.rounds),
+            true_cost,
+            estimated_cost,
         )
         query.parallelism = template.parallelism
         self._next_id += 1

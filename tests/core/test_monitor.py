@@ -1,5 +1,7 @@
 """Tests for the Monitor's measurement paths."""
 
+import random
+
 import pytest
 
 from repro.config import MonitorConfig, PatrollerConfig, default_config
@@ -139,6 +141,24 @@ class TestVelocityMeasurement:
 
         with pytest.raises(ConfigurationError):
             MonitorConfig(max_measurement_age=0.0).validate()
+
+
+    def test_velocity_mean_is_a_plain_left_fold_on_every_python(self):
+        # The solver plans from this value; builtin sum() is compensated
+        # on Python >= 3.12 and would give 0.5 for the first window.
+        sim, engine, patroller, monitor = make_world()
+        window = monitor._velocity_samples["class1"]
+        for value in (1e16, 1.0, -1e16, 1.0):
+            window.add(0.0, value)
+        assert monitor.measure("class1").value == 0.25
+        rng = random.Random(5)
+        velocities = [rng.random() for _ in range(window.capacity)]
+        for value in velocities:
+            window.add(0.0, value)
+        expected = 0.0
+        for value in velocities:
+            expected = expected + value
+        assert monitor.measure("class1").value == expected / len(velocities)
 
 
 class TestResponseTimeMeasurement:

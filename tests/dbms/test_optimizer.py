@@ -43,6 +43,22 @@ def test_estimates_counter():
     assert estimator.estimates_made == 7
 
 
+def test_price_is_true_cost_and_estimate_from_exactly_one_draw():
+    priced = make_estimator(noise=0.3)
+    separate = make_estimator(noise=0.3)  # same seed: same "optimizer" stream
+    demands = [(0.01, 0.02), (2.0, 4.0), (0.0, 1.5)]
+    for cpu, io in demands:
+        assert priced.price(cpu, io) == (
+            separate.true_cost(cpu, io),
+            separate.estimate(cpu, io),
+        )
+    assert priced.estimates_made == separate.estimates_made == len(demands)
+    # One draw per pricing: the stream's next value is draw number four.
+    draws = RandomStreams(seed=5)
+    expected = [draws.lognormal_factor("optimizer", 0.3) for _ in range(4)][-1]
+    assert priced._rng.lognormal_factor("optimizer", 0.3) == expected
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ConfigurationError):
         OptimizerConfig(cpu_timerons_per_second=0).validate()

@@ -58,14 +58,6 @@ class TestQueryLifecycle:
         assert query.state == QueryState.CREATED
         assert query.phases_remaining == 2
 
-    def test_next_phase_consumes_in_order(self):
-        query = make_query()
-        first = query.next_phase()
-        second = query.next_phase()
-        assert first.kind == CPU
-        assert second.kind == IO
-        assert query.next_phase() is None
-
     def test_demand_decomposition(self):
         query = make_query()
         assert query.cpu_demand == pytest.approx(1.0)

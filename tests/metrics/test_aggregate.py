@@ -28,6 +28,14 @@ class TestWeightedAttainment:
     def test_single_entry_is_identity(self):
         assert weighted_attainment([(0.42, 17)]) == pytest.approx(0.42)
 
+    def test_totals_are_plain_left_folds_on_every_python(self):
+        # Builtin sum() is compensated on Python >= 3.12 and would pool
+        # these to 0.5; the harness's headline facts go through here.
+        values = [1e16, 1.0, -1e16, 1.0]
+        assert weighted_attainment([(v, 1) for v in values]) == 0.25
+        assert weighted_attainment([(v, 0) for v in values]) == 0.25
+        assert weighted_attainment([(1.0, w) for w in values]) == 1.0
+
 
 class TestMergeHistograms:
     def _hist(self, values):

@@ -1,15 +1,14 @@
-"""Regression tests for PS-pool accounting and heap-compaction behaviour.
+"""Regression tests for PS-pool accounting.
 
 These pin the fixes that rode along with the hot-path optimization work:
-the utilization horizon window, elapsed-since-construction averaging,
-the demand-proportional completion tolerance at large virtual times, and
-the simulator's tombstone compaction.
+the utilization horizon window, elapsed-since-construction averaging, and
+the demand-proportional completion tolerance at large virtual times.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import _COMPACT_MIN_TOMBSTONES, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import ProcessorSharingResource, PSJob
 
 
@@ -96,51 +95,3 @@ def test_long_run_preserves_short_job_ordering():
     assert [name for name, _ in order] == ["a", "b"]
     assert order[0][1] - 1e9 == pytest.approx(2.0, rel=1e-6)
     assert order[1][1] - 1e9 == pytest.approx(5.0, rel=1e-6)
-
-
-# ----------------------------------------------------------------------
-# Tombstone compaction
-# ----------------------------------------------------------------------
-def test_cancel_storm_triggers_compaction():
-    sim = Simulator()
-    fired = []
-    keep = sim.schedule(50.0, lambda: fired.append("keep"))
-    handles = [
-        sim.schedule(1.0 + index * 0.001, lambda: fired.append("dead"))
-        for index in range(2 * _COMPACT_MIN_TOMBSTONES)
-    ]
-    for handle in handles:
-        handle.cancel()
-    # Tombstones outnumbered live events, so the heap was rebuilt.
-    assert sim.compactions >= 1
-    assert sim.cancelled_pending < _COMPACT_MIN_TOMBSTONES
-    assert sim.pending_events < len(handles)
-    sim.run()
-    assert fired == ["keep"]
-    assert keep.cancelled  # consumed
-
-
-def test_small_cancel_count_defers_compaction():
-    sim = Simulator()
-    for _ in range(10):
-        sim.schedule(1.0, lambda: None).cancel()
-    assert sim.compactions == 0
-    assert sim.cancelled_pending == 10
-    sim.run()
-    assert sim.cancelled_pending == 0
-
-
-def test_compaction_preserves_fire_order():
-    sim = Simulator()
-    fired = []
-    for index in range(100):
-        sim.schedule(float(100 - index), lambda i=index: fired.append(i))
-    doomed = [
-        sim.schedule(0.5, lambda: fired.append("dead"))
-        for _ in range(2 * _COMPACT_MIN_TOMBSTONES)
-    ]
-    for handle in doomed:
-        handle.cancel()
-    assert sim.compactions >= 1
-    sim.run()
-    assert fired == list(reversed(range(100)))

@@ -1,6 +1,8 @@
 """Tests for the online statistics helpers."""
 
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +12,47 @@ from repro.sim.stats import (
     SlidingWindow,
     TimeWeightedValue,
     WelfordAccumulator,
+    sequential_sum,
 )
+
+
+def _wide_window():
+    rng = random.Random(20261002)
+    return [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(10_000)]
+
+
+class TestSequentialSum:
+    """Conformance against the written-out loop, on inputs where builtin
+    ``sum`` (compensated on Python >= 3.12) or ``math.fsum`` differ."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [1e16, 1.0, -1e16, 1.0],
+            [-0.0],
+            [-0.0, -0.0],
+            [0.0, -0.0],
+            [3, 0.1, 0.2],
+            [0.1] * 10,
+            _wide_window(),
+        ],
+        ids=["empty", "cancellation", "-0", "-0-0", "+0-0", "ints", "tenths", "window"],
+    )
+    def test_is_the_plain_left_fold_from_zero(self, values):
+        expected = 0.0
+        for value in values:
+            expected = expected + value
+        total = sequential_sum(iter(values))
+        assert isinstance(total, float)
+        assert struct.pack("<d", total) == struct.pack("<d", expected)
+
+    def test_differs_from_compensated_summation_where_it_should(self):
+        assert sequential_sum([1e16, 1.0, -1e16, 1.0]) == 1.0  # Neumaier: 2.0
+        assert math.fsum([1e16, 1.0, -1e16, 1.0]) == 2.0
+        assert math.copysign(1.0, sequential_sum([-0.0, -0.0])) == 1.0
+        window = _wide_window()
+        assert sequential_sum(window) != math.fsum(window)
 
 
 class TestWelford:

@@ -1,0 +1,65 @@
+"""Pins on the cost of the per-query event path (two-period smoke runs)."""
+
+import cProfile
+import gc
+import pstats
+
+import pytest
+
+from repro.config import WorkloadScaleConfig, default_config
+from repro.dbms.query import Query
+from repro.experiments import ExperimentSpec, run_spec
+from repro.sim.resources import PSJob
+from repro.workloads.schedule import constant_schedule
+
+#: Ceiling on Python-level calls per completed query that bypasses
+#: interception (59.9 / 62.7 under none / qs before the engine stopped
+#: re-deriving per query what it had just computed, 43.5 / 46.4 after).
+#: A ceiling, so interpreters that count calls slightly differently fit.
+MAX_CALLS_PER_QUERY = 48
+
+
+def smoke_spec(controller, oltp_only):
+    config = default_config(
+        seed=7, scale=WorkloadScaleConfig(period_seconds=30.0, num_periods=2)
+    )
+    schedule = None
+    if oltp_only:
+        # No OLAP client, so every statement bypasses interception: client
+        # -> patroller -> engine -> PS pools -> completion listeners.
+        schedule = constant_schedule(30.0, 2, {"class1": 0, "class2": 0, "class3": 20})
+    return ExperimentSpec(controller=controller, config=config, schedule=schedule)
+
+
+@pytest.mark.parametrize("controller", ["none", "qs"])
+def test_completed_queries_and_jobs_are_freed_by_refcounting_alone(controller):
+    # No reference cycle on the hot path (the intercepted and the parallel
+    # OLAP statements of the full schedule included): with the cyclic
+    # collector off for the whole run, nothing it finds unreachable
+    # afterwards is a query or a job.
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        result = run_spec(smoke_spec(controller, oltp_only=False))
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, (Query, PSJob))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert result.bundle.engine.completed_queries > 1000
+    assert result.bundle.patroller.intercepted_count > 0
+    assert leaked == []
+
+
+@pytest.mark.parametrize("controller", ["none", "qs"])
+def test_python_calls_per_bypassing_query_stay_under_the_ceiling(controller):
+    profile = cProfile.Profile(builtins=False)
+    result = profile.runcall(run_spec, smoke_spec(controller, oltp_only=True))
+    patroller = result.bundle.patroller
+    assert patroller.intercepted_count == 0 and patroller.bypassed_count > 1000
+    calls = pstats.Stats(profile).total_calls
+    assert calls / result.bundle.engine.completed_queries <= MAX_CALLS_PER_QUERY
