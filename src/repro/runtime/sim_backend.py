@@ -4,7 +4,7 @@ A thin adapter presenting the existing discrete-event substrate —
 :class:`~repro.sim.engine.Simulator` as clock/timer service,
 :class:`~repro.dbms.engine.DatabaseEngine` as execution engine — through
 the :class:`~repro.runtime.protocols.ExecutionBackend` protocol.  It adds
-**zero** behaviour: every event still flows through the same heap in the
+**zero** behaviour: every event still fires from the same kernel in the
 same order, so fixed-seed experiments are bit-identical to the pre-seam
 code (``tests/runtime/test_sim_regression.py`` pins this).
 """
@@ -46,7 +46,7 @@ class SimulationBackend:
 
     @property
     def timers(self) -> Simulator:
-        """The simulator is also the timer service (event heap)."""
+        """The simulator is also the timer service."""
         return self.sim
 
     @property

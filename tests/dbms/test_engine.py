@@ -36,6 +36,12 @@ def test_single_query_executes_phases_sequentially():
     query = make_query(1, (Phase(CPU, 2.0), Phase(IO, 3.0)))
     query.submit_time = 0.0
     engine.execute(query)
+    # Phases are consumed in order: the CPU one is in service, IO is next.
+    assert (engine.cpu.active_jobs, engine.disk.active_jobs) == (1, 0)
+    assert query.phases_remaining == 1
+    sim.run_until(2.5)
+    assert (engine.cpu.active_jobs, engine.disk.active_jobs) == (0, 1)
+    assert query.phases_remaining == 0
     sim.run()
     # 2 CPUs and 17 disks idle: phases at full speed, serial.
     assert query.finish_time == pytest.approx(5.0)
