@@ -861,7 +861,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         load_telemetry_records,
         save_model,
     )
-    from repro.errors import ConfigurationError, ExportError
+    from repro.errors import ConfigurationError
 
     try:
         records = load_telemetry_records(args.telemetry)
@@ -872,7 +872,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
         fit_from_records(records, model=model)
         save_model(model, args.output, overwrite=True)
-    except (ConfigurationError, ExportError) as exc:
+    except ConfigurationError as exc:
         print("train error: {}".format(exc), file=sys.stderr)
         return 2
     print(
@@ -907,6 +907,7 @@ def _cmd_ablate_models(args: argparse.Namespace) -> int:
         format_ablation_table,
         run_model_ablation,
     )
+    from repro.export import open_export
 
     try:
         report = run_model_ablation(
@@ -924,7 +925,7 @@ def _cmd_ablate_models(args: argparse.Namespace) -> int:
         return 1
     print(format_ablation_table(report))
     if args.output:
-        with open(args.output, "w") as handle:
+        with open_export(args.output, overwrite=True) as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print("wrote {}".format(args.output))

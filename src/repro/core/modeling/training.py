@@ -27,7 +27,8 @@ from repro.core.modeling.protocol import (
     IntervalObservation,
     MixSnapshot,
 )
-from repro.errors import ConfigurationError, ExportError
+from repro.errors import ConfigurationError
+from repro.export import open_export
 from repro.metrics.telemetry import TelemetryStore
 
 
@@ -175,11 +176,7 @@ def load_telemetry_records(path: str) -> List[Dict]:
 
 def save_model(model: LearnedPerformanceModel, path: str, overwrite: bool = True) -> None:
     """Write a trained model as JSON (the ``repro train`` output)."""
-    if not overwrite and os.path.exists(path):
-        raise ExportError(
-            "model output {!r} already exists; pass overwrite=True".format(path)
-        )
-    with open(path, "w") as handle:
+    with open_export(path, overwrite) as handle:
         json.dump(model.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 

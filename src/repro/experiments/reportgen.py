@@ -19,6 +19,7 @@ from repro.config import (
 )
 from repro.experiments.figures import figure4, figure5, figure6, figure7
 from repro.experiments.runner import ExperimentResult
+from repro.export import open_export
 
 
 def quick_report_config() -> SimulationConfig:
@@ -229,6 +230,6 @@ def write_report(
 ) -> str:
     """Generate and write the report; returns the Markdown text."""
     text = generate_report(config=config, tracing=tracing)
-    with open(path, "w") as handle:
+    with open_export(path, overwrite=True) as handle:
         handle.write(text)
     return text

@@ -13,6 +13,8 @@ import io
 import json
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.export import open_export
+
 if TYPE_CHECKING:  # avoid a circular import; the functions duck-type anyway
     from repro.experiments.runner import ExperimentResult
 
@@ -144,10 +146,12 @@ def result_to_csv(result: "ExperimentResult") -> str:
     return buffer.getvalue()
 
 
-def save_result(result: "ExperimentResult", path: str) -> None:
+def save_result(
+    result: "ExperimentResult", path: str, overwrite: bool = True
+) -> None:
     """Write a result to ``path`` as JSON (.json) or CSV (anything else)."""
     text = result_to_json(result) if path.endswith(".json") else result_to_csv(result)
-    with open(path, "w") as handle:
+    with open_export(path, overwrite) as handle:
         handle.write(text)
 
 

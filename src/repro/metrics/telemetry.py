@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro.errors import ConfigurationError, ExportError
+from repro.errors import ConfigurationError
+from repro.export import open_export
 
 if TYPE_CHECKING:  # imported lazily to keep this importable from anywhere
     from repro.core.monitor import ClassMeasurement
@@ -319,20 +319,11 @@ class TelemetryStore:
         return "".join(json.dumps(r.to_dict()) + "\n" for r in self._records)
 
     def save_jsonl(self, path: str, overwrite: bool = False) -> None:
-        """Write the JSONL export to ``path``.
-
-        Refuses to clobber an existing file unless ``overwrite=True``
-        (raising :class:`~repro.errors.ExportError`): several runs — or
-        several shards of one run — exporting into the same directory
-        must never silently truncate each other's records.
-        """
-        if not overwrite and os.path.exists(path):
-            raise ExportError(
-                "telemetry export target {!r} already exists; pass "
-                "overwrite=True to replace it".format(path)
-            )
-        with open(path, "w") as handle:
-            handle.write(self.to_jsonl())
+        """Stream :meth:`to_jsonl`'s bytes to ``path``, one record at a time
+        (guarded and atomic: :func:`repro.export.open_export`)."""
+        with open_export(path, overwrite) as handle:
+            for record in self._records:
+                handle.write(json.dumps(record.to_dict()) + "\n")
 
     @staticmethod
     def load_jsonl(path: str) -> List[Dict]:

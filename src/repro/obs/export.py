@@ -21,21 +21,12 @@ import json
 import os
 from typing import Dict, List, Sequence
 
-from repro.errors import ExportError, SimulationError
+from repro.errors import SimulationError
+from repro.export import open_export
 from repro.obs.spans import Span, TERMINAL_PHASES
 
 #: Trace-event timestamps are microseconds; sim time is seconds.
 _US = 1e6
-
-
-def _open_for_export(path: str, overwrite: bool):
-    """Open ``path`` for writing, refusing to clobber unless ``overwrite``."""
-    if not overwrite and os.path.exists(path):
-        raise ExportError(
-            "span export target {!r} already exists; pass overwrite=True "
-            "to replace it".format(path)
-        )
-    return open(path, "w")
 
 
 def spans_to_jsonl(spans: Sequence[Span]) -> str:
@@ -46,14 +37,11 @@ def spans_to_jsonl(spans: Sequence[Span]) -> str:
 def save_spans_jsonl(
     spans: Sequence[Span], path: str, overwrite: bool = False
 ) -> None:
-    """Write the JSONL export to ``path``.
-
-    Raises :class:`~repro.errors.ExportError` when ``path`` exists and
-    ``overwrite`` is False — multi-shard runs exporting into one
-    directory must never silently truncate a sibling's spans.
-    """
-    with _open_for_export(path, overwrite) as handle:
-        handle.write(spans_to_jsonl(spans))
+    """Stream :func:`spans_to_jsonl`'s bytes to ``path``, one span at a time
+    (guarded and atomic: :func:`repro.export.open_export`)."""
+    with open_export(path, overwrite) as handle:
+        for span in spans:
+            handle.write(json.dumps(span.to_dict()) + "\n")
 
 
 def load_spans_jsonl(path: str) -> List[Span]:
@@ -114,11 +102,9 @@ def spans_to_chrome(spans: Sequence[Span]) -> Dict:
 def save_chrome_trace(
     spans: Sequence[Span], path: str, overwrite: bool = False
 ) -> None:
-    """Write the Chrome trace-event document to ``path`` as JSON.
-
-    Same overwrite protection as :func:`save_spans_jsonl`.
-    """
-    with _open_for_export(path, overwrite) as handle:
+    """Write the Chrome trace-event document to ``path`` as JSON (guarded
+    like :func:`save_spans_jsonl`)."""
+    with open_export(path, overwrite) as handle:
         json.dump(spans_to_chrome(spans), handle)
 
 

@@ -9,7 +9,7 @@
   hub;
 * :class:`~repro.obs.live.server.LiveServer` — the stdlib-only HTTP
   layer (``/api/snapshot``, ``/events`` SSE, ``/metrics``, and the
-  single-file dashboard at ``/``).
+  single-file dashboard at ``/``); ``http.server`` loads on first access.
 
 The whole package imports bare — no dependency beyond the standard
 library — and attaching a hub to a run is observation-only: results are
@@ -25,7 +25,6 @@ from repro.obs.live.hub import (
     TelemetryHub,
 )
 from repro.obs.live.publish import LIVE_MAX_SAMPLES, RunPublisher, run_start_data
-from repro.obs.live.server import LiveServer
 
 __all__ = [
     "DEFAULT_MAX_QUEUE",
@@ -39,3 +38,11 @@ __all__ = [
     "TelemetryHub",
     "run_start_data",
 ]
+
+
+def __getattr__(name: str):
+    if name == "LiveServer":
+        from repro.obs.live.server import LiveServer
+
+        return LiveServer
+    raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))

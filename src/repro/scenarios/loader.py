@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.errors import ScenarioError
+from repro.export import open_export
 from repro.scenarios.spec import (
     ScenarioSpec,
     scenario_from_mapping,
@@ -70,9 +71,10 @@ def scenario_to_yaml(spec: ScenarioSpec) -> str:
     )
 
 
-def save_scenario(spec: ScenarioSpec, path) -> None:
+def save_scenario(spec: ScenarioSpec, path, overwrite: bool = True) -> None:
     """Write a scenario as canonical YAML."""
-    Path(path).write_text(scenario_to_yaml(spec))
+    with open_export(path, overwrite) as handle:
+        handle.write(scenario_to_yaml(spec))
 
 
 def library_paths() -> Dict[str, Path]:

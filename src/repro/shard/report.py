@@ -12,10 +12,6 @@ semantics the paper's SLO report needs:
 * per-class tail latency comes from **merged histograms**
   (:func:`repro.metrics.aggregate.merge_histogram_states`), not from
   averaging per-shard percentiles (percentiles do not average).
-
-Per-shard telemetry exports derive suffixed sibling paths
-(``out.jsonl`` → ``out.shard00.jsonl``) and go through the
-overwrite-guarded :meth:`~repro.metrics.telemetry.TelemetryStore.save_jsonl`.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.parallel import RunSummary
+from repro.export import check_export_target, open_export
 from repro.metrics.aggregate import merge_histogram_states, weighted_attainment
 from repro.validation import Violation
 
@@ -224,14 +221,7 @@ def save_sharded_report(
     report: ShardedRunReport, path: str, overwrite: bool = False
 ) -> None:
     """Write the report dict as JSON (overwrite-guarded like every export)."""
-    from repro.errors import ExportError
-
-    if not overwrite and os.path.exists(path):
-        raise ExportError(
-            "report export target {!r} already exists; pass overwrite=True "
-            "to replace it".format(path)
-        )
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_export(path, overwrite) as handle:
         json.dump(sharded_report_to_dict(report), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -244,16 +234,17 @@ def export_shard_telemetry(
     """Write each shard's telemetry to a per-shard suffixed path.
 
     Shard ``i``'s control-interval records go to :func:`shard_path`
-    ``(path, i)`` through the overwrite-guarded
-    :meth:`~repro.metrics.telemetry.TelemetryStore.save_jsonl`; shards
-    without telemetry (baseline controllers) are skipped.  Returns the
-    paths written.
+    ``(path, i)``; shards without telemetry (baseline controllers) are
+    skipped.  Every target is checked before the first is written, so a
+    refused export leaves no partial set behind.  Returns the paths written.
     """
-    written: List[str] = []
-    for index, summary in enumerate(summaries):
-        if not summary.telemetry_records:
-            continue
-        target = shard_path(path, index)
+    targets = {
+        shard_path(path, index): summary
+        for index, summary in enumerate(summaries)
+        if summary.telemetry_records
+    }
+    for target in targets:
+        check_export_target(target, overwrite)
+    for target, summary in targets.items():
         summary.telemetry_store().save_jsonl(target, overwrite=overwrite)
-        written.append(target)
-    return written
+    return list(targets)

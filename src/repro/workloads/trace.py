@@ -15,6 +15,7 @@ from typing import List, NamedTuple, Optional
 
 from repro.dbms.query import Query, make_phases
 from repro.errors import WorkloadError
+from repro.export import open_export
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import TimerService
 from repro.workloads.spec import QueryFactory
@@ -71,9 +72,9 @@ class WorkloadTrace:
         raw = json.loads(text)
         return cls([TraceEntry(**entry) for entry in raw])
 
-    def save(self, path: str) -> None:
+    def save(self, path: str, overwrite: bool = True) -> None:
         """Write the trace to a file."""
-        with open(path, "w") as handle:
+        with open_export(path, overwrite) as handle:
             handle.write(self.to_json())
 
     @classmethod
