@@ -907,7 +907,7 @@ def _cmd_ablate_models(args: argparse.Namespace) -> int:
         format_ablation_table,
         run_model_ablation,
     )
-    from repro.export import open_export
+    from repro.metrics.export import open_export
 
     try:
         report = run_model_ablation(

@@ -28,7 +28,7 @@ from repro.core.modeling.protocol import (
     MixSnapshot,
 )
 from repro.errors import ConfigurationError
-from repro.export import open_export
+from repro.metrics.export import open_export
 from repro.metrics.telemetry import TelemetryStore
 
 

@@ -66,8 +66,8 @@ class MetricsError(ReproError):
 
 class ExportError(ReproError):
     """An artifact (telemetry, spans, results) may not be written: its
-    target exists and the caller did not pass ``overwrite=True`` — the one
-    guard in :mod:`repro.export`."""
+    target exists and the caller did not pass ``overwrite=True`` (the one
+    guard, in :mod:`repro.metrics.export`)."""
 
 
 class PatrollerError(ReproError):

@@ -19,7 +19,7 @@ from repro.config import (
 )
 from repro.experiments.figures import figure4, figure5, figure6, figure7
 from repro.experiments.runner import ExperimentResult
-from repro.export import open_export
+from repro.metrics.export import open_export
 
 
 def quick_report_config() -> SimulationConfig:

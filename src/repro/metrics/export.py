@@ -1,9 +1,15 @@
-"""Result export: JSON and CSV serialisation of experiment outcomes.
+"""Export: the one file writer, and result JSON / CSV serialisation.
 
-Downstream users want the per-period series and plan traces out of the
-simulator and into their own tooling; these helpers produce plain
-structures (JSON-ready dicts, CSV text) from a
-:class:`~repro.experiments.runner.ExperimentResult`.
+:func:`open_export` is behind every ``save_*`` in this package.  The
+contract (docs/API.md, "Exports"): an existing target is refused unless
+``overwrite``; the bytes stream into a sibling temp file that is renamed
+over the target when the block ends cleanly and unlinked on any
+exception, so the target is the complete new file or exactly what was
+there; no ``fsync`` — safe against a dying process, not power loss.
+
+The ``result_*`` helpers produce plain structures (JSON-ready dicts, CSV
+text) from a :class:`~repro.experiments.runner.ExperimentResult` for
+downstream tooling.
 """
 
 from __future__ import annotations
@@ -11,12 +17,38 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import TYPE_CHECKING, Dict, Optional
+import os
+from contextlib import contextmanager, suppress
+from typing import IO, TYPE_CHECKING, Dict, Iterator, Optional
 
-from repro.export import open_export
+from repro.errors import ExportError
 
 if TYPE_CHECKING:  # avoid a circular import; the functions duck-type anyway
     from repro.experiments.runner import ExperimentResult
+
+
+def check_export_target(path: str, overwrite: bool) -> None:
+    """Raise :class:`~repro.errors.ExportError` if ``path`` may not be written."""
+    if not overwrite and os.path.exists(path):
+        raise ExportError(
+            "export target {!r} already exists; pass overwrite=True to "
+            "replace it".format(path)
+        )
+
+
+@contextmanager
+def open_export(path, overwrite: bool) -> Iterator[IO[str]]:
+    """Text handle whose content replaces ``path`` once the block succeeds."""
+    path = os.fspath(path)
+    check_export_target(path, overwrite)
+    temp = "{}.tmp{}".format(path, os.getpid())
+    try:
+        with open(temp, "w") as handle:
+            yield handle
+        os.replace(temp, path)
+    finally:  # already renamed away on success; removed on any exception
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
 
 
 def result_to_dict(result: "ExperimentResult") -> Dict:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.export import open_export
+from repro.metrics.export import open_export
 
 if TYPE_CHECKING:  # imported lazily to keep this importable from anywhere
     from repro.core.monitor import ClassMeasurement
@@ -320,7 +320,7 @@ class TelemetryStore:
 
     def save_jsonl(self, path: str, overwrite: bool = False) -> None:
         """Stream :meth:`to_jsonl`'s bytes to ``path``, one record at a time
-        (guarded and atomic: :func:`repro.export.open_export`)."""
+        (guarded and atomic: :func:`repro.metrics.export.open_export`)."""
         with open_export(path, overwrite) as handle:
             for record in self._records:
                 handle.write(json.dumps(record.to_dict()) + "\n")

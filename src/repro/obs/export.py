@@ -22,7 +22,7 @@ import os
 from typing import Dict, List, Sequence
 
 from repro.errors import SimulationError
-from repro.export import open_export
+from repro.metrics.export import open_export
 from repro.obs.spans import Span, TERMINAL_PHASES
 
 #: Trace-event timestamps are microseconds; sim time is seconds.
@@ -38,7 +38,7 @@ def save_spans_jsonl(
     spans: Sequence[Span], path: str, overwrite: bool = False
 ) -> None:
     """Stream :func:`spans_to_jsonl`'s bytes to ``path``, one span at a time
-    (guarded and atomic: :func:`repro.export.open_export`)."""
+    (guarded and atomic: :func:`repro.metrics.export.open_export`)."""
     with open_export(path, overwrite) as handle:
         for span in spans:
             handle.write(json.dumps(span.to_dict()) + "\n")

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.errors import ScenarioError
-from repro.export import open_export
+from repro.metrics.export import open_export
 from repro.scenarios.spec import (
     ScenarioSpec,
     scenario_from_mapping,

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.parallel import RunSummary
-from repro.export import check_export_target, open_export
 from repro.metrics.aggregate import merge_histogram_states, weighted_attainment
+from repro.metrics.export import check_export_target, open_export
 from repro.validation import Violation
 
 

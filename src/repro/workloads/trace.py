@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional
 
 from repro.dbms.query import Query, make_phases
 from repro.errors import WorkloadError
-from repro.export import open_export
+from repro.metrics.export import open_export
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import TimerService
 from repro.workloads.spec import QueryFactory

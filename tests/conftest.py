@@ -36,6 +36,28 @@ from repro.workloads.schedule import constant_schedule
 from repro.workloads.spec import QueryFactory
 
 
+class FailingToDict:
+    """Stands in for a record / span / violation whose ``to_dict`` raises."""
+
+    def to_dict(self):
+        raise RuntimeError("to_dict failed")
+
+
+def precious_target(path, existing: bool):
+    """``path``, holding the text ``"precious"`` first when ``existing``."""
+    if existing:
+        path.write_text("precious")
+    return path
+
+
+def assert_export_untouched(path, existing: bool) -> None:
+    """After a failed export: the target is absent (or still ``"precious"``)
+    and no temp sibling is left in its directory."""
+    assert [p.name for p in path.parent.iterdir()] == ([path.name] if existing else [])
+    if existing:
+        assert path.read_text() == "precious"
+
+
 def decision_record(time: float, plan: SchedulingPlan) -> ControlIntervalRecord:
     """A bare control-interval record: just the decision, for feeding sinks
     that read only ``time`` and ``plan`` (the collector's plan hook)."""

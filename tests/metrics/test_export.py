@@ -21,6 +21,7 @@ from repro.metrics.export import (
     save_result,
 )
 from repro.workloads.schedule import constant_schedule
+from tests.conftest import FailingToDict, assert_export_untouched, precious_target
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +127,32 @@ def test_csv_timing_columns_roundtrip_dict_values(small_result):
                 assert cell == ""
             else:
                 assert float(cell) == pytest.approx(value, abs=1e-6)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_save_leaves_the_target_as_it_was(tmp_path, small_result, monkeypatch, existing):
+    from types import SimpleNamespace
+
+    harness = SimpleNamespace(
+        mode="strict",
+        checks_run=1,
+        registry=SimpleNamespace(names=[]),
+        violations=[FailingToDict()],
+    )
+    monkeypatch.setitem(small_result.extras, "validation", harness)
+    path = precious_target(tmp_path / "result.json", existing)
+    with pytest.raises(RuntimeError, match="to_dict failed"):
+        save_result(small_result, str(path))
+    assert_export_untouched(path, existing)
+
+
+def test_save_result_shows_the_overwrite_policy(tmp_path, small_result):
+    from repro.errors import ExportError
+
+    path = tmp_path / "result.csv"
+    path.write_text("precious")
+    with pytest.raises(ExportError, match="overwrite"):
+        save_result(small_result, str(path), overwrite=False)
+    assert path.read_text() == "precious"
+    save_result(small_result, str(path))  # the default still replaces
+    assert path.read_text().startswith("period,")

@@ -24,6 +24,7 @@ from repro.metrics.telemetry import (
     SolverTelemetry,
     TelemetryStore,
 )
+from tests.conftest import FailingToDict, assert_export_untouched, precious_target
 
 
 def _record(time=0.0, index=0, trigger="scheduled", predictions=None):
@@ -376,3 +377,82 @@ class TestSaveJsonlOverwriteGuard:
         store.save_jsonl(str(path), overwrite=True)
         rows = TelemetryStore.load_jsonl(str(path))
         assert len(rows) == 1 and rows[0]["time"] == 10.0
+
+
+def _wide_record(index, classes=8):
+    """A synthetic record of ``classes`` service classes (one ~4 KB line)."""
+    names = ["class{}".format(n) for n in range(classes)]
+    time = float(index)
+    limits = {name: 1_000.0 + 7.5 * index + n for n, name in enumerate(names)}
+    return ControlIntervalRecord(
+        time=time,
+        interval_index=index,
+        trigger="early" if index % 7 == 0 else "scheduled",
+        plan=SchedulingPlan(limits, sum(limits.values()), created_at=time),
+        measurements={
+            name: ClassMeasurement(name, "velocity", 0.4 + 0.001 * index, 3, time - 0.5)
+            for name in names
+        },
+        predictions={
+            name: PredictionTelemetry(predicted=0.5, realized=0.4, error=-0.1 / (index + 1))
+            for name in names
+        },
+        solver=SolverTelemetry(
+            allocation=limits,
+            objective=1.5 + index,
+            evaluations=42,
+            solve_calls=index + 1,
+            oltp_slope=-4.2e-6,
+            oltp_observations=index,
+        ),
+        dispatcher={
+            name: DispatcherClassTelemetry(
+                queue_length=index % 5,
+                in_flight_cost=900.0 + index,
+                in_flight_count=1,
+                released_total=5 * index,
+                completed_total=3 * index,
+                cancelled_total=index,
+                released_this_interval=2,
+            )
+            for name in names
+        },
+        overhead={"monitor_s": 1e-4, "solver_s": 3e-4, "dispatcher_s": 1e-5, "total_s": 5e-4},
+    )
+
+
+class TestSaveJsonlStreams:
+    def test_file_is_to_jsonl_byte_for_byte(self, tmp_path):
+        store = TelemetryStore([_wide_record(index) for index in range(500)])
+        path = tmp_path / "telemetry.jsonl"
+        store.save_jsonl(str(path))
+        assert path.read_bytes() == store.to_jsonl().encode()
+        assert len(TelemetryStore.load_jsonl(str(path))) == 500
+
+    @pytest.mark.parametrize("count", [500, 2000])
+    def test_peak_memory_is_a_few_lines_whatever_the_record_count(self, tmp_path, count):
+        import tracemalloc
+
+        store = TelemetryStore([_wide_record(index) for index in range(count)])
+        longest = max(len(json.dumps(r.to_dict())) for r in store)
+        path = tmp_path / "telemetry.jsonl"
+        tracemalloc.start()
+        try:
+            store.save_jsonl(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One record's dict, its line, the encoder's pieces and the file
+        # buffer — not the text of the whole export (twice, before PR 19).
+        assert peak < 32 * longest, (peak, longest)
+        assert peak < path.stat().st_size / 8
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_record_that_fails_leaves_the_target_as_it_was(self, tmp_path, existing):
+        store = TelemetryStore(
+            [_wide_record(0), _wide_record(1), FailingToDict(), _wide_record(3)]
+        )
+        path = precious_target(tmp_path / "telemetry.jsonl", existing)
+        with pytest.raises(RuntimeError, match="to_dict failed"):
+            store.save_jsonl(str(path), overwrite=True)
+        assert_export_untouched(path, existing)

@@ -15,6 +15,7 @@ from repro.obs.export import (
     spans_to_jsonl,
 )
 from repro.obs.spans import Span
+from tests.conftest import FailingToDict, assert_export_untouched, precious_target
 
 
 def make_spans():
@@ -156,3 +157,41 @@ class TestOverwriteGuards:
         assert path.read_text() == "precious\n"
         save_chrome_trace(make_spans(), str(path), overwrite=True)
         assert load_spans(str(path))
+
+
+class TestSaveSpansJsonlStreams:
+    def many_spans(self, count=3000):
+        spans = []
+        for index in range(count):
+            span = Span(query_id=index, class_name="class{}".format(index % 8),
+                        phase="execute", begin=index * 0.25, template="q{}".format(index % 22),
+                        kind="olap", estimated_cost=100.0 + index, period=index // 500)
+            spans.append(span.close(index * 0.25 + 1.0, truncated=index % 97 == 0))
+        return spans
+
+    def test_file_is_spans_to_jsonl_byte_for_byte(self, tmp_path):
+        spans = self.many_spans()
+        path = tmp_path / "spans.jsonl"
+        save_spans_jsonl(spans, str(path))
+        assert path.read_bytes() == spans_to_jsonl(spans).encode()
+
+    def test_peak_memory_does_not_grow_with_the_span_count(self, tmp_path):
+        import tracemalloc
+
+        spans = self.many_spans()
+        path = tmp_path / "spans.jsonl"
+        tracemalloc.start()
+        try:
+            save_spans_jsonl(spans, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 8, (peak, path.stat().st_size)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_span_that_fails_leaves_the_target_as_it_was(self, tmp_path, existing):
+        spans = make_spans()[:2] + [FailingToDict()] + make_spans()[2:]
+        path = precious_target(tmp_path / "spans.jsonl", existing)
+        with pytest.raises(RuntimeError, match="to_dict failed"):
+            save_spans_jsonl(spans, str(path), overwrite=True)
+        assert_export_untouched(path, existing)

@@ -16,7 +16,12 @@ from repro.shard.report import (
     sharded_report_to_dict,
 )
 from repro.sim.stats import Histogram
-from tests.conftest import decision_record
+from tests.conftest import (
+    FailingToDict,
+    assert_export_untouched,
+    decision_record,
+    precious_target,
+)
 
 
 def make_summary(seed, attainment, completions, histogram=None, records=()):
@@ -121,6 +126,18 @@ class TestSaveShardedReport:
         assert target.read_text() != "precious"
 
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failed_write_leaves_the_target_as_it_was(self, tmp_path, existing):
+        report = build_sharded_report(
+            [make_summary(0, {"c": 1.0}, {"c": 5})], 1, "hash", "static", [1.0]
+        )
+        report.violations.append(FailingToDict())
+        target = precious_target(tmp_path / "report.json", existing)
+        with pytest.raises(RuntimeError, match="to_dict failed"):
+            save_sharded_report(report, str(target), overwrite=True)
+        assert_export_untouched(target, existing)
+
+
 class TestExportShardTelemetry:
     def record(self):
         return decision_record(1.0, SchedulingPlan({"c": 1_000.0}, 1_000.0))
@@ -156,3 +173,16 @@ class TestExportShardTelemetry:
         with pytest.raises(ExportError, match="overwrite"):
             export_shard_telemetry(summaries, str(tmp_path / "t.jsonl"))
         assert target.read_text() == "precious"
+
+    def test_an_existing_shard_file_stops_the_export_before_the_first_write(self, tmp_path):
+        summaries = [
+            make_summary(index, {"c": 1.0}, {"c": 1}, records=[self.record()])
+            for index in range(4)
+        ]
+        (tmp_path / "t.shard02.jsonl").write_text("precious")
+        with pytest.raises(ExportError, match="t.shard02.jsonl"):
+            export_shard_telemetry(summaries, str(tmp_path / "t.jsonl"))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.shard02.jsonl"]
+        assert (tmp_path / "t.shard02.jsonl").read_text() == "precious"
+        written = export_shard_telemetry(summaries, str(tmp_path / "t.jsonl"), overwrite=True)
+        assert len(written) == 4 and all(json.loads(open(p).readline()) for p in written)
