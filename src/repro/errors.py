@@ -65,9 +65,14 @@ class MetricsError(ReproError):
 
 
 class ExportError(ReproError):
-    """An artifact (telemetry, spans, results) may not be written: its
-    target exists and the caller did not pass ``overwrite=True`` (the one
-    guard, in :mod:`repro.metrics.export`)."""
+    """Writing an artifact (telemetry, spans, results) to disk failed.
+
+    The common case is overwrite protection: exporters refuse to clobber
+    an existing file unless the caller passes ``overwrite=True`` — a
+    multi-shard run writing several artifacts into one directory must
+    never silently truncate a sibling shard's records.  The one guard is
+    :func:`repro.metrics.export.check_export_target`.
+    """
 
 
 class PatrollerError(ReproError):

@@ -1,16 +1,35 @@
 """Parallel experiment execution over a process pool.
 
-The multi-run harnesses — :func:`~repro.experiments.replication.replicate`,
+Every multi-run harness in this package — :func:`~repro.experiments.replication.replicate`,
 :func:`~repro.experiments.replication.compare`,
-:func:`~repro.experiments.sensitivity.sweep`, the sharded runner — are
-embarrassingly parallel: each run is deterministic given its seed and
-touches no shared state.  An :class:`~repro.experiments.runner.ExperimentResult`
-holds the live simulator, engine and listener closures and cannot cross a
-process boundary, so this module supplies the picklable counterparts
-(:class:`RunRequest` in, :class:`RunSummary` / :class:`RunOutcome` out) and
-:func:`run_requests`, the fan-out.  ``jobs`` changes wall-clock time, never
-results; the pool (and ``multiprocessing`` with it) is imported only when
-``jobs > 1`` builds one.
+:func:`~repro.experiments.sensitivity.sweep` — used to run its simulations
+back-to-back in one process, so a 7-seed x 4-controller paired comparison
+paid 28 full simulations serially.  The runs are embarrassingly parallel
+(each one is deterministic given its seed and touches no shared state), but
+:class:`~repro.experiments.runner.ExperimentResult` holds the live
+:class:`~repro.experiments.runner.SimulationBundle` — simulator, engine,
+clients, listener closures — and cannot cross a process boundary.
+
+This module supplies the picklable counterparts:
+
+* :class:`RunRequest` — what to run: an
+  :class:`~repro.experiments.runner.ExperimentSpec` (plain dataclasses and
+  simple containers, so the request pickles cleanly) plus a display label;
+* :class:`RunSummary` — what came back, extracted *inside* the worker:
+  per-class goal attainment, the per-period goal-metric series, the
+  controller telemetry interval records, and solver statistics;
+* :class:`RunOutcome` — one request's terminal state: a summary on
+  success, an error string (with traceback) on failure, never both;
+* :func:`run_requests` — the fan-out: serial for ``jobs=1``, a
+  ``ProcessPoolExecutor`` otherwise, with deterministic result ordering
+  (outcomes are returned in request order regardless of completion order),
+  per-run failure isolation (one crashed run yields an error outcome
+  instead of killing the batch), and optional progress callbacks.
+
+Because each simulation is deterministic given its seed, fanning the same
+requests over any number of workers produces bitwise-identical summaries —
+``jobs`` changes wall-clock time, never results.  The pool (and
+``multiprocessing`` with it) is imported only where ``jobs > 1`` builds one.
 """
 
 from __future__ import annotations

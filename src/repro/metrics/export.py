@@ -5,7 +5,8 @@ contract (docs/API.md, "Exports"): an existing target is refused unless
 ``overwrite``; the bytes stream into a sibling temp file that is renamed
 over the target when the block ends cleanly and unlinked on any
 exception, so the target is the complete new file or exactly what was
-there; no ``fsync`` — safe against a dying process, not power loss.
+there; a symlink is written through, a device or FIFO written into; no
+``fsync`` — safe against a dying process, not power loss.
 
 The ``result_*`` helpers produce plain structures (JSON-ready dicts, CSV
 text) from a :class:`~repro.experiments.runner.ExperimentResult` for
@@ -41,11 +42,17 @@ def open_export(path, overwrite: bool) -> Iterator[IO[str]]:
     """Text handle whose content replaces ``path`` once the block succeeds."""
     path = os.fspath(path)
     check_export_target(path, overwrite)
-    temp = "{}.tmp{}".format(path, os.getpid())
+    if os.path.exists(path) and not os.path.isfile(path):
+        # /dev/stdout, /dev/null, a FIFO: nothing to replace, write into it
+        with open(path, "w") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)  # write through a symlink, not over it
+    temp = "{}.tmp{}".format(target, os.getpid())
     try:
         with open(temp, "w") as handle:
             yield handle
-        os.replace(temp, path)
+        os.replace(temp, target)
     finally:  # already renamed away on success; removed on any exception
         with suppress(FileNotFoundError):
             os.unlink(temp)
@@ -178,12 +185,10 @@ def result_to_csv(result: "ExperimentResult") -> str:
     return buffer.getvalue()
 
 
-def save_result(
-    result: "ExperimentResult", path: str, overwrite: bool = True
-) -> None:
+def save_result(result: "ExperimentResult", path: str) -> None:
     """Write a result to ``path`` as JSON (.json) or CSV (anything else)."""
     text = result_to_json(result) if path.endswith(".json") else result_to_csv(result)
-    with open_export(path, overwrite) as handle:
+    with open_export(path, overwrite=True) as handle:
         handle.write(text)
 
 

@@ -319,8 +319,14 @@ class TelemetryStore:
         return "".join(json.dumps(r.to_dict()) + "\n" for r in self._records)
 
     def save_jsonl(self, path: str, overwrite: bool = False) -> None:
-        """Stream :meth:`to_jsonl`'s bytes to ``path``, one record at a time
-        (guarded and atomic: :func:`repro.metrics.export.open_export`)."""
+        """Stream :meth:`to_jsonl`'s bytes to ``path``, one record at a time.
+
+        Refuses to clobber an existing file unless ``overwrite=True``
+        (raising :class:`~repro.errors.ExportError`): several runs — or
+        several shards of one run — exporting into the same directory
+        must never silently truncate each other's records.  Atomic:
+        :func:`repro.metrics.export.open_export`.
+        """
         with open_export(path, overwrite) as handle:
             for record in self._records:
                 handle.write(json.dumps(record.to_dict()) + "\n")

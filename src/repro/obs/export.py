@@ -37,8 +37,13 @@ def spans_to_jsonl(spans: Sequence[Span]) -> str:
 def save_spans_jsonl(
     spans: Sequence[Span], path: str, overwrite: bool = False
 ) -> None:
-    """Stream :func:`spans_to_jsonl`'s bytes to ``path``, one span at a time
-    (guarded and atomic: :func:`repro.metrics.export.open_export`)."""
+    """Stream :func:`spans_to_jsonl`'s bytes to ``path``, one span at a time.
+
+    Raises :class:`~repro.errors.ExportError` when ``path`` exists and
+    ``overwrite`` is False — multi-shard runs exporting into one
+    directory must never silently truncate a sibling's spans.  Atomic:
+    :func:`repro.metrics.export.open_export`.
+    """
     with open_export(path, overwrite) as handle:
         for span in spans:
             handle.write(json.dumps(span.to_dict()) + "\n")
@@ -102,8 +107,10 @@ def spans_to_chrome(spans: Sequence[Span]) -> Dict:
 def save_chrome_trace(
     spans: Sequence[Span], path: str, overwrite: bool = False
 ) -> None:
-    """Write the Chrome trace-event document to ``path`` as JSON (guarded
-    like :func:`save_spans_jsonl`)."""
+    """Write the Chrome trace-event document to ``path`` as JSON.
+
+    Same overwrite protection as :func:`save_spans_jsonl`.
+    """
     with open_export(path, overwrite) as handle:
         json.dump(spans_to_chrome(spans), handle)
 

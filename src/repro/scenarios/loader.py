@@ -71,9 +71,9 @@ def scenario_to_yaml(spec: ScenarioSpec) -> str:
     )
 
 
-def save_scenario(spec: ScenarioSpec, path, overwrite: bool = True) -> None:
+def save_scenario(spec: ScenarioSpec, path) -> None:
     """Write a scenario as canonical YAML."""
-    with open_export(path, overwrite) as handle:
+    with open_export(path, overwrite=True) as handle:
         handle.write(scenario_to_yaml(spec))
 
 

@@ -12,6 +12,10 @@ semantics the paper's SLO report needs:
 * per-class tail latency comes from **merged histograms**
   (:func:`repro.metrics.aggregate.merge_histogram_states`), not from
   averaging per-shard percentiles (percentiles do not average).
+
+Per-shard telemetry exports derive suffixed sibling paths
+(``out.jsonl`` → ``out.shard00.jsonl``) and go through the
+overwrite-guarded :meth:`~repro.metrics.telemetry.TelemetryStore.save_jsonl`.
 """
 
 from __future__ import annotations

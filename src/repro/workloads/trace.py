@@ -72,9 +72,9 @@ class WorkloadTrace:
         raw = json.loads(text)
         return cls([TraceEntry(**entry) for entry in raw])
 
-    def save(self, path: str, overwrite: bool = True) -> None:
+    def save(self, path: str) -> None:
         """Write the trace to a file."""
-        with open_export(path, overwrite) as handle:
+        with open_export(path, overwrite=True) as handle:
             handle.write(self.to_json())
 
     @classmethod

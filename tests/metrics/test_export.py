@@ -145,14 +145,3 @@ def test_failed_save_leaves_the_target_as_it_was(tmp_path, small_result, monkeyp
         save_result(small_result, str(path))
     assert_export_untouched(path, existing)
 
-
-def test_save_result_shows_the_overwrite_policy(tmp_path, small_result):
-    from repro.errors import ExportError
-
-    path = tmp_path / "result.csv"
-    path.write_text("precious")
-    with pytest.raises(ExportError, match="overwrite"):
-        save_result(small_result, str(path), overwrite=False)
-    assert path.read_text() == "precious"
-    save_result(small_result, str(path))  # the default still replaces
-    assert path.read_text().startswith("period,")
