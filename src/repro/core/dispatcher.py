@@ -169,6 +169,11 @@ class Dispatcher:
         self._states: Dict[str, _ClassState] = {
             c.name: _ClassState(c, self.registry) for c in classes
         }
+        #: The states this dispatcher queues and releases for: the only
+        #: ones a completion or cancellation is looked up in.
+        self._controlled = {
+            n: s for n, s in self._states.items() if s.service_class.directly_controlled
+        }
         for name in initial_plan:
             if name not in self._states:
                 raise SchedulingError(
@@ -353,14 +358,13 @@ class Dispatcher:
 
     def _release_eligible(self) -> int:
         released = 0
-        for state in self._states.values():
-            if state.service_class.directly_controlled:
-                released += self._release_eligible_for(state)
+        for state in self._controlled.values():
+            released += self._release_eligible_for(state)
         return released
 
     def _on_completion(self, query: Query) -> None:
-        state = self._states.get(query.class_name)
-        if state is None or not state.service_class.directly_controlled:
+        state = self._controlled.get(query.class_name)
+        if state is None:
             return
         if query.query_id not in state.in_flight:
             # Completion of a query this dispatcher never released (e.g. a
@@ -379,8 +383,8 @@ class Dispatcher:
         permanently.  A query cancelled while still queued is removed
         immediately so queue lengths stay truthful.
         """
-        state = self._states.get(query.class_name)
-        if state is None or not state.service_class.directly_controlled:
+        state = self._controlled.get(query.class_name)
+        if state is None:
             return
         if query.query_id in state.in_flight:
             state.retire(query)

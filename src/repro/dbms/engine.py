@@ -150,21 +150,16 @@ class DatabaseEngine:
             listener(query)
         self._next_phase(query)
 
-    def _phase_done(self, job: PSJob) -> None:
-        """Completion callback of every single-job phase."""
-        self._next_phase(job.owner)
-
-    def _sub_done(self, job: PSJob) -> None:
+    def _sub_done(self, barrier: list) -> None:
         """Completion callback of one sub-job of a parallel phase."""
-        barrier = job.owner
         barrier[1] -= 1
         if barrier[1] == 0:
             self._next_phase(barrier[0])
 
     def _next_phase(self, query: Query) -> None:
-        # Jobs name their query through `owner` and complete into bound
-        # methods, so nothing on this path closes over the query: no
-        # reference cycle is left for the cyclic collector to find.
+        # Also the completion callback of every single-job phase: the pool
+        # hands back the job's `owner`, so nothing on this path closes over
+        # the query and no reference cycle is left for the cyclic collector.
         index = query.phase_index
         phases = query.phases
         if index == len(phases):
@@ -177,7 +172,7 @@ class DatabaseEngine:
             # The pool name is label enough: per-query formatted job
             # names cost a format call per phase, and the query is
             # recoverable from the job's owner.
-            pool.submit(PSJob(kind, demand, self._phase_done, query))
+            pool.submit(PSJob(kind, demand, self._next_phase, query))
             return
         # Intra-query parallelism: the phase fans out into `degree`
         # sub-jobs and the next phase starts when the last one finishes.

@@ -32,7 +32,7 @@ class CostEstimator:
     def __init__(self, config: OptimizerConfig, rng: RandomStreams) -> None:
         config.validate()
         self.config = config
-        self._rng = rng
+        self._noise = rng.lognormal_draws("optimizer", config.noise_sigma)
         self._estimates = 0
 
     @property
@@ -52,9 +52,14 @@ class CostEstimator:
         ``"optimizer"`` stream per call.
         """
         self._estimates += 1
-        exact = self.config.true_cost(cpu_demand, io_demand)
-        factor = self._rng.lognormal_factor("optimizer", self.config.noise_sigma)
-        return exact, exact * factor
+        config = self.config
+        # OptimizerConfig.true_cost, read here: once per statement.
+        exact = (
+            config.base_cost
+            + config.cpu_timerons_per_second * cpu_demand
+            + config.io_timerons_per_second * io_demand
+        )
+        return exact, exact * self._noise()
 
     def estimate(self, cpu_demand: float, io_demand: float) -> float:
         """Noisy timeron estimate, as the optimizer would report it."""

@@ -16,7 +16,7 @@ the timestamps from which the paper's two performance metrics derive:
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -211,16 +211,13 @@ def make_phases(
         raise SimulationError("make_phases needs rounds >= 1")
     if cpu_demand < 0 or io_demand < 0:
         raise SimulationError("demands must be non-negative")
-    phases: List[Phase] = []
     cpu_slice = cpu_demand / rounds
     io_slice = io_demand / rounds
-    for _ in range(rounds):
-        if cpu_slice > 0:
-            phases.append(Phase(CPU, cpu_slice))
-        if io_slice > 0:
-            phases.append(Phase(IO, io_slice))
-    if not phases:
-        # Degenerate zero-demand query: keep one empty CPU phase so the
-        # lifecycle still transits the engine.
-        phases.append(Phase(CPU, 0.0))
-    return tuple(phases)
+    one_round: Tuple[Phase, ...] = ()
+    if cpu_slice > 0:
+        one_round = (Phase(CPU, cpu_slice),)
+    if io_slice > 0:
+        one_round += (Phase(IO, io_slice),)
+    # Degenerate zero-demand query: keep one empty CPU phase so the
+    # lifecycle still transits the engine.
+    return one_round * rounds or (Phase(CPU, 0.0),)

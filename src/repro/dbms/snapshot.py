@@ -33,10 +33,12 @@ class SnapshotSample(NamedTuple):
 
 
 class SnapshotMonitor:
-    """Tracks the last completed statement per client connection."""
+    """Tracks the last completed statement per client connection: the
+    finished :class:`Query` itself is kept until the connection's next
+    completion, and samples are built from it when a snapshot is read."""
 
     def __init__(self) -> None:
-        self._last: Dict[str, SnapshotSample] = {}
+        self._last: Dict[str, Query] = {}
         self._completions = 0
 
     @property
@@ -52,18 +54,7 @@ class SnapshotMonitor:
     def record_completion(self, query: Query) -> None:
         """Called by the engine whenever a statement completes."""
         self._completions += 1
-        finish, submit = query.finish_time, query.submit_time
-        if finish is None or submit is None:
-            # Raises the properties' read-before-completion error.
-            execution, response = query.execution_time, query.response_time
-        else:
-            # The properties' arithmetic, derived once from the timestamps.
-            released = query.release_time
-            execution = finish - (released if released is not None else submit)
-            response = finish - submit
-        self._last[query.client_id] = SnapshotSample(
-            query.client_id, query.class_name, finish, execution, response
-        )
+        self._last[query.client_id] = query
 
     def snapshot(
         self,
@@ -82,12 +73,20 @@ class SnapshotMonitor:
             connections that have gone idle).
         """
         samples = []
-        for sample in self._last.values():
-            if class_name is not None and sample.class_name != class_name:
+        for query in self._last.values():
+            if class_name is not None and query.class_name != class_name:
                 continue
-            if since is not None and sample.finish_time < since:
+            if since is not None and query.finish_time < since:
                 continue
-            samples.append(sample)
+            samples.append(
+                SnapshotSample(
+                    query.client_id,
+                    query.class_name,
+                    query.finish_time,
+                    query.execution_time,
+                    query.response_time,
+                )
+            )
         return samples
 
     def average_response_time(

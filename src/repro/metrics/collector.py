@@ -9,6 +9,7 @@ period in which each query *finished*.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.service_class import ServiceClass
@@ -23,6 +24,9 @@ from repro.workloads.schedule import PeriodSchedule
 _RT_HISTOGRAM_RANGE = (0.0, 600.0)
 _RT_HISTOGRAM_BINS = 240
 
+#: Completions a cell holds before folding them into its aggregates.
+_FOLD_BLOCK = 256
+
 #: Metric names :meth:`MetricsCollector.metric_series` understands.
 METRIC_NAMES = (
     "velocity",
@@ -35,35 +39,52 @@ METRIC_NAMES = (
 )
 
 
+def _folded(slot: str) -> property:
+    """Read-only view of one aggregate that folds the pending block first."""
+    return property(lambda cell: cell.fold() or getattr(cell, slot))
+
+
 class PeriodClassMetrics:
-    """Aggregates for one (period, class) cell."""
+    """Aggregates for one (period, class) cell.
+
+    Completions are counted as they land; their timings wait in a block
+    that is folded into the aggregates in arrival order — when it holds
+    :data:`_FOLD_BLOCK`, when the collector closes the period, and before
+    any read — so every statistic equals the completion-by-completion fold.
+    """
 
     __slots__ = (
         "completions",
-        "velocity",
-        "response_time",
-        "execution_time",
-        "wait_time",
-        "response_histogram",
+        "_pending",
+        "_velocity",
+        "_response_time",
+        "_execution_time",
+        "_wait_time",
+        "_response_histogram",
     )
+
+    velocity = _folded("_velocity")
+    response_time = _folded("_response_time")
+    execution_time = _folded("_execution_time")
+    wait_time = _folded("_wait_time")
+    response_histogram = _folded("_response_histogram")
 
     def __init__(self) -> None:
         self.completions = 0
-        self.velocity = WelfordAccumulator()
-        self.response_time = WelfordAccumulator()
-        self.execution_time = WelfordAccumulator()
-        self.wait_time = WelfordAccumulator()
-        self.response_histogram = Histogram(
+        #: ``response, execution`` of the completions not folded yet, flat.
+        self._pending = array("d")
+        self._velocity = WelfordAccumulator()
+        self._response_time = WelfordAccumulator()
+        self._execution_time = WelfordAccumulator()
+        self._wait_time = WelfordAccumulator()
+        self._response_histogram = Histogram(
             _RT_HISTOGRAM_RANGE[0], _RT_HISTOGRAM_RANGE[1], bins=_RT_HISTOGRAM_BINS
         )
 
     def add(self, query: Query) -> None:
-        """Fold a completed query into the cell."""
+        """Count a completed query and queue its timings for the next fold."""
         self.completions += 1
-        # Single-pass over the query's timestamps: the response/execution/
-        # velocity/wait properties each re-derive these differences, which
-        # adds up at a hundred thousand completions per run.  The float
-        # arithmetic below is identical to the Query properties'.
+        # The Query properties' float arithmetic, derived once.
         finish, submit = query.finish_time, query.submit_time
         if finish is None or submit is None:
             # Raises the properties' read-before-completion error.
@@ -72,26 +93,25 @@ class PeriodClassMetrics:
             released = query.release_time
             response = finish - submit
             execution = finish - (released if released is not None else submit)
-        velocity = 1.0 if response <= 0 else min(1.0, execution / response)
-        # The four accumulator updates are Welford's recurrence inlined
-        # (state and arithmetic identical to WelfordAccumulator.add): four
-        # method calls per completion are measurable at replication scale.
-        for acc, value in (
-            (self.velocity, velocity),
-            (self.response_time, response),
-            (self.execution_time, execution),
-            (self.wait_time, response - execution),
-        ):
-            acc.count = count = acc.count + 1
-            acc.total += value
-            delta = value - acc._mean
-            acc._mean = mean = acc._mean + delta / count
-            acc._m2 += delta * (value - mean)
-            if value < acc.minimum:
-                acc.minimum = value
-            if value > acc.maximum:
-                acc.maximum = value
-        self.response_histogram.add(response)
+        pending = self._pending
+        pending.append(response)
+        pending.append(execution)
+        if len(pending) >= 2 * _FOLD_BLOCK:
+            self.fold()
+
+    def fold(self) -> None:
+        """Fold the pending block into the aggregates (no-op when empty)."""
+        pending = self._pending
+        if not pending:
+            return
+        responses, executions = pending[0::2], pending[1::2]
+        pairs = list(zip(responses, executions))
+        self._velocity.add_many([1.0 if r <= 0 else min(1.0, e / r) for r, e in pairs])
+        self._response_time.add_many(responses)
+        self._execution_time.add_many(executions)
+        self._wait_time.add_many([r - e for r, e in pairs])
+        self._response_histogram.add_many(responses)
+        del pending[:]
 
     def response_percentile(self, q: float) -> float:
         """Approximate response-time percentile for this cell."""
@@ -113,11 +133,12 @@ class MetricsCollector:
         self._plan_points: List[Tuple[float, Dict[str, float]]] = []
         self._total_completions = 0
         self._class_completions: Dict[str, int] = {c.name: 0 for c in self.classes}
-        #: The latest period a completion landed in — the only one whose
-        #: cells can still change — and, per class, the ``(met, observed)``
-        #: goal tally of the periods before it, filled on demand.
-        self._open_period = 0
+        #: The latest period a completion landed in (the only one whose
+        #: cells may hold an unfolded block) with its span, and per class the
+        #: ``(met, observed)`` goal tally of the periods before it, on demand.
+        self._open_period = -1
         self._closed_tally: Dict[ServiceClass, Tuple[int, int]] = {}
+        self._leave_open_period(0.0)  # opens period 0
         engine.add_completion_listener(self.on_completion)
 
     # ------------------------------------------------------------------
@@ -125,23 +146,36 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     def on_completion(self, query: Query) -> None:
         """Engine completion hook."""
-        if query.finish_time is None:
+        finish = query.finish_time
+        if finish is None:
             return
-        period = self.schedule.period_at(query.finish_time)
-        if period != self._open_period:
-            # A later period opened, or (wall-clock backends) a straggler
-            # landed in an earlier one: the closed-period tallies are stale.
-            self._open_period = max(period, self._open_period)
-            self._closed_tally.clear()
+        if self._open_start <= finish < self._open_end:
+            period = self._open_period
+        else:
+            period = self._leave_open_period(finish)
         key = (period, query.class_name)
         cell = self._cells.get(key)
         if cell is None:
-            cell = PeriodClassMetrics()
-            self._cells[key] = cell
+            cell = self._cells[key] = PeriodClassMetrics()
         cell.add(query)
+        if period != self._open_period:
+            cell.fold()  # a straggler: closed periods hold nothing pending
         self._total_completions += 1
         totals = self._class_completions
         totals[query.class_name] = totals.get(query.class_name, 0) + 1
+
+    def _leave_open_period(self, time: float) -> int:
+        """The period of a ``time`` outside the open period's span: a later
+        one becomes the open one (what it closes is folded), an earlier one is
+        a straggler's (wall-clock backends); either way the tallies are stale."""
+        period = self.schedule.period_at(time)
+        if period > self._open_period:
+            for cell in self._cells.values():
+                cell.fold()
+            self._open_period = period
+            self._open_start, self._open_end = self.schedule.period_span(period)
+        self._closed_tally.clear()
+        return period
 
     def on_plan(self, record: ControlIntervalRecord) -> None:
         """Planner decision hook (register via planner.add_plan_listener)."""

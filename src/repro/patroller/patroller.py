@@ -162,7 +162,8 @@ class QueryPatroller:
         query.submit_time = self.sim.now
         for listener in self._submit_listeners:
             listener(query)
-        self._emit("submitted", query)
+        if self._lifecycle_listeners:
+            self._emit("submitted", query)
         if query.class_name not in self._intercepted_classes:
             self._bypassed_count += 1
             self.engine.execute(query)
@@ -274,6 +275,8 @@ class QueryPatroller:
 
     def _on_completion(self, query: Query) -> None:
         # Only queries that went through interception have table rows.
+        if query.intercept_time is None:
+            return
         record = self.tables.find(query.query_id)
         if record is not None and record.status == "released":
             self.tables.mark_completed(query.query_id, self.sim.now)

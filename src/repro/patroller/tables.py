@@ -123,13 +123,7 @@ class ControlTables:
         return record
 
     def find(self, query_id: int) -> Optional[QueryRecord]:
-        """Look up a record, or None if the query was never intercepted.
-
-        The non-raising twin of :meth:`get`: completion hooks probe the
-        tables for *every* statement, and most statements (the bypassing
-        OLTP traffic) have no row — an exception per probe is measurable
-        at replication scale.
-        """
+        """The non-raising twin of :meth:`get`: None if there is no row."""
         return self._by_id.get(query_id)
 
     def mark_released(self, query_id: int, time: float) -> None:

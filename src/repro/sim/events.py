@@ -54,13 +54,6 @@ class Event:
         self.label = label
         self.cancelled = False
 
-    def sort_key(self) -> tuple:
-        """Total order used by the event heap."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
-
     @property
     def active(self) -> bool:
         """True while the event is still pending (not fired, not cancelled)."""

@@ -56,11 +56,13 @@ class PSJob:
     demand:
         Service demand in seconds-at-full-speed.  Must be non-negative.
     on_complete:
-        Callback invoked (with the job) when service finishes.
+        Called with ``owner`` (the job itself if none) when service finishes.
     owner:
         Whatever the submitter wants back in ``on_complete`` (the engine
         passes the query), so one bound method can serve every job instead
         of a closure per job.
+
+    A job is served once: ``seq`` is -1 until a pool takes it.
     """
 
     __slots__ = (
@@ -89,13 +91,10 @@ class PSJob:
         self.on_complete = on_complete
         self.owner = owner
         self.finish_vtime = 0.0
-        self.seq = 0
+        self.seq = -1
         self.cancelled = False
         self.start_time = 0.0
         self.finish_time: Optional[float] = None
-
-    def __lt__(self, other: "PSJob") -> bool:
-        return (self.finish_vtime, self.seq) < (other.finish_vtime, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "PSJob({!r}, demand={:.6f})".format(self.name, self.demand)
@@ -223,6 +222,8 @@ class ProcessorSharingResource:
         # one of the two hottest entry points in the simulator, and the two
         # call round-trips are measurable at replication scale.  The
         # arithmetic must stay identical to the out-of-line twins.
+        if job.seq != -1:
+            raise SimulationError("{!r} submitted twice".format(job))
         now = self.sim.now
         if now != self._vtime_updated_at or now != self._last_stat_time:
             njobs = self._njobs
@@ -267,8 +268,8 @@ class ProcessorSharingResource:
         return job
 
     def cancel(self, job: PSJob) -> bool:
-        """Abort an in-service job; returns False if already done/cancelled."""
-        if job.cancelled or job.finish_time is not None:
+        """Abort a job in service here; False if done, cancelled or not ours."""
+        if not self._holds(job):
             return False
         self._advance()
         job.cancelled = True
@@ -277,8 +278,8 @@ class ProcessorSharingResource:
         return True
 
     def remaining_demand(self, job: PSJob) -> float:
-        """Service demand the job still has to receive (0 when done)."""
-        if job.finish_time is not None or job.cancelled:
+        """Service demand the job still has to receive here (0 when done)."""
+        if not self._holds(job):
             return 0.0
         self._advance()
         return max(0.0, job.finish_vtime - self._vtime)
@@ -300,6 +301,10 @@ class ProcessorSharingResource:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _holds(self, job: PSJob) -> bool:
+        """Whether ``job`` is in service on this pool (a heap scan)."""
+        return not job.cancelled and any(entry[2] is job for entry in self._heap)
+
     def _accumulate_stats(self) -> None:
         now = self.sim.now
         dt = now - self._last_stat_time
@@ -431,10 +436,10 @@ class ProcessorSharingResource:
             self._timer_seq = heap[0][1]
             self._timer_rate = rate
         if first.on_complete is not None:
-            first.on_complete(first)
+            first.on_complete(first if first.owner is None else first.owner)
         for job in rest:
             if job.on_complete is not None:
-                job.on_complete(job)
+                job.on_complete(job if job.owner is None else job.owner)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ProcessorSharingResource({!r}, servers={}, jobs={})".format(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from typing import Dict, List, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterator
 
 import numpy as np
 
@@ -31,6 +32,9 @@ def _stable_key(name: str) -> int:
 #: the bit stream in index order) at a fraction of that.
 _BLOCK = 512
 
+#: A draw source: call it for the next value of its (stream, distribution).
+DrawSource = Callable[[], float]
+
 
 class RandomStreams:
     """Factory of independent, reproducible random generators.
@@ -46,17 +50,14 @@ class RandomStreams:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
-        # choice_index() fast path: cached normalized cdf per weight vector.
-        self._cdfs: Dict[Tuple[float, ...], List[float]] = {}
-        # Prefetched draw blocks, keyed by (name, distribution, params):
-        # ``[values, next_index]``.  Values are identical to scalar draws as
-        # long as each stream is consumed through a single distribution
-        # method with fixed parameters (which is how every component here
-        # uses its streams — that is the whole point of named streams).
-        # Mixing methods on one stream stays deterministic, but interleaves
-        # the underlying bit stream differently than unbuffered scalar
-        # draws would.
-        self._blocks: Dict[tuple, list] = {}
+        # One draw source per (name, distribution, params), whichever
+        # spelling draws: the ``*_draws`` methods hand it out, the scalar
+        # methods call it once.  Values are identical to scalar numpy draws
+        # as long as each stream is consumed through a single distribution
+        # with fixed parameters (how every component here uses its
+        # streams).  Mixing distributions on one stream stays deterministic,
+        # but interleaves the bit stream differently than scalar draws would.
+        self._sources: Dict[tuple, DrawSource] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
@@ -73,57 +74,63 @@ class RandomStreams:
             self._streams[name] = generator
         return generator
 
-    def exponential(self, name: str, mean: float) -> float:
-        """One exponential draw with the given mean from stream ``name``."""
-        block = self._blocks.get((name, "exp", mean))
-        if block is None or block[1] >= _BLOCK:
-            block = [self.stream(name).exponential(mean, size=_BLOCK).tolist(), 0]
-            self._blocks[(name, "exp", mean)] = block
-        pos = block[1]
-        block[1] = pos + 1
-        return block[0][pos]
+    def _draws(
+        self, key: tuple, draw_block: Callable[[np.random.Generator], np.ndarray]
+    ) -> DrawSource:
+        """The cached source for ``key``: ``draw_block(stream)`` arrays, value by value."""
+        source = self._sources.get(key)
+        if source is None:
 
-    def lognormal_factor(self, name: str, sigma: float) -> float:
-        """A multiplicative lognormal noise factor with median 1.
+            def blocks() -> Iterator[list]:
+                # The stream is made on the first draw, not when the source
+                # is bound: numpy loads numpy.random on first use, and that
+                # belongs to the run, not to set-up.
+                stream = self.stream(key[0])
+                while True:
+                    yield draw_block(stream).tolist()
+
+            source = self._sources[key] = chain.from_iterable(blocks()).__next__
+        return source
+
+    def exponential_draws(self, name: str, mean: float) -> DrawSource:
+        """Source of exponential draws with the given mean from stream ``name``."""
+        return self._draws(
+            (name, "exp", mean), lambda stream: stream.exponential(mean, size=_BLOCK)
+        )
+
+    def exponential(self, name: str, mean: float) -> float:
+        """One draw of :meth:`exponential_draws`."""
+        return self.exponential_draws(name, mean)()
+
+    def lognormal_draws(self, name: str, sigma: float) -> DrawSource:
+        """Source of multiplicative lognormal noise factors with median 1.
 
         ``sigma`` is the standard deviation of the underlying normal; 0 yields
-        exactly 1.0 (useful to disable noise without branching in callers).
+        exactly 1.0 and consumes nothing (useful to disable noise without
+        branching in callers).
         """
         if sigma <= 0.0:
-            return 1.0
-        block = self._blocks.get((name, "logn", sigma))
-        if block is None or block[1] >= _BLOCK:
-            block = [
-                self.stream(name).lognormal(mean=0.0, sigma=sigma, size=_BLOCK).tolist(),
-                0,
-            ]
-            self._blocks[(name, "logn", sigma)] = block
-        pos = block[1]
-        block[1] = pos + 1
-        return block[0][pos]
+            return self._sources.setdefault((name, "one"), repeat(1.0).__next__)
+        return self._draws(
+            (name, "logn", sigma),
+            lambda stream: stream.lognormal(mean=0.0, sigma=sigma, size=_BLOCK),
+        )
 
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """One uniform draw in [low, high) from stream ``name``."""
-        block = self._blocks.get((name, "unif", low, high))
-        if block is None or block[1] >= _BLOCK:
-            block = [self.stream(name).uniform(low, high, size=_BLOCK).tolist(), 0]
-            self._blocks[(name, "unif", low, high)] = block
-        pos = block[1]
-        block[1] = pos + 1
-        return block[0][pos]
+    def lognormal_factor(self, name: str, sigma: float) -> float:
+        """One draw of :meth:`lognormal_draws`."""
+        return self.lognormal_draws(name, sigma)()
 
-    def choice_index(self, name: str, weights) -> int:
-        """Draw an index with probability proportional to ``weights``.
+    def choice_draws(self, name: str, weights) -> Callable[[], int]:
+        """Source of indices drawn with probability proportional to ``weights``.
 
         Draw-for-draw identical to ``Generator.choice(len(weights),
         p=weights/total)`` — one uniform double inverted through the
-        normalized cumulative distribution — but the cdf is cached per
-        weight vector, which keeps this O(log n) with no array
-        construction on the hot path.
+        normalized cumulative distribution.  Every weight vector asked of
+        one stream inverts the same uniform source.
         """
-        key = tuple(weights)
-        cdf = self._cdfs.get(key)
-        if cdf is None:
+        key = (name, "choice", tuple(weights))
+        source = self._sources.get(key)
+        if source is None:
             array = np.asarray(weights, dtype=float)
             total = array.sum()
             if total <= 0:
@@ -132,15 +139,15 @@ class RandomStreams:
             # re-normalize the cdf so its last entry is exactly 1.0.
             normalized = (array / total).cumsum()
             normalized /= normalized[-1]
-            cdf = normalized.tolist()
-            self._cdfs[key] = cdf
-        block = self._blocks.get((name, "random"))
-        if block is None or block[1] >= _BLOCK:
-            block = [self.stream(name).random(_BLOCK).tolist(), 0]
-            self._blocks[(name, "random")] = block
-        pos = block[1]
-        block[1] = pos + 1
-        return bisect_right(cdf, block[0][pos])
+            uniforms = self._draws((name, "random"), lambda stream: stream.random(_BLOCK))
+            source = self._sources[key] = map(
+                bisect_right, repeat(normalized.tolist()), iter(uniforms, None)
+            ).__next__
+        return source
+
+    def choice_index(self, name: str, weights) -> int:
+        """One draw of :meth:`choice_draws`."""
+        return self.choice_draws(name, weights)()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "RandomStreams(seed={}, streams={})".format(

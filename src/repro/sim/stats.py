@@ -40,15 +40,24 @@ class WelfordAccumulator:
 
     def add(self, value: float) -> None:
         """Fold one observation into the accumulator."""
-        self.count += 1
-        self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
+        self.add_many((value,))
+
+    def add_many(self, values: Iterable[float]) -> None:
+        """Fold observations in order (the state is carried in locals)."""
+        count, total, mean, m2 = self.count, self.total, self._mean, self._m2
+        minimum, maximum = self.minimum, self.maximum
+        for value in values:
+            count += 1
+            total += value
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+        self.count, self.total, self._mean, self._m2 = count, total, mean, m2
+        self.minimum, self.maximum = minimum, maximum
 
     @property
     def mean(self) -> float:
@@ -216,22 +225,25 @@ class Histogram:
 
     def add(self, value: float) -> None:
         """Record one observation."""
-        self.count += 1
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
-        if value < self.low:
-            self.underflow += 1
-            return
-        if value >= self.high:
-            self.overflow += 1
-            return
-        index = int((value - self.low) / self._width)
-        # Guard the upper edge against float rounding.
-        if index >= self.bins:
-            index = self.bins - 1
-        self._counts[index] += 1
+        self.add_many((value,))
+
+    def add_many(self, values: Iterable[float]) -> None:
+        """Record each of ``values``."""
+        low, high, width, counts = self.low, self.high, self._width, self._counts
+        last = self.bins - 1
+        for value in values:
+            self.count += 1
+            if value < self.min_value:
+                self.min_value = value
+            if value > self.max_value:
+                self.max_value = value
+            if value < low:
+                self.underflow += 1
+            elif value >= high:
+                self.overflow += 1
+            else:
+                # min() guards the upper edge against float rounding.
+                counts[min(int((value - low) / width), last)] += 1
 
     def percentile(self, q: float) -> float:
         """Approximate the q-th percentile (q in [0, 100]).

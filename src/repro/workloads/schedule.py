@@ -19,6 +19,7 @@ boundaries.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
@@ -90,6 +91,13 @@ class PeriodSchedule:
         elif index > 0 and index * self.period_seconds > time:
             index -= 1
         return min(index, self.num_periods - 1)
+
+    def period_span(self, period: int) -> Tuple[float, float]:
+        """The ``[start, end)`` of the times :meth:`period_at` maps to
+        ``period``; the last period's end is ``inf`` (later times clamp to it)."""
+        seconds = self.period_seconds
+        last = period + 1 >= self.num_periods
+        return period * seconds, inf if last else (period + 1) * seconds
 
     def within_horizon(self, time: float) -> bool:
         """Whether ``time`` falls inside the scheduled run (``0 <= t < horizon``).

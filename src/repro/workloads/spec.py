@@ -89,14 +89,6 @@ class WorkloadMix:
         if len(self._by_name) != len(self.templates):
             raise WorkloadError("workload mix {!r} has duplicate template names".format(name))
         self._weights = [t.weight for t in self.templates]
-        # Hot-path caches for QueryFactory.create: the selection-stream
-        # name, the weight vector as a hashable tuple (the RNG's cdf-cache
-        # key), and each template's demand-noise stream name.
-        self._mix_stream = "mix:{}".format(name)
-        self._weights_key = tuple(self._weights)
-        self._demand_streams = {
-            t.name: "demand:{}".format(t.name) for t in self.templates
-        }
 
     def __len__(self) -> int:
         return len(self.templates)
@@ -134,6 +126,9 @@ class QueryFactory:
         self.estimator = estimator
         self.rng = rng
         self._next_id = 1
+        #: Per mix, bound on first use: its template picker and each template
+        #: with its demand-noise source, by position and by name.
+        self._bound: Dict[WorkloadMix, tuple] = {}
 
     @property
     def queries_created(self) -> int:
@@ -147,6 +142,16 @@ class QueryFactory:
         self._next_id += 1
         return query_id
 
+    def _bind(self, mix: WorkloadMix) -> tuple:
+        rng = self.rng
+        by_name = {
+            t.name: (t, rng.lognormal_draws("demand:{}".format(t.name), t.variability))
+            for t in mix.templates
+        }
+        pick = rng.choice_draws("mix:{}".format(mix.name), mix.weights)
+        bound = self._bound[mix] = (pick, tuple(by_name.values()), by_name)
+        return bound
+
     def create(
         self,
         mix: WorkloadMix,
@@ -159,13 +164,12 @@ class QueryFactory:
         Picks a template by weight (or by ``template_name``), perturbs
         demands by the template's variability, and prices the instance.
         """
-        if template_name is not None:
-            template = mix.template(template_name)
+        pick, by_index, by_name = self._bound.get(mix) or self._bind(mix)
+        if template_name is None:
+            template, noise = by_index[pick()]
         else:
-            index = self.rng.choice_index(mix._mix_stream, mix._weights_key)
-            template = mix.templates[index]
-        stream = mix._demand_streams[template.name]
-        factor = self.rng.lognormal_factor(stream, template.variability)
+            template, noise = by_name[mix.template(template_name).name]
+        factor = noise()
         cpu_demand = template.cpu_demand * factor
         io_demand = template.io_demand * factor
         true_cost, estimated_cost = self.estimator.price(cpu_demand, io_demand)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import default_config, AgentConfig
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, IO, Phase, Query
+from repro.dbms.query import CPU, IO, Phase, Query, make_phases
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -90,6 +90,49 @@ def test_parallel_phase_barrier_before_next_phase():
     sim.run()
     # CPU fan-out finishes at 1.0; IO (2 sub-jobs of 0.5) adds 0.5.
     assert query.finish_time == pytest.approx(1.5)
+
+
+def occupancy(sim, engine, query, times):
+    """(cpu jobs, disk jobs, phases dispatched) sampled at each of ``times``."""
+    seen = []
+    for time in times:
+        sim.schedule_at(
+            time,
+            lambda: seen.append(
+                (engine.cpu.active_jobs, engine.disk.active_jobs, query.phase_index)
+            ),
+        )
+    return seen
+
+
+def test_multi_round_statement_consumes_its_phases_in_order():
+    # Each finished phase comes back from its pool as the query itself
+    # (the job's owner) and starts the next one: CPU 1 s, IO 2 s, thrice.
+    sim, engine = make_engine()
+    query = make_query(1, make_phases(3.0, 6.0, rounds=3))
+    assert [p.kind for p in query.phases] == [CPU, IO] * 3
+    query.submit_time = 0.0
+    seen = occupancy(sim, engine, query, [0.5, 2.0, 3.5, 5.0, 6.5, 8.0])
+    engine.execute(query)
+    sim.run()
+    assert seen == [(1, 0, 1), (0, 1, 2), (1, 0, 3), (0, 1, 4), (1, 0, 5), (0, 1, 6)]
+    assert query.finish_time == pytest.approx(9.0)
+    assert engine.cpu.completed_jobs == engine.disk.completed_jobs == 3
+
+
+def test_parallel_statement_consumes_its_phases_in_order():
+    # Three sub-jobs per phase hand back one shared barrier; the last one
+    # in starts the next phase.  3 x 1 s on 2 CPUs takes 1.5 s, on disks 1 s.
+    sim, engine = make_engine()
+    query = make_query(1, make_phases(6.0, 6.0, rounds=2), parallelism=3)
+    query.submit_time = 0.0
+    seen = occupancy(sim, engine, query, [1.0, 2.0, 3.0, 4.5])
+    engine.execute(query)
+    sim.run()
+    assert seen == [(3, 0, 1), (0, 3, 2), (3, 0, 3), (0, 3, 4)]
+    assert query.finish_time == pytest.approx(5.0)
+    assert engine.cpu.completed_jobs == engine.disk.completed_jobs == 6
+    assert engine.completed_queries == 1 and engine.executing_queries == 0
 
 
 def test_double_execute_rejected():

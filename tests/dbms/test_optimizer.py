@@ -56,7 +56,7 @@ def test_price_is_true_cost_and_estimate_from_exactly_one_draw():
     # One draw per pricing: the stream's next value is draw number four.
     draws = RandomStreams(seed=5)
     expected = [draws.lognormal_factor("optimizer", 0.3) for _ in range(4)][-1]
-    assert priced._rng.lognormal_factor("optimizer", 0.3) == expected
+    assert priced._noise() == expected
 
 
 def test_invalid_config_rejected():

@@ -1,25 +1,31 @@
 """Tests for the per-period metrics collector."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_config
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Phase, Query
-from repro.metrics.collector import MetricsCollector
+from repro.metrics import collector as collector_module
+from repro.metrics.collector import METRIC_NAMES, MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.schedule import constant_schedule
 from tests.conftest import decision_record
+from tests.metrics.reference_cell import EagerCollector
 
 
-def make_collector(period=10.0, periods=3):
+def make_collector(period=10.0, periods=3, collector_type=MetricsCollector):
     sim = Simulator()
     engine = DatabaseEngine(sim, default_config(), RandomStreams(31))
     classes = list(paper_classes())
     schedule = constant_schedule(period, periods, {c.name: 1 for c in classes})
-    collector = MetricsCollector(engine, schedule, classes)
+    collector = collector_type(engine, schedule, classes)
     return sim, engine, classes, collector
 
 
@@ -121,8 +127,6 @@ def test_running_tallies_match_a_fresh_recompute_between_completions():
     completions — also after a straggler lands in a period that had
     already closed, which must drop the kept tallies — they equal a walk
     over all cells."""
-    import random
-
     rng = random.Random(16)
     sim, engine, classes, collector = make_collector(period=10.0, periods=6)
     clock = 0.0
@@ -262,3 +266,101 @@ def test_metric_names_constant_matches_dispatch():
     for name in METRIC_NAMES:
         series = collector.metric_series("class1", name)
         assert len(series) == 3  # one slot per period, no exceptions
+
+
+# ----------------------------------------------------------------------
+# Folded is eager: the block-folding cells against the reference collector
+# ----------------------------------------------------------------------
+def everything_reported(collector, classes):
+    histograms = {
+        c.name: collector.class_response_histogram(c.name) for c in classes
+    }
+    return {
+        "series": {
+            (c.name, metric): collector.metric_series(c.name, metric)
+            for c in classes
+            for metric in METRIC_NAMES
+        },
+        "attainment": [collector.goal_attainment(c) for c in classes],
+        "histograms": {n: h and h.to_dict() for n, h in histograms.items()},
+        "completions": collector.completions_by_class(),
+        "total": collector.total_completions,
+    }
+
+
+def assert_blocks_are_bounded(collector):
+    block = 2 * collector_module._FOLD_BLOCK  # response, execution per completion
+    for (period, _), cell in collector._cells.items():
+        assert len(cell._pending) < block
+        assert len(cell._pending) == 2 * (cell.completions - cell._response_time.count)
+        if period < collector._open_period:
+            assert len(cell._pending) == 0  # a closed period holds nothing back
+
+
+def feed_both(completions, read_at, period, periods):
+    """Feed two collectors the same completions; compare at the read points."""
+    _, _, classes, folding = make_collector(period, periods)
+    _, _, _, eager = make_collector(period, periods, collector_type=EagerCollector)
+    clock = 0.0
+    for step, (class_index, advance, response, running, lateness) in enumerate(completions):
+        clock += advance
+        finish = max(0.0, clock - lateness)  # lateness > 0: a straggler
+        service_class = classes[class_index]
+        execution = response * running if service_class.kind == "olap" else response
+        for collector in (folding, eager):
+            collector.on_completion(
+                completed_query(
+                    service_class.name,
+                    service_class.kind,
+                    finish - response,
+                    finish - execution,
+                    finish,
+                )
+            )
+        assert_blocks_are_bounded(folding)
+        if step in read_at:
+            assert everything_reported(folding, classes) == everything_reported(eager, classes)
+    assert everything_reported(folding, classes) == everything_reported(eager, classes)
+    return folding
+
+
+completion = st.tuples(
+    st.integers(0, 2),  # class
+    st.floats(0.0, 3.0),  # clock advance
+    st.floats(0.0, 700.0),  # response time (past the histogram range too)
+    st.floats(0.0, 1.0),  # share of it spent executing (OLAP)
+    st.sampled_from([0.0] * 9 + [12.0]),  # one in ten lands in an earlier period
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    completions=st.lists(completion, min_size=1, max_size=80),
+    read_at=st.sets(st.integers(0, 79), max_size=6),
+)
+def test_block_folding_reports_what_eager_folding_reports(completions, read_at):
+    block = collector_module._FOLD_BLOCK
+    collector_module._FOLD_BLOCK = 4  # many blocks per cell from short lists
+    try:
+        feed_both(completions, read_at, period=10.0, periods=5)
+    finally:
+        collector_module._FOLD_BLOCK = block
+
+
+def test_block_folding_at_the_real_block_size():
+    rng = random.Random(20)
+    completions = [
+        (
+            rng.choice([0, 1, 2, 2, 2, 2]),
+            rng.uniform(0.0, 0.05),
+            rng.uniform(0.01, 5.0),
+            rng.uniform(0.1, 1.0),
+            12.0 if rng.random() < 0.02 else 0.0,
+        )
+        for _ in range(4000)
+    ]
+    read_at = set(rng.sample(range(4000), 25))
+    folding = feed_both(completions, read_at, period=40.0, periods=3)
+    busiest = max(cell.completions for cell in folding._cells.values())
+    assert busiest >= 3 * collector_module._FOLD_BLOCK
+    assert len({period for period, _ in folding._cells}) == 3

@@ -12,12 +12,6 @@ def make_event(time=1.0, priority=0, seq=0, label=""):
     return Event(time, priority, seq, lambda: None, label)
 
 
-def test_sort_key_orders_by_time_then_priority_then_seq():
-    assert make_event(time=1.0) < make_event(time=2.0)
-    assert make_event(priority=-1, seq=5) < make_event(priority=0, seq=1)
-    assert make_event(seq=1) < make_event(seq=2)
-
-
 def test_handle_exposes_metadata():
     # An event is the handle `schedule` returns.
     handle = make_event(time=3.5, label="tick")

@@ -186,3 +186,51 @@ def test_many_jobs_finish_in_demand_order_when_equal_arrival(sim):
         pool.submit(PSJob(name, demand, on_complete=lambda j: finished.append(j.name)))
     sim.run()
     assert finished == ["small", "medium", "large"]
+
+
+# ----------------------------------------------------------------------
+# A pool acts only on the jobs it holds
+# ----------------------------------------------------------------------
+def test_cancel_of_a_job_never_submitted_is_refused(sim):
+    pool = make_pool(sim)
+    stray = PSJob("stray", 1.0)
+    assert pool.cancel(stray) is False
+    assert pool.remaining_demand(stray) == 0.0
+    assert pool.active_jobs == 0 and not stray.cancelled
+
+
+def test_cancel_on_another_pool_leaves_the_job_in_service(sim):
+    pool_a, pool_b = make_pool(sim, servers=1), make_pool(sim, servers=1)
+    done = []
+    job = PSJob("j", 2.0, on_complete=done.append)
+    pool_a.submit(job)
+    assert pool_b.cancel(job) is False
+    assert pool_b.remaining_demand(job) == 0.0
+    assert pool_a.remaining_demand(job) == pytest.approx(2.0)
+    assert (pool_a.active_jobs, pool_b.active_jobs) == (1, 0) and not job.cancelled
+    sim.run()
+    assert done == [job] and job.finish_time == pytest.approx(2.0)
+    assert pool_a.active_jobs == 0 and pool_a.completed_jobs == 1
+
+
+def test_submitting_a_job_twice_raises(sim):
+    pool, other = make_pool(sim), make_pool(sim)
+    job = PSJob("j", 1.0)
+    pool.submit(job)
+    for second in (pool, other):
+        with pytest.raises(SimulationError, match="submitted twice"):
+            second.submit(job)
+    sim.run()
+    assert pool.active_jobs == 0 and pool.completed_jobs == 1
+    with pytest.raises(SimulationError, match="submitted twice"):
+        pool.submit(job)  # a job is served once
+
+
+def test_completion_hands_back_the_owner_or_else_the_job(sim):
+    pool = make_pool(sim)
+    got = []
+    owner = object()
+    plain = pool.submit(PSJob("plain", 1.0, on_complete=got.append))
+    pool.submit(PSJob("owned", 2.0, on_complete=got.append, owner=owner))
+    sim.run()
+    assert got == [plain, owner]

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.stats import (
     Histogram,
@@ -14,6 +16,7 @@ from repro.sim.stats import (
     WelfordAccumulator,
     sequential_sum,
 )
+from tests.sim.reference_stats import WELFORD_FIELDS, EagerWelford, histogram_add
 
 
 def _wide_window():
@@ -304,3 +307,60 @@ class TestHistogramMerge:
         clone = Histogram.from_dict(hist.to_dict())
         assert clone.count == 0
         assert clone.percentile(95) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Folded is eager: add_many against the one-at-a-time references
+# ----------------------------------------------------------------------
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+#: Subnormals to 1e300, both signs, zeros: whatever a timing could be.
+wide_floats = st.floats(
+    min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(wide_floats, max_size=60), data=st.data())
+def test_welford_add_many_is_repeated_add_bit_for_bit(values, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=4)))
+    eager, folded, single = EagerWelford(), WelfordAccumulator(), WelfordAccumulator()
+    for value in values:
+        eager.add(value)
+        single.add(value)
+    for begin, end in zip([0] + cuts, cuts + [len(values)]):
+        folded.add_many(values[begin:end])  # some of them empty: a no-op
+    for field in WELFORD_FIELDS:
+        expected = _bits(getattr(eager, field))
+        assert _bits(getattr(folded, field)) == expected, field
+        assert _bits(getattr(single, field)) == expected, field
+
+
+def test_welford_add_many_of_nothing_changes_nothing():
+    acc = WelfordAccumulator()
+    acc.add_many([])
+    assert (acc.count, acc.total, acc.mean, acc.minimum, acc.maximum) == (
+        0, 0.0, 0.0, math.inf, -math.inf
+    )
+    acc.add_many(iter([2.0, 4.0]))  # any iterable
+    acc.add_many(())
+    assert (acc.count, acc.mean, acc.variance) == (2, 3.0, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(wide_floats, st.floats(min_value=-1.0, max_value=11.0)), max_size=60
+    ),
+    cut=st.integers(0, 60),
+)
+def test_histogram_add_many_is_repeated_add(values, cut):
+    eager, folded = Histogram(0.0, 10.0, bins=7), Histogram(0.0, 10.0, bins=7)
+    for value in values:
+        histogram_add(eager, value)
+    folded.add_many(values[:cut])
+    folded.add_many(values[cut:])
+    assert folded.to_dict() == eager.to_dict()
+    assert (folded.min_value, folded.max_value) == (eager.min_value, eager.max_value)

@@ -14,9 +14,19 @@ from repro.workloads.schedule import constant_schedule
 
 #: Ceiling on Python-level calls per completed query that bypasses
 #: interception (59.9 / 62.7 under none / qs before the engine stopped
-#: re-deriving per query what it had just computed, 43.5 / 46.4 after).
+#: re-deriving per query what it had just computed, 43.5 / 46.05 after,
+#: 33.5 / 35.1 once draws, folds and lifecycle edges were bound once).
 #: A ceiling, so interpreters that count calls slightly differently fit.
-MAX_CALLS_PER_QUERY = 48
+MAX_CALLS_PER_QUERY = 38
+
+#: Questions a bypassing statement must not be asked at all: their answer
+#: is "not mine" every time (file suffix, function name).
+NOT_PER_BYPASSING_QUERY = (
+    ("patroller/tables.py", "find"),
+    ("core/service_class.py", "directly_controlled"),
+    ("patroller/patroller.py", "_emit"),
+    ("workloads/schedule.py", "period_at"),
+)
 
 
 def smoke_spec(controller, oltp_only):
@@ -61,5 +71,10 @@ def test_python_calls_per_bypassing_query_stay_under_the_ceiling(controller):
     result = profile.runcall(run_spec, smoke_spec(controller, oltp_only=True))
     patroller = result.bundle.patroller
     assert patroller.intercepted_count == 0 and patroller.bypassed_count > 1000
-    calls = pstats.Stats(profile).total_calls
-    assert calls / result.bundle.engine.completed_queries <= MAX_CALLS_PER_QUERY
+    stats = pstats.Stats(profile)
+    completed = result.bundle.engine.completed_queries
+    assert stats.total_calls / completed <= MAX_CALLS_PER_QUERY
+    for (path, _, name), (_, calls, _, _, _) in stats.stats.items():
+        if (path.replace("\\", "/").rpartition("repro/")[2], name) in NOT_PER_BYPASSING_QUERY:
+            # Set-up and the control loop may ask; the query path may not.
+            assert calls < completed / 100, (path, name, calls)

@@ -1,5 +1,7 @@
 """Tests for the period schedule and client pool manager."""
 
+import math
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -212,3 +214,20 @@ class TestClientPoolManager:
         schedule = constant_schedule(5.0, 4, {"x": 7})
         assert schedule.num_periods == 4
         assert all(c == 7 for c in schedule.counts["x"])
+
+
+def test_period_span_is_exactly_what_period_at_maps_to_the_period():
+    # Also at period lengths that are no binary fraction, on and beside
+    # every boundary, and past the horizon (clamped to the last period).
+    for seconds in (10.0, 0.1, 1.0 / 3.0, 7.3, 120.0):
+        schedule = PeriodSchedule(seconds, {"a": [1] * 7})
+        spans = [schedule.period_span(period) for period in range(7)]
+        assert spans[0][0] == 0.0 and spans[-1][1] == math.inf
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        times = [0.0, schedule.horizon * 3]
+        for k in range(1, 9):
+            edge = k * seconds
+            times += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), edge - seconds / 3]
+        for time in times:
+            inside = [p for p, (start, end) in enumerate(spans) if start <= time < end]
+            assert inside == [schedule.period_at(time)], (seconds, time)
