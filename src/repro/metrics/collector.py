@@ -9,7 +9,6 @@ period in which each query *finished*.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.service_class import ServiceClass
@@ -24,8 +23,9 @@ from repro.workloads.schedule import PeriodSchedule
 _RT_HISTOGRAM_RANGE = (0.0, 600.0)
 _RT_HISTOGRAM_BINS = 240
 
-#: Completions a cell holds before folding them into its aggregates.
-_FOLD_BLOCK = 256
+#: Completions a cell holds before folding them: enough to spread a fold's fixed
+#: cost (five calls, four lists) thin; a larger block only keeps more floats.
+_FOLD_BLOCK = 64
 
 #: Metric names :meth:`MetricsCollector.metric_series` understands.
 METRIC_NAMES = (
@@ -72,7 +72,7 @@ class PeriodClassMetrics:
     def __init__(self) -> None:
         self.completions = 0
         #: ``response, execution`` of the completions not folded yet, flat.
-        self._pending = array("d")
+        self._pending: List[float] = []
         self._velocity = WelfordAccumulator()
         self._response_time = WelfordAccumulator()
         self._execution_time = WelfordAccumulator()

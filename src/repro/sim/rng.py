@@ -29,11 +29,35 @@ def _stable_key(name: str) -> int:
 #: Draws prefetched per (stream, distribution) block.  A numpy scalar draw
 #: costs over a microsecond in interpreter/dispatch overhead; vectorized
 #: blocks produce the same values draw-for-draw (numpy fills arrays from
-#: the bit stream in index order) at a fraction of that.
+#: the bit stream in index order) at a fraction of that.  A block is read
+#: through a view: floats one by one, never a list of 512 float objects.
 _BLOCK = 512
 
-#: A draw source: call it for the next value of its (stream, distribution).
-DrawSource = Callable[[], float]
+
+def _stream(streams: dict, seed: int, name: str) -> np.random.Generator:
+    """The generator of stream ``name``, derived from the root seed on first use."""
+    generator = streams.get(name)
+    if generator is None:
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(_stable_key(name),))
+        generator = streams[name] = np.random.Generator(np.random.PCG64(sequence))
+    return generator
+
+
+def _blocks(streams: dict, seed: int, name: str, method: str, params: tuple) -> Iterator[memoryview]:
+    """``_BLOCK`` draws of stream ``name``'s ``method(*params)`` at a time, for ever.
+
+    The stream is made on the first draw, not when the source is bound (numpy
+    loads ``numpy.random`` on first use, and that belongs to the run, not to
+    set-up); it is found through the streams' dictionary, not their owner, so
+    no source holds its :class:`RandomStreams` in a cycle.
+    """
+    draw = getattr(_stream(streams, seed, name), method)
+    while True:
+        yield memoryview(draw(*params, _BLOCK))
+
+
+#: The source of a noise factor that is switched off.
+_ONES = repeat(1.0).__next__
 
 
 class RandomStreams:
@@ -57,7 +81,7 @@ class RandomStreams:
         # with fixed parameters (how every component here uses its
         # streams).  Mixing distributions on one stream stays deterministic,
         # but interleaves the bit stream differently than scalar draws would.
-        self._sources: Dict[tuple, DrawSource] = {}
+        self._sources: Dict[tuple, Callable[[], float]] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
@@ -65,56 +89,33 @@ class RandomStreams:
         The same name always returns the same generator object, so a
         component can re-request its stream cheaply.
         """
-        generator = self._streams.get(name)
-        if generator is None:
-            sequence = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(_stable_key(name),)
-            )
-            generator = np.random.Generator(np.random.PCG64(sequence))
-            self._streams[name] = generator
-        return generator
+        return _stream(self._streams, self.seed, name)
 
-    def _draws(
-        self, key: tuple, draw_block: Callable[[np.random.Generator], np.ndarray]
-    ) -> DrawSource:
-        """The cached source for ``key``: ``draw_block(stream)`` arrays, value by value."""
+    def _draws(self, name: str, method: str, *params: float) -> Callable[[], float]:
+        """The cached source of stream ``name``'s ``method(*params)`` draws."""
+        key = (name, method) + params
         source = self._sources.get(key)
         if source is None:
-
-            def blocks() -> Iterator[list]:
-                # The stream is made on the first draw, not when the source
-                # is bound: numpy loads numpy.random on first use, and that
-                # belongs to the run, not to set-up.
-                stream = self.stream(key[0])
-                while True:
-                    yield draw_block(stream).tolist()
-
-            source = self._sources[key] = chain.from_iterable(blocks()).__next__
+            blocks = _blocks(self._streams, self.seed, name, method, params)
+            source = self._sources[key] = chain.from_iterable(blocks).__next__
         return source
 
-    def exponential_draws(self, name: str, mean: float) -> DrawSource:
+    def exponential_draws(self, name: str, mean: float) -> Callable[[], float]:
         """Source of exponential draws with the given mean from stream ``name``."""
-        return self._draws(
-            (name, "exp", mean), lambda stream: stream.exponential(mean, size=_BLOCK)
-        )
+        return self._draws(name, "exponential", mean)
 
     def exponential(self, name: str, mean: float) -> float:
         """One draw of :meth:`exponential_draws`."""
-        return self.exponential_draws(name, mean)()
+        return self._draws(name, "exponential", mean)()
 
-    def lognormal_draws(self, name: str, sigma: float) -> DrawSource:
+    def lognormal_draws(self, name: str, sigma: float) -> Callable[[], float]:
         """Source of multiplicative lognormal noise factors with median 1.
 
         ``sigma`` is the standard deviation of the underlying normal; 0 yields
         exactly 1.0 and consumes nothing (useful to disable noise without
         branching in callers).
         """
-        if sigma <= 0.0:
-            return self._sources.setdefault((name, "one"), repeat(1.0).__next__)
-        return self._draws(
-            (name, "logn", sigma),
-            lambda stream: stream.lognormal(mean=0.0, sigma=sigma, size=_BLOCK),
-        )
+        return self._draws(name, "lognormal", 0.0, sigma) if sigma > 0.0 else _ONES
 
     def lognormal_factor(self, name: str, sigma: float) -> float:
         """One draw of :meth:`lognormal_draws`."""
@@ -124,9 +125,8 @@ class RandomStreams:
         """Source of indices drawn with probability proportional to ``weights``.
 
         Draw-for-draw identical to ``Generator.choice(len(weights),
-        p=weights/total)`` — one uniform double inverted through the
-        normalized cumulative distribution.  Every weight vector asked of
-        one stream inverts the same uniform source.
+        p=weights/total)`` (one uniform double inverted through the normalized
+        cdf); every weight vector asked of one stream inverts the same uniforms.
         """
         key = (name, "choice", tuple(weights))
         source = self._sources.get(key)
@@ -139,9 +139,8 @@ class RandomStreams:
             # re-normalize the cdf so its last entry is exactly 1.0.
             normalized = (array / total).cumsum()
             normalized /= normalized[-1]
-            uniforms = self._draws((name, "random"), lambda stream: stream.random(_BLOCK))
             source = self._sources[key] = map(
-                bisect_right, repeat(normalized.tolist()), iter(uniforms, None)
+                bisect_right, repeat(normalized.tolist()), iter(self._draws(name, "random"), None)
             ).__next__
         return source
 

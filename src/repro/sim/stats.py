@@ -230,13 +230,13 @@ class Histogram:
     def add_many(self, values: Iterable[float]) -> None:
         """Record each of ``values``."""
         low, high, width, counts = self.low, self.high, self._width, self._counts
-        last = self.bins - 1
+        count, minimum, maximum, last = self.count, self.min_value, self.max_value, self.bins - 1
         for value in values:
-            self.count += 1
-            if value < self.min_value:
-                self.min_value = value
-            if value > self.max_value:
-                self.max_value = value
+            count += 1
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
             if value < low:
                 self.underflow += 1
             elif value >= high:
@@ -244,6 +244,7 @@ class Histogram:
             else:
                 # min() guards the upper edge against float rounding.
                 counts[min(int((value - low) / width), last)] += 1
+        self.count, self.min_value, self.max_value = count, minimum, maximum
 
     def percentile(self, q: float) -> float:
         """Approximate the q-th percentile (q in [0, 100]).

@@ -1,8 +1,10 @@
 """Tests for the named random stream factory."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 import zlib
 from bisect import bisect_right
 
@@ -173,6 +175,39 @@ def test_zero_sigma_source_yields_exactly_one_and_consumes_nothing():
     assert streams._streams == {}
     fresh = RandomStreams(seed=7)
     assert streams.lognormal_factor("ln", 0.2) == fresh.lognormal_factor("ln", 0.2)
+
+
+def test_draws_are_plain_python_numbers_not_numpy_scalars():
+    # Blocks are read through a view of the numpy array; what comes out must
+    # still be what `.tolist()` gave (numpy scalars would leak into exports).
+    streams = RandomStreams(seed=5)
+    assert type(streams.exponential("e", 2.0)) is float
+    assert type(streams.lognormal_factor("l", 0.3)) is float
+    assert type(streams.lognormal_factor("l", 0.0)) is float
+    assert type(streams.choice_index("c", (1.0, 2.0))) is int
+
+
+def test_streams_with_bound_sources_are_freed_by_refcounting_alone():
+    # A source must not hold its RandomStreams in a cycle: a sharded run's
+    # streams (and their 512-value blocks) would then outlive every repeat
+    # until a full collection, which reads as peak RSS.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        streams = RandomStreams(seed=3)
+        for draw in (
+            streams.lognormal_draws("a", 0.2),
+            streams.exponential_draws("a", 2.0),
+            streams.choice_draws("b", (1.0, 2.0)),
+        ):
+            draw()
+        gone = weakref.ref(streams)
+        del streams
+        assert gone() is None
+        assert draw() in (0, 1)  # a source outlives its owner
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_choice_draws_zero_weights_rejected():
