@@ -15,7 +15,7 @@ from repro.workloads.schedule import constant_schedule
 #: Ceiling on Python-level calls per completed query that bypasses
 #: interception (59.9 / 62.7 under none / qs before the engine stopped
 #: re-deriving per query what it had just computed, 43.5 / 46.05 after,
-#: 33.5 / 35.1 once draws, folds and lifecycle edges were bound once).
+#: 33.6 / 35.2 once draws, folds and lifecycle edges were bound once).
 #: A ceiling, so interpreters that count calls slightly differently fit.
 MAX_CALLS_PER_QUERY = 38
 
