@@ -10,7 +10,7 @@ Only the system cost limit is enforced.  Paper claims reproduced:
 from __future__ import annotations
 
 from repro.experiments.figures import figure4
-from repro.metrics.report import format_period_table, format_summary
+from repro.metrics.report import attainment_table, period_table
 
 HEAVY_PERIODS = (3, 6, 9, 12, 15, 18)
 
@@ -19,13 +19,13 @@ def test_no_class_control(report, paper_config):
     result = figure4(paper_config)
     report("")
     report(
-        format_period_table(
+        period_table(
             result.collector,
             result.classes,
             title="=== Figure 4: no class control ===",
-        )
+        ).text()
     )
-    report(format_summary(result.collector, result.classes))
+    report(attainment_table(result.collector, result.classes).text())
 
     class3 = next(c for c in result.classes if c.name == "class3")
     series3 = result.collector.performance_series(class3)

@@ -12,7 +12,7 @@ Paper claims reproduced:
 from __future__ import annotations
 
 from repro.experiments.figures import figure5
-from repro.metrics.report import format_period_table, format_summary
+from repro.metrics.report import attainment_table, period_table
 
 HEAVY_PERIODS = (3, 6, 9, 12, 15, 18)
 
@@ -21,13 +21,13 @@ def test_qp_priority_control(report, paper_config):
     result = figure5(paper_config, priority_control=True)
     report("")
     report(
-        format_period_table(
+        period_table(
             result.collector,
             result.classes,
             title="=== Figure 5: DB2 QP priority control ===",
-        )
+        ).text()
     )
-    report(format_summary(result.collector, result.classes))
+    report(attainment_table(result.collector, result.classes).text())
 
     class3 = next(c for c in result.classes if c.name == "class3")
     series3 = result.collector.performance_series(class3)
@@ -54,11 +54,11 @@ def test_qp_without_priorities_resembles_no_control(report, paper_config):
     result = figure5(paper_config, priority_control=False)
     report("")
     report(
-        format_period_table(
+        period_table(
             result.collector,
             result.classes,
             title="=== Figure 5 (variant): QP, priority control OFF ===",
-        )
+        ).text()
     )
     class3 = next(c for c in result.classes if c.name == "class3")
     series3 = result.collector.performance_series(class3)

@@ -12,7 +12,7 @@ Paper claims reproduced:
 from __future__ import annotations
 
 from repro.experiments.figures import figure6
-from repro.metrics.report import format_period_table, format_summary
+from repro.metrics.report import attainment_table, period_table
 
 HEAVY = (3, 6, 9, 12, 15, 18)
 MEDIUM = (2, 5, 8, 11, 14, 17)
@@ -23,13 +23,13 @@ def test_query_scheduler_control(report, paper_config):
     result = figure6(paper_config)
     report("")
     report(
-        format_period_table(
+        period_table(
             result.collector,
             result.classes,
             title="=== Figure 6: Query Scheduler control ===",
-        )
+        ).text()
     )
-    report(format_summary(result.collector, result.classes))
+    report(attainment_table(result.collector, result.classes).text())
 
     class3 = next(c for c in result.classes if c.name == "class3")
     series3 = result.collector.performance_series(class3)

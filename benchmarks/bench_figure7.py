@@ -15,7 +15,7 @@ Paper claims reproduced:
 from __future__ import annotations
 
 from repro.experiments.figures import figure6, figure7
-from repro.metrics.report import format_plan_table
+from repro.metrics.report import plan_table
 
 HEAVY = (3, 6, 9, 12, 15, 18)
 LIGHT = (1, 4, 7, 10, 13, 16)
@@ -38,11 +38,11 @@ def test_cost_limit_adjustment(report, paper_config):
     plans = figure7(result=result)
     report("")
     report(
-        format_plan_table(
+        plan_table(
             result.collector,
             ["class1", "class2", "class3"],
             title="=== Figure 7: class cost limits (period means) under QS ===",
-        )
+        ).text()
     )
 
     end_limits = _end_of_period_limits(result, "class3")

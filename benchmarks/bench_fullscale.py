@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.config import WorkloadScaleConfig, default_config
 from repro.experiments.figures import figure6
-from repro.metrics.report import format_summary
+from repro.metrics.report import attainment_table
 
 HEAVY = (3, 6, 9, 12, 15, 18)
 LIGHT = (1, 4, 7, 10, 13, 16)
@@ -24,7 +24,7 @@ def test_fullscale_paper_periods(report):
     result = figure6(config)
     report("")
     report("=== Full scale: 18 x 480s periods (the paper's dimensions) ===")
-    report(format_summary(result.collector, result.classes))
+    report(attainment_table(result.collector, result.classes).text())
     class3 = next(c for c in result.classes if c.name == "class3")
     series3 = result.collector.performance_series(class3)
     heavy = [series3[p - 1] for p in HEAVY if series3[p - 1] is not None]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-from repro.experiments.replication import compare, format_comparison, replicate
+from repro.experiments.replication import compare, comparison_table, replicate
 
 SEEDS = (7, 21, 42)
 CONTROLLERS = ("none", "qp", "qs")
@@ -26,7 +26,7 @@ def test_controller_ordering_across_seeds(report, ablation_config):
     report("")
     report("=== Replication: attainment across seeds {} (jobs={}) ===".format(
         SEEDS, JOBS))
-    report(format_comparison(summaries, ["class1", "class2", "class3"]))
+    report(comparison_table(summaries, ["class1", "class2", "class3"]).text())
 
     for summary in summaries.values():
         assert summary.errors == []

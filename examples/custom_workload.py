@@ -18,7 +18,7 @@ from repro.config import (
 )
 from repro.core.service_class import ResponseTimeGoal, ServiceClass, VelocityGoal
 from repro.experiments.runner import build_bundle, make_controller
-from repro.metrics.report import format_period_table, format_summary
+from repro.metrics.report import attainment_table, period_table
 from repro.workloads.schedule import PeriodSchedule
 from repro.workloads.spec import QueryTemplate, WorkloadMix
 
@@ -95,9 +95,9 @@ def main() -> None:
 
     print(scheduler.describe())
     print()
-    print(format_period_table(bundle.collector, classes, title="Per-period metrics"))
+    print(period_table(bundle.collector, classes, title="Per-period metrics").text())
     print()
-    print(format_summary(bundle.collector, classes, title="Attainment"))
+    print(attainment_table(bundle.collector, classes).text())
     print()
     print("Cost limits over time for the lookup class (time, timerons):")
     for time, limit in bundle.collector.plan_series("lookups"):

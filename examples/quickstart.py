@@ -16,7 +16,7 @@ from repro.config import (
     default_config,
 )
 from repro.experiments.runner import ExperimentSpec, run_spec
-from repro.metrics.report import format_period_table, format_summary
+from repro.metrics.report import attainment_table, period_table
 from repro.workloads.schedule import PeriodSchedule
 
 
@@ -40,10 +40,9 @@ def main() -> None:
 
     print(result.bundle.controller.describe())
     print()
-    print(format_period_table(result.collector, result.classes,
-                              title="Per-period goal metrics"))
+    print(period_table(result.collector, result.classes).text())
     print()
-    print(format_summary(result.collector, result.classes, title="Attainment"))
+    print(attainment_table(result.collector, result.classes).text())
     print()
     plan = result.bundle.controller.plan
     print("Final scheduling plan (timerons):")

@@ -21,7 +21,7 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.sensitivity import format_sweep, sweep
+from repro.experiments.sensitivity import sweep, sweep_table
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
         "planner.control_interval", [30.0, 60.0, 120.0],
         controller="qs", config=config, jobs=None,
     )
-    print(format_sweep("planner.control_interval", intervals, class_names))
+    print(sweep_table("planner.control_interval", intervals, class_names).text())
     print()
 
     print("sweeping overload.knee_cost ...")
@@ -45,7 +45,7 @@ def main() -> None:
         "overload.knee_cost", [18_000.0, 26_000.0, 34_000.0],
         controller="qs", config=config, jobs=None,
     )
-    print(format_sweep("overload.knee_cost", knees, class_names))
+    print(sweep_table("overload.knee_cost", knees, class_names).text())
     print()
     print("(values are per-class goal attainment across the 6 periods)")
 

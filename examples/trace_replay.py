@@ -17,7 +17,7 @@ from repro.config import (
     default_config,
 )
 from repro.experiments.runner import build_bundle, make_controller
-from repro.metrics.report import format_summary
+from repro.metrics.report import attainment_table
 from repro.workloads.schedule import PeriodSchedule
 from repro.workloads.trace import TraceRecorder, TraceReplayer
 
@@ -73,8 +73,8 @@ def main() -> None:
     for name in ("none", "qs"):
         print("replaying under {!r}...".format(name))
         bundle = replay_under(trace, name)
-        print(format_summary(bundle.collector, bundle.classes,
-                             title="  results ({}):".format(name)))
+        print(attainment_table(bundle.collector, bundle.classes,
+                               title="results ({})".format(name)).text())
         print()
 
 

@@ -26,10 +26,12 @@ hub and serves it over HTTP: ``/`` (the embedded dashboard), ``/events``
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
 
+from repro import errors
 from repro.config import (
     MonitorConfig,
     PlannerConfig,
@@ -43,15 +45,41 @@ from repro.experiments.runner import (
     ExperimentSpec,
     run_spec,
 )
-from repro.runtime import BACKEND_NAMES
+from repro.metrics.export import check_export_target, open_export, save_result
 from repro.metrics.report import (
-    format_figure_series,
-    format_period_table,
-    format_plan_table,
-    format_prediction_summary,
-    format_summary,
+    Column,
+    Table,
+    calibration_table,
+    fault_table,
+    invariant_table,
+    period_table,
+    plan_table,
     render_series_chart,
+    run_tables,
+    series_table,
+    span_tables,
+    telemetry_tables,
 )
+from repro.runtime import BACKEND_NAMES
+
+#: What ``main`` does with an error a subcommand lets through: the stderr
+#: prefix and the exit code (2 = the request was wrong, 1 = the run failed).
+#: ``ReproError``s not listed are bugs and keep their traceback.
+_ERROR_EXITS = (
+    (errors.ScenarioError, "scenario error", 2),
+    (errors.ConfigurationError, "configuration error", 2),
+    (errors.ExportError, "export error", 2),
+    (errors.MetricsError, "metrics error", 2),
+    (errors.InvariantViolation, "invariant violation", 1),
+    (errors.ExperimentError, "experiment error", 1),
+)
+
+
+def _print_tables(tables) -> None:
+    """Each section's terminal rendering, after a blank line."""
+    for table in tables:
+        print()
+        print(table.text())
 
 
 def _sweep_value(text: str):
@@ -129,26 +157,28 @@ def _spec_from_args(
 def _start_live(args: argparse.Namespace):
     """Start the telemetry hub + dashboard server when asked for.
 
-    Returns ``(hub, server)`` — both ``None`` without ``--dashboard``.
-    ``--port 0`` (the default) binds an ephemeral port; ``--port-file``
-    writes the bound port for harnesses that need to find the server.
+    Returns the hub (``None`` without ``--dashboard``) and leaves the
+    server on ``args.live_server``, where ``main`` stops it however the
+    command ends.  ``--port 0`` (the default) binds an ephemeral port;
+    ``--port-file`` writes the bound port for harnesses that need to find
+    the server.
     """
     if not getattr(args, "dashboard", False):
-        return None, None
+        return None
     from repro.obs.live import LiveServer, TelemetryHub
 
     hub = TelemetryHub()
-    server = LiveServer(hub, host=args.host, port=args.port).start()
+    server = args.live_server = LiveServer(hub, host=args.host, port=args.port).start()
     print("dashboard: {}".format(server.url), file=sys.stderr)
     if args.port_file:
         with open(args.port_file, "w") as handle:
             handle.write("{}\n".format(server.port))
-    return hub, server
+    return hub
 
 
-def _linger_live(args: argparse.Namespace, server) -> None:
+def _linger_live(args: argparse.Namespace) -> None:
     """Hold the dashboard open after a finished run (``--linger``)."""
-    if server is None or args.linger == 0:
+    if args.live_server is None or args.linger == 0:
         return
     if args.linger < 0:
         print("run finished; serving until Ctrl-C", file=sys.stderr)
@@ -161,24 +191,13 @@ def _linger_live(args: argparse.Namespace, server) -> None:
         time.sleep(args.linger)
 
 
-def _stop_live(server) -> None:
-    if server is not None:
-        server.stop()
-
-
 def _cmd_run_sharded(args: argparse.Namespace, scenario) -> int:
     """The ``run --shards`` path: fleet run, merged cross-shard report."""
-    from repro.errors import (
-        ConfigurationError,
-        ExperimentError,
-        InvariantViolation,
-        ScenarioError,
-    )
     from repro.shard import (
         ShardedExperimentSpec,
-        format_sharded_report,
         run_sharded,
         save_sharded_report,
+        sharded_tables,
     )
 
     if args.trace_events:
@@ -188,64 +207,47 @@ def _cmd_run_sharded(args: argparse.Namespace, scenario) -> int:
             file=sys.stderr,
         )
         return 2
-    hub = server = None
-    try:
-        if scenario is not None:
-            from repro.scenarios import to_sharded_experiment_spec
+    if scenario is not None:
+        from repro.scenarios import to_sharded_experiment_spec
 
-            spec = to_sharded_experiment_spec(
-                scenario,
-                smoke=args.smoke,
-                invariants=args.invariants,
-                seed=args.seed,
-                shards=args.shards,
-                router=args.router,
-                rebalance=args.rebalance,
-            )
-            spec = spec.with_overrides(
-                base=_spec_from_args(args, base=spec.base)
-            ).validate()
-            source = "scenario {}".format(scenario.name)
-        else:
-            spec = ShardedExperimentSpec(
-                base=_spec_from_args(args),
-                shards=args.shards,
-                router=args.router or "hash",
-                rebalance=args.rebalance or "static",
-            ).validate()
-            source = "paper workload"
-        print(
-            "sharded run: {} ({} shards, router={}, rebalance={}, "
-            "controller={}, invariants={})".format(
-                source,
-                spec.shards,
-                spec.router,
-                spec.rebalance,
-                spec.base.controller,
-                spec.base.invariants,
-            )
+        spec = to_sharded_experiment_spec(
+            scenario,
+            smoke=args.smoke,
+            invariants=args.invariants,
+            seed=args.seed,
+            shards=args.shards,
+            router=args.router,
+            rebalance=args.rebalance,
         )
-        hub, server = _start_live(args)
-        result = run_sharded(spec, jobs=_jobs_arg(args), hub=hub)
-    except (ConfigurationError, ScenarioError) as exc:
-        _stop_live(server)
-        print("sharded run error: {}".format(exc), file=sys.stderr)
-        return 2
-    except InvariantViolation as exc:
-        _stop_live(server)
-        print("invariant violation: {}".format(exc), file=sys.stderr)
-        return 1
-    except ExperimentError as exc:
-        _stop_live(server)
-        print("shard failure: {}".format(exc), file=sys.stderr)
-        return 1
-    print()
-    print(format_sharded_report(result.report))
+        spec = spec.with_overrides(
+            base=_spec_from_args(args, base=spec.base)
+        ).validate()
+        source = "scenario {}".format(scenario.name)
+    else:
+        spec = ShardedExperimentSpec(
+            base=_spec_from_args(args),
+            shards=args.shards,
+            router=args.router or "hash",
+            rebalance=args.rebalance or "static",
+        ).validate()
+        source = "paper workload"
+    print(
+        "sharded run: {} ({} shards, router={}, rebalance={}, "
+        "controller={}, invariants={})".format(
+            source,
+            spec.shards,
+            spec.router,
+            spec.rebalance,
+            spec.base.controller,
+            spec.base.invariants,
+        )
+    )
+    result = run_sharded(spec, jobs=_jobs_arg(args), hub=_start_live(args))
+    _print_tables(sharded_tables(result.report))
     if args.output:
         save_sharded_report(result.report, args.output, overwrite=True)
         print("wrote {}".format(args.output))
-    _linger_live(args, server)
-    _stop_live(server)
+    _linger_live(args)
     return 0 if result.ok else 1
 
 
@@ -254,14 +256,11 @@ def _check_model_arg(args: argparse.Namespace) -> Optional[str]:
     spec = getattr(args, "model", None)
     if not spec:
         return None
-    import os
-
     from repro.core.modeling import parse_model_spec
-    from repro.errors import ConfigurationError
 
     try:
         _, argument = parse_model_spec(spec)
-    except ConfigurationError as exc:
+    except errors.ConfigurationError as exc:
         return str(exc)
     if argument is not None and not os.path.exists(argument):
         return "trained model file {!r} not found".format(argument)
@@ -269,8 +268,6 @@ def _check_model_arg(args: argparse.Namespace) -> Optional[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.errors import ScenarioError
-
     model_error = _check_model_arg(args)
     if model_error:
         print("model error: {}".format(model_error), file=sys.stderr)
@@ -288,11 +285,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario:
         from repro.scenarios import find_scenario
 
-        try:
-            scenario = find_scenario(args.scenario)
-        except ScenarioError as exc:
-            print("scenario error: {}".format(exc), file=sys.stderr)
-            return 2
+        scenario = find_scenario(args.scenario)
     # A scenario with a multi-shard ``shards:`` block takes the sharded
     # path by itself; --shards 1 forces the unsharded path.
     shards = args.shards
@@ -324,20 +317,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         from repro.scenarios import to_experiment_spec
 
-        try:
-            spec = _spec_from_args(
-                args,
-                base=to_experiment_spec(
-                    scenario,
-                    smoke=args.smoke,
-                    invariants=args.invariants,
-                    seed=args.seed,
-                ),
-                tracing=tracing,
-            )
-        except ScenarioError as exc:
-            print("scenario error: {}".format(exc), file=sys.stderr)
-            return 2
+        spec = _spec_from_args(
+            args,
+            base=to_experiment_spec(
+                scenario,
+                smoke=args.smoke,
+                invariants=args.invariants,
+                seed=args.seed,
+            ),
+            tracing=tracing,
+        )
         print(
             "scenario {} (controller={}, backend={}, {} periods x {:g}s, "
             "invariants={}{})".format(
@@ -352,11 +341,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         if scenario.description:
             print(scenario.description.strip())
-    hub, server = _start_live(args)
-    result = run_spec(spec, hub=hub)
+    result = run_spec(spec, hub=_start_live(args))
     if args.output:
-        from repro.metrics.export import save_result
-
         save_result(result, args.output)
         print("wrote {}".format(args.output))
     if args.trace_events:
@@ -369,42 +355,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.trace_events, len(tracer.spans), tracer.balanced
             )
         )
-    controller = result.bundle.controller
-    describe = getattr(controller, "describe", None)
-    if describe is not None:
-        print(describe())
-    print()
-    print(format_period_table(result.collector, result.classes,
-                              title="Per-period goal metrics"))
-    print()
-    print(format_summary(result.collector, result.classes, title="Attainment"))
-    if result.controller_name in ("qs", "qs_detect"):
-        print()
-        print(format_plan_table(
-            result.collector,
-            [c.name for c in result.classes],
-            title="Class cost limits (period means, timerons)",
-        ))
-    injector = result.extras.get("faults")
-    if injector is not None:
-        print()
-        print("Injected faults ({}):".format(len(injector.injected)))
-        for entry in injector.injected:
-            details = ", ".join(
-                "{}={}".format(k, v)
-                for k, v in entry.items()
-                if k not in ("fault", "time")
-            )
-            print("  t={:<10.3f} {}{}".format(
-                entry["time"], entry["fault"],
-                " ({})".format(details) if details else "",
-            ))
-    harness = result.extras.get("validation")
-    if harness is not None:
-        print()
-        print(_format_harness_summary(harness))
-    _linger_live(args, server)
-    _stop_live(server)
+    print(result.bundle.controller.describe())
+    _print_tables(run_tables(result))
+    _linger_live(args)
     return 0
 
 
@@ -416,128 +369,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return _cmd_run(args)
 
 
-def _format_harness_summary(harness) -> str:
-    """One block summarising a run's invariant checks."""
-    lines = [
-        "Invariants ({} registered, {} checks, mode={}):".format(
-            len(harness.registry), harness.checks_run, harness.mode
-        )
-    ]
-    if not harness.violations:
-        lines.append("  no violations")
-    for violation in harness.violations:
-        lines.append("  " + violation.describe())
-    return "\n".join(lines)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     result = run_spec(_spec_from_args(args))
-    store = result.extras.get("telemetry")
-    if store is None:
-        print(
-            "controller {!r} produces no telemetry (use qs or qs_detect)".format(
-                args.controller
-            ),
-            file=sys.stderr,
-        )
-        return 2
+    store = result.extras["telemetry"]  # --controller only offers qs / qs_detect
     if args.output:
         store.save_jsonl(args.output, overwrite=True)
         print("wrote {} ({} control intervals)".format(args.output, len(store)))
     else:
         sys.stdout.write(store.to_jsonl())
     if args.summary:
-        print()
-        print(format_prediction_summary(
-            store.prediction_error_summary(),
-            title="One-step prediction error per class",
-        ))
-        print()
-        print("Dispatcher balance (released = completed + cancelled + in-flight):")
-        for name, counts in sorted(store.dispatcher_balance().items()):
-            print(
-                "  {:<10} released={:<6} completed={:<6} cancelled={:<6} "
-                "in_flight={:<6} queue_cancelled={}".format(
-                    name,
-                    counts["released"],
-                    counts["completed"],
-                    counts["cancelled"],
-                    counts["in_flight"],
-                    counts["queue_cancelled"],
-                )
-            )
-        print()
-        print(_format_overhead_summary(store.overhead_summary()))
+        tables = telemetry_tables(store)
         harness = result.extras.get("validation")
         if harness is not None:
-            print()
-            print(_format_harness_summary(harness))
+            tables.append(invariant_table(harness))
+        _print_tables(tables)
     return 0
-
-
-def _format_overhead_summary(summary) -> str:
-    """One block with the controller's own wall-clock cost per interval."""
-    lines = ["Controller overhead (wall-clock per control interval):"]
-    if not summary:
-        lines.append("  no overhead data recorded")
-        return "\n".join(lines)
-    for key in sorted(summary):
-        stats = summary[key]
-        lines.append(
-            "  {:<14} mean={:.6f}s max={:.6f}s over {} intervals".format(
-                key, stats["mean_s"], stats["max_s"], stats["count"]
-            )
-        )
-    return "\n".join(lines)
-
-
-def _format_span_breakdown(spans, top: int) -> str:
-    """Per-class queue-wait/phase breakdown plus the slowest waits."""
-    from repro.obs import phase_breakdown, slowest_spans
-    from repro.obs.spans import PHASES
-
-    lines = [
-        "Per-class phase breakdown (sim seconds):",
-        "  {:<10} {:<10} {:>6} {:>9} {:>9} {:>9} {:>9}".format(
-            "class", "phase", "count", "mean", "p50", "p95", "max"
-        ),
-    ]
-    breakdown = phase_breakdown(spans)
-    for class_name in sorted(breakdown):
-        by_phase = breakdown[class_name]
-        for phase in PHASES:
-            stats = by_phase.get(phase)
-            if stats is None:
-                continue
-            lines.append(
-                "  {:<10} {:<10} {:>6} {:>9.3f} {:>9.3f} {:>9.3f} {:>9.3f}".format(
-                    class_name,
-                    phase,
-                    stats.count,
-                    stats.mean,
-                    stats.percentile(50.0),
-                    stats.percentile(95.0),
-                    stats.max,
-                )
-            )
-    slowest = slowest_spans(spans, phase="queue_wait", n=top)
-    lines.append("")
-    lines.append("Top {} slowest queue waits:".format(top))
-    if not slowest:
-        lines.append("  none recorded")
-    for span in slowest:
-        lines.append(
-            "  query {:<6} class={:<10} wait={:.3f}s cost={:.0f} "
-            "period={}{}".format(
-                span.query_id,
-                span.class_name,
-                span.duration,
-                span.estimated_cost,
-                span.period,
-                " (truncated)" if span.truncated else "",
-            )
-        )
-    return "\n".join(lines)
 
 
 def _cmd_spans(args: argparse.Namespace) -> int:
@@ -572,13 +418,11 @@ def _cmd_spans(args: argparse.Namespace) -> int:
     if args.trace_events:
         save_chrome_trace(spans, args.trace_events, overwrite=True)
         print("wrote {}".format(args.trace_events))
-    print()
-    print(_format_span_breakdown(spans, args.top))
+    _print_tables(span_tables(spans, args.top))
     return 0
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro.errors import ScenarioError
     from repro.scenarios import (
         find_scenario,
         library_names,
@@ -593,7 +437,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             # Extra positional args with --validate-all: validate files too.
             try:
                 load_scenario(path)
-            except ScenarioError as exc:
+            except errors.ScenarioError as exc:
                 failures.append((path, str(exc)))
         names = library_names() + list(args.name or [])
         for name, error in failures:
@@ -605,11 +449,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         )
         return 1 if failures else 0
     if args.name:
-        try:
-            scenario = find_scenario(args.name[0])
-        except ScenarioError as exc:
-            print("scenario error: {}".format(exc), file=sys.stderr)
-            return 2
+        scenario = find_scenario(args.name[0])
         print("{} (format v{})".format(scenario.name, scenario.version))
         if scenario.description:
             print(scenario.description.strip())
@@ -620,61 +460,58 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 scenario.seed, scenario.num_periods, scenario.period_seconds,
             )
         )
-        for cls in scenario.classes:
-            print("  {:<10} {:<5} {}={:g} importance={:g}".format(
-                cls.name, cls.kind, cls.goal_metric, cls.goal_value,
-                cls.importance,
-            ))
         if scenario.control:
             print("control overrides:")
             for path in sorted(scenario.control):
                 print("  {} = {}".format(path, scenario.control[path]))
-        print()
-        print(format_figure_series(
-            {
-                name: list(map(float, counts))
-                for name, counts in scenario.resolved_counts().items()
-            },
-            x_label="period",
-            title="clients per period",
-            digits=0,
-        ))
+        tables = [
+            Table(
+                [Column("class"), Column("kind"), Column("goal", "{}={:g}"),
+                 Column("importance", "{:g}")],
+                [
+                    [c.name, c.kind, (c.goal_metric, c.goal_value), c.importance]
+                    for c in scenario.classes
+                ],
+            ),
+            series_table(
+                scenario.resolved_counts(), title="clients per period", digits=0
+            ),
+        ]
         if scenario.faults:
-            print()
-            print("faults:")
-            for fault in scenario.faults:
-                when = fault.seconds(scenario.period_seconds)
-                details = ", ".join(
-                    "{}={}".format(k.replace("class_name", "class"), v)
-                    for k, v in fault.params.items()
-                )
-                print("  t={:<10.3f} {}{}".format(
-                    when, fault.kind,
-                    " ({})".format(details) if details else "",
-                ))
+            seconds = scenario.period_seconds
+            tables.append(fault_table(
+                [
+                    dict(fault.params, fault=fault.kind, time=fault.seconds(seconds))
+                    for fault in scenario.faults
+                ],
+                title="faults",
+            ))
+        _print_tables(tables)
         return 0
-    print("{} library scenarios (repro run --scenario <name>):".format(
-        len(library_paths())
-    ))
+    rows = []
     for name in library_names():
         try:
             scenario = find_scenario(name)
-        except ScenarioError as exc:
-            print("  {:<26} INVALID: {}".format(name, exc))
+        except errors.ScenarioError as exc:
+            rows.append([name, None, None, None, "INVALID: {}".format(exc)])
             continue
-        print("  {:<26} {:>2} x {:>4g}s  {} classes  {} faults  [{}]".format(
+        rows.append([
             name,
-            scenario.num_periods,
-            scenario.period_seconds,
+            (scenario.num_periods, scenario.period_seconds),
             len(scenario.classes),
             len(scenario.faults),
             scenario.controller,
-        ))
+        ])
+    columns = [Column("scenario"), Column("periods", "{} x {:g}s"),
+               Column("classes"), Column("faults"), Column("controller")]
+    title = "{} library scenarios (repro run --scenario <name>)".format(
+        len(library_paths())
+    )
+    print(Table(columns, rows, title).text())
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.errors import InvariantViolation
     from repro.experiments.runner import build_bundle, make_controller
     from repro.validation import ControlLoopWorld, core_invariants
 
@@ -682,18 +519,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         bundle = build_bundle(config=_build_config(args))
         make_controller(bundle, args.controller)
         registry = core_invariants(ControlLoopWorld.from_bundle(bundle))
-        for invariant in registry:
-            print("{:<32} {:<8} {}".format(
-                invariant.name, invariant.severity.name, invariant.message
-            ))
+        print(Table(
+            [Column(name) for name in ("invariant", "severity", "message")],
+            [[i.name, i.severity.name, i.message] for i in registry],
+        ).text())
         return 0
-    try:
-        result = run_spec(_spec_from_args(args, invariants=args.mode))
-    except InvariantViolation as violation:
-        print("invariant violated: {}".format(violation), file=sys.stderr)
-        return 1
+    result = run_spec(_spec_from_args(args, invariants=args.mode))
     harness = result.extras["validation"]
-    print(_format_harness_summary(harness))
+    print(invariant_table(harness).text())
     return 1 if harness.violations else 0
 
 
@@ -718,7 +551,7 @@ def _jobs_arg(args: argparse.Namespace):
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    from repro.experiments.replication import compare, format_comparison
+    from repro.experiments.replication import compare, comparison_table
 
     config = _build_config(args)
     summaries = compare(
@@ -731,7 +564,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     class_names = sorted(
         {name for summary in summaries.values() for name in summary.per_class}
     )
-    print(format_comparison(summaries, class_names))
+    print(comparison_table(summaries, class_names).text())
     failures = sum(len(summary.errors) for summary in summaries.values())
     if failures:
         print(
@@ -745,41 +578,28 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sensitivity import format_sweep, sweep
+    from repro.experiments.sensitivity import sweep, sweep_table
 
     if args.smoke and not args.scenario:
         print("--smoke requires --scenario", file=sys.stderr)
         return 2
     if args.scenario:
-        from repro.errors import ScenarioError
         from repro.scenarios import find_scenario, to_experiment_spec
 
-        try:
-            scenario = find_scenario(args.scenario)
-            base_spec = to_experiment_spec(scenario, smoke=args.smoke)
-        except ScenarioError as exc:
-            print("scenario error: {}".format(exc), file=sys.stderr)
-            return 2
+        scenario = find_scenario(args.scenario)
+        base = dict(base_spec=to_experiment_spec(scenario, smoke=args.smoke))
         print("sweeping {} over scenario '{}'".format(args.path, scenario.name))
-        entries = sweep(
-            args.path,
-            args.values,
-            base_spec=base_spec,
-            jobs=_jobs_arg(args),
-            progress=_progress_printer(args),
-        )
     else:
-        config = _build_config(args)
-        entries = sweep(
-            args.path,
-            args.values,
-            controller=args.controller,
-            config=config,
-            jobs=_jobs_arg(args),
-            progress=_progress_printer(args),
-        )
+        base = dict(controller=args.controller, config=_build_config(args))
+    entries = sweep(
+        args.path,
+        args.values,
+        jobs=_jobs_arg(args),
+        progress=_progress_printer(args),
+        **base,
+    )
     class_names = sorted({name for _, attainment in entries for name in attainment})
-    print(format_sweep(args.path, entries, class_names))
+    print(sweep_table(args.path, entries, class_names).text())
     return 0
 
 
@@ -793,10 +613,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         num_periods=3,
         warmup_periods=1,
     )
-    print("{:>12} | {:>12}".format("limit (tim)", "queries/sec"))
-    print("-" * 28)
-    for limit, throughput in curve:
-        print("{:>12.0f} | {:>12.4f}".format(limit, throughput))
+    print(calibration_table(curve).text())
     knee = pick_knee_limit(curve, tolerance=0.05)
     print("suggested system cost limit (knee): {:.0f}".format(knee))
     return 0
@@ -811,28 +628,24 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             num_periods=3,
             warmup_periods=1,
         )
+        columns = [Column("limit (tim)", "{:.0f}"), Column("oltp rt(s)", "{:.3f}")]
         for pair, series in data.items():
-            print("clients (oltp, olap) = {}:".format(pair))
-            for limit, rt in series:
-                print("  {:>8.0f} timerons -> {:.3f}s".format(
-                    limit, rt if rt is not None else float("nan")))
+            title = "clients (oltp, olap) = {}".format(pair)
+            print(Table(columns, series, title).text())
         return 0
     if number == 3:
         counts = figure3(args.period_seconds)
-        print(format_figure_series(
-            {name: list(map(float, series)) for name, series in counts.items()},
-            x_label="period",
-            title="Figure 3: clients per period",
-            digits=0,
-        ))
+        print(series_table(
+            counts, title="Figure 3: clients per period", digits=0
+        ).text())
         return 0
     if number in (4, 5, 6, 7):
         controller = {4: "none", 5: "qp", 6: "qs", 7: "qs"}[number]
         result = run_spec(_spec_from_args(args, controller=controller))
-        print(format_period_table(
+        print(period_table(
             result.collector, result.classes,
             title="Figure {}: controller={}".format(number, controller),
-        ))
+        ).text())
         print()
         print(render_series_chart(
             {c.name: result.collector.performance_series(c) for c in result.classes},
@@ -841,11 +654,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         ))
         if number == 7:
             print()
-            print(format_plan_table(
+            print(plan_table(
                 result.collector,
                 [c.name for c in result.classes],
                 title="Figure 7: class cost limits (period means)",
-            ))
+            ).text())
         return 0
     print("unknown figure {}; expected 2-7".format(number), file=sys.stderr)
     return 2
@@ -861,20 +674,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
         load_telemetry_records,
         save_model,
     )
-    from repro.errors import ConfigurationError
 
-    try:
-        records = load_telemetry_records(args.telemetry)
-        model = LearnedPerformanceModel(
-            prior_slope=args.prior_slope,
-            ridge=args.ridge,
-            forgetting=args.forgetting,
-        )
-        fit_from_records(records, model=model)
-        save_model(model, args.output, overwrite=True)
-    except ConfigurationError as exc:
-        print("train error: {}".format(exc), file=sys.stderr)
-        return 2
+    records = load_telemetry_records(args.telemetry)
+    model = LearnedPerformanceModel(
+        prior_slope=args.prior_slope,
+        ridge=args.ridge,
+        forgetting=args.forgetting,
+    )
+    fit_from_records(records, model=model)
+    save_model(model, args.output, overwrite=True)
     print(
         "trained on {} telemetry records ({} observations) -> {}".format(
             len(records), model.observations, args.output
@@ -889,12 +697,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
             ("learned", trained),
             ("paper", PaperAnalyticModel()),
         ):
-            errors = evaluate_on_records(records, scorer)
-            print("prequential MAE ({}):".format(label))
-            for name in sorted(errors):
-                series = errors[name]
-                mae = sum(e for _, e in series) / len(series) if series else 0.0
-                print("  {:<12} {:.5f} ({} intervals)".format(name, mae, len(series)))
+            rows = [
+                [name, sum(e for _, e in series) / len(series) if series else 0.0,
+                 len(series)]
+                for name, series in sorted(evaluate_on_records(records, scorer).items())
+            ]
+            columns = [Column("class"), Column("MAE", "{:.5f}"), Column("intervals")]
+            print(Table(columns, rows, "prequential MAE ({})".format(label)).text())
     return 0
 
 
@@ -902,28 +711,16 @@ def _cmd_ablate_models(args: argparse.Namespace) -> int:
     """``repro ablate-models``: scenario replay across model specs."""
     import json
 
-    from repro.errors import ExperimentError, InvariantViolation, ScenarioError
-    from repro.experiments.model_ablation import (
-        format_ablation_table,
-        run_model_ablation,
-    )
-    from repro.metrics.export import open_export
+    from repro.experiments.model_ablation import ablation_table, run_model_ablation
 
-    try:
-        report = run_model_ablation(
-            scenarios=args.scenarios,
-            models=args.models,
-            smoke=not args.full,
-            seed=args.seed,
-            invariants=args.invariants,
-        )
-    except (ScenarioError, ExperimentError) as exc:
-        print("ablation error: {}".format(exc), file=sys.stderr)
-        return 2
-    except InvariantViolation as exc:
-        print("invariant violation: {}".format(exc), file=sys.stderr)
-        return 1
-    print(format_ablation_table(report))
+    report = run_model_ablation(
+        scenarios=args.scenarios,
+        models=args.models,
+        smoke=not args.full,
+        seed=args.seed,
+        invariants=args.invariants,
+    )
+    print(ablation_table(report).text())
     if args.output:
         with open_export(args.output, overwrite=True) as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -1035,6 +832,19 @@ def _add_run_arguments(run_parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _scale_args(
+    parser: argparse.ArgumentParser,
+    periods: int = 9,
+    period_seconds: float = 120.0,
+    control_interval: float = 60.0,
+) -> None:
+    """The run-size options of a subcommand whose defaults are fixed."""
+    parser.add_argument("--periods", type=int, default=periods)
+    parser.add_argument("--period-seconds", type=float, default=period_seconds)
+    parser.add_argument("--control-interval", type=float, default=control_interval)
+    parser.add_argument("--seed", type=int, default=7)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1072,10 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     spans_parser.add_argument(
         "--controller", choices=("qs", "qs_detect"), default="qs"
     )
-    spans_parser.add_argument("--periods", type=int, default=9)
-    spans_parser.add_argument("--period-seconds", type=float, default=120.0)
-    spans_parser.add_argument("--control-interval", type=float, default=60.0)
-    spans_parser.add_argument("--seed", type=int, default=7)
+    _scale_args(spans_parser)
     spans_parser.add_argument(
         "--top", type=int, default=5,
         help="how many slowest queue waits to list",
@@ -1096,10 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--controller", choices=("qs", "qs_detect"), default="qs"
     )
-    trace_parser.add_argument("--periods", type=int, default=9)
-    trace_parser.add_argument("--period-seconds", type=float, default=120.0)
-    trace_parser.add_argument("--control-interval", type=float, default=60.0)
-    trace_parser.add_argument("--seed", type=int, default=7)
+    _scale_args(trace_parser)
     trace_parser.add_argument(
         "--output", default=None,
         help="write telemetry JSONL here (default: stdout)",
@@ -1121,10 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--controller", choices=("qs", "qs_detect"), default="qs"
     )
-    check_parser.add_argument("--periods", type=int, default=3)
-    check_parser.add_argument("--period-seconds", type=float, default=60.0)
-    check_parser.add_argument("--control-interval", type=float, default=30.0)
-    check_parser.add_argument("--seed", type=int, default=7)
+    _scale_args(check_parser, periods=3, period_seconds=60.0, control_interval=30.0)
     check_parser.add_argument(
         "--mode", choices=("warn", "strict"), default="strict",
         help="warn records violations; strict fails fast on the first",
@@ -1152,10 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_parser.set_defaults(func=_cmd_scenarios)
 
     def _experiment_scale_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--periods", type=int, default=9)
-        p.add_argument("--period-seconds", type=float, default=120.0)
-        p.add_argument("--control-interval", type=float, default=60.0)
-        p.add_argument("--seed", type=int, default=7)
+        _scale_args(p)
         p.add_argument(
             "--jobs", type=int, default=1,
             help="worker processes for the run fan-out (0 = one per CPU)",
@@ -1217,10 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_parser = sub.add_parser("figure", help="regenerate a paper figure (2-7)")
     fig_parser.add_argument("number", type=int)
-    fig_parser.add_argument("--periods", type=int, default=9)
-    fig_parser.add_argument("--period-seconds", type=float, default=120.0)
-    fig_parser.add_argument("--control-interval", type=float, default=60.0)
-    fig_parser.add_argument("--seed", type=int, default=7)
+    _scale_args(fig_parser)
     fig_parser.set_defaults(func=_cmd_figure)
 
     train_parser = sub.add_parser(
@@ -1252,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-eval", action="store_true",
         help="skip the prequential MAE comparison against the paper model",
     )
-    train_parser.set_defaults(func=_cmd_train)
+    train_parser.set_defaults(func=_cmd_train, usage_error="train error")
 
     ablate_parser = sub.add_parser(
         "ablate-models",
@@ -1287,7 +1082,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, metavar="PATH",
         help="also write the full comparison report as JSON",
     )
-    ablate_parser.set_defaults(func=_cmd_ablate_models)
+    ablate_parser.set_defaults(
+        func=_cmd_ablate_models, usage_error="ablation error"
+    )
 
     report_parser = sub.add_parser(
         "report", help="run the figure 4/5/6/7 comparison, write a Markdown report"
@@ -1300,10 +1097,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """CLI entry point; returns the process exit code.
+
+    The one place a subcommand's :class:`~repro.errors.ReproError` becomes
+    a one-line message and an exit code (``_ERROR_EXITS``), and the one
+    place the dashboard server is stopped.  Export targets are checked
+    here, before the subcommand assembles or simulates anything.
+    """
+    args = build_parser().parse_args(argv)
+    args.live_server = None
+    try:
+        for option in ("output", "trace_events"):
+            target = vars(args).get(option)
+            if target:
+                check_export_target(target, overwrite=True)
+        return args.func(args)
+    except errors.ReproError as exc:
+        for kind, prefix, code in _ERROR_EXITS:
+            if isinstance(exc, kind):
+                if code == 2:
+                    prefix = vars(args).get("usage_error", prefix)
+                print("{}: {}".format(prefix, exc), file=sys.stderr)
+                return code
+        raise
+    finally:
+        if args.live_server is not None:
+            args.live_server.stop()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

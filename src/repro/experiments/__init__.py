@@ -26,7 +26,7 @@ from repro.experiments.figures import (
 from repro.experiments.model_ablation import (
     DEFAULT_MODELS,
     DEFAULT_SCENARIOS,
-    format_ablation_table,
+    ablation_table,
     run_model_ablation,
 )
 from repro.experiments.parallel import (
@@ -41,15 +41,15 @@ from repro.experiments.replication import (
     ReplicationSummary,
     RunFailure,
     compare,
-    format_comparison,
+    comparison_table,
     replicate,
 )
 from repro.experiments.reportgen import generate_report, write_report
 from repro.experiments.sensitivity import (
-    format_sweep,
     get_config_field,
     set_config_field,
     sweep,
+    sweep_table,
 )
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
     "figure7",
     "replicate",
     "compare",
-    "format_comparison",
+    "comparison_table",
     "ReplicationSummary",
     "RunFailure",
     "RunRequest",
@@ -81,13 +81,13 @@ __all__ = [
     "execute_request",
     "summarize_result",
     "sweep",
-    "format_sweep",
+    "sweep_table",
     "set_config_field",
     "get_config_field",
     "generate_report",
     "write_report",
     "DEFAULT_MODELS",
     "DEFAULT_SCENARIOS",
-    "format_ablation_table",
+    "ablation_table",
     "run_model_ablation",
 ]

@@ -27,10 +27,11 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.modeling import fit_from_records, save_model
 from repro.errors import ExperimentError
+from repro.metrics.report import Column, Table
 
 #: Scenarios the ablation replays by default: the paper's own workload
 #: plus the two workload-shift stressors (continuous drift and a spike).
@@ -144,33 +145,21 @@ def run_model_ablation(
     return report
 
 
-def format_ablation_table(report: Dict) -> str:
-    """The ablation report as one aligned ASCII table."""
-
-    def fmt(value, width, precision=4):
-        if value is None:
-            return "-".rjust(width)
-        return "{:.{p}f}".format(value, p=precision).rjust(width)
-
-    lines: List[str] = [
-        "Model ablation ({} mode)".format("smoke" if report.get("smoke") else "full"),
-        "{:<16} {:<10} {:>10} {:>10} {:>10}".format(
-            "scenario", "model", "attain", "pred-MAE", "violations"
-        ),
+def ablation_table(report: Dict) -> Table:
+    """One row per scenario and model of a :func:`run_model_ablation` report."""
+    columns = [Column("scenario"), Column("model"), Column("attain", "{:.4f}"),
+               Column("pred-MAE", "{:.4f}"), Column("violations")]
+    rows = [
+        [
+            scenario_name,
+            model_spec,
+            entry[model_spec].get("attainment_mean"),
+            entry[model_spec].get("prediction_mae_mean"),
+            entry[model_spec].get("violations"),
+        ]
+        for scenario_name, entry in sorted(report.get("scenarios", {}).items())
+        for model_spec in report.get("models", sorted(entry))
+        if entry.get(model_spec) is not None
     ]
-    for scenario_name, entry in sorted(report.get("scenarios", {}).items()):
-        for model_spec in report.get("models", sorted(entry)):
-            summary = entry.get(model_spec)
-            if summary is None:
-                continue
-            violations = summary.get("violations")
-            lines.append(
-                "{:<16} {:<10} {} {} {:>10}".format(
-                    scenario_name,
-                    model_spec,
-                    fmt(summary.get("attainment_mean"), 10),
-                    fmt(summary.get("prediction_mae_mean"), 10),
-                    "-" if violations is None else str(violations),
-                )
-            )
-    return "\n".join(lines)
+    mode = "smoke" if report.get("smoke") else "full"
+    return Table(columns, rows, "Model ablation ({} mode)".format(mode))

@@ -28,6 +28,7 @@ from repro.experiments.parallel import (
     run_requests,
 )
 from repro.experiments.runner import ExperimentSpec
+from repro.metrics.report import Column, Table
 from repro.sim.stats import WelfordAccumulator
 from repro.workloads.schedule import PeriodSchedule
 
@@ -218,36 +219,32 @@ def compare(
     return summaries
 
 
-def format_comparison(
+def comparison_table(
     summaries: Dict[str, ReplicationSummary],
     class_names: Sequence[str],
-) -> str:
-    """ASCII table of attainment per controller and class.
+) -> Table:
+    """Attainment per controller and class, then one row per failed seed.
 
     The headline number is the completion-weighted attainment; the ``+/-``
     spread is the unweighted across-run standard deviation.
     """
-    lines = []
-    header = "{:>12} |".format("controller") + "".join(
-        " {:>16} |".format(name) for name in class_names
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
+    columns = [Column("controller")] + [
+        Column(name, "{:.0%} +/-{:>4.0%}") for name in class_names
+    ]
+    rows: List[List[object]] = []
     for controller, summary in summaries.items():
-        row = "{:>12} |".format(controller)
+        row: List[object] = [controller]
         for name in class_names:
             stats = summary.per_class.get(name)
-            if stats is None or stats.attainment.count == 0:
-                row += " {:>16} |".format("-")
-            else:
-                row += " {:>7.0%} +/-{:>4.0%} |".format(
-                    stats.weighted_attainment, stats.attainment.stddev
-                )
-        lines.append(row)
-        for failure in summary.errors:
-            lines.append(
-                "{:>12} |  seed {} FAILED: {}".format(
-                    "", failure.seed, failure.error.strip().splitlines()[-1]
-                )
+            seen = stats is not None and stats.attainment.count > 0
+            row.append(
+                (stats.weighted_attainment, stats.attainment.stddev) if seen else None
             )
-    return "\n".join(lines)
+        rows.append(row)
+        rows += [
+            ["{} seed {} FAILED: {}".format(
+                controller, failure.seed, failure.error.strip().splitlines()[-1]
+            )] + [None] * len(class_names)
+            for failure in summary.errors
+        ]
+    return Table(columns, rows)

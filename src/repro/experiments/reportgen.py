@@ -1,14 +1,14 @@
 """Markdown report generation.
 
-``generate_report`` re-runs the paper's headline experiments and renders a
-self-contained Markdown report (per-figure tables, attainment summaries,
-and the Figure 7 plan trace) — a fresh, machine-generated counterpart to
-the hand-curated EXPERIMENTS.md.
+``generate_report`` re-runs the paper's headline experiments and renders
+the sections of :mod:`repro.metrics.report` as one self-contained Markdown
+document — a fresh, machine-generated counterpart to the hand-curated
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.config import (
     MonitorConfig,
@@ -17,9 +17,9 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.experiments.figures import figure4, figure5, figure6, figure7
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.figures import figure4, figure5, figure6
 from repro.metrics.export import open_export
+from repro.metrics.report import run_tables, span_tables, telemetry_tables
 
 
 def quick_report_config() -> SimulationConfig:
@@ -31,178 +31,21 @@ def quick_report_config() -> SimulationConfig:
     )
 
 
-def _metric_label(service_class) -> str:
-    return "velocity" if service_class.kind == "olap" else "avg rt (s)"
-
-
-def _result_section(title: str, result: ExperimentResult) -> List[str]:
-    lines = ["## {}".format(title), ""]
-    lines.append("controller: `{}`".format(result.controller_name))
-    lines.append("")
-    header = "| period |" + "".join(
-        " {} ({}) |".format(c.name, _metric_label(c)) for c in result.classes
-    )
-    rule = "|---|" + "---|" * len(result.classes)
-    lines.append(header)
-    lines.append(rule)
-    series = {c.name: result.collector.performance_series(c) for c in result.classes}
-    for period in range(result.schedule.num_periods):
-        row = "| {} |".format(period + 1)
-        for c in result.classes:
-            value = series[c.name][period]
-            if value is None:
-                row += " - |"
-            else:
-                marker = "" if c.goal.satisfied(value) else " **miss**"
-                row += " {:.3f}{} |".format(value, marker)
-        lines.append(row)
-    lines.append("")
-    lines.append(
-        "attainment: "
-        + ", ".join(
-            "{} {:.0%}".format(c.name, result.collector.goal_attainment(c))
-            for c in result.classes
-        )
-    )
-    lines.append("")
-    return lines
-
-
-def _plan_section(result: ExperimentResult) -> List[str]:
-    lines = ["## Class cost limits under Query Scheduler (Figure 7)", ""]
-    names = [c.name for c in result.classes]
-    lines.append("| period |" + "".join(" {} |".format(n) for n in names))
-    lines.append("|---|" + "---|" * len(names))
-    means = {n: result.collector.plan_period_means(n) for n in names}
-    for period in range(result.schedule.num_periods):
-        row = "| {} |".format(period + 1)
-        for n in names:
-            value = means[n][period]
-            row += " - |" if value is None else " {:.0f} |".format(value)
-        lines.append(row)
-    lines.append("")
-    return lines
-
-
-def _telemetry_section(result: ExperimentResult) -> List[str]:
-    """Controller telemetry: model prediction error and loop accounting."""
-    store = result.extras.get("telemetry")
-    if store is None or len(store) == 0:
-        return []
-    lines = ["## Controller telemetry", ""]
-    lines.append(
-        "{} control intervals recorded ({} early-triggered).".format(
-            len(store),
-            sum(1 for record in store if record.trigger == "early"),
-        )
-    )
-    lines.append("")
-    summaries = store.prediction_error_summary()
-    if summaries:
-        lines.append("One-step prediction error (realized minus predicted):")
-        lines.append("")
-        lines.append("| class | intervals | mean abs error | mean error |")
-        lines.append("|---|---|---|---|")
-        for name in sorted(summaries):
-            summary = summaries[name]
-            lines.append(
-                "| {} | {} | {:.4f} | {:+.4f} |".format(
-                    name, summary.count, summary.mean_abs_error, summary.mean_error
-                )
-            )
-        lines.append("")
-    balance = store.dispatcher_balance()
-    if balance:
-        lines.append("Dispatcher accounting at end of run:")
-        lines.append("")
-        lines.append("| class | released | completed | cancelled | in flight |")
-        lines.append("|---|---|---|---|---|")
-        for name in sorted(balance):
-            counts = balance[name]
-            lines.append(
-                "| {} | {} | {} | {} | {} |".format(
-                    name,
-                    counts["released"],
-                    counts["completed"],
-                    counts["cancelled"],
-                    counts["in_flight"],
-                )
-            )
-        lines.append("")
-    overhead = store.overhead_summary()
-    if overhead:
-        lines.append(
-            "Controller self-overhead (wall-clock seconds per control "
-            "interval, `time.perf_counter` — not simulated time):"
-        )
-        lines.append("")
-        lines.append("| section | mean (s) | max (s) | intervals |")
-        lines.append("|---|---|---|---|")
-        for key in sorted(overhead):
-            stats = overhead[key]
-            lines.append(
-                "| {} | {:.6f} | {:.6f} | {} |".format(
-                    key, stats["mean_s"], stats["max_s"], stats["count"]
-                )
-            )
-        lines.append("")
-    return lines
-
-
-def _span_section(result: ExperimentResult) -> List[str]:
-    """Per-class queue-wait/execute percentiles from the lifecycle trace."""
-    tracer = result.extras.get("tracer")
-    if tracer is None or not tracer.spans:
-        return []
-    from repro.obs import phase_breakdown
-    from repro.obs.spans import PHASES
-
-    lines = ["## Query lifecycle spans", ""]
-    lines.append(
-        "{} spans across {} traced queries (balanced: {}).".format(
-            len(tracer.spans),
-            len({s.query_id for s in tracer.spans}),
-            tracer.balanced,
-        )
-    )
-    lines.append("")
-    lines.append("| class | phase | count | mean (s) | p50 (s) | p95 (s) | max (s) |")
-    lines.append("|---|---|---|---|---|---|---|")
-    breakdown = phase_breakdown(tracer.spans)
-    for class_name in sorted(breakdown):
-        for phase in PHASES:
-            stats = breakdown[class_name].get(phase)
-            if stats is None:
-                continue
-            lines.append(
-                "| {} | {} | {} | {:.3f} | {:.3f} | {:.3f} | {:.3f} |".format(
-                    class_name,
-                    phase,
-                    stats.count,
-                    stats.mean,
-                    stats.percentile(50.0),
-                    stats.percentile(95.0),
-                    stats.max,
-                )
-            )
-    lines.append("")
-    return lines
-
-
 def generate_report(
     config: Optional[SimulationConfig] = None,
-    controllers: Optional[Dict[str, str]] = None,
     tracing: bool = False,
 ) -> str:
     """Run the comparison experiments and return the Markdown report.
 
-    With ``tracing`` the Query Scheduler run records per-query lifecycle
-    spans and the report gains a per-class wait/execute percentile section.
+    Each run contributes the sections ``repro run`` prints for it; the
+    Query Scheduler run adds its telemetry sections (``repro trace
+    --summary``) and, with ``tracing``, its span sections (``repro spans``).
     """
     config = (config or quick_report_config()).validate()
-    lines: List[str] = [
+    qs_result = figure6(config, tracing=tracing)
+    store = qs_result.extras["telemetry"]
+    blocks: List[str] = [
         "# Generated experiment report",
-        "",
         "Workload: {} periods x {:.0f}s; system cost limit {:.0f} timerons; "
         "seed {}.".format(
             config.scale.num_periods,
@@ -210,17 +53,34 @@ def generate_report(
             config.system_cost_limit,
             config.seed,
         ),
-        "",
     ]
-    qs_result = figure6(config, tracing=tracing)
-    lines += _result_section("No class control (Figure 4)", figure4(config))
-    lines += _result_section("DB2 QP priority control (Figure 5)", figure5(config))
-    lines += _result_section("Query Scheduler (Figure 6)", qs_result)
-    figure7(result=qs_result)  # validates the run is a QS run
-    lines += _plan_section(qs_result)
-    lines += _telemetry_section(qs_result)
-    lines += _span_section(qs_result)
-    return "\n".join(lines)
+    for heading, result in (
+        ("No class control (Figure 4)", figure4(config)),
+        ("DB2 QP priority control (Figure 5)", figure5(config)),
+        ("Query Scheduler (Figure 6) and its class cost limits (Figure 7)", qs_result),
+    ):
+        blocks.append("## {}".format(heading))
+        blocks.append("controller: `{}`".format(result.controller_name))
+        blocks += [table.markdown() for table in run_tables(result)]
+    blocks.append("## Controller telemetry")
+    blocks.append(
+        "{} control intervals recorded ({} early-triggered).".format(
+            len(store), sum(1 for record in store if record.trigger == "early")
+        )
+    )
+    blocks += [table.markdown() for table in telemetry_tables(store)]
+    if tracing:
+        tracer = qs_result.extras["tracer"]
+        blocks.append("## Query lifecycle spans")
+        blocks.append(
+            "{} spans across {} traced queries (balanced: {}).".format(
+                len(tracer.spans),
+                len({span.query_id for span in tracer.spans}),
+                tracer.balanced,
+            )
+        )
+        blocks += [table.markdown() for table in span_tables(tracer.spans)]
+    return "\n\n".join(blocks) + "\n"
 
 
 def write_report(

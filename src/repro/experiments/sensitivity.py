@@ -18,6 +18,7 @@ from repro.core.service_class import ServiceClass
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.parallel import ProgressCallback, RunRequest, run_requests
 from repro.experiments.runner import ExperimentSpec
+from repro.metrics.report import Column, Table
 from repro.workloads.schedule import PeriodSchedule
 
 #: One sweep point: the swept value and its per-class goal attainment.
@@ -160,23 +161,16 @@ def _collect_entries(dotted_path: str, values, outcomes) -> List[SweepEntry]:
     return entries
 
 
-def format_sweep(
+def sweep_table(
     dotted_path: str,
     entries: Sequence[SweepEntry],
     class_names: Sequence[str],
-) -> str:
-    """ASCII table of the ordered ``(value, attainment)`` entries
-    :func:`sweep` returns."""
-    lines = []
-    header = "{:>24} |".format(dotted_path) + "".join(
-        " {:>8} |".format(name) for name in class_names
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for value, attainment in entries:
-        row = "{:>24} |".format(str(value))
-        for name in class_names:
-            share = attainment.get(name)
-            row += " {:>7.0%} |".format(share) if share is not None else " {:>8} |".format("-")
-        lines.append(row)
-    return "\n".join(lines)
+) -> Table:
+    """Per-class attainment at each of the ordered ``(value, attainment)``
+    entries :func:`sweep` returns."""
+    columns = [Column(dotted_path)] + [Column(name, "{:.0%}") for name in class_names]
+    rows = [
+        [str(value)] + [attainment.get(name) for name in class_names]
+        for value, attainment in entries
+    ]
+    return Table(columns, rows)

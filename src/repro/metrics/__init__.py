@@ -8,12 +8,17 @@ from repro.metrics.export import (
     save_result,
 )
 from repro.metrics.report import (
-    format_figure_series,
-    format_period_table,
-    format_plan_table,
-    format_prediction_summary,
-    format_summary,
+    Column,
+    Table,
+    attainment_table,
+    period_table,
+    plan_table,
+    prediction_error_table,
     render_series_chart,
+    run_tables,
+    series_table,
+    span_tables,
+    telemetry_tables,
 )
 from repro.metrics.telemetry import (
     ControlIntervalRecord,
@@ -33,12 +38,17 @@ __all__ = [
     "PredictionTelemetry",
     "SolverTelemetry",
     "TelemetryStore",
-    "format_period_table",
-    "format_figure_series",
-    "format_plan_table",
-    "format_prediction_summary",
-    "format_summary",
+    "Column",
+    "Table",
+    "attainment_table",
+    "period_table",
+    "plan_table",
+    "prediction_error_table",
     "render_series_chart",
+    "run_tables",
+    "series_table",
+    "span_tables",
+    "telemetry_tables",
     "result_to_dict",
     "result_to_json",
     "result_to_csv",

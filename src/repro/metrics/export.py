@@ -29,12 +29,19 @@ if TYPE_CHECKING:  # avoid a circular import; the functions duck-type anyway
 
 
 def check_export_target(path: str, overwrite: bool) -> None:
-    """Raise :class:`~repro.errors.ExportError` if ``path`` may not be written."""
-    if not overwrite and os.path.exists(path):
-        raise ExportError(
+    """Raise :class:`~repro.errors.ExportError` if ``path`` may not be written:
+    its directory is missing, or it exists and ``overwrite`` is false."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        problem = "the directory of export target {!r} does not exist".format(path)
+    elif not overwrite and os.path.exists(path):
+        problem = (
             "export target {!r} already exists; pass overwrite=True to "
             "replace it".format(path)
         )
+    else:
+        return
+    raise ExportError(problem)
 
 
 @contextmanager

@@ -5,7 +5,7 @@ actually executes queries.  The protocols (:class:`Clock`,
 :class:`TimerService`, :class:`ExecutionEngine`, :class:`ExecutionBackend`)
 and clock helpers import eagerly; the concrete backends
 (:class:`SimulationBackend`, :class:`RealTimeBackend`,
-:class:`SQLiteEngine`) and the conformance suite load lazily via PEP 562 —
+:class:`SQLiteEngine`) load lazily via PEP 562 —
 they depend on ``repro.dbms.engine``/``repro.sim.engine``, which themselves
 annotate against these protocols, and lazy loading keeps that cycle open.
 """
@@ -31,8 +31,6 @@ _LAZY = {
     "RealTimeBackend": ("repro.runtime.realtime", "RealTimeBackend"),
     "RealTimeTimerService": ("repro.runtime.realtime", "RealTimeTimerService"),
     "SQLiteEngine": ("repro.runtime.sqlite_engine", "SQLiteEngine"),
-    "CONFORMANCE_CHECKS": ("repro.runtime.conformance", "CONFORMANCE_CHECKS"),
-    "run_conformance": ("repro.runtime.conformance", "run_conformance"),
     "make_backend": ("repro.runtime.factory", "make_backend"),
 }
 
@@ -42,14 +40,12 @@ __all__ = [
     "CallableClock",
     "Clock",
     "CompletionListener",
-    "CONFORMANCE_CHECKS",
     "DEFAULT_PRIORITY",
     "ExecutionBackend",
     "ExecutionEngine",
     "make_backend",
     "RealTimeBackend",
     "RealTimeTimerService",
-    "run_conformance",
     "SimulationBackend",
     "SQLiteEngine",
     "StartListener",

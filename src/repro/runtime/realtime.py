@@ -109,7 +109,7 @@ class RealTimeTimerService:
     """
 
     #: Declared past-deadline contract (see
-    #: :mod:`repro.runtime.conformance`): ``schedule_at`` with a time in
+    #: ``tests/runtime/conformance.py``): ``schedule_at`` with a time in
     #: the past clamps to "fire immediately" instead of raising.
     past_deadline_policy = "clamp"
 

@@ -26,10 +26,10 @@ from repro.shard.report import (
     ShardRow,
     build_sharded_report,
     export_shard_telemetry,
-    format_sharded_report,
     save_sharded_report,
     shard_path,
     sharded_report_to_dict,
+    sharded_tables,
 )
 from repro.shard.router import (
     ROUTER_NAMES,
@@ -67,7 +67,6 @@ __all__ = [
     "check_routing_conservation",
     "default_class_weights",
     "export_shard_telemetry",
-    "format_sharded_report",
     "make_router",
     "partition_schedule",
     "routed_demand",
@@ -75,5 +74,6 @@ __all__ = [
     "save_sharded_report",
     "shard_path",
     "sharded_report_to_dict",
+    "sharded_tables",
     "split_cost_limit",
 ]

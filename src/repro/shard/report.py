@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.parallel import RunSummary
 from repro.metrics.aggregate import merge_histogram_states, weighted_attainment
 from repro.metrics.export import check_export_target, open_export
+from repro.metrics.report import Column, Table, violation_table
 from repro.validation import Violation
 
 
@@ -142,54 +143,30 @@ def build_sharded_report(
     )
 
 
-def format_sharded_report(report: ShardedRunReport) -> str:
-    """Human-readable cross-shard report (CLI output)."""
-    lines = [
-        "sharded run: {} shards, router={}, rebalance={}".format(
-            report.shards, report.router, report.rebalance
+def sharded_tables(report: ShardedRunReport) -> List[Table]:
+    """The merged report's sections: per class, per shard, global invariants."""
+    tails = [Column(key, "{:.2f}s") for key in ("p50", "p95", "p99")]
+    columns = [Column("class"), Column("attainment", "{:.0%}"), Column("completions")]
+    per_class = Table(
+        columns + tails,
+        [
+            [name, report.attainment.get(name, 0.0), report.completions.get(name, 0)]
+            + [report.percentiles.get(name, {}).get(tail.header) for tail in tails]
+            for name in report.class_names
+        ],
+        "sharded run: {} shards, router={}, rebalance={}, {} completions".format(
+            report.shards, report.router, report.rebalance, report.total_completions
         ),
-        "total completions: {}".format(report.total_completions),
-        "",
-    ]
-    header = "{:>10} |".format("class") + " {:>10} | {:>11} | {:>8} | {:>8} | {:>8} |".format(
-        "attainment", "completions", "p50", "p95", "p99"
     )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name in report.class_names:
-        tails = report.percentiles.get(name, {})
-        lines.append(
-            "{:>10} | {:>9.0%} | {:>11} | {:>8} | {:>8} | {:>8} |".format(
-                name,
-                report.attainment.get(name, 0.0),
-                report.completions.get(name, 0),
-                *(
-                    "{:.2f}s".format(tails[key]) if key in tails else "-"
-                    for key in ("p50", "p95", "p99")
-                )
-            )
-        )
-    lines.append("")
-    shard_header = "{:>8} | {:>12} | {:>10} | {:>12} |".format(
-        "shard", "seed", "limit", "completions"
+    shard_columns = [Column("shard"), Column("seed"), Column("limit", "{:.0f}"),
+                     Column("completions")]
+    per_shard = Table(
+        shard_columns,
+        [[row.label, row.seed, row.cost_limit, row.total_completions]
+         for row in report.per_shard],
     )
-    lines.append(shard_header)
-    lines.append("-" * len(shard_header))
-    for row in report.per_shard:
-        lines.append(
-            "{:>8} | {:>12} | {:>10.0f} | {:>12} |".format(
-                row.label, row.seed, row.cost_limit, row.total_completions
-            )
-        )
-    if report.violations:
-        lines.append("")
-        lines.append("GLOBAL INVARIANT VIOLATIONS:")
-        for violation in report.violations:
-            lines.append("  " + violation.describe())
-    else:
-        lines.append("")
-        lines.append("global invariants: ok")
-    return "\n".join(lines)
+    invariants = violation_table(report.violations, "global invariants", empty="ok")
+    return [per_class, per_shard, invariants]
 
 
 def sharded_report_to_dict(report: ShardedRunReport) -> Dict:

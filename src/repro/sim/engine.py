@@ -28,7 +28,7 @@ class Simulator:
     """Discrete-event simulator: an event heap plus re-armable timers."""
 
     #: Declared past-deadline contract (see
-    #: :mod:`repro.runtime.conformance`): on a virtual clock "the past" is
+    #: ``tests/runtime/conformance.py``): on a virtual clock "the past" is
     #: always a bug, so ``schedule_at`` before ``now`` raises.
     past_deadline_policy = "raise"
 

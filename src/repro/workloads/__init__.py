@@ -6,7 +6,6 @@ schedule of the paper's Figure 3.
 """
 
 from repro.workloads.client import ClosedLoopClient
-from repro.workloads.openloop import OpenLoopSource
 from repro.workloads.trace import (
     TraceEntry,
     TraceRecorder,
@@ -27,7 +26,6 @@ __all__ = [
     "WorkloadMix",
     "QueryFactory",
     "ClosedLoopClient",
-    "OpenLoopSource",
     "WorkloadTrace",
     "TraceEntry",
     "TraceRecorder",

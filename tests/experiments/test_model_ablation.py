@@ -9,7 +9,7 @@ from repro.errors import ExperimentError
 from repro.experiments.model_ablation import (
     DEFAULT_MODELS,
     DEFAULT_SCENARIOS,
-    format_ablation_table,
+    ablation_table,
     run_model_ablation,
 )
 
@@ -64,7 +64,7 @@ class TestFormatTable:
                 }
             },
         }
-        table = format_ablation_table(report)
+        table = ablation_table(report).text()
         assert "demo" in table
         assert "paper" in table and "oracle" in table
         assert "0.8000" in table

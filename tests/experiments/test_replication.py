@@ -10,7 +10,7 @@ from repro.config import (
 )
 from repro.experiments.replication import (
     compare,
-    format_comparison,
+    comparison_table,
     replicate,
 )
 from repro.workloads.schedule import constant_schedule
@@ -106,7 +106,7 @@ def test_format_comparison_table():
     summaries = compare(
         ["none"], seeds=[1], config=tiny_config(), schedule=tiny_schedule()
     )
-    text = format_comparison(summaries, ["class1", "class2", "class3"])
+    text = comparison_table(summaries, ["class1", "class2", "class3"]).text()
     assert "controller" in text
     assert "none" in text
     assert "%" in text

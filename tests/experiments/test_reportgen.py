@@ -41,13 +41,13 @@ def test_report_tables_have_period_rows(tiny_report):
     lines = tiny_report.splitlines()
     assert sum(1 for line in lines if line.startswith("| 1 |")) == 4
     assert sum(1 for line in lines if line.startswith("| 2 |")) == 4
-    assert "attainment:" in tiny_report
+    assert tiny_report.count("### Attainment") == 3
 
 
 def test_report_telemetry_balance(tiny_report):
     # The dispatcher accounting table appears and the run recorded at
     # least one control interval.
-    assert "Dispatcher accounting at end of run:" in tiny_report
+    assert "### Dispatcher balance" in tiny_report
     assert "control intervals recorded" in tiny_report
 
 
@@ -72,3 +72,58 @@ def test_write_report(tmp_path):
 def test_quick_config_is_valid():
     config = quick_report_config()
     assert config.scale.num_periods == 9
+
+
+def _sections(text, heading, is_row, split):
+    """``{title: rows of cell strings}`` of every table in ``text``."""
+    sections, title = {}, None
+    for line in text.splitlines():
+        if heading(line):
+            title = line.lstrip("# ")
+        elif title is not None and is_row(line):
+            sections.setdefault(title, []).append(
+                [cell.strip() for cell in split(line)]
+            )
+    return sections
+
+
+def test_terminal_and_markdown_sections_carry_the_same_cells(tmp_path, capsys):
+    """``repro run`` / ``repro spans`` print and ``repro report`` writes the
+    same section functions: same titles, same cell strings, same order."""
+    from repro.cli import main
+
+    # the configuration the CLI derives from these scale options
+    config = default_config(
+        scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=2),
+        monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=10.0),
+        planner=PlannerConfig(control_interval=10.0),
+    )
+    report = generate_report(config=config, tracing=True)
+    markdown = _sections(
+        report[report.index("## Query Scheduler"):],
+        heading=lambda line: line.startswith("### "),
+        is_row=lambda line: line.startswith("|") and "---" not in line,
+        split=lambda line: line.strip("|").split("|"),
+    )
+    trace = str(tmp_path / "trace.json")
+    scale = ["--periods", "2", "--period-seconds", "20", "--control-interval", "10"]
+    assert main(["run", "--invariants", "warn", "--trace-events", trace] + scale) == 0
+    assert main(["spans", trace]) == 0
+    terminal, title = {}, ""
+    for line in capsys.readouterr().out.splitlines():
+        if " | " in line:
+            terminal.setdefault(title, []).append(
+                [cell.strip() for cell in line.split("|")]
+            )
+        elif set(line) != {"-"}:  # not the rule under the header
+            title = line
+    shared = sorted(set(terminal) & set(markdown))
+    assert shared == [
+        "Attainment",
+        "Class cost limits (period means, timerons)",
+        "Per-class phase breakdown (sim seconds)",
+        "Per-period goal metrics",
+        "Top 5 slowest queue waits",
+    ]
+    for title in shared:
+        assert terminal[title] == markdown[title], title

@@ -10,7 +10,7 @@ from repro.config import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.sensitivity import (
-    format_sweep,
+    sweep_table,
     get_config_field,
     set_config_field,
     sweep,
@@ -94,14 +94,14 @@ class TestSweep:
 
     def test_format_sweep_table(self):
         results = [(10.0, {"a": 0.5, "b": 1.0}), (20.0, {"a": 0.75, "b": 0.25})]
-        text = format_sweep("some.path", results, ["a", "b"])
+        text = sweep_table("some.path", results, ["a", "b"]).text()
         assert "some.path" in text
         assert "50%" in text and "75%" in text
-        missing = format_sweep("p", [(1, {"a": 0.5})], ["a", "zz"])
+        missing = sweep_table("p", [(1, {"a": 0.5})], ["a", "zz"]).text()
         assert "-" in missing
 
     def test_format_sweep_accepts_unhashable_values(self):
-        unhashable = format_sweep("p", [([1, 2], {"a": 0.5})], ["a"])
+        unhashable = sweep_table("p", [([1, 2], {"a": 0.5})], ["a"]).text()
         assert "[1, 2]" in unhashable
 
 

@@ -102,10 +102,16 @@ class TestOpenExport:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
-    def test_missing_directory_is_an_os_error_not_an_export_error(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            with open_export(str(tmp_path / "nowhere" / "out.txt"), overwrite=True):
-                pass
+    def test_missing_directory_is_an_export_error(self, tmp_path):
+        target = str(tmp_path / "nowhere" / "out.txt")
+        for overwrite in (False, True):
+            with pytest.raises(ExportError, match="directory") as caught:
+                check_export_target(target, overwrite)
+            assert target in str(caught.value)
+        with pytest.raises(ExportError):
+            with open_export(target, overwrite=True):
+                raise AssertionError("the block must not run")
+        check_export_target("relative-name-in-the-working-directory.txt", overwrite=False)
 
 
 def file_writes(tree):

@@ -7,10 +7,12 @@ from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Phase, Query
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import (
-    format_figure_series,
-    format_period_table,
-    format_plan_table,
-    format_summary,
+    Column,
+    Table,
+    attainment_table,
+    period_table,
+    plan_table,
+    series_table,
 )
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -45,7 +47,7 @@ def make_populated_collector():
 
 def test_period_table_shape_and_markers():
     collector, classes = make_populated_collector()
-    table = format_period_table(collector, classes, title="Perf")
+    table = period_table(collector, classes, title="Perf").text()
     lines = table.splitlines()
     assert lines[0] == "Perf"
     assert "class1" in lines[1] and "class3" in lines[1]
@@ -57,7 +59,7 @@ def test_period_table_shape_and_markers():
 
 def test_summary_contains_attainment():
     collector, classes = make_populated_collector()
-    summary = format_summary(collector, classes, title="Summary")
+    summary = attainment_table(collector, classes, title="Summary").text()
     assert "class1" in summary
     assert "100%" in summary
     assert "attainment" in summary
@@ -65,17 +67,17 @@ def test_summary_contains_attainment():
 
 def test_plan_table_reports_means():
     collector, classes = make_populated_collector()
-    table = format_plan_table(collector, ["class1", "class2", "class3"])
+    table = plan_table(collector, ["class1", "class2", "class3"]).text()
     assert "12000" in table.replace(" ", "")
 
 
 def test_figure_series_handles_ragged_and_missing():
-    text = format_figure_series(
+    text = series_table(
         {"a": [1.0, None, 3.0], "b": [2.0]},
         x_label="step",
         title="Fig",
         digits=1,
-    )
+    ).text()
     lines = text.splitlines()
     assert lines[0] == "Fig"
     assert "step" in lines[1]
@@ -124,3 +126,78 @@ class TestSeriesChart:
     def test_multiple_series_distinct_markers(self):
         text = self._chart(series={"x": [0.1], "y": [0.9]}, height=5)
         assert "A=x" in text and "B=y" in text
+
+
+class TestTable:
+    COLUMNS = [
+        Column("class"),
+        Column("mean", "{:.3f}"),
+        Column("goal", "{:.2f} {:>4}"),
+    ]
+    ROWS = [["class1", 0.5, (0.4, "ok")], ["class3", None, (0.25, "MISS")]]
+
+    @staticmethod
+    def text_cells(text):
+        return [[cell.strip() for cell in line.split(" | ")]
+                for line in text.splitlines() if " | " in line]
+
+    @staticmethod
+    def markdown_cells(text):
+        return [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in text.splitlines()
+                if line.startswith("|") and "---" not in line]
+
+    def test_both_renderers_show_the_same_cells_in_the_same_order(self):
+        table = Table(self.COLUMNS, self.ROWS, title="Perf")
+        expected = [["class", "mean", "goal"]] + table.cells()
+        assert table.cells() == [
+            ["class1", "0.500", "0.40   ok"],
+            ["class3", "-", "0.25 MISS"],
+        ]
+        assert self.text_cells(table.text()) == expected
+        assert self.markdown_cells(table.markdown()) == expected
+
+    def test_text_layout_is_title_header_rule_rows(self):
+        lines = Table(self.COLUMNS, self.ROWS, title="Perf").text().splitlines()
+        assert lines[0] == "Perf"
+        assert lines[1] == "class  |  mean |      goal"
+        assert lines[2] == "-" * len(lines[1])
+        assert lines[3] == "class1 | 0.500 | 0.40   ok"
+        assert lines[4] == "class3 |     - | 0.25 MISS"
+        assert len(lines) == 5
+
+    def test_markdown_layout_is_heading_and_pipe_table(self):
+        lines = Table(self.COLUMNS, self.ROWS, title="Perf").markdown().splitlines()
+        assert lines[:2] == ["### Perf", ""]
+        assert lines[2] == "| class | mean | goal |"
+        assert lines[3] == "| --- | --- | --- |"
+        assert lines[5] == "| class3 | - | 0.25 MISS |"
+
+    def test_a_table_without_a_title_starts_at_its_header(self):
+        table = Table(self.COLUMNS, self.ROWS)
+        assert table.text().splitlines()[0].startswith("class")
+        assert table.markdown().splitlines()[0] == "| class | mean | goal |"
+
+    def test_an_empty_table_says_so_in_place_of_the_grid(self):
+        table = Table(self.COLUMNS, [], title="Perf", empty="nothing recorded")
+        assert table.cells() == []
+        assert table.text() == "Perf: nothing recorded"
+        assert table.markdown() == "### Perf\n\nnothing recorded"
+        assert Table(self.COLUMNS, []).text() == "(none)"
+
+
+def test_period_table_reads_each_series_once():
+    """One ``performance_series`` call per class, not one per period."""
+    collector, classes = make_populated_collector()
+    calls = []
+    read = collector.performance_series
+
+    def counting(service_class):
+        calls.append(service_class.name)
+        return read(service_class)
+
+    collector.performance_series = counting
+    table = period_table(collector, classes)
+    assert len(table.rows) == collector.schedule.num_periods == 2
+    assert calls == [c.name for c in classes]
+    assert table.cells()[0] == ["1", "0.500   ok", "-", "0.200   ok"]

@@ -16,7 +16,7 @@ from repro.core.monitor import ClassMeasurement
 from repro.core.plan import SchedulingPlan
 from repro.experiments.parallel import summarize_result
 from repro.experiments.runner import ExperimentSpec, run_spec
-from repro.metrics.report import format_prediction_summary
+from repro.metrics.report import prediction_error_table
 from repro.metrics.telemetry import (
     ControlIntervalRecord,
     DispatcherClassTelemetry,
@@ -169,16 +169,14 @@ class TestTelemetryStore:
 
 def test_format_prediction_summary():
     store = TelemetryStore([_record()])
-    text = format_prediction_summary(
-        store.prediction_error_summary(), title="Prediction error"
-    )
-    assert "Prediction error" in text
+    text = prediction_error_table(store.prediction_error_summary()).text()
+    assert "prediction error" in text
     assert "class1" in text
-    assert "mean_|err|" in text
+    assert "mean abs error" in text
 
 
 def test_format_prediction_summary_empty():
-    assert "(no prediction telemetry)" in format_prediction_summary({})
+    assert "(no prediction telemetry)" in prediction_error_table({}).text()
 
 
 @pytest.fixture(scope="module")

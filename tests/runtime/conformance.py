@@ -1,7 +1,8 @@
 """Backend conformance checks.
 
-Library code (driven by ``tests/runtime/test_conformance.py``, but usable
-against any out-of-tree backend) that verifies an
+The executable backend contract (run by ``tests/runtime/test_conformance.py``
+against both shipped backends; a new backend's tests import it the same
+way).  It verifies that an
 :class:`~repro.runtime.protocols.ExecutionBackend` honours the contract
 the controller stack depends on:
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimulationConfig, default_config
-from repro.runtime import make_backend, run_conformance
-from repro.runtime.conformance import CONFORMANCE_CHECKS
+from repro.runtime import make_backend
 from repro.sim.rng import RandomStreams
+from tests.runtime.conformance import CONFORMANCE_CHECKS, run_conformance
 
 #: Noise-free optimizer so estimated costs are exactly checkable.
 def _config() -> SimulationConfig:

@@ -21,7 +21,7 @@ class TestRunScenario:
         code = main(["run", "--scenario", "cancel-storm-under-load", "--smoke"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Injected faults (4):" in out
+        assert "Injected faults (4)" in out
         assert "cancel_storm" in out
 
     def test_run_scenario_from_a_path(self, tmp_path, capsys):

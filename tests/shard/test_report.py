@@ -10,10 +10,10 @@ from repro.experiments.parallel import RunSummary
 from repro.shard.report import (
     build_sharded_report,
     export_shard_telemetry,
-    format_sharded_report,
     save_sharded_report,
     shard_path,
     sharded_report_to_dict,
+    sharded_tables,
 )
 from repro.sim.stats import Histogram
 from tests.conftest import (
@@ -94,7 +94,7 @@ class TestBuildShardedReport:
         report = build_sharded_report(
             summaries, 2, "cost-aware", "static", [100.0, 200.0]
         )
-        text = format_sharded_report(report)
+        text = "\n\n".join(table.text() for table in sharded_tables(report))
         assert "2 shards" in text
         assert "cost-aware" in text
         assert "shard00" in text and "shard01" in text

@@ -248,12 +248,11 @@ def test_sweep_command(capsys):
 
 
 def test_sweep_rejects_unknown_field(capsys):
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        main([
-            "sweep", "planner.warp_speed", "--values", "1", "--quiet",
-        ] + FAST_RUN)
+    code = main([
+        "sweep", "planner.warp_speed", "--values", "1", "--quiet",
+    ] + FAST_RUN)
+    assert code == 2
+    assert "warp_speed" in capsys.readouterr().err
 
 
 def test_run_trace_events_writes_chrome_trace(tmp_path, capsys):
@@ -310,9 +309,9 @@ def test_trace_summary_prints_controller_overhead(capsys):
     code = main(["trace", "--summary"] + FAST_RUN)
     out = capsys.readouterr().out
     assert code == 0
-    assert "Controller overhead (wall-clock per control interval):" in out
+    assert "Controller overhead (wall-clock per control interval)" in out
     assert "total_s" in out
-    assert "mean=" in out and "max=" in out
+    assert "mean (s)" in out and "max (s)" in out
 
 
 def test_run_sharded_smoke(capsys, tmp_path):
@@ -418,3 +417,85 @@ def test_run_sharded_underprovisioned_limit_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cost limit" in err
+
+
+def _raising(error):
+    def run_spec(spec, hub=None):
+        raise error
+
+    return run_spec
+
+
+@pytest.mark.parametrize(
+    "argv, raised, code, prefix",
+    [
+        (["run", "--periods", "0"], None, 2, "configuration error: "),
+        (["figure", "4", "--periods", "0"], None, 2, "configuration error: "),
+        (["run", "--scenario", "atlantis"], None, 2, "scenario error: "),
+        (["scenarios", "atlantis"], None, 2, "scenario error: "),
+        (["run", "--output", "/no/such/dir/x.json"], None, 2, "export error: "),
+        (["spans", "--trace-events", "/no/such/dir/t.json"], None, 2, "export error: "),
+        (["trace", "--output", "/no/such/dir/t.jsonl"], None, 2, "export error: "),
+        (["report", "--output", "/no/such/dir/r.md"], None, 2, "export error: "),
+        (["train", "--telemetry", "/no/such/dir", "--output", "m.json"], None, 2,
+         "train error: "),
+        (["ablate-models", "--scenarios", "atlantis"], None, 2, "ablation error: "),
+        (["run"], "MetricsError", 2, "metrics error: "),
+        (["check"], "InvariantViolation", 1, "invariant violation: "),
+        (["run"], "ExperimentError", 1, "experiment error: "),
+    ],
+)
+def test_every_error_class_is_one_line_on_stderr_and_an_exit_code(
+    argv, raised, code, prefix, monkeypatch, capsys
+):
+    import repro.cli as cli_module
+    import repro.errors
+    from repro.sim.engine import Simulator
+
+    if raised is not None:
+        error = getattr(repro.errors, raised)("injected")
+        monkeypatch.setattr(cli_module, "run_spec", _raising(error))
+    fired = []
+    run_simulator = Simulator.run
+
+    def counting_run(self, *args, **kwargs):
+        fired.append(self)
+        return run_simulator(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix)
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert fired == []  # refused before any simulation event fired
+
+
+def test_an_unlisted_repro_error_is_a_bug_and_keeps_its_traceback(monkeypatch):
+    import repro.cli as cli_module
+    from repro.errors import SimulationError
+
+    monkeypatch.setattr(
+        cli_module, "run_spec", _raising(SimulationError("event in the past"))
+    )
+    with pytest.raises(SimulationError):
+        main(["run"] + FAST_RUN)
+
+
+def test_a_failed_run_still_stops_the_dashboard(monkeypatch, capsys):
+    import repro.cli as cli_module
+    from repro.errors import InvariantViolation
+    from repro.obs.live import LiveServer
+
+    stopped = []
+    stop = LiveServer.stop
+
+    def recording_stop(self):
+        stopped.append(self)
+        stop(self)
+
+    monkeypatch.setattr(LiveServer, "stop", recording_stop)
+    monkeypatch.setattr(cli_module, "run_spec", _raising(InvariantViolation("boom")))
+    assert main(["run", "--dashboard"] + FAST_RUN) == 1
+    assert "invariant violation: boom" in capsys.readouterr().err
+    assert len(stopped) == 1 and not stopped[0].running

@@ -1,7 +1,7 @@
 """Stress and failure-injection tests.
 
 Edge conditions a production workload manager must survive: empty
-workloads, monster-only workloads, open-loop overload past saturation,
+workloads, monster-only workloads, closed-loop overload past saturation,
 minimum-budget plans, and pathological schedules.
 """
 
@@ -26,11 +26,9 @@ from repro.experiments.runner import (
     make_controller,
     run_spec,
 )
-from repro.workloads.openloop import OpenLoopSource
 from repro.workloads.schedule import PeriodSchedule, constant_schedule
 from repro.workloads.spec import QueryTemplate, WorkloadMix
 from repro.workloads.tpch import tpch_mix
-from repro.sim.rng import RandomStreams
 
 
 def quick_config(**overrides):
@@ -98,22 +96,18 @@ def _tiny_oltp_mix():
 
 
 def test_open_loop_overload_is_survived_by_admission_control():
-    """Arrivals far beyond capacity: the QP queue grows but the engine stays
-    under its cost limit and keeps completing work."""
+    """Demand far beyond capacity (40 zero-think-time OLAP clients): the QP
+    queue grows but the engine stays under its cost limit and keeps
+    completing work."""
     classes = [ServiceClass("class1", "olap", VelocityGoal(0.4), 1)]
-    schedule = constant_schedule(30.0, 2, {"class1": 0})
+    schedule = constant_schedule(30.0, 2, {"class1": 40})
     bundle = build_bundle(
         config=quick_config(), schedule=schedule, classes=classes,
         mixes={"class1": tpch_mix()},
     )
     controller = make_controller(bundle, "none")
     controller.start()
-    source = OpenLoopSource(
-        bundle.sim, bundle.patroller, bundle.factory, tpch_mix(), "class1",
-        RandomStreams(91), rate=3.0,  # way past OLAP capacity
-    )
     bundle.manager.start()
-    source.start()
     bundle.run()
     assert bundle.engine.completed_queries > 0
     # Admission control held the line: executing cost stayed bounded.
