@@ -9,7 +9,12 @@ ephemeral port, then — while the run executes — exercises every endpoint:
   each carries the control interval's record (the one object the planner
   built, serialised by the publisher) with matching ``interval_index``
   and a ``violations`` list;
-* ``/metrics`` renders the Prometheus exposition with per-shard labels;
+* ``/metrics`` renders the Prometheus exposition: every ``dispatcher_*``
+  family carries ``class=`` and ``shard=`` labels, ``planner_intervals_total``
+  a ``shard=`` label, and ``dispatcher_released_total`` never decreases
+  from one fetch to the next and becomes non-zero while the run executes
+  (the instruments are live reads — a component that stopped registering
+  would be missing here);
 * ``/`` serves the embedded dashboard HTML;
 
 and finally asserts the run process exits 0 (clean server shutdown).
@@ -29,6 +34,18 @@ import urllib.request
 
 TIMEOUT = 120.0  # overall wall-clock budget, seconds
 SSE_INTERVAL_EVENTS = 2  # acceptance floor
+
+#: The per-class families the Dispatcher publishes.
+DISPATCHER_FAMILIES = (
+    "dispatcher_enqueued_total",
+    "dispatcher_released_total",
+    "dispatcher_completed_total",
+    "dispatcher_cancelled_total",
+    "dispatcher_queue_cancelled_total",
+    "dispatcher_queue_length",
+    "dispatcher_in_flight_cost",
+    "dispatcher_in_flight_count",
+)
 
 
 def fetch(url, timeout=10.0):
@@ -88,6 +105,44 @@ def check_interval_record(event):
     assert isinstance(record["violations"], list), record["violations"]
 
 
+def parse_metrics(text):
+    """``{family: {rendered label set: value}}`` of a Prometheus exposition."""
+    families = {}
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        series, value = line.rsplit(" ", 1)
+        name, _, labels = series.partition("{")
+        families.setdefault(name, {})[labels.rstrip("}")] = float(value)
+    return families
+
+
+def check_families(metrics):
+    """Every dispatcher/planner registration is there and labelled."""
+    for family in DISPATCHER_FAMILIES:
+        series = metrics.get(family)
+        assert series, "family {} missing from /metrics".format(family)
+        for labels in series:
+            assert 'class="' in labels and 'shard="' in labels, (family, labels)
+    intervals = metrics.get("planner_intervals_total")
+    assert intervals, "planner_intervals_total missing from /metrics"
+    assert all('shard="' in labels for labels in intervals), intervals
+
+
+def wait_for_releases(base, previous, deadline):
+    """Fetch ``/metrics`` until a release shows; no fetch may read less."""
+    while True:
+        current = parse_metrics(fetch(base + "metrics"))
+        released = current["dispatcher_released_total"]
+        for labels, value in previous["dispatcher_released_total"].items():
+            assert released[labels] >= value, (labels, value, released[labels])
+        if sum(released.values()) > 0:
+            return released
+        assert time.monotonic() < deadline, "no release ever showed in /metrics"
+        previous = current
+        time.sleep(0.5)
+
+
 def main():
     start = time.monotonic()
     deadline = start + TIMEOUT
@@ -125,12 +180,17 @@ def main():
 
             metrics = fetch(base + "metrics")
             assert "# HELP" in metrics and "# TYPE" in metrics, metrics[:200]
-            assert 'shard="0"' in metrics, "per-shard labels missing"
-            print("metrics OK ({} lines)".format(len(metrics.splitlines())))
 
             html = fetch(base)
             assert "<!DOCTYPE html>" in html and "EventSource" in html
             print("dashboard HTML OK ({} bytes)".format(len(html)))
+
+            first = parse_metrics(metrics)
+            check_families(first)
+            released = wait_for_releases(base, first, deadline)
+            print("metrics OK ({} lines, released so far: {})".format(
+                len(metrics.splitlines()), released
+            ))
 
             snapshot = json.loads(fetch(base + "api/snapshot"))
             assert snapshot["shards"], "no per-shard interval state"

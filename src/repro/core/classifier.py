@@ -4,66 +4,24 @@
 its performance goal and places the query in the associated queue
 manipulated by the dispatcher" (Section 2).
 
-Classification is rule-based: rules match on the query's submitter tag, its
-workload kind, or its estimated cost, in order; the first match wins.  The
-default rule set used by the experiments trusts the submitter's class tag
-(clients connect "as" a class, exactly like DB2 QP submitter profiles) and
-validates it against the registered classes.
+Classification trusts the submitter's class tag (clients connect "as" a
+class, exactly like DB2 QP submitter profiles) and validates it against
+the registered classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.service_class import ServiceClass
 from repro.dbms.query import Query
 from repro.errors import SchedulingError
 
-#: A classification rule: returns a class name or None to pass.
-Rule = Callable[[Query], Optional[str]]
-
-
-@dataclass(frozen=True)
-class CostBandRule:
-    """Assigns queries whose estimated cost falls in (low, high]."""
-
-    class_name: str
-    low_cost: float
-    high_cost: float
-
-    def __call__(self, query: Query) -> Optional[str]:
-        if self.low_cost < query.estimated_cost <= self.high_cost:
-            return self.class_name
-        return None
-
-
-@dataclass(frozen=True)
-class KindRule:
-    """Assigns queries by workload kind ('olap'/'oltp')."""
-
-    class_name: str
-    kind: str
-
-    def __call__(self, query: Query) -> Optional[str]:
-        if query.kind == self.kind:
-            return self.class_name
-        return None
-
-
-def submitter_tag_rule(query: Query) -> Optional[str]:
-    """Trust the class tag the submitting client attached to the query."""
-    return query.class_name or None
-
 
 class Classifier:
     """Maps incoming queries to registered service classes."""
 
-    def __init__(
-        self,
-        classes: Sequence[ServiceClass],
-        rules: Optional[Sequence[Rule]] = None,
-    ) -> None:
+    def __init__(self, classes: Sequence[ServiceClass]) -> None:
         if not classes:
             raise SchedulingError("classifier needs at least one service class")
         self._classes: Dict[str, ServiceClass] = {}
@@ -73,8 +31,6 @@ class Classifier:
                     "duplicate service class {!r}".format(service_class.name)
                 )
             self._classes[service_class.name] = service_class
-        self.rules: List[Rule] = list(rules) if rules is not None else [submitter_tag_rule]
-        self._classified = 0
 
     @property
     def classes(self) -> List[ServiceClass]:
@@ -86,11 +42,6 @@ class Classifier:
         """Names of the registered classes."""
         return list(self._classes)
 
-    @property
-    def classified_count(self) -> int:
-        """Queries classified so far."""
-        return self._classified
-
     def get(self, class_name: str) -> ServiceClass:
         """Look up a registered class."""
         service_class = self._classes.get(class_name)
@@ -99,26 +50,17 @@ class Classifier:
         return service_class
 
     def classify(self, query: Query) -> ServiceClass:
-        """Assign the query to a service class; updates ``query.class_name``.
+        """The service class the query's submitter tagged it with.
 
-        Raises SchedulingError if no rule matches or a rule names an
-        unregistered class — a misrouted query must never be silently
-        dropped from workload control.
+        Raises SchedulingError on a missing or unregistered tag — a
+        misrouted query must never be silently dropped from workload
+        control.
         """
-        for rule in self.rules:
-            name = rule(query)
-            if name is None:
-                continue
-            service_class = self._classes.get(name)
-            if service_class is None:
-                raise SchedulingError(
-                    "rule assigned query {} to unknown class {!r}".format(
-                        query.query_id, name
-                    )
+        service_class = self._classes.get(query.class_name)
+        if service_class is None:
+            raise SchedulingError(
+                "query {} is tagged with unknown service class {!r}".format(
+                    query.query_id, query.class_name
                 )
-            query.class_name = service_class.name
-            self._classified += 1
-            return service_class
-        raise SchedulingError(
-            "no classification rule matched query {}".format(query.query_id)
-        )
+            )
+        return service_class

@@ -40,19 +40,16 @@ from repro.core.service_class import ServiceClass
 from repro.runtime import ExecutionEngine
 from repro.dbms.query import Query, QueryState
 from repro.errors import SchedulingError
-from repro.obs.registry import MetricsRegistry
 from repro.patroller.patroller import QueryPatroller
 
 
 class _ClassState:
     """Dispatcher-side bookkeeping for one service class.
 
-    The monotone per-class counters (enqueued/released/completed/cancelled/
-    queue-cancelled) are registry :class:`~repro.obs.registry.Counter`
-    instruments rather than plain ints, so the same numbers that drive the
-    conservation invariants are exported through the instrument registry;
-    queue length and in-flight cost/count are published as callback gauges
-    reading this state directly.
+    The monotone per-class totals (enqueued/released/completed/cancelled/
+    queue-cancelled) are the same numbers that drive the conservation
+    invariants; :meth:`Dispatcher.register_instruments` publishes them,
+    with queue length and in-flight cost/count, as live reads.
     """
 
     __slots__ = (
@@ -68,9 +65,7 @@ class _ClassState:
         "queue_cancelled",
     )
 
-    def __init__(
-        self, service_class: ServiceClass, registry: MetricsRegistry
-    ) -> None:
+    def __init__(self, service_class: ServiceClass) -> None:
         self.service_class = service_class
         self.queue: List[Query] = []
         self.in_flight_cost = 0.0
@@ -78,31 +73,44 @@ class _ClassState:
         #: The queries this dispatcher released and not yet retired, by id —
         #: the ground truth the cost/count pair must always agree with.
         self.in_flight: Dict[int, Query] = {}
-        labels = {"class": service_class.name}
-        self.enqueued = registry.counter(
+        self.enqueued = 0
+        self.released = 0
+        self.completed = 0
+        self.cancelled = 0
+        self.queue_cancelled = 0
+
+    def register_instruments(self, registry: "MetricsRegistry") -> None:  # noqa: F821
+        """Publish this class's live numbers, labelled with its name."""
+        labels = {"class": self.service_class.name}
+        registry.counter(
             "dispatcher_enqueued_total",
             description="Queries ever placed in a class queue",
             labels=labels,
+            callback=lambda: self.enqueued,
         )
-        self.released = registry.counter(
+        registry.counter(
             "dispatcher_released_total",
             description="Queries released for execution",
             labels=labels,
+            callback=lambda: self.released,
         )
-        self.completed = registry.counter(
+        registry.counter(
             "dispatcher_completed_total",
             description="Released queries that finished execution",
             labels=labels,
+            callback=lambda: self.completed,
         )
-        self.cancelled = registry.counter(
+        registry.counter(
             "dispatcher_cancelled_total",
             description="Released queries cancelled before completion",
             labels=labels,
+            callback=lambda: self.cancelled,
         )
-        self.queue_cancelled = registry.counter(
+        registry.counter(
             "dispatcher_queue_cancelled_total",
             description="Queries cancelled while still queued",
             labels=labels,
+            callback=lambda: self.queue_cancelled,
         )
         registry.gauge(
             "dispatcher_queue_length",
@@ -113,7 +121,6 @@ class _ClassState:
         registry.gauge(
             "dispatcher_in_flight_cost",
             description="Estimated timerons of released-but-unfinished queries",
-            unit="timerons",
             labels=labels,
             callback=lambda: self.in_flight_cost,
         )
@@ -152,7 +159,6 @@ class Dispatcher:
         classes: List[ServiceClass],
         initial_plan: SchedulingPlan,
         discipline: str = "fifo",
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if discipline not in DISCIPLINES:
             raise SchedulingError(
@@ -163,11 +169,8 @@ class Dispatcher:
         self.patroller = patroller
         self.engine = engine
         self.discipline = discipline
-        #: The instrument registry the per-class counters and gauges live
-        #: in; a private registry is created when none is shared in.
-        self.registry = registry if registry is not None else MetricsRegistry()
         self._states: Dict[str, _ClassState] = {
-            c.name: _ClassState(c, self.registry) for c in classes
+            c.name: _ClassState(c) for c in classes
         }
         #: The states this dispatcher queues and releases for: the only
         #: ones a completion or cancellation is looked up in.
@@ -205,19 +208,19 @@ class Dispatcher:
 
     def released_count(self, class_name: str) -> int:
         """Total queries of the class released so far."""
-        return int(self._state(class_name).released.value)
+        return self._state(class_name).released
 
     def completed_count(self, class_name: str) -> int:
         """Total released queries of the class that finished execution."""
-        return int(self._state(class_name).completed.value)
+        return self._state(class_name).completed
 
     def cancelled_count(self, class_name: str) -> int:
         """Total released queries of the class cancelled before completion."""
-        return int(self._state(class_name).cancelled.value)
+        return self._state(class_name).cancelled
 
     def enqueued_count(self, class_name: str) -> int:
         """Total queries of the class ever placed in its queue."""
-        return int(self._state(class_name).enqueued.value)
+        return self._state(class_name).enqueued
 
     def queue_cancelled_count(self, class_name: str) -> int:
         """Total queries of the class cancelled while still queued.
@@ -227,7 +230,7 @@ class Dispatcher:
         cancels); without this counter QP cancel storms would be invisible
         in telemetry.
         """
-        return int(self._state(class_name).queue_cancelled.value)
+        return self._state(class_name).queue_cancelled
 
     def in_flight_queries(self, class_name: str) -> List[Query]:
         """The class's released-but-unfinished queries (a copy).
@@ -236,6 +239,11 @@ class Dispatcher:
         incremental cost/count accounting and the engine's running set.
         """
         return list(self._state(class_name).in_flight.values())
+
+    def register_instruments(self, registry: "MetricsRegistry") -> None:  # noqa: F821
+        """Publish the per-class totals and gauges into a registry."""
+        for state in self._states.values():
+            state.register_instruments(registry)
 
     def _state(self, class_name: str) -> _ClassState:
         state = self._states.get(class_name)
@@ -268,7 +276,7 @@ class Dispatcher:
                 "interception".format(query.class_name)
             )
         state.queue.append(query)
-        state.enqueued.inc()
+        state.enqueued += 1
         self._release_eligible_for(state)
 
     # ------------------------------------------------------------------
@@ -328,7 +336,7 @@ class Dispatcher:
         # new tombstones can appear while the release loop below runs.
         if any(q.state == QueryState.CANCELLED for q in state.queue):
             live = [q for q in state.queue if q.state != QueryState.CANCELLED]
-            state.queue_cancelled.inc(len(state.queue) - len(live))
+            state.queue_cancelled += len(state.queue) - len(live)
             state.queue = live
         limit = self._limit_for(state)
         released = 0
@@ -351,7 +359,7 @@ class Dispatcher:
             state.in_flight_cost += query.estimated_cost
             state.in_flight_count += 1
             state.in_flight[query.query_id] = query
-            state.released.inc()
+            state.released += 1
             self.patroller.release(query)
             released += 1
         return released
@@ -371,7 +379,7 @@ class Dispatcher:
             # different controller ran earlier in the same engine) — ignore.
             return
         state.retire(query)
-        state.completed.inc()
+        state.completed += 1
         self._release_eligible_for(state)
 
     def _on_cancellation(self, query: Query) -> None:
@@ -388,11 +396,11 @@ class Dispatcher:
             return
         if query.query_id in state.in_flight:
             state.retire(query)
-            state.cancelled.inc()
+            state.cancelled += 1
             self._release_eligible_for(state)
             return
         for index, queued in enumerate(state.queue):
             if queued.query_id == query.query_id:
                 state.queue.pop(index)
-                state.queue_cancelled.inc()
+                state.queue_cancelled += 1
                 break

@@ -85,6 +85,7 @@ class MPLController:
                 self.patroller.disable_for_class(service_class.name)
         self.patroller.set_release_handler(self._on_intercepted)
         self.engine.add_completion_listener(self._on_completed)
+        self.patroller.add_cancel_listener(self._on_cancelled)
         self.sim.schedule(self.control_interval, self._tick, label="mpl:tick")
 
     def describe(self) -> str:
@@ -113,6 +114,17 @@ class MPLController:
         if self._executing[query.class_name] > 0:
             self._executing[query.class_name] -= 1
         self._release_eligible(query.class_name)
+
+    def _on_cancelled(self, query: Query) -> None:
+        """Patroller cancel hook.
+
+        A query cancelled after release (inside the release-latency window)
+        never reaches the engine, so no completion will free its MPL slot —
+        free it here.  One cancelled in its class queue holds no slot and
+        is dropped when the queue reaches it.
+        """
+        if query.release_time is not None:
+            self._on_completed(query)
 
     def _release_eligible(self, class_name: str) -> int:
         queue = self._queues[class_name]

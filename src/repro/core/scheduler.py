@@ -78,7 +78,7 @@ class QueryScheduler:
             )
         #: One instrument registry for the whole controller: the Dispatcher,
         #: Monitor, Planner, Solver, Patroller and (optional) detector all
-        #: publish into it, and it is sampled once per plan decision.
+        #: publish their live reads into it.
         self.registry = MetricsRegistry()
         self.classifier = Classifier(self.classes)
         self.dispatcher = Dispatcher(
@@ -87,7 +87,6 @@ class QueryScheduler:
             self.classes,
             initial_plan,
             discipline=config.planner.queue_discipline,
-            registry=self.registry,
         )
         self.monitor = Monitor(sim, engine, self.classes, config.monitor)
         if config.planner.allocator == "deficit":
@@ -117,13 +116,11 @@ class QueryScheduler:
         self.monitor.set_forward(self._classify_and_enqueue)
         patroller.set_release_handler(self.monitor.on_intercepted)
         patroller.add_cancel_listener(self.monitor.on_cancelled)
+        self.dispatcher.register_instruments(self.registry)
         self.monitor.register_instruments(self.registry)
         self.solver.register_instruments(self.registry)
         self.planner.register_instruments(self.registry)
         patroller.register_instruments(self.registry)
-        self.planner.add_plan_listener(
-            lambda record: self.registry.sample(record.time)
-        )
         self.detector: Optional[WorkloadDetector] = None
         self._started = False
 

@@ -33,7 +33,6 @@ from repro.sim.resources import ProcessorSharingResource, PSJob
 from repro.sim.rng import RandomStreams
 
 CompletionListener = Callable[[Query], None]
-StartListener = Callable[[Query], None]
 
 
 class DatabaseEngine:
@@ -62,7 +61,6 @@ class DatabaseEngine:
         self.snapshot_monitor = SnapshotMonitor()
         self.estimator = CostEstimator(config.optimizer, rng)
         self._listeners: List[CompletionListener] = []
-        self._start_listeners: List[StartListener] = []
         self._executing: Dict[int, Query] = {}
         self._completed = 0
         self._admission_gate: Optional[AdmissionGate] = None
@@ -101,14 +99,6 @@ class DatabaseEngine:
         """Subscribe to statement completions (fired in subscription order)."""
         self._listeners.append(listener)
 
-    def add_start_listener(self, listener: StartListener) -> None:
-        """Subscribe to execution starts (agent acquired, first phase in).
-
-        The Query Tracer uses this to open ``execute`` spans for statements
-        that bypass interception and therefore emit no patroller events.
-        """
-        self._start_listeners.append(listener)
-
     def set_admission_gate(self, gate: Optional[AdmissionGate]) -> None:
         """Install an in-engine admission gate (None to remove).
 
@@ -146,8 +136,6 @@ class DatabaseEngine:
         query.start_time = self.sim.now
         self._executing[query.query_id] = query
         self.overload.admit(query.true_cost)
-        for listener in self._start_listeners:
-            listener(query)
         self._next_phase(query)
 
     def _sub_done(self, barrier: list) -> None:

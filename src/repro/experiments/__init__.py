@@ -46,7 +46,6 @@ from repro.experiments.replication import (
 )
 from repro.experiments.reportgen import generate_report, write_report
 from repro.experiments.sensitivity import (
-    get_config_field,
     set_config_field,
     sweep,
     sweep_table,
@@ -83,7 +82,6 @@ __all__ = [
     "sweep",
     "sweep_table",
     "set_config_field",
-    "get_config_field",
     "generate_report",
     "write_report",
     "DEFAULT_MODELS",

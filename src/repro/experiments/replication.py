@@ -66,18 +66,6 @@ class ClassReplicationStats:
             return self.attainment.mean
         return self._weighted_sum / self.completions
 
-    def summary(self) -> Dict[str, float]:
-        """Plain-dict summary (JSON-friendly)."""
-        return {
-            "attainment_mean": self.attainment.mean,
-            "attainment_std": self.attainment.stddev,
-            "attainment_weighted": self.weighted_attainment,
-            "completions": self.completions,
-            "metric_mean": self.metric_mean.mean,
-            "metric_std": self.metric_mean.stddev,
-            "runs": self.attainment.count,
-        }
-
 
 @dataclass(frozen=True)
 class RunFailure:

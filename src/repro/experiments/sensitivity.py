@@ -57,20 +57,6 @@ def set_config_field(
     return updated.validate()
 
 
-def get_config_field(config: SimulationConfig, dotted_path: str):
-    """Read a (possibly nested) configuration field by dotted path."""
-    node = config
-    for part in dotted_path.split("."):
-        if not dataclasses.is_dataclass(node) or not any(
-            f.name == part for f in dataclasses.fields(node)
-        ):
-            raise ConfigurationError(
-                "unknown config field {!r} (in path {!r})".format(part, dotted_path)
-            )
-        node = getattr(node, part)
-    return node
-
-
 def sweep(
     dotted_path: str,
     values: Sequence,

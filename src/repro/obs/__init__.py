@@ -6,9 +6,9 @@ Three pillars on top of the interval-level telemetry of
 * :class:`QueryTracer` — one balanced span per query phase (``intercept``,
   ``queue_wait``, ``execute``, terminal ``cancelled``/``rejected``),
   exportable as JSONL or Chrome trace-event JSON (Perfetto);
-* :class:`MetricsRegistry` — named Counter/Gauge/Histogram instruments the
-  controller components register themselves into, sampled into time series
-  each control interval, renderable as Prometheus text;
+* :class:`MetricsRegistry` — named Counter/Gauge live reads the
+  controller components register themselves into, renderable as
+  Prometheus text;
 * :class:`IntervalProfiler` — real wall-clock cost of the controller's own
   per-interval work (monitor/solver/dispatcher), strictly separate from
   sim time, surfaced as the ``overhead`` telemetry section.
@@ -26,13 +26,7 @@ from repro.obs.export import (
     spans_to_jsonl,
 )
 from repro.obs.profiling import IntervalProfiler, summarize_overhead
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    HistogramInstrument,
-    Instrument,
-    MetricsRegistry,
-)
+from repro.obs.registry import Counter, Gauge, Instrument, MetricsRegistry
 from repro.obs.spans import (
     PHASES,
     TERMINAL_PHASES,
@@ -49,7 +43,6 @@ __all__ = [
     "TERMINAL_PHASES",
     "Counter",
     "Gauge",
-    "HistogramInstrument",
     "Instrument",
     "IntervalProfiler",
     "MetricsRegistry",

@@ -24,12 +24,11 @@ from repro.obs.live.hub import (
     Subscription,
     TelemetryHub,
 )
-from repro.obs.live.publish import LIVE_MAX_SAMPLES, RunPublisher, run_start_data
+from repro.obs.live.publish import RunPublisher, run_start_data
 
 __all__ = [
     "DEFAULT_MAX_QUEUE",
     "EVENT_TYPES",
-    "LIVE_MAX_SAMPLES",
     "PROTOCOL_VERSION",
     "LiveEvent",
     "LiveServer",

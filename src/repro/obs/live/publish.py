@@ -30,10 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import Span
     from repro.obs.tracer import QueryTracer
 
-#: Registry sampling bound applied to serve-mode runs (satellite: long
-#: wall-clock dashboard runs must not grow sampling memory unboundedly).
-LIVE_MAX_SAMPLES = 4096
-
 #: Slowest spans carried per ``spans`` event.
 SPANS_PER_EVENT = 8
 
@@ -100,8 +96,6 @@ class RunPublisher:
         registry = getattr(self.controller, "registry", None)
         if registry is not None:
             self.hub.register_registry(registry, shard=self.shard)
-            if registry.max_samples is None:
-                registry.max_samples = LIVE_MAX_SAMPLES
         return True
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The QueryTracer: one balanced span per query phase.
 
 Subscribes to the Query Patroller's lifecycle events and the engine's
-start/completion hooks and turns them into :class:`~repro.obs.spans.Span`
+completion hook and turns them into :class:`~repro.obs.spans.Span`
 records:
 
 * ``submitted``   (intercepted class) → open ``intercept``;
@@ -19,10 +19,7 @@ span.  Queries still in flight when the run ends are closed by
 trace is *balanced*: every opened span is closed.
 
 Bypassed classes (the OLTP class in every paper experiment) produce no
-spans by default — interception is exactly what they skip — but
-``trace_bypassed=True`` records their ``execute`` spans from the engine's
-start hook, which is how the per-class overhead comparison in
-``docs/OBSERVABILITY.md`` is produced.
+spans: interception is exactly what they skip.
 """
 
 from __future__ import annotations
@@ -53,13 +50,11 @@ class QueryTracer:
         patroller: "QueryPatroller",
         engine: "ExecutionEngine",
         schedule: Optional["PeriodSchedule"] = None,
-        trace_bypassed: bool = False,
     ) -> None:
         self.clock = clock
         self.patroller = patroller
         self.engine = engine
         self.schedule = schedule
-        self.trace_bypassed = trace_bypassed
         self._spans: List[Span] = []
         #: The at-most-one open lifecycle span per query id.
         self._open: Dict[int, Span] = {}
@@ -67,7 +62,6 @@ class QueryTracer:
         self._closed = 0
         self._finalized = False
         patroller.add_lifecycle_listener(self._on_lifecycle)
-        engine.add_start_listener(self._on_start)
         engine.add_completion_listener(self._on_completion)
 
     # ------------------------------------------------------------------
@@ -191,14 +185,6 @@ class QueryTracer:
             traced = self._close_open(query.query_id, now) is not None
             if traced:
                 self._terminal(query, "rejected", now)
-
-    def _on_start(self, query: "Query") -> None:
-        # Bypassed statements reach the engine without any patroller
-        # lifecycle events; their whole traced life is one execute span.
-        if query.query_id in self._open:
-            return
-        if self.trace_bypassed and not self.patroller.intercepts(query.class_name):
-            self._open_span(query, "execute", self.clock.now)
 
     def _on_completion(self, query: "Query") -> None:
         self._close_open(query.query_id, self.clock.now)

@@ -149,6 +149,9 @@ class QPStaticPolicy:
         self._released = 0
         patroller.set_release_handler(self.on_intercepted)
         engine.add_completion_listener(self.on_completed)
+        # A statement cancelled inside the release-latency window never
+        # reaches the engine, so no completion would free what it holds.
+        patroller.add_cancel_listener(self.on_completed)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -199,9 +202,9 @@ class QPStaticPolicy:
         self.try_release()
 
     def on_completed(self, query: Query) -> None:
-        """Engine completion hook: free the query's slots, release more."""
+        """Completion / cancel hook: free the query's slots, release more."""
         if query.query_id not in self._group_of_query:
-            return  # bypassed QP (e.g. the OLTP class)
+            return  # bypassed QP (e.g. the OLTP class) or cancelled in the queue
         group_name = self._group_of_query.pop(query.query_id)
         self._in_flight_cost -= query.estimated_cost
         if self._in_flight_cost < 0:

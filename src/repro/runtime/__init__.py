@@ -18,7 +18,6 @@ from repro.runtime.protocols import (
     CompletionListener,
     ExecutionBackend,
     ExecutionEngine,
-    StartListener,
     TimerHandle,
     TimerService,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "RealTimeTimerService",
     "SimulationBackend",
     "SQLiteEngine",
-    "StartListener",
     "TimerHandle",
     "TimerService",
     "WallClock",

@@ -52,7 +52,6 @@ DEFAULT_PRIORITY = 0
 
 #: Listener signatures shared by every backend.
 CompletionListener = Callable[[Query], None]
-StartListener = Callable[[Query], None]
 
 
 @runtime_checkable
@@ -170,10 +169,6 @@ class ExecutionEngine(Protocol):
 
     def add_completion_listener(self, listener: CompletionListener) -> None:
         """Subscribe to statement completions (subscription order)."""
-        ...
-
-    def add_start_listener(self, listener: StartListener) -> None:
-        """Subscribe to execution starts (agent acquired)."""
         ...
 
     def set_admission_gate(self, gate: Optional[AdmissionGate]) -> None:

@@ -45,7 +45,6 @@ from repro.errors import SimulationError
 from repro.runtime.protocols import (
     AdmissionGate,
     CompletionListener,
-    StartListener,
     TimerService,
 )
 from repro.sim.rng import RandomStreams
@@ -163,7 +162,6 @@ class SQLiteEngine:
         self._stock_rows = stock_rows
         self._lineitem_rows = max(1, lineitem_rows)
         self._listeners: List[CompletionListener] = []
-        self._start_listeners: List[StartListener] = []
         self._executing: Dict[int, Query] = {}
         self._completed = 0
         self._admission_gate: Optional[AdmissionGate] = None
@@ -283,10 +281,6 @@ class SQLiteEngine:
         """Subscribe to statement completions (fired in subscription order)."""
         self._listeners.append(listener)
 
-    def add_start_listener(self, listener: StartListener) -> None:
-        """Subscribe to execution starts (agent acquired, SQL dispatched)."""
-        self._start_listeners.append(listener)
-
     def set_admission_gate(self, gate: Optional[AdmissionGate]) -> None:
         """Install an in-engine admission gate (None to remove)."""
         self._admission_gate = gate
@@ -315,8 +309,6 @@ class SQLiteEngine:
         query.state = QueryState.EXECUTING
         query.start_time = self.sim.now
         self._executing[query.query_id] = query
-        for listener in self._start_listeners:
-            listener(query)
         statements = self._statements_for(query)
         self._statements_issued += len(statements)
         if self._closed:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.classifier import Classifier, CostBandRule, KindRule, submitter_tag_rule
+from repro.core.classifier import Classifier
 from repro.core.service_class import paper_classes
 from repro.dbms.query import CPU, Phase, Query
 from repro.errors import SchedulingError
@@ -26,7 +26,7 @@ def test_default_rule_trusts_submitter_tag():
     query = make_query(class_name="class2")
     assigned = classifier.classify(query)
     assert assigned.name == "class2"
-    assert classifier.classified_count == 1
+    assert query.class_name == "class2"
 
 
 def test_unknown_tag_rejected():
@@ -39,40 +39,6 @@ def test_untagged_query_with_no_matching_rule_rejected():
     classifier = Classifier(paper_classes())
     with pytest.raises(SchedulingError):
         classifier.classify(make_query(class_name=""))
-
-
-def test_kind_rule():
-    classifier = Classifier(
-        paper_classes(),
-        rules=[KindRule("class3", "oltp"), KindRule("class1", "olap")],
-    )
-    assert classifier.classify(make_query(kind="oltp", class_name="x")).name == "class3"
-    assert classifier.classify(make_query(kind="olap", class_name="x")).name == "class1"
-
-
-def test_cost_band_rule_first_match_wins():
-    classifier = Classifier(
-        paper_classes(),
-        rules=[
-            CostBandRule("class2", 0.0, 2_000.0),
-            CostBandRule("class1", 0.0, float("inf")),
-        ],
-    )
-    assert classifier.classify(make_query(cost=1_500.0)).name == "class2"
-    assert classifier.classify(make_query(cost=9_000.0)).name == "class1"
-
-
-def test_classification_overwrites_query_tag():
-    classifier = Classifier(paper_classes(), rules=[KindRule("class1", "olap")])
-    query = make_query(class_name="whatever")
-    classifier.classify(query)
-    assert query.class_name == "class1"
-
-
-def test_rule_naming_unregistered_class_rejected():
-    classifier = Classifier(paper_classes(), rules=[KindRule("ghost", "olap")])
-    with pytest.raises(SchedulingError):
-        classifier.classify(make_query())
 
 
 def test_duplicate_classes_rejected():
@@ -92,7 +58,3 @@ def test_get_lookup():
     with pytest.raises(SchedulingError):
         classifier.get("nope")
     assert classifier.class_names == ["class1", "class2", "class3"]
-
-
-def test_submitter_tag_rule_returns_none_for_blank():
-    assert submitter_tag_rule(make_query(class_name="")) is None

@@ -6,17 +6,18 @@ from repro.config import PatrollerConfig, default_config
 from repro.core.mpl import MPLController
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Phase, Query, QueryState
 from repro.errors import ConfigurationError, SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
 
-def make_stack(initial_mpl=2, control_interval=10.0):
+def make_stack(initial_mpl=2, control_interval=10.0, release_latency=0.0):
     sim = Simulator()
     config = default_config(
-        patroller=PatrollerConfig(interception_latency=0.0, release_latency=0.0,
+        patroller=PatrollerConfig(interception_latency=0.0,
+                                  release_latency=release_latency,
                                   overhead_cpu_demand=0.0)
     )
     engine = DatabaseEngine(sim, config, RandomStreams(23))
@@ -151,3 +152,26 @@ def test_invalid_parameters():
         MPLController(sim, patroller, engine, classes, decrease_factor=1.5)
     with pytest.raises(ConfigurationError):
         MPLController(sim, patroller, engine, classes, control_interval=0.0)
+
+
+def test_cancel_inside_the_release_window_frees_the_mpl_slot():
+    """A statement cancelled after release but before execution never
+    completes; its MPL slot must not be held forever."""
+    sim, engine, patroller, controller = make_stack(
+        initial_mpl=1, control_interval=1_000.0, release_latency=0.5
+    )
+    controller.start()
+    first, second, third = olap_query(), olap_query(), olap_query()
+    for query in (first, second, third):
+        patroller.submit(query)
+    sim.run_until(0.1)
+    assert first.state == QueryState.RELEASED
+    assert second.state == third.state == QueryState.QUEUED
+    # A queue-level cancel holds no slot: nothing may be released for it.
+    assert patroller.cancel(third)
+    assert second.state == QueryState.QUEUED
+    assert patroller.cancel(first)
+    assert second.state == QueryState.RELEASED
+    sim.run_until(100.0)
+    assert second.state == QueryState.COMPLETED
+    assert controller._executing == {"class1": 0, "class2": 0}

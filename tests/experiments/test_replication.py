@@ -38,12 +38,8 @@ def test_replicate_aggregates_across_seeds():
         stats = summary.per_class[name]
         assert stats.attainment.count == 3
         assert 0.0 <= stats.attainment.mean <= 1.0
-        payload = stats.summary()
-        assert set(payload) == {
-            "attainment_mean", "attainment_std", "attainment_weighted",
-            "completions", "metric_mean", "metric_std", "runs",
-        }
-        assert payload["completions"] == stats.completions
+        assert stats.metric_mean.count == 3
+        assert stats.completions > 0
 
 
 def test_weighted_attainment_pools_by_completions():

@@ -11,7 +11,6 @@ from repro.config import (
 from repro.errors import ConfigurationError
 from repro.experiments.sensitivity import (
     sweep_table,
-    get_config_field,
     set_config_field,
     sweep,
 )
@@ -48,13 +47,6 @@ class TestFieldAccess:
             set_config_field(default_config(), "no_such_section.x", 1)
         with pytest.raises(ConfigurationError):
             set_config_field(default_config(), "planner..bad", 1)
-
-    def test_get_roundtrip(self):
-        config = default_config()
-        assert get_config_field(config, "resources.cpu_servers") == 2
-        assert get_config_field(config, "seed") == config.seed
-        with pytest.raises(ConfigurationError):
-            get_config_field(config, "resources.gpu_servers")
 
 
 class TestSweep:

@@ -179,7 +179,8 @@ class TestHubMetrics:
             registry.counter(
                 "releases_total", labels={"class": "class1"},
                 description="Released queries",
-            ).inc(shard + 1)
+                callback=lambda released=shard + 1: released,
+            )
             hub.register_registry(registry, shard=shard)
         text = hub.prometheus()
         assert text.count("# HELP releases_total") == 1
@@ -318,14 +319,6 @@ class TestRunPublisher:
         types = [e.type for e in sub.drain()]
         assert types == ["snapshot", "run_end"]
 
-    def test_attach_bounds_registry_sampling(self):
-        hub = TelemetryHub()
-        result = run_spec(_tiny_spec(), hub=hub)
-        registry = result.extras["metrics_registry"]
-        from repro.obs.live.publish import LIVE_MAX_SAMPLES
-
-        assert registry.max_samples == LIVE_MAX_SAMPLES
-
 
 class TestShardedPublishing:
     def _run(self, rebalance, shards=2):
@@ -447,7 +440,9 @@ class TestLiveServer:
     def test_metrics_endpoint(self, served_hub):
         hub, server = served_hub
         registry = MetricsRegistry()
-        registry.counter("releases_total", description="Released").inc(3)
+        registry.counter(
+            "releases_total", description="Released", callback=lambda: 3
+        )
         hub.register_registry(registry, shard=0)
         status, headers, body = self._get(server, "/metrics")
         assert status == 200

@@ -29,11 +29,7 @@ class FakePatroller:
 
 class FakeEngine:
     def __init__(self):
-        self.start = None
         self.complete = None
-
-    def add_start_listener(self, listener):
-        self.start = listener
 
     def add_completion_listener(self, listener):
         self.complete = listener
@@ -109,7 +105,6 @@ class TestHandDrivenLifecycle:
         sim, patroller, engine, tracer = rig
         q = query(qid=2, class_name="class3")
         patroller.emit("submitted", q)
-        engine.start(q)
         engine.complete(q)
         assert tracer.spans == []
         assert tracer.opened == 0
@@ -125,23 +120,6 @@ class TestHandDrivenLifecycle:
         patroller.emit("cancelled", q)
         engine.complete(q)
         assert tracer.spans == []
-        assert tracer.balanced
-
-    def test_trace_bypassed_records_execute_spans(self):
-        sim = FakeSim()
-        patroller = FakePatroller()
-        engine = FakeEngine()
-        tracer = QueryTracer(
-            clock=sim, patroller=patroller, engine=engine, trace_bypassed=True
-        )
-        q = query(qid=3, class_name="class3")
-        sim.now = 2.0
-        engine.start(q)
-        sim.now = 2.4
-        engine.complete(q)
-        spans = tracer.spans_for(3)
-        assert [s.phase for s in spans] == ["execute"]
-        assert spans[0].duration == pytest.approx(0.4)
         assert tracer.balanced
 
     def test_finalize_truncates_open_spans(self, rig):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PatrollerConfig, default_config
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Phase, Query, QueryState
 from repro.errors import ConfigurationError
 from repro.patroller.patroller import QueryPatroller
 from repro.patroller.policy import (
@@ -17,11 +17,13 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
 
-def make_stack():
+def make_stack(release_latency=0.0):
     sim = Simulator()
     config = default_config(
         patroller=PatrollerConfig(
-            interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.0
+            interception_latency=0.0,
+            release_latency=release_latency,
+            overhead_cpu_demand=0.0,
         )
     )
     engine = DatabaseEngine(sim, config, RandomStreams(seed=3))
@@ -222,3 +224,34 @@ class TestMaxCostRejection:
             client.queries_completed + client.queries_rejected
             + (1 if client.busy else 0)
         )
+
+
+def test_cancel_inside_the_release_window_frees_cost_and_group_slot():
+    """A statement cancelled after release but before execution never
+    completes; its cost and group slot must not be held forever."""
+    sim, engine, patroller = make_stack(release_latency=0.5)
+    policy = QPStaticPolicy(
+        patroller,
+        engine,
+        groups=[CostGroup("only", 0.0, 1_000.0, 1)],
+        global_cost_limit=150.0,
+    )
+    first, second, third = (make_query(n, 100.0) for n in (1, 2, 3))
+    for query in (first, second, third):
+        patroller.submit(query)
+    sim.run_until(0.1)
+    assert first.state == QueryState.RELEASED
+    assert second.state == third.state == QueryState.QUEUED
+    # A queue-level cancel holds nothing: it must free nothing.
+    assert patroller.cancel(third)
+    assert second.state == QueryState.QUEUED
+    assert policy.in_flight_cost == pytest.approx(100.0)
+    # The released one's slot and budget go straight to the next in line.
+    assert patroller.cancel(first)
+    assert second.state == QueryState.RELEASED
+    assert policy.in_flight_cost == pytest.approx(100.0)
+    sim.run()
+    assert second.state == QueryState.COMPLETED
+    assert (policy.released, policy.in_flight_cost) == (2, 0.0)
+    assert policy._group_of_query == {}
+    assert policy._in_flight_by_group == {"only": 0}

@@ -12,9 +12,8 @@ the controller stack depends on:
   scheduling order within a priority;
 * **timer cancellation** — cancelled timers never fire, ``cancel`` is
   exactly-once, consumed timers report inactive;
-* **completion-hook balance** — every executed query starts once,
-  completes once, and leaves the engine's executing set and counters
-  balanced;
+* **completion-hook balance** — every executed query completes once and
+  leaves the engine's executing set and counters balanced;
 * **cost accounting** — ``executing_cost`` equals the sum of estimated
   costs over ``executing_snapshot`` at all times and drains to zero.
 
@@ -182,14 +181,10 @@ def check_timer_cancellation(backend: ExecutionBackend) -> List[str]:
 
 
 def check_completion_balance(backend: ExecutionBackend) -> List[str]:
-    """Every submitted query starts once, completes once, and is retired."""
+    """Every submitted query completes once and is retired."""
     problems: List[str] = []
     engine = backend.engine
-    starts: Dict[int, int] = {}
     completions: Dict[int, int] = {}
-    engine.add_start_listener(
-        lambda q: starts.__setitem__(q.query_id, starts.get(q.query_id, 0) + 1)
-    )
     engine.add_completion_listener(
         lambda q: completions.__setitem__(q.query_id, completions.get(q.query_id, 0) + 1)
     )
@@ -211,12 +206,6 @@ def check_completion_balance(backend: ExecutionBackend) -> List[str]:
         )
         return problems
     for query in queries:
-        if starts.get(query.query_id, 0) != 1:
-            problems.append(
-                "query {} saw {} start events (want 1)".format(
-                    query.query_id, starts.get(query.query_id, 0)
-                )
-            )
         if completions.get(query.query_id, 0) != 1:
             problems.append(
                 "query {} saw {} completion events (want 1)".format(
