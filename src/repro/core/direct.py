@@ -121,7 +121,9 @@ class EngineGate:
         state = self._states.get(query.class_name)
         if state is None:
             return True  # unmanaged class: pass through
-        if self._eligible(state, query):
+        # FIFO within the class: a newcomer never overtakes queued statements,
+        # or a costly head can starve behind a stream of cheap arrivals.
+        if not state.queue and self._eligible(state, query):
             self._account_admission(state, query)
             return True
         state.queue.append(query)

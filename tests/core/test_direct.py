@@ -135,6 +135,19 @@ class TestEngineGate:
         assert admitted == 2
         assert engine.executing_queries == 3
 
+    def test_arrival_does_not_overtake_its_class_queue(self):
+        """A costly head must not starve behind cheap arrivals that fit."""
+        sim, engine, gate = make_gate()
+        engine.execute(make_query(cost=400.0, demand=1.0))
+        head = make_query(cost=1_800.0, demand=1.0)
+        engine.execute(head)  # 400 + 1800 > 2000: queued
+        late = make_query(cost=400.0, demand=1.0)
+        engine.execute(late)  # would fit, but the head is older
+        assert gate.queue_length("class1") == 2
+        sim.run_until(10.0)
+        assert head.start_time is not None and late.start_time is not None
+        assert head.start_time <= late.start_time
+
     def test_unknown_plan_class_rejected(self):
         sim, engine, gate = make_gate()
         with pytest.raises(SchedulingError):
