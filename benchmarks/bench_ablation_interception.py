@@ -31,7 +31,7 @@ def _run(intercept_oltp: bool):
         # released the moment it is intercepted, so the *only* difference
         # from bypass is QP's own overhead.
         QPStaticPolicy(bundle.patroller, bundle.engine, groups=[], priorities={},
-                       global_cost_limit=None)
+                       global_cost_limit=None).start()
     bundle.manager.start()
     bundle.run()
     rt = [

@@ -22,8 +22,6 @@ from repro.config import (
 from repro.core import (
     DirectScheduler,
     MPLController,
-    NoControlController,
-    QPPriorityController,
     QueryScheduler,
     ResponseTimeGoal,
     SchedulingPlan,
@@ -70,8 +68,6 @@ __all__ = [
     "PAPER_CLASSES",
     "paper_classes",
     "QueryScheduler",
-    "NoControlController",
-    "QPPriorityController",
     "MPLController",
     "DirectScheduler",
     "WorkloadDetector",

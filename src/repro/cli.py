@@ -40,11 +40,8 @@ from repro.config import (
 )
 from repro.experiments.calibration import pick_knee_limit, sweep_system_cost_limit
 from repro.experiments.figures import figure2, figure3
-from repro.experiments.runner import (
-    CONTROLLER_NAMES,
-    ExperimentSpec,
-    run_spec,
-)
+from repro.core.controllers import CONTROLLER_NAMES, PLANNER_CONTROLLER_NAMES
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.export import check_export_target, open_export, save_result
 from repro.metrics.report import (
     Column,
@@ -371,7 +368,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     result = run_spec(_spec_from_args(args))
-    store = result.extras["telemetry"]  # --controller only offers qs / qs_detect
+    store = result.extras["telemetry"]  # --controller only offers planner-based ones
     if args.output:
         store.save_jsonl(args.output, overwrite=True)
         print("wrote {} ({} control intervals)".format(args.output, len(store)))
@@ -880,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: run a fresh traced experiment)",
     )
     spans_parser.add_argument(
-        "--controller", choices=("qs", "qs_detect"), default="qs"
+        "--controller", choices=PLANNER_CONTROLLER_NAMES, default="qs"
     )
     _scale_args(spans_parser)
     spans_parser.add_argument(
@@ -898,10 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
     spans_parser.set_defaults(func=_cmd_spans)
 
     trace_parser = sub.add_parser(
-        "trace", help="run the Query Scheduler and export controller telemetry"
+        "trace", help="run a planner-based controller and export its telemetry"
     )
     trace_parser.add_argument(
-        "--controller", choices=("qs", "qs_detect"), default="qs"
+        "--controller", choices=PLANNER_CONTROLLER_NAMES, default="qs"
     )
     _scale_args(trace_parser)
     trace_parser.add_argument(
@@ -923,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded simulation under the runtime invariant harness",
     )
     check_parser.add_argument(
-        "--controller", choices=("qs", "qs_detect"), default="qs"
+        "--controller", choices=PLANNER_CONTROLLER_NAMES, default="qs"
     )
     _scale_args(check_parser, periods=3, period_seconds=60.0, control_interval=30.0)
     check_parser.add_argument(

@@ -5,21 +5,17 @@ and its mixed-workload extension of Section 3: service classes with
 per-class goals and business importance, the Monitor / Classifier /
 Dispatcher / Scheduling Planner / Performance Solver pipeline of Figure 1,
 the OLAP velocity and OLTP linear performance models, utility-function
-objectives, and the baseline controllers the paper compares against.
+objectives, and the table of controllers an experiment can run.
 """
 
 from repro.core.classifier import Classifier
-from repro.core.controllers import (
-    Controller,
-    NoControlController,
-    QPPriorityController,
-)
+from repro.core.controllers import CONTROLLER_NAMES, CONTROLLERS
 from repro.core.detection import (
     ShiftEvent,
     WorkloadCharacterization,
     WorkloadDetector,
 )
-from repro.core.direct import DirectScheduler, EngineGate
+from repro.core.direct import DirectScheduler
 from repro.core.heuristic import DeficitAllocator
 from repro.core.dispatcher import Dispatcher
 from repro.core.modeling import (
@@ -76,12 +72,10 @@ __all__ = [
     "SigmoidUtility",
     "StepUtility",
     "make_utility",
-    "Controller",
-    "NoControlController",
-    "QPPriorityController",
+    "CONTROLLERS",
+    "CONTROLLER_NAMES",
     "MPLController",
     "DirectScheduler",
-    "EngineGate",
     "WorkloadDetector",
     "WorkloadCharacterization",
     "ShiftEvent",

@@ -1,156 +1,128 @@
-"""Baseline controllers the paper compares the Query Scheduler against.
+"""The one table of workload controllers an experiment can run.
 
-* :class:`NoControlController` — Section 4.2.1: "no control was exerted over
-  the workload except for the system cost limit".  Every OLAP query is still
-  intercepted, but the only release rule is the single system-wide cost
-  limit, FIFO, no differentiation.
-* :class:`QPPriorityController` — Section 4.2.2: DB2 Query Patroller's own
-  static strategy: OLAP queries partitioned into large/medium/small cost
-  groups (top 5% / next 15% / rest) with fixed concurrency slots, a static
-  OLAP cost limit, and optional submitter priorities (Class 2 above
-  Class 1).  QP "is turned off" for the OLTP class in both baselines, just
-  as for the Query Scheduler.
+A *controller* is any object with a ``name``, ``start()`` (hook into the
+deployment, begin any loop) and ``describe()`` (one line for reports).
+One that re-plans through a :class:`~repro.core.planner.SchedulingPlanner`
+also exposes ``planner`` / ``dispatcher`` / ``solver`` / ``registry`` /
+``telemetry``; that is how telemetry export, the invariant harness, fault
+injection and the live hub find their subjects — none of them asks which
+controller it is looking at.
+
+:data:`CONTROLLERS` maps each experiment-level name to a builder taking the
+assembled bundle (``sim``, ``engine``, ``patroller``, ``classes``,
+``config``) and the optional static OLAP limit:
+
+``"none"``          -- Section 4.2.1, "no control was exerted over the
+                       workload except for the system cost limit": OLAP is
+                       intercepted, one FIFO system-wide limit (Figure 4)
+``"qp"``            -- Section 4.2.2, DB2 QP's own static strategy: cost
+                       groups (top 5% / next 15% / rest) with fixed slots, a
+                       static OLAP limit, Class 2 above Class 1 (Figure 5)
+``"qp_nopriority"`` -- the same with priority control off
+``"qs"``            -- the Query Scheduler (Figures 6-7)
+``"qs_detect"``     -- Query Scheduler + explicit workload detection
+``"mpl"``           -- MPL admission control extension ([5]); a count gate
+                       and AIMD loop of its own, no planner
+``"direct"``        -- in-engine direct control extension (Section 5)
+
+QP "is turned off" for the OLTP class under every patroller-based entry.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.service_class import ServiceClass
-from repro.runtime import ExecutionEngine
-from repro.errors import ConfigurationError
-from repro.patroller.patroller import QueryPatroller
+from repro.core.direct import DirectScheduler
+from repro.core.mpl import MPLController
+from repro.core.scheduler import QueryScheduler
 from repro.patroller.policy import QPStaticPolicy, standard_groups
 
 
-class Controller(ABC):
-    """Common interface of every workload controller in the experiments."""
-
-    #: Short identifier used by the experiment runner and reports.
-    name: str = ""
-
-    @abstractmethod
-    def start(self) -> None:
-        """Activate the controller (install handlers, start loops)."""
-
-    @abstractmethod
-    def describe(self) -> str:
-        """One-line description for reports."""
+def _static_policy(bundle, name: str, description: str, **policy) -> QPStaticPolicy:
+    bundle.patroller.intercept_only(
+        c.name for c in bundle.classes if c.directly_controlled
+    )
+    return QPStaticPolicy(
+        bundle.patroller, bundle.engine, name=name, description=description, **policy
+    )
 
 
-def _configure_interception(
-    patroller: QueryPatroller, classes: Sequence[ServiceClass]
-) -> None:
-    """QP on for OLAP classes, off for the OLTP class (every experiment)."""
-    for service_class in classes:
-        if service_class.directly_controlled:
-            patroller.enable_for_class(service_class.name)
-        else:
-            patroller.disable_for_class(service_class.name)
+def _no_control(bundle, static_olap_limit: Optional[float]) -> QPStaticPolicy:
+    limit = bundle.config.system_cost_limit
+    return _static_policy(
+        bundle,
+        "no_control",
+        "No class control (system cost limit {:.0f} timerons only)".format(limit),
+        global_cost_limit=limit,
+    )
 
 
-class NoControlController(Controller):
-    """Only the system cost limit; no class differentiation."""
-
-    name = "no_control"
-
-    def __init__(
-        self,
-        patroller: QueryPatroller,
-        engine: ExecutionEngine,
-        classes: Sequence[ServiceClass],
-        system_cost_limit: float,
-    ) -> None:
-        if system_cost_limit <= 0:
-            raise ConfigurationError("system_cost_limit must be positive")
-        self.patroller = patroller
-        self.engine = engine
-        self.classes = list(classes)
-        self.system_cost_limit = system_cost_limit
-        self.policy: Optional[QPStaticPolicy] = None
-
-    def start(self) -> None:
-        _configure_interception(self.patroller, self.classes)
-        self.policy = QPStaticPolicy(
-            patroller=self.patroller,
-            engine=self.engine,
-            groups=[],
-            priorities={},
-            global_cost_limit=self.system_cost_limit,
-        )
-
-    def describe(self) -> str:
-        return "No class control (system cost limit {:.0f} timerons only)".format(
-            self.system_cost_limit
-        )
+def _qp_static(
+    bundle, static_olap_limit: Optional[float], priority_control: bool
+) -> QPStaticPolicy:
+    limit = (
+        static_olap_limit
+        if static_olap_limit is not None
+        else bundle.config.system_cost_limit
+    )
+    # Submitter priority mirrors business importance among OLAP classes
+    # (the paper sets Class 2's priority above Class 1's).
+    priorities = {
+        c.name: int(c.importance) for c in bundle.classes if c.directly_controlled
+    }
+    return _static_policy(
+        bundle,
+        "qp_priority",
+        "DB2 QP static control (groups 5%/15%/80%, priorities {}, "
+        "static OLAP limit {:.0f})".format("on" if priority_control else "off", limit),
+        groups=standard_groups(bundle.historical_olap_costs()),
+        priorities=priorities if priority_control else {},
+        global_cost_limit=limit,
+    )
 
 
-class QPPriorityController(Controller):
-    """DB2 QP static control: cost groups + priorities + static OLAP limit."""
+def _query_scheduler(
+    bundle, static_olap_limit: Optional[float], detection: bool
+) -> QueryScheduler:
+    scheduler = QueryScheduler(
+        bundle.sim, bundle.engine, bundle.patroller, bundle.classes, bundle.config
+    )
+    if detection:
+        scheduler.enable_detection()
+    return scheduler
 
-    name = "qp_priority"
 
-    def __init__(
-        self,
-        patroller: QueryPatroller,
-        engine: ExecutionEngine,
-        classes: Sequence[ServiceClass],
-        historical_costs: Sequence[float],
-        static_olap_limit: float,
-        priority_control: bool = True,
-        small_slots: int = 10,
-        medium_slots: int = 3,
-        large_slots: int = 1,
-    ) -> None:
-        if static_olap_limit <= 0:
-            raise ConfigurationError("static_olap_limit must be positive")
-        if not historical_costs:
-            raise ConfigurationError(
-                "QP group thresholds need a historical cost sample"
-            )
-        self.patroller = patroller
-        self.engine = engine
-        self.classes = list(classes)
-        self.historical_costs = list(historical_costs)
-        self.static_olap_limit = static_olap_limit
-        self.priority_control = priority_control
-        self.small_slots = small_slots
-        self.medium_slots = medium_slots
-        self.large_slots = large_slots
-        self.policy: Optional[QPStaticPolicy] = None
+def _mpl(bundle, static_olap_limit: Optional[float]) -> MPLController:
+    return MPLController(
+        bundle.sim,
+        bundle.patroller,
+        bundle.engine,
+        bundle.classes,
+        control_interval=bundle.config.planner.control_interval,
+    )
 
-    def _priorities(self) -> Dict[str, int]:
-        if not self.priority_control:
-            return {}
-        # Submitter priority mirrors business importance among OLAP classes
-        # (the paper sets Class 2's priority above Class 1's).
-        return {
-            c.name: int(c.importance)
-            for c in self.classes
-            if c.directly_controlled
-        }
 
-    def start(self) -> None:
-        _configure_interception(self.patroller, self.classes)
-        groups = standard_groups(
-            self.historical_costs,
-            small_slots=self.small_slots,
-            medium_slots=self.medium_slots,
-            large_slots=self.large_slots,
-        )
-        self.policy = QPStaticPolicy(
-            patroller=self.patroller,
-            engine=self.engine,
-            groups=groups,
-            priorities=self._priorities(),
-            global_cost_limit=self.static_olap_limit,
-        )
+def _direct(bundle, static_olap_limit: Optional[float]) -> DirectScheduler:
+    return DirectScheduler(bundle.sim, bundle.engine, bundle.classes, bundle.config)
 
-    def describe(self) -> str:
-        return (
-            "DB2 QP static control (groups 5%/15%/80%, priorities {}, "
-            "static OLAP limit {:.0f})".format(
-                "on" if self.priority_control else "off", self.static_olap_limit
-            )
-        )
+
+#: name -> (builder, whether what it builds exposes a ``planner``).
+CONTROLLERS: Dict[str, Tuple[Callable[..., object], bool]] = {
+    "none": (_no_control, False),
+    "qp": (partial(_qp_static, priority_control=True), False),
+    "qp_nopriority": (partial(_qp_static, priority_control=False), False),
+    "qs": (partial(_query_scheduler, detection=False), True),
+    "qs_detect": (partial(_query_scheduler, detection=True), True),
+    "mpl": (_mpl, False),
+    "direct": (_direct, True),
+}
+
+#: Every controller name, in table order.
+CONTROLLER_NAMES = tuple(CONTROLLERS)
+
+#: The names whose controller records a ``ControlIntervalRecord`` per
+#: interval (what ``repro trace`` / ``spans`` / ``check`` can run).
+PLANNER_CONTROLLER_NAMES = tuple(
+    name for name, (_, planned) in CONTROLLERS.items() if planned
+)

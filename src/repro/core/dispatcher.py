@@ -7,9 +7,13 @@ query's class is exceeded.  The Dispatcher releases a query for execution by
 calling the unblocking API provided by DB2 QP" (Section 2).
 
 Per class the dispatcher keeps a queue and the estimated cost currently in
-flight.  Indirectly controlled classes (the OLTP class) are never queued:
-their plan limit is a capacity *reservation* that shrinks what the OLAP
-classes may use, not a gate (Section 3).
+flight.  Which classes it *gates* (queues and releases for) and how a
+release is carried out are constructor arguments: the Query Scheduler gates
+the directly controlled classes and releases through Query Patroller's
+unblocking API — the OLTP class is never queued, its plan limit is a
+capacity *reservation* that shrinks what the OLAP classes may use
+(Section 3) — while in-engine control (:mod:`repro.core.direct`) gates
+every class and releases straight into the engine.
 
 Within-class ordering is a design axis the paper leaves implicit (FIFO);
 three *queue disciplines* are provided:
@@ -27,7 +31,7 @@ nothing in flight, so a mis-estimated monster cannot wedge its class forever.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 #: Accepted queue disciplines.
 DISCIPLINES = ("fifo", "sjf", "aging")
@@ -37,10 +41,9 @@ _AGING_RATE = 50.0
 
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import ServiceClass
-from repro.runtime import ExecutionEngine
+from repro.runtime import Clock, ExecutionEngine
 from repro.dbms.query import Query, QueryState
 from repro.errors import SchedulingError
-from repro.patroller.patroller import QueryPatroller
 
 
 class _ClassState:
@@ -154,10 +157,12 @@ class Dispatcher:
 
     def __init__(
         self,
-        patroller: QueryPatroller,
         engine: ExecutionEngine,
         classes: List[ServiceClass],
         initial_plan: SchedulingPlan,
+        release: Callable[[Query], None],
+        clock: Clock,
+        gated: Iterable[str],
         discipline: str = "fifo",
     ) -> None:
         if discipline not in DISCIPLINES:
@@ -166,25 +171,24 @@ class Dispatcher:
                     discipline, DISCIPLINES
                 )
             )
-        self.patroller = patroller
         self.engine = engine
+        #: How a queued query is let go: QP's unblocking API, or the
+        #: engine's own ``admit_released`` under in-engine control.
+        self.release = release
+        self.clock = clock
         self.discipline = discipline
         self._states: Dict[str, _ClassState] = {
             c.name: _ClassState(c) for c in classes
         }
-        #: The states this dispatcher queues and releases for: the only
-        #: ones a completion or cancellation is looked up in.
-        self._controlled = {
-            n: s for n, s in self._states.items() if s.service_class.directly_controlled
-        }
         for name in initial_plan:
-            if name not in self._states:
-                raise SchedulingError(
-                    "plan covers unknown class {!r}".format(name)
-                )
+            self._state(name)
+        #: The states this dispatcher queues and releases for: the only
+        #: ones a completion or cancellation is looked up in.  The other
+        #: classes are known (their plan limits reserve capacity) but their
+        #: queries never pass through here.
+        self._controlled = {name: self._state(name) for name in gated}
         self._plan = initial_plan
         engine.add_completion_listener(self._on_completion)
-        patroller.add_cancel_listener(self._on_cancellation)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -193,6 +197,11 @@ class Dispatcher:
     def plan(self) -> SchedulingPlan:
         """The currently active scheduling plan."""
         return self._plan
+
+    @property
+    def gated_classes(self) -> List[ServiceClass]:
+        """The classes this dispatcher queues and releases for."""
+        return [state.service_class for state in self._controlled.values()]
 
     def queue_length(self, class_name: str) -> int:
         """Queries of the class waiting for release."""
@@ -262,18 +271,17 @@ class Dispatcher:
         further releases until enough queries drain (Section 2's semantics).
         """
         for name in plan:
-            if name not in self._states:
-                raise SchedulingError("plan covers unknown class {!r}".format(name))
+            self._state(name)
         self._plan = plan
         return self._release_eligible()
 
     def enqueue(self, query: Query) -> None:
-        """Queue a classified, intercepted query for release."""
-        state = self._state(query.class_name)
-        if not state.service_class.directly_controlled:
+        """Queue a query of a gated class for release."""
+        state = self._controlled.get(query.class_name)
+        if state is None:
             raise SchedulingError(
-                "class {!r} is indirectly controlled; its queries must bypass "
-                "interception".format(query.class_name)
+                "class {!r} is not gated by this dispatcher (unknown, or its "
+                "queries must bypass it)".format(query.class_name)
             )
         state.queue.append(query)
         state.enqueued += 1
@@ -294,7 +302,7 @@ class Dispatcher:
             return None
         if self.discipline == "fifo":
             return 0
-        now = self.patroller.sim.now
+        now = self.clock.now
         if self.discipline == "sjf":
             return min(range(len(queue)), key=lambda i: queue[i].estimated_cost)
 
@@ -317,7 +325,7 @@ class Dispatcher:
         fits.  FIFO keeps strict arrival order and SJF's selected query is
         already the cheapest, so neither needs (or gets) the scan.
         """
-        now = self.patroller.sim.now
+        now = self.clock.now
 
         def aged_cost(index: int) -> float:
             query = state.queue[index]
@@ -332,7 +340,7 @@ class Dispatcher:
     def _release_eligible_for(self, state: _ClassState) -> int:
         # Purge abandoned queries once per call (QP cancel), counting them
         # so queue-level cancellations stay visible in telemetry.
-        # Cancellations arrive through _on_cancellation between calls, so no
+        # Cancellations arrive through on_cancellation between calls, so no
         # new tombstones can appear while the release loop below runs.
         if any(q.state == QueryState.CANCELLED for q in state.queue):
             live = [q for q in state.queue if q.state != QueryState.CANCELLED]
@@ -360,7 +368,7 @@ class Dispatcher:
             state.in_flight_count += 1
             state.in_flight[query.query_id] = query
             state.released += 1
-            self.patroller.release(query)
+            self.release(query)
             released += 1
         return released
 
@@ -382,8 +390,8 @@ class Dispatcher:
         state.completed += 1
         self._release_eligible_for(state)
 
-    def _on_cancellation(self, query: Query) -> None:
-        """Patroller cancel-listener hook.
+    def on_cancellation(self, query: Query) -> None:
+        """Hook for the patroller's ``cancelled`` event.
 
         A query cancelled after release (while its agent unblock was still
         in flight) never reaches the engine, so no completion will ever

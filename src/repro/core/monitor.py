@@ -42,6 +42,32 @@ class ClassMeasurement(NamedTuple):
     measured_at: float
 
 
+def fresh_or_retained(
+    retained: Dict[str, ClassMeasurement],
+    class_name: str,
+    fresh: Optional[ClassMeasurement],
+    now: float,
+    max_age: float,
+) -> Optional[ClassMeasurement]:
+    """This interval's measurement, or the class's last one while it is young.
+
+    When a class's sample windows run dry its last measurement stands in,
+    but only while it is younger than ``max_age`` (``monitor.
+    max_measurement_age``) — an idle class must not keep feeding the solver
+    an arbitrarily old value forever; past that age it is dropped and the
+    planner treats the class as unmeasured (at-goal).  ``retained`` is the
+    caller's per-class store, updated in place.
+    """
+    if fresh is not None:
+        retained[class_name] = fresh
+        return fresh
+    kept = retained.get(class_name)
+    if kept is not None and now - kept.measured_at > max_age:
+        del retained[class_name]
+        return None
+    return kept
+
+
 class Monitor:
     """Collects per-class performance measurements for the planner."""
 
@@ -193,13 +219,8 @@ class Monitor:
     # Measurements
     # ------------------------------------------------------------------
     def measure(self, class_name: str) -> Optional[ClassMeasurement]:
-        """Current measurement for a class (None if nothing observed yet).
-
-        When the class's sample windows are empty the last measurement is
-        returned as a fallback, but only while it is younger than
-        ``config.max_measurement_age`` — an idle class must not keep feeding
-        the solver an arbitrarily old value forever.
-        """
+        """Current measurement for a class (None if nothing observed yet, or
+        nothing recent enough — see :func:`fresh_or_retained`)."""
         service_class = self._classes.get(class_name)
         if service_class is None:
             raise SchedulingError("monitor knows no class {!r}".format(class_name))
@@ -207,18 +228,13 @@ class Monitor:
             measurement = self._measure_velocity(service_class)
         else:
             measurement = self._measure_response_time(service_class)
-        if measurement is not None:
-            self._last_measurement[class_name] = measurement
-            return measurement
-        retained = self._last_measurement.get(class_name)
-        if retained is None:
-            return None
-        if self.clock.now - retained.measured_at > self.config.max_measurement_age:
-            # Too stale to stand in for a live measurement; drop it so the
-            # planner treats the class as unmeasured (at-goal) instead.
-            del self._last_measurement[class_name]
-            return None
-        return retained
+        return fresh_or_retained(
+            self._last_measurement,
+            class_name,
+            measurement,
+            self.clock.now,
+            self.config.max_measurement_age,
+        )
 
     def measure_all(self) -> Dict[str, ClassMeasurement]:
         """Measurements for every class that has one."""

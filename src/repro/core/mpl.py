@@ -78,14 +78,10 @@ class MPLController:
         if self._started:
             raise SchedulingError("MPLController started twice")
         self._started = True
-        for service_class in self.classes:
-            if service_class.directly_controlled:
-                self.patroller.enable_for_class(service_class.name)
-            else:
-                self.patroller.disable_for_class(service_class.name)
+        self.patroller.intercept_only(self.mpl)  # keyed by the controlled classes
         self.patroller.set_release_handler(self._on_intercepted)
         self.engine.add_completion_listener(self._on_completed)
-        self.patroller.add_cancel_listener(self._on_cancelled)
+        self.patroller.subscribe("cancelled", self._on_cancelled)
         self.sim.schedule(self.control_interval, self._tick, label="mpl:tick")
 
     def describe(self) -> str:

@@ -19,19 +19,22 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.config import PlannerConfig
+from repro.config import PlannerConfig, SimulationConfig
 from repro.core.dispatcher import Dispatcher
+from repro.core.heuristic import DeficitAllocator
 from repro.core.modeling import (
     ClassMixState,
     IntervalObservation,
     MixSnapshot,
     OLTPResponseTimeModel,
     PerformanceModel,
+    make_model,
 )
 from repro.core.monitor import ClassMeasurement, Monitor
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import ServiceClass
 from repro.core.solver import ClassStatus, PerformanceSolver
+from repro.core.utility import make_utility
 from repro.errors import SchedulingError
 from repro.metrics.telemetry import (
     ControlIntervalRecord,
@@ -45,8 +48,39 @@ from repro.runtime import TimerService
 PlanListener = Callable[[ControlIntervalRecord], None]
 
 
+def make_solver(config: SimulationConfig):
+    """The plan allocator ``config`` selects, for any planner-based controller:
+    the utility-maximising Performance Solver over the configured model, or
+    the model-free deficit heuristic (``planner.allocator == "deficit"``)."""
+    planner = config.planner
+    if planner.allocator == "deficit":
+        return DeficitAllocator(
+            system_cost_limit=config.system_cost_limit,
+            grid_timerons=planner.grid_timerons,
+            min_class_limit=planner.min_class_limit,
+        )
+    return PerformanceSolver(
+        utility=make_utility(
+            planner.utility,
+            surplus_slope=planner.surplus_slope,
+            importance_base=planner.importance_base,
+        ),
+        model=make_model(planner.model, planner),
+        system_cost_limit=config.system_cost_limit,
+        grid_timerons=planner.grid_timerons,
+        min_class_limit=planner.min_class_limit,
+        oltp_target_margin=planner.oltp_target_margin,
+    )
+
+
 class SchedulingPlanner:
-    """Closed control loop: measure -> model -> solve -> install."""
+    """Closed control loop: measure -> model -> solve -> install.
+
+    ``monitor`` is whatever measures the classes — anything with a
+    ``measure_all()`` returning ``{class name: ClassMeasurement}``: the
+    Query Scheduler's :class:`Monitor`, or in-engine control's
+    completion-window measurement.
+    """
 
     def __init__(
         self,
@@ -65,14 +99,10 @@ class SchedulingPlanner:
         self.config = config
         self.classes = list(classes)
         oltp_classes = [c for c in self.classes if c.kind == "oltp"]
-        if len(oltp_classes) > 1:
-            raise SchedulingError(
-                "the paper's framework models a single OLTP class; got {}".format(
-                    [c.name for c in oltp_classes]
-                )
-            )
+        #: The class whose (Δ limit, Δ response time) pairs feed the online
+        #: regression: Section 3.2's scalar model describes exactly one.
         self._oltp_class: Optional[ServiceClass] = (
-            oltp_classes[0] if oltp_classes else None
+            oltp_classes[0] if len(oltp_classes) == 1 else None
         )
         #: Every decision so far, in order — the one list of records; a
         #: :class:`~repro.metrics.telemetry.TelemetryStore` over it is the

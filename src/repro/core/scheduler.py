@@ -24,15 +24,11 @@ from typing import List, Optional
 from repro.config import SimulationConfig
 from repro.core.classifier import Classifier
 from repro.core.detection import WorkloadDetector
-from repro.core.heuristic import DeficitAllocator
 from repro.core.dispatcher import Dispatcher
-from repro.core.modeling import make_model
 from repro.core.monitor import Monitor
 from repro.core.plan import SchedulingPlan
-from repro.core.planner import SchedulingPlanner
+from repro.core.planner import SchedulingPlanner, make_solver
 from repro.core.service_class import ServiceClass
-from repro.core.solver import PerformanceSolver
-from repro.core.utility import make_utility
 from repro.dbms.query import Query
 from repro.errors import SchedulingError
 from repro.metrics.telemetry import TelemetryStore
@@ -58,18 +54,23 @@ class QueryScheduler:
         config.validate()
         if not classes:
             raise SchedulingError("QueryScheduler needs at least one service class")
+        oltp_classes = [c.name for c in classes if c.kind == "oltp"]
+        if len(oltp_classes) > 1:
+            # Indirect control cannot tell two bypassing classes apart: one
+            # reservation, one response-time model (Section 3).
+            raise SchedulingError(
+                "the paper's framework models a single OLTP class; got {}".format(
+                    oltp_classes
+                )
+            )
         self.sim = sim
         self.engine = engine
         self.patroller = patroller
         self.classes = list(classes)
         self.config = config
 
-        for service_class in self.classes:
-            if service_class.directly_controlled:
-                patroller.enable_for_class(service_class.name)
-            else:
-                patroller.disable_for_class(service_class.name)
-
+        controlled = [c.name for c in self.classes if c.directly_controlled]
+        patroller.intercept_only(controlled)
         if initial_plan is None:
             initial_plan = SchedulingPlan.even_split(
                 [c.name for c in self.classes],
@@ -82,32 +83,17 @@ class QueryScheduler:
         self.registry = MetricsRegistry()
         self.classifier = Classifier(self.classes)
         self.dispatcher = Dispatcher(
-            patroller,
             engine,
             self.classes,
             initial_plan,
+            release=patroller.release,
+            clock=sim,
+            gated=controlled,
             discipline=config.planner.queue_discipline,
         )
+        patroller.subscribe("cancelled", self.dispatcher.on_cancellation)
         self.monitor = Monitor(sim, engine, self.classes, config.monitor)
-        if config.planner.allocator == "deficit":
-            self.solver = DeficitAllocator(
-                system_cost_limit=config.system_cost_limit,
-                grid_timerons=config.planner.grid_timerons,
-                min_class_limit=config.planner.min_class_limit,
-            )
-        else:
-            self.solver = PerformanceSolver(
-                utility=make_utility(
-                    config.planner.utility,
-                    surplus_slope=config.planner.surplus_slope,
-                    importance_base=config.planner.importance_base,
-                ),
-                model=make_model(config.planner.model, config.planner),
-                system_cost_limit=config.system_cost_limit,
-                grid_timerons=config.planner.grid_timerons,
-                min_class_limit=config.planner.min_class_limit,
-                oltp_target_margin=config.planner.oltp_target_margin,
-            )
+        self.solver = make_solver(config)
         self.planner = SchedulingPlanner(
             sim, self.monitor, self.dispatcher, self.solver, self.classes, config.planner
         )
@@ -115,7 +101,7 @@ class QueryScheduler:
         self.telemetry = TelemetryStore(self.planner.history)
         self.monitor.set_forward(self._classify_and_enqueue)
         patroller.set_release_handler(self.monitor.on_intercepted)
-        patroller.add_cancel_listener(self.monitor.on_cancelled)
+        patroller.subscribe("cancelled", self.monitor.on_cancelled)
         self.dispatcher.register_instruments(self.registry)
         self.monitor.register_instruments(self.registry)
         self.solver.register_instruments(self.registry)
@@ -139,7 +125,7 @@ class QueryScheduler:
         if self.detector is not None:
             raise SchedulingError("detection already enabled")
         detector = WorkloadDetector(self.sim, self.classes, **detector_kwargs)
-        self.patroller.add_submit_listener(detector.observe)
+        self.patroller.subscribe("submitted", detector.observe)
         detector.add_shift_listener(lambda event: self.planner.trigger_early())
         detector.register_instruments(self.registry)
         self.detector = detector

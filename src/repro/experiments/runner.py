@@ -26,13 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import SimulationConfig, default_config
-from repro.core.controllers import (
-    NoControlController,
-    QPPriorityController,
-)
-from repro.core.direct import DirectScheduler
-from repro.core.mpl import MPLController
-from repro.core.scheduler import QueryScheduler
+from repro.core.controllers import CONTROLLER_NAMES, CONTROLLERS
 from repro.core.service_class import ServiceClass, paper_classes
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
@@ -57,9 +51,6 @@ from repro.workloads.schedule import (
 from repro.workloads.spec import QueryFactory, WorkloadMix
 from repro.workloads.tpcc import tpcc_mix
 from repro.workloads.tpch import tpch_mix
-
-#: Controller names accepted by :func:`make_controller`.
-CONTROLLER_NAMES = ("none", "qp", "qp_nopriority", "qs", "qs_detect", "mpl", "direct")
 
 
 @dataclass
@@ -294,59 +285,15 @@ def make_controller(
     name: str,
     static_olap_limit: Optional[float] = None,
 ) -> object:
-    """Build and attach the named controller to a bundle.
-
-    ``"none"``          -- system cost limit only (Figure 4 baseline)
-    ``"qp"``            -- DB2 QP static groups + priorities (Figure 5)
-    ``"qp_nopriority"`` -- same with priority control off (Section 4.2.2)
-    ``"qs"``            -- the Query Scheduler (Figure 6/7)
-    ``"qs_detect"``     -- Query Scheduler + explicit workload detection
-    ``"mpl"``           -- MPL admission control extension ([5])
-    ``"direct"``        -- in-engine direct control extension (Section 5)
-    """
-    config = bundle.config
-    if name == "none":
-        controller: object = NoControlController(
-            bundle.patroller, bundle.engine, bundle.classes, config.system_cost_limit
-        )
-    elif name in ("qp", "qp_nopriority"):
-        controller = QPPriorityController(
-            bundle.patroller,
-            bundle.engine,
-            bundle.classes,
-            historical_costs=bundle.historical_olap_costs(),
-            static_olap_limit=(
-                static_olap_limit
-                if static_olap_limit is not None
-                else config.system_cost_limit
-            ),
-            priority_control=(name == "qp"),
-        )
-    elif name in ("qs", "qs_detect"):
-        scheduler = QueryScheduler(
-            bundle.sim, bundle.engine, bundle.patroller, bundle.classes, config
-        )
-        if name == "qs_detect":
-            scheduler.enable_detection()
-        controller = scheduler
-    elif name == "mpl":
-        controller = MPLController(
-            bundle.sim,
-            bundle.patroller,
-            bundle.engine,
-            bundle.classes,
-            control_interval=config.planner.control_interval,
-        )
-    elif name == "direct":
-        controller = DirectScheduler(
-            bundle.sim, bundle.engine, bundle.classes, config
-        )
-    else:
+    """Build the named entry of :data:`~repro.core.controllers.CONTROLLERS`
+    (which documents each name) and attach it to the bundle."""
+    if name not in CONTROLLERS:
         raise ConfigurationError(
             "unknown controller {!r}; expected one of {}".format(name, CONTROLLER_NAMES)
         )
-    bundle.controller = controller
-    return controller
+    build, _ = CONTROLLERS[name]
+    bundle.controller = build(bundle, static_olap_limit)
+    return bundle.controller
 
 
 def assemble_run(
@@ -395,7 +342,7 @@ def assemble_run(
         built = make_controller(
             bundle, spec.controller, static_olap_limit=spec.static_olap_limit
         )
-        if isinstance(built, QueryScheduler):  # covers qs and qs_detect
+        if hasattr(built, "planner"):  # qs, qs_detect, direct
             built.planner.add_plan_listener(bundle.collector.on_plan)
             extras["telemetry"] = built.telemetry
             extras["metrics_registry"] = built.registry

@@ -164,8 +164,7 @@ class FaultInjector:
 
         def storm() -> None:
             if class_name is not None:
-                state = dispatcher._states.get(class_name)
-                if state is None or not state.service_class.directly_controlled:
+                if class_name not in dispatcher._controlled:
                     self._log(
                         "cancel_storm",
                         class_name=class_name,
@@ -176,10 +175,8 @@ class FaultInjector:
                     )
                     return
             cancelled = 0
-            for name, state in dispatcher._states.items():
+            for name, state in dispatcher._controlled.items():
                 if class_name is not None and name != class_name:
-                    continue
-                if not state.service_class.directly_controlled:
                     continue
                 victims = list(state.queue)
                 victims = victims[: max(1, int(len(victims) * fraction))] if victims else []

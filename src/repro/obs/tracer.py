@@ -61,7 +61,11 @@ class QueryTracer:
         self._opened = 0
         self._closed = 0
         self._finalized = False
-        patroller.add_lifecycle_listener(self._on_lifecycle)
+        patroller.subscribe("submitted", self._on_submitted)
+        patroller.subscribe("intercepted", self._on_intercepted)
+        patroller.subscribe("released", self._on_released)
+        patroller.subscribe("cancelled", self._on_cancelled)
+        patroller.subscribe("rejected", self._on_rejected)
         engine.add_completion_listener(self._on_completion)
 
     # ------------------------------------------------------------------
@@ -166,25 +170,29 @@ class QueryTracer:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _on_lifecycle(self, event: str, query: "Query") -> None:
+    def _on_submitted(self, query: "Query") -> None:
+        if self.patroller.intercepts(query.class_name):
+            self._open_span(query, "intercept", self.clock.now)
+
+    def _on_intercepted(self, query: "Query") -> None:
         now = self.clock.now
-        if event == "submitted":
-            if self.patroller.intercepts(query.class_name):
-                self._open_span(query, "intercept", now)
-        elif event == "intercepted":
-            if self._close_open(query.query_id, now) is not None:
-                self._open_span(query, "queue_wait", now)
-        elif event == "released":
-            if self._close_open(query.query_id, now) is not None:
-                self._open_span(query, "execute", now)
-        elif event == "cancelled":
-            traced = self._close_open(query.query_id, now) is not None
-            if traced:
-                self._terminal(query, "cancelled", now)
-        elif event == "rejected":
-            traced = self._close_open(query.query_id, now) is not None
-            if traced:
-                self._terminal(query, "rejected", now)
+        if self._close_open(query.query_id, now) is not None:
+            self._open_span(query, "queue_wait", now)
+
+    def _on_released(self, query: "Query") -> None:
+        now = self.clock.now
+        if self._close_open(query.query_id, now) is not None:
+            self._open_span(query, "execute", now)
+
+    def _on_cancelled(self, query: "Query") -> None:
+        now = self.clock.now
+        if self._close_open(query.query_id, now) is not None:
+            self._terminal(query, "cancelled", now)
+
+    def _on_rejected(self, query: "Query") -> None:
+        now = self.clock.now
+        if self._close_open(query.query_id, now) is not None:
+            self._terminal(query, "rejected", now)
 
     def _on_completion(self, query: "Query") -> None:
         self._close_open(query.query_id, self.clock.now)

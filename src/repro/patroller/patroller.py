@@ -17,7 +17,7 @@ handed every intercepted query; it then decides when to call ``release``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.config import PatrollerConfig
 from repro.dbms.query import CPU, Phase, Query, QueryState
@@ -26,12 +26,11 @@ from repro.patroller.tables import ControlTables
 from repro.runtime import ExecutionEngine, TimerHandle, TimerService
 
 ReleaseHandler = Callable[[Query], None]
-CancelListener = Callable[[Query], None]
-#: Observer of lifecycle transitions: ``(event, query)`` where event is one
-#: of "submitted", "intercepted", "released", "cancelled", "rejected".
-LifecycleListener = Callable[[str, Query], None]
+#: Observer of one lifecycle transition; called with the query.
+LifecycleListener = Callable[[Query], None]
 
-#: Lifecycle event names emitted to lifecycle listeners, in natural order.
+#: The lifecycle transitions :meth:`QueryPatroller.subscribe` accepts, in
+#: natural order.
 LIFECYCLE_EVENTS = (
     "submitted",
     "intercepted",
@@ -63,9 +62,9 @@ class QueryPatroller:
         self._pending_release: Dict[int, TimerHandle] = {}
         self._intercepted_count = 0
         self._bypassed_count = 0
-        self._submit_listeners = []
-        self._cancel_listeners: List[CancelListener] = []
-        self._lifecycle_listeners: List[LifecycleListener] = []
+        self._listeners: Dict[str, List[LifecycleListener]] = {
+            event: [] for event in LIFECYCLE_EVENTS
+        }
         engine.add_completion_listener(self._on_completion)
 
     # ------------------------------------------------------------------
@@ -79,6 +78,11 @@ class QueryPatroller:
         """Turn interception off for a service class (queries bypass QP)."""
         self._intercepted_classes.discard(class_name)
 
+    def intercept_only(self, class_names: Iterable[str]) -> None:
+        """Turn interception on for exactly these classes, off for the rest
+        — every controller's "QP on for OLAP, off for OLTP" (Section 3)."""
+        self._intercepted_classes = set(class_names)
+
     def intercepts(self, class_name: str) -> bool:
         """Whether queries of this class are currently intercepted."""
         return class_name in self._intercepted_classes
@@ -87,36 +91,24 @@ class QueryPatroller:
         """Install the controller that decides when held queries release."""
         self._release_handler = handler
 
-    def add_submit_listener(self, listener: ReleaseHandler) -> None:
-        """Observe every submitted statement (bypassed and intercepted).
+    def subscribe(self, event: str, listener: LifecycleListener) -> None:
+        """Observe one of :data:`LIFECYCLE_EVENTS`; ``listener(query)`` runs
+        synchronously at the transition instant, in subscription order.
 
-        Used by workload detection: unlike the control tables, this sees
-        the OLTP traffic too.
+        ``submitted`` sees every statement (bypassed ones too — workload
+        detection needs the OLTP traffic the control tables never hold);
+        ``cancelled`` is where accounting layers (dispatcher, monitor,
+        static policy) release what they hold for a statement that will
+        never complete; the tracer subscribes to all five.
         """
-        self._submit_listeners.append(listener)
-
-    def add_cancel_listener(self, listener: CancelListener) -> None:
-        """Observe every successful cancellation.
-
-        The dispatcher and monitor subscribe so a cancelled statement
-        releases its accounting (queue slot, in-flight cost, open-query
-        entry) instead of leaking it until the next lazy purge.
-        """
-        self._cancel_listeners.append(listener)
-
-    def add_lifecycle_listener(self, listener: LifecycleListener) -> None:
-        """Observe every lifecycle transition QP performs.
-
-        Listeners receive ``(event, query)`` for each of
-        :data:`LIFECYCLE_EVENTS`.  This is the Query Tracer's subscription
-        point: unlike the control tables it fires synchronously at the
-        transition instant, so span begin/end times are exact.
-        """
-        self._lifecycle_listeners.append(listener)
-
-    def _emit(self, event: str, query: Query) -> None:
-        for listener in self._lifecycle_listeners:
-            listener(event, query)
+        listeners = self._listeners.get(event)
+        if listeners is None:
+            raise PatrollerError(
+                "unknown lifecycle event {!r}; expected one of {}".format(
+                    event, LIFECYCLE_EVENTS
+                )
+            )
+        listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -160,10 +152,8 @@ class QueryPatroller:
     def submit(self, query: Query) -> None:
         """Entry point for every statement leaving a client."""
         query.submit_time = self.sim.now
-        for listener in self._submit_listeners:
+        for listener in self._listeners["submitted"]:
             listener(query)
-        if self._lifecycle_listeners:
-            self._emit("submitted", query)
         if query.class_name not in self._intercepted_classes:
             self._bypassed_count += 1
             self.engine.execute(query)
@@ -194,7 +184,8 @@ class QueryPatroller:
         self._held.add(query.query_id)
         query.state = QueryState.QUEUED
         query.queue_time = self.sim.now
-        self._emit("intercepted", query)
+        for listener in self._listeners["intercepted"]:
+            listener(query)
         if self._release_handler is None:
             raise PatrollerError(
                 "query {} intercepted with no release handler installed".format(
@@ -215,7 +206,8 @@ class QueryPatroller:
         # The release decision marks the start of "running in the DBMS":
         # the release latency is execution overhead, not scheduler hold time.
         query.release_time = self.sim.now
-        self._emit("released", query)
+        for listener in self._listeners["released"]:
+            listener(query)
         if self.config.release_latency > 0:
             self._pending_release[query.query_id] = self.sim.schedule(
                 self.config.release_latency,
@@ -237,7 +229,7 @@ class QueryPatroller:
         latency window); once execution begins the request is refused
         (returns False).  A cancelled query never reaches the engine: its
         state becomes CANCELLED, the control-table row records the
-        abandonment, and every cancel listener is notified so accounting
+        abandonment, and every ``cancelled`` subscriber is notified so accounting
         layers (dispatcher, monitor) release what they hold for it.
         """
         if query.query_id in self._held:
@@ -250,8 +242,7 @@ class QueryPatroller:
         self.tables.mark_cancelled(query.query_id, self.sim.now)
         query.state = QueryState.CANCELLED
         query.finish_time = self.sim.now
-        self._emit("cancelled", query)
-        for listener in self._cancel_listeners:
+        for listener in self._listeners["cancelled"]:
             listener(query)
         return True
 
@@ -269,7 +260,8 @@ class QueryPatroller:
         self.tables.mark_rejected(query.query_id, self.sim.now)
         query.state = QueryState.REJECTED
         query.finish_time = self.sim.now
-        self._emit("rejected", query)
+        for listener in self._listeners["rejected"]:
+            listener(query)
         if query.on_complete is not None:
             query.on_complete(query)
 

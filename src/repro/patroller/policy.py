@@ -100,8 +100,8 @@ class QPStaticPolicy:
     Parameters
     ----------
     patroller:
-        The interception layer; this policy installs itself as its release
-        handler.
+        The interception layer; :meth:`start` installs this policy as its
+        release handler.
     engine:
         Used to observe completions.
     groups:
@@ -119,6 +119,10 @@ class QPStaticPolicy:
         QP's hard rejection threshold: an intercepted query whose estimated
         cost exceeds this is *refused* (never queued, never run); ``None``
         disables rejection.
+    name, description:
+        The controller identity reports print (:meth:`describe`); the
+        ``none`` / ``qp`` / ``qp_nopriority`` entries of
+        :data:`repro.core.controllers.CONTROLLERS` each supply their own.
     """
 
     def __init__(
@@ -129,9 +133,15 @@ class QPStaticPolicy:
         priorities: Optional[Dict[str, int]] = None,
         global_cost_limit: Optional[float] = None,
         max_query_cost: Optional[float] = None,
+        name: str = "qp_static",
+        description: str = "QP static policy (cost groups, priorities, cost limit)",
     ) -> None:
         if max_query_cost is not None and max_query_cost <= 0:
             raise ConfigurationError("max_query_cost must be positive (or None)")
+        if global_cost_limit is not None and global_cost_limit <= 0:
+            raise ConfigurationError("global_cost_limit must be positive (or None)")
+        self.name = name
+        self.description = description
         self.patroller = patroller
         self.engine = engine
         self.groups: List[CostGroup] = list(groups or [])
@@ -147,11 +157,18 @@ class QPStaticPolicy:
         self._in_flight_by_group: Dict[str, int] = {g.name: 0 for g in self.groups}
         self._group_of_query: Dict[int, Optional[str]] = {}
         self._released = 0
-        patroller.set_release_handler(self.on_intercepted)
-        engine.add_completion_listener(self.on_completed)
+
+    def start(self) -> None:
+        """Become the patroller's release handler and start observing."""
+        self.patroller.set_release_handler(self.on_intercepted)
+        self.engine.add_completion_listener(self.on_completed)
         # A statement cancelled inside the release-latency window never
         # reaches the engine, so no completion would free what it holds.
-        patroller.add_cancel_listener(self.on_completed)
+        self.patroller.subscribe("cancelled", self.on_completed)
+
+    def describe(self) -> str:
+        """One-line description for reports."""
+        return self.description
 
     # ------------------------------------------------------------------
     # Introspection

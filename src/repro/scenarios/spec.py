@@ -491,7 +491,7 @@ class ScenarioSpec:
         passes is guaranteed to compile via :func:`to_experiment_spec`.
         Returns ``self`` for chaining.
         """
-        from repro.experiments.runner import CONTROLLER_NAMES
+        from repro.core.controllers import CONTROLLER_NAMES
         from repro.runtime import BACKEND_NAMES
         from repro.validation import MODES
 

@@ -84,8 +84,10 @@ class ControlLoopWorld:
         return self.planner.oltp_model if self.planner is not None else None
 
     def controlled_classes(self) -> List[ServiceClass]:
-        """The directly controlled (dispatcher-queued) classes."""
-        return [c for c in self.classes if c.directly_controlled]
+        """The classes the dispatcher queues and releases for — its own
+        answer, not a guess from class kind (in-engine control gates the
+        OLTP classes too)."""
+        return self.dispatcher.gated_classes
 
     @staticmethod
     def from_scheduler(scheduler: "QueryScheduler") -> "ControlLoopWorld":  # noqa: F821
@@ -106,7 +108,8 @@ class ControlLoopWorld:
         """Build a world from an assembled experiment bundle.
 
         Reaches into the attached controller for the dispatcher, monitor
-        and planner when it has them (the Query Scheduler); baseline
+        and planner when it has them (the Query Scheduler has all three,
+        in-engine control the dispatcher and planner); the other
         controllers yield a world with only the engine-level components.
         """
         controller = bundle.controller
@@ -439,7 +442,7 @@ def attach_harness(
 ) -> Optional[ValidationHarness]:
     """Wire a validation harness into an assembled experiment bundle.
 
-    With a Query Scheduler controller the harness subscribes as a plan
+    With a planner-based controller the harness subscribes as a plan
     listener and embeds violations into each interval's record.  Other
     controllers get a recurring check at the configured control interval.
     Returns the harness, or None when ``mode`` is ``"off"``.

@@ -90,7 +90,7 @@ class TraceRecorder:
     def __init__(self, sim: TimerService, patroller: QueryPatroller) -> None:
         self.sim = sim
         self.trace = WorkloadTrace()
-        patroller.add_submit_listener(self._on_submit)
+        patroller.subscribe("submitted", self._on_submit)
 
     def _on_submit(self, query: Query) -> None:
         self.trace.append(

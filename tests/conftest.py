@@ -24,6 +24,7 @@ from repro.core.modeling import (
     LearnedPerformanceModel,
     MixSnapshot,
 )
+from repro.core.dispatcher import Dispatcher
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.core.solver import ClassStatus
@@ -34,6 +35,23 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.schedule import constant_schedule
 from repro.workloads.spec import QueryFactory
+
+
+def patroller_dispatcher(patroller, engine, classes, plan, discipline="fifo"):
+    """A dispatcher wired to a patroller the way the Query Scheduler wires
+    it: gates the directly controlled classes, releases through QP's
+    unblocking API, hears QP's cancellations."""
+    dispatcher = Dispatcher(
+        engine,
+        classes,
+        plan,
+        release=patroller.release,
+        clock=patroller.sim,
+        gated=[c.name for c in classes if c.directly_controlled],
+        discipline=discipline,
+    )
+    patroller.subscribe("cancelled", dispatcher.on_cancellation)
+    return dispatcher
 
 
 class FailingToDict:

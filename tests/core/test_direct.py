@@ -8,7 +8,8 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.core.direct import DirectScheduler, EngineGate
+from repro.core.direct import DirectScheduler, DispatcherGate
+from repro.core.dispatcher import Dispatcher
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import (
     ResponseTimeGoal,
@@ -54,11 +55,23 @@ def make_gate(limits=None):
         limits or {"class1": 2_000.0, "class2": 2_000.0, "class3": 2_000.0},
         30_000.0,
     )
-    gate = EngineGate(engine, list(paper_classes()), plan)
+    classes = list(paper_classes())
+    gate = Dispatcher(
+        engine,
+        classes,
+        plan,
+        release=engine.admit_released,
+        clock=sim,
+        gated=[c.name for c in classes],
+    )
+    engine.set_admission_gate(DispatcherGate(gate, sim))
     return sim, engine, gate
 
 
 class TestEngineGate:
+    """The in-engine gate: a dispatcher gating every class, behind the
+    engine's admission hook (``make_gate`` returns the dispatcher)."""
+
     def test_admits_within_limit(self):
         sim, engine, gate = make_gate()
         engine.execute(make_query(cost=1_500.0))
@@ -169,8 +182,8 @@ class TestDirectScheduler:
         sim, engine, scheduler = self._scheduler()
         scheduler.start()
         sim.run_until(35.0)
-        assert scheduler.intervals_run == 3
-        assert len(scheduler.plans) == 3
+        assert scheduler.planner.intervals_run == 3
+        assert len(scheduler.telemetry) == 3
 
     def test_double_start_rejected(self):
         sim, engine, scheduler = self._scheduler()
@@ -183,8 +196,26 @@ class TestDirectScheduler:
         query = make_query(class_name="class3", cost=40.0, demand=0.2, kind="oltp")
         engine.execute(query)
         sim.run_until(1.0)
-        assert scheduler.measure("class3") == pytest.approx(0.2, abs=0.02)
-        assert scheduler.measure("class1") is None
+        measured = scheduler.measurement.measure_all()
+        assert set(measured) == {"class3"}  # class1 and class2 saw nothing
+        assert measured["class3"].metric == "response_time"
+        assert measured["class3"].value == pytest.approx(0.2, abs=0.02)
+        assert measured["class3"].measured_at == 1.0
+
+    def test_idle_class_measurement_expires(self):
+        """The last value stands in for an idle class only while it is
+        younger than ``monitor.max_measurement_age``."""
+        sim, engine, scheduler = self._scheduler()
+        monitor = scheduler.config.monitor
+        engine.execute(make_query(class_name="class3", cost=40.0, demand=0.2,
+                                  kind="oltp"))
+        sim.run_until(1.0)
+        fresh = scheduler.measurement.measure_all()["class3"]
+        # Past the sample window but inside the age: the retained value.
+        sim.run_until(1.0 + monitor.velocity_window + 1.0)
+        assert scheduler.measurement.measure_all() == {"class3": fresh}
+        sim.run_until(1.0 + monitor.max_measurement_age + 1.0)
+        assert scheduler.measurement.measure_all() == {}
 
     def test_replan_moves_limits_toward_violator(self):
         sim, engine, scheduler = self._scheduler()
@@ -193,8 +224,21 @@ class TestDirectScheduler:
         engine.execute(slow)
         sim.run_until(2.0)
         before = scheduler.plan.limit("class3")
-        scheduler.run_interval()
+        scheduler.planner.run_interval()
         assert scheduler.plan.limit("class3") > before
+
+    def test_two_oltp_classes_accepted(self):
+        """What indirect control cannot do: tell two OLTP classes apart."""
+        sim, engine = make_engine()
+        classes = [
+            ServiceClass("reports", "olap", VelocityGoal(0.5), importance=2),
+            ServiceClass("payments", "oltp", ResponseTimeGoal(0.2), importance=3),
+            ServiceClass("batch", "oltp", ResponseTimeGoal(3.0), importance=1),
+        ]
+        scheduler = DirectScheduler(sim, engine, classes, default_config())
+        assert set(scheduler.planner.run_interval().plan) == {
+            "reports", "payments", "batch"
+        }
 
     def test_requires_classes(self):
         sim, engine = make_engine()
@@ -204,3 +248,43 @@ class TestDirectScheduler:
     def test_describe(self):
         sim, engine, scheduler = self._scheduler()
         assert "in-engine" in scheduler.describe()
+
+
+class TestDirectRun:
+    """A ``direct`` run is observed like a Query Scheduler run."""
+
+    def _result(self):
+        from repro.experiments.runner import ExperimentSpec, run_spec
+
+        config = default_config(
+            planner=PlannerConfig(control_interval=10.0),
+            monitor=MonitorConfig(snapshot_interval=5.0),
+            scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=2),
+        )
+        return run_spec(
+            ExperimentSpec(controller="direct", config=config, invariants="strict")
+        )
+
+    def test_one_telemetry_record_per_interval(self):
+        result = self._result()
+        store = result.extras["telemetry"]
+        assert [r.interval_index for r in store] == [0, 1, 2, 3]
+        assert [r.time for r in store] == [10.0, 20.0, 30.0, 40.0]
+        for record in store:
+            for name, accounting in record.dispatcher.items():
+                assert accounting.released_total == (
+                    accounting.completed_total
+                    + accounting.cancelled_total
+                    + accounting.in_flight_count
+                ), name
+        # The OLTP class is gated too: its statements are on the books.
+        assert store.records[-1].dispatcher["class3"].released_total > 0
+
+    def test_harness_registers_the_dispatcher_invariants(self):
+        result = self._result()
+        harness = result.extras["validation"]
+        names = {invariant.name for invariant in harness.registry}
+        assert {"dispatcher_in_flight_consistent", "class_conservation",
+                "dispatcher_engine_agreement"} <= names
+        assert harness.checks_run == len(result.extras["telemetry"])
+        assert harness.violations == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import PatrollerConfig, default_config
-from repro.core.dispatcher import Dispatcher
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
@@ -12,6 +11,7 @@ from repro.errors import SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.conftest import patroller_dispatcher
 
 
 def make_world(limits=None):
@@ -31,7 +31,7 @@ def make_world(limits=None):
         limits or {"class1": 10_000.0, "class2": 10_000.0, "class3": 10_000.0},
         30_000.0,
     )
-    dispatcher = Dispatcher(patroller, engine, classes, plan)
+    dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
     # Route interceptions straight into the dispatcher for these tests.
     patroller.set_release_handler(dispatcher.enqueue)
     return sim, engine, patroller, dispatcher
@@ -184,7 +184,7 @@ class TestQueueDisciplines:
         plan = SchedulingPlan(
             {"class1": 5_000.0, "class2": 1_000.0, "class3": 1_000.0}, 30_000.0
         )
-        dispatcher = Dispatcher(patroller, engine, classes, plan,
+        dispatcher = patroller_dispatcher(patroller, engine, classes, plan,
                                 discipline=discipline)
         patroller.set_release_handler(dispatcher.enqueue)
         return sim, engine, patroller, dispatcher
@@ -196,8 +196,8 @@ class TestQueueDisciplines:
     def test_sjf_releases_cheapest_first(self):
         sim, engine, patroller, dispatcher = self._world("sjf")
         order = []
-        original = patroller.release
-        patroller.release = lambda q: (order.append(q.estimated_cost), original(q))
+        original = dispatcher.release
+        dispatcher.release = lambda q: (order.append(q.estimated_cost), original(q))
         # A blocker occupies the class; the rest queue.
         patroller.submit(make_query(4_900.0, demand=2.0))
         patroller.submit(make_query(3_000.0, demand=0.5))
@@ -210,8 +210,8 @@ class TestQueueDisciplines:
     def test_fifo_preserves_arrival_order(self):
         sim, engine, patroller, dispatcher = self._world("fifo")
         order = []
-        original = patroller.release
-        patroller.release = lambda q: (order.append(q.estimated_cost), original(q))
+        original = dispatcher.release
+        dispatcher.release = lambda q: (order.append(q.estimated_cost), original(q))
         patroller.submit(make_query(4_900.0, demand=2.0))
         patroller.submit(make_query(3_000.0, demand=0.5))
         patroller.submit(make_query(1_000.0, demand=0.5))
@@ -221,8 +221,8 @@ class TestQueueDisciplines:
     def test_aging_lets_old_monster_pass_young_mice(self):
         sim, engine, patroller, dispatcher = self._world("aging")
         order = []
-        original = patroller.release
-        patroller.release = lambda q: (order.append(q.template), original(q))
+        original = dispatcher.release
+        dispatcher.release = lambda q: (order.append(q.template), original(q))
         blocker = make_query(4_900.0, demand=50.0)
         blocker.template = "blocker"
         patroller.submit(blocker)
@@ -251,8 +251,8 @@ class TestQueueDisciplines:
         whole class behind it (head-of-line blocking)."""
         sim, engine, patroller, dispatcher = self._world("aging")
         order = []
-        original = patroller.release
-        patroller.release = lambda q: (order.append(q.template), original(q))
+        original = dispatcher.release
+        dispatcher.release = lambda q: (order.append(q.template), original(q))
         blocker = make_query(4_000.0, demand=200.0)  # runs past the test
         blocker.template = "blocker"
         patroller.submit(blocker)

@@ -8,7 +8,6 @@ from repro.config import (
     PlannerConfig,
     default_config,
 )
-from repro.core.dispatcher import Dispatcher
 from repro.core.modeling import OLTPResponseTimeModel, PaperAnalyticModel
 from repro.core.monitor import Monitor
 from repro.core.plan import SchedulingPlan
@@ -25,6 +24,7 @@ from repro.errors import SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.conftest import patroller_dispatcher
 
 
 def make_planner(online_regression=False, classes=None):
@@ -46,7 +46,7 @@ def make_planner(online_regression=False, classes=None):
         if c.directly_controlled:
             patroller.enable_for_class(c.name)
     plan = SchedulingPlan.even_split([c.name for c in classes], 30_000.0)
-    dispatcher = Dispatcher(patroller, engine, classes, plan)
+    dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
     patroller.set_release_handler(dispatcher.enqueue)
     monitor = Monitor(sim, engine, classes, config.monitor)
     solver = PerformanceSolver(
@@ -164,11 +164,18 @@ def test_no_measurements_yields_stable_plan():
     assert first == second
 
 
-def test_two_oltp_classes_rejected():
+def test_two_oltp_classes_plan_without_a_regression_pair():
+    """The planner itself takes any class set (in-engine control runs two
+    OLTP classes); only the online-regression pair needs exactly one."""
     oltp_a = ServiceClass("a", "oltp", ResponseTimeGoal(0.2), 1)
     oltp_b = ServiceClass("b", "oltp", ResponseTimeGoal(0.3), 2)
-    with pytest.raises(SchedulingError):
-        make_planner(classes=[oltp_a, oltp_b])
+    sim, engine, monitor, dispatcher, planner = make_planner(
+        classes=[oltp_a, oltp_b], online_regression=True
+    )
+    for _ in range(3):
+        sim.run_until(sim.now + 10.0)
+        assert set(planner.run_interval().plan) == {"a", "b"}
+    assert planner.oltp_model.observations == 0
 
 
 def test_offline_mode_never_feeds_regression():

@@ -11,7 +11,7 @@ from repro.config import (
 )
 from repro.core.plan import SchedulingPlan
 from repro.core.scheduler import QueryScheduler
-from repro.core.service_class import paper_classes
+from repro.core.service_class import ResponseTimeGoal, ServiceClass, paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.errors import SchedulingError
 from repro.patroller.patroller import QueryPatroller
@@ -74,6 +74,20 @@ def test_no_classes_rejected():
     patroller = QueryPatroller(sim, engine, config.patroller)
     with pytest.raises(SchedulingError):
         QueryScheduler(sim, engine, patroller, [], config)
+
+
+def test_two_oltp_classes_rejected():
+    """Indirect control reserves for and models one bypassing class."""
+    sim = Simulator()
+    config = default_config()
+    engine = DatabaseEngine(sim, config, RandomStreams(1))
+    patroller = QueryPatroller(sim, engine, config.patroller)
+    classes = [
+        ServiceClass("a", "oltp", ResponseTimeGoal(0.2), 1),
+        ServiceClass("b", "oltp", ResponseTimeGoal(0.3), 2),
+    ]
+    with pytest.raises(SchedulingError):
+        QueryScheduler(sim, engine, patroller, classes, config)
 
 
 def test_describe_mentions_configuration():

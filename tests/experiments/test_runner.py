@@ -8,12 +8,12 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.core.controllers import NoControlController, QPPriorityController
 from repro.core.direct import DirectScheduler
 from repro.core.mpl import MPLController
 from repro.core.scheduler import QueryScheduler
 from repro.core.service_class import ServiceClass, VelocityGoal
 from repro.errors import ConfigurationError
+from repro.patroller.policy import QPStaticPolicy
 from repro.experiments.runner import (
     ExperimentSpec,
     build_bundle,
@@ -74,9 +74,9 @@ class TestMakeController:
     @pytest.mark.parametrize(
         "name,expected_type",
         [
-            ("none", NoControlController),
-            ("qp", QPPriorityController),
-            ("qp_nopriority", QPPriorityController),
+            ("none", QPStaticPolicy),
+            ("qp", QPStaticPolicy),
+            ("qp_nopriority", QPStaticPolicy),
             ("qs", QueryScheduler),
             ("qs_detect", QueryScheduler),
             ("mpl", MPLController),
@@ -99,14 +99,14 @@ class TestMakeController:
 
     def test_qp_priority_flag(self):
         bundle = build_bundle(config=quick_config(), schedule=tiny_schedule())
-        assert make_controller(bundle, "qp").priority_control
+        assert make_controller(bundle, "qp").priorities == {"class1": 1, "class2": 2}
         bundle = build_bundle(config=quick_config(), schedule=tiny_schedule())
-        assert not make_controller(bundle, "qp_nopriority").priority_control
+        assert make_controller(bundle, "qp_nopriority").priorities == {}
 
     def test_static_olap_limit_override(self):
         bundle = build_bundle(config=quick_config(), schedule=tiny_schedule())
         controller = make_controller(bundle, "qp", static_olap_limit=12_345.0)
-        assert controller.static_olap_limit == 12_345.0
+        assert controller.global_cost_limit == 12_345.0
 
     def test_unknown_name_rejected(self):
         bundle = build_bundle(config=quick_config(), schedule=tiny_schedule())

@@ -14,14 +14,17 @@ class FakeSim:
 
 
 class FakePatroller:
-    """Duck-typed patroller: records one lifecycle listener."""
+    """Duck-typed patroller: one listener per lifecycle event."""
 
     def __init__(self, intercepted=("class1", "class2")):
         self._intercepted = set(intercepted)
-        self.emit = None
+        self._listeners = {}
 
-    def add_lifecycle_listener(self, listener):
-        self.emit = listener
+    def subscribe(self, event, listener):
+        self._listeners[event] = listener
+
+    def emit(self, event, query):
+        self._listeners[event](query)
 
     def intercepts(self, class_name):
         return class_name in self._intercepted

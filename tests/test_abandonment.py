@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import PatrollerConfig, default_config
-from repro.core.dispatcher import Dispatcher
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
@@ -15,6 +14,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.client import ClosedLoopClient
 from repro.workloads.spec import QueryFactory, QueryTemplate, WorkloadMix
+from tests.conftest import patroller_dispatcher
 
 
 def make_stack():
@@ -108,7 +108,7 @@ class TestCancelDuringReleaseWindow:
         plan = SchedulingPlan(
             {"class1": 1_000.0, "class2": 1_000.0, "class3": 1_000.0}, 30_000.0
         )
-        dispatcher = Dispatcher(patroller, engine, classes, plan)
+        dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
         patroller.set_release_handler(dispatcher.enqueue)
         return sim, engine, patroller, dispatcher
 
@@ -170,7 +170,7 @@ class TestCancelDuringReleaseWindow:
             sim, engine, list(paper_classes()), MonitorConfig()
         )
         monitor.set_forward(lambda q: None)
-        patroller.add_cancel_listener(monitor.on_cancelled)
+        patroller.subscribe("cancelled", monitor.on_cancelled)
         doomed = make_query(cost=900.0, demand=1.0)
         patroller.submit(doomed)
         sim.run_until(0.1)
@@ -187,7 +187,7 @@ class TestQueueSkipping:
         plan = SchedulingPlan(
             {"class1": 1_000.0, "class2": 1_000.0, "class3": 1_000.0}, 30_000.0
         )
-        dispatcher = Dispatcher(patroller, engine, classes, plan)
+        dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
         patroller.set_release_handler(dispatcher.enqueue)
         blocker = make_query(cost=900.0, demand=1.0)
         doomed = make_query(cost=900.0, demand=1.0)
@@ -206,6 +206,7 @@ class TestQueueSkipping:
     def test_qp_policy_skips_cancelled(self):
         sim, engine, patroller = make_stack()
         policy = QPStaticPolicy(patroller, engine, global_cost_limit=1_000.0)
+        policy.start()
         blocker = make_query(cost=900.0, demand=1.0)
         doomed = make_query(cost=900.0, demand=1.0)
         patroller.submit(blocker)

@@ -22,6 +22,7 @@ from repro.dbms.query import CPU, IO, Phase, Query
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.conftest import patroller_dispatcher
 
 
 def make_engine(**overrides):
@@ -133,7 +134,7 @@ class TestPatrollerEdges:
         sim, engine, patroller = self._patroller()
         patroller.set_release_handler(patroller.release)
         seen = []
-        patroller.add_submit_listener(lambda q: seen.append(q.class_name))
+        patroller.subscribe("submitted", lambda q: seen.append(q.class_name))
         patroller.submit(make_query(class_name="class1"))
         patroller.submit(make_query(class_name="class3", kind="oltp"))
         sim.run_until(1.0)
@@ -161,7 +162,6 @@ class TestPlanChurn:
                                       release_latency=0.0,
                                       overhead_cpu_demand=0.0)
         )
-        from repro.core.dispatcher import Dispatcher
 
         patroller = QueryPatroller(sim, engine, config.patroller)
         classes = list(paper_classes())
@@ -169,7 +169,7 @@ class TestPlanChurn:
             if c.directly_controlled:
                 patroller.enable_for_class(c.name)
         plan = SchedulingPlan.even_split([c.name for c in classes], 30_000.0)
-        dispatcher = Dispatcher(patroller, engine, classes, plan)
+        dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
         patroller.set_release_handler(dispatcher.enqueue)
         for _ in range(10):
             patroller.submit(make_query(cost=3_000.0, cpu=2.0))

@@ -38,6 +38,7 @@ from repro.workloads.trace import TraceEntry
 from repro.sim.engine import Simulator
 from repro.sim.resources import ProcessorSharingResource, PSJob
 from repro.sim.stats import WelfordAccumulator
+from tests.conftest import patroller_dispatcher
 
 # ---------------------------------------------------------------------------
 # Simulator ordering
@@ -396,7 +397,8 @@ def test_schedule_lookup_always_in_range(period_seconds, counts, probe):
 @settings(max_examples=30, deadline=None)
 def test_engine_gate_conserves_queries_and_accounting(costs, limit):
     from repro.config import default_config
-    from repro.core.direct import EngineGate
+    from repro.core.direct import DispatcherGate
+    from repro.core.dispatcher import Dispatcher
     from repro.core.plan import SchedulingPlan
     from repro.core.service_class import ServiceClass, VelocityGoal
     from repro.dbms.engine import DatabaseEngine
@@ -406,9 +408,15 @@ def test_engine_gate_conserves_queries_and_accounting(costs, limit):
     sim = Simulator()
     engine = DatabaseEngine(sim, default_config(), RandomStreams(7))
     gate_class = ServiceClass("g", "olap", VelocityGoal(0.5), 1)
-    gate = EngineGate(
-        engine, [gate_class], SchedulingPlan({"g": limit}, 1e9)
+    gate = Dispatcher(
+        engine,
+        [gate_class],
+        SchedulingPlan({"g": limit}, 1e9),
+        release=engine.admit_released,
+        clock=sim,
+        gated=["g"],
     )
+    engine.set_admission_gate(DispatcherGate(gate, sim))
     for index, cost in enumerate(costs):
         query = Query(
             query_id=index + 1,
@@ -476,7 +484,6 @@ def test_dispatcher_accounting_survives_any_cancel_interleaving(
     accounting returns exactly to zero and the release ledger balances
     (released == completed + cancelled)."""
     from repro.config import PatrollerConfig, default_config
-    from repro.core.dispatcher import Dispatcher
     from repro.dbms.engine import DatabaseEngine
     from repro.dbms.query import CPU, Phase, Query, QueryState
     from repro.patroller.patroller import QueryPatroller
@@ -494,7 +501,7 @@ def test_dispatcher_accounting_survives_any_cancel_interleaving(
     patroller = QueryPatroller(sim, engine, config.patroller)
     patroller.enable_for_class("c")
     service_class = ServiceClass("c", "olap", VelocityGoal(0.5), 1)
-    dispatcher = Dispatcher(
+    dispatcher = patroller_dispatcher(
         patroller, engine, [service_class], SchedulingPlan({"c": limit}, 1e9)
     )
     patroller.set_release_handler(dispatcher.enqueue)

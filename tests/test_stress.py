@@ -113,7 +113,7 @@ def test_open_loop_overload_is_survived_by_admission_control():
     # Admission control held the line: executing cost stayed bounded.
     assert bundle.engine.overload.peak_cost < 60_000.0
     # And the backlog is real (the system was genuinely overloaded).
-    assert controller.policy.queued > 5
+    assert controller.queued > 5
 
 
 def test_min_budget_plan_everywhere_still_progresses():

@@ -19,6 +19,7 @@ from repro.core.service_class import (
     VelocityGoal,
 )
 from repro.experiments.runner import build_bundle
+from repro.validation import attach_harness
 from repro.workloads.schedule import constant_schedule
 from repro.workloads.spec import QueryTemplate, WorkloadMix
 
@@ -30,15 +31,15 @@ class RoundRobinController:
 
     def __init__(self, patroller, engine, classes):
         self.patroller = patroller
+        self.engine = engine
         self.queues = {c.name: deque() for c in classes if c.directly_controlled}
         self.busy = {name: False for name in self.queues}
-        for c in classes:
-            (patroller.enable_for_class if c.directly_controlled
-             else patroller.disable_for_class)(c.name)
-        engine.add_completion_listener(self.on_done)
 
     def start(self):
+        self.patroller.intercept_only(self.queues)
         self.patroller.set_release_handler(self.on_intercepted)
+        self.engine.add_completion_listener(self.on_done)
+        self.patroller.subscribe("cancelled", self.on_done)
 
     def describe(self):
         return "Round-robin, one statement per class"
@@ -88,9 +89,16 @@ def test_custom_controller_runs_on_the_harness():
         mixes={"analytics": analytics, "checkout": checkout},
     )
     controller = RoundRobinController(bundle.patroller, bundle.engine, bundle.classes)
+    # The contract: name / start() / describe(), found as bundle.controller.
+    bundle.controller = controller
+    harness = attach_harness(bundle, mode="strict")
     controller.start()
     bundle.manager.start()
     bundle.run()
+    assert controller.name == "round_robin"
+    assert harness.checks_run == 4 and harness.violations == []
+    assert bundle.patroller.intercepts("analytics")
+    assert not bundle.patroller.intercepts("checkout")
     # One OLAP statement at a time, the OLTP class bypassing:
     assert bundle.engine.completed_queries > 50
     analytics_class = classes[0]

@@ -246,7 +246,7 @@ class TestScheduledFaults:
         message = str(excinfo.value)
         assert "'cancel_storm'" in message
         assert "dispatcher" in message
-        assert "NoControlController" in message
+        assert "QPStaticPolicy" in message
 
     def test_missing_monitor_named_for_drop_completions(self):
         injector = FaultInjector(self._none_bundle())
