@@ -120,12 +120,12 @@ class DirectScheduler:
         config: SimulationConfig,
     ) -> None:
         config.validate()
-        self.classes = list(classes)
+        self.classes = classes = list(classes)
         self.config = config
-        names = [c.name for c in self.classes]
+        names = [c.name for c in classes]
         self.dispatcher = Dispatcher(
             engine,
-            self.classes,
+            classes,
             SchedulingPlan.even_split(names, config.system_cost_limit, sim.now),
             release=engine.admit_released,
             clock=sim,
