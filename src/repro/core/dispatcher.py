@@ -31,7 +31,8 @@ nothing in flight, so a mis-estimated monster cannot wedge its class forever.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional
 
 #: Accepted queue disciplines.
 DISCIPLINES = ("fifo", "sjf", "aging")
@@ -44,6 +45,23 @@ from repro.core.service_class import ServiceClass
 from repro.runtime import Clock, ExecutionEngine
 from repro.dbms.query import Query, QueryState
 from repro.errors import SchedulingError
+
+
+class ClassAccounting(NamedTuple):
+    """One class's dispatcher numbers as :meth:`Dispatcher.class_accounting`
+    read them together, and ``in_flight``: a read-only live view of the
+    queries released and not yet retired, by id — the ground truth the
+    cost/count pair must agree with."""
+
+    queue_length: int
+    in_flight_cost: float
+    in_flight_count: int
+    released: int
+    completed: int
+    cancelled: int
+    enqueued: int
+    queue_cancelled: int
+    in_flight: Mapping[int, Query]
 
 
 class _ClassState:
@@ -133,11 +151,6 @@ class _ClassState:
             labels=labels,
             callback=lambda: self.in_flight_count,
         )
-
-    @property
-    def in_flight_ids(self) -> Set[int]:
-        """Ids of the released-but-unretired queries."""
-        return set(self.in_flight)
 
     def retire(self, query: Query) -> None:
         """Drop a released query from the in-flight accounting."""
@@ -241,13 +254,25 @@ class Dispatcher:
         """
         return self._state(class_name).queue_cancelled
 
-    def in_flight_queries(self, class_name: str) -> List[Query]:
-        """The class's released-but-unfinished queries (a copy).
+    def class_accounting(self, class_name: str) -> ClassAccounting:
+        """Everything kept for the class, in one look-up.
 
-        The validation harness checks this ground-truth set against the
-        incremental cost/count accounting and the engine's running set.
+        What the per-interval readers use (the planner's mix snapshot and
+        telemetry, the validation harness's accounting, conservation and
+        engine-agreement checks) instead of one accessor call per number.
         """
-        return list(self._state(class_name).in_flight.values())
+        state = self._state(class_name)
+        return ClassAccounting(
+            len(state.queue),
+            state.in_flight_cost,
+            state.in_flight_count,
+            state.released,
+            state.completed,
+            state.cancelled,
+            state.enqueued,
+            state.queue_cancelled,
+            MappingProxyType(state.in_flight),
+        )
 
     def register_instruments(self, registry: "MetricsRegistry") -> None:  # noqa: F821
         """Publish the per-class totals and gauges into a registry."""

@@ -320,18 +320,18 @@ class SchedulingPlanner:
         telemetry: Dict[str, DispatcherClassTelemetry] = {}
         for service_class in self.classes:
             name = service_class.name
-            released = dispatcher.released_count(name)
+            now = dispatcher.class_accounting(name)
             released_before = before[name].released_total if name in before else 0
             telemetry[name] = DispatcherClassTelemetry(
-                queue_length=dispatcher.queue_length(name),
-                in_flight_cost=dispatcher.in_flight_cost(name),
-                in_flight_count=dispatcher.in_flight_count(name),
-                released_total=released,
-                completed_total=dispatcher.completed_count(name),
-                cancelled_total=dispatcher.cancelled_count(name),
-                released_this_interval=released - released_before,
-                enqueued_total=dispatcher.enqueued_count(name),
-                queue_cancelled_total=dispatcher.queue_cancelled_count(name),
+                queue_length=now.queue_length,
+                in_flight_cost=now.in_flight_cost,
+                in_flight_count=now.in_flight_count,
+                released_total=now.released,
+                completed_total=now.completed,
+                cancelled_total=now.cancelled,
+                released_this_interval=now.released - released_before,
+                enqueued_total=now.enqueued,
+                queue_cancelled_total=now.queue_cancelled,
             )
         return telemetry
 
@@ -354,15 +354,16 @@ class SchedulingPlanner:
         states = []
         for service_class in self.classes:
             name = service_class.name
+            accounting = self.dispatcher.class_accounting(name)
             states.append(
                 ClassMixState(
                     name=name,
                     kind=service_class.kind,
                     limit=self.dispatcher.plan.limit(name),
                     value=self._value_of(measurements, name),
-                    queue_length=self.dispatcher.queue_length(name),
-                    in_flight_count=self.dispatcher.in_flight_count(name),
-                    in_flight_cost=self.dispatcher.in_flight_cost(name),
+                    queue_length=accounting.queue_length,
+                    in_flight_count=accounting.in_flight_count,
+                    in_flight_cost=accounting.in_flight_cost,
                 )
             )
         return MixSnapshot(time=now, classes=tuple(states))

@@ -311,10 +311,9 @@ def assemble_run(
     backend before propagating.
 
     Every plan listener is handed the interval's one
-    :class:`~repro.metrics.telemetry.ControlIntervalRecord`.  The only
-    ordering that matters: the hub publisher attaches after the invariant
-    harness, so the record it serialises already carries the interval's
-    violations.
+    :class:`~repro.metrics.telemetry.ControlIntervalRecord`, and the hub
+    publisher passes on that object, not a rendering of it: the order the
+    listeners attach in does not matter.
     """
     if spec.backend not in BACKEND_NAMES:
         raise ConfigurationError(

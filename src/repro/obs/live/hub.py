@@ -33,7 +33,10 @@ and ``null`` for fleet-level / unsharded events.  Event types:
 ``interval``
     One control-interval record: the full
     :class:`~repro.metrics.telemetry.ControlIntervalRecord` dict plus
-    collector-derived per-class progress (completions, attainment).
+    collector-derived per-class progress (completions, attainment).  The
+    event holds the planner's record itself (:attr:`LiveEvent.record`) and
+    renders it where the wire form is asked for — an SSE frame, a late
+    joiner's snapshot — so a run nobody watches builds no copy of it.
 ``spans``
     The slowest recently-finished query spans (only when the run is
     traced).
@@ -50,10 +53,13 @@ from __future__ import annotations
 import copy
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import MetricsError
 from repro.obs.registry import MetricsRegistry, render_prometheus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics.telemetry import ControlIntervalRecord
 
 #: Version stamped into every event and snapshot.
 PROTOCOL_VERSION = 1
@@ -64,9 +70,8 @@ EVENT_TYPES = ("snapshot", "interval", "spans", "shard_rebalance", "run_end")
 #: Default per-subscriber queue bound.
 DEFAULT_MAX_QUEUE = 256
 
-#: How many recent rebalance / spans events the snapshot retains.
+#: How many recent rebalance events the snapshot retains.
 SNAPSHOT_REBALANCES = 16
-SNAPSHOT_SPANS = 1
 
 
 def _shard_key(shard: Optional[int]) -> str:
@@ -74,10 +79,33 @@ def _shard_key(shard: Optional[int]) -> str:
     return "fleet" if shard is None else str(shard)
 
 
-class LiveEvent:
-    """One published protocol event (immutable once created)."""
+def _wire_data(data: Dict, record: Optional["ControlIntervalRecord"]) -> Dict:
+    """An event's ``data`` as the protocol carries it: as published, or for
+    an ``interval`` event holding a record, the progress figures taken at
+    publish time around that record rendered now."""
+    if record is None:
+        return data
+    return {
+        "interval_index": record.interval_index,
+        "trigger": record.trigger,
+        "cost_limits": record.plan.as_dict(),
+        "classes": data["classes"],
+        "total_completions": data["total_completions"],
+        "record": record.to_dict(),
+    }
 
-    __slots__ = ("seq", "type", "time", "shard", "data")
+
+class LiveEvent:
+    """One published protocol event (immutable once created).
+
+    ``data`` is what the publisher handed over.  An ``interval`` event
+    published with a ``record`` keeps in ``data`` only what moves with time
+    (per-class progress, total completions) and holds the planner's frozen
+    record by reference; in-process consumers read :attr:`record`, and
+    :meth:`to_dict` renders it — afresh on every call, nothing is cached.
+    """
+
+    __slots__ = ("seq", "type", "time", "shard", "data", "record")
 
     def __init__(
         self,
@@ -86,12 +114,14 @@ class LiveEvent:
         data: Dict,
         time: Optional[float] = None,
         shard: Optional[int] = None,
+        record: Optional["ControlIntervalRecord"] = None,
     ) -> None:
         self.seq = seq
         self.type = type
         self.time = time
         self.shard = shard
         self.data = data
+        self.record = record
 
     def to_dict(self) -> Dict:
         """The JSON-ready wire form."""
@@ -101,7 +131,7 @@ class LiveEvent:
             "type": self.type,
             "time": self.time,
             "shard": self.shard,
-            "data": self.data,
+            "data": _wire_data(self.data, self.record),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -198,9 +228,12 @@ class TelemetryHub:
         self._seq = 0
         self._subscribers: List[Subscription] = []
         self._registries: List[Tuple[Optional[int], MetricsRegistry]] = []
+        #: Each shard's latest ``interval`` event; :meth:`snapshot` renders
+        #: them into ``shards``, whose place in the key order ``_state`` keeps.
+        self._intervals: Dict[str, LiveEvent] = {}
         self._state: Dict = {
             "run": None,
-            "shards": {},
+            "shards": None,
             "rebalances": [],
             "spans": {},
             "run_end": {},
@@ -215,11 +248,14 @@ class TelemetryHub:
         data: Dict,
         time: Optional[float] = None,
         shard: Optional[int] = None,
+        record: Optional["ControlIntervalRecord"] = None,
     ) -> LiveEvent:
         """Publish one event; stamps the next sequence number.
 
         Never blocks: slow subscribers lose their oldest queued event
-        instead.  Returns the stamped event.
+        instead.  Returns the stamped event.  ``record`` is the interval
+        publisher's: the control-interval record an ``interval`` event
+        carries by reference (see :class:`LiveEvent`).
         """
         if type not in EVENT_TYPES:
             raise MetricsError(
@@ -229,7 +265,7 @@ class TelemetryHub:
             )
         with self._lock:
             self._seq += 1
-            event = LiveEvent(self._seq, type, data, time=time, shard=shard)
+            event = LiveEvent(self._seq, type, data, time, shard, record)
             self._fold_into_state(event)
             subscribers = list(self._subscribers)
         for subscription in subscribers:
@@ -242,11 +278,7 @@ class TelemetryHub:
         if event.type == "snapshot":
             self._state["run"] = event.data
         elif event.type == "interval":
-            self._state["shards"][key] = {
-                "time": event.time,
-                "seq": event.seq,
-                "data": event.data,
-            }
+            self._intervals[key] = event
         elif event.type == "spans":
             self._state["spans"][key] = event.data
         elif event.type == "shard_rebalance":
@@ -304,9 +336,19 @@ class TelemetryHub:
         Mirrors what a subscriber that had been attached from the start
         would know: the run metadata, each shard's latest interval, the
         recent rebalances, the latest spans, and any run-end payloads.
+        An interval's record is rendered here, from the frozen record, not
+        copied from a tree kept for the purpose.
         """
         with self._lock:
             state = copy.deepcopy(self._state)
+            state["shards"] = {
+                key: {
+                    "time": e.time,
+                    "seq": e.seq,
+                    "data": _wire_data(copy.deepcopy(e.data), e.record),
+                }
+                for key, e in self._intervals.items()
+            }
             state["v"] = PROTOCOL_VERSION
             state["seq"] = self._seq
             state["subscribers"] = [

@@ -6,8 +6,9 @@ onto the hub's wire protocol:
 
 * the controller's plan listener → one ``interval`` event per control
   interval, carrying the
-  :class:`~repro.metrics.telemetry.ControlIntervalRecord` it was handed,
-  as a dict, plus collector-derived per-class progress;
+  :class:`~repro.metrics.telemetry.ControlIntervalRecord` it was handed
+  (by reference; the hub renders it at the wire) plus collector-derived
+  per-class progress;
 * the (optional) :class:`~repro.obs.QueryTracer` → a ``spans`` event per
   interval with the slowest spans that finished since the previous one
   (a span still open at the boundary is published once it closes);
@@ -118,14 +119,12 @@ class RunPublisher:
     def on_plan(self, record: "ControlIntervalRecord") -> None:
         """Plan-listener hook: publish this control interval."""
         data = {
-            "interval_index": record.interval_index,
-            "trigger": record.trigger,
-            "cost_limits": record.plan.as_dict(),
             "classes": self._class_progress(),
             "total_completions": self.bundle.collector.total_completions,
-            "record": record.to_dict(),
         }
-        self.hub.publish("interval", data, time=record.time, shard=self.shard)
+        self.hub.publish(
+            "interval", data, time=record.time, shard=self.shard, record=record
+        )
         self.intervals_published += 1
         self._publish_recent_spans(record.time)
 

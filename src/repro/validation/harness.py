@@ -132,10 +132,11 @@ def _check_dispatcher_accounting(world: ControlLoopWorld):
     dispatcher = world.dispatcher
     for service_class in world.controlled_classes():
         name = service_class.name
-        queries = dispatcher.in_flight_queries(name)
+        accounting = dispatcher.class_accounting(name)
+        queries = accounting.in_flight.values()
         true_cost = sum(q.estimated_cost for q in queries)
-        cost = dispatcher.in_flight_cost(name)
-        count = dispatcher.in_flight_count(name)
+        cost = accounting.in_flight_cost
+        count = accounting.in_flight_count
         if count != len(queries):
             return "class {!r}: count {} but {} in-flight queries".format(
                 name, count, len(queries)
@@ -149,16 +150,15 @@ def _check_dispatcher_accounting(world: ControlLoopWorld):
 
 def _check_engine_agreement(world: ControlLoopWorld):
     dispatcher = world.dispatcher
-    controlled = {c.name for c in world.controlled_classes()}
-    in_flight = {
-        name: {q.query_id for q in dispatcher.in_flight_queries(name)}
-        for name in controlled
+    in_flight = {  # class name -> its released, unretired queries by id
+        c.name: dispatcher.class_accounting(c.name).in_flight
+        for c in world.controlled_classes()
     }
     # Every dispatcher-routed statement the engine is executing must still
     # be on the dispatcher's books (queue_time distinguishes routed queries
     # from bypassing clients sharing the engine).
     for query in world.engine.executing_snapshot():
-        if query.class_name not in controlled or query.queue_time is None:
+        if query.class_name not in in_flight or query.queue_time is None:
             continue
         if query.query_id not in in_flight[query.class_name]:
             return "engine executes query {} of class {!r} unknown to dispatcher".format(
@@ -168,8 +168,8 @@ def _check_engine_agreement(world: ControlLoopWorld):
     # actually be executing in the engine — and a finished statement must
     # not linger on the dispatcher's books (dropped completion callback).
     executing = {q.query_id for q in world.engine.executing_snapshot()}
-    for name in controlled:
-        for query in dispatcher.in_flight_queries(name):
+    for name, queries in in_flight.items():
+        for query in queries.values():
             if query.state == QueryState.EXECUTING and query.query_id not in executing:
                 return "dispatcher holds query {} of class {!r} as executing; engine disagrees".format(
                     query.query_id, name
@@ -224,27 +224,18 @@ def _check_class_conservation(world: ControlLoopWorld):
     dispatcher = world.dispatcher
     for service_class in world.controlled_classes():
         name = service_class.name
-        enqueued = dispatcher.enqueued_count(name)
-        accounted = (
-            dispatcher.queue_length(name)
-            + dispatcher.queue_cancelled_count(name)
-            + dispatcher.released_count(name)
-        )
-        if enqueued != accounted:
+        now = dispatcher.class_accounting(name)
+        accounted = now.queue_length + now.queue_cancelled + now.released
+        if now.enqueued != accounted:
             return (
                 "class {!r}: {} enqueued but queue+queue_cancelled+released "
-                "accounts for {}".format(name, enqueued, accounted)
+                "accounts for {}".format(name, now.enqueued, accounted)
             )
-        released = dispatcher.released_count(name)
-        settled = (
-            dispatcher.in_flight_count(name)
-            + dispatcher.completed_count(name)
-            + dispatcher.cancelled_count(name)
-        )
-        if released != settled:
+        settled = now.in_flight_count + now.completed + now.cancelled
+        if now.released != settled:
             return (
                 "class {!r}: {} released but in_flight+completed+cancelled "
-                "accounts for {}".format(name, released, settled)
+                "accounts for {}".format(name, now.released, settled)
             )
     return True
 

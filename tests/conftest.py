@@ -26,14 +26,20 @@ from repro.core.modeling import (
 )
 from repro.core.dispatcher import Dispatcher
 from repro.core.plan import SchedulingPlan
-from repro.core.service_class import paper_classes
+from repro.core.service_class import (
+    ResponseTimeGoal,
+    ServiceClass,
+    VelocityGoal,
+    paper_classes,
+)
 from repro.core.solver import ClassStatus
 from repro.dbms.engine import DatabaseEngine
+from repro.experiments.runner import ExperimentSpec
 from repro.metrics.telemetry import ControlIntervalRecord, SolverTelemetry
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workloads.schedule import constant_schedule
+from repro.workloads.schedule import PeriodSchedule, constant_schedule
 from repro.workloads.spec import QueryFactory
 
 
@@ -52,6 +58,44 @@ def patroller_dispatcher(patroller, engine, classes, plan, discipline="fifo"):
     )
     patroller.subscribe("cancelled", dispatcher.on_cancellation)
     return dispatcher
+
+
+def dense_smoke_spec(seed=7, **overrides):
+    """The control path with every per-interval observer on, at smoke scale:
+    7 OLAP classes + OLTP, learned model, 1 s control interval, 2 x 20 s,
+    strict invariants and tracing (the benchmark's ``control_dense`` smoke
+    spec; attach a hub with ``run_spec(spec, hub=hub)``)."""
+    classes = [
+        ServiceClass(
+            "olap{}".format(index + 1),
+            "olap",
+            VelocityGoal(round(0.30 + 0.05 * index, 2)),
+            importance=1 + index % 3,
+        )
+        for index in range(7)
+    ]
+    classes.append(ServiceClass("oltp", "oltp", ResponseTimeGoal(0.25), importance=3))
+    counts = {
+        c.name: [1 + (period + index) % 2 for period in range(2)]
+        for index, c in enumerate(classes[:-1])
+    }
+    counts["oltp"] = [1, 2]
+    config = default_config(
+        seed=seed,
+        scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=2),
+        monitor=MonitorConfig(snapshot_interval=0.5, response_time_window=10.0),
+        planner=PlannerConfig(control_interval=1.0, model="learned"),
+    )
+    settings = dict(
+        controller="qs",
+        config=config,
+        schedule=PeriodSchedule(20.0, counts),
+        classes=classes,
+        invariants="strict",
+        tracing=True,
+    )
+    settings.update(overrides)
+    return ExperimentSpec(**settings)
 
 
 class FailingToDict:

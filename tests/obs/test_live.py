@@ -224,9 +224,14 @@ class TestRunPublisher:
         last = intervals[-1]
         assert last.shard is None
         assert set(last.data["classes"]) == {c.name for c in result.classes}
-        assert last.data["cost_limits"]  # the plan that interval installed
-        # The embedded record is the full ControlIntervalRecord dict.
-        assert last.data["record"]["time"] == last.time
+        # In process the event carries the planner's record itself ...
+        assert last.record is result.extras["telemetry"].records[-1]
+        # ... and on the wire its full dict, beside the plan it installed.
+        wire = last.to_dict()["data"]
+        assert wire["cost_limits"] == last.record.plan.as_dict()
+        assert wire["record"]["time"] == last.time
+        assert wire["classes"] == last.data["classes"]
+        assert wire["total_completions"] == last.data["total_completions"]
 
     def test_run_end_carries_final_attainment(self):
         hub = TelemetryHub()
@@ -306,11 +311,11 @@ class TestRunPublisher:
         history = scheduler.planner.history
         assert len(events) == len(history) > 0
         for event, record in zip(events, history):
-            assert event.data["record"] == record.to_dict()
-            assert event.data["record"]["interval_index"] == (
-                event.data["interval_index"]
-            )
-            assert event.data["cost_limits"] == record.plan.as_dict()
+            assert event.record is record
+            wire = event.to_dict()["data"]
+            assert wire["record"] == record.to_dict()
+            assert wire["record"]["interval_index"] == wire["interval_index"]
+            assert wire["cost_limits"] == record.plan.as_dict()
 
     def test_static_controller_publishes_start_and_end_only(self):
         hub = TelemetryHub()

@@ -197,14 +197,43 @@ class TestTelemetryEmbedding:
             # exists, but the publisher (after the harness) was still
             # handed that interval, violations included.
             assert len(history) == 2
-            assert [e.data["interval_index"] for e in events] == [0, 1]
-            assert events[-1].data["record"]["violations"]
+            assert [e.record.interval_index for e in events] == [0, 1]
+            assert events[-1].to_dict()["data"]["record"]["violations"]
         else:
             assert len(events) == len(history) > 2
         for event in events:
-            record = history[event.data["interval_index"]]
-            assert event.data["record"]["violations"] == record.violations
-            assert event.data["record"] == record.to_dict()
+            record = history[event.record.interval_index]
+            assert event.record is record
+            wire = event.to_dict()["data"]
+            assert wire["interval_index"] == record.interval_index
+            assert wire["record"]["violations"] == record.violations
+            assert wire["record"] == record.to_dict()
+
+    def test_publisher_attached_before_the_harness_still_carries_violations(self):
+        """The event holds the record, not a rendering made when the
+        publisher ran: violations a *later* listener writes into it are in
+        the wire form (before the hub carried the record, a publisher ahead
+        of the harness published the interval without them)."""
+        from repro.obs.live import RunPublisher
+
+        bundle = make_qs_bundle()
+        scheduler = bundle.controller
+        hub = TelemetryHub()
+        subscription = hub.subscribe(max_queue=10_000)
+        assert RunPublisher(hub, bundle, scheduler).attach()
+        attach_harness(bundle, mode="strict")
+        scheduler.start()
+        bundle.manager.start()
+        injector = FaultInjector(bundle)
+        bundle.sim.schedule(15.0, lambda: injector.leak_dispatcher_slot("class1"))
+        with pytest.raises(InvariantViolation):
+            bundle.run()
+        last = [e for e in subscription.drain() if e.type == "interval"][-1]
+        assert last.time == 20.0 and last.record is scheduler.planner.history[-1]
+        for wire in (last.to_dict()["data"], hub.snapshot()["shards"]["fleet"]["data"]):
+            assert {v["name"] for v in wire["record"]["violations"]} >= {
+                "dispatcher_in_flight_consistent"
+            }
 
     def test_strict_run_spec_publishes_the_tripping_interval_then_raises(
         self, monkeypatch
@@ -234,6 +263,6 @@ class TestTelemetryEmbedding:
             )
         last = [e for e in subscription.drain() if e.type == "interval"][-1]
         assert last.time == 20.0
-        assert {v["name"] for v in last.data["record"]["violations"]} >= {
+        assert {v["name"] for v in last.record.violations} >= {
             "dispatcher_in_flight_consistent"
         }
