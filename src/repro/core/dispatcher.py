@@ -48,10 +48,8 @@ from repro.errors import SchedulingError
 
 
 class ClassAccounting(NamedTuple):
-    """One class's dispatcher numbers as :meth:`Dispatcher.class_accounting`
-    read them together, and ``in_flight``: a read-only live view of the
-    queries released and not yet retired, by id — the ground truth the
-    cost/count pair must agree with."""
+    """One class's numbers as :meth:`Dispatcher.class_accounting` read them;
+    ``in_flight`` is a read-only live view of ``_ClassState.in_flight``."""
 
     queue_length: int
     in_flight_cost: float
@@ -255,12 +253,8 @@ class Dispatcher:
         return self._state(class_name).queue_cancelled
 
     def class_accounting(self, class_name: str) -> ClassAccounting:
-        """Everything kept for the class, in one look-up.
-
-        What the per-interval readers use (the planner's mix snapshot and
-        telemetry, the validation harness's accounting, conservation and
-        engine-agreement checks) instead of one accessor call per number.
-        """
+        """Everything kept for the class in one look-up: what the planner
+        and the validation harness read each interval, once per class."""
         state = self._state(class_name)
         return ClassAccounting(
             len(state.queue),

@@ -33,10 +33,8 @@ and ``null`` for fleet-level / unsharded events.  Event types:
 ``interval``
     One control-interval record: the full
     :class:`~repro.metrics.telemetry.ControlIntervalRecord` dict plus
-    collector-derived per-class progress (completions, attainment).  The
-    event holds the planner's record itself (:attr:`LiveEvent.record`) and
-    renders it where the wire form is asked for — an SSE frame, a late
-    joiner's snapshot — so a run nobody watches builds no copy of it.
+    collector-derived per-class progress (completions, attainment); held
+    as the record itself and rendered at the wire (:class:`LiveEvent`).
 ``spans``
     The slowest recently-finished query spans (only when the run is
     traced).
@@ -80,9 +78,8 @@ def _shard_key(shard: Optional[int]) -> str:
 
 
 def _wire_data(data: Dict, record: Optional["ControlIntervalRecord"]) -> Dict:
-    """An event's ``data`` as the protocol carries it: as published, or for
-    an ``interval`` event holding a record, the progress figures taken at
-    publish time around that record rendered now."""
+    """An event's ``data`` on the wire: as published, or (an ``interval``
+    event with a record) its progress figures around the record rendered now."""
     if record is None:
         return data
     return {
@@ -98,11 +95,10 @@ def _wire_data(data: Dict, record: Optional["ControlIntervalRecord"]) -> Dict:
 class LiveEvent:
     """One published protocol event (immutable once created).
 
-    ``data`` is what the publisher handed over.  An ``interval`` event
-    published with a ``record`` keeps in ``data`` only what moves with time
-    (per-class progress, total completions) and holds the planner's frozen
-    record by reference; in-process consumers read :attr:`record`, and
-    :meth:`to_dict` renders it — afresh on every call, nothing is cached.
+    An ``interval`` event published with a ``record`` keeps in ``data`` only
+    what moves with time (class progress, total completions) and holds the
+    planner's frozen record by reference: in-process consumers read
+    :attr:`record`; :meth:`to_dict` renders it, afresh on every call.
     """
 
     __slots__ = ("seq", "type", "time", "shard", "data", "record")
@@ -228,8 +224,8 @@ class TelemetryHub:
         self._seq = 0
         self._subscribers: List[Subscription] = []
         self._registries: List[Tuple[Optional[int], MetricsRegistry]] = []
-        #: Each shard's latest ``interval`` event; :meth:`snapshot` renders
-        #: them into ``shards``, whose place in the key order ``_state`` keeps.
+        #: Each shard's latest ``interval`` event: the snapshot's ``shards``,
+        #: whose place in the key order ``_state`` keeps.
         self._intervals: Dict[str, LiveEvent] = {}
         self._state: Dict = {
             "run": None,
@@ -254,8 +250,7 @@ class TelemetryHub:
 
         Never blocks: slow subscribers lose their oldest queued event
         instead.  Returns the stamped event.  ``record`` is the interval
-        publisher's: the control-interval record an ``interval`` event
-        carries by reference (see :class:`LiveEvent`).
+        publisher's alone: the record its event carries (:class:`LiveEvent`).
         """
         if type not in EVENT_TYPES:
             raise MetricsError(
@@ -335,9 +330,8 @@ class TelemetryHub:
 
         Mirrors what a subscriber that had been attached from the start
         would know: the run metadata, each shard's latest interval, the
-        recent rebalances, the latest spans, and any run-end payloads.
-        An interval's record is rendered here, from the frozen record, not
-        copied from a tree kept for the purpose.
+        recent rebalances, the latest spans, and any run-end payloads (an
+        interval's record rendered here, not copied from a kept tree).
         """
         with self._lock:
             state = copy.deepcopy(self._state)

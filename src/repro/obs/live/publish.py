@@ -7,8 +7,7 @@ onto the hub's wire protocol:
 * the controller's plan listener → one ``interval`` event per control
   interval, carrying the
   :class:`~repro.metrics.telemetry.ControlIntervalRecord` it was handed
-  (by reference; the hub renders it at the wire) plus collector-derived
-  per-class progress;
+  (itself; the hub renders it at the wire) plus per-class progress;
 * the (optional) :class:`~repro.obs.QueryTracer` → a ``spans`` event per
   interval with the slowest spans that finished since the previous one
   (a span still open at the boundary is published once it closes);
@@ -122,9 +121,7 @@ class RunPublisher:
             "classes": self._class_progress(),
             "total_completions": self.bundle.collector.total_completions,
         }
-        self.hub.publish(
-            "interval", data, time=record.time, shard=self.shard, record=record
-        )
+        self.hub.publish("interval", data, record.time, self.shard, record)
         self.intervals_published += 1
         self._publish_recent_spans(record.time)
 

@@ -132,11 +132,9 @@ def _check_dispatcher_accounting(world: ControlLoopWorld):
     dispatcher = world.dispatcher
     for service_class in world.controlled_classes():
         name = service_class.name
-        accounting = dispatcher.class_accounting(name)
-        queries = accounting.in_flight.values()
-        true_cost = sum(q.estimated_cost for q in queries)
-        cost = accounting.in_flight_cost
-        count = accounting.in_flight_count
+        now = dispatcher.class_accounting(name)
+        cost, count, queries = now.in_flight_cost, now.in_flight_count, now.in_flight
+        true_cost = sum(q.estimated_cost for q in queries.values())
         if count != len(queries):
             return "class {!r}: count {} but {} in-flight queries".format(
                 name, count, len(queries)
