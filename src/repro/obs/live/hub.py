@@ -33,8 +33,7 @@ and ``null`` for fleet-level / unsharded events.  Event types:
 ``interval``
     One control-interval record: the full
     :class:`~repro.metrics.telemetry.ControlIntervalRecord` dict plus
-    collector-derived per-class progress (completions, attainment); held
-    as the record itself and rendered at the wire (:class:`LiveEvent`).
+    collector-derived per-class progress (completions, attainment).
 ``spans``
     The slowest recently-finished query spans (only when the run is
     traced).

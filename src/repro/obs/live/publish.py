@@ -121,7 +121,9 @@ class RunPublisher:
             "classes": self._class_progress(),
             "total_completions": self.bundle.collector.total_completions,
         }
-        self.hub.publish("interval", data, record.time, self.shard, record)
+        self.hub.publish(
+            "interval", data, time=record.time, shard=self.shard, record=record
+        )
         self.intervals_published += 1
         self._publish_recent_spans(record.time)
 

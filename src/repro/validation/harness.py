@@ -133,15 +133,14 @@ def _check_dispatcher_accounting(world: ControlLoopWorld):
     for service_class in world.controlled_classes():
         name = service_class.name
         now = dispatcher.class_accounting(name)
-        cost, count, queries = now.in_flight_cost, now.in_flight_count, now.in_flight
-        true_cost = sum(q.estimated_cost for q in queries.values())
-        if count != len(queries):
+        true_cost = sum(q.estimated_cost for q in now.in_flight.values())
+        if now.in_flight_count != len(now.in_flight):
             return "class {!r}: count {} but {} in-flight queries".format(
-                name, count, len(queries)
+                name, now.in_flight_count, len(now.in_flight)
             )
-        if abs(cost - true_cost) > _COST_TOLERANCE * max(1.0, true_cost):
+        if abs(now.in_flight_cost - true_cost) > _COST_TOLERANCE * max(1.0, true_cost):
             return "class {!r}: cost {:.6f} but in-flight queries sum to {:.6f}".format(
-                name, cost, true_cost
+                name, now.in_flight_cost, true_cost
             )
     return True
 

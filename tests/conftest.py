@@ -60,7 +60,7 @@ def patroller_dispatcher(patroller, engine, classes, plan, discipline="fifo"):
     return dispatcher
 
 
-def dense_smoke_spec(seed=7, **overrides):
+def dense_smoke_spec(seed=7):
     """The control path with every per-interval observer on, at smoke scale:
     7 OLAP classes + OLTP, learned model, 1 s control interval, 2 x 20 s,
     strict invariants and tracing (the benchmark's ``control_dense`` smoke
@@ -86,7 +86,7 @@ def dense_smoke_spec(seed=7, **overrides):
         monitor=MonitorConfig(snapshot_interval=0.5, response_time_window=10.0),
         planner=PlannerConfig(control_interval=1.0, model="learned"),
     )
-    settings = dict(
+    return ExperimentSpec(
         controller="qs",
         config=config,
         schedule=PeriodSchedule(20.0, counts),
@@ -94,8 +94,6 @@ def dense_smoke_spec(seed=7, **overrides):
         invariants="strict",
         tracing=True,
     )
-    settings.update(overrides)
-    return ExperimentSpec(**settings)
 
 
 class FailingToDict:
