@@ -96,7 +96,7 @@ class PerformanceSolver:
 
     @property
     def evaluations(self) -> int:
-        """Candidate allocations evaluated across all solves."""
+        """Candidate allocations ranked across all solves."""
         return self._evaluations
 
     @property
@@ -110,7 +110,7 @@ class PerformanceSolver:
 
     @property
     def last_evaluations(self) -> int:
-        """Candidate allocations evaluated by the most recent solve."""
+        """Candidate allocations ranked by the most recent solve."""
         return self._last_evaluations
 
     @property
@@ -209,48 +209,6 @@ class PerformanceSolver:
             score += self.class_utility(status, limit, mix)
         return score
 
-    def _memo_utility(
-        self,
-        statuses: Sequence[ClassStatus],
-        memos: List[Dict[int, float]],
-        index: int,
-        count: int,
-        mix: Optional[MixSnapshot] = None,
-    ) -> float:
-        """Class ``index``'s utility at ``count`` grid units, computed once.
-
-        The objective is separable — a sum of per-class utilities, each a
-        function of that class's limit alone — so within one solve a class
-        utility at a given unit count never changes.
-        """
-        memo = memos[index]
-        utility = memo.get(count)
-        if utility is None:
-            utility = self.class_utility(statuses[index], count * self.grid, mix)
-            memo[count] = utility
-        return utility
-
-    def _memo_objective(
-        self,
-        statuses: Sequence[ClassStatus],
-        memos: List[Dict[int, float]],
-        units: Sequence[int],
-        mix: Optional[MixSnapshot] = None,
-    ) -> float:
-        """:meth:`objective` over memoized per-class utilities.
-
-        Scores one full allocation of the exhaustive enumeration (and the
-        greedy ascent's start point).  The score is accumulated left to
-        right in status order from ``0.0``, the same additions
-        :meth:`objective` performs, so scores (and therefore tie-breaks
-        and chosen plans) are bit-identical to the unmemoized search.
-        """
-        self._evaluations += 1
-        score = 0.0
-        for index, count in enumerate(units):
-            score += self._memo_utility(statuses, memos, index, count, mix)
-        return score
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
@@ -267,7 +225,7 @@ class PerformanceSolver:
         names = [s.service_class.name for s in statuses]
         if len(set(names)) != len(names):
             raise SchedulingError("duplicate class names in solver input")
-        min_units = max(0, int(round(self.min_class_limit / self.grid)))
+        min_units = min_class_units(self.min_class_limit, self.grid)
         total_units = int(self.system_cost_limit // self.grid)
         if total_units < min_units * len(statuses):
             raise SchedulingError(
@@ -297,16 +255,6 @@ class PerformanceSolver:
         }
         return SchedulingPlan(limits, self.system_cost_limit, created_at=now)
 
-    @staticmethod
-    def _fallback_units(count: int, total_units: int, min_units: int) -> Tuple[int, ...]:
-        """An even full allocation, used when no candidate scores finitely."""
-        free_units = total_units - min_units * count
-        base, remainder = divmod(free_units, count)
-        return tuple(
-            min_units + base + (1 if index < remainder else 0)
-            for index in range(count)
-        )
-
     def _solve_exhaustive(
         self,
         statuses: Sequence[ClassStatus],
@@ -314,21 +262,46 @@ class PerformanceSolver:
         min_units: int,
         mix: Optional[MixSnapshot] = None,
     ) -> Tuple[Tuple[int, ...], float]:
-        free_units = total_units - min_units * len(statuses)
-        # Seed with the even split so a degenerate objective (every score
-        # NaN, e.g. a NaN measurement reaching the utility) still yields a
-        # complete allocation instead of the empty tuple.
-        best_units = self._fallback_units(len(statuses), total_units, min_units)
-        best_score = float("nan")
-        memos: List[Dict[int, float]] = [{} for _ in statuses]
-        for combo in _compositions(free_units, len(statuses)):
-            units = tuple(min_units + c for c in combo)
-            score = self._memo_objective(statuses, memos, units, mix)
-            if math.isnan(score):
-                continue
-            if math.isnan(best_score) or score > best_score:
-                best_units, best_score = units, score
-        return best_units, best_score
+        """Score every full allocation of up to three classes; first best wins.
+
+        Each class's utility row (one :meth:`class_utility` call per unit
+        count it can hold) is computed once.  Allocations are walked first
+        class ascending, then the next, each scored as :meth:`objective`'s
+        chain ``0.0 + u0 + u1 + u2`` with the leading partial sum carried
+        down: the same additions in the same order.
+        """
+        count = len(statuses)
+        free_units = total_units - min_units * count
+        self._evaluations += math.comb(free_units + count - 1, count - 1)
+        grid = self.grid
+        if count == 1:
+            utility = self.class_utility(statuses[0], total_units * grid, mix)
+            return (total_units,), 0.0 + utility
+        shares = range(free_units + 1)
+        rows = [
+            [self.class_utility(s, (min_units + share) * grid, mix) for share in shares]
+            for s in statuses
+        ]
+        # Candidate (a, b) scores (heads[a] + middle[b]) + the last class's
+        # utility at free_units - a - b units, which is last[a + b].
+        heads = [0.0] if count == 2 else [0.0 + utility for utility in rows[0]]
+        middle = rows[-2]
+        last = rows[-1][::-1]
+        best_score = math.nan
+        best_at = None
+        for a, head in enumerate(heads):
+            for b in range(free_units + 1 - a):
+                score = head + middle[b] + last[a + b]
+                # A NaN score is no candidate; the first one that is sets the bar.
+                if score > best_score or (best_score != best_score and score == score):
+                    best_score = score
+                    best_at = a, b
+        if best_at is None:  # every score NaN: an even split keeps the plan complete
+            base, spare = divmod(free_units, count)
+            return tuple(min_units + base + (i < spare) for i in range(count)), best_score
+        a, b = best_at
+        best = (b, free_units - b) if count == 2 else (a, b, free_units - a - b)
+        return tuple(min_units + share for share in best), best_score
 
     def _solve_greedy(
         self,
@@ -356,15 +329,13 @@ class PerformanceSolver:
             index = min(range(count), key=lambda i: units[i])
             units[index] += 1
         # Hill-climb single-unit transfers until no move improves.  A move
-        # changes only the donor's and the recipient's unit counts, so the
-        # search keeps each class's utility at units-1 (``less``; None for
-        # a class that cannot donate), units (``here``) and units+1
-        # (``more``) and looks a class up again only after it moved.  Every
-        # candidate is then the status-order sum of ``here`` with two
-        # entries swapped — the additions :meth:`objective` performs for
-        # that allocation, from ``0.0``, left to right.
+        # changes two classes only, so each class's utility at units-1
+        # (``less``; None when it cannot donate), units (``here``) and
+        # units+1 (``more``) is kept, computed once per solve (``memos``).
+        # A candidate is the status-order sum of ``here`` with two entries
+        # swapped, as :meth:`objective` adds it, unless :func:`_screen_floor`
+        # proves it cannot win the round.
         memos: List[Dict[int, float]] = [{} for _ in statuses]
-        best_score = self._memo_objective(statuses, memos, units, mix)
         indices = range(count)
         here: List[float] = [0.0] * count
         more: List[float] = [0.0] * count
@@ -372,19 +343,25 @@ class PerformanceSolver:
 
         def look_up(index: int) -> None:
             held = units[index]
-            here[index] = self._memo_utility(statuses, memos, index, held, mix)
-            more[index] = self._memo_utility(statuses, memos, index, held + 1, mix)
-            less[index] = (
-                self._memo_utility(statuses, memos, index, held - 1, mix)
-                if held > min_units
-                else None
-            )
+            memo = memos[index]
+            for at in (held, held + 1, held - 1):
+                if at >= min_units and at not in memo:
+                    memo[at] = self.class_utility(statuses[index], at * self.grid, mix)
+            here[index] = memo[held]
+            more[index] = memo[held + 1]
+            less[index] = memo[held - 1] if held > min_units else None
 
         for index in indices:
             look_up(index)
+        self._evaluations += 1
+        best_score = 0.0
+        for utility in here:
+            best_score += utility
         while True:
             donors = [index for index in indices if less[index] is not None]
             self._evaluations += len(donors) * (count - 1)
+            take = [up - now for up, now in zip(more, here)]
+            floor = _screen_floor(here, more, less, donors, take)
             # ``bar`` is the score a candidate must beat: the standing
             # score, then the round's best so far (first best wins, in
             # donor-major order).  It is NaN only while nothing has scored.
@@ -392,9 +369,10 @@ class PerformanceSolver:
             move: Optional[Tuple[int, int]] = None
             trial = list(here)
             for donor in donors:
+                give = less[donor] - here[donor]
                 trial[donor] = less[donor]
                 for recipient in indices:
-                    if recipient == donor:
+                    if recipient == donor or give + take[recipient] < floor:
                         continue
                     trial[recipient] = more[recipient]
                     score = 0.0
@@ -418,11 +396,53 @@ class PerformanceSolver:
         return tuple(units), best_score
 
 
-def _compositions(total: int, parts: int):
-    """Yield every tuple of ``parts`` non-negative ints summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def min_class_units(min_class_limit: float, grid: float) -> int:
+    """The fewest grid units whose limit ``units * grid`` is at least
+    ``min_class_limit`` (the quotient may round either way)."""
+    units = math.ceil(min_class_limit / grid)
+    while units * grid < min_class_limit:
+        units += 1
+    while units > 0 and (units - 1) * grid >= min_class_limit:
+        units -= 1
+    return units
+
+
+def _screen_floor(
+    here: Sequence[float], more: Sequence[float], less: Sequence[Optional[float]],
+    donors: Sequence[int], take: Sequence[float],
+) -> float:
+    """The gain below which a greedy transfer cannot win its round.
+
+    Transfer c = (donor d, recipient r) has the computed gain ĝ_c =
+    fl(fl(less[d] - here[d]) + take[r]), take[r] = fl(more[r] - here[r]),
+    and the computed score Ŝ_c (its trial vector summed from 0.0 left to
+    right).  With n classes, u = 2**-53, S = Σ(|here| + |more| + |less|),
+    H = Σ here, g_c the exact gain and T = ĝ_* the round's best gain:
+
+    * |Ŝ_c - (H + g_c)| ≤ γ(n-1)·S (Higham's bound for recursive
+      summation, γ(k) = ku / (1 - ku) ≤ 2ku);
+    * |ĝ_c - g_c| ≤ (2u + u²)·S (two subtractions and their sum, d ≠ r);
+    * so Ŝ_* - Ŝ_c ≥ (T - ĝ_c) - 2(γ(n-1) + 2u + u²)·S.
+
+    The floor is fl(T - s), s = (n + 1)·2**-50·S_f + 2**-1074, S_f the
+    float sum (≥ S/2; the last term covers underflow).  ĝ_c < fl(T - s)
+    gives T - ĝ_c > s(1 - u) - u|T|, |T| ≤ (1 + 3u)·S, so Ŝ_* - Ŝ_c ≥
+    (3u - (8n + 13)u²)·S > 0 for any n < 2**50: c scores strictly below
+    the scored *, so it cannot be the round's first best.  The bound
+    assumes no overflow: when S_f is not finite or above 2**1020 the floor
+    is -inf and every candidate is scored.
+    """
+    total = 0.0
+    for now, up, down in zip(here, more, less):
+        total += abs(now) + abs(up)
+        if down is not None:
+            total += abs(down)
+    if not total <= 2.0 ** 1020:
+        return -math.inf
+    best_gain = -math.inf
+    for donor in donors:
+        give = less[donor] - here[donor]
+        for recipient, gain in enumerate(take):
+            if recipient != donor and give + gain > best_gain:
+                best_gain = give + gain
+    return best_gain - ((len(here) + 1) * 2.0 ** -50 * total + 5e-324)

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import default_config
 from repro.core.service_class import ServiceClass, paper_classes
+from repro.core.solver import min_class_units
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentSpec, default_schedule
 from repro.shard.router import (
@@ -168,14 +169,13 @@ class ShardedExperimentSpec:
         """Minimum viable per-shard cost limit.
 
         Each shard runs its own solver over all classes, and the solver
-        refuses a limit that cannot give every class
-        ``max(min_class_limit, grid_timerons)``.
+        refuses a limit that cannot give every class its
+        :func:`min_class_units`; a shard gives each class at least one.
         """
         config = (self.base.config or default_config()).validate()
-        per_class = max(
-            config.planner.min_class_limit, config.planner.grid_timerons
-        )
-        return per_class * len(self.resolved_classes())
+        grid = config.planner.grid_timerons
+        units = max(min_class_units(config.planner.min_class_limit, grid), 1)
+        return units * grid * len(self.resolved_classes())
 
     def shard_schedules(self) -> List[PeriodSchedule]:
         """The routed per-shard schedules (global schedule for 1 shard)."""

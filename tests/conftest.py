@@ -60,6 +60,21 @@ def patroller_dispatcher(patroller, engine, classes, plan, discipline="fifo"):
     return dispatcher
 
 
+def paper_smoke_spec(seed=7):
+    """The Figure 3 replication run under ``qs`` at smoke scale: 3 classes,
+    2 x 30 s, 15 s control interval (the benchmark's ``paper_qs`` smoke
+    spec)."""
+    return ExperimentSpec(
+        controller="qs",
+        config=default_config(
+            seed=seed,
+            scale=WorkloadScaleConfig(period_seconds=30.0, num_periods=2),
+            monitor=MonitorConfig(snapshot_interval=7.5, response_time_window=30.0),
+            planner=PlannerConfig(control_interval=15.0),
+        ),
+    )
+
+
 def dense_smoke_spec(seed=7):
     """The control path with every per-interval observer on, at smoke scale:
     7 OLAP classes + OLTP, learned model, 1 s control interval, 2 x 20 s,

@@ -9,9 +9,10 @@ from repro.core.service_class import (
     ServiceClass,
     VelocityGoal,
 )
-from repro.core.solver import ClassStatus, PerformanceSolver, _compositions
+from repro.core.solver import ClassStatus, PerformanceSolver, min_class_units
 from repro.core.utility import PiecewiseLinearUtility
 from repro.errors import SchedulingError
+from tests.core.reference_solver import _compositions
 
 
 def make_solver(system=30_000.0, grid=1_000.0, minimum=1_000.0, margin=1.0):
@@ -124,6 +125,28 @@ class TestSolve:
         solver = make_solver(system=2_000.0, minimum=1_000.0)
         with pytest.raises(SchedulingError):
             solver.solve(paper_statuses())
+
+    @pytest.mark.parametrize("minimum", [1_400.0, 2_500.0])
+    def test_off_grid_minimum_is_never_undercut(self, minimum):
+        """A floor between grid points takes the next unit up: 1,400 used to
+        round down to one 1,000-timeron unit and 2,500 (banker's rounding)
+        to two, planning two of three classes below their floor."""
+        plan = make_solver(system=12_000.0, minimum=minimum).solve(paper_statuses())
+        assert min(plan.as_dict().values()) >= minimum
+        assert plan.total_allocated == 12_000.0
+        # Three classes at two units each no longer fit in 5,000 timerons.
+        with pytest.raises(SchedulingError, match="cannot give 3 classes"):
+            make_solver(system=5_000.0, minimum=1_400.0).solve(paper_statuses())
+
+    def test_min_class_units_is_the_fewest_units_reaching_the_floor(self):
+        assert min_class_units(1_000.0, 1_000.0) == 1
+        assert min_class_units(1_400.0, 1_000.0) == 2
+        assert min_class_units(0.0, 1_000.0) == 0
+        # The quotients round the wrong way: 7.200000000000001 / 0.1 is
+        # 72.0 although 72 * 0.1 falls short, and 18.3 / 0.3 is
+        # 61.00000000000001 although 61 * 0.3 reaches it.
+        assert min_class_units(7.200000000000001, 0.1) == 73
+        assert min_class_units(18.3, 0.3) == 61
 
     def test_empty_statuses_rejected(self):
         with pytest.raises(SchedulingError):

@@ -1,5 +1,7 @@
 """Tests for the sharded experiment spec and cost-limit partitioning."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (
@@ -8,6 +10,9 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
+from repro.core.planner import make_solver
+from repro.core.service_class import paper_classes
+from repro.core.solver import ClassStatus
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentSpec
 from repro.shard.spec import (
@@ -80,6 +85,17 @@ class TestShardedExperimentSpec:
         limits = [s.config.system_cost_limit for s in spec.shard_specs()]
         assert sum(limits) == tiny_config().system_cost_limit
         assert min(limits) >= spec.cost_floor()
+
+    def test_cost_floor_is_a_limit_the_shard_solver_accepts(self):
+        # 1,400 timerons is two 1,000-timeron units: three classes need
+        # 6,000 per shard, not 3 x 1,400.
+        planner = PlannerConfig(control_interval=10.0, min_class_limit=1_400.0)
+        base = replace(tiny_base(), config=tiny_config(planner=planner))
+        spec = ShardedExperimentSpec(base=base, shards=2)
+        assert spec.cost_floor() == 6_000.0
+        solver = make_solver(replace(base.config, system_cost_limit=spec.cost_floor()))
+        plan = solver.solve([ClassStatus(c, 5_000.0, None) for c in paper_classes()])
+        assert min(plan.as_dict().values()) >= 1_400.0
 
     def test_schedules_partition_global_exactly(self):
         spec = ShardedExperimentSpec(base=tiny_base(), shards=3, router="hash")

@@ -1,8 +1,10 @@
 """Pins on the cost of the per-interval control path and its observers.
 
-One run for all of them: :func:`tests.conftest.dense_smoke_spec` (8 classes,
-1 s interval, strict invariants, tracing) with a hub whose one subscriber
-keeps every event, as the benchmark's ``control_dense`` workload does.
+One run for most of them: :func:`tests.conftest.dense_smoke_spec` (8
+classes, 1 s interval, strict invariants, tracing) with a hub whose one
+subscriber keeps every event, as the benchmark's ``control_dense`` workload
+does.  The solver's pin adds :func:`tests.conftest.paper_smoke_spec` for its
+exhaustive search.
 """
 
 import cProfile
@@ -13,10 +15,11 @@ from collections import Counter
 import pytest
 
 from repro.core.planner import SchedulingPlanner
+from repro.core.solver import PerformanceSolver
 from repro.experiments.runner import run_spec
 from repro.metrics.telemetry import ControlIntervalRecord
 from repro.obs.live import LiveEvent, TelemetryHub
-from tests.conftest import dense_smoke_spec
+from tests.conftest import dense_smoke_spec, paper_smoke_spec
 
 #: Ceiling on ``Dispatcher._state`` look-ups per control interval: 45 today
 #: (8 by ``install_plan``, 16 by the planner's mix snapshot and telemetry,
@@ -27,6 +30,13 @@ MAX_CLASS_STATE_LOOKUPS = 50
 #: Ceiling on Python-level calls under ``run_interval``, listeners included:
 #: 938 today, 1,316 when the publisher rendered the record every interval.
 MAX_CALLS_PER_INTERVAL = 1035
+
+#: Ceilings on Python-level calls under ``PerformanceSolver.solve``, per solve.
+#: Three classes, exhaustive: 575 today, 5,472 when each of the 406
+#: allocations cost a generator step, a tuple and three method calls.  Eight
+#: classes, greedy: 278 today, 312 before the bound screen.
+MAX_CALLS_PER_EXHAUSTIVE_SOLVE = 650
+MAX_CALLS_PER_GREEDY_SOLVE = 312
 
 
 def run_with_hub():
@@ -77,6 +87,32 @@ def test_calls_and_class_state_lookups_per_interval_stay_under_the_ceilings(
     )
     assert 0 < lookups / intervals <= MAX_CLASS_STATE_LOOKUPS
     assert stats.total_calls / intervals <= MAX_CALLS_PER_INTERVAL
+
+
+@pytest.mark.parametrize(
+    "make_spec, solves, evaluations, ceiling",
+    [
+        (paper_smoke_spec, 4, 4 * 406, MAX_CALLS_PER_EXHAUSTIVE_SOLVE),
+        (dense_smoke_spec, 40, 4331, MAX_CALLS_PER_GREEDY_SOLVE),
+    ],
+)
+def test_solver_calls_per_solve_stay_under_the_ceiling_at_the_same_evaluations(
+    monkeypatch, make_spec, solves, evaluations, ceiling
+):
+    profile = cProfile.Profile(builtins=False)
+    solve = PerformanceSolver.solve
+
+    def profiled(solver, *args, **kwargs):
+        profile.enable()
+        try:
+            return solve(solver, *args, **kwargs)
+        finally:
+            profile.disable()
+
+    monkeypatch.setattr(PerformanceSolver, "solve", profiled)
+    solver = run_spec(make_spec()).bundle.controller.solver
+    assert (solver.solve_calls, solver.evaluations) == (solves, evaluations)
+    assert pstats.Stats(profile).total_calls / solves <= ceiling
 
 
 def test_events_and_records_are_freed_by_refcounting_alone():

@@ -27,7 +27,7 @@ from repro.core.service_class import (
     ServiceClass,
     VelocityGoal,
 )
-from repro.core.solver import ClassStatus, PerformanceSolver, _compositions
+from repro.core.solver import ClassStatus, PerformanceSolver
 from repro.core.utility import (
     PiecewiseLinearUtility,
     SigmoidUtility,
@@ -39,6 +39,7 @@ from repro.sim.engine import Simulator
 from repro.sim.resources import ProcessorSharingResource, PSJob
 from repro.sim.stats import WelfordAccumulator
 from tests.conftest import patroller_dispatcher
+from tests.core.reference_solver import _compositions
 
 # ---------------------------------------------------------------------------
 # Simulator ordering
