@@ -29,7 +29,7 @@ from repro.dbms.query import CPU, IO, Query, QueryState
 from repro.dbms.snapshot import SnapshotMonitor
 from repro.errors import SimulationError
 from repro.runtime.protocols import AdmissionGate, TimerService
-from repro.sim.resources import ProcessorSharingResource, PSJob
+from repro.sim.resources import ProcessorSharingResource
 from repro.sim.rng import RandomStreams
 
 CompletionListener = Callable[[Query], None]
@@ -157,25 +157,15 @@ class DatabaseEngine:
         kind, demand = phases[index]
         pool = self._pools[kind]
         if query.parallelism < 2:
-            # The pool name is label enough: per-query formatted job
-            # names cost a format call per phase, and the query is
-            # recoverable from the job's owner.
-            pool.submit(PSJob(kind, demand, self._next_phase, query))
+            pool.submit(demand, self._next_phase, query)
             return
         # Intra-query parallelism: the phase fans out into `degree`
         # sub-jobs and the next phase starts when the last one finishes.
         degree = int(query.parallelism)
         barrier = [query, degree]
         share = demand / degree
-        for worker in range(degree):
-            pool.submit(
-                PSJob(
-                    "q{}:{}:{}".format(query.query_id, kind, worker),
-                    share,
-                    self._sub_done,
-                    barrier,
-                )
-            )
+        for _ in range(degree):
+            pool.submit(share, self._sub_done, barrier)
 
     def _finish(self, query: Query) -> None:
         query.state = QueryState.COMPLETED

@@ -156,9 +156,9 @@ class RealTimeTimerService:
         completions must never compute a due time from a stale clock read
         taken before another scheduler advanced past it.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(
-                "cannot schedule timer {!r} with negative delay {}".format(label, delay)
+                "cannot schedule timer {!r}: negative delay or NaN ({})".format(label, delay)
             )
         with self._cond:
             timer = self._push(self.clock.now + delay, callback, label, priority)
@@ -171,7 +171,13 @@ class RealTimeTimerService:
         label: str = "",
         priority: int = DEFAULT_PRIORITY,
     ) -> RealTimeTimerHandle:
-        """Fire ``callback`` once the wall clock reaches ``time``."""
+        """Fire ``callback`` once the wall clock reaches ``time``.
+
+        A time already past fires at once (``past_deadline_policy``); NaN
+        is never reached and raises.
+        """
+        if time != time:
+            raise SimulationError("cannot schedule timer {!r} at NaN".format(label))
         with self._cond:
             timer = self._push(time, callback, label, priority)
         return RealTimeTimerHandle(timer)

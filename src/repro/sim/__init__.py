@@ -10,7 +10,7 @@ statistics helpers used throughout the higher layers.
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Timer
-from repro.sim.resources import ProcessorSharingResource, PSJob
+from repro.sim.resources import ProcessorSharingResource
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import (
     Histogram,
@@ -24,7 +24,6 @@ __all__ = [
     "Event",
     "Timer",
     "ProcessorSharingResource",
-    "PSJob",
     "RandomStreams",
     "WelfordAccumulator",
     "SlidingWindow",

@@ -76,9 +76,9 @@ class Simulator:
         Returns the :class:`Event` itself, which is its own cancellation
         handle (``.cancel()`` / ``.active``).
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would stop run() early
             raise SimulationError(
-                "cannot schedule event {!r} with negative delay {}".format(label, delay)
+                "cannot schedule event {!r}: negative delay or NaN ({})".format(label, delay)
             )
         time = self.now + delay
         event = Event(time, priority, self._seq, callback, label)
@@ -94,9 +94,9 @@ class Simulator:
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
         """Schedule ``callback`` to fire at absolute simulation time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
-                "cannot schedule event {!r} at {} before now ({})".format(
+                "cannot schedule event {!r} at {}: before now ({}) or NaN".format(
                     label, time, self.now
                 )
             )

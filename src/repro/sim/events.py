@@ -105,9 +105,9 @@ class Timer:
 
     def arm(self, delay: float) -> None:
         """Fire ``delay`` seconds from now, replacing any pending fire time."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(
-                "cannot arm timer {!r} with negative delay {}".format(self.label, delay)
+                "cannot arm timer {!r}: negative delay or NaN ({})".format(self.label, delay)
             )
         sim = self._sim
         self._key = (sim.now + delay, DEFAULT_PRIORITY, sim._seq)

@@ -22,12 +22,13 @@ virtual time, and every state change costs O(log n).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import ulp
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.events import DEFAULT_PRIORITY
 
 #: Relative tolerance used when deciding whether a job's finish virtual time
 #: has been reached.  The completion slack for a head job is
@@ -41,63 +42,10 @@ _EPS = 1e-9
 #: Integrator-error allowance in ulps of the current virtual time.
 _ULPS = 16.0
 
-#: Completion-heap entries: ``(finish_vtime, seq, job)`` tuples compare at
-#: C speed; seq is unique so the job object itself never compares.
-_JobEntry = Tuple[float, int, "PSJob"]
-
-
-class PSJob:
-    """One unit of work in service on a :class:`ProcessorSharingResource`.
-
-    Parameters
-    ----------
-    name:
-        Diagnostic label.
-    demand:
-        Service demand in seconds-at-full-speed.  Must be non-negative.
-    on_complete:
-        Called with ``owner`` (the job itself if none) when service finishes.
-    owner:
-        Whatever the submitter wants back in ``on_complete`` (the engine
-        passes the query), so one bound method can serve every job instead
-        of a closure per job.
-
-    A job is served once: ``seq`` is -1 until a pool takes it.
-    """
-
-    __slots__ = (
-        "name",
-        "demand",
-        "on_complete",
-        "owner",
-        "finish_vtime",
-        "seq",
-        "cancelled",
-        "start_time",
-        "finish_time",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        demand: float,
-        on_complete: Optional[Callable[["PSJob"], None]] = None,
-        owner: Any = None,
-    ) -> None:
-        if demand < 0:
-            raise SimulationError("PSJob {!r} has negative demand {}".format(name, demand))
-        self.name = name
-        self.demand = float(demand)
-        self.on_complete = on_complete
-        self.owner = owner
-        self.finish_vtime = 0.0
-        self.seq = -1
-        self.cancelled = False
-        self.start_time = 0.0
-        self.finish_time: Optional[float] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "PSJob({!r}, demand={:.6f})".format(self.name, self.demand)
+#: Completion-heap entries: a job in service *is* its entry,
+#: ``(finish_vtime, seq, demand, on_complete, owner)``.  Tuples compare at C
+#: speed; seq is unique, so the fields after it never compare.
+_JobEntry = Tuple[float, int, float, Callable[[Any], Any], Any]
 
 
 class ProcessorSharingResource:
@@ -119,7 +67,7 @@ class ProcessorSharingResource:
     def __init__(self, sim: Simulator, name: str, servers: int, speed: float = 1.0) -> None:
         if servers < 1:
             raise SimulationError("resource {!r} needs >= 1 server".format(name))
-        if speed <= 0:
+        if not speed > 0:
             raise SimulationError("resource {!r} needs positive speed".format(name))
         self.sim = sim
         self.name = name
@@ -128,8 +76,9 @@ class ProcessorSharingResource:
         self._efficiency = 1.0
         self._vtime = 0.0
         self._vtime_updated_at = sim.now
+        # Exactly the jobs in service: a cancel removes its entry, so the
+        # heap holds no tombstones and its length is the job count.
         self._heap: List[_JobEntry] = []
-        self._njobs = 0
         self._seq = 0
         self._timer = sim.timer(self._on_timer, "ps:{}:complete".format(name))
         # Head job seq and per-job rate the armed timer was computed for:
@@ -152,7 +101,7 @@ class ProcessorSharingResource:
     @property
     def active_jobs(self) -> int:
         """Number of jobs currently in service."""
-        return self._njobs
+        return len(self._heap)
 
     @property
     def efficiency(self) -> float:
@@ -171,9 +120,10 @@ class ProcessorSharingResource:
 
     def per_job_rate(self) -> float:
         """The rate at which every in-service job currently progresses."""
-        if self._njobs == 0:
+        njobs = len(self._heap)
+        if njobs == 0:
             return self.speed * self._efficiency
-        share = min(1.0, self.servers / self._njobs)
+        share = min(1.0, self.servers / njobs)
         return self.speed * share * self._efficiency
 
     def utilization(self, horizon: Optional[float] = None) -> float:
@@ -212,21 +162,31 @@ class ProcessorSharingResource:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def submit(self, job: PSJob) -> PSJob:
-        """Begin service for ``job`` immediately.
+    def submit(self, demand: float, on_complete: Callable[[Any], Any], owner: Any = None) -> int:
+        """Begin service for a job of ``demand`` seconds-at-full-speed now.
+
+        When service finishes the pool calls ``on_complete(owner)``; the
+        engine passes the query as ``owner``, so one bound method serves
+        every job instead of a closure per job.  Returns the job's handle
+        for :meth:`cancel` / :meth:`remaining_demand`, unique on this pool;
+        every call is a new job, served once.
 
         PS has no waiting room: admission control lives above this layer (the
         Query Patroller / dispatcher decide *when* work reaches the pools).
         """
-        # _advance() and _reschedule() inlined: submit is (with _on_timer)
-        # one of the two hottest entry points in the simulator, and the two
-        # call round-trips are measurable at replication scale.  The
+        # _advance(), _reschedule() and Timer.arm() inlined: submit is (with
+        # _on_timer) one of the two hottest entry points in the simulator,
+        # and the call round-trips are measurable at replication scale.  The
         # arithmetic must stay identical to the out-of-line twins.
-        if job.seq != -1:
-            raise SimulationError("{!r} submitted twice".format(job))
-        now = self.sim.now
+        if not demand >= 0:  # also rejects NaN
+            raise SimulationError(
+                "resource {!r} got a job of demand {}".format(self.name, demand)
+            )
+        sim = self.sim
+        now = sim.now
+        heap = self._heap
         if now != self._vtime_updated_at or now != self._last_stat_time:
-            njobs = self._njobs
+            njobs = len(heap)
             dt = now - self._last_stat_time
             if dt > 0:
                 busy = njobs if njobs < self.servers else self.servers
@@ -240,53 +200,54 @@ class ProcessorSharingResource:
                 else:
                     self._vtime += dt * (self.speed * (self.servers / njobs) * self._efficiency)
             self._vtime_updated_at = now
-        seq = self._seq
-        self._seq = seq + 1
-        job.seq = seq
-        job.start_time = now
-        finish = self._vtime + job.demand
-        job.finish_vtime = finish
-        heap = self._heap
-        heappush(heap, (finish, seq, job))
-        njobs = self._njobs + 1
-        self._njobs = njobs
-        # Inline _reschedule().
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
+        handle = self._seq
+        self._seq = handle + 1
+        heappush(heap, (self._vtime + demand, handle, demand, on_complete, owner))
+        njobs = len(heap)
         if njobs <= self.servers:
             rate = self.speed * self._efficiency
         else:
             rate = self.speed * (self.servers / njobs) * self._efficiency
-        if rate <= 0:  # pragma: no cover - efficiency is validated positive
-            raise SimulationError("resource {!r} stalled at rate 0".format(self.name))
-        head_vtime, head_seq, _ = heap[0]
+        head_vtime, head_seq, _, _, _ = heap[0]
         if head_seq != self._timer_seq or rate != self._timer_rate:
             remaining_v = head_vtime - self._vtime
-            self._timer.arm(remaining_v / rate if remaining_v > 0.0 else 0.0)
+            seq = sim._seq
+            self._timer._key = (
+                now + (remaining_v / rate if remaining_v > 0.0 else 0.0),
+                DEFAULT_PRIORITY,
+                seq,
+            )
+            sim._seq = seq + 1
             self._timer_seq = head_seq
             self._timer_rate = rate
-        return job
+        return handle
 
-    def cancel(self, job: PSJob) -> bool:
-        """Abort a job in service here; False if done, cancelled or not ours."""
-        if not self._holds(job):
+    def cancel(self, handle: int) -> bool:
+        """Abort the job ``handle`` names; False if it is not in service here."""
+        index = self._find(handle)
+        if index < 0:
             return False
         self._advance()
-        job.cancelled = True
-        self._njobs -= 1
+        heap = self._heap
+        last = heap.pop()
+        if index < len(heap):
+            heap[index] = last
+            heapify(heap)
         self._reschedule()
         return True
 
-    def remaining_demand(self, job: PSJob) -> float:
-        """Service demand the job still has to receive here (0 when done)."""
-        if not self._holds(job):
+    def remaining_demand(self, handle: int) -> float:
+        """Service demand the job ``handle`` names still has to receive here
+        (0 when it is not in service here)."""
+        index = self._find(handle)
+        if index < 0:
             return 0.0
         self._advance()
-        return max(0.0, job.finish_vtime - self._vtime)
+        return max(0.0, self._heap[index][0] - self._vtime)
 
     def set_efficiency(self, efficiency: float) -> None:
         """Install a new efficiency multiplier (from the overload model)."""
-        if efficiency <= 0:
+        if not efficiency > 0:  # also rejects NaN
             raise SimulationError(
                 "resource {!r} efficiency must stay positive (got {})".format(
                     self.name, efficiency
@@ -301,15 +262,18 @@ class ProcessorSharingResource:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _holds(self, job: PSJob) -> bool:
-        """Whether ``job`` is in service on this pool (a heap scan)."""
-        return not job.cancelled and any(entry[2] is job for entry in self._heap)
+    def _find(self, handle: int) -> int:
+        """Heap index of the job ``handle`` names, -1 if none (a scan)."""
+        for index, entry in enumerate(self._heap):
+            if entry[1] == handle:
+                return index
+        return -1
 
     def _accumulate_stats(self) -> None:
         now = self.sim.now
         dt = now - self._last_stat_time
         if dt > 0:
-            njobs = self._njobs
+            njobs = len(self._heap)
             busy = njobs if njobs < self.servers else self.servers
             self._busy_integral += busy * dt
             self._jobs_integral += njobs * dt
@@ -322,7 +286,7 @@ class ProcessorSharingResource:
             # Already integrated to this instant (several state changes in
             # one event cascade share a timestamp).
             return
-        njobs = self._njobs
+        njobs = len(self._heap)
         dt = now - self._last_stat_time
         if dt > 0:
             busy = njobs if njobs < self.servers else self.servers
@@ -350,25 +314,28 @@ class ProcessorSharingResource:
         completion instant, and not re-arming keeps the sequence number
         (hence the place among simultaneous events) it already holds.
         """
-        # Drop tombstones so the heap head is a live job.
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
         if not heap:
             self._timer.cancel()
             self._timer_seq = -1
             return
-        njobs = self._njobs
+        njobs = len(heap)
         if njobs <= self.servers:
             rate = self.speed * self._efficiency
         else:
             rate = self.speed * (self.servers / njobs) * self._efficiency
-        if rate <= 0:  # pragma: no cover - efficiency is validated positive
-            raise SimulationError("resource {!r} stalled at rate 0".format(self.name))
-        head_vtime, head_seq, _ = heap[0]
+        head_vtime, head_seq, _, _, _ = heap[0]
         if head_seq != self._timer_seq or rate != self._timer_rate:
+            # Timer.arm() inlined, as in submit().
+            sim = self.sim
             remaining_v = head_vtime - self._vtime
-            self._timer.arm(remaining_v / rate if remaining_v > 0.0 else 0.0)
+            seq = sim._seq
+            self._timer._key = (
+                sim.now + (remaining_v / rate if remaining_v > 0.0 else 0.0),
+                DEFAULT_PRIORITY,
+                seq,
+            )
+            sim._seq = seq + 1
             self._timer_seq = head_seq
             self._timer_rate = rate
 
@@ -376,9 +343,11 @@ class ProcessorSharingResource:
         self._timer_seq = -1  # fired, so no longer armed
         # _advance() inlined (see submit() for why; arithmetic must stay
         # identical to the out-of-line twin).
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        heap = self._heap
         if now != self._vtime_updated_at or now != self._last_stat_time:
-            njobs = self._njobs
+            njobs = len(heap)
             dt = now - self._last_stat_time
             if dt > 0:
                 busy = njobs if njobs < self.servers else self.servers
@@ -394,54 +363,47 @@ class ProcessorSharingResource:
             self._vtime_updated_at = now
         vtime = self._vtime
         drift = _ULPS * ulp(vtime)
-        # Nearly every firing completes exactly one job, held in `first`;
+        # The timer is armed only while a job is in service, and nearly
+        # every firing completes exactly that head job, held in `first`;
         # only simultaneous completions allocate anything for `rest`.
-        first: Optional[PSJob] = None
-        rest: Tuple[PSJob, ...] = ()
-        heap = self._heap
-        while heap:
-            finish_vtime, _, head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-            elif finish_vtime - vtime <= _EPS * (1.0 + head.demand) + drift:
-                heappop(heap)
-                head.finish_time = now
-                head.cancelled = True  # block late cancel() calls
-                self._completed_demand += head.demand
-                if first is None:
-                    first = head
-                else:
-                    rest += (head,)
-            else:
-                break
-        if first is None:
+        first = heap[0]
+        if first[0] - vtime > _EPS * (1.0 + first[2]) + drift:
             # Spurious wake-up (e.g. rate changed); just re-arm.
             self._reschedule()
             return
-        njobs = self._njobs - 1 - len(rest)
-        self._njobs = njobs
+        heappop(heap)
+        self._completed_demand += first[2]
+        rest: Tuple[_JobEntry, ...] = ()
+        while heap and heap[0][0] - vtime <= _EPS * (1.0 + heap[0][2]) + drift:
+            entry = heappop(heap)
+            self._completed_demand += entry[2]
+            rest += (entry,)
         self._completed_jobs += 1 + len(rest)
         # Re-arm before invoking callbacks: callbacks may submit new work.
-        # (_reschedule() inlined; the loop above left a live job at the
-        # heap head, and the firing already disarmed the timer.)
+        # (_reschedule() and Timer.arm() inlined; the firing already
+        # disarmed the timer.)
         if heap:
+            njobs = len(heap)
             if njobs <= self.servers:
                 rate = self.speed * self._efficiency
             else:
                 rate = self.speed * (self.servers / njobs) * self._efficiency
-            if rate <= 0:  # pragma: no cover - efficiency is validated positive
-                raise SimulationError("resource {!r} stalled at rate 0".format(self.name))
-            remaining_v = heap[0][0] - vtime
-            self._timer.arm(remaining_v / rate if remaining_v > 0.0 else 0.0)
-            self._timer_seq = heap[0][1]
+            head_vtime, head_seq, _, _, _ = heap[0]
+            remaining_v = head_vtime - vtime
+            seq = sim._seq
+            self._timer._key = (
+                now + (remaining_v / rate if remaining_v > 0.0 else 0.0),
+                DEFAULT_PRIORITY,
+                seq,
+            )
+            sim._seq = seq + 1
+            self._timer_seq = head_seq
             self._timer_rate = rate
-        if first.on_complete is not None:
-            first.on_complete(first if first.owner is None else first.owner)
-        for job in rest:
-            if job.on_complete is not None:
-                job.on_complete(job if job.owner is None else job.owner)
+        first[3](first[4])
+        for entry in rest:
+            entry[3](entry[4])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ProcessorSharingResource({!r}, servers={}, jobs={})".format(
-            self.name, self.servers, self._njobs
+            self.name, self.servers, len(self._heap)
         )

@@ -304,8 +304,8 @@ def check_cost_accounting(backend: ExecutionBackend) -> List[str]:
 def check_past_deadline_contract(backend: ExecutionBackend) -> List[str]:
     """The timer service declares and honours a past-deadline policy.
 
-    Negative *delays* are caller bugs on every backend and must raise
-    :class:`~repro.errors.SimulationError`.  For an absolute time already
+    Negative and NaN *delays* are caller bugs on every backend and must
+    raise :class:`~repro.errors.SimulationError`.  For an absolute time already
     in the past the two substrates legitimately differ, so each service
     declares its contract via ``past_deadline_policy``:
 
@@ -331,6 +331,12 @@ def check_past_deadline_contract(backend: ExecutionBackend) -> List[str]:
         pass
     else:
         problems.append("schedule() accepted a negative delay without raising")
+    try:
+        timers.schedule(float("nan"), lambda: None, label="conformance:nan")
+    except SimulationError:
+        pass
+    else:
+        problems.append("schedule() accepted a NaN delay without raising")
     # Advance a little so "the past" exists even on a fresh clock.
     backend.run_until(backend.clock.now + 0.05)
     past = backend.clock.now - 0.02

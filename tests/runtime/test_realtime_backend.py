@@ -69,6 +69,15 @@ def test_timer_service_negative_delay_rejected():
         timers.schedule(-0.1, lambda: None)
 
 
+def test_timer_service_nan_times_rejected():
+    timers = RealTimeTimerService(SteppedClock())
+    with pytest.raises(SimulationError, match="NaN"):
+        timers.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError, match="NaN"):
+        timers.schedule_at(float("nan"), lambda: None)
+    assert timers.pending_events == 0
+
+
 def test_timer_service_past_due_time_clamps_to_immediate():
     clock = SteppedClock()
     clock.t = 5.0

@@ -9,7 +9,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.resources import ProcessorSharingResource, PSJob
+from repro.sim.resources import ProcessorSharingResource
+
+
+def ignore(owner):
+    """Completion callback of a job whose finish the test does not watch."""
 
 
 # ----------------------------------------------------------------------
@@ -18,7 +22,7 @@ from repro.sim.resources import ProcessorSharingResource, PSJob
 def test_utilization_horizon_extends_window():
     sim = Simulator()
     pool = ProcessorSharingResource(sim, "pool", servers=1)
-    pool.submit(PSJob("j", 2.0))
+    pool.submit(2.0, ignore)
     sim.run()
     assert pool.utilization() == pytest.approx(1.0)
     # A horizon past "now" dilutes the average with the idle tail.
@@ -28,7 +32,7 @@ def test_utilization_horizon_extends_window():
 def test_utilization_rejects_stale_horizon():
     sim = Simulator()
     pool = ProcessorSharingResource(sim, "pool", servers=1)
-    pool.submit(PSJob("j", 2.0))
+    pool.submit(2.0, ignore)
     sim.run()
     # Busy time is already integrated over 2 seconds; a 1-second window
     # would report utilization above 1.0.
@@ -44,7 +48,7 @@ def test_accounting_measures_from_construction_not_time_zero():
     sim.run()
     assert sim.now == 10.0
     pool = ProcessorSharingResource(sim, "late", servers=1)
-    pool.submit(PSJob("j", 2.0))
+    pool.submit(2.0, ignore)
     sim.run()
     assert sim.now == pytest.approx(12.0)
     assert pool.utilization() == pytest.approx(1.0)
@@ -68,11 +72,11 @@ def test_completion_tolerance_does_not_drift_at_large_vtime():
     # complete a demand-1.0 job the instant it was submitted.
     sim = Simulator()
     pool = ProcessorSharingResource(sim, "pool", servers=1)
-    pool.submit(PSJob("big", 1e9))
+    pool.submit(1e9, ignore)
     sim.run()
     assert sim.now == pytest.approx(1e9)
     finish = []
-    pool.submit(PSJob("small", 1.0, on_complete=lambda j: finish.append(sim.now)))
+    pool.submit(1.0, lambda owner: finish.append(sim.now))
     assert finish == []  # must not complete on submission
     sim.run()
     assert len(finish) == 1
@@ -86,11 +90,11 @@ def test_long_run_preserves_short_job_ordering():
     # demand order with correct spacing.
     sim = Simulator()
     pool = ProcessorSharingResource(sim, "pool", servers=2)
-    pool.submit(PSJob("warmup", 1e9))
+    pool.submit(1e9, ignore)
     sim.run()
     order = []
-    pool.submit(PSJob("a", 2.0, on_complete=lambda j: order.append((j.name, sim.now))))
-    pool.submit(PSJob("b", 5.0, on_complete=lambda j: order.append((j.name, sim.now))))
+    pool.submit(2.0, lambda name: order.append((name, sim.now)), "a")
+    pool.submit(5.0, lambda name: order.append((name, sim.now)), "b")
     sim.run()
     assert [name for name, _ in order] == ["a", "b"]
     assert order[0][1] - 1e9 == pytest.approx(2.0, rel=1e-6)

@@ -62,6 +62,24 @@ def test_negative_delay_rejected(sim):
         sim.schedule(-0.1, lambda: None)
 
 
+def test_nan_delay_rejected(sim):
+    # A NaN key never compares below anything, so run() would stop at it
+    # and every later event would be lost.
+    fired = []
+    for delay in (1.0, 2.0, 3.0):
+        sim.schedule(delay, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule(float("nan"), lambda: fired.append("nan"))
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
+def test_schedule_at_nan_rejected(sim):
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
 def test_schedule_at_in_the_past_rejected(sim):
     sim.schedule(2.0, lambda: None)
     sim.run()

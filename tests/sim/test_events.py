@@ -81,6 +81,14 @@ def test_negative_arm_delay_raises_like_schedule():
         sim.timer(lambda: None, "t").arm(-0.1)
 
 
+def test_nan_arm_delay_raises():
+    sim = Simulator()
+    timer = sim.timer(lambda: None, "t")
+    with pytest.raises(SimulationError, match="NaN"):
+        timer.arm(float("nan"))
+    assert not timer.active
+
+
 def test_arming_takes_the_sequence_number_schedule_would_have():
     # Same instant, same priority: timer and events interleave in the order
     # they were armed / scheduled, and priorities still sort first.

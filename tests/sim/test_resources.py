@@ -4,7 +4,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.resources import ProcessorSharingResource, PSJob
+from repro.sim.resources import ProcessorSharingResource
+
+
+def ignore(owner):
+    """Completion callback of a job whose finish the test does not watch."""
 
 
 def make_pool(sim, servers=2, speed=1.0):
@@ -13,7 +17,7 @@ def make_pool(sim, servers=2, speed=1.0):
 
 def run_job(sim, pool, demand):
     done = []
-    pool.submit(PSJob("j", demand, on_complete=lambda j: done.append(sim.now)))
+    pool.submit(demand, lambda owner: done.append(sim.now))
     sim.run()
     return done[0]
 
@@ -27,7 +31,7 @@ def test_job_under_capacity_runs_at_full_speed(sim):
     pool = make_pool(sim, servers=4)
     finish = []
     for i in range(4):
-        pool.submit(PSJob("j{}".format(i), 3.0, on_complete=lambda j: finish.append(sim.now)))
+        pool.submit(3.0, lambda owner: finish.append(sim.now))
     sim.run()
     assert finish == pytest.approx([3.0] * 4)
 
@@ -38,7 +42,7 @@ def test_jobs_over_capacity_share_equally(sim):
     pool = make_pool(sim, servers=2)
     finish = []
     for i in range(4):
-        pool.submit(PSJob("j{}".format(i), 3.0, on_complete=lambda j: finish.append(sim.now)))
+        pool.submit(3.0, lambda owner: finish.append(sim.now))
     sim.run()
     assert finish == pytest.approx([6.0] * 4)
 
@@ -50,12 +54,10 @@ def test_late_arrival_slows_existing_job(sim):
     # then A has 1 left at full rate -> t=5.
     pool = make_pool(sim, servers=1)
     finish = {}
-    pool.submit(PSJob("a", 4.0, on_complete=lambda j: finish.setdefault("a", sim.now)))
+    pool.submit(4.0, lambda owner: finish.setdefault(owner, sim.now), "a")
     sim.schedule(
         2.0,
-        lambda: pool.submit(
-            PSJob("b", 1.0, on_complete=lambda j: finish.setdefault("b", sim.now))
-        ),
+        lambda: pool.submit(1.0, lambda owner: finish.setdefault(owner, sim.now), "b"),
     )
     sim.run()
     assert finish["b"] == pytest.approx(4.0)
@@ -76,7 +78,7 @@ def test_efficiency_slows_everything(sim):
 def test_efficiency_change_mid_service(sim):
     pool = make_pool(sim, servers=1)
     done = []
-    pool.submit(PSJob("j", 4.0, on_complete=lambda j: done.append(sim.now)))
+    pool.submit(4.0, lambda owner: done.append(sim.now))
     # Halve speed after 2s: 2 demand done, remaining 2 at rate 0.5 -> 4s more.
     sim.schedule(2.0, lambda: pool.set_efficiency(0.5))
     sim.run()
@@ -89,25 +91,45 @@ def test_nonpositive_efficiency_rejected(sim):
         pool.set_efficiency(0.0)
 
 
+def test_nan_efficiency_rejected(sim):
+    pool = make_pool(sim)
+    pool.submit(1.0, ignore)
+    with pytest.raises(SimulationError):
+        pool.set_efficiency(float("nan"))
+    assert pool.efficiency == 1.0
+    sim.run()
+    assert pool.completed_jobs == 1 and sim.now == 1.0
+
+
 def test_zero_demand_job_completes_immediately(sim):
     pool = make_pool(sim)
     done = []
-    pool.submit(PSJob("z", 0.0, on_complete=lambda j: done.append(sim.now)))
+    pool.submit(0.0, lambda owner: done.append(sim.now))
     sim.run()
     assert done == [0.0]
 
 
-def test_negative_demand_rejected():
+def test_negative_demand_rejected(sim):
+    pool = make_pool(sim)
     with pytest.raises(SimulationError):
-        PSJob("bad", -1.0)
+        pool.submit(-1.0, ignore)
+    assert pool.active_jobs == 0
+
+
+def test_nan_demand_rejected(sim):
+    # A NaN finish time never completes: the pool would wake up at t = 0
+    # over and over.
+    pool = make_pool(sim)
+    with pytest.raises(SimulationError):
+        pool.submit(float("nan"), ignore)
+    assert pool.active_jobs == 0 and sim.run() == 0
 
 
 def test_cancel_removes_job(sim):
     pool = make_pool(sim, servers=1)
     done = []
-    victim = PSJob("victim", 10.0, on_complete=lambda j: done.append("victim"))
-    pool.submit(victim)
-    pool.submit(PSJob("keeper", 2.0, on_complete=lambda j: done.append(sim.now)))
+    victim = pool.submit(10.0, done.append, "victim")
+    pool.submit(2.0, lambda owner: done.append(sim.now))
     sim.schedule(1.0, lambda: pool.cancel(victim))
     sim.run()
     # keeper: 1s at rate 1/2 (0.5 done), then 1.5 left at full -> t=2.5
@@ -117,16 +139,14 @@ def test_cancel_removes_job(sim):
 
 def test_cancel_completed_job_returns_false(sim):
     pool = make_pool(sim)
-    job = PSJob("j", 1.0)
-    pool.submit(job)
+    job = pool.submit(1.0, ignore)
     sim.run()
     assert not pool.cancel(job)
 
 
 def test_remaining_demand_decreases(sim):
     pool = make_pool(sim, servers=1)
-    job = PSJob("j", 10.0)
-    pool.submit(job)
+    job = pool.submit(10.0, ignore)
     sim.schedule(4.0, lambda: None)
     sim.run_until(4.0)
     assert pool.remaining_demand(job) == pytest.approx(6.0)
@@ -136,12 +156,12 @@ def test_completion_callback_can_resubmit(sim):
     pool = make_pool(sim, servers=1)
     finishes = []
 
-    def resubmit(job):
+    def resubmit(owner):
         finishes.append(sim.now)
         if len(finishes) < 3:
-            pool.submit(PSJob("next", 1.0, on_complete=resubmit))
+            pool.submit(1.0, resubmit)
 
-    pool.submit(PSJob("first", 1.0, on_complete=resubmit))
+    pool.submit(1.0, resubmit)
     sim.run()
     assert finishes == pytest.approx([1.0, 2.0, 3.0])
 
@@ -149,7 +169,7 @@ def test_completion_callback_can_resubmit(sim):
 def test_work_conservation_counters(sim):
     pool = make_pool(sim, servers=2)
     for i in range(5):
-        pool.submit(PSJob("j{}".format(i), 2.0))
+        pool.submit(2.0, ignore)
     sim.run()
     assert pool.completed_jobs == 5
     assert pool.completed_demand == pytest.approx(10.0)
@@ -157,15 +177,15 @@ def test_work_conservation_counters(sim):
 
 def test_utilization_of_saturated_pool(sim):
     pool = make_pool(sim, servers=1)
-    pool.submit(PSJob("j", 5.0))
+    pool.submit(5.0, ignore)
     sim.run()
     assert pool.utilization() == pytest.approx(1.0)
 
 
 def test_mean_jobs_in_service(sim):
     pool = make_pool(sim, servers=2)
-    pool.submit(PSJob("a", 2.0))
-    pool.submit(PSJob("b", 2.0))
+    pool.submit(2.0, ignore)
+    pool.submit(2.0, ignore)
     sim.run()
     # Two jobs for the whole (2s) horizon.
     assert pool.mean_jobs_in_service() == pytest.approx(2.0)
@@ -183,7 +203,7 @@ def test_many_jobs_finish_in_demand_order_when_equal_arrival(sim):
     pool = make_pool(sim, servers=1)
     finished = []
     for name, demand in (("small", 1.0), ("large", 5.0), ("medium", 2.0)):
-        pool.submit(PSJob(name, demand, on_complete=lambda j: finished.append(j.name)))
+        pool.submit(demand, finished.append, name)
     sim.run()
     assert finished == ["small", "medium", "large"]
 
@@ -193,44 +213,64 @@ def test_many_jobs_finish_in_demand_order_when_equal_arrival(sim):
 # ----------------------------------------------------------------------
 def test_cancel_of_a_job_never_submitted_is_refused(sim):
     pool = make_pool(sim)
-    stray = PSJob("stray", 1.0)
-    assert pool.cancel(stray) is False
-    assert pool.remaining_demand(stray) == 0.0
-    assert pool.active_jobs == 0 and not stray.cancelled
+    assert pool.cancel(0) is False
+    assert pool.remaining_demand(0) == 0.0
+    assert pool.active_jobs == 0
+    keeper = pool.submit(1.0, ignore)
+    assert pool.cancel(keeper + 1) is False
+    assert pool.remaining_demand(keeper + 1) == 0.0
+    assert pool.active_jobs == 1
 
 
 def test_cancel_on_another_pool_leaves_the_job_in_service(sim):
     pool_a, pool_b = make_pool(sim, servers=1), make_pool(sim, servers=1)
     done = []
-    job = PSJob("j", 2.0, on_complete=done.append)
-    pool_a.submit(job)
+    job = pool_a.submit(2.0, done.append, "owner")
     assert pool_b.cancel(job) is False
     assert pool_b.remaining_demand(job) == 0.0
     assert pool_a.remaining_demand(job) == pytest.approx(2.0)
-    assert (pool_a.active_jobs, pool_b.active_jobs) == (1, 0) and not job.cancelled
+    assert (pool_a.active_jobs, pool_b.active_jobs) == (1, 0)
     sim.run()
-    assert done == [job] and job.finish_time == pytest.approx(2.0)
+    assert done == ["owner"] and sim.now == pytest.approx(2.0)
     assert pool_a.active_jobs == 0 and pool_a.completed_jobs == 1
 
 
-def test_submitting_a_job_twice_raises(sim):
-    pool, other = make_pool(sim), make_pool(sim)
-    job = PSJob("j", 1.0)
-    pool.submit(job)
-    for second in (pool, other):
-        with pytest.raises(SimulationError, match="submitted twice"):
-            second.submit(job)
+def test_every_submit_is_a_new_job_served_once(sim):
+    pool = make_pool(sim)
+    got = []
+    handles = [pool.submit(1.0, got.append, "same") for _ in range(3)]
+    assert len(set(handles)) == 3 and pool.active_jobs == 3
+    assert pool.cancel(handles[1]) is True
+    assert pool.cancel(handles[1]) is False  # already gone
     sim.run()
-    assert pool.active_jobs == 0 and pool.completed_jobs == 1
-    with pytest.raises(SimulationError, match="submitted twice"):
-        pool.submit(job)  # a job is served once
+    assert got == ["same", "same"]
+    assert pool.active_jobs == 0 and pool.completed_jobs == 2
+    for handle in handles:  # completed or cancelled: nothing left to act on
+        assert pool.cancel(handle) is False
+        assert pool.remaining_demand(handle) == 0.0
 
 
-def test_completion_hands_back_the_owner_or_else_the_job(sim):
+def test_completion_hands_back_the_owner(sim):
     pool = make_pool(sim)
     got = []
     owner = object()
-    plain = pool.submit(PSJob("plain", 1.0, on_complete=got.append))
-    pool.submit(PSJob("owned", 2.0, on_complete=got.append, owner=owner))
+    pool.submit(1.0, got.append)
+    pool.submit(2.0, got.append, owner)
     sim.run()
-    assert got == [plain, owner]
+    assert got == [None, owner]
+
+
+def test_cancel_keeps_the_heap_ordered(sim):
+    # Cancelling from the middle of the heap moves its last entry into the
+    # hole; the survivors must still complete in finish order.
+    pool = make_pool(sim, servers=8)
+    finished = []
+    handles = {
+        demand: pool.submit(demand, finished.append, demand)
+        for demand in (5.0, 1.0, 4.0, 2.0, 7.0, 3.0, 6.0)
+    }
+    for demand in (1.0, 4.0, 6.0):
+        assert pool.cancel(handles[demand]) is True
+    sim.run()
+    assert finished == [2.0, 3.0, 5.0, 7.0]
+    assert sim.now == pytest.approx(7.0)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.resources import ProcessorSharingResource, PSJob
+from repro.sim.resources import ProcessorSharingResource
 
 from tests.sim.reference_pool import HeapTimerPool
 
@@ -48,22 +48,22 @@ def run_world(pool_class, servers, steps):
     jobs = []
 
     def submit(pool_index, quanta, follow_ups):
-        def done(job):
-            trace.append((job.name, sim.now, job.finish_time))
+        def done(name):
+            trace.append((name, sim.now))
             if follow_ups:
                 submit(pool_index, quanta, follow_ups - 1)
 
-        job = PSJob("j{}".format(len(jobs)), quanta * QUANTUM, done)
-        jobs.append((pools[pool_index], job))
-        pools[pool_index].submit(job)
+        name = "j{}".format(len(jobs))
+        pool = pools[pool_index]
+        jobs.append((pool, name, pool.submit(quanta * QUANTUM, done, name)))
 
     def apply(op):
         if op[0] == "submit":
             submit(*op[1:])
         elif op[0] == "cancel":
             if jobs:
-                pool, job = jobs[op[1] % len(jobs)]
-                trace.append(("cancel", job.name, pool.cancel(job)))
+                pool, name, handle = jobs[op[1] % len(jobs)]
+                trace.append(("cancel", name, pool.cancel(handle)))
         elif op[0] == "efficiency":
             pools[op[1]].set_efficiency(op[2])
         else:

@@ -36,7 +36,7 @@ from repro.core.utility import (
 from repro.dbms.query import make_phases
 from repro.workloads.trace import TraceEntry
 from repro.sim.engine import Simulator
-from repro.sim.resources import ProcessorSharingResource, PSJob
+from repro.sim.resources import ProcessorSharingResource
 from repro.sim.stats import WelfordAccumulator
 from tests.conftest import patroller_dispatcher
 from tests.core.reference_solver import _compositions
@@ -75,9 +75,7 @@ def test_ps_completes_all_work_no_earlier_than_ideal(demands, servers):
     pool = ProcessorSharingResource(sim, "p", servers)
     finishes = {}
     for index, demand in enumerate(demands):
-        pool.submit(
-            PSJob(str(index), demand, on_complete=lambda j: finishes.__setitem__(j.name, sim.now))
-        )
+        pool.submit(demand, lambda name: finishes.__setitem__(name, sim.now), str(index))
     sim.run()
     assert len(finishes) == len(demands)
     assert pool.completed_demand == sum(demands) or math.isclose(
@@ -103,7 +101,7 @@ def test_ps_equal_arrivals_finish_in_demand_order(demands):
     pool = ProcessorSharingResource(sim, "p", 1)
     order = []
     for index, demand in enumerate(demands):
-        pool.submit(PSJob((index, demand), demand, on_complete=lambda j: order.append(j.name)))
+        pool.submit(demand, order.append, (index, demand))
     sim.run()
     assert [name[1] for name in order] == sorted(demands)
 
