@@ -30,7 +30,7 @@ def _run(intercept_oltp: bool):
         # Direct control with no admission queueing at all: every query is
         # released the moment it is intercepted, so the *only* difference
         # from bypass is QP's own overhead.
-        QPStaticPolicy(bundle.patroller, bundle.engine, groups=[], priorities={},
+        QPStaticPolicy(bundle.patroller, groups=[], priorities={},
                        global_cost_limit=None).start()
     bundle.manager.start()
     bundle.run()

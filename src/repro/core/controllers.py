@@ -44,7 +44,7 @@ def _static_policy(bundle, name: str, description: str, **policy) -> QPStaticPol
         c.name for c in bundle.classes if c.directly_controlled
     )
     return QPStaticPolicy(
-        bundle.patroller, bundle.engine, name=name, description=description, **policy
+        bundle.patroller, name=name, description=description, **policy
     )
 
 
@@ -104,7 +104,9 @@ def _mpl(bundle, static_olap_limit: Optional[float]) -> MPLController:
 
 
 def _direct(bundle, static_olap_limit: Optional[float]) -> DirectScheduler:
-    return DirectScheduler(bundle.sim, bundle.engine, bundle.classes, bundle.config)
+    return DirectScheduler(
+        bundle.sim, bundle.engine, bundle.patroller, bundle.classes, bundle.config
+    )
 
 
 #: name -> (builder, whether what it builds exposes a ``planner``).

@@ -32,6 +32,7 @@ from repro.core.service_class import ServiceClass
 from repro.dbms.query import Query
 from repro.metrics.telemetry import TelemetryStore
 from repro.obs.registry import MetricsRegistry
+from repro.patroller.patroller import QueryPatroller
 from repro.runtime import Clock, ExecutionEngine, TimerService
 from repro.sim.stats import SlidingWindow
 
@@ -64,7 +65,7 @@ class CompletionMeasurement:
     def __init__(
         self,
         clock: Clock,
-        engine: ExecutionEngine,
+        patroller: QueryPatroller,
         classes: List[ServiceClass],
         config: MonitorConfig,
     ) -> None:
@@ -76,7 +77,7 @@ class CompletionMeasurement:
             c.name: (c.goal.metric, SlidingWindow(capacity=1024)) for c in classes
         }
         self._retained: Dict[str, ClassMeasurement] = {}
-        engine.add_completion_listener(self._on_completion)
+        patroller.subscribe("completed", self._on_completion)
 
     def _on_completion(self, query: Query) -> None:
         if query.class_name in self._windows:
@@ -116,6 +117,7 @@ class DirectScheduler:
         self,
         sim: TimerService,
         engine: ExecutionEngine,
+        patroller: QueryPatroller,
         classes: List[ServiceClass],
         config: SimulationConfig,
     ) -> None:
@@ -124,7 +126,6 @@ class DirectScheduler:
         self.config = config
         names = [c.name for c in classes]
         self.dispatcher = Dispatcher(
-            engine,
             classes,
             SchedulingPlan.even_split(names, config.system_cost_limit, sim.now),
             release=engine.admit_released,
@@ -132,8 +133,11 @@ class DirectScheduler:
             gated=names,
             discipline=config.planner.queue_discipline,
         )
+        patroller.subscribe("completed", self.dispatcher.on_completion)
         engine.set_admission_gate(DispatcherGate(self.dispatcher, sim))
-        self.measurement = CompletionMeasurement(sim, engine, classes, config.monitor)
+        self.measurement = CompletionMeasurement(
+            sim, patroller, classes, config.monitor
+        )
         self.solver = make_solver(config)
         self.planner = SchedulingPlanner(
             sim, self.measurement, self.dispatcher, self.solver, classes, config.planner

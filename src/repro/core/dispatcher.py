@@ -42,7 +42,7 @@ _AGING_RATE = 50.0
 
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import ServiceClass
-from repro.runtime import Clock, ExecutionEngine
+from repro.runtime import Clock
 from repro.dbms.query import Query, QueryState
 from repro.errors import SchedulingError
 
@@ -168,7 +168,6 @@ class Dispatcher:
 
     def __init__(
         self,
-        engine: ExecutionEngine,
         classes: List[ServiceClass],
         initial_plan: SchedulingPlan,
         release: Callable[[Query], None],
@@ -182,7 +181,6 @@ class Dispatcher:
                     discipline, DISCIPLINES
                 )
             )
-        self.engine = engine
         #: How a queued query is let go: QP's unblocking API, or the
         #: engine's own ``admit_released`` under in-engine control.
         self.release = release
@@ -199,7 +197,6 @@ class Dispatcher:
         #: queries never pass through here.
         self._controlled = {name: self._state(name) for name in gated}
         self._plan = initial_plan
-        engine.add_completion_listener(self._on_completion)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -397,7 +394,8 @@ class Dispatcher:
             released += self._release_eligible_for(state)
         return released
 
-    def _on_completion(self, query: Query) -> None:
+    def on_completion(self, query: Query) -> None:
+        """Hook for the patroller's ``completed`` event."""
         state = self._controlled.get(query.class_name)
         if state is None:
             return

@@ -105,7 +105,6 @@ class Monitor:
         self._snapshots_taken = 0
         self._started = False
         self._forward: Optional[Callable[[Query], None]] = None
-        engine.add_completion_listener(self._on_completion)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -181,7 +180,8 @@ class Monitor:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _on_completion(self, query: Query) -> None:
+    def on_completed(self, query: Query) -> None:
+        """Patroller ``completed`` hook: close the query, sample its velocity."""
         self._open.pop(query.query_id, None)
         window = self._velocity_samples.get(query.class_name)
         if window is not None and query.kind == "olap":

@@ -83,7 +83,6 @@ class QueryScheduler:
         self.registry = MetricsRegistry()
         self.classifier = Classifier(self.classes)
         self.dispatcher = Dispatcher(
-            engine,
             self.classes,
             initial_plan,
             release=patroller.release,
@@ -91,8 +90,10 @@ class QueryScheduler:
             gated=controlled,
             discipline=config.planner.queue_discipline,
         )
+        patroller.subscribe("completed", self.dispatcher.on_completion)
         patroller.subscribe("cancelled", self.dispatcher.on_cancellation)
         self.monitor = Monitor(sim, engine, self.classes, config.monitor)
+        patroller.subscribe("completed", self.monitor.on_completed)
         self.solver = make_solver(config)
         self.planner = SchedulingPlanner(
             sim, self.monitor, self.dispatcher, self.solver, self.classes, config.planner

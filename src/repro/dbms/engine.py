@@ -6,8 +6,8 @@ overload model.  It exposes exactly the hooks the rest of the system needs:
 
 * ``execute(query)`` — run a statement (the Query Patroller calls this when
   a blocked agent is released; bypassing clients call it directly);
-* ``add_completion_listener`` — the Monitor and metric collectors subscribe
-  to statement completions;
+* ``set_completion_hook`` — the one callback told of each finished
+  statement (the Query Patroller's, which fans it out as ``completed``);
 * ``snapshot_monitor`` — the substrate for OLTP response-time sampling.
 
 Execution timing: a query's ``start_time`` is when it gets an agent and its
@@ -31,8 +31,6 @@ from repro.errors import SimulationError
 from repro.runtime.protocols import AdmissionGate, TimerService
 from repro.sim.resources import ProcessorSharingResource
 from repro.sim.rng import RandomStreams
-
-CompletionListener = Callable[[Query], None]
 
 
 class DatabaseEngine:
@@ -60,7 +58,7 @@ class DatabaseEngine:
         self.overload = OverloadModel(config.overload, [self.cpu, self.disk])
         self.snapshot_monitor = SnapshotMonitor()
         self.estimator = CostEstimator(config.optimizer, rng)
-        self._listeners: List[CompletionListener] = []
+        self._completion_hook: Optional[Callable[[Query], None]] = None
         self._executing: Dict[int, Query] = {}
         self._completed = 0
         self._admission_gate: Optional[AdmissionGate] = None
@@ -95,9 +93,10 @@ class DatabaseEngine:
                 total += query.estimated_cost
         return total
 
-    def add_completion_listener(self, listener: CompletionListener) -> None:
-        """Subscribe to statement completions (fired in subscription order)."""
-        self._listeners.append(listener)
+    def set_completion_hook(self, hook: Callable[[Query], None]) -> None:
+        """Install the one callback told of each finished statement;
+        observers subscribe to the patroller's ``completed`` event."""
+        self._completion_hook = hook
 
     def set_admission_gate(self, gate: Optional[AdmissionGate]) -> None:
         """Install an in-engine admission gate (None to remove).
@@ -177,5 +176,5 @@ class DatabaseEngine:
         self.agents.release()
         if query.on_complete is not None:
             query.on_complete(query)
-        for listener in self._listeners:
-            listener(query)
+        if self._completion_hook is not None:
+            self._completion_hook(query)

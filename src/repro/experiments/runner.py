@@ -250,7 +250,7 @@ def build_bundle(
     engine = backend_obj.engine
     patroller = QueryPatroller(sim, engine, config.patroller)
     factory = QueryFactory(engine.estimator, rng)
-    collector = MetricsCollector(engine, schedule, classes)
+    collector = MetricsCollector(patroller, schedule, classes)
 
     def client_builder(class_name: str, client_id: str) -> ClosedLoopClient:
         return ClosedLoopClient(
@@ -350,7 +350,6 @@ def assemble_run(
             tracer = extras["tracer"] = QueryTracer(
                 clock=bundle.sim,
                 patroller=bundle.patroller,
-                engine=bundle.engine,
                 schedule=bundle.schedule,
             )
         harness = attach_harness(bundle, mode=spec.invariants)

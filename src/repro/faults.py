@@ -81,7 +81,6 @@ class FaultInjector:
     def __init__(self, bundle: "SimulationBundle") -> None:  # noqa: F821
         self.bundle = bundle
         self.sim = bundle.sim
-        self.engine = bundle.engine
         self.patroller = bundle.patroller
         self.factory = bundle.factory
         controller = bundle.controller
@@ -243,15 +242,16 @@ class FaultInjector:
 
         Models a lost engine notification: the component keeps carrying a
         statement that already finished.  ``component`` picks whose
-        listener is wrapped (``"dispatcher"`` or ``"monitor"``);
-        ``class_name`` restricts the drops to one class's completions (by
-        default any completion counts, including bypassing OLTP traffic the
-        component may not even track).
+        ``completed`` subscription is wrapped (``"dispatcher"`` or
+        ``"monitor"``); ``class_name`` restricts the drops to one class's
+        completions (by default any completion counts, including bypassing
+        OLTP traffic the component may not even track).  Drops on the same
+        component stack: each wraps what the previous one left in place.
         """
         if component == "dispatcher":
-            target = self._need_dispatcher("drop_completions")._on_completion
+            target = self._need_dispatcher("drop_completions").on_completion
         elif component == "monitor":
-            target = self._need_monitor("drop_completions")._on_completion
+            target = self._need_monitor("drop_completions").on_completed
         else:
             raise SchedulingError(
                 "unknown component {!r}; expected 'dispatcher' or 'monitor'".format(
@@ -260,15 +260,16 @@ class FaultInjector:
             )
 
         def install() -> None:
-            listeners = self.engine._listeners
+            listeners = self.patroller._listeners["completed"]
             try:
-                index = listeners.index(target)
+                index = [getattr(f, "__wrapped__", f) for f in listeners].index(target)
             except ValueError:
                 raise SchedulingError(
-                    "{} completion listener not subscribed to the engine".format(
+                    "{} is not subscribed to the patroller's completed event".format(
                         component
                     )
                 )
+            inner = listeners[index]
             remaining = {"count": count}
 
             def dropping(query: Query) -> None:
@@ -277,8 +278,9 @@ class FaultInjector:
                 ):
                     remaining["count"] -= 1
                     return
-                target(query)
+                inner(query)
 
+            dropping.__wrapped__ = target
             listeners[index] = dropping
             self._log(
                 "drop_completions",

@@ -2,9 +2,9 @@
 
 The paper reports everything per 8-minute period: the per-class query
 velocity or average response time of Figures 4-6, and the per-class cost
-limits of Figure 7.  :class:`MetricsCollector` subscribes to engine
-completions (and optionally to planner decisions) and buckets by the
-period in which each query *finished*.
+limits of Figure 7.  :class:`MetricsCollector` subscribes to the patroller's
+``completed`` event (and optionally to planner decisions) and buckets by
+the period in which each query *finished*.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.service_class import ServiceClass
-from repro.runtime import ExecutionEngine
 from repro.dbms.query import Query
 from repro.errors import MetricsError
 from repro.metrics.telemetry import ControlIntervalRecord
+from repro.patroller.patroller import QueryPatroller
 from repro.sim.stats import Histogram, WelfordAccumulator
 from repro.workloads.schedule import PeriodSchedule
 
@@ -123,7 +123,7 @@ class MetricsCollector:
 
     def __init__(
         self,
-        engine: ExecutionEngine,
+        patroller: QueryPatroller,
         schedule: PeriodSchedule,
         classes: List[ServiceClass],
     ) -> None:
@@ -139,13 +139,13 @@ class MetricsCollector:
         self._open_period = -1
         self._closed_tally: Dict[ServiceClass, Tuple[int, int]] = {}
         self._leave_open_period(0.0)  # opens period 0
-        engine.add_completion_listener(self.on_completion)
+        patroller.subscribe("completed", self.on_completion)
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def on_completion(self, query: Query) -> None:
-        """Engine completion hook."""
+        """The patroller's ``completed`` hook."""
         finish = query.finish_time
         if finish is None:
             return

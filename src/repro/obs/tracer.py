@@ -1,22 +1,21 @@
 """The QueryTracer: one balanced span per query phase.
 
-Subscribes to the Query Patroller's lifecycle events and the engine's
-completion hook and turns them into :class:`~repro.obs.spans.Span`
-records:
+Subscribes to the Query Patroller's lifecycle events and turns them into
+:class:`~repro.obs.spans.Span` records:
 
 * ``submitted``   (intercepted class) → open ``intercept``;
 * ``intercepted``                     → close ``intercept``, open ``queue_wait``;
 * ``released``                        → close ``queue_wait``, open ``execute``;
-* engine completion                   → close ``execute``;
+* ``completed``                       → close ``execute``;
 * ``cancelled`` / ``rejected``        → close whatever is open, emit a
   zero-length terminal marker.
 
-The tracer listens to the *engine's* completion hook directly (not through
-the dispatcher), so a dropped dispatcher completion callback — the
-``repro.faults`` fault that leaks controller accounting — cannot leak a
-span.  Queries still in flight when the run ends are closed by
-:meth:`QueryTracer.finalize` with ``truncated=True``; after finalize the
-trace is *balanced*: every opened span is closed.
+The tracer holds its own ``completed`` subscription (it does not hear of
+completions through the dispatcher), so a dropped dispatcher completion
+callback — the ``repro.faults`` fault that leaks controller accounting —
+cannot leak a span.  Queries still in flight when the run ends are closed
+by :meth:`QueryTracer.finalize` with ``truncated=True``; after finalize
+the trace is *balanced*: every opened span is closed.
 
 Bypassed classes (the OLTP class in every paper experiment) produce no
 spans: interception is exactly what they skip.
@@ -32,7 +31,7 @@ from repro.obs.spans import Span, validate_spans
 if TYPE_CHECKING:  # wiring types only; the tracer duck-types at runtime
     from repro.dbms.query import Query
     from repro.patroller.patroller import QueryPatroller
-    from repro.runtime import Clock, ExecutionEngine
+    from repro.runtime import Clock
     from repro.workloads.schedule import PeriodSchedule
 
 
@@ -48,12 +47,10 @@ class QueryTracer:
         self,
         clock: "Clock",
         patroller: "QueryPatroller",
-        engine: "ExecutionEngine",
         schedule: Optional["PeriodSchedule"] = None,
     ) -> None:
         self.clock = clock
         self.patroller = patroller
-        self.engine = engine
         self.schedule = schedule
         self._spans: List[Span] = []
         #: The at-most-one open lifecycle span per query id.
@@ -66,7 +63,7 @@ class QueryTracer:
         patroller.subscribe("released", self._on_released)
         patroller.subscribe("cancelled", self._on_cancelled)
         patroller.subscribe("rejected", self._on_rejected)
-        engine.add_completion_listener(self._on_completion)
+        patroller.subscribe("completed", self._on_completion)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -13,6 +13,10 @@ Responsibilities, mirroring DB2 QP as the paper uses it (Section 2):
 Whoever performs workload control (the paper's Query Scheduler dispatcher,
 or QP's own static policy) registers itself as the *release handler* and is
 handed every intercepted query; it then decides when to call ``release``.
+
+:meth:`QueryPatroller.subscribe` is the one place to observe a statement's
+lifecycle: the patroller also installs the engine's completion hook and
+re-announces each completion as ``completed``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ LIFECYCLE_EVENTS = (
     "released",
     "cancelled",
     "rejected",
+    "completed",
 )
 
 
@@ -65,7 +70,7 @@ class QueryPatroller:
         self._listeners: Dict[str, List[LifecycleListener]] = {
             event: [] for event in LIFECYCLE_EVENTS
         }
-        engine.add_completion_listener(self._on_completion)
+        engine.set_completion_hook(self._on_completion)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -99,7 +104,8 @@ class QueryPatroller:
         detection needs the OLTP traffic the control tables never hold);
         ``cancelled`` is where accounting layers (dispatcher, monitor,
         static policy) release what they hold for a statement that will
-        never complete; the tracer subscribes to all five.
+        never complete; ``completed`` fires once per statement the engine
+        finishes, bypassed ones too; the tracer subscribes to all six.
         """
         listeners = self._listeners.get(event)
         if listeners is None:
@@ -266,9 +272,11 @@ class QueryPatroller:
             query.on_complete(query)
 
     def _on_completion(self, query: Query) -> None:
+        """The engine's completion hook: table bookkeeping, then ``completed``."""
         # Only queries that went through interception have table rows.
-        if query.intercept_time is None:
-            return
-        record = self.tables.find(query.query_id)
-        if record is not None and record.status == "released":
-            self.tables.mark_completed(query.query_id, self.sim.now)
+        if query.intercept_time is not None:
+            record = self.tables.find(query.query_id)
+            if record is not None and record.status == "released":
+                self.tables.mark_completed(query.query_id, self.sim.now)
+        for listener in self._listeners["completed"]:
+            listener(query)

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime import ExecutionEngine
 from repro.dbms.query import Query, QueryState
 from repro.errors import ConfigurationError
 from repro.patroller.patroller import QueryPatroller
@@ -102,8 +101,6 @@ class QPStaticPolicy:
     patroller:
         The interception layer; :meth:`start` installs this policy as its
         release handler.
-    engine:
-        Used to observe completions.
     groups:
         Cost groups; pass an empty list for a single unlimited group (the
         paper's *no class control* baseline then reduces to the global cost
@@ -128,7 +125,6 @@ class QPStaticPolicy:
     def __init__(
         self,
         patroller: QueryPatroller,
-        engine: ExecutionEngine,
         groups: Optional[Sequence[CostGroup]] = None,
         priorities: Optional[Dict[str, int]] = None,
         global_cost_limit: Optional[float] = None,
@@ -143,7 +139,6 @@ class QPStaticPolicy:
         self.name = name
         self.description = description
         self.patroller = patroller
-        self.engine = engine
         self.groups: List[CostGroup] = list(groups or [])
         for group in self.groups:
             group.validate()
@@ -161,7 +156,7 @@ class QPStaticPolicy:
     def start(self) -> None:
         """Become the patroller's release handler and start observing."""
         self.patroller.set_release_handler(self.on_intercepted)
-        self.engine.add_completion_listener(self.on_completed)
+        self.patroller.subscribe("completed", self.on_completed)
         # A statement cancelled inside the release-latency window never
         # reaches the engine, so no completion would free what it holds.
         self.patroller.subscribe("cancelled", self.on_completed)

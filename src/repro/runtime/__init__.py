@@ -15,7 +15,6 @@ from repro.runtime.protocols import (
     DEFAULT_PRIORITY,
     AdmissionGate,
     Clock,
-    CompletionListener,
     ExecutionBackend,
     ExecutionEngine,
     TimerHandle,
@@ -38,7 +37,6 @@ __all__ = [
     "BACKEND_NAMES",
     "CallableClock",
     "Clock",
-    "CompletionListener",
     "DEFAULT_PRIORITY",
     "ExecutionBackend",
     "ExecutionEngine",

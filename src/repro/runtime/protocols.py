@@ -15,8 +15,8 @@ Three layers, narrow to wide:
   returning cancellable :class:`TimerHandle`\\ s.  Anything that *reacts*
   to time (control loops, snapshot sampling, detection buckets, client
   think time) depends on this.
-* :class:`ExecutionEngine` — the query-execution surface: submit,
-  start/completion hooks, active-cost accounting, snapshot sampling and
+* :class:`ExecutionEngine` — the query-execution surface: submit, the
+  one completion hook, active-cost accounting, snapshot sampling and
   the admission-gate hook.
 
 An :class:`ExecutionBackend` bundles one of each plus run/close lifecycle.
@@ -49,9 +49,6 @@ from repro.dbms.snapshot import SnapshotMonitor
 #: (Mirrors :data:`repro.sim.events.DEFAULT_PRIORITY` without importing the
 #: sim layer — the runtime protocols must not depend on any one backend.)
 DEFAULT_PRIORITY = 0
-
-#: Listener signatures shared by every backend.
-CompletionListener = Callable[[Query], None]
 
 
 @runtime_checkable
@@ -132,10 +129,11 @@ class AdmissionGate(Protocol):
 class ExecutionEngine(Protocol):
     """The query-execution surface the control stack programs against.
 
-    This is exactly the set of members the Monitor, Dispatcher, Patroller,
-    MPL/Direct controllers, metrics collector, tracer and validation
-    harness use — nothing more.  A backend author implements this plus a
-    :class:`TimerService` and has the entire controller stack for free.
+    This is exactly the set of members the Monitor, Patroller, MPL/Direct
+    controllers and validation harness use — nothing more; completions
+    reach everyone else through the Patroller.  A backend author
+    implements this plus a :class:`TimerService` and has the entire
+    controller stack for free.
     """
 
     #: DB2-snapshot-style per-connection last-statement sampling substrate.
@@ -167,8 +165,9 @@ class ExecutionEngine(Protocol):
         """Admit a statement previously held by the admission gate."""
         ...
 
-    def add_completion_listener(self, listener: CompletionListener) -> None:
-        """Subscribe to statement completions (subscription order)."""
+    def set_completion_hook(self, hook: Callable[[Query], None]) -> None:
+        """Install the one callback called once per finished statement (the
+        Query Patroller's)."""
         ...
 
     def set_admission_gate(self, gate: Optional[AdmissionGate]) -> None:

@@ -22,8 +22,8 @@ Threading contract (see :mod:`repro.runtime.realtime`): every method of
 this class runs on the control-plane timer thread *except*
 ``_execute_statements``, which runs on a worker and touches only its own
 connection and the thread-safe timer service.  All bookkeeping mutation
-(``_executing``, counters, listeners, the agent pool) stays on the timer
-thread, so no locks guard it.
+(``_executing``, counters, the completion hook, the agent pool) stays on
+the timer thread, so no locks guard it.
 """
 
 from __future__ import annotations
@@ -42,11 +42,7 @@ from repro.dbms.optimizer import CostEstimator
 from repro.dbms.query import Query, QueryState
 from repro.dbms.snapshot import SnapshotMonitor
 from repro.errors import SimulationError
-from repro.runtime.protocols import (
-    AdmissionGate,
-    CompletionListener,
-    TimerService,
-)
+from repro.runtime.protocols import AdmissionGate, TimerService
 from repro.sim.rng import RandomStreams
 
 #: One SQL statement with bound parameters.
@@ -161,7 +157,7 @@ class SQLiteEngine:
         self._districts = districts
         self._stock_rows = stock_rows
         self._lineitem_rows = max(1, lineitem_rows)
-        self._listeners: List[CompletionListener] = []
+        self._completion_hook: Optional[Callable[[Query], None]] = None
         self._executing: Dict[int, Query] = {}
         self._completed = 0
         self._admission_gate: Optional[AdmissionGate] = None
@@ -277,9 +273,9 @@ class SQLiteEngine:
                 total += query.estimated_cost
         return total
 
-    def add_completion_listener(self, listener: CompletionListener) -> None:
-        """Subscribe to statement completions (fired in subscription order)."""
-        self._listeners.append(listener)
+    def set_completion_hook(self, hook: Callable[[Query], None]) -> None:
+        """Install the one callback told of each finished statement."""
+        self._completion_hook = hook
 
     def set_admission_gate(self, gate: Optional[AdmissionGate]) -> None:
         """Install an in-engine admission gate (None to remove)."""
@@ -347,8 +343,8 @@ class SQLiteEngine:
         self.agents.release()
         if query.on_complete is not None:
             query.on_complete(query)
-        for listener in self._listeners:
-            listener(query)
+        if self._completion_hook is not None:
+            self._completion_hook(query)
 
     # ------------------------------------------------------------------
     # Statement generation

@@ -43,12 +43,11 @@ from repro.workloads.schedule import PeriodSchedule, constant_schedule
 from repro.workloads.spec import QueryFactory
 
 
-def patroller_dispatcher(patroller, engine, classes, plan, discipline="fifo"):
+def patroller_dispatcher(patroller, classes, plan, discipline="fifo"):
     """A dispatcher wired to a patroller the way the Query Scheduler wires
     it: gates the directly controlled classes, releases through QP's
-    unblocking API, hears QP's cancellations."""
+    unblocking API, hears QP's completions and cancellations."""
     dispatcher = Dispatcher(
-        engine,
         classes,
         plan,
         release=patroller.release,
@@ -56,6 +55,7 @@ def patroller_dispatcher(patroller, engine, classes, plan, discipline="fifo"):
         gated=[c.name for c in classes if c.directly_controlled],
         discipline=discipline,
     )
+    patroller.subscribe("completed", dispatcher.on_completion)
     patroller.subscribe("cancelled", dispatcher.on_cancellation)
     return dispatcher
 

@@ -7,7 +7,9 @@ that made it FIFO, before ``direct`` moved onto the shared
 ``tests/core/test_direct_equivalence.py`` drives it and the
 dispatcher-behind-``DispatcherGate`` with the same arrivals, completions
 and plan installs and requires equal admissions.  It is a test reference,
-not part of the package.
+not part of the package; the one change since is that it hears completions
+from the patroller's ``completed`` event, the engine's only completion
+path.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.core.plan import SchedulingPlan
 from repro.core.service_class import ServiceClass
 from repro.dbms.query import Query
 from repro.errors import SchedulingError
+from repro.patroller.patroller import QueryPatroller
 from repro.runtime import ExecutionEngine
 
 
@@ -46,6 +49,7 @@ class EngineGate:
     def __init__(
         self,
         engine: ExecutionEngine,
+        patroller: QueryPatroller,
         classes: List[ServiceClass],
         initial_plan: SchedulingPlan,
     ) -> None:
@@ -58,7 +62,7 @@ class EngineGate:
                 raise SchedulingError("plan covers unknown class {!r}".format(name))
         self._plan = initial_plan
         self._gated: Dict[int, str] = {}  # query_id -> class (for accounting)
-        engine.add_completion_listener(self._on_completion)
+        patroller.subscribe("completed", self._on_completion)
         engine.set_admission_gate(self)
 
     # ------------------------------------------------------------------

@@ -78,7 +78,7 @@ class TestNoControl:
     def test_invalid_limit(self):
         bundle = build_bundle(config=default_config())
         with pytest.raises(ConfigurationError):
-            QPStaticPolicy(bundle.patroller, bundle.engine, global_cost_limit=0.0)
+            QPStaticPolicy(bundle.patroller, global_cost_limit=0.0)
 
     def test_describe(self):
         assert "30000" in build("none")[1].describe()
@@ -136,6 +136,24 @@ class TestTable:
         assert result.extras["validation"].violations == []
         assert result.collector.total_completions > 0
         assert ("telemetry" in result.extras) == planned
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_every_statement_completes_once_on_the_patroller_stream(self, name):
+        config = default_config(
+            scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=2),
+            monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=10.0),
+            planner=PlannerConfig(control_interval=10.0),
+        )
+        result = runner.assemble_run(ExperimentSpec(controller=name, config=config))
+        seen = {}
+        result.bundle.patroller.subscribe(
+            "completed", lambda q: seen.__setitem__(q.query_id, seen.get(q.query_id, 0) + 1)
+        )
+        result.bundle.run()
+        runner.finish_run(result)
+        assert seen and set(seen.values()) == {1}
+        assert len(seen) == result.bundle.engine.completed_queries
+        assert len(seen) == result.collector.total_completions
 
     def test_every_name_list_is_read_from_the_table(self):
         assert CONTROLLER_NAMES == tuple(CONTROLLERS) == tuple(DESCRIPTIONS)

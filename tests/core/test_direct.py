@@ -20,14 +20,16 @@ from repro.core.service_class import (
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Phase, Query
 from repro.errors import SchedulingError
+from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
 
 def make_engine():
     sim = Simulator()
-    engine = DatabaseEngine(sim, default_config(), RandomStreams(41))
-    return sim, engine
+    config = default_config()
+    engine = DatabaseEngine(sim, config, RandomStreams(41))
+    return sim, engine, QueryPatroller(sim, engine, config.patroller)
 
 
 _qid = [20000]
@@ -50,20 +52,20 @@ def make_query(class_name="class1", cost=1_000.0, demand=2.0, kind="olap"):
 
 
 def make_gate(limits=None):
-    sim, engine = make_engine()
+    sim, engine, patroller = make_engine()
     plan = SchedulingPlan(
         limits or {"class1": 2_000.0, "class2": 2_000.0, "class3": 2_000.0},
         30_000.0,
     )
     classes = list(paper_classes())
     gate = Dispatcher(
-        engine,
         classes,
         plan,
         release=engine.admit_released,
         clock=sim,
         gated=[c.name for c in classes],
     )
+    patroller.subscribe("completed", gate.on_completion)
     engine.set_admission_gate(DispatcherGate(gate, sim))
     return sim, engine, gate
 
@@ -169,13 +171,13 @@ class TestEngineGate:
 
 class TestDirectScheduler:
     def _scheduler(self):
-        sim, engine = make_engine()
+        sim, engine, patroller = make_engine()
         config = default_config(
             planner=PlannerConfig(control_interval=10.0),
             monitor=MonitorConfig(snapshot_interval=5.0),
             scale=WorkloadScaleConfig(period_seconds=30.0, num_periods=2),
         )
-        scheduler = DirectScheduler(sim, engine, list(paper_classes()), config)
+        scheduler = DirectScheduler(sim, engine, patroller, list(paper_classes()), config)
         return sim, engine, scheduler
 
     def test_start_runs_intervals(self):
@@ -229,21 +231,21 @@ class TestDirectScheduler:
 
     def test_two_oltp_classes_accepted(self):
         """What indirect control cannot do: tell two OLTP classes apart."""
-        sim, engine = make_engine()
+        sim, engine, patroller = make_engine()
         classes = [
             ServiceClass("reports", "olap", VelocityGoal(0.5), importance=2),
             ServiceClass("payments", "oltp", ResponseTimeGoal(0.2), importance=3),
             ServiceClass("batch", "oltp", ResponseTimeGoal(3.0), importance=1),
         ]
-        scheduler = DirectScheduler(sim, engine, classes, default_config())
+        scheduler = DirectScheduler(sim, engine, patroller, classes, default_config())
         assert set(scheduler.planner.run_interval().plan) == {
             "reports", "payments", "batch"
         }
 
     def test_requires_classes(self):
-        sim, engine = make_engine()
+        sim, engine, patroller = make_engine()
         with pytest.raises(SchedulingError):
-            DirectScheduler(sim, engine, [], default_config())
+            DirectScheduler(sim, engine, patroller, [], default_config())
 
     def test_describe(self):
         sim, engine, scheduler = self._scheduler()

@@ -27,6 +27,7 @@ from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Phase, Query
+from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from tests.core.reference_gate import EngineGate
@@ -63,8 +64,10 @@ class World:
 
     def __init__(self, make_gate, initial_limits):
         self.sim = Simulator()
-        self.engine = DatabaseEngine(self.sim, default_config(), RandomStreams(5))
-        self.gate = make_gate(self.sim, self.engine, plan(initial_limits))
+        config = default_config()
+        self.engine = DatabaseEngine(self.sim, config, RandomStreams(5))
+        patroller = QueryPatroller(self.sim, self.engine, config.patroller)
+        self.gate = make_gate(self.sim, self.engine, patroller, plan(initial_limits))
         self.queries = []
         self.admitted = []
         acquire = self.engine.agents.acquire
@@ -111,19 +114,19 @@ class World:
         }
 
 
-def reference_gate(sim, engine, initial_plan):
-    return EngineGate(engine, CLASSES, initial_plan)
+def reference_gate(sim, engine, patroller, initial_plan):
+    return EngineGate(engine, patroller, CLASSES, initial_plan)
 
 
-def dispatcher_gate(sim, engine, initial_plan):
+def dispatcher_gate(sim, engine, patroller, initial_plan):
     dispatcher = Dispatcher(
-        engine,
         CLASSES,
         initial_plan,
         release=engine.admit_released,
         clock=sim,
         gated=NAMES,
     )
+    patroller.subscribe("completed", dispatcher.on_completion)
     engine.set_admission_gate(DispatcherGate(dispatcher, sim))
     return dispatcher
 

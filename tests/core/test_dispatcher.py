@@ -31,7 +31,7 @@ def make_world(limits=None):
         limits or {"class1": 10_000.0, "class2": 10_000.0, "class3": 10_000.0},
         30_000.0,
     )
-    dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
+    dispatcher = patroller_dispatcher(patroller, classes, plan)
     # Route interceptions straight into the dispatcher for these tests.
     patroller.set_release_handler(dispatcher.enqueue)
     return sim, engine, patroller, dispatcher
@@ -184,7 +184,7 @@ class TestQueueDisciplines:
         plan = SchedulingPlan(
             {"class1": 5_000.0, "class2": 1_000.0, "class3": 1_000.0}, 30_000.0
         )
-        dispatcher = patroller_dispatcher(patroller, engine, classes, plan,
+        dispatcher = patroller_dispatcher(patroller, classes, plan,
                                 discipline=discipline)
         patroller.set_release_handler(dispatcher.enqueue)
         return sim, engine, patroller, dispatcher

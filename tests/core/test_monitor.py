@@ -33,6 +33,7 @@ def make_world(snapshot_interval=5.0, velocity_window=60.0, rt_window=30.0,
     patroller = QueryPatroller(sim, engine, config.patroller)
     classes = list(paper_classes())
     monitor = Monitor(sim, engine, classes, config.monitor)
+    patroller.subscribe("completed", monitor.on_completed)
     return sim, engine, patroller, monitor
 
 

@@ -46,9 +46,10 @@ def make_planner(online_regression=False, classes=None):
         if c.directly_controlled:
             patroller.enable_for_class(c.name)
     plan = SchedulingPlan.even_split([c.name for c in classes], 30_000.0)
-    dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
+    dispatcher = patroller_dispatcher(patroller, classes, plan)
     patroller.set_release_handler(dispatcher.enqueue)
     monitor = Monitor(sim, engine, classes, config.monitor)
+    patroller.subscribe("completed", monitor.on_completed)
     solver = PerformanceSolver(
         utility=PiecewiseLinearUtility(),
         model=PaperAnalyticModel(

@@ -148,13 +148,13 @@ def test_double_execute_rejected():
 def test_completion_listener_and_per_query_callback_order():
     sim, engine = make_engine()
     calls = []
-    engine.add_completion_listener(lambda q: calls.append("listener"))
+    engine.set_completion_hook(lambda q: calls.append("hook"))
     query = make_query(1, (Phase(CPU, 1.0),))
     query.submit_time = 0.0
     query.on_complete = lambda q: calls.append("query")
     engine.execute(query)
     sim.run()
-    assert calls == ["query", "listener"]
+    assert calls == ["query", "hook"]
 
 
 def test_executing_cost_by_class():

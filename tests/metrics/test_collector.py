@@ -13,6 +13,7 @@ from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Phase, Query
 from repro.metrics import collector as collector_module
 from repro.metrics.collector import METRIC_NAMES, MetricsCollector
+from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.schedule import constant_schedule
@@ -22,10 +23,12 @@ from tests.metrics.reference_cell import EagerCollector
 
 def make_collector(period=10.0, periods=3, collector_type=MetricsCollector):
     sim = Simulator()
-    engine = DatabaseEngine(sim, default_config(), RandomStreams(31))
+    config = default_config()
+    engine = DatabaseEngine(sim, config, RandomStreams(31))
+    patroller = QueryPatroller(sim, engine, config.patroller)
     classes = list(paper_classes())
     schedule = constant_schedule(period, periods, {c.name: 1 for c in classes})
-    collector = collector_type(engine, schedule, classes)
+    collector = collector_type(patroller, schedule, classes)
     return sim, engine, classes, collector
 
 

@@ -6,6 +6,7 @@ from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Phase, Query
 from repro.metrics.collector import MetricsCollector
+from repro.patroller.patroller import QueryPatroller
 from repro.metrics.report import (
     Column,
     Table,
@@ -22,10 +23,12 @@ from tests.conftest import decision_record
 
 def make_populated_collector():
     sim = Simulator()
-    engine = DatabaseEngine(sim, default_config(), RandomStreams(37))
+    config = default_config()
+    engine = DatabaseEngine(sim, config, RandomStreams(37))
+    patroller = QueryPatroller(sim, engine, config.patroller)
     classes = list(paper_classes())
     schedule = constant_schedule(10.0, 2, {c.name: 1 for c in classes})
-    collector = MetricsCollector(engine, schedule, classes)
+    collector = MetricsCollector(patroller, schedule, classes)
     query = Query(
         query_id=1, class_name="class1", client_id="c", template="t", kind="olap",
         phases=(Phase(CPU, 0.1),), true_cost=1.0, estimated_cost=1.0,

@@ -30,14 +30,6 @@ class FakePatroller:
         return class_name in self._intercepted
 
 
-class FakeEngine:
-    def __init__(self):
-        self.complete = None
-
-    def add_completion_listener(self, listener):
-        self.complete = listener
-
-
 def query(qid=1, class_name="class1"):
     return SimpleNamespace(
         query_id=qid,
@@ -52,14 +44,13 @@ def query(qid=1, class_name="class1"):
 def rig():
     sim = FakeSim()
     patroller = FakePatroller()
-    engine = FakeEngine()
-    tracer = QueryTracer(clock=sim, patroller=patroller, engine=engine)
-    return sim, patroller, engine, tracer
+    tracer = QueryTracer(clock=sim, patroller=patroller)
+    return sim, patroller, tracer
 
 
 class TestHandDrivenLifecycle:
     def test_full_lifecycle_produces_three_spans(self, rig):
-        sim, patroller, engine, tracer = rig
+        sim, patroller, tracer = rig
         q = query()
         sim.now = 1.0
         patroller.emit("submitted", q)
@@ -68,7 +59,7 @@ class TestHandDrivenLifecycle:
         sim.now = 4.0
         patroller.emit("released", q)
         sim.now = 9.0
-        engine.complete(q)
+        patroller.emit("completed", q)
 
         assert tracer.balanced
         assert tracer.validate() == []
@@ -79,7 +70,7 @@ class TestHandDrivenLifecycle:
         assert all(s.estimated_cost == 500.0 for s in spans)
 
     def test_cancel_closes_open_span_and_marks_terminal(self, rig):
-        sim, patroller, engine, tracer = rig
+        sim, patroller, tracer = rig
         q = query()
         patroller.emit("submitted", q)
         sim.now = 0.5
@@ -96,7 +87,7 @@ class TestHandDrivenLifecycle:
         assert spans[1].end == 3.0  # queue_wait cut at cancellation
 
     def test_reject_marks_terminal(self, rig):
-        sim, patroller, engine, tracer = rig
+        sim, patroller, tracer = rig
         q = query()
         patroller.emit("submitted", q)
         sim.now = 0.25
@@ -105,28 +96,28 @@ class TestHandDrivenLifecycle:
         assert tracer.balanced
 
     def test_bypassed_class_produces_no_spans(self, rig):
-        sim, patroller, engine, tracer = rig
+        sim, patroller, tracer = rig
         q = query(qid=2, class_name="class3")
         patroller.emit("submitted", q)
-        engine.complete(q)
+        patroller.emit("completed", q)
         assert tracer.spans == []
         assert tracer.opened == 0
         assert tracer.balanced
 
     def test_untracked_events_are_ignored(self, rig):
-        sim, patroller, engine, tracer = rig
+        sim, patroller, tracer = rig
         # Events for a query the tracer never opened must not open
         # mid-lifecycle spans or crash.
         q = query(qid=9)
         patroller.emit("intercepted", q)
         patroller.emit("released", q)
         patroller.emit("cancelled", q)
-        engine.complete(q)
+        patroller.emit("completed", q)
         assert tracer.spans == []
         assert tracer.balanced
 
     def test_finalize_truncates_open_spans(self, rig):
-        sim, patroller, engine, tracer = rig
+        sim, patroller, tracer = rig
         q = query()
         patroller.emit("submitted", q)
         sim.now = 1.0
@@ -149,7 +140,7 @@ class TestHandDrivenLifecycle:
         assert tracer.closed == tracer.opened
 
     def test_finalize_never_closes_before_begin(self, rig):
-        sim, patroller, engine, tracer = rig
+        sim, patroller, tracer = rig
         q = query()
         sim.now = 10.0
         patroller.emit("submitted", q)
@@ -159,7 +150,7 @@ class TestHandDrivenLifecycle:
         assert tracer.validate() == []
 
     def test_counts_track_opened_and_closed(self, rig):
-        sim, patroller, engine, tracer = rig
+        sim, patroller, tracer = rig
         q = query()
         patroller.emit("submitted", q)
         sim.now = 1.0

@@ -3,8 +3,8 @@
 The tracer's headline guarantee is that the trace balances on *any* run,
 including hostile ones: cancel storms abandon queued queries mid-phase and
 dropped completion callbacks starve the dispatcher's accounting.  The
-tracer listens to the engine's completion hook directly, so neither fault
-may leak an open span.
+tracer holds its own subscription to the patroller's ``completed`` event,
+so neither fault may leak an open span.
 """
 
 from repro.faults import FaultInjector
@@ -18,7 +18,6 @@ def traced_bundle(**kwargs):
     tracer = QueryTracer(
         clock=bundle.sim,
         patroller=bundle.patroller,
-        engine=bundle.engine,
         schedule=bundle.schedule,
     )
     return bundle, tracer

@@ -79,7 +79,7 @@ class TestThresholds:
 class TestGlobalCostLimit:
     def test_release_up_to_limit_then_queue(self):
         sim, engine, patroller = make_stack()
-        policy = started_policy(patroller, engine, global_cost_limit=250.0)
+        policy = started_policy(patroller, global_cost_limit=250.0)
         for query_id in (1, 2, 3):
             patroller.submit(make_query(query_id, 100.0))
         sim.run_until(1.0)
@@ -90,14 +90,14 @@ class TestGlobalCostLimit:
 
     def test_oversized_query_runs_alone(self):
         sim, engine, patroller = make_stack()
-        policy = started_policy(patroller, engine, global_cost_limit=100.0)
+        policy = started_policy(patroller, global_cost_limit=100.0)
         patroller.submit(make_query(1, 500.0))
         sim.run()
         assert policy.released == 1
 
     def test_oversized_query_waits_for_empty_system(self):
         sim, engine, patroller = make_stack()
-        policy = started_policy(patroller, engine, global_cost_limit=100.0)
+        policy = started_policy(patroller, global_cost_limit=100.0)
         patroller.submit(make_query(1, 80.0, demand=5.0))
         patroller.submit(make_query(2, 500.0, demand=5.0))
         sim.run_until(1.0)
@@ -110,7 +110,7 @@ class TestGroups:
     def test_group_slots_bind(self):
         sim, engine, patroller = make_stack()
         groups = [CostGroup("small", 0.0, 200.0, 1), CostGroup("large", 200.0, float("inf"), 1)]
-        policy = started_policy(patroller, engine, groups=groups)
+        policy = started_policy(patroller, groups=groups)
         patroller.submit(make_query(1, 100.0))
         patroller.submit(make_query(2, 120.0))  # same group, slot taken
         patroller.submit(make_query(3, 500.0))  # other group, free slot
@@ -123,7 +123,7 @@ class TestGroups:
     def test_no_head_of_line_blocking_across_groups(self):
         sim, engine, patroller = make_stack()
         groups = [CostGroup("small", 0.0, 200.0, 1), CostGroup("large", 200.0, float("inf"), 1)]
-        policy = started_policy(patroller, engine, groups=groups)
+        policy = started_policy(patroller, groups=groups)
         patroller.submit(make_query(1, 100.0))
         patroller.submit(make_query(2, 120.0))  # blocked: small slot busy
         patroller.submit(make_query(3, 500.0))  # must pass query 2
@@ -141,7 +141,6 @@ class TestPriorities:
         sim, engine, patroller = make_stack()
         policy = started_policy(
             patroller,
-            engine,
             priorities={"class1": 1, "class2": 2},
             global_cost_limit=100.0,
         )
@@ -165,7 +164,7 @@ class TestPriorities:
 
     def test_fifo_within_same_priority(self):
         sim, engine, patroller = make_stack()
-        policy = started_policy(patroller, engine, global_cost_limit=100.0)
+        policy = started_policy(patroller, global_cost_limit=100.0)
         order = []
         original_release = patroller.release
         patroller.release = lambda q: (order.append(q.query_id), original_release(q))
@@ -177,7 +176,7 @@ class TestPriorities:
 
 def test_policy_ignores_bypassed_class_completions():
     sim, engine, patroller = make_stack()
-    policy = started_policy(patroller, engine, global_cost_limit=100.0)
+    policy = started_policy(patroller, global_cost_limit=100.0)
     bypass = make_query(42, 100.0, class_name="class3")
     patroller.submit(bypass)  # class3 is not intercepted
     sim.run()
@@ -188,7 +187,7 @@ def test_policy_ignores_bypassed_class_completions():
 class TestMaxCostRejection:
     def test_over_threshold_rejected_never_runs(self):
         sim, engine, patroller = make_stack()
-        policy = started_policy(patroller, engine, max_query_cost=1_000.0)
+        policy = started_policy(patroller, max_query_cost=1_000.0)
         rejected_states = []
         monster = make_query(1001, 5_000.0)
         monster.on_complete = lambda q: rejected_states.append(q.state.value)
@@ -203,7 +202,7 @@ class TestMaxCostRejection:
     def test_threshold_validation(self):
         sim, engine, patroller = make_stack()
         with pytest.raises(ConfigurationError):
-            started_policy(patroller, engine, max_query_cost=0.0)
+            started_policy(patroller, max_query_cost=0.0)
 
     def test_client_counts_rejections_and_continues(self):
         from repro.sim.rng import RandomStreams
@@ -219,7 +218,7 @@ class TestMaxCostRejection:
                           variability=0.0, weight=1.0),
         ])
         factory = QueryFactory(engine.estimator, RandomStreams(99))
-        policy = started_policy(patroller, engine, max_query_cost=5_000.0)
+        policy = started_policy(patroller, max_query_cost=5_000.0)
         client = ClosedLoopClient(sim, patroller, factory, mix, "class1", "c0")
         client.activate()
         sim.run_until(20.0)
@@ -238,7 +237,6 @@ def test_cancel_inside_the_release_window_frees_cost_and_group_slot():
     sim, engine, patroller = make_stack(release_latency=0.5)
     policy = started_policy(
         patroller,
-        engine,
         groups=[CostGroup("only", 0.0, 1_000.0, 1)],
         global_cost_limit=150.0,
     )

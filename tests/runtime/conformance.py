@@ -12,8 +12,9 @@ the controller stack depends on:
   scheduling order within a priority;
 * **timer cancellation** — cancelled timers never fire, ``cancel`` is
   exactly-once, consumed timers report inactive;
-* **completion-hook balance** — every executed query completes once and
-  leaves the engine's executing set and counters balanced;
+* **completion-hook balance** — every executed query reaches the engine's
+  one completion hook exactly once and leaves the engine's executing set
+  and counters balanced;
 * **cost accounting** — ``executing_cost`` equals the sum of estimated
   costs over ``executing_snapshot`` at all times and drains to zero.
 
@@ -181,11 +182,16 @@ def check_timer_cancellation(backend: ExecutionBackend) -> List[str]:
 
 
 def check_completion_balance(backend: ExecutionBackend) -> List[str]:
-    """Every submitted query completes once and is retired."""
+    """Every submitted query reaches the completion hook once and is retired.
+
+    The hook is the engine's only completion path (the Query Patroller
+    installs it in a deployment and fans it out to ``completed``
+    subscribers), so this stands in for it.
+    """
     problems: List[str] = []
     engine = backend.engine
     completions: Dict[int, int] = {}
-    engine.add_completion_listener(
+    engine.set_completion_hook(
         lambda q: completions.__setitem__(q.query_id, completions.get(q.query_id, 0) + 1)
     )
     queries = [

@@ -108,7 +108,7 @@ class TestCancelDuringReleaseWindow:
         plan = SchedulingPlan(
             {"class1": 1_000.0, "class2": 1_000.0, "class3": 1_000.0}, 30_000.0
         )
-        dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
+        dispatcher = patroller_dispatcher(patroller, classes, plan)
         patroller.set_release_handler(dispatcher.enqueue)
         return sim, engine, patroller, dispatcher
 
@@ -187,7 +187,7 @@ class TestQueueSkipping:
         plan = SchedulingPlan(
             {"class1": 1_000.0, "class2": 1_000.0, "class3": 1_000.0}, 30_000.0
         )
-        dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
+        dispatcher = patroller_dispatcher(patroller, classes, plan)
         patroller.set_release_handler(dispatcher.enqueue)
         blocker = make_query(cost=900.0, demand=1.0)
         doomed = make_query(cost=900.0, demand=1.0)
@@ -205,7 +205,7 @@ class TestQueueSkipping:
 
     def test_qp_policy_skips_cancelled(self):
         sim, engine, patroller = make_stack()
-        policy = QPStaticPolicy(patroller, engine, global_cost_limit=1_000.0)
+        policy = QPStaticPolicy(patroller, global_cost_limit=1_000.0)
         policy.start()
         blocker = make_query(cost=900.0, demand=1.0)
         doomed = make_query(cost=900.0, demand=1.0)

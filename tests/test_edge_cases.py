@@ -169,7 +169,7 @@ class TestPlanChurn:
             if c.directly_controlled:
                 patroller.enable_for_class(c.name)
         plan = SchedulingPlan.even_split([c.name for c in classes], 30_000.0)
-        dispatcher = patroller_dispatcher(patroller, engine, classes, plan)
+        dispatcher = patroller_dispatcher(patroller, classes, plan)
         patroller.set_release_handler(dispatcher.enqueue)
         for _ in range(10):
             patroller.submit(make_query(cost=3_000.0, cpu=2.0))

@@ -1,11 +1,14 @@
 """Pins on the cost of the per-query event path (two-period smoke runs)."""
 
+import ast
 import cProfile
 import gc
 import pstats
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import WorkloadScaleConfig, default_config
 from repro.dbms.query import Query
 from repro.experiments import ExperimentSpec, run_spec
@@ -20,12 +23,15 @@ from repro.workloads.schedule import constant_schedule
 #: A ceiling, so interpreters that count calls slightly differently fit.
 MAX_CALLS_PER_QUERY = 31
 
+#: The engine's one completion hook: the patroller's table bookkeeping and
+#: ``completed`` fan-out, run exactly once per finished statement.
+COMPLETION_HOOK = ("patroller/patroller.py", "_on_completion")
+
 #: Questions a bypassing statement must not be asked at all: their answer
 #: is "not mine" every time (file suffix, function name).
 NOT_PER_BYPASSING_QUERY = (
     ("patroller/tables.py", "find"),
     ("core/service_class.py", "directly_controlled"),
-    ("patroller/patroller.py", "_emit"),
     ("workloads/schedule.py", "period_at"),
     # The PS pools write their timer's key in place.
     ("sim/events.py", "arm"),
@@ -78,7 +84,26 @@ def test_python_calls_per_bypassing_query_stay_under_the_ceiling(controller):
     stats = pstats.Stats(profile)
     completed = result.bundle.engine.completed_queries
     assert stats.total_calls / completed <= MAX_CALLS_PER_QUERY
+    hook_calls = 0
     for (path, _, name), (_, calls, _, _, _) in stats.stats.items():
-        if (path.replace("\\", "/").rpartition("repro/")[2], name) in NOT_PER_BYPASSING_QUERY:
+        pin = (path.replace("\\", "/").rpartition("repro/")[2], name)
+        if pin in NOT_PER_BYPASSING_QUERY:
             # Set-up and the control loop may ask; the query path may not.
             assert calls < completed / 100, (path, name, calls)
+        elif pin == COMPLETION_HOOK:
+            hook_calls = calls
+    assert hook_calls == completed
+
+
+def test_every_pinned_function_is_defined_in_the_package():
+    # A rename must not silently void a pin: each (file, function) names a
+    # real definition under src/repro.
+    root = Path(repro.__file__).parent
+    for path, name in NOT_PER_BYPASSING_QUERY + (COMPLETION_HOOK,):
+        tree = ast.parse((root / path).read_text())
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert name in defined, (path, name)

@@ -402,19 +402,22 @@ def test_engine_gate_conserves_queries_and_accounting(costs, limit):
     from repro.core.service_class import ServiceClass, VelocityGoal
     from repro.dbms.engine import DatabaseEngine
     from repro.dbms.query import CPU, Phase, Query
+    from repro.patroller.patroller import QueryPatroller
     from repro.sim.rng import RandomStreams
 
     sim = Simulator()
-    engine = DatabaseEngine(sim, default_config(), RandomStreams(7))
+    config = default_config()
+    engine = DatabaseEngine(sim, config, RandomStreams(7))
+    patroller = QueryPatroller(sim, engine, config.patroller)
     gate_class = ServiceClass("g", "olap", VelocityGoal(0.5), 1)
     gate = Dispatcher(
-        engine,
         [gate_class],
         SchedulingPlan({"g": limit}, 1e9),
         release=engine.admit_released,
         clock=sim,
         gated=["g"],
     )
+    patroller.subscribe("completed", gate.on_completion)
     engine.set_admission_gate(DispatcherGate(gate, sim))
     for index, cost in enumerate(costs):
         query = Query(
@@ -501,7 +504,7 @@ def test_dispatcher_accounting_survives_any_cancel_interleaving(
     patroller.enable_for_class("c")
     service_class = ServiceClass("c", "olap", VelocityGoal(0.5), 1)
     dispatcher = patroller_dispatcher(
-        patroller, engine, [service_class], SchedulingPlan({"c": limit}, 1e9)
+        patroller, [service_class], SchedulingPlan({"c": limit}, 1e9)
     )
     patroller.set_release_handler(dispatcher.enqueue)
     queries = []

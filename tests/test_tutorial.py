@@ -29,16 +29,15 @@ class RoundRobinController:
 
     name = "round_robin"
 
-    def __init__(self, patroller, engine, classes):
+    def __init__(self, patroller, classes):
         self.patroller = patroller
-        self.engine = engine
         self.queues = {c.name: deque() for c in classes if c.directly_controlled}
         self.busy = {name: False for name in self.queues}
 
     def start(self):
         self.patroller.intercept_only(self.queues)
         self.patroller.set_release_handler(self.on_intercepted)
-        self.engine.add_completion_listener(self.on_done)
+        self.patroller.subscribe("completed", self.on_done)
         self.patroller.subscribe("cancelled", self.on_done)
 
     def describe(self):
@@ -88,7 +87,7 @@ def test_custom_controller_runs_on_the_harness():
         config=config, schedule=schedule, classes=classes,
         mixes={"analytics": analytics, "checkout": checkout},
     )
-    controller = RoundRobinController(bundle.patroller, bundle.engine, bundle.classes)
+    controller = RoundRobinController(bundle.patroller, bundle.classes)
     # The contract: name / start() / describe(), found as bundle.controller.
     bundle.controller = controller
     harness = attach_harness(bundle, mode="strict")
@@ -119,7 +118,7 @@ def test_tutorial_engine_probes_exist():
     schedule = constant_schedule(20.0, 1, {"analytics": 1, "checkout": 2})
     bundle = build_bundle(config=config, schedule=schedule, classes=classes,
                           mixes={"analytics": analytics, "checkout": checkout})
-    controller = RoundRobinController(bundle.patroller, bundle.engine, bundle.classes)
+    controller = RoundRobinController(bundle.patroller, bundle.classes)
     controller.start()
     bundle.manager.start()
     bundle.run()

@@ -248,6 +248,34 @@ class TestScheduledFaults:
         assert "dispatcher" in message
         assert "QPStaticPolicy" in message
 
+    def test_second_drop_completions_on_one_component_stacks(self):
+        """Regression: a second ``drop_completions`` on the component the
+        first one already wrapped used to miss its subscription and crash
+        the run; now both are logged and exactly their summed count of
+        completions goes missing."""
+        from repro.experiments.runner import ExperimentSpec, run_spec
+        from repro.faults import ScheduledFault
+        from repro.workloads.schedule import constant_schedule
+        from tests.validation.conftest import small_config
+
+        drops = {"component": "dispatcher", "class_name": "class2"}
+        result = run_spec(ExperimentSpec(
+            controller="qs",
+            config=small_config(),
+            schedule=constant_schedule(30.0, 2, {"class1": 2, "class2": 2, "class3": 3}),
+            faults=(
+                ScheduledFault("drop_completions", at=5.0, params=dict(drops, count=2)),
+                ScheduledFault("drop_completions", at=10.0, params=dict(drops, count=3)),
+            ),
+        ))
+        dropped = [f for f in result.extras["faults"].injected
+                   if f["fault"] == "drop_completions"]
+        assert [(f["time"], f["count"]) for f in dropped] == [(5.0, 2), (10.0, 3)]
+        # Every class2 statement is released by the dispatcher, so each
+        # completion it did not hear of was dropped.
+        heard = result.bundle.controller.dispatcher.completed_count("class2")
+        assert result.collector.completions_by_class()["class2"] - heard == 2 + 3
+
     def test_missing_monitor_named_for_drop_completions(self):
         injector = FaultInjector(self._none_bundle())
         with pytest.raises(SchedulingError) as excinfo:
