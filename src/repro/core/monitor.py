@@ -10,10 +10,10 @@ Two measurement paths, one per metric (Section 3.1):
 * **OLAP query velocity** — computed from queries of the class that
   completed within a sliding window, blended with the *instantaneous*
   velocity of queries still in the system (time-executing over
-  time-in-system).  The blend matters because scaled-down OLAP queries
-  complete only a few times per control interval: without the in-flight
-  signal, a class whose queue is stalled would keep reporting its last happy
-  measurement forever.
+  time-in-system), which are the open rows of QP's control tables.  The
+  blend matters because scaled-down OLAP queries complete only a few times
+  per control interval: without the in-flight signal, a class whose queue
+  is stalled would keep reporting its last happy measurement forever.
 * **OLTP average response time** — the paper turns QP off for the OLTP
   class, so the Monitor samples the DB2 snapshot monitor at a fixed interval
   and averages the most recent response time of every OLTP client
@@ -22,12 +22,13 @@ Two measurement paths, one per metric (Section 3.1):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.config import MonitorConfig
 from repro.core.service_class import ServiceClass
 from repro.dbms.query import Query, QueryState
 from repro.errors import SchedulingError
+from repro.patroller.tables import ControlTables
 from repro.runtime import Clock, ExecutionEngine, TimerService
 from repro.sim.stats import SlidingWindow, sequential_sum
 
@@ -79,6 +80,7 @@ class Monitor:
         self,
         sim: TimerService,
         engine: ExecutionEngine,
+        tables: ControlTables,
         classes: List[ServiceClass],
         config: MonitorConfig,
         clock: Optional[Clock] = None,
@@ -90,9 +92,10 @@ class Monitor:
         #: schedule.  Injectable so backends can separate the two.
         self.clock: Clock = clock if clock is not None else sim
         self.engine = engine
+        #: QP's control tables: the intercepted statements still open.
+        self.tables = tables
         self.config = config
         self._classes: Dict[str, ServiceClass] = {c.name: c for c in classes}
-        self._open: Dict[int, Query] = {}
         # Completed-velocity samples per OLAP class: (finish_time, velocity).
         self._velocity_samples: Dict[str, SlidingWindow] = {
             c.name: SlidingWindow(capacity=512) for c in classes if c.kind == "olap"
@@ -104,21 +107,6 @@ class Monitor:
         self._last_measurement: Dict[str, ClassMeasurement] = {}
         self._snapshots_taken = 0
         self._started = False
-        self._forward: Optional[Callable[[Query], None]] = None
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def set_forward(self, forward: Callable[[Query], None]) -> None:
-        """Where intercepted queries go next (Classifier -> Dispatcher)."""
-        self._forward = forward
-
-    def on_intercepted(self, query: Query) -> None:
-        """QP release-handler hook: record the arrival, pass it on."""
-        self._open[query.query_id] = query
-        if self._forward is None:
-            raise SchedulingError("monitor has no forward target installed")
-        self._forward(query)
 
     def start(self) -> None:
         """Begin periodic OLTP snapshot sampling."""
@@ -142,23 +130,19 @@ class Monitor:
 
     @property
     def open_queries(self) -> int:
-        """Intercepted queries not yet completed."""
-        return len(self._open)
+        """Intercepted queries not yet ended (the tables' open rows)."""
+        return len(self.tables.open())
 
     def open_snapshot(self) -> List[Query]:
-        """The intercepted-and-unfinished queries (a copy).
-
-        Read-only view for the validation harness: every entry must be a
-        submitted query that has not yet completed or been cancelled.
-        """
-        return list(self._open.values())
+        """The intercepted-and-unfinished queries (a copy of the open rows)."""
+        return list(self.tables.open())
 
     def register_instruments(self, registry: "MetricsRegistry") -> None:  # noqa: F821
         """Publish the Monitor's live state into an instrument registry."""
         registry.gauge(
             "monitor_open_queries",
             description="Intercepted queries not yet completed",
-            callback=lambda: len(self._open),
+            callback=lambda: self.open_queries,
         )
         registry.counter(
             "monitor_snapshots_total",
@@ -181,21 +165,10 @@ class Monitor:
     # Event handlers
     # ------------------------------------------------------------------
     def on_completed(self, query: Query) -> None:
-        """Patroller ``completed`` hook: close the query, sample its velocity."""
-        self._open.pop(query.query_id, None)
+        """Patroller ``completed`` hook: sample the query's velocity."""
         window = self._velocity_samples.get(query.class_name)
         if window is not None and query.kind == "olap":
             window.add(query.finish_time, query.velocity)
-
-    def on_cancelled(self, query: Query) -> None:
-        """Patroller cancel-listener hook: forget an abandoned query.
-
-        Cancelled queries never complete through the engine, so purging here
-        (rather than lazily inside velocity measurement) keeps ``_open``
-        bounded even for deployments with no OLAP class, where velocity is
-        never measured.
-        """
-        self._open.pop(query.query_id, None)
 
     def _take_snapshot(self) -> None:
         self._snapshots_taken += 1
@@ -252,14 +225,8 @@ class Monitor:
         values = window.values()
         # Blend in queries currently in the system (released or queued):
         # their velocity-so-far is the freshest signal of queueing pressure.
-        for query in self._open.values():
+        for query in self.tables.open():
             if query.class_name != service_class.name:
-                continue
-            if query.state == QueryState.CANCELLED:
-                # Stale entry from an unwired cancellation path; it carries
-                # no pressure signal (it will never execute).
-                continue
-            if query.submit_time is None:
                 continue
             age = now - query.submit_time
             if age < self.MIN_IN_FLIGHT_AGE:

@@ -2,10 +2,10 @@
 
 Wires the full pipeline onto a database engine and its Query Patroller:
 
-* QP intercepts queries of the directly controlled (OLAP) classes and hands
-  them to the **Monitor**;
-* the **Classifier** assigns each query to its service class and places it
-  in the class queue of the **Dispatcher**;
+* QP intercepts queries of the directly controlled (OLAP) classes into its
+  control tables, which the **Monitor** reads;
+* the **Classifier** assigns each intercepted query to its service class
+  and places it in the class queue of the **Dispatcher**;
 * the **Scheduling Planner** periodically consults the **Performance
   Solver** (utility maximisation over the performance models) and installs
   the resulting plan on the Dispatcher;
@@ -92,7 +92,9 @@ class QueryScheduler:
         )
         patroller.subscribe("completed", self.dispatcher.on_completion)
         patroller.subscribe("cancelled", self.dispatcher.on_cancellation)
-        self.monitor = Monitor(sim, engine, self.classes, config.monitor)
+        self.monitor = Monitor(
+            sim, engine, patroller.tables, self.classes, config.monitor
+        )
         patroller.subscribe("completed", self.monitor.on_completed)
         self.solver = make_solver(config)
         self.planner = SchedulingPlanner(
@@ -100,9 +102,7 @@ class QueryScheduler:
         )
         #: Queryable/exportable view over the planner's own record list.
         self.telemetry = TelemetryStore(self.planner.history)
-        self.monitor.set_forward(self._classify_and_enqueue)
-        patroller.set_release_handler(self.monitor.on_intercepted)
-        patroller.subscribe("cancelled", self.monitor.on_cancelled)
+        patroller.set_release_handler(self._classify_and_enqueue)
         self.dispatcher.register_instruments(self.registry)
         self.monitor.register_instruments(self.registry)
         self.solver.register_instruments(self.registry)

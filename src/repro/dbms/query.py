@@ -36,8 +36,7 @@ class QueryState(enum.Enum):
     """Lifecycle of a query through interception, queueing and execution."""
 
     CREATED = "created"
-    INTERCEPTED = "intercepted"  # recorded by Query Patroller, agent blocked
-    QUEUED = "queued"  # sitting in a service-class queue
+    QUEUED = "queued"  # intercepted by Query Patroller, agent blocked
     RELEASED = "released"  # unblocked, admitted to the engine
     EXECUTING = "executing"
     COMPLETED = "completed"

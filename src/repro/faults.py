@@ -9,9 +9,9 @@ deliberately different ways:
   intact; tests use them to show the accounting fixes hold under stress.
 * **State corruptions** are white-box mutations of component internals —
   a leaked dispatcher slot, an undersumming plan, a completed query stuck
-  in the monitor's open set.  Each models a specific historical bug class
-  and exists to prove the matching invariant actually fires; reaching into
-  private state is the point, not an accident.
+  among QP's open control-table rows.  Each models a specific historical
+  bug class and exists to prove the matching invariant actually fires;
+  reaching into private state is the point, not an accident.
 
 Every injection is appended to :attr:`FaultInjector.injected` so tests can
 correlate violations with their seeded faults.
@@ -234,30 +234,19 @@ class FaultInjector:
     def drop_completions(
         self,
         count: int = 1,
-        component: str = "dispatcher",
         class_name: Optional[str] = None,
         delay: float = 0.0,
     ) -> None:
-        """Silently swallow the next ``count`` completion callbacks.
+        """Silently swallow the dispatcher's next ``count`` completion callbacks.
 
-        Models a lost engine notification: the component keeps carrying a
-        statement that already finished.  ``component`` picks whose
-        ``completed`` subscription is wrapped (``"dispatcher"`` or
-        ``"monitor"``); ``class_name`` restricts the drops to one class's
-        completions (by default any completion counts, including bypassing
-        OLTP traffic the component may not even track).  Drops on the same
-        component stack: each wraps what the previous one left in place.
+        Models a lost engine notification: the dispatcher keeps carrying a
+        statement that already finished.  ``class_name`` restricts the
+        drops to one class's completions (by default any completion counts,
+        including bypassing OLTP traffic the dispatcher may not even
+        track).  Drops stack: each wraps what the previous one left in
+        place.
         """
-        if component == "dispatcher":
-            target = self._need_dispatcher("drop_completions").on_completion
-        elif component == "monitor":
-            target = self._need_monitor("drop_completions").on_completed
-        else:
-            raise SchedulingError(
-                "unknown component {!r}; expected 'dispatcher' or 'monitor'".format(
-                    component
-                )
-            )
+        target = self._need_dispatcher("drop_completions").on_completion
 
         def install() -> None:
             listeners = self.patroller._listeners["completed"]
@@ -265,9 +254,8 @@ class FaultInjector:
                 index = [getattr(f, "__wrapped__", f) for f in listeners].index(target)
             except ValueError:
                 raise SchedulingError(
-                    "{} is not subscribed to the patroller's completed event".format(
-                        component
-                    )
+                    "the dispatcher is not subscribed to the patroller's "
+                    "completed event"
                 )
             inner = listeners[index]
             remaining = {"count": count}
@@ -282,12 +270,7 @@ class FaultInjector:
 
             dropping.__wrapped__ = target
             listeners[index] = dropping
-            self._log(
-                "drop_completions",
-                component=component,
-                count=count,
-                class_name=class_name,
-            )
+            self._log("drop_completions", count=count, class_name=class_name)
 
         self._at(delay, install, "drop_completions")
 
@@ -327,21 +310,20 @@ class FaultInjector:
             )
         self._log("corrupt_plan", mode=mode, class_name=name, amount=amount)
 
-    def corrupt_monitor_open(self, class_name: str) -> None:
-        """Plant an already-completed query in the monitor's open set.
+    def corrupt_control_tables(self, class_name: str) -> None:
+        """Plant an already-completed query among QP's open control-table rows.
 
-        Models the stale-entry leak of an unwired cancellation/completion
-        path.  Trips ``monitor_open_is_live``.
+        Models the stale-row leak of an unwired cancellation/completion
+        path.  Trips ``control_tables_are_live``.
         """
-        monitor = self._need_monitor("corrupt_monitor_open")
         mix = self.bundle.mixes.get(class_name)
         if mix is None:
             raise SchedulingError("no workload mix for class {!r}".format(class_name))
         query = self.factory.create(mix, class_name, client_id="fault:stale")
         query.submit_time = self.sim.now
         query.state = QueryState.COMPLETED
-        monitor._open[query.query_id] = query
-        self._log("corrupt_monitor_open", class_name=class_name, query_id=query.query_id)
+        self.patroller.tables.record(query)
+        self._log("corrupt_control_tables", class_name=class_name, query_id=query.query_id)
 
     def corrupt_velocity_sample(self, class_name: str, value: float = 1.5) -> None:
         """Retain an out-of-range velocity measurement for a class.

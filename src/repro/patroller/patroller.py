@@ -3,8 +3,10 @@
 Responsibilities, mirroring DB2 QP as the paper uses it (Section 2):
 
 * **Interception** — queries of *enabled* classes are intercepted: after an
-  interception latency their details land in the control tables, extra CPU
-  overhead is charged to the statement, and the submitting agent blocks.
+  interception latency the statement opens a row in the control tables,
+  extra CPU overhead is charged to it, and the submitting agent blocks.  A
+  held statement is an open row in state ``QUEUED``; its row closes when it
+  is cancelled, rejected or completes.
 * **Bypass** — queries of classes QP is turned off for (the OLTP class in
   every experiment, Section 3) go straight to the engine with no overhead.
 * **Release** — the unblocking API: ``release(query)`` lets a held query
@@ -61,7 +63,6 @@ class QueryPatroller:
         self.tables = ControlTables()
         self._intercepted_classes: Set[str] = set()
         self._release_handler: Optional[ReleaseHandler] = None
-        self._held: Set[int] = set()
         #: Released queries whose engine hand-off is still in flight
         #: (release-latency window); maps query id to the pending event.
         self._pending_release: Dict[int, TimerHandle] = {}
@@ -121,8 +122,9 @@ class QueryPatroller:
     # ------------------------------------------------------------------
     @property
     def held_queries(self) -> int:
-        """Queries currently intercepted and not yet released."""
-        return len(self._held)
+        """Queries currently intercepted and not yet released: the open
+        control-table rows in state ``QUEUED``."""
+        return sum(1 for query in self.tables.open() if query.state is QueryState.QUEUED)
 
     @property
     def intercepted_count(self) -> int:
@@ -149,7 +151,7 @@ class QueryPatroller:
         registry.gauge(
             "patroller_held_queries",
             description="Statements currently intercepted and not released",
-            callback=lambda: len(self._held),
+            callback=lambda: self.held_queries,
         )
 
     # ------------------------------------------------------------------
@@ -172,23 +174,12 @@ class QueryPatroller:
         )
 
     def _intercept(self, query: Query) -> None:
-        query.state = QueryState.INTERCEPTED
         query.intercept_time = self.sim.now
         if self.config.overhead_cpu_demand > 0:
             # QP's bookkeeping burns server CPU on behalf of the statement.
             query.phases = (Phase(CPU, self.config.overhead_cpu_demand),) + query.phases
-        self.tables.record_interception(
-            query_id=query.query_id,
-            class_name=query.class_name,
-            client_id=query.client_id,
-            template=query.template,
-            kind=query.kind,
-            estimated_cost=query.estimated_cost,
-            submit_time=query.submit_time if query.submit_time is not None else 0.0,
-            intercept_time=self.sim.now,
-        )
-        self._held.add(query.query_id)
         query.state = QueryState.QUEUED
+        self.tables.record(query)
         query.queue_time = self.sim.now
         for listener in self._listeners["intercepted"]:
             listener(query)
@@ -202,12 +193,10 @@ class QueryPatroller:
 
     def release(self, query: Query) -> None:
         """The unblocking API: let a held query proceed into the engine."""
-        if query.query_id not in self._held:
+        if not self._holds(query):
             raise PatrollerError(
                 "release of query {} which is not held".format(query.query_id)
             )
-        self._held.discard(query.query_id)
-        self.tables.mark_released(query.query_id, self.sim.now)
         query.state = QueryState.RELEASED
         # The release decision marks the start of "running in the DBMS":
         # the release latency is execution overhead, not scheduler hold time.
@@ -234,20 +223,18 @@ class QueryPatroller:
         statements whose agent unblock is still in flight (the release
         latency window); once execution begins the request is refused
         (returns False).  A cancelled query never reaches the engine: its
-        state becomes CANCELLED, the control-table row records the
-        abandonment, and every ``cancelled`` subscriber is notified so accounting
-        layers (dispatcher, monitor) release what they hold for it.
+        state becomes CANCELLED, its control-table row closes, and every
+        ``cancelled`` subscriber is notified so accounting layers
+        (dispatcher, static policy) release what they hold for it.
         """
-        if query.query_id in self._held:
-            self._held.discard(query.query_id)
-        else:
+        if not self._holds(query):
             pending = self._pending_release.pop(query.query_id, None)
             if pending is None or query.state != QueryState.RELEASED:
                 return False
             pending.cancel()
-        self.tables.mark_cancelled(query.query_id, self.sim.now)
         query.state = QueryState.CANCELLED
         query.finish_time = self.sim.now
+        self.tables.close(query)
         for listener in self._listeners["cancelled"]:
             listener(query)
         return True
@@ -258,25 +245,29 @@ class QueryPatroller:
         The submitter is notified through the query's completion callback
         with state REJECTED; the statement never reaches the engine.
         """
-        if query.query_id not in self._held:
+        if not self._holds(query):
             raise PatrollerError(
                 "reject of query {} which is not held".format(query.query_id)
             )
-        self._held.discard(query.query_id)
-        self.tables.mark_rejected(query.query_id, self.sim.now)
         query.state = QueryState.REJECTED
         query.finish_time = self.sim.now
+        self.tables.close(query)
         for listener in self._listeners["rejected"]:
             listener(query)
         if query.on_complete is not None:
             query.on_complete(query)
 
+    def _holds(self, query: Query) -> bool:
+        """Whether ``query`` is held: its open row is in state ``QUEUED``."""
+        return (
+            query.state is QueryState.QUEUED
+            and self.tables.find(query.query_id) is query
+        )
+
     def _on_completion(self, query: Query) -> None:
-        """The engine's completion hook: table bookkeeping, then ``completed``."""
+        """The engine's completion hook: close the row, then ``completed``."""
         # Only queries that went through interception have table rows.
         if query.intercept_time is not None:
-            record = self.tables.find(query.query_id)
-            if record is not None and record.status == "released":
-                self.tables.mark_completed(query.query_id, self.sim.now)
+            self.tables.close(query)
         for listener in self._listeners["completed"]:
             listener(query)

@@ -17,6 +17,7 @@ valid spec, which is what the library round-trip tests pin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -59,7 +60,13 @@ _FAULT_PARAM_KEYS = {
     "cancel_storm": ("class", "fraction"),
     "arrival_burst": ("class", "count"),
     "release_latency_jitter": ("release_latency",),
-    "drop_completions": ("component", "count", "class"),
+    "drop_completions": ("count", "class"),
+}
+
+#: Fault parameters the injector has no default for.
+_REQUIRED_FAULT_PARAMS = {
+    "arrival_burst": ("class", "count"),
+    "release_latency_jitter": ("release_latency",),
 }
 
 #: Configuration paths a scenario may *not* override via ``control:`` —
@@ -71,6 +78,24 @@ def _require(mapping: Mapping, key: str, context: str):
     if key not in mapping:
         raise ScenarioError("{}: missing required key {!r}".format(context, key))
     return mapping[key]
+
+
+def _integer(value, context: str, minimum: Optional[int] = None) -> int:
+    """``value`` if it is an integer (of at least ``minimum``); a bool, a
+    float or a string is refused (``int()`` would truncate or parse it)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError("{} must be an integer, got {!r}".format(context, value))
+    if minimum is not None and value < minimum:
+        raise ScenarioError("{} must be >= {}, got {!r}".format(context, minimum, value))
+    return value
+
+
+def _number(value, context: str) -> float:
+    """``value`` as a float if it is a finite int or float (not a bool)."""
+    finite = isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(value, bool) or not finite:
+        raise ScenarioError("{} must be a finite number, got {!r}".format(context, value))
+    return float(value)
 
 
 def _check_keys(mapping: Mapping, allowed, context: str) -> None:
@@ -147,12 +172,7 @@ class ClientCurve:
         if isinstance(value, int):
             value = {"generator": "constant", "value": value}
         if isinstance(value, (list, tuple)):
-            try:
-                counts = tuple(int(c) for c in value)
-            except (TypeError, ValueError):
-                raise ScenarioError(
-                    "{}: client counts must be integers".format(context)
-                )
+            counts = tuple(_integer(c, "{}: client count".format(context)) for c in value)
             curve = ClientCurve(counts=counts)
         elif isinstance(value, Mapping):
             if "generator" not in value:
@@ -189,12 +209,7 @@ class ShardPlan:
         from repro.shard.router import ROUTER_NAMES
         from repro.shard.spec import REBALANCE_MODES
 
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
-            raise ScenarioError(
-                "{}: count must be a positive integer, got {!r}".format(
-                    context, self.count
-                )
-            )
+        _integer(self.count, "{}: count".format(context), 1)
         if self.router not in ROUTER_NAMES:
             raise ScenarioError(
                 "{}: unknown router {!r}; expected one of {}".format(
@@ -207,12 +222,7 @@ class ShardPlan:
                     context, self.rebalance, REBALANCE_MODES
                 )
             )
-        if not isinstance(self.seed_stride, int) or self.seed_stride < 1:
-            raise ScenarioError(
-                "{}: seed_stride must be a positive integer, got {!r}".format(
-                    context, self.seed_stride
-                )
-            )
+        _integer(self.seed_stride, "{}: seed_stride".format(context), 1)
 
     def to_mapping(self) -> Dict[str, Any]:
         mapping: Dict[str, Any] = {"count": self.count}
@@ -233,10 +243,10 @@ class ShardPlan:
             value = {"count": value}
         _check_keys(value, _SHARD_KEYS, context)
         plan = ShardPlan(
-            count=int(_require(value, "count", context)),
+            count=_require(value, "count", context),
             router=str(value.get("router", "hash")),
             rebalance=str(value.get("rebalance", "static")),
-            seed_stride=int(value.get("seed_stride", 1000)),
+            seed_stride=value.get("seed_stride", 1000),
         )
         plan.validate(context)
         return plan
@@ -255,16 +265,14 @@ class ScenarioClass:
 
     def service_class(self) -> ServiceClass:
         """The live :class:`ServiceClass` (validates goal/kind pairing)."""
-        if self.goal_metric == "velocity":
-            goal = VelocityGoal(self.goal_value)
-        elif self.goal_metric == "response_time":
-            goal = ResponseTimeGoal(self.goal_value)
-        else:
+        goals = {"velocity": VelocityGoal, "response_time": ResponseTimeGoal}
+        if self.goal_metric not in goals:
             raise ScenarioError(
                 "class {!r}: unknown goal metric {!r}; expected 'velocity' "
                 "or 'response_time'".format(self.name, self.goal_metric)
             )
         try:
+            goal = goals[self.goal_metric](self.goal_value)
             return ServiceClass(self.name, self.kind, goal, self.importance)
         except ConfigurationError as exc:
             raise ScenarioError("class {!r}: {}".format(self.name, exc))
@@ -280,6 +288,10 @@ class ScenarioClass:
 
     @staticmethod
     def from_mapping(mapping: Mapping) -> "ScenarioClass":
+        if not isinstance(mapping, Mapping):
+            raise ScenarioError(
+                "classes: each entry must be a mapping, got {!r}".format(mapping)
+            )
         context = "class {!r}".format(mapping.get("name", "?"))
         _check_keys(mapping, _CLASS_KEYS, context)
         name = str(_require(mapping, "name", context))
@@ -294,8 +306,11 @@ class ScenarioClass:
             name=name,
             kind=str(_require(mapping, "kind", context)),
             goal_metric=str(metric),
-            goal_value=float(value),
-            importance=float(_require(mapping, "importance", context)),
+            goal_value=_number(value, "{}: goal {}".format(context, metric)),
+            importance=_number(
+                _require(mapping, "importance", context),
+                "{}: importance".format(context),
+            ),
             clients=ClientCurve.from_value(
                 _require(mapping, "clients", context), context
             ),
@@ -333,7 +348,7 @@ class ScenarioFault:
                 "(periods)".format(context)
             )
         instant = self.at if self.at is not None else self.at_period
-        if instant < 0:
+        if not instant >= 0:
             raise ScenarioError("{}: injection time must be >= 0".format(context))
         allowed = _FAULT_PARAM_KEYS[self.kind]
         unknown = sorted(
@@ -345,6 +360,24 @@ class ScenarioFault:
                     context, unknown, self.kind, sorted(allowed)
                 )
             )
+        # What the injector accepts: a count of at least one statement, a
+        # fraction of a queue in (0, 1], a release latency >= 0.
+        for key in _REQUIRED_FAULT_PARAMS.get(self.kind, ()):
+            if ("class_name" if key == "class" else key) not in self.params:
+                raise ScenarioError(
+                    "{}: fault {!r} needs {!r}".format(context, self.kind, key)
+                )
+        params = self.params
+        if "count" in params:
+            _integer(params["count"], context + ": count", 1)
+        if "fraction" in params and not (
+            0.0 < _number(params["fraction"], context + ": fraction") <= 1.0
+        ):
+            raise ScenarioError("{}: fraction must be in (0, 1]".format(context))
+        if "release_latency" in params and (
+            _number(params["release_latency"], context + ": release_latency") < 0
+        ):
+            raise ScenarioError("{}: release_latency must be >= 0".format(context))
 
     def seconds(self, period_seconds: float, scale: float = 1.0) -> float:
         """Injection instant in seconds on a (possibly rescaled) schedule.
@@ -399,10 +432,11 @@ class ScenarioFault:
             params["class_name" if key == "class" else key] = value
         fault = ScenarioFault(
             kind=kind,
-            at=None if mapping.get("at") is None else float(mapping["at"]),
-            at_period=(
-                None if mapping.get("at_period") is None
-                else float(mapping["at_period"])
+            at=None if mapping.get("at") is None else _number(
+                mapping["at"], context + ": at"
+            ),
+            at_period=None if mapping.get("at_period") is None else _number(
+                mapping["at_period"], context + ": at_period"
             ),
             params=params,
         )
@@ -502,7 +536,7 @@ class ScenarioSpec:
             )
         if not self.name:
             raise ScenarioError("scenario needs a non-empty name")
-        if self.period_seconds <= 0:
+        if not self.period_seconds > 0:
             raise ScenarioError("schedule.period_seconds must be positive")
         if self.num_periods < 1:
             raise ScenarioError("schedule.num_periods must be >= 1")
@@ -529,7 +563,7 @@ class ScenarioSpec:
                     self.invariants, MODES
                 )
             )
-        if self.horizon is not None and self.horizon <= 0:
+        if self.horizon is not None and not self.horizon > 0:
             raise ScenarioError("horizon must be positive when given")
         schedule = self.build_schedule()
         self.build_classes()
@@ -606,7 +640,9 @@ def scenario_from_mapping(mapping: Mapping) -> ScenarioSpec:
         )
     schedule = _require(mapping, "schedule", "scenario")
     _check_keys(schedule, ("period_seconds", "num_periods"), "schedule")
-    period_seconds = float(_require(schedule, "period_seconds", "schedule"))
+    period_seconds = _number(
+        _require(schedule, "period_seconds", "schedule"), "schedule.period_seconds"
+    )
 
     classes_raw = _require(mapping, "classes", "scenario")
     if not isinstance(classes_raw, (list, tuple)) or not classes_raw:
@@ -628,7 +664,7 @@ def scenario_from_mapping(mapping: Mapping) -> ScenarioSpec:
                 )
             )
         num_periods = explicit.pop()
-    num_periods = int(num_periods)
+    num_periods = _integer(num_periods, "schedule.num_periods")
 
     faults_raw = mapping.get("faults", [])
     if not isinstance(faults_raw, (list, tuple)):
@@ -668,12 +704,12 @@ def scenario_from_mapping(mapping: Mapping) -> ScenarioSpec:
         classes=classes,
         version=version,
         description=str(mapping.get("description", "") or "").strip(),
-        seed=int(mapping.get("seed", 7)),
+        seed=_integer(mapping.get("seed", 7), "seed"),
         controller=str(mapping.get("controller", "qs")),
         backend=str(mapping.get("backend", "sim")),
         backend_options=dict(backend_options),
         invariants=str(invariants),
-        horizon=None if horizon is None else float(horizon),
+        horizon=None if horizon is None else _number(horizon, "horizon"),
         control=dict(control),
         faults=faults,
         shards=shards,

@@ -13,8 +13,9 @@ Three pieces:
   (sim, engine, patroller, dispatcher, monitor, planner, solver) that
   invariant checks receive;
 * :func:`core_invariants` — the built-in suite covering dispatcher
-  accounting, dispatcher/engine agreement, plan shape, monitor liveness,
-  per-class conservation, velocity range and the OLTP slope clamp band;
+  accounting, dispatcher/engine agreement, plan shape, control-table
+  liveness, per-class conservation, velocity range and the OLTP slope
+  clamp band;
 * :class:`ValidationHarness` — evaluates a registry against the world at
   every plan decision (and on demand), records violations into the
   interval's telemetry record, and in strict mode raises
@@ -204,14 +205,14 @@ def _check_plan_spends_system_limit(world: ControlLoopWorld):
     return True
 
 
-def _check_monitor_open_is_live(world: ControlLoopWorld):
-    for query in world.monitor.open_snapshot():
-        if query.state in (QueryState.COMPLETED, QueryState.CANCELLED):
-            return "query {} of class {!r} is {} but still tracked as open".format(
+def _check_control_tables_are_live(world: ControlLoopWorld):
+    for query in world.patroller.tables.open():
+        if query.state in (QueryState.COMPLETED, QueryState.CANCELLED, QueryState.REJECTED):
+            return "query {} of class {!r} is {} but still an open row".format(
                 query.query_id, query.class_name, query.state.name
             )
         if query.submit_time is None:
-            return "query {} of class {!r} tracked as open but never submitted".format(
+            return "query {} of class {!r} is an open row but never submitted".format(
                 query.query_id, query.class_name
             )
     return True
@@ -324,18 +325,19 @@ def core_invariants(world: ControlLoopWorld) -> InvariantRegistry:
                 severity=Severity.CRITICAL,
             )
         )
-    if world.monitor is not None:
+    if world.patroller is not None:
         registry.register(
             Invariant(
-                name="monitor_open_is_live",
-                check=_check_monitor_open_is_live,
+                name="control_tables_are_live",
+                check=_check_control_tables_are_live,
                 message=(
-                    "the monitor tracks a completed or cancelled query as "
-                    "still open (stale-entry leak)"
+                    "QP's control tables hold a completed or cancelled query "
+                    "as an open row (stale-row leak)"
                 ),
                 severity=Severity.ERROR,
             )
         )
+    if world.monitor is not None:
         registry.register(
             Invariant(
                 name="velocity_in_unit_interval",

@@ -17,6 +17,7 @@ from repro.core.controllers import (
     PLANNER_CONTROLLER_NAMES,
 )
 from repro.core.service_class import ResponseTimeGoal, ServiceClass
+from repro.dbms.query import QueryState
 from repro.errors import ConfigurationError, ScenarioError
 from repro.experiments import runner
 from repro.experiments.runner import (
@@ -145,15 +146,36 @@ class TestTable:
             planner=PlannerConfig(control_interval=10.0),
         )
         result = runner.assemble_run(ExperimentSpec(controller=name, config=config))
+        patroller = result.bundle.patroller
         seen = {}
-        result.bundle.patroller.subscribe(
+        patroller.subscribe(
             "completed", lambda q: seen.__setitem__(q.query_id, seen.get(q.query_id, 0) + 1)
         )
+        intercepted, held, ended = [], set(), set()
+
+        def on_intercepted(query):
+            intercepted.append(query)
+            held.add(query.query_id)
+
+        patroller.subscribe("intercepted", on_intercepted)
+        patroller.subscribe("released", lambda q: held.discard(q.query_id))
+        for event in ("cancelled", "rejected", "completed"):
+            patroller.subscribe(event, lambda q: (held.discard(q.query_id),
+                                                  ended.add(q.query_id)))
         result.bundle.run()
         runner.finish_run(result)
         assert seen and set(seen.values()) == {1}
         assert len(seen) == result.bundle.engine.completed_queries
         assert len(seen) == result.collector.total_completions
+
+        # The control tables' open rows are exactly the intercepted
+        # statements that have not ended, in interception order.
+        tables = patroller.tables
+        assert list(tables.open()) == [q for q in intercepted if q.query_id not in ended]
+        assert len(tables) == patroller.intercepted_count == len(intercepted)
+        assert sum(tables.counts_by_status().values()) == patroller.intercepted_count
+        queued = [q for q in tables.open() if q.state is QueryState.QUEUED]
+        assert patroller.held_queries == len(queued) == len(held)
 
     def test_every_name_list_is_read_from_the_table(self):
         assert CONTROLLER_NAMES == tuple(CONTROLLERS) == tuple(DESCRIPTIONS)

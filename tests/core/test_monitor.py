@@ -9,7 +9,7 @@ from repro.core.monitor import Monitor
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, IO, Phase, Query
-from repro.errors import SchedulingError
+from repro.errors import PatrollerError, SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -31,8 +31,10 @@ def make_world(snapshot_interval=5.0, velocity_window=60.0, rt_window=30.0,
     )
     engine = DatabaseEngine(sim, config, RandomStreams(11))
     patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller.enable_for_class("class1")
+    patroller.set_release_handler(lambda query: None)  # hold until released
     classes = list(paper_classes())
-    monitor = Monitor(sim, engine, classes, config.monitor)
+    monitor = Monitor(sim, engine, patroller.tables, classes, config.monitor)
     patroller.subscribe("completed", monitor.on_completed)
     return sim, engine, patroller, monitor
 
@@ -54,20 +56,18 @@ def make_query(class_name="class1", kind="olap", demand=1.0):
     )
 
 
-def run_query_with_wait(sim, engine, monitor, wait, demand=10.0):
-    """Submit at now, hold for `wait`, execute; returns the query."""
+def run_query_with_wait(sim, patroller, wait, demand=10.0):
+    """Submit through QP at now, hold for `wait`, release; returns the query."""
     query = make_query(demand=demand)
-    query.submit_time = sim.now
-    monitor._open[query.query_id] = query  # as on_intercepted would
-    sim.schedule(wait, lambda: (setattr(query, "release_time", sim.now),
-                                engine.execute(query)))
+    patroller.submit(query)
+    sim.schedule(wait, lambda: patroller.release(query))
     return query
 
 
 class TestVelocityMeasurement:
     def test_completed_queries_define_velocity(self):
         sim, engine, patroller, monitor = make_world()
-        query = run_query_with_wait(sim, engine, monitor, wait=10.0, demand=10.0)
+        query = run_query_with_wait(sim, patroller, wait=10.0, demand=10.0)
         sim.run()
         measurement = monitor.measure("class1")
         assert measurement is not None
@@ -82,9 +82,7 @@ class TestVelocityMeasurement:
     def test_in_flight_blend_sees_queue_pressure(self):
         sim, engine, patroller, monitor = make_world()
         # A query stuck in queue for 30s with no execution at all.
-        query = make_query()
-        query.submit_time = 0.0
-        monitor._open[query.query_id] = query
+        patroller.submit(make_query())
         sim.run_until(30.0)
         measurement = monitor.measure("class1")
         assert measurement is not None
@@ -92,15 +90,13 @@ class TestVelocityMeasurement:
 
     def test_young_in_flight_queries_excluded(self):
         sim, engine, patroller, monitor = make_world()
-        query = make_query()
-        query.submit_time = 0.0
-        monitor._open[query.query_id] = query
+        patroller.submit(make_query())
         sim.run_until(1.0)  # younger than MIN_IN_FLIGHT_AGE
         assert monitor.measure("class1") is None
 
     def test_old_completions_age_out_but_last_measurement_kept(self):
         sim, engine, patroller, monitor = make_world(velocity_window=20.0)
-        run_query_with_wait(sim, engine, monitor, wait=5.0, demand=5.0)
+        run_query_with_wait(sim, patroller, wait=5.0, demand=5.0)
         sim.run()
         first = monitor.measure("class1")
         assert first is not None
@@ -116,7 +112,7 @@ class TestVelocityMeasurement:
         sim, engine, patroller, monitor = make_world(
             velocity_window=20.0, max_measurement_age=60.0
         )
-        run_query_with_wait(sim, engine, monitor, wait=5.0, demand=5.0)
+        run_query_with_wait(sim, patroller, wait=5.0, demand=5.0)
         sim.run()
         first = monitor.measure("class1")
         assert first is not None
@@ -130,7 +126,7 @@ class TestVelocityMeasurement:
     def test_retained_measurement_is_a_pure_read(self):
         sim, engine, patroller, monitor = make_world(velocity_window=20.0)
         assert monitor.retained_measurement("class1") is None
-        run_query_with_wait(sim, engine, monitor, wait=5.0, demand=5.0)
+        run_query_with_wait(sim, patroller, wait=5.0, demand=5.0)
         sim.run()
         first = monitor.measure("class1")
         assert monitor.retained_measurement("class1") == first
@@ -196,18 +192,26 @@ class TestResponseTimeMeasurement:
 
 class TestWiring:
     def test_on_intercepted_forwards(self):
+        """An intercepted statement reaches QP's release handler and is an
+        open control-table row, which is what the Monitor counts."""
         sim, engine, patroller, monitor = make_world()
         seen = []
-        monitor.set_forward(seen.append)
+        patroller.set_release_handler(seen.append)
         query = make_query()
-        monitor.on_intercepted(query)
+        patroller.submit(query)
+        sim.run()
         assert seen == [query]
         assert monitor.open_queries == 1
+        assert monitor.open_snapshot() == [query]
 
     def test_on_intercepted_without_forward_raises(self):
+        # With no release handler an intercepted statement has nowhere to
+        # go: the patroller raises rather than hold it forever.
         sim, engine, patroller, monitor = make_world()
-        with pytest.raises(SchedulingError):
-            monitor.on_intercepted(make_query())
+        patroller.set_release_handler(None)
+        patroller.submit(make_query())
+        with pytest.raises(PatrollerError):
+            sim.run()
 
     def test_unknown_class_rejected(self):
         sim, engine, patroller, monitor = make_world()
@@ -216,13 +220,13 @@ class TestWiring:
 
     def test_completion_clears_open_set(self):
         sim, engine, patroller, monitor = make_world()
-        query = run_query_with_wait(sim, engine, monitor, wait=1.0, demand=1.0)
+        run_query_with_wait(sim, patroller, wait=1.0, demand=1.0)
         sim.run()
         assert monitor.open_queries == 0
 
     def test_measure_all_covers_measured_classes(self):
         sim, engine, patroller, monitor = make_world()
-        run_query_with_wait(sim, engine, monitor, wait=2.0, demand=2.0)
+        run_query_with_wait(sim, patroller, wait=2.0, demand=2.0)
         sim.run()
         results = monitor.measure_all()
         assert "class1" in results
@@ -230,22 +234,21 @@ class TestWiring:
 
 
 class TestCancellationPurge:
-    """Regression: cancelled queries must leave the open-query table even
-    when velocity is never measured (e.g. an OLTP-only deployment)."""
+    """Regression: cancelled queries must leave the open rows even when
+    velocity is never measured (e.g. an OLTP-only deployment)."""
 
     def test_on_cancelled_purges_open_query(self):
         sim, engine, patroller, monitor = make_world()
-        monitor.set_forward(lambda q: None)
         query = make_query()
-        monitor.on_intercepted(query)
+        patroller.submit(query)
+        sim.run()
         assert monitor.open_queries == 1
-        monitor.on_cancelled(query)
+        assert patroller.cancel(query)
         assert monitor.open_queries == 0
 
     def test_open_set_stays_bounded_without_velocity_measurement(self):
         """Feed many queries and cancel them all, never calling measure():
-        pre-fix, _open only shrank inside _measure_velocity, so a
-        deployment with no OLAP class grew without bound."""
+        the open rows must not grow in a deployment with no OLAP class."""
         from repro.core.service_class import (
             ResponseTimeGoal,
             ServiceClass,
@@ -254,18 +257,20 @@ class TestCancellationPurge:
         sim = Simulator()
         config = default_config()
         engine = DatabaseEngine(sim, config, RandomStreams(12))
+        patroller = QueryPatroller(sim, engine, config.patroller)
+        patroller.enable_for_class("class3")
+        patroller.set_release_handler(patroller.cancel)
         oltp_only = [
             ServiceClass("class3", "oltp", ResponseTimeGoal(0.25), 3)
         ]
-        monitor = Monitor(sim, engine, oltp_only, config.monitor)
-        monitor.set_forward(lambda q: None)
+        monitor = Monitor(sim, engine, patroller.tables, oltp_only, config.monitor)
         for _ in range(100):
-            query = make_query(class_name="class3", kind="oltp")
-            monitor.on_intercepted(query)
-            monitor.on_cancelled(query)
+            patroller.submit(make_query(class_name="class3", kind="oltp"))
+        sim.run()
+        assert patroller.tables.counts_by_status() == {"cancelled": 100}
         assert monitor.open_queries == 0
 
     def test_on_cancelled_unknown_query_is_noop(self):
         sim, engine, patroller, monitor = make_world()
-        monitor.on_cancelled(make_query())  # never intercepted
+        assert not patroller.cancel(make_query())  # never intercepted
         assert monitor.open_queries == 0

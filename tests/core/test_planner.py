@@ -48,7 +48,7 @@ def make_planner(online_regression=False, classes=None):
     plan = SchedulingPlan.even_split([c.name for c in classes], 30_000.0)
     dispatcher = patroller_dispatcher(patroller, classes, plan)
     patroller.set_release_handler(dispatcher.enqueue)
-    monitor = Monitor(sim, engine, classes, config.monitor)
+    monitor = Monitor(sim, engine, patroller.tables, classes, config.monitor)
     patroller.subscribe("completed", monitor.on_completed)
     solver = PerformanceSolver(
         utility=PiecewiseLinearUtility(),

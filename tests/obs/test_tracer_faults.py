@@ -65,21 +65,13 @@ def test_cancel_storm_keeps_spans_balanced():
 def test_dropped_dispatcher_completions_cannot_leak_spans():
     bundle, tracer = traced_bundle()
     injector = FaultInjector(bundle)
-    injector.drop_completions(count=3, component="dispatcher", delay=2.0)
+    injector.drop_completions(count=3, delay=2.0)
     run_to_completion(bundle, tracer)
 
     assert tracer.balanced
     assert tracer.validate() == []
     dropped = [f for f in injector.injected if f["fault"] == "drop_completions"]
     assert dropped and dropped[0]["count"] == 3
-
-
-def test_dropped_monitor_completions_cannot_leak_spans():
-    bundle, tracer = traced_bundle()
-    FaultInjector(bundle).drop_completions(count=2, component="monitor", delay=2.0)
-    run_to_completion(bundle, tracer)
-    assert tracer.balanced
-    assert tracer.validate() == []
 
 
 def test_release_jitter_keeps_spans_ordered():

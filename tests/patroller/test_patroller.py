@@ -83,7 +83,8 @@ def test_release_executes_and_marks_tables():
     sim.run()
     assert query.state == QueryState.COMPLETED
     assert patroller.held_queries == 0
-    assert patroller.tables.get(query.query_id).status == "completed"
+    assert patroller.tables.find(query.query_id) is None
+    assert patroller.tables.counts_by_status() == {"completed": 1}
 
 
 def test_release_latency_counts_as_execution_time():

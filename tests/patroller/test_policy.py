@@ -128,12 +128,10 @@ class TestGroups:
         patroller.submit(make_query(2, 120.0))  # blocked: small slot busy
         patroller.submit(make_query(3, 500.0))  # must pass query 2
         sim.run_until(1.0)
-        released_ids = sorted(
-            record.query_id
-            for record in patroller.tables.fetch_since(0)
-            if record.status != "queued"
-        )
-        assert released_ids == [1, 3]
+        held_ids = [query.query_id for query in patroller.tables.open()
+                    if query.state is QueryState.QUEUED]
+        assert held_ids == [2]
+        assert len(patroller.tables) == 3
 
 
 class TestPriorities:
@@ -197,7 +195,8 @@ class TestMaxCostRejection:
         assert policy.rejected == 1
         assert rejected_states == ["rejected"]
         assert engine.completed_queries == 1
-        assert patroller.tables.get(1001).status == "rejected"
+        assert patroller.tables.find(1001) is None
+        assert patroller.tables.counts_by_status()["rejected"] == 1
 
     def test_threshold_validation(self):
         sim, engine, patroller = make_stack()

@@ -2,89 +2,89 @@
 
 import pytest
 
+from repro.dbms.query import CPU, Phase, Query, QueryState
 from repro.errors import PatrollerError
 from repro.patroller.tables import ControlTables
 
 
-def intercept(tables, query_id, cost=100.0, class_name="class1"):
-    return tables.record_interception(
+def intercepted(query_id, state=QueryState.QUEUED):
+    query = Query(
         query_id=query_id,
-        class_name=class_name,
+        class_name="class1",
         client_id="c0",
         template="q1",
         kind="olap",
-        estimated_cost=cost,
-        submit_time=0.0,
-        intercept_time=0.2,
+        phases=(Phase(CPU, 1.0),),
+        true_cost=100.0,
+        estimated_cost=100.0,
     )
+    query.state = state
+    return query
 
 
 def test_interception_creates_queued_record():
     tables = ControlTables()
-    record = intercept(tables, 1)
-    assert record.status == "queued"
-    assert record.seq == 0
+    query = intercepted(1)
+    tables.record(query)
     assert len(tables) == 1
-    assert tables.get(1) is record
+    assert tables.find(1) is query
+    assert list(tables.open()) == [query]
+    assert tables.counts_by_status() == {"queued": 1}
 
 
 def test_duplicate_interception_rejected():
     tables = ControlTables()
-    intercept(tables, 1)
+    tables.record(intercepted(1))
     with pytest.raises(PatrollerError):
-        intercept(tables, 1)
+        tables.record(intercepted(1))
 
 
 def test_status_transitions():
+    # A row's status is its statement's state; closing it counts the
+    # terminal state and leaves the open rows.
     tables = ControlTables()
-    intercept(tables, 1)
-    tables.mark_released(1, 5.0)
-    record = tables.get(1)
-    assert record.status == "released"
-    assert record.release_time == 5.0
-    tables.mark_completed(1, 9.0)
-    assert record.status == "completed"
-    assert record.finish_time == 9.0
+    query = intercepted(1)
+    tables.record(query)
+    query.state = QueryState.RELEASED
+    assert tables.counts_by_status() == {"released": 1}
+    query.state = QueryState.COMPLETED
+    tables.close(query)
+    assert tables.find(1) is None
+    assert list(tables.open()) == []
+    assert len(tables) == 1
+    assert tables.counts_by_status() == {"completed": 1}
 
 
 def test_illegal_transitions_rejected():
+    # Closing a statement with no open row (never intercepted, or already
+    # closed) changes nothing: a row ends exactly once.
     tables = ControlTables()
-    intercept(tables, 1)
-    with pytest.raises(PatrollerError):
-        tables.mark_completed(1, 1.0)  # not yet released
-    tables.mark_released(1, 1.0)
-    with pytest.raises(PatrollerError):
-        tables.mark_released(1, 2.0)  # released twice
+    query = intercepted(1, QueryState.CANCELLED)
+    tables.close(query)
+    assert len(tables) == 0
+    tables.record(query)
+    tables.close(query)
+    tables.close(query)
+    assert tables.counts_by_status() == {"cancelled": 1}
 
 
 def test_unknown_query_rejected():
     tables = ControlTables()
-    with pytest.raises(PatrollerError):
-        tables.get(99)
-    with pytest.raises(PatrollerError):
-        tables.mark_released(99, 0.0)
-
-
-def test_fetch_since_cursor():
-    tables = ControlTables()
-    for query_id in (1, 2, 3):
-        intercept(tables, query_id)
-    assert [r.query_id for r in tables.fetch_since(0)] == [1, 2, 3]
-    assert [r.query_id for r in tables.fetch_since(2)] == [3]
-    assert tables.fetch_since(3) == []
-    assert [r.query_id for r in tables.fetch_since(-5)] == [1, 2, 3]
+    assert tables.find(99) is None
+    assert tables.counts_by_status() == {}
 
 
 def test_queued_listing_and_status_counts():
     tables = ControlTables()
-    for query_id in (1, 2, 3):
-        intercept(tables, query_id)
-    tables.mark_released(2, 1.0)
-    tables.mark_completed(2, 2.0)
-    tables.mark_released(3, 1.5)
-    assert [r.query_id for r in tables.queued()] == [1]
+    rows = [intercepted(query_id) for query_id in (1, 2, 3)]
+    for query in rows:
+        tables.record(query)
+    rows[1].state = QueryState.COMPLETED
+    tables.close(rows[1])
+    rows[2].state = QueryState.EXECUTING
+    assert [q.query_id for q in tables.open()] == [1, 3]  # interception order
     assert tables.counts_by_status() == {
         "queued": 1,
         "completed": 1,
-        "released": 1,
+        "executing": 1,
     }

@@ -129,3 +129,25 @@ class TestSweepScenario:
         ])
         assert code == 2
         assert "--smoke requires --scenario" in capsys.readouterr().err
+
+
+class TestMalformedScenarioFiles:
+    @pytest.mark.parametrize("line", ["seed: seven", "seed: 7.9"])
+    def test_validate_all_lists_a_malformed_file_as_invalid(self, tmp_path, capsys, line):
+        from repro.scenarios import find_scenario, scenario_to_yaml
+
+        text = scenario_to_yaml(find_scenario("flash-crowd"))
+        assert "seed: 7\n" in text
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("seed: 7\n", line + "\n"))
+        code = main(["scenarios", "--validate-all", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "INVALID {}".format(bad) in captured.err
+        assert "seed must be an integer" in captured.err
+        assert "Traceback" not in captured.err
+        assert "of 8 scenarios valid" in captured.out
+
+        code = main(["run", "--scenario", str(bad)])
+        assert code == 2
+        assert "scenario error" in capsys.readouterr().err

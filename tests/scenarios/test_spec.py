@@ -475,3 +475,83 @@ class TestToShardedExperimentSpec:
         )
         sharded = to_sharded_experiment_spec(spec, smoke=True)
         assert sharded.base.schedule.period_seconds == SMOKE_PERIOD_SECONDS
+
+
+def _malformed(path, value):
+    """``minimal_mapping()`` with the value at ``path`` replaced (``None``
+    deletes the key)."""
+    mapping = minimal_mapping(
+        shards={"count": 2},
+        faults=[
+            {"kind": "arrival_burst", "at": 1.0, "class": "class1", "count": 2},
+            {"kind": "cancel_storm", "at": 2.0, "fraction": 0.5},
+            {"kind": "release_latency_jitter", "at": 3.0, "release_latency": 0.4},
+        ],
+    )
+    *parents, key = path
+    node = mapping
+    for part in parents:
+        node = node[part]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    return mapping
+
+
+#: (path into the document, bad value, what the error must name).
+MALFORMED = [
+    (("seed",), "seven", "seed"),
+    (("seed",), 7.9, "seed"),
+    (("seed",), True, "seed"),
+    (("schedule", "period_seconds"), "long", "period_seconds"),
+    (("schedule", "period_seconds"), float("nan"), "period_seconds"),
+    (("schedule", "num_periods"), "two", "num_periods"),
+    (("schedule", "num_periods"), 2.5, "num_periods"),
+    (("horizon",), "long", "horizon"),
+    (("horizon",), float("nan"), "horizon"),
+    (("classes", 0, "importance"), "high", "importance"),
+    (("classes", 0, "importance"), float("nan"), "importance"),
+    (("classes", 0, "goal"), {"velocity": "fast"}, "velocity"),
+    (("classes", 0, "goal"), {"velocity": float("nan")}, "velocity"),
+    (("classes", 0, "goal"), {"velocity": 1.5}, "class 'class1'"),
+    (("classes", 0), "class1", "classes"),
+    (("classes", 0, "clients"), [2.7, 3], "client count"),
+    (("shards", "count"), "two", "count"),
+    (("shards", "count"), 2.5, "count"),
+    (("shards", "seed_stride"), "wide", "seed_stride"),
+    (("faults", 0, "at"), "soon", "at"),
+    (("faults", 0, "count"), 2.5, "count"),
+    (("faults", 0, "count"), None, "count"),
+    (("faults", 0, "class"), None, "class"),
+    (("faults", 1, "fraction"), "half", "fraction"),
+    (("faults", 1, "fraction"), 1.5, "fraction"),
+    (("faults", 2, "release_latency"), "slow", "release_latency"),
+    (("faults", 2, "release_latency"), -1.0, "release_latency"),
+]
+
+
+class TestMalformedValues:
+    """Every value is checked where it is read: a malformed one is a
+    ScenarioError naming its key, never a traceback, a truncation or a
+    run that crashes later."""
+
+    def test_the_base_document_is_valid(self):
+        spec = scenario_from_mapping(_malformed(("description",), "ok"))
+        assert loads_scenario(scenario_to_yaml(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "path, value, named", MALFORMED,
+        ids=["{}={!r}".format(".".join(map(str, p)), v) for p, v, _ in MALFORMED],
+    )
+    def test_malformed_value_is_a_scenario_error_naming_its_key(self, path, value, named):
+        with pytest.raises(ScenarioError) as excinfo:
+            scenario_from_mapping(_malformed(path, value))
+        assert named in str(excinfo.value)
+
+    def test_drop_completions_names_no_component(self):
+        mapping = minimal_mapping(
+            faults=[{"kind": "drop_completions", "at": 1.0, "component": "monitor"}]
+        )
+        with pytest.raises(ScenarioError, match="unknown keys \\['component'\\]"):
+            scenario_from_mapping(mapping)

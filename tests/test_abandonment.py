@@ -56,7 +56,8 @@ class TestPatrollerCancel:
         assert patroller.cancel(query)
         assert query.state == QueryState.CANCELLED
         assert patroller.held_queries == 0
-        assert patroller.tables.get(query.query_id).status == "cancelled"
+        assert patroller.tables.find(query.query_id) is None
+        assert patroller.tables.counts_by_status() == {"cancelled": 1}
 
     def test_cancel_released_query_refused(self):
         sim, engine, patroller = make_stack()
@@ -160,21 +161,19 @@ class TestCancelDuringReleaseWindow:
         assert dispatcher.in_flight_count("class1") == 1
 
     def test_cancelled_in_window_query_purged_from_monitor(self):
-        """The monitor's open-query table must not retain cancelled
-        queries (regression: unbounded growth with no OLAP class)."""
+        """The open control-table rows the monitor reads must not retain
+        cancelled queries (regression: unbounded growth with no OLAP class)."""
         from repro.config import MonitorConfig
         from repro.core.monitor import Monitor
 
         sim, engine, patroller, dispatcher = self.make_windowed_stack()
         monitor = Monitor(
-            sim, engine, list(paper_classes()), MonitorConfig()
+            sim, engine, patroller.tables, list(paper_classes()), MonitorConfig()
         )
-        monitor.set_forward(lambda q: None)
-        patroller.subscribe("cancelled", monitor.on_cancelled)
         doomed = make_query(cost=900.0, demand=1.0)
         patroller.submit(doomed)
         sim.run_until(0.1)
-        monitor.on_intercepted(doomed)
+        assert doomed.state == QueryState.RELEASED  # inside the window
         assert monitor.open_queries == 1
         patroller.cancel(doomed)
         assert monitor.open_queries == 0

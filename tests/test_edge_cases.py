@@ -196,13 +196,14 @@ class TestPlanChurn:
 class TestMonitorBoundaries:
     def test_oltp_measurement_with_idle_then_busy_connections(self):
         from repro.core.monitor import Monitor
+        from repro.patroller.tables import ControlTables
 
         sim, config, engine = make_engine(
             monitor=MonitorConfig(snapshot_interval=2.0,
                                   response_time_window=10.0)
         )
         classes = list(paper_classes())
-        monitor = Monitor(sim, engine, classes, config.monitor)
+        monitor = Monitor(sim, engine, ControlTables(), classes, config.monitor)
         monitor.start()
         # One early completion, then nothing: samples go stale and the
         # snapshot filter drops them, but measure() keeps the last value.

@@ -49,11 +49,27 @@ class TestCorruptionsTripTheirInvariant:
         FaultInjector(qs_bundle).corrupt_plan(mode="undersum", amount=9_000.0)
         assert "plan_spends_system_limit" in {v.name for v in harness.check()}
 
-    def test_stale_open_entry_trips_monitor_liveness(self, qs_bundle):
+    def test_stale_open_row_trips_control_tables_liveness(self, qs_bundle):
         harness = started_harness(qs_bundle)
         qs_bundle.run(horizon=5.0)
-        FaultInjector(qs_bundle).corrupt_monitor_open("class1")
-        assert "monitor_open_is_live" in {v.name for v in harness.check()}
+        FaultInjector(qs_bundle).corrupt_control_tables("class1")
+        assert "control_tables_are_live" in {v.name for v in harness.check()}
+
+    def test_stale_open_row_trips_liveness_without_a_monitor(self):
+        from repro.experiments.runner import build_bundle, make_controller
+        from repro.workloads.schedule import constant_schedule
+        from tests.validation.conftest import small_config
+
+        bundle = build_bundle(
+            config=small_config(),
+            schedule=constant_schedule(30.0, 1, {"class1": 1, "class3": 1}),
+        )
+        make_controller(bundle, "qp")
+        harness = started_harness(bundle)
+        bundle.run(horizon=5.0)
+        assert harness.check() == []
+        FaultInjector(bundle).corrupt_control_tables("class1")
+        assert "control_tables_are_live" in {v.name for v in harness.check()}
 
     def test_out_of_range_velocity_trips_range_check(self, qs_bundle):
         harness = started_harness(qs_bundle)
@@ -100,17 +116,10 @@ class TestCorruptionsTripTheirInvariant:
     def test_dropped_dispatcher_completion_trips_engine_agreement(self, qs_bundle):
         harness = started_harness(qs_bundle)
         injector = FaultInjector(qs_bundle)
-        injector.drop_completions(count=1, component="dispatcher", class_name="class1")
+        injector.drop_completions(count=1, class_name="class1")
         qs_bundle.run()
         names = violation_names(harness)
         assert "dispatcher_engine_agreement" in names
-
-    def test_dropped_monitor_completion_trips_open_liveness(self, qs_bundle):
-        harness = started_harness(qs_bundle)
-        injector = FaultInjector(qs_bundle)
-        injector.drop_completions(count=1, component="monitor", class_name="class1")
-        qs_bundle.run()
-        assert "monitor_open_is_live" in violation_names(harness)
 
 
 class TestBehavioralFaultsStayClean:
@@ -165,10 +174,6 @@ class TestBehavioralFaultsStayClean:
 
 
 class TestInjectorGuards:
-    def test_unknown_component_rejected(self, qs_bundle):
-        with pytest.raises(SchedulingError):
-            FaultInjector(qs_bundle).drop_completions(component="classifier")
-
     def test_unknown_plan_corruption_rejected(self, qs_bundle):
         with pytest.raises(SchedulingError):
             FaultInjector(qs_bundle).corrupt_plan(mode="jackpot")
@@ -258,7 +263,7 @@ class TestScheduledFaults:
         from repro.workloads.schedule import constant_schedule
         from tests.validation.conftest import small_config
 
-        drops = {"component": "dispatcher", "class_name": "class2"}
+        drops = {"class_name": "class2"}
         result = run_spec(ExperimentSpec(
             controller="qs",
             config=small_config(),
@@ -276,12 +281,12 @@ class TestScheduledFaults:
         heard = result.bundle.controller.dispatcher.completed_count("class2")
         assert result.collector.completions_by_class()["class2"] - heard == 2 + 3
 
-    def test_missing_monitor_named_for_drop_completions(self):
+    def test_missing_dispatcher_named_for_drop_completions(self):
         injector = FaultInjector(self._none_bundle())
         with pytest.raises(SchedulingError) as excinfo:
-            injector.drop_completions(component="monitor")
+            injector.drop_completions()
         assert "'drop_completions'" in str(excinfo.value)
-        assert "monitor" in str(excinfo.value)
+        assert "dispatcher" in str(excinfo.value)
 
     def test_cancel_storm_fraction_bounds_checked(self, qs_bundle):
         with pytest.raises(SchedulingError, match="fraction"):

@@ -63,7 +63,7 @@ class TestWorldConstruction:
             "plan_limits_nonnegative",
             "plan_spends_system_limit",
             "class_conservation",
-            "monitor_open_is_live",
+            "control_tables_are_live",
             "velocity_in_unit_interval",
             "oltp_slope_in_clamp_band",
         }
@@ -79,7 +79,18 @@ class TestWorldConstruction:
         )
         make_controller(bundle, "none")
         registry = core_invariants(ControlLoopWorld.from_bundle(bundle))
-        assert registry.names == []  # no dispatcher, monitor or planner
+        # No dispatcher, monitor or planner: only the patroller's tables.
+        assert registry.names == ["control_tables_are_live"]
+
+    @pytest.mark.parametrize("controller", ["none", "qp", "qp_nopriority", "mpl"])
+    def test_every_baseline_controller_registers_an_invariant(self, controller):
+        result = run_spec(ExperimentSpec(
+            controller=controller, config=small_config(), invariants="strict"
+        ))
+        harness = result.extras["validation"]
+        assert "control_tables_are_live" in harness.registry.names
+        assert harness.checks_run > 0
+        assert harness.violations == []
 
 
 class TestModes:
