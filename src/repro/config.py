@@ -13,6 +13,9 @@ Units
 * Service demand is in seconds-at-full-speed on the relevant resource pool.
 * Cost is in *timerons*, the DB2 optimizer's abstract cost unit; the
   optimizer config defines how demand maps to timerons.
+
+Every range check is written as ``not <in range>`` so that a NaN (YAML's
+``.nan``) fails it instead of slipping past every comparison.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ class ResourceConfig:
     disk_speed: float = 1.0
 
     def validate(self) -> None:
-        if self.cpu_servers < 1 or self.disk_servers < 1:
+        if not (self.cpu_servers >= 1 and self.disk_servers >= 1):
             raise ConfigurationError("resource pools need at least one server")
-        if self.cpu_speed <= 0 or self.disk_speed <= 0:
+        if not (self.cpu_speed > 0 and self.disk_speed > 0):
             raise ConfigurationError("resource speeds must be positive")
 
 
@@ -53,9 +56,9 @@ class OverloadConfig:
     beta: float = 1.5
 
     def validate(self) -> None:
-        if self.knee_cost <= 0:
+        if not self.knee_cost > 0:
             raise ConfigurationError("overload knee_cost must be positive")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ConfigurationError("overload beta must be non-negative")
 
     def efficiency(self, total_cost: float) -> float:
@@ -81,11 +84,11 @@ class OptimizerConfig:
     noise_sigma: float = 0.10
 
     def validate(self) -> None:
-        if self.cpu_timerons_per_second <= 0 or self.io_timerons_per_second <= 0:
+        if not (self.cpu_timerons_per_second > 0 and self.io_timerons_per_second > 0):
             raise ConfigurationError("timeron rates must be positive")
-        if self.base_cost < 0:
+        if not self.base_cost >= 0:
             raise ConfigurationError("base_cost must be non-negative")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigurationError("noise_sigma must be non-negative")
 
     def true_cost(self, cpu_demand: float, io_demand: float) -> float:
@@ -104,7 +107,7 @@ class AgentConfig:
     max_agents: int = 400
 
     def validate(self) -> None:
-        if self.max_agents < 1:
+        if not self.max_agents >= 1:
             raise ConfigurationError("max_agents must be >= 1")
 
 
@@ -124,11 +127,11 @@ class PatrollerConfig:
     overhead_cpu_demand: float = 0.03
 
     def validate(self) -> None:
-        if min(
-            self.interception_latency,
-            self.release_latency,
-            self.overhead_cpu_demand,
-        ) < 0:
+        if not (
+            self.interception_latency >= 0
+            and self.release_latency >= 0
+            and self.overhead_cpu_demand >= 0
+        ):
             raise ConfigurationError("patroller overheads must be non-negative")
 
 
@@ -145,13 +148,13 @@ class MonitorConfig:
     max_measurement_age: float = 300.0
 
     def validate(self) -> None:
-        if self.snapshot_interval <= 0:
+        if not self.snapshot_interval > 0:
             raise ConfigurationError("snapshot_interval must be positive")
-        if self.velocity_window <= 0:
+        if not self.velocity_window > 0:
             raise ConfigurationError("velocity_window must be positive")
-        if self.response_time_window <= 0:
+        if not self.response_time_window > 0:
             raise ConfigurationError("response_time_window must be positive")
-        if self.max_measurement_age <= 0:
+        if not self.max_measurement_age > 0:
             raise ConfigurationError("max_measurement_age must be positive")
 
 
@@ -178,17 +181,10 @@ class PlannerConfig:
     #: regression on the Figure 2 experiment; this default matches the
     #: calibration sweep on the default simulated server.
     oltp_slope_prior: float = -4.2e-6
-    oltp_slope_weight: float = 50.0
-    regression_forgetting: float = 0.97
     #: Fraction of the OLTP response-time goal the solver actually aims at
     #: (< 1 leaves control headroom so measurement noise does not park the
     #: class permanently just above its SLO).
     oltp_target_margin: float = 0.92
-    #: When True, the slope is additionally refined online from
-    #: (Δ limit, Δ response time) pairs each control interval — an extension
-    #: beyond the paper (which uses the offline constant).  Online pairs are
-    #: lag-corrupted, so the estimate is clamped near the prior.
-    online_regression: bool = False
     #: Performance-model spec for the utility solver: "paper" (the
     #: Section 3.2 analytic pair, the default), "learned" (online RLS
     #: residual model), "learned:<path>" (weights trained by
@@ -196,11 +192,11 @@ class PlannerConfig:
     model: str = "paper"
 
     def validate(self) -> None:
-        if self.control_interval <= 0:
+        if not self.control_interval > 0:
             raise ConfigurationError("control_interval must be positive")
-        if self.grid_timerons <= 0:
+        if not self.grid_timerons > 0:
             raise ConfigurationError("grid_timerons must be positive")
-        if self.min_class_limit < 0:
+        if not self.min_class_limit >= 0:
             raise ConfigurationError("min_class_limit must be non-negative")
         if self.utility not in ("piecewise", "sigmoid", "step"):
             raise ConfigurationError("unknown utility family {!r}".format(self.utility))
@@ -210,12 +206,14 @@ class PlannerConfig:
             raise ConfigurationError(
                 "unknown queue discipline {!r}".format(self.queue_discipline)
             )
-        if self.importance_base < 1:
+        if not self.surplus_slope >= 0:
+            raise ConfigurationError("surplus_slope must be non-negative")
+        if not self.importance_base >= 1:
             raise ConfigurationError("importance_base must be >= 1")
+        if not self.oltp_slope_prior < 0:
+            raise ConfigurationError("oltp_slope_prior must be negative")
         if not 0 < self.oltp_target_margin <= 1:
             raise ConfigurationError("oltp_target_margin must be in (0, 1]")
-        if not 0 < self.regression_forgetting <= 1:
-            raise ConfigurationError("regression_forgetting must be in (0, 1]")
         # Lazy import: repro.core.modeling imports repro.errors only, but
         # going through repro.config at module load would be a cycle.
         from repro.core.modeling.registry import parse_model_spec
@@ -232,11 +230,11 @@ class WorkloadScaleConfig:
     think_time: float = 0.0
 
     def validate(self) -> None:
-        if self.period_seconds <= 0:
+        if not self.period_seconds > 0:
             raise ConfigurationError("period_seconds must be positive")
-        if self.num_periods < 1:
+        if not self.num_periods >= 1:
             raise ConfigurationError("num_periods must be >= 1")
-        if self.think_time < 0:
+        if not self.think_time >= 0:
             raise ConfigurationError("think_time must be non-negative")
 
     @property
@@ -262,7 +260,7 @@ class SimulationConfig:
 
     def validate(self) -> "SimulationConfig":
         """Validate the whole tree; returns self for chaining."""
-        if self.system_cost_limit <= 0:
+        if not self.system_cost_limit > 0:
             raise ConfigurationError("system_cost_limit must be positive")
         self.resources.validate()
         self.overload.validate()

@@ -7,8 +7,8 @@ under candidate cost limits, behind one structural seam:
   (predict / observe / describe / corrupt / reset) plus the
   :class:`MixSnapshot` and :class:`IntervalObservation` input types;
 * :class:`~repro.core.modeling.analytic.PaperAnalyticModel` — the paper's
-  Section 3.2 pair (OLAP velocity ratio-model, OLTP linear delta
-  regression), the bit-identical default;
+  Section 3.2 pair (OLAP velocity ratio-model, OLTP linear delta model
+  with the calibrated constant slope), the bit-identical default;
 * :class:`~repro.core.modeling.learned.LearnedPerformanceModel` — per-class
   online ridge/RLS residual predictors conditioned on the full concurrent
   mix, trainable offline from telemetry (``repro train``);
@@ -20,7 +20,6 @@ under candidate cost limits, behind one structural seam:
 
 from repro.core.modeling.analytic import (
     _MIN_LIMIT,
-    _SLOPE_DRIFT_FACTOR,
     OLAPVelocityModel,
     OLTPResponseTimeModel,
     PaperAnalyticModel,

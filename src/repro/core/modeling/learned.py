@@ -224,9 +224,9 @@ class LearnedPerformanceModel:
             raise ConfigurationError("forgetting must be in (0, 1]")
         self.ridge = ridge
         self.forgetting = forgetting
-        #: Fixed analytic base for residual learning — deliberately *not*
-        #: updated online, so the learned weights always correct the same
-        #: reference predictions they were trained against.
+        #: Fixed analytic base for residual learning: the learned weights
+        #: always correct the same reference predictions they were trained
+        #: against.
         self._base_oltp = OLTPResponseTimeModel(prior_slope=prior_slope)
         self._classes: Dict[str, _ClassPredictor] = {}
         self._pending: Optional[MixSnapshot] = None
@@ -396,10 +396,6 @@ class LearnedPerformanceModel:
         """Total residual observations folded in across classes."""
         return sum(p.observations for p in self._classes.values())
 
-    def slope_bounds(self) -> Optional[Tuple[float, float]]:
-        """No scalar OLTP slope to bound; the harness skips the check."""
-        return None
-
     # ------------------------------------------------------------------
     # Serialisation (``repro train`` output / ``--model learned:PATH``)
     # ------------------------------------------------------------------
@@ -409,7 +405,7 @@ class LearnedPerformanceModel:
             "format": 1,
             "name": self.name,
             "hyper": {
-                "prior_slope": self._base_oltp.prior_slope,
+                "prior_slope": self._base_oltp.slope,
                 "ridge": self.ridge,
                 "forgetting": self.forgetting,
             },
@@ -475,6 +471,3 @@ class OracleLastValueModel:
 
     def reset(self) -> None:
         self._corrupted = False
-
-    def slope_bounds(self) -> Optional[Tuple[float, float]]:
-        return None

@@ -14,7 +14,8 @@ rest of the system is wired against:
   telemetry layer embeds in every :class:`ControlIntervalRecord`;
 * :meth:`PerformanceModel.corrupt` / :meth:`PerformanceModel.reset` — the
   fault injector's white-box corruption seam, so breaking a model for a
-  validation test never requires reaching into private attributes.
+  validation test never requires reaching into private attributes (the
+  paper model, which holds no online state, refuses ``corrupt``).
 
 The protocol is structural (:class:`typing.Protocol`): the paper's
 analytic models, the learned ridge models and the oracle baseline all
@@ -81,15 +82,11 @@ class IntervalObservation(NamedTuple):
 
     ``mix`` is the pre-solve state: per-class measured values and the cost
     limits that were *active during the interval that just ended* (the
-    plan installed by the previous decision).  ``oltp_delta`` is the
-    planner-computed ``(Δ limit, Δ response time)`` regression pair for
-    the OLTP class — present only when online regression is enabled and a
-    valid pair exists, exactly as the pre-seam planner gated it.
+    plan installed by the previous decision).
     """
 
     time: float
     mix: MixSnapshot
-    oltp_delta: Optional[Tuple[float, float]] = None
 
 
 @runtime_checkable
@@ -122,11 +119,4 @@ class PerformanceModel(Protocol):
 
     def reset(self) -> None:
         """Restore pristine (freshly constructed) state."""
-        ...
-
-    def slope_bounds(self) -> Optional[Tuple[float, float]]:
-        """Public clamp band ``(steepest, shallowest)`` of the model's
-        OLTP slope estimate, or ``None`` when the model has no such
-        notion.  The validation harness checks the live slope against
-        this contract instead of importing private constants."""
         ...

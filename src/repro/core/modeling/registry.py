@@ -49,22 +49,16 @@ def parse_model_spec(spec: str) -> Tuple[str, Optional[str]]:
 def make_model(spec: str, planner: Optional["PlannerConfig"] = None):
     """Construct the model a spec names, calibrated from planner config.
 
-    ``planner`` supplies the analytic priors (slope, weight, forgetting);
-    None falls back to the models' own defaults.  A ``learned:<path>``
-    spec loads trained weights — the file's stored hyperparameters win
-    over the run's config so predictions match what was trained.
+    ``planner`` supplies the calibrated OLTP slope; None falls back to the
+    models' own defaults.  A ``learned:<path>`` spec loads trained weights
+    — the file's stored hyperparameters win over the run's config so
+    predictions match what was trained.
     """
     base, argument = parse_model_spec(spec)
     if base == "paper":
         if planner is not None:
-            oltp = OLTPResponseTimeModel(
-                prior_slope=planner.oltp_slope_prior,
-                prior_weight=planner.oltp_slope_weight,
-                forgetting=planner.regression_forgetting,
-            )
-        else:
-            oltp = OLTPResponseTimeModel()
-        return PaperAnalyticModel(oltp_model=oltp)
+            return PaperAnalyticModel(OLTPResponseTimeModel(planner.oltp_slope_prior))
+        return PaperAnalyticModel()
     if base == "oracle":
         return OracleLastValueModel()
     if argument is not None:

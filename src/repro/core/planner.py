@@ -5,8 +5,9 @@ intervals to determine an optimal scheduling plan, and passes this plan to
 the Dispatcher" (Section 2).  Each control interval the planner:
 
 1. collects per-class measurements from the Monitor;
-2. feeds the OLTP model one (Δ limit, Δ response time) regression
-   observation from the interval that just ended (Section 3.2);
+2. hands the performance model the interval that just ended (the
+   ``learned`` model learns from it; the paper's models are calibrated
+   offline, Section 3.2, and ignore it);
 3. asks the solver for the utility-optimal plan given the measurements and
    the active limits;
 4. installs the plan on the dispatcher and records the whole decision as
@@ -17,7 +18,7 @@ the Dispatcher" (Section 2).  Each control interval the planner:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.config import PlannerConfig, SimulationConfig
 from repro.core.dispatcher import Dispatcher
@@ -26,7 +27,6 @@ from repro.core.modeling import (
     ClassMixState,
     IntervalObservation,
     MixSnapshot,
-    OLTPResponseTimeModel,
     PerformanceModel,
     make_model,
 )
@@ -98,18 +98,11 @@ class SchedulingPlanner:
         self.solver = solver
         self.config = config
         self.classes = list(classes)
-        oltp_classes = [c for c in self.classes if c.kind == "oltp"]
-        #: The class whose (Δ limit, Δ response time) pairs feed the online
-        #: regression: Section 3.2's scalar model describes exactly one.
-        self._oltp_class: Optional[ServiceClass] = (
-            oltp_classes[0] if len(oltp_classes) == 1 else None
-        )
         #: Every decision so far, in order — the one list of records; a
         #: :class:`~repro.metrics.telemetry.TelemetryStore` over it is the
         #: queryable/exportable view.
         self.history: List[ControlIntervalRecord] = []
         self._listeners: List[PlanListener] = []
-        self._previous_oltp: Optional[ClassMeasurement] = None
         self._started = False
         self._intervals = 0
         self._last_interval_at: Optional[float] = None
@@ -126,12 +119,6 @@ class SchedulingPlanner:
         """The solver's performance model (None for model-free allocators
         like the deficit heuristic)."""
         return getattr(self.solver, "model", None)
-
-    @property
-    def oltp_model(self) -> Optional[OLTPResponseTimeModel]:
-        """The solver's OLTP response-time model (None for model-free
-        allocators and for learned models without a scalar regression)."""
-        return getattr(self.solver, "oltp_model", None)
 
     @property
     def intervals_run(self) -> int:
@@ -206,7 +193,7 @@ class SchedulingPlanner:
         with self.profiler.section("monitor"):
             measurements = self.monitor.measure_all()
         mix = self._mix_snapshot(measurements, now)
-        self._observe_model(measurements, mix)
+        self._observe_model(mix)
         statuses = [
             ClassStatus(
                 service_class=service_class,
@@ -220,8 +207,6 @@ class SchedulingPlanner:
         with self.profiler.section("dispatcher"):
             self.dispatcher.install_plan(plan)
         overhead = self.profiler.finish()
-        if self._oltp_class is not None:
-            self._previous_oltp = measurements.get(self._oltp_class.name)
         record = ControlIntervalRecord(
             time=now,
             interval_index=len(self.history),
@@ -368,43 +353,9 @@ class SchedulingPlanner:
             )
         return MixSnapshot(time=now, classes=tuple(states))
 
-    def _observe_model(
-        self, measurements: Dict[str, ClassMeasurement], mix: MixSnapshot
-    ) -> None:
+    def _observe_model(self, mix: MixSnapshot) -> None:
         """Hand the performance model this interval's observation."""
         model = self.model
         if model is None:
             return
-        model.observe(
-            IntervalObservation(
-                time=mix.time,
-                mix=mix,
-                oltp_delta=self._oltp_delta(measurements),
-            )
-        )
-
-    def _oltp_delta(
-        self, measurements: Dict[str, ClassMeasurement]
-    ) -> Optional[Tuple[float, float]]:
-        """The (Δ limit, Δ response time) regression pair of last interval.
-
-        Only produced with ``config.online_regression`` (the paper uses
-        the offline regression constant, Section 3.2) and when a valid
-        consecutive measurement pair exists — the same gating the
-        pre-seam planner applied before feeding the OLTP model directly.
-        """
-        if not self.config.online_regression:
-            return None
-        if self._oltp_class is None:
-            return None
-        current = measurements.get(self._oltp_class.name)
-        if current is None or self._previous_oltp is None or len(self.history) < 2:
-            return None
-        # The limit active during the interval that just ended was installed
-        # by the last tick; the one before it by the tick before that.
-        name = self._oltp_class.name
-        delta_limit = self.history[-1].plan.limit(name) - self.history[-2].plan.limit(
-            name
-        )
-        delta_rt = current.value - self._previous_oltp.value
-        return (delta_limit, delta_rt)
+        model.observe(IntervalObservation(time=mix.time, mix=mix))

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.modeling import (
     MixSnapshot,
-    OLTPResponseTimeModel,
     PaperAnalyticModel,
     PerformanceModel,
 )
@@ -117,16 +116,6 @@ class PerformanceSolver:
     def cache_hits(self) -> int:
         # No solution cache exists; perf/measure.py is the only reader.
         return 0
-
-    @property
-    def oltp_model(self) -> Optional[OLTPResponseTimeModel]:
-        """The analytic OLTP regression, when the model keeps one.
-
-        The paper model exposes its :class:`OLTPResponseTimeModel` as
-        ``.oltp``; learned/oracle models have no scalar-slope regression
-        and yield ``None``.
-        """
-        return getattr(self.model, "oltp", None)
 
     def set_system_cost_limit(self, limit: float) -> None:
         """Retarget the solver to a new global budget.

@@ -343,13 +343,12 @@ class FaultInjector:
         self._log("corrupt_velocity_sample", class_name=class_name, value=value)
 
     def corrupt_oltp_regression(self) -> None:
-        """Corrupt the performance model's regression state.
+        """Corrupt the performance model's online regression state.
 
         Goes through the model's public ``corrupt()`` seam (no reaching
-        into private normal equations).  For the paper's analytic model
-        the slope computation then divides by zero — exactly the kind of
-        broken internal state an invariant check must survive *and* report.
-        Trips ``oltp_slope_in_clamp_band`` through its exception path.
+        into private weights).  A ``learned`` model then predicts NaN for
+        every class until :meth:`reset`; the paper model holds no online
+        state and refuses with a ``ConfigurationError``.
         """
         model = getattr(self.planner, "model", None) if self.planner else None
         if model is None:

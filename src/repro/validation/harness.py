@@ -14,8 +14,7 @@ Three pieces:
   invariant checks receive;
 * :func:`core_invariants` — the built-in suite covering dispatcher
   accounting, dispatcher/engine agreement, plan shape, control-table
-  liveness, per-class conservation, velocity range and the OLTP slope
-  clamp band;
+  liveness, per-class conservation and velocity range;
 * :class:`ValidationHarness` — evaluates a registry against the world at
   every plan decision (and on demand), records violations into the
   interval's telemetry record, and in strict mode raises
@@ -30,7 +29,6 @@ from typing import List, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.core.dispatcher import Dispatcher
-from repro.core.modeling import OLTPResponseTimeModel
 from repro.core.monitor import Monitor
 from repro.core.planner import SchedulingPlanner
 from repro.core.service_class import ServiceClass
@@ -78,11 +76,6 @@ class ControlLoopWorld:
     def now(self) -> float:
         """Current backend time (virtual or wall-clock)."""
         return self.sim.now
-
-    @property
-    def oltp_model(self) -> Optional[OLTPResponseTimeModel]:
-        """The planner's OLTP model, if the solver keeps one."""
-        return self.planner.oltp_model if self.planner is not None else None
 
     def controlled_classes(self) -> List[ServiceClass]:
         """The classes the dispatcher queues and releases for — its own
@@ -251,19 +244,6 @@ def _check_velocity_range(world: ControlLoopWorld):
     return True
 
 
-def _check_oltp_slope_band(world: ControlLoopWorld):
-    model = world.oltp_model
-    if model is None:
-        return True
-    slope = model.slope  # raises on corrupted regression state -> violation
-    steepest, shallowest = model.slope_bounds()
-    if math.isnan(slope) or not steepest <= slope <= shallowest:
-        return "slope {} outside clamp band [{}, {}]".format(
-            slope, steepest, shallowest
-        )
-    return True
-
-
 def core_invariants(world: ControlLoopWorld) -> InvariantRegistry:
     """The built-in invariant suite for ``world``.
 
@@ -343,18 +323,6 @@ def core_invariants(world: ControlLoopWorld) -> InvariantRegistry:
                 name="velocity_in_unit_interval",
                 check=_check_velocity_range,
                 message="a measured OLAP velocity left the [0, 1] interval",
-                severity=Severity.ERROR,
-            )
-        )
-    if world.oltp_model is not None:
-        registry.register(
-            Invariant(
-                name="oltp_slope_in_clamp_band",
-                check=_check_oltp_slope_band,
-                message=(
-                    "the OLTP regression slope left its clamp band (or the "
-                    "regression state is corrupted)"
-                ),
                 severity=Severity.ERROR,
             )
         )

@@ -50,36 +50,6 @@ class TestOLTPResponseTimeModel:
             OLTPResponseTimeModel(prior_slope=1e-6)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OLTPResponseTimeModel(prior_weight=0.0)
-        with pytest.raises(ConfigurationError):
-            OLTPResponseTimeModel(forgetting=0.0)
-        with pytest.raises(ConfigurationError):
-            OLTPResponseTimeModel(forgetting=1.5)
-
-    def test_observations_move_slope(self):
-        model = OLTPResponseTimeModel(prior_slope=-4e-6, prior_weight=2.0, forgetting=0.9)
-        # Feed consistent observations implying a steeper slope (-8e-6).
-        for _ in range(60):
-            model.observe(1_000.0, -8e-3)
-        assert model.slope < -6e-6
-        assert model.observations == 60
-
-    def test_slope_clamped_near_prior(self):
-        model = OLTPResponseTimeModel(prior_slope=-4e-6, prior_weight=1.0, forgetting=0.5)
-        # Observations implying a *positive* slope must not flip the sign.
-        for _ in range(100):
-            model.observe(1_000.0, +5e-3)
-        assert model.slope < 0
-        assert model.slope == pytest.approx(-4e-6 / 3.0)
-        # And absurdly steep observations saturate at 3x the prior.
-        steep = OLTPResponseTimeModel(prior_slope=-4e-6, prior_weight=1.0, forgetting=0.5)
-        for _ in range(100):
-            steep.observe(1_000.0, -1.0)
-        assert steep.slope == pytest.approx(-4e-6 * 3.0)
-
-    def test_tiny_deltas_ignored(self):
-        model = OLTPResponseTimeModel(prior_slope=-4e-6)
-        model.observe(0.5, 100.0)  # sub-timeron delta: no information
-        assert model.observations == 0
-        assert model.slope == pytest.approx(-4e-6)
+        for slope in (0.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                OLTPResponseTimeModel(prior_slope=slope)

@@ -27,11 +27,9 @@ from repro.sim.rng import RandomStreams
 from tests.conftest import patroller_dispatcher
 
 
-def make_planner(online_regression=False, classes=None):
+def make_planner(classes=None):
     sim = Simulator()
-    planner_config = PlannerConfig(
-        control_interval=10.0, online_regression=online_regression
-    )
+    planner_config = PlannerConfig(control_interval=10.0)
     config = default_config(
         planner=planner_config,
         monitor=MonitorConfig(snapshot_interval=2.0),
@@ -167,41 +165,26 @@ def test_no_measurements_yields_stable_plan():
 
 def test_two_oltp_classes_plan_without_a_regression_pair():
     """The planner itself takes any class set (in-engine control runs two
-    OLTP classes); only the online-regression pair needs exactly one."""
+    OLTP classes)."""
     oltp_a = ServiceClass("a", "oltp", ResponseTimeGoal(0.2), 1)
     oltp_b = ServiceClass("b", "oltp", ResponseTimeGoal(0.3), 2)
-    sim, engine, monitor, dispatcher, planner = make_planner(
-        classes=[oltp_a, oltp_b], online_regression=True
-    )
+    sim, engine, monitor, dispatcher, planner = make_planner(classes=[oltp_a, oltp_b])
     for _ in range(3):
         sim.run_until(sim.now + 10.0)
         assert set(planner.run_interval().plan) == {"a", "b"}
-    assert planner.oltp_model.observations == 0
 
 
 def test_offline_mode_never_feeds_regression():
-    sim, engine, monitor, dispatcher, planner = make_planner(online_regression=False)
-    # Fabricate OLTP measurements so regression *could* run.
-    from repro.core.monitor import ClassMeasurement
-
-    for i in range(4):
-        monitor._last_measurement["class3"] = ClassMeasurement(
-            "class3", "response_time", 0.3 + 0.01 * i, 5, float(i)
-        )
-        planner.run_interval()
-    assert planner.oltp_model.observations == 0
-
-
-def test_online_mode_feeds_regression_after_two_intervals():
-    sim, engine, monitor, dispatcher, planner = make_planner(online_regression=True)
+    """The paper model's slope is the offline constant, whatever the
+    planner observes (Section 3.2)."""
+    sim, engine, monitor, dispatcher, planner = make_planner()
     from repro.core.monitor import ClassMeasurement
 
     # Alternate violating / meeting so the planned OLTP limit moves.
-    values = [0.40, 0.15, 0.40, 0.15, 0.40]
-    fed = 0
-    for i, value in enumerate(values):
+    for i, value in enumerate([0.40, 0.15, 0.40, 0.15, 0.40]):
         monitor._last_measurement["class3"] = ClassMeasurement(
             "class3", "response_time", value, 5, float(i)
         )
         planner.run_interval()
-    assert planner.oltp_model.observations > 0
+    assert len({record.plan.limit("class3") for record in planner.history}) > 1
+    assert planner.model.oltp.slope == -4.2e-6

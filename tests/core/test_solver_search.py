@@ -18,9 +18,10 @@ from repro.core.service_class import (
     ResponseTimeGoal,
     ServiceClass,
     VelocityGoal,
+    paper_classes,
 )
 from repro.core.solver import ClassStatus, PerformanceSolver
-from repro.core.utility import PiecewiseLinearUtility
+from repro.core.utility import PiecewiseLinearUtility, make_utility
 from tests.conftest import make_mix, trained_model
 from tests.core.reference_solver import (
     _compositions,
@@ -222,6 +223,38 @@ class TestMemoizedSearchConformance:
             assert plan.as_dict() == expected
             assert same_float(optimized.last_score, ref_score)
             assert optimized.evaluations == reference.evaluations
+
+    def test_exhaustive_beats_the_greedy_ascent_on_a_step_utility(self):
+        """Why up to three classes keep the exhaustive search: on a step
+        utility the ascent stops at a local optimum.  Paper classes at
+        10k/10k/10k measuring (0.1, 0.3, 0.4 s): the ascent's single-unit
+        transfers climb to (1k, 1k, 28k), a local optimum scoring 1.1463,
+        while the best allocation is (1k, 20k, 9k) at 4.6156."""
+
+        def step_solver():
+            return PerformanceSolver(
+                utility=make_utility("step"),
+                model=PaperAnalyticModel(
+                    oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
+                ),
+                system_cost_limit=30_000.0,
+            )
+
+        statuses = [
+            ClassStatus(service_class, 10_000.0, value)
+            for service_class, value in zip(paper_classes(), (0.1, 0.3, 0.4))
+        ]
+        solver = step_solver()
+        plan = solver.solve(statuses)
+        assert plan.as_dict() == {
+            "class1": 1_000.0, "class2": 20_000.0, "class3": 9_000.0
+        }
+        assert solver.last_score == pytest.approx(4.6156, abs=1e-4)
+        units, score = reference_exhaustive(step_solver(), statuses, 30, 1)
+        assert units == (1, 20, 9) and same_float(score, solver.last_score)
+        units, score = reference_greedy(step_solver(), statuses, 30, 1)
+        assert units == (1, 1, 28)
+        assert score == pytest.approx(1.1463, abs=1e-4)
 
     def test_memo_does_not_change_evaluation_count(self):
         # Every candidate allocation is still counted as one evaluation;

@@ -38,7 +38,7 @@ class TestProtocolConformance:
 
         assert not isinstance(NotAModel(), PerformanceModel)
 
-    def test_the_seven_protocol_members_are_all_a_model_needs(self, three_classes):
+    def test_the_six_protocol_members_are_all_a_model_needs(self, three_classes):
         class HoldsLastValue:
             name = "minimal"
 
@@ -56,9 +56,6 @@ class TestProtocolConformance:
 
             def reset(self):
                 pass
-
-            def slope_bounds(self):
-                return None
 
         model = HoldsLastValue()
         assert isinstance(model, PerformanceModel)
@@ -95,11 +92,10 @@ class TestRegistry:
             parse_model_spec("")
 
     def test_make_paper_uses_planner_calibration(self):
-        planner = PlannerConfig(oltp_slope_prior=-3e-6, oltp_slope_weight=7.0)
+        planner = PlannerConfig(oltp_slope_prior=-3e-6)
         model = make_model("paper", planner)
         assert isinstance(model, PaperAnalyticModel)
-        assert model.oltp.prior_slope == -3e-6
-        assert model.oltp.prior_weight == 7.0
+        assert model.oltp.slope == -3e-6
 
     def test_make_oracle(self):
         assert isinstance(make_model("oracle"), OracleLastValueModel)

@@ -151,3 +151,26 @@ class TestMalformedScenarioFiles:
         code = main(["run", "--scenario", str(bad)])
         assert code == 2
         assert "scenario error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [
+        "system_cost_limit",
+        "monitor.snapshot_interval",
+        "planner.grid_timerons",
+        "planner.importance_base",
+        "planner.surplus_slope",
+        "planner.oltp_slope_prior",
+    ])
+    def test_validate_all_lists_a_nan_override_as_invalid(self, tmp_path, capsys, path):
+        from repro.scenarios import find_scenario, scenario_to_yaml
+
+        text = scenario_to_yaml(find_scenario("paper-figure3"))
+        assert "control:" not in text
+        bad = tmp_path / "nan.yaml"
+        bad.write_text(text + "control:\n  {}: .nan\n".format(path))
+        code = main(["scenarios", "--validate-all", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "INVALID {}".format(bad) in captured.err
+        assert "control override {!r}".format(path) in captured.err
+        assert "Traceback" not in captured.err
+        assert "7 of 8 scenarios valid" in captured.out

@@ -90,7 +90,7 @@ def test_check_command_list(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "dispatcher_in_flight_consistent" in out
-    assert "oltp_slope_in_clamp_band" in out
+    assert "velocity_in_unit_interval" in out
     assert "CRITICAL" in out
 
 

@@ -93,15 +93,47 @@ def test_optimizer_true_cost():
         (PlannerConfig, dict(utility="quadratic")),
         (PlannerConfig, dict(importance_base=0.5)),
         (PlannerConfig, dict(oltp_target_margin=0.0)),
-        (PlannerConfig, dict(regression_forgetting=1.5)),
+        (PlannerConfig, dict(oltp_slope_prior=0.001)),
         (WorkloadScaleConfig, dict(period_seconds=0.0)),
         (WorkloadScaleConfig, dict(num_periods=0)),
         (WorkloadScaleConfig, dict(think_time=-1.0)),
+        (PlannerConfig, dict(surplus_slope=-1.0)),
     ],
 )
 def test_invalid_sections_rejected(section, kwargs):
     with pytest.raises(ConfigurationError):
         section(**kwargs).validate()
+
+
+def _numeric_paths():
+    """Dotted paths of every numeric field in the tree, bar ``seed`` (an
+    identity, not a range: the scenario loader checks it is an integer)."""
+    config = SimulationConfig()
+    paths = []
+    for outer in dataclasses.fields(config):
+        value = getattr(config, outer.name)
+        if dataclasses.is_dataclass(value):
+            paths += [
+                "{}.{}".format(outer.name, inner.name)
+                for inner in dataclasses.fields(value)
+                if type(getattr(value, inner.name)) in (int, float)
+            ]
+        elif type(value) in (int, float) and outer.name != "seed":
+            paths.append(outer.name)
+    return paths
+
+
+@pytest.mark.parametrize("path", _numeric_paths())
+def test_nan_fails_every_range_check(path):
+    section, _, name = path.rpartition(".")
+    config = SimulationConfig()
+    if section:
+        nan_section = dataclasses.replace(getattr(config, section), **{name: float("nan")})
+        config = dataclasses.replace(config, **{section: nan_section})
+    else:
+        config = dataclasses.replace(config, **{name: float("nan")})
+    with pytest.raises(ConfigurationError):
+        config.validate()
 
 
 def test_invalid_section_rejected_through_tree():

@@ -6,9 +6,12 @@ violation is named, while behavioral storms on the fixed accounting paths
 stay violation-free.
 """
 
+import json
+import math
+
 import pytest
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.faults import FaultInjector
 from repro.validation import ControlLoopWorld, ValidationHarness, attach_harness
 
@@ -77,25 +80,26 @@ class TestCorruptionsTripTheirInvariant:
         FaultInjector(qs_bundle).corrupt_velocity_sample("class1", value=1.5)
         assert "velocity_in_unit_interval" in {v.name for v in harness.check()}
 
-    def test_corrupt_regression_trips_slope_check_via_exception(self, qs_bundle):
-        harness = started_harness(qs_bundle)
+    def test_corrupt_regression_on_paper_model_is_refused(self, qs_bundle):
+        """The paper model's slope is a calibrated constant: there is no
+        online state to corrupt, and the injector says so."""
+        started_harness(qs_bundle)
         qs_bundle.run(horizon=5.0)
-        FaultInjector(qs_bundle).corrupt_oltp_regression()
-        found = harness.check()
-        slope = [v for v in found if v.name == "oltp_slope_in_clamp_band"]
-        assert slope
-        # The invariant fired through its exception path and survived.
-        assert "ZeroDivisionError" in slope[0].detail
+        injector = FaultInjector(qs_bundle)
+        with pytest.raises(ConfigurationError, match="no online state"):
+            injector.corrupt_oltp_regression()
+        assert injector.injected == []
 
-    def test_regression_corruption_goes_through_public_seam(
-        self, qs_bundle, monkeypatch
-    ):
+    def test_regression_corruption_goes_through_public_seam(self, monkeypatch):
         """The injector must use the model's ``corrupt()`` seam, never
-        reach into private regression state — and the invariant must
-        still trip through the seam."""
-        harness = started_harness(qs_bundle)
-        qs_bundle.run(horizon=5.0)
-        model = qs_bundle.controller.planner.model
+        reach into private state.  A corrupted learned model predicts NaN,
+        the plan still spends the system limit, and ``reset()`` restores
+        the model."""
+        bundle = make_qs_bundle(model="learned")
+        harness = started_harness(bundle)
+        bundle.run(horizon=15.0)
+        planner = bundle.controller.planner
+        model = planner.model
         calls = []
         original = model.corrupt
         monkeypatch.setattr(
@@ -103,15 +107,19 @@ class TestCorruptionsTripTheirInvariant:
             "corrupt",
             lambda mode="regression": (calls.append(mode), original(mode))[1],
         )
-        FaultInjector(qs_bundle).corrupt_oltp_regression()
+        FaultInjector(bundle).corrupt_oltp_regression()
         assert calls == ["regression"]
-        # Telemetry's describe() stays JSON-safe on the corrupted state...
-        assert model.describe()["slope"] is None
-        # ...while the invariant still fires.
-        assert "oltp_slope_in_clamp_band" in {v.name for v in harness.check()}
-        # And reset() restores a checkable slope.
+        assert model.describe()["corrupted"] is True
+        json.dumps(model.describe())
+        record = planner.run_interval()
+        assert all(math.isnan(p.predicted) for p in record.predictions.values())
+        assert record.plan.total_allocated == bundle.config.system_cost_limit
+        assert "plan_spends_system_limit" not in {v.name for v in harness.check()}
         model.reset()
-        assert "oltp_slope_in_clamp_band" not in {v.name for v in harness.check()}
+        assert model.describe()["corrupted"] is False
+        assert model.observations == 0
+        record = planner.run_interval()
+        assert all(math.isfinite(p.predicted) for p in record.predictions.values())
 
     def test_dropped_dispatcher_completion_trips_engine_agreement(self, qs_bundle):
         harness = started_harness(qs_bundle)

@@ -47,7 +47,6 @@ class TestWorldConstruction:
         assert world.dispatcher is scheduler.dispatcher
         assert world.monitor is scheduler.monitor
         assert world.planner is scheduler.planner
-        assert world.oltp_model is scheduler.planner.oltp_model
         assert [c.name for c in world.controlled_classes()] == ["class1", "class2"]
 
     def test_from_scheduler_equivalent(self, qs_bundle):
@@ -65,7 +64,6 @@ class TestWorldConstruction:
             "class_conservation",
             "control_tables_are_live",
             "velocity_in_unit_interval",
-            "oltp_slope_in_clamp_band",
         }
 
     def test_baseline_controller_gets_reduced_suite(self):
