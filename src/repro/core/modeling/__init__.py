@@ -4,7 +4,8 @@ Everything the control plane needs to predict per-class goal metrics
 under candidate cost limits, behind one structural seam:
 
 * :class:`~repro.core.modeling.protocol.PerformanceModel` — the protocol
-  (predict / observe / describe / corrupt / reset) plus the
+  (predict / observe / state / describe / corrupt / reset), the immutable
+  :class:`ModelState` a record keeps, plus the
   :class:`MixSnapshot` and :class:`IntervalObservation` input types;
 * :class:`~repro.core.modeling.analytic.PaperAnalyticModel` — the paper's
   Section 3.2 pair (OLAP velocity ratio-model, OLTP linear delta model
@@ -32,6 +33,7 @@ from repro.core.modeling.protocol import (
     ClassMixState,
     IntervalObservation,
     MixSnapshot,
+    ModelState,
     PerformanceModel,
 )
 from repro.core.modeling.registry import MODEL_NAMES, make_model, parse_model_spec
@@ -49,6 +51,7 @@ __all__ = [
     "IntervalObservation",
     "LearnedPerformanceModel",
     "MixSnapshot",
+    "ModelState",
     "MODEL_NAMES",
     "OLAPVelocityModel",
     "OLTPResponseTimeModel",

@@ -29,7 +29,7 @@ to the golden regression data.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
 from repro.core.modeling.protocol import IntervalObservation, MixSnapshot
 from repro.errors import ConfigurationError
@@ -91,6 +91,21 @@ class OLTPResponseTimeModel:
         return max(predicted, 1e-3)
 
 
+class PaperModelState(NamedTuple):
+    """The paper model's :class:`~repro.core.modeling.protocol.ModelState`:
+    its name and its one parameter, the calibrated OLTP slope."""
+
+    name: str
+    slope: float
+
+    #: The paper model learns nothing, so it counts no observations.
+    observations = None
+
+    def to_dict(self) -> Dict[str, object]:
+        """``{"name": ..., "slope": ...}``."""
+        return {"name": self.name, "slope": self.slope}
+
+
 class PaperAnalyticModel:
     """The paper's model pair behind the :class:`PerformanceModel` protocol.
 
@@ -106,6 +121,7 @@ class PaperAnalyticModel:
 
     def __init__(self, oltp_model: Optional[OLTPResponseTimeModel] = None) -> None:
         self.oltp = oltp_model if oltp_model is not None else OLTPResponseTimeModel()
+        self._state = PaperModelState(self.name, self.oltp.slope)
 
     # ------------------------------------------------------------------
     # PerformanceModel protocol
@@ -128,9 +144,16 @@ class PaperAnalyticModel:
     def observe(self, observation: IntervalObservation) -> None:
         """Nothing to learn: the slope is the calibrated constant."""
 
+    def state(self) -> PaperModelState:
+        """The model's one parameter; one object until the slope changes."""
+        state = self._state
+        if state.slope is not self.oltp.slope:
+            state = self._state = PaperModelState(self.name, self.oltp.slope)
+        return state
+
     def describe(self) -> Dict[str, object]:
         """JSON-safe snapshot of the model's one parameter."""
-        return {"name": self.name, "slope": self.oltp.slope}
+        return self.state().to_dict()
 
     def corrupt(self, mode: str = "regression") -> None:
         """Refused: the paper model holds no online state to corrupt."""

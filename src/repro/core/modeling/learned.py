@@ -25,7 +25,8 @@ numpy.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from array import array
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.modeling.analytic import (
     OLAPVelocityModel,
@@ -187,16 +188,130 @@ class _ClassPredictor:
         }
 
     @staticmethod
-    def from_dict(payload: Dict[str, object], ridge: float) -> "_ClassPredictor":
-        predictor = _ClassPredictor(str(payload["kind"]), ridge)
-        weights = payload.get("weights")
-        if isinstance(weights, list) and len(weights) == FEATURE_DIM:
-            predictor.w = [float(v) for v in weights]
+    def from_dict(name: str, payload: object, ridge: float) -> "_ClassPredictor":
+        """The predictor :meth:`to_dict` wrote for class ``name``.
+
+        Every key is required and checked: a ``kind`` of olap or oltp,
+        exactly :data:`FEATURE_DIM` finite weights, a
+        ``FEATURE_DIM`` x ``FEATURE_DIM`` finite covariance and a
+        non-negative integer observation count.  Anything else raises a
+        :class:`~repro.errors.ConfigurationError` naming the class and the
+        key, before a run starts rather than at its first update.
+        """
+
+        def fail(key: str, expected: str) -> ConfigurationError:
+            return ConfigurationError(
+                "learned model class {!r}: {!r} must be {}".format(name, key, expected)
+            )
+
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                "learned model class {!r} must be an object".format(name)
+            )
+        kind = payload.get("kind")
+        if kind not in ("olap", "oltp"):
+            raise fail("kind", "'olap' or 'oltp'")
+        vector = "a list of {} finite numbers".format(FEATURE_DIM)
+        weights = _finite_vector(payload.get("weights"))
+        if weights is None:
+            raise fail("weights", vector)
         covariance = payload.get("covariance")
-        if isinstance(covariance, list) and len(covariance) == FEATURE_DIM:
-            predictor.p = [[float(v) for v in row] for row in covariance]
-        predictor.observations = int(payload.get("observations", 0))
+        rows = (
+            [_finite_vector(row) for row in covariance]
+            if isinstance(covariance, list)
+            else []
+        )
+        if len(rows) != FEATURE_DIM or None in rows:
+            raise fail("covariance", "{} rows, each {}".format(FEATURE_DIM, vector))
+        observations = payload.get("observations")
+        if (
+            not isinstance(observations, int)
+            or isinstance(observations, bool)
+            or observations < 0
+        ):
+            raise fail("observations", "a non-negative integer")
+        predictor = _ClassPredictor(kind, ridge)
+        predictor.w = weights
+        predictor.p = rows
+        predictor.observations = observations
         return predictor
+
+
+def _finite_vector(values: object) -> Optional[List[float]]:
+    """``values`` as :data:`FEATURE_DIM` finite floats (None if it is not)."""
+    if not isinstance(values, list) or len(values) != FEATURE_DIM:
+        return None
+    vector = []
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return None
+        value = float(value)
+        if not math.isfinite(value):
+            return None
+        vector.append(value)
+    return vector
+
+
+def _hyperparameter(hyper: Dict[str, object], key: str, default: float) -> float:
+    """One ``hyper`` entry of a model file as a float (``default`` if absent)."""
+    value = hyper.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(
+            "learned model hyperparameter {!r} must be a number, got {!r}".format(
+                key, value
+            )
+        )
+    return float(value)
+
+
+class LearnedModelState(NamedTuple):
+    """The learned model's :class:`~repro.core.modeling.protocol.ModelState`.
+
+    ``classes`` is the ``(name, kind)`` pairs in name order — one tuple,
+    shared by every state taken while the class set is unchanged.
+    ``values`` holds, per class in that order, its observation count and
+    then its :data:`FEATURE_DIM` weights: one flat array instead of a dict
+    of rounded floats per class.
+    """
+
+    name: str
+    ridge: float
+    forgetting: float
+    corrupted: bool
+    classes: Tuple[Tuple[str, str], ...]
+    values: "array[float]"
+
+    #: The learned model has no single OLTP slope.
+    slope = None
+
+    @property
+    def observations(self) -> int:
+        """Total residual observations folded in across classes."""
+        return int(sum(self.values[:: FEATURE_DIM + 1]))
+
+    def to_dict(self) -> Dict[str, object]:
+        """The ``describe()`` dict: hyperparameters plus per-class weights,
+        rounded to 9 places."""
+        stride = FEATURE_DIM + 1
+        values = self.values
+        classes = {}
+        total = 0
+        for start, (name, kind) in zip(range(0, len(values), stride), self.classes):
+            observations = int(values[start])
+            total += observations
+            classes[name] = {
+                "kind": kind,
+                "observations": observations,
+                "weights": [round(w, 9) for w in values[start + 1 : start + stride]],
+            }
+        return {
+            "name": self.name,
+            "observations": total,
+            "ridge": self.ridge,
+            "forgetting": self.forgetting,
+            "corrupted": self.corrupted,
+            "classes": classes,
+        }
 
 
 class LearnedPerformanceModel:
@@ -218,8 +333,10 @@ class LearnedPerformanceModel:
         ridge: float = 4.0,
         forgetting: float = 0.995,
     ) -> None:
-        if ridge <= 0:
-            raise ConfigurationError("ridge must be positive")
+        if not 0 < ridge < math.inf:
+            raise ConfigurationError(
+                "'ridge' must be positive and finite, got {!r}".format(ridge)
+            )
         if not 0 < forgetting <= 1:
             raise ConfigurationError("forgetting must be in (0, 1]")
         self.ridge = ridge
@@ -229,6 +346,9 @@ class LearnedPerformanceModel:
         #: against.
         self._base_oltp = OLTPResponseTimeModel(prior_slope=prior_slope)
         self._classes: Dict[str, _ClassPredictor] = {}
+        #: ``(name, kind)`` of every class in name order, for :meth:`state`
+        #: (None once a class is added, until the next state is taken).
+        self._class_keys: Optional[Tuple[Tuple[str, str], ...]] = ()
         self._pending: Optional[MixSnapshot] = None
         self._corrupted = False
         #: :func:`_mix_features` by class name for ``_featured_mix`` — one
@@ -271,6 +391,7 @@ class LearnedPerformanceModel:
         if predictor is None:
             predictor = _ClassPredictor(kind, self.ridge)
             self._classes[name] = predictor
+            self._class_keys = None
         return predictor
 
     # ------------------------------------------------------------------
@@ -357,23 +478,30 @@ class LearnedPerformanceModel:
                 x, state.value - base, self.forgetting
             )
 
+    def state(self) -> LearnedModelState:
+        """Immutable snapshot: hyperparameters, per-class counts and weights."""
+        keys = self._class_keys
+        if keys is None:
+            keys = self._class_keys = tuple(
+                sorted((name, p.kind) for name, p in self._classes.items())
+            )
+        values: List[float] = []
+        for name, _ in keys:
+            predictor = self._classes[name]
+            values.append(predictor.observations)
+            values.extend(predictor.w)
+        return LearnedModelState(
+            self.name,
+            self.ridge,
+            self.forgetting,
+            self._corrupted,
+            keys,
+            array("d", values),
+        )
+
     def describe(self) -> Dict[str, object]:
         """JSON-safe snapshot: hyperparameters plus per-class weights."""
-        return {
-            "name": self.name,
-            "observations": self.observations,
-            "ridge": self.ridge,
-            "forgetting": self.forgetting,
-            "corrupted": self._corrupted,
-            "classes": {
-                name: {
-                    "kind": predictor.kind,
-                    "observations": predictor.observations,
-                    "weights": [round(w, 9) for w in predictor.w],
-                }
-                for name, predictor in sorted(self._classes.items())
-            },
-        }
+        return self.state().to_dict()
 
     def corrupt(self, mode: str = "regression") -> None:
         """Poison the learned state: every prediction becomes NaN."""
@@ -386,6 +514,7 @@ class LearnedPerformanceModel:
     def reset(self) -> None:
         """Drop all learned state (weights, pending pairing, corruption)."""
         self._classes = {}
+        self._class_keys = ()
         self._pending = None
         self._corrupted = False
         self._featured_mix = None
@@ -418,20 +547,43 @@ class LearnedPerformanceModel:
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "LearnedPerformanceModel":
         """Reconstruct a trained model from :meth:`to_dict` output."""
-        if payload.get("format") != 1 or payload.get("name") != "learned":
+        if (
+            not isinstance(payload, dict)
+            or payload.get("format") != 1
+            or payload.get("name") != "learned"
+        ):
             raise ConfigurationError(
                 "not a learned-model file (expected format=1, name='learned')"
             )
         hyper = payload.get("hyper") or {}
-        model = LearnedPerformanceModel(
-            prior_slope=float(hyper.get("prior_slope", -4.2e-6)),
-            ridge=float(hyper.get("ridge", 4.0)),
-            forgetting=float(hyper.get("forgetting", 0.995)),
-        )
         classes = payload.get("classes") or {}
+        if not isinstance(hyper, dict) or not isinstance(classes, dict):
+            raise ConfigurationError(
+                "learned model 'hyper' and 'classes' must be objects"
+            )
+        model = LearnedPerformanceModel(
+            prior_slope=_hyperparameter(hyper, "prior_slope", -4.2e-6),
+            ridge=_hyperparameter(hyper, "ridge", 4.0),
+            forgetting=_hyperparameter(hyper, "forgetting", 0.995),
+        )
         for name, state in classes.items():
-            model._classes[name] = _ClassPredictor.from_dict(state, model.ridge)
+            model._classes[name] = _ClassPredictor.from_dict(name, state, model.ridge)
+        model._class_keys = None
         return model
+
+
+class OracleModelState(NamedTuple):
+    """The oracle's :class:`~repro.core.modeling.protocol.ModelState`."""
+
+    name: str
+    corrupted: bool
+
+    #: Persistence has no slope and learns from nothing.
+    slope = None
+    observations = 0
+
+    def to_dict(self) -> Dict[str, object]:
+        return {"name": self.name, "observations": 0, "corrupted": self.corrupted}
 
 
 class OracleLastValueModel:
@@ -446,7 +598,7 @@ class OracleLastValueModel:
     name = "oracle"
 
     def __init__(self) -> None:
-        self._corrupted = False
+        self._state = OracleModelState(self.name, False)
 
     def predict(
         self,
@@ -454,7 +606,7 @@ class OracleLastValueModel:
         proposed_limit: float,
         mix: Optional[MixSnapshot] = None,
     ) -> float:
-        if self._corrupted:
+        if self._state.corrupted:
             return float("nan")
         if status.service_class.kind == "olap":
             return max(0.0, min(1.0, status.current_value))
@@ -463,11 +615,15 @@ class OracleLastValueModel:
     def observe(self, observation: IntervalObservation) -> None:
         pass
 
+    def state(self) -> "OracleModelState":
+        """One object until :meth:`corrupt` or :meth:`reset`."""
+        return self._state
+
     def describe(self) -> Dict[str, object]:
-        return {"name": self.name, "observations": 0, "corrupted": self._corrupted}
+        return self.state().to_dict()
 
     def corrupt(self, mode: str = "regression") -> None:
-        self._corrupted = True
+        self._state = OracleModelState(self.name, True)
 
     def reset(self) -> None:
-        self._corrupted = False
+        self._state = OracleModelState(self.name, False)

@@ -10,8 +10,10 @@ rest of the system is wired against:
   :class:`MixSnapshot` of the full concurrent workload;
 * :meth:`PerformanceModel.observe` — one :class:`IntervalObservation` per
   control interval, from which online models learn;
-* :meth:`PerformanceModel.describe` — a JSON-safe parameter dict the
-  telemetry layer embeds in every :class:`ControlIntervalRecord`;
+* :meth:`PerformanceModel.state` — an immutable :class:`ModelState` the
+  planner keeps in every ``ControlIntervalRecord``, rendered to a dict
+  only when the record is exported; :meth:`PerformanceModel.describe` is
+  the same rendering of the current state;
 * :meth:`PerformanceModel.corrupt` / :meth:`PerformanceModel.reset` — the
   fault injector's white-box corruption seam, so breaking a model for a
   validation test never requires reaching into private attributes (the
@@ -89,6 +91,24 @@ class IntervalObservation(NamedTuple):
     mix: MixSnapshot
 
 
+class ModelState(Protocol):
+    """An immutable snapshot of a model's parameters at one interval.
+
+    Compact by design — one is kept per control interval — and rendered
+    only on export: ``to_dict()`` is the model's ``describe()`` dict as it
+    was when the state was taken.
+    """
+
+    #: The calibrated OLTP slope, for a model with one (else None).
+    slope: Optional[float]
+    #: Observations folded in so far, for a model that counts them.
+    observations: Optional[int]
+
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON-safe parameter dict."""
+        ...
+
+
 @runtime_checkable
 class PerformanceModel(Protocol):
     """Structural contract every performance model satisfies."""
@@ -109,8 +129,12 @@ class PerformanceModel(Protocol):
         """Fold in one control interval's realised state."""
         ...
 
+    def state(self) -> ModelState:
+        """Immutable parameter snapshot (never raises, corrupted or not)."""
+        ...
+
     def describe(self) -> Dict[str, object]:
-        """JSON-safe parameter snapshot for telemetry export."""
+        """JSON-safe parameter snapshot: ``state().to_dict()``."""
         ...
 
     def corrupt(self, mode: str = "regression") -> None:

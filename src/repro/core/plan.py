@@ -9,7 +9,7 @@ plus the invariant checks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, ItemsView, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import SchedulingError
 
@@ -17,10 +17,43 @@ from repro.errors import SchedulingError
 _SUM_TOLERANCE = 1e-6
 
 
+class PlanLimits(Mapping[str, float]):
+    """A read-only view of one plan's class cost limits — no copy.
+
+    What a per-interval record keeps of the installed plan: it compares
+    equal to the limits as a dict, pickles with its plan, and renders as a
+    dict only when exported.
+    """
+
+    __slots__ = ("_limits",)
+
+    def __init__(self, limits: Dict[str, float]) -> None:
+        self._limits = limits
+
+    def __getitem__(self, class_name: str) -> float:
+        return self._limits[class_name]
+
+    def __contains__(self, class_name: object) -> bool:
+        return class_name in self._limits
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._limits)
+
+    def __len__(self) -> int:
+        return len(self._limits)
+
+    def items(self) -> ItemsView[str, float]:
+        """(class, limit) pairs."""
+        return self._limits.items()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "PlanLimits({!r})".format(self._limits)
+
+
 class SchedulingPlan:
     """Immutable mapping of service-class name to class cost limit."""
 
-    __slots__ = ("_limits", "system_cost_limit", "created_at")
+    __slots__ = ("_limits", "limits", "system_cost_limit", "created_at")
 
     def __init__(
         self,
@@ -45,6 +78,8 @@ class SchedulingPlan:
                 )
             )
         self._limits: Dict[str, float] = dict(limits)
+        #: The limits as one read-only view (:class:`PlanLimits`).
+        self.limits = PlanLimits(self._limits)
         self.system_cost_limit = float(system_cost_limit)
         self.created_at = float(created_at)
 

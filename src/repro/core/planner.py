@@ -284,18 +284,19 @@ class SchedulingPlanner:
         return telemetry
 
     def _solver_telemetry(self, plan: SchedulingPlan) -> SolverTelemetry:
-        """The solver's decision and model state.  Model-free allocators
-        simply yield no objective/model data."""
+        """The solver's decision and model state, kept as values: the plan's
+        limits view and the model's immutable ``state()``, rendered only on
+        export.  Model-free allocators simply yield no objective/model data."""
         model = self.model
-        description = model.describe() if model is not None else {}
+        state = model.state() if model is not None else None
         return SolverTelemetry(
-            allocation=plan.as_dict(),
+            allocation=plan.limits,
             objective=getattr(self.solver, "last_score", None),
             evaluations=getattr(self.solver, "last_evaluations", 0),
             solve_calls=getattr(self.solver, "solve_calls", 0),
-            oltp_slope=description.get("slope"),
-            oltp_observations=description.get("observations"),
-            model=description,
+            oltp_slope=state.slope if state is not None else None,
+            oltp_observations=state.observations if state is not None else None,
+            model=state,
         )
 
     def _dispatcher_telemetry(self) -> Dict[str, DispatcherClassTelemetry]:

@@ -9,7 +9,7 @@ the period in which each query *finished*.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.service_class import ServiceClass
 from repro.dbms.query import Query
@@ -130,7 +130,8 @@ class MetricsCollector:
         self.schedule = schedule
         self.classes = list(classes)
         self._cells: Dict[Tuple[int, str], PeriodClassMetrics] = {}
-        self._plan_points: List[Tuple[float, Dict[str, float]]] = []
+        #: (decision time, the plan's read-only limits view) per decision.
+        self._plan_points: List[Tuple[float, Mapping[str, float]]] = []
         self._total_completions = 0
         self._class_completions: Dict[str, int] = {c.name: 0 for c in self.classes}
         #: The latest period a completion landed in (the only one whose
@@ -179,7 +180,7 @@ class MetricsCollector:
 
     def on_plan(self, record: ControlIntervalRecord) -> None:
         """Planner decision hook (register via planner.add_plan_listener)."""
-        self._plan_points.append((record.time, record.plan.as_dict()))
+        self._plan_points.append((record.time, record.plan.limits))
 
     # ------------------------------------------------------------------
     # Queries

@@ -28,12 +28,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
 from repro.metrics.export import open_export
 
 if TYPE_CHECKING:  # imported lazily to keep this importable from anywhere
+    from repro.core.modeling.protocol import ModelState
     from repro.core.monitor import ClassMeasurement
     from repro.core.plan import SchedulingPlan
 
@@ -46,8 +47,7 @@ def _finite(value: Optional[float]) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True)
-class PredictionTelemetry:
+class PredictionTelemetry(NamedTuple):
     """Model prediction bookkeeping for one class at one interval.
 
     ``predicted`` is the model's promise under the plan just installed
@@ -73,15 +73,17 @@ class PredictionTelemetry:
 class SolverTelemetry:
     """The solver's decision at one control interval."""
 
-    allocation: Dict[str, float]
+    #: The installed plan's limits (its read-only ``limits`` view).
+    allocation: Mapping[str, float]
     objective: Optional[float]
     evaluations: int
     solve_calls: int
     oltp_slope: Optional[float]
     oltp_observations: Optional[int]
-    #: The performance model's self-description (``model.describe()``) —
-    #: name, state summary, per-class weights for learned models.
-    model: Dict = field(default_factory=dict)
+    #: The performance model's immutable ``state()`` at this interval,
+    #: rendered (``model.describe()``'s dict) only by :meth:`to_dict`;
+    #: None for model-free allocators, which render as ``{}``.
+    model: Optional["ModelState"] = None
 
     def to_dict(self) -> Dict:
         """JSON-ready representation."""
@@ -92,12 +94,11 @@ class SolverTelemetry:
             "solve_calls": self.solve_calls,
             "oltp_slope": _finite(self.oltp_slope),
             "oltp_observations": self.oltp_observations,
-            "model": self.model,
+            "model": self.model.to_dict() if self.model is not None else {},
         }
 
 
-@dataclass(frozen=True)
-class DispatcherClassTelemetry:
+class DispatcherClassTelemetry(NamedTuple):
     """Dispatcher accounting for one class at one control interval."""
 
     queue_length: int
@@ -132,7 +133,9 @@ class ControlIntervalRecord:
     Built once by :meth:`SchedulingPlanner.run_interval
     <repro.core.planner.SchedulingPlanner.run_interval>` — after the plan
     is installed and the prediction pass has run, before any plan listener
-    — and handed as-is to every listener.
+    — and handed as-is to every listener.  It keeps values, not copies:
+    the plan (whose ``limits`` view is ``solver.allocation``) and the
+    model's immutable state are rendered only by :meth:`to_dict`.
 
     ``violations`` holds the invariant violations the validation harness
     observed at this interval boundary (as JSON-ready dicts; empty when the

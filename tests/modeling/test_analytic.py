@@ -83,3 +83,13 @@ class TestCorruptResetSeam:
         description = model.describe()
         assert description == {"name": "paper", "slope": -4e-6}
         json.dumps(description)
+
+    def test_state_is_one_object_until_the_slope_changes(self):
+        model = PaperAnalyticModel()
+        state = model.state()
+        assert model.state() is state
+        assert (state.slope, state.observations) == (model.oltp.slope, None)
+        model.oltp.slope = -2e-6
+        assert model.state() is not state
+        assert model.state().to_dict() == {"name": "paper", "slope": -2e-6}
+        assert state.to_dict() == {"name": "paper", "slope": -8e-6}

@@ -239,6 +239,66 @@ class TestCorruptReset:
             LearnedPerformanceModel().corrupt("gamma")
 
 
+class TestState:
+    def test_describe_renders_each_class_in_name_order_rounded_to_9_places(self):
+        model = LearnedPerformanceModel(ridge=2.0)
+        for k in range(6):
+            mix = MixSnapshot(
+                60.0 * k,
+                tuple(
+                    ClassMixState(
+                        name, kind, 9_000.0 + 700.0 * (k % 3), 0.2 + 0.03 * k,
+                        k % 4, 1, 600.0,
+                    )
+                    for name, kind in (("zeta", "olap"), ("alpha", "oltp"))
+                ),
+            )
+            model.observe(IntervalObservation(60.0 * k, mix))
+        expected = {
+            "name": "learned",
+            "observations": 10,
+            "ridge": 2.0,
+            "forgetting": 0.995,
+            "corrupted": False,
+            "classes": {
+                name: {
+                    "kind": predictor.kind,
+                    "observations": 5,
+                    "weights": [round(w, 9) for w in predictor.w],
+                }
+                for name, predictor in (
+                    ("alpha", model._classes["alpha"]),
+                    ("zeta", model._classes["zeta"]),
+                )
+            },
+        }
+        assert json.dumps(model.describe()) == json.dumps(expected)
+        assert (model.state().slope, model.state().observations) == (None, 10)
+
+    def test_a_state_keeps_its_values_while_the_model_moves_on(self):
+        model = LearnedPerformanceModel()
+        for k in range(3):
+            model.observe(IntervalObservation(60.0 * k, mix_of(60.0 * k, 0.2 + 0.05 * k)))
+        state = model.state()
+        rendered = state.to_dict()
+        model.observe(IntervalObservation(180.0, mix_of(180.0, 0.6)))
+        model.corrupt()
+        assert model.state().to_dict() != rendered
+        model.reset()
+        assert state.to_dict() == rendered
+        assert model.state().to_dict()["classes"] == {}
+
+    def test_oracle_state_is_one_object_until_corrupt_or_reset(self):
+        oracle = OracleLastValueModel()
+        state = oracle.state()
+        assert oracle.state() is state
+        oracle.corrupt()
+        assert oracle.describe() == {"name": "oracle", "observations": 0, "corrupted": True}
+        oracle.reset()
+        assert oracle.state().to_dict() == state.to_dict()
+        assert (state.slope, state.observations) == (None, 0)
+
+
 class TestSerialisation:
     def test_round_trip_preserves_predictions(self):
         model = LearnedPerformanceModel(ridge=2.0, forgetting=0.99)
@@ -267,7 +327,59 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError):
             LearnedPerformanceModel(ridge=0.0)
         with pytest.raises(ConfigurationError):
+            LearnedPerformanceModel(ridge=float("nan"))
+        with pytest.raises(ConfigurationError):
             LearnedPerformanceModel(forgetting=1.5)
+
+    @pytest.mark.parametrize(
+        "damage, names",
+        [
+            (lambda c, h: c.pop("kind"), ("c1", "kind")),
+            (lambda c, h: c.update(kind="htap"), ("c1", "kind")),
+            (lambda c, h: c["weights"].pop(), ("c1", "weights")),
+            (lambda c, h: c["weights"].append(0.0), ("c1", "weights")),
+            (lambda c, h: c["weights"].__setitem__(3, float("nan")), ("c1", "weights")),
+            (lambda c, h: c["weights"].__setitem__(3, "0.1"), ("c1", "weights")),
+            (lambda c, h: c.pop("weights"), ("c1", "weights")),
+            (lambda c, h: c["covariance"][2].pop(), ("c1", "covariance")),
+            (lambda c, h: c["covariance"].pop(), ("c1", "covariance")),
+            (
+                lambda c, h: c["covariance"][0].__setitem__(0, float("inf")),
+                ("c1", "covariance"),
+            ),
+            (lambda c, h: c.update(observations=-1), ("c1", "observations")),
+            (lambda c, h: c.update(observations=2.5), ("c1", "observations")),
+            (lambda c, h: c.update(observations="5"), ("c1", "observations")),
+            (lambda c, h: c.pop("observations"), ("c1", "observations")),
+            (lambda c, h: h.update(ridge="abc"), ("ridge",)),
+            (lambda c, h: h.update(ridge=float("nan")), ("ridge",)),
+            (lambda c, h: h.update(ridge=0.0), ("ridge",)),
+            (lambda c, h: h.update(ridge=float("inf")), ("ridge",)),
+        ],
+        ids=[
+            "no-kind", "unknown-kind", "7-weights", "9-weights", "nan-weight",
+            "string-weight", "no-weights", "7-entry-covariance-row",
+            "7-covariance-rows", "inf-covariance", "negative-observations",
+            "fractional-observations", "string-observations", "no-observations",
+            "string-ridge", "nan-ridge", "zero-ridge", "infinite-ridge",
+        ],
+    )
+    def test_a_malformed_model_file_is_refused_naming_class_and_key(
+        self, damage, names
+    ):
+        """Regression: these loaded silently (the weights fell back to
+        zeros under a non-zero count) or died with a KeyError / ValueError
+        traceback, at load or at the first update."""
+        model = LearnedPerformanceModel()
+        for k in range(4):
+            model.observe(IntervalObservation(60.0 * k, mix_of(60.0 * k, 0.2 + 0.05 * k)))
+        payload = json.loads(json.dumps(model.to_dict()))
+        damage(payload["classes"]["c1"], payload["hyper"])
+        payload = json.loads(json.dumps(payload))  # as read from a file
+        with pytest.raises(ConfigurationError) as caught:
+            LearnedPerformanceModel.from_dict(payload)
+        for name in names:
+            assert repr(name) in str(caught.value)
 
 
 class TestMixAwareness:

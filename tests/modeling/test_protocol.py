@@ -1,5 +1,7 @@
 """Protocol conformance and the model registry."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.config import PlannerConfig
@@ -38,7 +40,15 @@ class TestProtocolConformance:
 
         assert not isinstance(NotAModel(), PerformanceModel)
 
-    def test_the_six_protocol_members_are_all_a_model_needs(self, three_classes):
+    def test_the_seven_protocol_members_are_all_a_model_needs(self, three_classes):
+        class State(NamedTuple):
+            name: str
+            slope = None
+            observations = None
+
+            def to_dict(self):
+                return {"name": self.name}
+
         class HoldsLastValue:
             name = "minimal"
 
@@ -48,8 +58,11 @@ class TestProtocolConformance:
             def observe(self, observation):
                 pass
 
+            def state(self):
+                return State(self.name)
+
             def describe(self):
-                return {"name": self.name}
+                return self.state().to_dict()
 
             def corrupt(self, mode="regression"):
                 pass

@@ -222,3 +222,36 @@ class TestTrainCLI:
     def test_run_rejects_missing_model_file(self, capsys):
         assert main(["run", "--model", "learned:/nonexistent/model.json"]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: m["classes"]["class1"].pop("kind"),
+            lambda m: m["hyper"].update(ridge="abc"),
+            lambda m: m["classes"]["class1"]["weights"].pop(),
+            lambda m: m["classes"]["class1"]["covariance"][0].pop(),
+        ],
+        ids=["no-kind", "string-ridge", "7-weights", "7-entry-covariance-row"],
+    )
+    def test_run_refuses_a_malformed_model_file_in_one_line(
+        self, tmp_path, capsys, damage
+    ):
+        """Regression: these died with a traceback (at load or at the first
+        update), or ran on all-zero weights under a non-zero count."""
+        trained = fit_from_records(synthetic_records(6)).to_dict()
+        payload = json.loads(json.dumps(trained))
+        # The run's class names: c1 -> class1 (OLAP), c3 -> class3 (OLTP).
+        payload["classes"] = {
+            "class" + name[1:]: state for name, state in payload["classes"].items()
+        }
+        damage(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main([
+            "run", "--model", "learned:" + str(path), "--periods", "2",
+            "--period-seconds", "20", "--control-interval", "10",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert "'class1'" in err or "'ridge'" in err

@@ -4,22 +4,25 @@ One run for most of them: :func:`tests.conftest.dense_smoke_spec` (8
 classes, 1 s interval, strict invariants, tracing) with a hub whose one
 subscriber keeps every event, as the benchmark's ``control_dense`` workload
 does.  The solver's pin adds :func:`tests.conftest.paper_smoke_spec` for its
-exhaustive search.
+exhaustive search, and the model-state pins run both specs and weigh one
+trained learned model's state against its ``describe()`` dict.
 """
 
 import cProfile
 import gc
 import pstats
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from repro.core.planner import SchedulingPlanner
-from repro.core.solver import PerformanceSolver
-from repro.experiments.runner import run_spec
+from repro.core.service_class import ResponseTimeGoal, ServiceClass, VelocityGoal
+from repro.core.solver import ClassStatus, PerformanceSolver
+from repro.experiments.runner import assemble_run, finish_run, run_spec
 from repro.metrics.telemetry import ControlIntervalRecord
 from repro.obs.live import LiveEvent, TelemetryHub
-from tests.conftest import dense_smoke_spec, paper_smoke_spec
+from tests.conftest import dense_smoke_spec, paper_smoke_spec, trained_model
 
 #: Ceiling on ``Dispatcher._state`` look-ups per control interval: 45 today
 #: (8 by ``install_plan``, 16 by the planner's mix snapshot and telemetry,
@@ -28,7 +31,8 @@ from tests.conftest import dense_smoke_spec, paper_smoke_spec
 MAX_CLASS_STATE_LOOKUPS = 50
 
 #: Ceiling on Python-level calls under ``run_interval``, listeners included:
-#: 938 today, 1,316 when the publisher rendered the record every interval.
+#: 876 today, 901 when every record built the model's ``describe()`` dict,
+#: 1,316 when the publisher rendered the record every interval.
 MAX_CALLS_PER_INTERVAL = 1035
 
 #: Ceilings on Python-level calls under ``PerformanceSolver.solve``, per solve.
@@ -37,6 +41,11 @@ MAX_CALLS_PER_INTERVAL = 1035
 #: classes, greedy: 278 today, 312 before the bound screen.
 MAX_CALLS_PER_EXHAUSTIVE_SOLVE = 650
 MAX_CALLS_PER_GREEDY_SOLVE = 312
+
+#: Ceiling on what one learned-model ``state()`` retains, as a share of one
+#: ``describe()`` dict, for 8 trained classes: 0.17 today (752 B against
+#: 4,477 B on CPython 3.11); 1.0 when every record kept the dict.
+MAX_STATE_SHARE_OF_DESCRIBE = 0.3
 
 
 def run_with_hub():
@@ -61,6 +70,60 @@ def test_a_record_is_rendered_once_and_only_at_export(monkeypatch, tmp_path):
     assert not rendered  # strict invariants, tracing, hub: nobody asked
     store.save_jsonl(str(tmp_path / "telemetry.jsonl"))
     assert rendered == Counter(range(40))
+
+
+@pytest.mark.parametrize(
+    "make_spec, learns", [(dense_smoke_spec, True), (paper_smoke_spec, False)]
+)
+def test_a_record_renders_its_model_as_it_was_at_its_interval(make_spec, learns):
+    # The record keeps the model's state, not its dict: rendering it after
+    # the run gives the dict ``describe()`` gave while the interval ran,
+    # also for the learned model, whose weights move every interval.
+    result = assemble_run(make_spec())
+    planner = result.bundle.controller.planner
+    captured = []
+    planner.add_plan_listener(lambda record: captured.append(planner.model.describe()))
+    result.bundle.run()
+    records = list(finish_run(result).extras["telemetry"])
+    assert len(records) == len(captured) > 1
+    assert [r.to_dict()["solver"]["model"] for r in records] == captured
+    assert (captured[0] != captured[-1]) is learns
+
+
+def test_a_learned_state_retains_a_fraction_of_a_described_dict():
+    """One ``state()`` of a trained 8-class learned model against one
+    ``describe()``: 752 B against 4,477 B (0.17x) on CPython 3.11, each the
+    mean over 100 calls kept alive (free lists hide a single call's
+    floats, dicts and lists from ``tracemalloc``)."""
+    statuses = [
+        ClassStatus(
+            ServiceClass("olap{}".format(i + 1), "olap", VelocityGoal(0.5), 1),
+            4_000.0 + 500.0 * i,
+            0.3 + 0.05 * i,
+        )
+        for i in range(7)
+    ]
+    statuses.append(
+        ClassStatus(ServiceClass("oltp", "oltp", ResponseTimeGoal(0.25), 3), 8_000.0, 0.2)
+    )
+    model = trained_model(statuses, seed=5)
+
+    def retained(take, calls=100):
+        take()  # the learned model builds its class-key tuple once
+        kept = [None] * calls
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(calls):
+                kept[index] = take()
+            return (tracemalloc.get_traced_memory()[0] - before) / calls
+        finally:
+            tracemalloc.stop()
+
+    assert len(model.describe()["classes"]) == 8
+    assert retained(model.state) <= MAX_STATE_SHARE_OF_DESCRIBE * retained(
+        model.describe
+    )
 
 
 def test_calls_and_class_state_lookups_per_interval_stay_under_the_ceilings(
