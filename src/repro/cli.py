@@ -892,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-events", default=None, metavar="PATH",
         help="also write Chrome trace-event JSON here",
     )
-    spans_parser.set_defaults(func=_cmd_spans)
+    spans_parser.set_defaults(func=_cmd_spans, usage_error="spans error")
 
     trace_parser = sub.add_parser(
         "trace", help="run a planner-based controller and export its telemetry"
@@ -1099,21 +1099,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     The one place a subcommand's :class:`~repro.errors.ReproError` becomes
     a one-line message and an exit code (``_ERROR_EXITS``), and the one
     place the dashboard server is stopped.  Export targets are checked
-    here, before the subcommand assembles or simulates anything.
+    here, before the subcommand assembles or simulates anything; a refused
+    target stays an ``export error`` under a subcommand's ``usage_error``.
     """
     args = build_parser().parse_args(argv)
     args.live_server = None
+    usage_error = None
     try:
         for option in ("output", "trace_events"):
             target = vars(args).get(option)
             if target:
                 check_export_target(target, overwrite=True)
+        usage_error = vars(args).get("usage_error")
         return args.func(args)
     except errors.ReproError as exc:
         for kind, prefix, code in _ERROR_EXITS:
             if isinstance(exc, kind):
-                if code == 2:
-                    prefix = vars(args).get("usage_error", prefix)
+                if code == 2 and usage_error is not None:
+                    prefix = usage_error
                 print("{}: {}".format(prefix, exc), file=sys.stderr)
                 return code
         raise

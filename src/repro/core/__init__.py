@@ -8,76 +8,43 @@ the OLAP velocity and OLTP linear performance models, utility-function
 objectives, and the table of controllers an experiment can run.
 """
 
-from repro.core.classifier import Classifier
-from repro.core.controllers import CONTROLLER_NAMES, CONTROLLERS
-from repro.core.detection import (
-    ShiftEvent,
-    WorkloadCharacterization,
-    WorkloadDetector,
-)
-from repro.core.direct import DirectScheduler
-from repro.core.heuristic import DeficitAllocator
-from repro.core.dispatcher import Dispatcher
-from repro.core.modeling import (
-    LearnedPerformanceModel,
-    OLAPVelocityModel,
-    OLTPResponseTimeModel,
-    OracleLastValueModel,
-    PaperAnalyticModel,
-    PerformanceModel,
-    make_model,
-)
-from repro.core.monitor import ClassMeasurement, Monitor
-from repro.core.mpl import MPLController
-from repro.core.plan import SchedulingPlan
-from repro.core.planner import SchedulingPlanner
-from repro.core.scheduler import QueryScheduler
-from repro.core.service_class import (
-    PerformanceGoal,
-    ResponseTimeGoal,
-    ServiceClass,
-    VelocityGoal,
-)
-from repro.core.solver import PerformanceSolver
-from repro.core.utility import (
-    PiecewiseLinearUtility,
-    SigmoidUtility,
-    StepUtility,
-    UtilityFunction,
-    make_utility,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "QueryScheduler",
-    "ServiceClass",
-    "PerformanceGoal",
-    "VelocityGoal",
-    "ResponseTimeGoal",
-    "SchedulingPlan",
-    "Classifier",
-    "Monitor",
-    "ClassMeasurement",
-    "Dispatcher",
-    "SchedulingPlanner",
-    "PerformanceSolver",
-    "OLAPVelocityModel",
-    "OLTPResponseTimeModel",
-    "PaperAnalyticModel",
-    "LearnedPerformanceModel",
-    "OracleLastValueModel",
-    "PerformanceModel",
-    "make_model",
-    "UtilityFunction",
-    "PiecewiseLinearUtility",
-    "SigmoidUtility",
-    "StepUtility",
-    "make_utility",
-    "CONTROLLERS",
-    "CONTROLLER_NAMES",
-    "MPLController",
-    "DirectScheduler",
-    "WorkloadDetector",
-    "WorkloadCharacterization",
-    "ShiftEvent",
-    "DeficitAllocator",
-]
+_EXPORTS = {
+    "QueryScheduler": "repro.core.scheduler",
+    "ServiceClass": "repro.core.service_class",
+    "PerformanceGoal": "repro.core.service_class",
+    "VelocityGoal": "repro.core.service_class",
+    "ResponseTimeGoal": "repro.core.service_class",
+    "SchedulingPlan": "repro.core.plan",
+    "Classifier": "repro.core.classifier",
+    "Monitor": "repro.core.monitor",
+    "ClassMeasurement": "repro.core.monitor",
+    "Dispatcher": "repro.core.dispatcher",
+    "SchedulingPlanner": "repro.core.planner",
+    "PerformanceSolver": "repro.core.solver",
+    "OLAPVelocityModel": "repro.core.modeling.analytic",
+    "OLTPResponseTimeModel": "repro.core.modeling.analytic",
+    "PaperAnalyticModel": "repro.core.modeling.analytic",
+    "LearnedPerformanceModel": "repro.core.modeling.learned",
+    "OracleLastValueModel": "repro.core.modeling.learned",
+    "PerformanceModel": "repro.core.modeling.protocol",
+    "make_model": "repro.core.modeling.registry",
+    "UtilityFunction": "repro.core.utility",
+    "PiecewiseLinearUtility": "repro.core.utility",
+    "SigmoidUtility": "repro.core.utility",
+    "StepUtility": "repro.core.utility",
+    "make_utility": "repro.core.utility",
+    "CONTROLLERS": "repro.core.controllers",
+    "CONTROLLER_NAMES": "repro.core.controllers",
+    "MPLController": "repro.core.mpl",
+    "DirectScheduler": "repro.core.direct",
+    "WorkloadDetector": "repro.core.detection",
+    "WorkloadCharacterization": "repro.core.detection",
+    "ShiftEvent": "repro.core.detection",
+    "DeficitAllocator": "repro.core.heuristic",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,21 +25,27 @@ assembled bundle (``sim``, ``engine``, ``patroller``, ``classes``,
                        and AIMD loop of its own, no planner
 ``"direct"``        -- in-engine direct control extension (Section 5)
 
+A builder imports its controller's class, so a run loads only the
+controller it runs.
+
 QP "is turned off" for the OLTP class under every patroller-based entry.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.core.direct import DirectScheduler
-from repro.core.mpl import MPLController
-from repro.core.scheduler import QueryScheduler
-from repro.patroller.policy import QPStaticPolicy, standard_groups
+if TYPE_CHECKING:
+    from repro.core.direct import DirectScheduler
+    from repro.core.mpl import MPLController
+    from repro.core.scheduler import QueryScheduler
+    from repro.patroller.policy import QPStaticPolicy
 
 
 def _static_policy(bundle, name: str, description: str, **policy) -> QPStaticPolicy:
+    from repro.patroller.policy import QPStaticPolicy
+
     bundle.patroller.intercept_only(
         c.name for c in bundle.classes if c.directly_controlled
     )
@@ -61,6 +67,8 @@ def _no_control(bundle, static_olap_limit: Optional[float]) -> QPStaticPolicy:
 def _qp_static(
     bundle, static_olap_limit: Optional[float], priority_control: bool
 ) -> QPStaticPolicy:
+    from repro.patroller.policy import standard_groups
+
     limit = (
         static_olap_limit
         if static_olap_limit is not None
@@ -85,6 +93,8 @@ def _qp_static(
 def _query_scheduler(
     bundle, static_olap_limit: Optional[float], detection: bool
 ) -> QueryScheduler:
+    from repro.core.scheduler import QueryScheduler
+
     scheduler = QueryScheduler(
         bundle.sim, bundle.engine, bundle.patroller, bundle.classes, bundle.config
     )
@@ -94,6 +104,8 @@ def _query_scheduler(
 
 
 def _mpl(bundle, static_olap_limit: Optional[float]) -> MPLController:
+    from repro.core.mpl import MPLController
+
     return MPLController(
         bundle.sim,
         bundle.patroller,
@@ -104,6 +116,8 @@ def _mpl(bundle, static_olap_limit: Optional[float]) -> MPLController:
 
 
 def _direct(bundle, static_olap_limit: Optional[float]) -> DirectScheduler:
+    from repro.core.direct import DirectScheduler
+
     return DirectScheduler(
         bundle.sim, bundle.engine, bundle.patroller, bundle.classes, bundle.config
     )

@@ -19,51 +19,30 @@ under candidate cost limits, behind one structural seam:
   (``"paper"``, ``"learned[:path]"``, ``"oracle"``) to model objects.
 """
 
-from repro.core.modeling.analytic import (
-    _MIN_LIMIT,
-    OLAPVelocityModel,
-    OLTPResponseTimeModel,
-    PaperAnalyticModel,
-)
-from repro.core.modeling.learned import (
-    LearnedPerformanceModel,
-    OracleLastValueModel,
-)
-from repro.core.modeling.protocol import (
-    ClassMixState,
-    IntervalObservation,
-    MixSnapshot,
-    ModelState,
-    PerformanceModel,
-)
-from repro.core.modeling.registry import MODEL_NAMES, make_model, parse_model_spec
-from repro.core.modeling.training import (
-    evaluate_on_records,
-    fit_from_records,
-    load_model,
-    load_telemetry_records,
-    observations_from_records,
-    save_model,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ClassMixState",
-    "IntervalObservation",
-    "LearnedPerformanceModel",
-    "MixSnapshot",
-    "ModelState",
-    "MODEL_NAMES",
-    "OLAPVelocityModel",
-    "OLTPResponseTimeModel",
-    "OracleLastValueModel",
-    "PaperAnalyticModel",
-    "PerformanceModel",
-    "evaluate_on_records",
-    "fit_from_records",
-    "load_model",
-    "load_telemetry_records",
-    "make_model",
-    "observations_from_records",
-    "parse_model_spec",
-    "save_model",
-]
+_EXPORTS = {
+    "ClassMixState": "repro.core.modeling.protocol",
+    "IntervalObservation": "repro.core.modeling.protocol",
+    "LearnedPerformanceModel": "repro.core.modeling.learned",
+    "MixSnapshot": "repro.core.modeling.protocol",
+    "ModelState": "repro.core.modeling.protocol",
+    "MODEL_NAMES": "repro.core.modeling.registry",
+    "OLAPVelocityModel": "repro.core.modeling.analytic",
+    "OLTPResponseTimeModel": "repro.core.modeling.analytic",
+    "OracleLastValueModel": "repro.core.modeling.learned",
+    "PaperAnalyticModel": "repro.core.modeling.analytic",
+    "PerformanceModel": "repro.core.modeling.protocol",
+    "evaluate_on_records": "repro.core.modeling.training",
+    "fit_from_records": "repro.core.modeling.training",
+    "load_model": "repro.core.modeling.training",
+    "load_telemetry_records": "repro.core.modeling.training",
+    "make_model": "repro.core.modeling.registry",
+    "observations_from_records": "repro.core.modeling.training",
+    "parse_model_spec": "repro.core.modeling.registry",
+    "save_model": "repro.core.modeling.training",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.modeling.analytic import OLTPResponseTimeModel, PaperAnalyticModel
-from repro.core.modeling.learned import LearnedPerformanceModel, OracleLastValueModel
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -59,6 +58,8 @@ def make_model(spec: str, planner: Optional["PlannerConfig"] = None):
         if planner is not None:
             return PaperAnalyticModel(OLTPResponseTimeModel(planner.oltp_slope_prior))
         return PaperAnalyticModel()
+    from repro.core.modeling.learned import LearnedPerformanceModel, OracleLastValueModel
+
     if base == "oracle":
         return OracleLastValueModel()
     if argument is not None:

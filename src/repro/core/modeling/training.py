@@ -37,6 +37,32 @@ def _metric_kind(metric: str) -> str:
     return "olap" if metric == "velocity" else "oltp"
 
 
+def _mapping(value) -> Mapping:
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise TypeError
+    return value
+
+
+def _number(value):
+    if value is not None and not isinstance(value, (int, float)):
+        raise TypeError
+    return value
+
+
+def _field(index: int, key: str, convert, value):
+    """``convert(value)``, or a ConfigurationError naming the record and key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            "telemetry record {} (0-based): {!r} has the wrong type ({!r})".format(
+                index, key, value
+            )
+        ) from None
+
+
 def observations_from_records(
     records: Sequence[Mapping],
 ) -> List[IntervalObservation]:
@@ -46,37 +72,56 @@ def observations_from_records(
     chosen at record ``k-1`` (the limits *active while* those values were
     realised) — the same pairing the live planner hands ``observe``.  The
     first record has no active-plan predecessor and seeds the initial
-    mix from its own allocation.
+    mix from its own allocation.  A value of the wrong type raises
+    :class:`~repro.errors.ConfigurationError` naming the record and key.
     """
     observations: List[IntervalObservation] = []
     previous_allocation: Optional[Mapping] = None
-    for record in records:
-        solver = record.get("solver") or {}
-        allocation = solver.get("allocation") or {}
-        measurements = record.get("measurements") or {}
-        dispatcher = record.get("dispatcher") or {}
+    for index, record in enumerate(records):
+        record = _field(index, "record", _mapping, record)
+        solver = _field(index, "solver", _mapping, record.get("solver"))
+        allocation = {
+            name: _field(index, "solver.allocation." + name, float, limit or 0.0)
+            for name, limit in _field(
+                index, "solver.allocation", _mapping, solver.get("allocation")
+            ).items()
+        }
+        measurements = _field(index, "measurements", _mapping, record.get("measurements"))
+        dispatcher = _field(index, "dispatcher", _mapping, record.get("dispatcher"))
         active = previous_allocation if previous_allocation is not None else allocation
         states = []
         for name in sorted(set(active) | set(measurements)):
-            measurement = measurements.get(name) or {}
-            queues = dispatcher.get(name) or {}
+            measurement = _field(
+                index, "measurements." + name, _mapping, measurements.get(name)
+            )
+            queues = _field(index, "dispatcher." + name, _mapping, dispatcher.get(name))
+            key = "dispatcher.{}.".format(name)
             states.append(
                 ClassMixState(
                     name=name,
                     kind=_metric_kind(measurement.get("metric", "velocity")),
-                    limit=float(active.get(name, 0.0) or 0.0),
-                    value=measurement.get("value"),
-                    queue_length=int(queues.get("queue_length", 0) or 0),
-                    in_flight_count=int(queues.get("in_flight_count", 0) or 0),
-                    in_flight_cost=float(queues.get("in_flight_cost", 0.0) or 0.0),
+                    limit=active.get(name, 0.0),
+                    value=_field(
+                        index, "measurements.{}.value".format(name), _number,
+                        measurement.get("value"),
+                    ),
+                    queue_length=_field(
+                        index, key + "queue_length", int, queues.get("queue_length") or 0
+                    ),
+                    in_flight_count=_field(
+                        index, key + "in_flight_count", int,
+                        queues.get("in_flight_count") or 0,
+                    ),
+                    in_flight_cost=_field(
+                        index, key + "in_flight_cost", float,
+                        queues.get("in_flight_cost") or 0.0,
+                    ),
                 )
             )
+        time = _field(index, "time", float, record.get("time", 0.0))
         observations.append(
             IntervalObservation(
-                time=float(record.get("time", 0.0)),
-                mix=MixSnapshot(
-                    time=float(record.get("time", 0.0)), classes=tuple(states)
-                ),
+                time=time, mix=MixSnapshot(time=time, classes=tuple(states))
             )
         )
         previous_allocation = allocation

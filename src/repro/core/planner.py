@@ -22,14 +22,13 @@ from typing import Callable, Dict, List, Optional
 
 from repro.config import PlannerConfig, SimulationConfig
 from repro.core.dispatcher import Dispatcher
-from repro.core.heuristic import DeficitAllocator
-from repro.core.modeling import (
+from repro.core.modeling.protocol import (
     ClassMixState,
     IntervalObservation,
     MixSnapshot,
     PerformanceModel,
-    make_model,
 )
+from repro.core.modeling.registry import make_model
 from repro.core.monitor import ClassMeasurement, Monitor
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import ServiceClass
@@ -54,6 +53,8 @@ def make_solver(config: SimulationConfig):
     the model-free deficit heuristic (``planner.allocator == "deficit"``)."""
     planner = config.planner
     if planner.allocator == "deficit":
+        from repro.core.heuristic import DeficitAllocator
+
         return DeficitAllocator(
             system_cost_limit=config.system_cost_limit,
             grid_timerons=planner.grid_timerons,

@@ -19,11 +19,10 @@ paper's indirect control (Section 3).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import SimulationConfig
 from repro.core.classifier import Classifier
-from repro.core.detection import WorkloadDetector
 from repro.core.dispatcher import Dispatcher
 from repro.core.monitor import Monitor
 from repro.core.plan import SchedulingPlan
@@ -35,6 +34,9 @@ from repro.metrics.telemetry import TelemetryStore
 from repro.obs.registry import MetricsRegistry
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import ExecutionEngine, TimerService
+
+if TYPE_CHECKING:
+    from repro.core.detection import WorkloadDetector
 
 
 class QueryScheduler:
@@ -125,6 +127,8 @@ class QueryScheduler:
         """
         if self.detector is not None:
             raise SchedulingError("detection already enabled")
+        from repro.core.detection import WorkloadDetector
+
         detector = WorkloadDetector(self.sim, self.classes, **detector_kwargs)
         self.patroller.subscribe("submitted", detector.observe)
         detector.add_shift_listener(lambda event: self.planner.trigger_early())

@@ -8,21 +8,20 @@ queries in timerons (with estimation error), and a snapshot monitor exposing
 the most recently completed statement per client connection.
 """
 
-from repro.dbms.agent import AgentPool
-from repro.dbms.engine import DatabaseEngine
-from repro.dbms.optimizer import CostEstimator
-from repro.dbms.overload import OverloadModel
-from repro.dbms.query import Phase, Query, QueryState
-from repro.dbms.snapshot import SnapshotMonitor, SnapshotSample
+from repro import lazy_exports
 
-__all__ = [
-    "AgentPool",
-    "DatabaseEngine",
-    "CostEstimator",
-    "OverloadModel",
-    "Phase",
-    "Query",
-    "QueryState",
-    "SnapshotMonitor",
-    "SnapshotSample",
-]
+_EXPORTS = {
+    "AgentPool": "repro.dbms.agent",
+    "DatabaseEngine": "repro.dbms.engine",
+    "CostEstimator": "repro.dbms.optimizer",
+    "OverloadModel": "repro.dbms.overload",
+    "Phase": "repro.dbms.query",
+    "Query": "repro.dbms.query",
+    "QueryState": "repro.dbms.query",
+    "SnapshotMonitor": "repro.dbms.snapshot",
+    "SnapshotSample": "repro.dbms.snapshot",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,91 +1,47 @@
 """Experiment harness: builds full simulations and reproduces the paper's
 calibration sweep and Figures 2-7."""
 
-from repro.experiments.runner import (
-    ExperimentResult,
-    ExperimentSpec,
-    SimulationBundle,
-    assemble_run,
-    build_bundle,
-    finish_run,
-    make_controller,
-    run_spec,
-)
-from repro.experiments.calibration import (
-    fit_oltp_slope,
-    sweep_system_cost_limit,
-)
-from repro.experiments.figures import (
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-)
-from repro.experiments.model_ablation import (
-    DEFAULT_MODELS,
-    DEFAULT_SCENARIOS,
-    ablation_table,
-    run_model_ablation,
-)
-from repro.experiments.parallel import (
-    RunOutcome,
-    RunRequest,
-    RunSummary,
-    execute_request,
-    run_requests,
-    summarize_result,
-)
-from repro.experiments.replication import (
-    ReplicationSummary,
-    RunFailure,
-    compare,
-    comparison_table,
-    replicate,
-)
-from repro.experiments.reportgen import generate_report, write_report
-from repro.experiments.sensitivity import (
-    set_config_field,
-    sweep,
-    sweep_table,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "SimulationBundle",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "build_bundle",
-    "make_controller",
-    "assemble_run",
-    "run_spec",
-    "finish_run",
-    "sweep_system_cost_limit",
-    "fit_oltp_slope",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "replicate",
-    "compare",
-    "comparison_table",
-    "ReplicationSummary",
-    "RunFailure",
-    "RunRequest",
-    "RunSummary",
-    "RunOutcome",
-    "run_requests",
-    "execute_request",
-    "summarize_result",
-    "sweep",
-    "sweep_table",
-    "set_config_field",
-    "generate_report",
-    "write_report",
-    "DEFAULT_MODELS",
-    "DEFAULT_SCENARIOS",
-    "ablation_table",
-    "run_model_ablation",
-]
+_EXPORTS = {
+    "SimulationBundle": "repro.experiments.runner",
+    "ExperimentResult": "repro.experiments.runner",
+    "ExperimentSpec": "repro.experiments.runner",
+    "build_bundle": "repro.experiments.runner",
+    "make_controller": "repro.experiments.runner",
+    "assemble_run": "repro.experiments.runner",
+    "run_spec": "repro.experiments.runner",
+    "finish_run": "repro.experiments.runner",
+    "sweep_system_cost_limit": "repro.experiments.calibration",
+    "fit_oltp_slope": "repro.experiments.calibration",
+    "figure2": "repro.experiments.figures",
+    "figure3": "repro.experiments.figures",
+    "figure4": "repro.experiments.figures",
+    "figure5": "repro.experiments.figures",
+    "figure6": "repro.experiments.figures",
+    "figure7": "repro.experiments.figures",
+    "replicate": "repro.experiments.replication",
+    "compare": "repro.experiments.replication",
+    "comparison_table": "repro.experiments.replication",
+    "ReplicationSummary": "repro.experiments.replication",
+    "RunFailure": "repro.experiments.replication",
+    "RunRequest": "repro.experiments.parallel",
+    "RunSummary": "repro.experiments.parallel",
+    "RunOutcome": "repro.experiments.parallel",
+    "run_requests": "repro.experiments.parallel",
+    "execute_request": "repro.experiments.parallel",
+    "summarize_result": "repro.experiments.parallel",
+    "sweep": "repro.experiments.sensitivity",
+    "sweep_table": "repro.experiments.sensitivity",
+    "set_config_field": "repro.experiments.sensitivity",
+    "generate_report": "repro.experiments.reportgen",
+    "write_report": "repro.experiments.reportgen",
+    "DEFAULT_MODELS": "repro.experiments.model_ablation",
+    "DEFAULT_SCENARIOS": "repro.experiments.model_ablation",
+    "ablation_table": "repro.experiments.model_ablation",
+    "run_model_ablation": "repro.experiments.model_ablation",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,7 +30,6 @@ from repro.core.controllers import CONTROLLER_NAMES, CONTROLLERS
 from repro.core.service_class import ServiceClass, paper_classes
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
-from repro.obs.tracer import QueryTracer
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import (
     BACKEND_NAMES,
@@ -40,7 +39,6 @@ from repro.runtime import (
     make_backend,
 )
 from repro.sim.rng import RandomStreams
-from repro.validation import attach_harness
 from repro.workloads.client import ClosedLoopClient
 from repro.workloads.schedule import (
     ClientPoolManager,
@@ -347,14 +345,17 @@ def assemble_run(
             extras["metrics_registry"] = built.registry
         tracer = None
         if spec.tracing:
+            from repro.obs.tracer import QueryTracer
+
             tracer = extras["tracer"] = QueryTracer(
                 clock=bundle.sim,
                 patroller=bundle.patroller,
                 schedule=bundle.schedule,
             )
-        harness = attach_harness(bundle, mode=spec.invariants)
-        if harness is not None:
-            extras["validation"] = harness
+        if spec.invariants != "off":
+            from repro.validation.harness import attach_harness
+
+            extras["validation"] = attach_harness(bundle, mode=spec.invariants)
         if hub is not None:
             from repro.obs.live.publish import RunPublisher
 

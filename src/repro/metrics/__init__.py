@@ -1,56 +1,33 @@
 """Metric collection and reporting for experiments."""
 
-from repro.metrics.collector import MetricsCollector, PeriodClassMetrics
-from repro.metrics.export import (
-    result_to_csv,
-    result_to_dict,
-    result_to_json,
-    save_result,
-)
-from repro.metrics.report import (
-    Column,
-    Table,
-    attainment_table,
-    period_table,
-    plan_table,
-    prediction_error_table,
-    render_series_chart,
-    run_tables,
-    series_table,
-    span_tables,
-    telemetry_tables,
-)
-from repro.metrics.telemetry import (
-    ControlIntervalRecord,
-    DispatcherClassTelemetry,
-    PredictionErrorSummary,
-    PredictionTelemetry,
-    SolverTelemetry,
-    TelemetryStore,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ControlIntervalRecord",
-    "DispatcherClassTelemetry",
-    "MetricsCollector",
-    "PeriodClassMetrics",
-    "PredictionErrorSummary",
-    "PredictionTelemetry",
-    "SolverTelemetry",
-    "TelemetryStore",
-    "Column",
-    "Table",
-    "attainment_table",
-    "period_table",
-    "plan_table",
-    "prediction_error_table",
-    "render_series_chart",
-    "run_tables",
-    "series_table",
-    "span_tables",
-    "telemetry_tables",
-    "result_to_dict",
-    "result_to_json",
-    "result_to_csv",
-    "save_result",
-]
+_EXPORTS = {
+    "ControlIntervalRecord": "repro.metrics.telemetry",
+    "DispatcherClassTelemetry": "repro.metrics.telemetry",
+    "MetricsCollector": "repro.metrics.collector",
+    "PeriodClassMetrics": "repro.metrics.collector",
+    "PredictionErrorSummary": "repro.metrics.telemetry",
+    "PredictionTelemetry": "repro.metrics.telemetry",
+    "SolverTelemetry": "repro.metrics.telemetry",
+    "TelemetryStore": "repro.metrics.telemetry",
+    "Column": "repro.metrics.report",
+    "Table": "repro.metrics.report",
+    "attainment_table": "repro.metrics.report",
+    "period_table": "repro.metrics.report",
+    "plan_table": "repro.metrics.report",
+    "prediction_error_table": "repro.metrics.report",
+    "render_series_chart": "repro.metrics.report",
+    "run_tables": "repro.metrics.report",
+    "series_table": "repro.metrics.report",
+    "span_tables": "repro.metrics.report",
+    "telemetry_tables": "repro.metrics.report",
+    "result_to_dict": "repro.metrics.export",
+    "result_to_json": "repro.metrics.export",
+    "result_to_csv": "repro.metrics.export",
+    "save_result": "repro.metrics.export",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

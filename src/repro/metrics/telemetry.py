@@ -338,7 +338,7 @@ class TelemetryStore:
     def load_jsonl(path: str) -> List[Dict]:
         """Read back a JSONL export as plain dicts.
 
-        A line that is not valid JSON (a truncated or corrupted export)
+        A line that is not a JSON object (a truncated or corrupted export)
         raises :class:`~repro.errors.ConfigurationError` naming the file
         and the 1-based line number.
         """
@@ -348,11 +348,18 @@ class TelemetryStore:
                 if not line.strip():
                     continue
                 try:
-                    records.append(json.loads(line))
+                    record = json.loads(line)
                 except ValueError as exc:
                     raise ConfigurationError(
                         "telemetry file {!r}, line {}: not valid JSON ({})".format(
                             path, number, exc
                         )
                     )
+                if not isinstance(record, dict):
+                    raise ConfigurationError(
+                        "telemetry file {!r}, line {}: not a JSON object (got {})".format(
+                            path, number, type(record).__name__
+                        )
+                    )
+                records.append(record)
         return records

@@ -16,48 +16,32 @@ Three pillars on top of the interval-level telemetry of
 See ``docs/OBSERVABILITY.md`` for usage.
 """
 
-from repro.obs.export import (
-    load_chrome_trace,
-    load_spans,
-    load_spans_jsonl,
-    save_chrome_trace,
-    save_spans_jsonl,
-    spans_to_chrome,
-    spans_to_jsonl,
-)
-from repro.obs.profiling import IntervalProfiler, summarize_overhead
-from repro.obs.registry import Counter, Gauge, Instrument, MetricsRegistry
-from repro.obs.spans import (
-    PHASES,
-    TERMINAL_PHASES,
-    PhaseStats,
-    Span,
-    phase_breakdown,
-    slowest_spans,
-    validate_spans,
-)
-from repro.obs.tracer import QueryTracer
+from repro import lazy_exports
 
-__all__ = [
-    "PHASES",
-    "TERMINAL_PHASES",
-    "Counter",
-    "Gauge",
-    "Instrument",
-    "IntervalProfiler",
-    "MetricsRegistry",
-    "PhaseStats",
-    "QueryTracer",
-    "Span",
-    "load_chrome_trace",
-    "load_spans",
-    "load_spans_jsonl",
-    "phase_breakdown",
-    "save_chrome_trace",
-    "save_spans_jsonl",
-    "slowest_spans",
-    "spans_to_chrome",
-    "spans_to_jsonl",
-    "summarize_overhead",
-    "validate_spans",
-]
+_EXPORTS = {
+    "PHASES": "repro.obs.spans",
+    "TERMINAL_PHASES": "repro.obs.spans",
+    "Counter": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Instrument": "repro.obs.registry",
+    "IntervalProfiler": "repro.obs.profiling",
+    "MetricsRegistry": "repro.obs.registry",
+    "PhaseStats": "repro.obs.spans",
+    "QueryTracer": "repro.obs.tracer",
+    "Span": "repro.obs.spans",
+    "load_chrome_trace": "repro.obs.export",
+    "load_spans": "repro.obs.export",
+    "load_spans_jsonl": "repro.obs.export",
+    "phase_breakdown": "repro.obs.spans",
+    "save_chrome_trace": "repro.obs.export",
+    "save_spans_jsonl": "repro.obs.export",
+    "slowest_spans": "repro.obs.spans",
+    "spans_to_chrome": "repro.obs.export",
+    "spans_to_jsonl": "repro.obs.export",
+    "summarize_overhead": "repro.obs.profiling",
+    "validate_spans": "repro.obs.spans",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

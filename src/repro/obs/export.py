@@ -13,6 +13,8 @@ Two interchange formats:
 
 :func:`load_spans` dispatches on path shape (directory / ``.jsonl`` /
 ``.json``) so the ``repro spans`` command can summarise either format.
+A missing or malformed file, or a directory without an export, raises
+:class:`~repro.errors.ConfigurationError` naming the path.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import os
 from typing import Dict, List, Sequence
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.metrics.export import open_export
 from repro.obs.spans import Span, TERMINAL_PHASES
 
@@ -49,10 +51,31 @@ def save_spans_jsonl(
             handle.write(json.dumps(span.to_dict()) + "\n")
 
 
+def _open(path: str):
+    try:
+        return open(path)
+    except OSError as exc:
+        raise ConfigurationError(
+            "spans file {!r}: cannot read ({})".format(path, exc.strerror or exc)
+        ) from None
+
+
 def load_spans_jsonl(path: str) -> List[Span]:
-    """Read back a JSONL export."""
-    with open(path) as handle:
-        return [Span.from_dict(json.loads(line)) for line in handle if line.strip()]
+    """Read back a JSONL export; a bad line is named by its 1-based number."""
+    spans: List[Span] = []
+    with _open(path) as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                spans.append(Span.from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    "spans file {!r}, line {}: not a span ({}: {})".format(
+                        path, number, type(exc).__name__, exc
+                    )
+                ) from None
+    return spans
 
 
 def spans_to_chrome(spans: Sequence[Span]) -> Dict:
@@ -121,12 +144,17 @@ def load_chrome_trace(path: str) -> List[Span]:
     Only events this module wrote are understood (complete events carry
     their full span identity in ``args``); metadata events are skipped.
     """
-    with open(path) as handle:
-        document = json.load(handle)
-    events = document.get("traceEvents")
+    with _open(path) as handle:
+        try:
+            document = json.load(handle)
+        except ValueError as exc:
+            raise ConfigurationError(
+                "spans file {!r}: not valid JSON ({})".format(path, exc)
+            ) from None
+    events = document.get("traceEvents") if isinstance(document, dict) else None
     if not isinstance(events, list):
-        raise SimulationError(
-            "{} is not a trace-event document (no traceEvents list)".format(path)
+        raise ConfigurationError(
+            "spans file {!r}: not a trace-event document (no traceEvents list)".format(path)
         )
     spans: List[Span] = []
     for event in events:
@@ -174,8 +202,8 @@ def load_spans(path: str) -> List[Span]:
             matches = [e for e in entries if e.endswith(suffix)]
             if len(matches) == 1:
                 return load_spans(os.path.join(path, matches[0]))
-        raise SimulationError(
-            "no spans.jsonl or trace.json found under {}".format(path)
+        raise ConfigurationError(
+            "spans directory {!r}: no spans.jsonl or trace.json found".format(path)
         )
     if path.endswith(".jsonl"):
         return load_spans_jsonl(path)

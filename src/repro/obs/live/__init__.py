@@ -16,32 +16,20 @@ library — and attaching a hub to a run is observation-only: results are
 bit-identical with or without it.
 """
 
-from repro.obs.live.hub import (
-    DEFAULT_MAX_QUEUE,
-    EVENT_TYPES,
-    PROTOCOL_VERSION,
-    LiveEvent,
-    Subscription,
-    TelemetryHub,
-)
-from repro.obs.live.publish import RunPublisher, run_start_data
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_QUEUE",
-    "EVENT_TYPES",
-    "PROTOCOL_VERSION",
-    "LiveEvent",
-    "LiveServer",
-    "RunPublisher",
-    "Subscription",
-    "TelemetryHub",
-    "run_start_data",
-]
+_EXPORTS = {
+    "DEFAULT_MAX_QUEUE": "repro.obs.live.hub",
+    "EVENT_TYPES": "repro.obs.live.hub",
+    "PROTOCOL_VERSION": "repro.obs.live.hub",
+    "LiveEvent": "repro.obs.live.hub",
+    "LiveServer": "repro.obs.live.server",
+    "RunPublisher": "repro.obs.live.publish",
+    "Subscription": "repro.obs.live.hub",
+    "TelemetryHub": "repro.obs.live.hub",
+    "run_start_data": "repro.obs.live.publish",
+}
 
+__all__ = list(_EXPORTS)
 
-def __getattr__(name: str):
-    if name == "LiveServer":
-        from repro.obs.live.server import LiveServer
-
-        return LiveServer
-    raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

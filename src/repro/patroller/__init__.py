@@ -10,14 +10,16 @@ intercepted statement still open (the Monitor reads them), an unblocking
 and submitter priorities) used as the paper's comparison baseline.
 """
 
-from repro.patroller.patroller import QueryPatroller
-from repro.patroller.policy import CostGroup, QPStaticPolicy, percentile_thresholds
-from repro.patroller.tables import ControlTables
+from repro import lazy_exports
 
-__all__ = [
-    "QueryPatroller",
-    "ControlTables",
-    "QPStaticPolicy",
-    "CostGroup",
-    "percentile_thresholds",
-]
+_EXPORTS = {
+    "QueryPatroller": "repro.patroller.patroller",
+    "ControlTables": "repro.patroller.tables",
+    "QPStaticPolicy": "repro.patroller.policy",
+    "CostGroup": "repro.patroller.policy",
+    "percentile_thresholds": "repro.patroller.policy",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,66 +1,38 @@
 """Execution-backend abstraction.
 
 ``repro.runtime`` is the seam between the controller stack and whatever
-actually executes queries.  The protocols (:class:`Clock`,
-:class:`TimerService`, :class:`ExecutionEngine`, :class:`ExecutionBackend`)
-and clock helpers import eagerly; the concrete backends
-(:class:`SimulationBackend`, :class:`RealTimeBackend`,
-:class:`SQLiteEngine`) load lazily via PEP 562 —
-they depend on ``repro.dbms.engine``/``repro.sim.engine``, which themselves
-annotate against these protocols, and lazy loading keeps that cycle open.
+actually executes queries: the protocols (:class:`Clock`,
+:class:`TimerService`, :class:`ExecutionEngine`, :class:`ExecutionBackend`),
+clock helpers and the concrete backends (:class:`SimulationBackend`,
+:class:`RealTimeBackend`, :class:`SQLiteEngine`).  Like every package's,
+its exports load on first use — the backends depend on
+``repro.dbms.engine``/``repro.sim.engine``, which themselves annotate
+against these protocols, and lazy loading keeps that cycle open.
 """
 
-from repro.runtime.clock import CallableClock, WallClock, as_clock
-from repro.runtime.protocols import (
-    DEFAULT_PRIORITY,
-    AdmissionGate,
-    Clock,
-    ExecutionBackend,
-    ExecutionEngine,
-    TimerHandle,
-    TimerService,
-)
+from repro import lazy_exports
+
+_EXPORTS = {
+    "AdmissionGate": "repro.runtime.protocols",
+    "CallableClock": "repro.runtime.clock",
+    "Clock": "repro.runtime.protocols",
+    "DEFAULT_PRIORITY": "repro.runtime.protocols",
+    "ExecutionBackend": "repro.runtime.protocols",
+    "ExecutionEngine": "repro.runtime.protocols",
+    "make_backend": "repro.runtime.factory",
+    "RealTimeBackend": "repro.runtime.realtime",
+    "RealTimeTimerService": "repro.runtime.realtime",
+    "SimulationBackend": "repro.runtime.sim_backend",
+    "SQLiteEngine": "repro.runtime.sqlite_engine",
+    "TimerHandle": "repro.runtime.protocols",
+    "TimerService": "repro.runtime.protocols",
+    "WallClock": "repro.runtime.clock",
+    "as_clock": "repro.runtime.clock",
+}
 
 #: Valid values for ``--backend`` / ``ExperimentSpec(backend=...)``.
 BACKEND_NAMES = ("sim", "sqlite")
 
-_LAZY = {
-    "SimulationBackend": ("repro.runtime.sim_backend", "SimulationBackend"),
-    "RealTimeBackend": ("repro.runtime.realtime", "RealTimeBackend"),
-    "RealTimeTimerService": ("repro.runtime.realtime", "RealTimeTimerService"),
-    "SQLiteEngine": ("repro.runtime.sqlite_engine", "SQLiteEngine"),
-    "make_backend": ("repro.runtime.factory", "make_backend"),
-}
+__all__ = ["BACKEND_NAMES", *_EXPORTS]
 
-__all__ = [
-    "AdmissionGate",
-    "BACKEND_NAMES",
-    "CallableClock",
-    "Clock",
-    "DEFAULT_PRIORITY",
-    "ExecutionBackend",
-    "ExecutionEngine",
-    "make_backend",
-    "RealTimeBackend",
-    "RealTimeTimerService",
-    "SimulationBackend",
-    "SQLiteEngine",
-    "TimerHandle",
-    "TimerService",
-    "WallClock",
-    "as_clock",
-]
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            "module {!r} has no attribute {!r}".format(__name__, name)
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,55 +10,34 @@ injections.  ``repro run --scenario <name|path>`` runs one;
 docs/SCENARIOS.md for the format reference and catalog.
 """
 
-from repro.scenarios.generators import GENERATORS, resolve_generator
-from repro.scenarios.loader import (
-    LIBRARY_DIR,
-    find_scenario,
-    library_names,
-    library_paths,
-    load_library_scenario,
-    load_scenario,
-    loads_scenario,
-    save_scenario,
-    scenario_to_yaml,
-    validate_library,
-)
-from repro.scenarios.spec import (
-    SCENARIO_FORMAT_VERSION,
-    SMOKE_PERIOD_SECONDS,
-    ClientCurve,
-    ScenarioClass,
-    ScenarioFault,
-    ScenarioSpec,
-    ShardPlan,
-    scenario_from_mapping,
-    scenario_to_mapping,
-    to_experiment_spec,
-    to_sharded_experiment_spec,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "GENERATORS",
-    "LIBRARY_DIR",
-    "SCENARIO_FORMAT_VERSION",
-    "SMOKE_PERIOD_SECONDS",
-    "ClientCurve",
-    "ScenarioClass",
-    "ScenarioFault",
-    "ScenarioSpec",
-    "ShardPlan",
-    "find_scenario",
-    "library_names",
-    "library_paths",
-    "load_library_scenario",
-    "load_scenario",
-    "loads_scenario",
-    "resolve_generator",
-    "save_scenario",
-    "scenario_from_mapping",
-    "scenario_to_mapping",
-    "scenario_to_yaml",
-    "to_experiment_spec",
-    "to_sharded_experiment_spec",
-    "validate_library",
-]
+_EXPORTS = {
+    "GENERATORS": "repro.scenarios.generators",
+    "LIBRARY_DIR": "repro.scenarios.loader",
+    "SCENARIO_FORMAT_VERSION": "repro.scenarios.spec",
+    "SMOKE_PERIOD_SECONDS": "repro.scenarios.spec",
+    "ClientCurve": "repro.scenarios.spec",
+    "ScenarioClass": "repro.scenarios.spec",
+    "ScenarioFault": "repro.scenarios.spec",
+    "ScenarioSpec": "repro.scenarios.spec",
+    "ShardPlan": "repro.scenarios.spec",
+    "find_scenario": "repro.scenarios.loader",
+    "library_names": "repro.scenarios.loader",
+    "library_paths": "repro.scenarios.loader",
+    "load_library_scenario": "repro.scenarios.loader",
+    "load_scenario": "repro.scenarios.loader",
+    "loads_scenario": "repro.scenarios.loader",
+    "resolve_generator": "repro.scenarios.generators",
+    "save_scenario": "repro.scenarios.loader",
+    "scenario_from_mapping": "repro.scenarios.spec",
+    "scenario_to_mapping": "repro.scenarios.spec",
+    "scenario_to_yaml": "repro.scenarios.loader",
+    "to_experiment_spec": "repro.scenarios.spec",
+    "to_sharded_experiment_spec": "repro.scenarios.spec",
+    "validate_library": "repro.scenarios.loader",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import SimulationConfig, WorkloadScaleConfig, default_config
 from repro.core.service_class import ResponseTimeGoal, ServiceClass, VelocityGoal
 from repro.errors import ConfigurationError, ScenarioError
-from repro.faults import BEHAVIORAL_FAULTS, ScheduledFault
 from repro.scenarios.generators import GENERATORS, resolve_generator
 from repro.workloads.schedule import PeriodSchedule
+
+if TYPE_CHECKING:
+    from repro.faults import ScheduledFault
 
 #: The scenario format version this package reads and writes.
 SCENARIO_FORMAT_VERSION = 1
@@ -336,6 +338,8 @@ class ScenarioFault:
     params: Mapping = field(default_factory=dict)
 
     def validate(self, context: str = "fault") -> None:
+        from repro.faults import BEHAVIORAL_FAULTS
+
         if self.kind not in BEHAVIORAL_FAULTS:
             raise ScenarioError(
                 "{}: unknown fault kind {!r}; expected one of {}".format(
@@ -392,6 +396,8 @@ class ScenarioFault:
 
     def scheduled(self, period_seconds: float, scale: float = 1.0) -> ScheduledFault:
         """Compile to the runner's :class:`~repro.faults.ScheduledFault`."""
+        from repro.faults import ScheduledFault
+
         return ScheduledFault(
             kind=self.kind,
             at=self.seconds(period_seconds, scale),
@@ -410,6 +416,8 @@ class ScenarioFault:
 
     @staticmethod
     def from_mapping(mapping: Mapping, index: int) -> "ScenarioFault":
+        from repro.faults import BEHAVIORAL_FAULTS
+
         context = "faults[{}]".format(index)
         if not isinstance(mapping, Mapping):
             raise ScenarioError("{}: expected a mapping".format(context))

@@ -15,65 +15,37 @@ from a scenario's ``shards:`` block / the ``repro run --shards`` flags)
 and hand it to :func:`run_sharded`.
 """
 
-from repro.shard.coordinator import ShardedRunResult, run_sharded
-from repro.shard.invariants import (
-    check_completion_conservation,
-    check_cost_partition,
-    check_routing_conservation,
-)
-from repro.shard.report import (
-    ShardedRunReport,
-    ShardRow,
-    build_sharded_report,
-    export_shard_telemetry,
-    save_sharded_report,
-    shard_path,
-    sharded_report_to_dict,
-    sharded_tables,
-)
-from repro.shard.router import (
-    ROUTER_NAMES,
-    CostAwareRouter,
-    HashRouter,
-    LeastLoadedRouter,
-    Router,
-    make_router,
-    partition_schedule,
-    routed_demand,
-)
-from repro.shard.spec import (
-    DEFAULT_SEED_STRIDE,
-    REBALANCE_MODES,
-    ShardedExperimentSpec,
-    default_class_weights,
-    split_cost_limit,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_SEED_STRIDE",
-    "REBALANCE_MODES",
-    "ROUTER_NAMES",
-    "CostAwareRouter",
-    "HashRouter",
-    "LeastLoadedRouter",
-    "Router",
-    "ShardRow",
-    "ShardedExperimentSpec",
-    "ShardedRunReport",
-    "ShardedRunResult",
-    "build_sharded_report",
-    "check_completion_conservation",
-    "check_cost_partition",
-    "check_routing_conservation",
-    "default_class_weights",
-    "export_shard_telemetry",
-    "make_router",
-    "partition_schedule",
-    "routed_demand",
-    "run_sharded",
-    "save_sharded_report",
-    "shard_path",
-    "sharded_report_to_dict",
-    "sharded_tables",
-    "split_cost_limit",
-]
+_EXPORTS = {
+    "DEFAULT_SEED_STRIDE": "repro.shard.spec",
+    "REBALANCE_MODES": "repro.shard.spec",
+    "ROUTER_NAMES": "repro.shard.router",
+    "CostAwareRouter": "repro.shard.router",
+    "HashRouter": "repro.shard.router",
+    "LeastLoadedRouter": "repro.shard.router",
+    "Router": "repro.shard.router",
+    "ShardRow": "repro.shard.report",
+    "ShardedExperimentSpec": "repro.shard.spec",
+    "ShardedRunReport": "repro.shard.report",
+    "ShardedRunResult": "repro.shard.coordinator",
+    "build_sharded_report": "repro.shard.report",
+    "check_completion_conservation": "repro.shard.invariants",
+    "check_cost_partition": "repro.shard.invariants",
+    "check_routing_conservation": "repro.shard.invariants",
+    "default_class_weights": "repro.shard.spec",
+    "export_shard_telemetry": "repro.shard.report",
+    "make_router": "repro.shard.router",
+    "partition_schedule": "repro.shard.router",
+    "routed_demand": "repro.shard.router",
+    "run_sharded": "repro.shard.coordinator",
+    "save_sharded_report": "repro.shard.report",
+    "shard_path": "repro.shard.report",
+    "sharded_report_to_dict": "repro.shard.report",
+    "sharded_tables": "repro.shard.report",
+    "split_cost_limit": "repro.shard.spec",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

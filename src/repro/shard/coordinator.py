@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.live import TelemetryHub
+    from repro.validation.invariants import Violation
 
 from repro.config import default_config
 from repro.errors import ConfigurationError, ExperimentError, InvariantViolation
@@ -61,7 +62,6 @@ from repro.shard.spec import (
     default_class_weights,
     split_cost_limit,
 )
-from repro.validation import Violation
 
 
 @dataclass

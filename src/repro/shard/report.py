@@ -23,13 +23,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.experiments.parallel import RunSummary
 from repro.metrics.aggregate import merge_histogram_states, weighted_attainment
 from repro.metrics.export import check_export_target, open_export
-from repro.metrics.report import Column, Table, violation_table
-from repro.validation import Violation
+
+if TYPE_CHECKING:
+    from repro.metrics.report import Table
+    from repro.validation.invariants import Violation
 
 
 def shard_path(path: str, index: int) -> str:
@@ -145,6 +147,8 @@ def build_sharded_report(
 
 def sharded_tables(report: ShardedRunReport) -> List[Table]:
     """The merged report's sections: per class, per shard, global invariants."""
+    from repro.metrics.report import Column, Table, violation_table
+
     tails = [Column(key, "{:.2f}s") for key in ("p50", "p95", "p99")]
     columns = [Column("class"), Column("attainment", "{:.0%}"), Column("completions")]
     per_class = Table(

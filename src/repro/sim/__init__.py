@@ -8,25 +8,20 @@ resources (:class:`~repro.sim.resources.ProcessorSharingResource`), and online
 statistics helpers used throughout the higher layers.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timer
-from repro.sim.resources import ProcessorSharingResource
-from repro.sim.rng import RandomStreams
-from repro.sim.stats import (
-    Histogram,
-    SlidingWindow,
-    TimeWeightedValue,
-    WelfordAccumulator,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Timer",
-    "ProcessorSharingResource",
-    "RandomStreams",
-    "WelfordAccumulator",
-    "SlidingWindow",
-    "TimeWeightedValue",
-    "Histogram",
-]
+_EXPORTS = {
+    "Simulator": "repro.sim.engine",
+    "Event": "repro.sim.events",
+    "Timer": "repro.sim.events",
+    "ProcessorSharingResource": "repro.sim.resources",
+    "RandomStreams": "repro.sim.rng",
+    "WelfordAccumulator": "repro.sim.stats",
+    "SlidingWindow": "repro.sim.stats",
+    "TimeWeightedValue": "repro.sim.stats",
+    "Histogram": "repro.sim.stats",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,28 +8,20 @@ docs/VALIDATION.md for the authoring guide and ``repro check`` for the CLI
 entry point.
 """
 
-from repro.validation.harness import (
-    MODES,
-    ControlLoopWorld,
-    ValidationHarness,
-    attach_harness,
-    core_invariants,
-)
-from repro.validation.invariants import (
-    Invariant,
-    InvariantRegistry,
-    Severity,
-    Violation,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "MODES",
-    "ControlLoopWorld",
-    "Invariant",
-    "InvariantRegistry",
-    "Severity",
-    "ValidationHarness",
-    "Violation",
-    "attach_harness",
-    "core_invariants",
-]
+_EXPORTS = {
+    "MODES": "repro.validation.harness",
+    "ControlLoopWorld": "repro.validation.harness",
+    "Invariant": "repro.validation.invariants",
+    "InvariantRegistry": "repro.validation.invariants",
+    "Severity": "repro.validation.invariants",
+    "ValidationHarness": "repro.validation.harness",
+    "Violation": "repro.validation.invariants",
+    "attach_harness": "repro.validation.harness",
+    "core_invariants": "repro.validation.harness",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

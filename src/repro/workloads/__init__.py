@@ -5,35 +5,25 @@ clients with zero think time, and the reconstructed 18-period intensity
 schedule of the paper's Figure 3.
 """
 
-from repro.workloads.client import ClosedLoopClient
-from repro.workloads.trace import (
-    TraceEntry,
-    TraceRecorder,
-    TraceReplayer,
-    WorkloadTrace,
-)
-from repro.workloads.schedule import (
-    ClientPoolManager,
-    PeriodSchedule,
-    paper_schedule,
-)
-from repro.workloads.spec import QueryFactory, QueryTemplate, WorkloadMix
-from repro.workloads.tpcc import tpcc_mix
-from repro.workloads.tpch import tpch_mix, TPCH_EXCLUDED
+from repro import lazy_exports
 
-__all__ = [
-    "QueryTemplate",
-    "WorkloadMix",
-    "QueryFactory",
-    "ClosedLoopClient",
-    "WorkloadTrace",
-    "TraceEntry",
-    "TraceRecorder",
-    "TraceReplayer",
-    "PeriodSchedule",
-    "ClientPoolManager",
-    "paper_schedule",
-    "tpch_mix",
-    "TPCH_EXCLUDED",
-    "tpcc_mix",
-]
+_EXPORTS = {
+    "QueryTemplate": "repro.workloads.spec",
+    "WorkloadMix": "repro.workloads.spec",
+    "QueryFactory": "repro.workloads.spec",
+    "ClosedLoopClient": "repro.workloads.client",
+    "WorkloadTrace": "repro.workloads.trace",
+    "TraceEntry": "repro.workloads.trace",
+    "TraceRecorder": "repro.workloads.trace",
+    "TraceReplayer": "repro.workloads.trace",
+    "PeriodSchedule": "repro.workloads.schedule",
+    "ClientPoolManager": "repro.workloads.schedule",
+    "paper_schedule": "repro.workloads.schedule",
+    "tpch_mix": "repro.workloads.tpch",
+    "TPCH_EXCLUDED": "repro.workloads.tpch",
+    "tpcc_mix": "repro.workloads.tpcc",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

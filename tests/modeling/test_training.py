@@ -76,6 +76,26 @@ class TestObservationReconstruction:
         assert state.queue_length == 2
         assert state.in_flight_count == 1
 
+    @pytest.mark.parametrize(
+        "damage, key",
+        [
+            (lambda r: r["solver"]["allocation"].update(c1="x"), "solver.allocation.c1"),
+            (lambda r: r["dispatcher"]["c3"].update(queue_length="many"), "dispatcher.c3.queue_length"),
+            (lambda r: r["measurements"]["c3"].update(value="fast"), "measurements.c3.value"),
+            (lambda r: r.update(solver=["allocation"]), "solver"),
+        ],
+        ids=["allocation", "queue-length", "value", "section"],
+    )
+    def test_a_value_of_the_wrong_type_names_record_and_key(self, damage, key):
+        records = synthetic_records(3)
+        damage(records[1])
+        with pytest.raises(ConfigurationError, match=r"record 1 .*'{}'".format(key)):
+            observations_from_records(records)
+
+    def test_a_record_that_is_not_a_mapping_is_named(self):
+        with pytest.raises(ConfigurationError, match="record 2 "):
+            observations_from_records(synthetic_records(2) + [42])
+
 
 class TestFitAndEvaluate:
     def test_fit_accumulates_observations(self):
@@ -148,6 +168,12 @@ class TestPersistence:
         with pytest.raises(ConfigurationError):
             load_telemetry_records(str(empty))
 
+    def test_load_telemetry_refuses_a_line_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(synthetic_records(1)[0]) + "\n42\n")
+        with pytest.raises(ConfigurationError, match=r"line 2: not a JSON object"):
+            load_telemetry_records(str(path))
+
 
 class TestTrainCLI:
     def test_trace_train_run_round_trip(self, tmp_path, capsys):
@@ -181,6 +207,32 @@ class TestTrainCLI:
             "--output", str(tmp_path / "m.json"),
         ]) == 2
         assert "train error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            (lambda records: [json.dumps(records[0]), "42"], "line 2: not a JSON object"),
+            (
+                lambda records: [json.dumps(records[0]), json.dumps(
+                    dict(records[1], solver={"allocation": {"c1": "x"}}))],
+                "record 1 (0-based): 'solver.allocation.c1'",
+            ),
+        ],
+        ids=["not-an-object", "wrong-type-value"],
+    )
+    def test_train_refuses_a_record_of_the_wrong_shape_in_one_line(
+        self, tmp_path, capsys, lines, named
+    ):
+        telemetry = tmp_path / "t.jsonl"
+        telemetry.write_text("\n".join(lines(synthetic_records(2))) + "\n")
+        assert main([
+            "train", "--telemetry", str(telemetry), "--output", str(tmp_path / "m.json"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("train error: ")
+        assert named in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("as_directory", [False, True], ids=["file", "dir"])
     @pytest.mark.parametrize(

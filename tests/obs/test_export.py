@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.obs.export import (
     load_chrome_trace,
     load_spans,
@@ -102,7 +102,7 @@ class TestChrome:
         path = str(tmp_path / "other.json")
         with open(path, "w") as handle:
             json.dump({"results": []}, handle)
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             load_chrome_trace(path)
 
 
@@ -131,7 +131,7 @@ class TestLoadSpansDispatch:
         assert len(load_spans(str(tmp_path))) == 5
 
     def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             load_spans(str(tmp_path))
 
 

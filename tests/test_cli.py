@@ -292,6 +292,30 @@ def test_spans_command_from_saved_trace(tmp_path, capsys):
     assert "Per-class phase breakdown" in out
 
 
+@pytest.mark.parametrize(
+    "make_input, named",
+    [
+        (lambda tmp: str(tmp / "missing.jsonl"), "missing.jsonl"),
+        (lambda tmp: _write(tmp / "spans.jsonl", '{"query_id": 1, "class":\n'), "line 1"),
+        (lambda tmp: str(tmp), "no spans.jsonl or trace.json"),
+    ],
+    ids=["missing-file", "malformed-jsonl-line", "directory-without-export"],
+)
+def test_spans_command_bad_input_is_one_line_and_exit_2(tmp_path, capsys, make_input, named):
+    path = make_input(tmp_path)
+    assert main(["spans", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("spans error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert named in captured.err
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
 def test_spans_command_writes_jsonl(tmp_path, capsys):
     import json
 
