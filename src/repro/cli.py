@@ -521,8 +521,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
             [[i.name, i.severity.name, i.message] for i in registry],
         ).text())
         return 0
-    result = run_spec(_spec_from_args(args, invariants=args.mode))
+    spec = _spec_from_args(args, invariants=args.mode)
+    result = run_spec(spec)
     harness = result.extras["validation"]
+    if not harness.checks_run:
+        # A clean table over zero checks would claim a success nothing earned.
+        horizon = spec.horizon
+        if horizon is None:
+            horizon = result.bundle.schedule.horizon
+        raise errors.ConfigurationError(
+            "no invariant check ran: the {:g} s control interval never came "
+            "up within the {:g} s horizon; pass a shorter --control-interval".format(
+                spec.config.planner.control_interval, horizon
+            )
+        )
     print(invariant_table(harness).text())
     return 1 if harness.violations else 0
 

@@ -20,6 +20,7 @@ Every range check is written as ``not <in range>`` so that a NaN (YAML's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
@@ -192,8 +193,11 @@ class PlannerConfig:
     model: str = "paper"
 
     def validate(self) -> None:
-        if not self.control_interval > 0:
-            raise ConfigurationError("control_interval must be positive")
+        if not (0 < self.control_interval < math.inf):
+            raise ConfigurationError(
+                "control_interval must be a positive finite number of seconds, "
+                "got {!r}".format(self.control_interval)
+            )
         if not self.grid_timerons > 0:
             raise ConfigurationError("grid_timerons must be positive")
         if not self.min_class_limit >= 0:
@@ -259,7 +263,17 @@ class SimulationConfig:
     scale: WorkloadScaleConfig = field(default_factory=WorkloadScaleConfig)
 
     def validate(self) -> "SimulationConfig":
-        """Validate the whole tree; returns self for chaining."""
+        """Validate the whole tree; returns self for chaining.
+
+        The planner goes before the monitor: the CLI derives the monitor's
+        windows from ``planner.control_interval``, so a bad interval is
+        reported as itself, not as a window it spoiled.
+        """
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigurationError(
+                "seed must be a non-negative integer, got {!r}".format(seed)
+            )
         if not self.system_cost_limit > 0:
             raise ConfigurationError("system_cost_limit must be positive")
         self.resources.validate()
@@ -267,8 +281,8 @@ class SimulationConfig:
         self.optimizer.validate()
         self.agents.validate()
         self.patroller.validate()
-        self.monitor.validate()
         self.planner.validate()
+        self.monitor.validate()
         self.scale.validate()
         return self
 

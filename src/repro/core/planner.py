@@ -18,7 +18,8 @@ the Dispatcher" (Section 2).  Each control interval the planner:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import PlannerConfig, SimulationConfig
 from repro.core.dispatcher import Dispatcher
@@ -36,6 +37,7 @@ from repro.core.solver import ClassStatus, PerformanceSolver
 from repro.core.utility import make_utility
 from repro.errors import SchedulingError
 from repro.metrics.telemetry import (
+    ClassRows,
     ControlIntervalRecord,
     DispatcherClassTelemetry,
     PredictionTelemetry,
@@ -104,6 +106,14 @@ class SchedulingPlanner:
         #: queryable/exportable view.
         self.history: List[ControlIntervalRecord] = []
         self._listeners: List[PlanListener] = []
+        #: Each record section's name -> position index, one per class set
+        #: (shared by every record over that set).
+        self._indexes: Dict[Tuple[str, ...], Dict[str, int]] = {}
+        #: What the last decision promised per class, and each class's
+        #: released total then: the bases of the next record's error and
+        #: ``released_this_interval``.
+        self._promised: Dict[str, float] = {}
+        self._released: Dict[str, int] = {}
         self._started = False
         self._intervals = 0
         self._last_interval_at: Optional[float] = None
@@ -213,7 +223,11 @@ class SchedulingPlanner:
             interval_index=len(self.history),
             trigger=trigger,
             plan=plan,
-            measurements=measurements,
+            measurements=self._rows(
+                tuple(measurements),
+                ClassMeasurement,
+                chain.from_iterable(measurements.values()),
+            ),
             predictions=self._prediction_telemetry(
                 measurements, self._predict_under(statuses, plan, mix)
             ),
@@ -258,31 +272,41 @@ class SchedulingPlanner:
             for status in statuses
         }
 
+    def _rows(self, names: Tuple[str, ...], row, fields) -> ClassRows:
+        """A record section over ``names``: ``fields`` packed into one tuple,
+        behind the class set's shared index."""
+        index = self._indexes.get(names)
+        if index is None:
+            index = self._indexes[names] = {
+                name: position for position, name in enumerate(names)
+            }
+        return ClassRows(index, row, tuple(fields))
+
     def _prediction_telemetry(
         self,
         measurements: Dict[str, ClassMeasurement],
         predicted: Dict[str, float],
-    ) -> Dict[str, PredictionTelemetry]:
-        """Promise under the new plan, realised value, one-step error.
+    ) -> ClassRows:
+        """Promise under the new plan, realised value, one-step error
+        (:class:`PredictionTelemetry` rows).
 
         The error is this interval's measurement minus what the previous
         decision promised for it.
         """
-        promised = self.history[-1].predictions if self.history else {}
-        telemetry: Dict[str, PredictionTelemetry] = {}
-        for name in {**predicted, **measurements}:  # class order, no repeats
+        promised, self._promised = self._promised, predicted
+        names = tuple({**predicted, **measurements})  # class order, no repeats
+        fields: List[Optional[float]] = []
+        for name in names:
             realized = self._value_of(measurements, name)
-            previous = promised[name].predicted if name in promised else None
-            telemetry[name] = PredictionTelemetry(
-                predicted=predicted.get(name),
-                realized=realized,
-                error=(
-                    realized - previous
-                    if realized is not None and previous is not None
-                    else None
-                ),
+            previous = promised.get(name)
+            fields += (
+                predicted.get(name),
+                realized,
+                realized - previous
+                if realized is not None and previous is not None
+                else None,
             )
-        return telemetry
+        return self._rows(names, PredictionTelemetry, fields)
 
     def _solver_telemetry(self, plan: SchedulingPlan) -> SolverTelemetry:
         """The solver's decision and model state, kept as values: the plan's
@@ -300,27 +324,28 @@ class SchedulingPlanner:
             model=state,
         )
 
-    def _dispatcher_telemetry(self) -> Dict[str, DispatcherClassTelemetry]:
-        """Per-class dispatcher accounting right after the plan install."""
-        dispatcher = self.dispatcher
-        before = self.history[-1].dispatcher if self.history else {}
-        telemetry: Dict[str, DispatcherClassTelemetry] = {}
-        for service_class in self.classes:
-            name = service_class.name
-            now = dispatcher.class_accounting(name)
-            released_before = before[name].released_total if name in before else 0
-            telemetry[name] = DispatcherClassTelemetry(
-                queue_length=now.queue_length,
-                in_flight_cost=now.in_flight_cost,
-                in_flight_count=now.in_flight_count,
-                released_total=now.released,
-                completed_total=now.completed,
-                cancelled_total=now.cancelled,
-                released_this_interval=now.released - released_before,
-                enqueued_total=now.enqueued,
-                queue_cancelled_total=now.queue_cancelled,
+    def _dispatcher_telemetry(self) -> ClassRows:
+        """Per-class dispatcher accounting right after the plan install
+        (:class:`DispatcherClassTelemetry` rows)."""
+        class_accounting = self.dispatcher.class_accounting
+        released = self._released
+        names = tuple([service_class.name for service_class in self.classes])
+        fields: List[float] = []
+        for name in names:
+            now = class_accounting(name)
+            fields += (
+                now.queue_length,
+                now.in_flight_cost,
+                now.in_flight_count,
+                now.released,
+                now.completed,
+                now.cancelled,
+                now.released - released.get(name, 0),
+                now.enqueued,
+                now.queue_cancelled,
             )
-        return telemetry
+            released[name] = now.released
+        return self._rows(names, DispatcherClassTelemetry, fields)
 
     @staticmethod
     def _value_of(

@@ -9,6 +9,7 @@ the period in which each query *finished*.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.service_class import ServiceClass
@@ -134,6 +135,10 @@ class MetricsCollector:
         self._plan_points: List[Tuple[float, Mapping[str, float]]] = []
         self._total_completions = 0
         self._class_completions: Dict[str, int] = {c.name: 0 for c in self.classes}
+        #: Completed queries per class so far, read-only and live (no copy).
+        self.class_completions: Mapping[str, int] = MappingProxyType(
+            self._class_completions
+        )
         #: The latest period a completion landed in (the only one whose
         #: cells may hold an unfolded block) with its span, and per class the
         #: ``(met, observed)`` goal tally of the periods before it, on demand.

@@ -28,7 +28,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.errors import ConfigurationError
 from repro.metrics.export import open_export
@@ -37,6 +48,52 @@ if TYPE_CHECKING:  # imported lazily to keep this importable from anywhere
     from repro.core.modeling.protocol import ModelState
     from repro.core.monitor import ClassMeasurement
     from repro.core.plan import SchedulingPlan
+
+
+Row = TypeVar("Row")
+
+
+class ClassRows(Mapping[str, Row]):
+    """One per-class section of an interval, read-only: every row packed
+    into one flat tuple.
+
+    ``index`` maps each class name to its position (class order) and is
+    shared by every section built over the same class set; ``row`` builds
+    one row from its fields — a ``NamedTuple`` type or a module-level
+    function, so the view pickles; ``fields`` holds every row's fields back
+    to back, in class order.  ``rows[name]`` builds that class's row on
+    access.  Like :class:`~repro.core.plan.PlanLimits`, it compares equal
+    to a dict of the same rows.
+    """
+
+    __slots__ = ("_index", "_row", "_fields")
+
+    def __init__(
+        self, index: Dict[str, int], row: Callable[..., Row], fields: Tuple
+    ) -> None:
+        self._index = index
+        self._row = row
+        self._fields = fields
+
+    def __getitem__(self, class_name: str) -> Row:
+        position = self._index[class_name]
+        width = len(self._fields) // len(self._index)
+        return self._row(*self._fields[position * width : (position + 1) * width])
+
+    def __contains__(self, class_name: object) -> bool:
+        return class_name in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __reduce__(self):
+        return ClassRows, (self._index, self._row, self._fields)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "ClassRows({!r})".format(dict(self.items()))
 
 
 def _finite(value: Optional[float]) -> Optional[float]:
@@ -135,7 +192,10 @@ class ControlIntervalRecord:
     is installed and the prediction pass has run, before any plan listener
     — and handed as-is to every listener.  It keeps values, not copies:
     the plan (whose ``limits`` view is ``solver.allocation``) and the
-    model's immutable state are rendered only by :meth:`to_dict`.
+    model's immutable state are rendered only by :meth:`to_dict`.  The
+    planner builds each per-class section (``measurements``,
+    ``predictions``, ``dispatcher``) as a :class:`ClassRows` view over one
+    flat tuple; a record built by hand may hold plain dicts instead.
 
     ``violations`` holds the invariant violations the validation harness
     observed at this interval boundary (as JSON-ready dicts; empty when the
@@ -153,10 +213,10 @@ class ControlIntervalRecord:
     interval_index: int  # counts decisions from zero
     trigger: str  # "scheduled" or "early"
     plan: "SchedulingPlan"
-    measurements: Dict[str, "ClassMeasurement"]
-    predictions: Dict[str, PredictionTelemetry]
+    measurements: Mapping[str, "ClassMeasurement"]
+    predictions: Mapping[str, PredictionTelemetry]
     solver: SolverTelemetry
-    dispatcher: Dict[str, DispatcherClassTelemetry]
+    dispatcher: Mapping[str, DispatcherClassTelemetry]
     violations: List[Dict] = field(default_factory=list)
     overhead: Dict[str, float] = field(default_factory=dict)
 

@@ -78,14 +78,15 @@ def _shard_key(shard: Optional[int]) -> str:
 
 def _wire_data(data: Dict, record: Optional["ControlIntervalRecord"]) -> Dict:
     """An event's ``data`` on the wire: as published, or (an ``interval``
-    event with a record) its progress figures around the record rendered now."""
+    event with a record) its progress figures around the record, both
+    rendered now."""
     if record is None:
         return data
     return {
         "interval_index": record.interval_index,
         "trigger": record.trigger,
         "cost_limits": record.plan.as_dict(),
-        "classes": data["classes"],
+        "classes": dict(data["classes"]),
         "total_completions": data["total_completions"],
         "record": record.to_dict(),
     }
@@ -95,9 +96,10 @@ class LiveEvent:
     """One published protocol event (immutable once created).
 
     An ``interval`` event published with a ``record`` keeps in ``data`` only
-    what moves with time (class progress, total completions) and holds the
-    planner's frozen record by reference: in-process consumers read
-    :attr:`record`; :meth:`to_dict` renders it, afresh on every call.
+    what moves with time (class progress — a read-only mapping of each
+    class's progress dict — and total completions) and holds the planner's
+    frozen record by reference: in-process consumers read :attr:`record`;
+    :meth:`to_dict` renders both, afresh on every call.
     """
 
     __slots__ = ("seq", "type", "time", "shard", "data", "record")

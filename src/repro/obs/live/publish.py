@@ -7,7 +7,9 @@ onto the hub's wire protocol:
 * the controller's plan listener → one ``interval`` event per control
   interval, carrying the
   :class:`~repro.metrics.telemetry.ControlIntervalRecord` it was handed
-  (itself; the hub renders it at the wire) plus per-class progress;
+  (itself; the hub renders it at the wire) plus per-class progress, a
+  :class:`~repro.metrics.telemetry.ClassRows` view whose rows are
+  :func:`class_progress` dicts;
 * the (optional) :class:`~repro.obs.QueryTracer` → a ``spans`` event per
   interval with the slowest spans that finished since the previous one
   (a span still open at the boundary is published once it closes);
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.metrics.telemetry import ClassRows
 from repro.obs.live.hub import TelemetryHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.service_class import PerformanceGoal
     from repro.experiments.runner import ExperimentResult, SimulationBundle
     from repro.metrics.telemetry import ControlIntervalRecord
     from repro.obs.spans import Span
@@ -32,6 +36,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Slowest spans carried per ``spans`` event.
 SPANS_PER_EVENT = 8
+
+
+def class_progress(completions: int, attainment: float, goal: "PerformanceGoal") -> Dict:
+    """One class's progress row in an ``interval`` event, as the wire
+    carries it."""
+    return {
+        "completions": completions,
+        "attainment": attainment,
+        "goal_metric": goal.metric,
+        "goal_target": goal.target,
+    }
 
 
 def run_start_data(bundle: "SimulationBundle", controller_name: str) -> Dict:
@@ -79,6 +94,8 @@ class RunPublisher:
         #: Traced spans seen at an earlier boundary that had not closed yet.
         self._open_spans: List["Span"] = []
         self.intervals_published = 0
+        #: The class set's name -> position index, shared by every event.
+        self._class_index = {c.name: i for i, c in enumerate(bundle.classes)}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -101,19 +118,19 @@ class RunPublisher:
     # ------------------------------------------------------------------
     # Event assembly
     # ------------------------------------------------------------------
-    def _class_progress(self) -> Dict[str, Dict]:
+    def _class_progress(self) -> ClassRows:
+        """Each class's completions and attainment now, beside its goal
+        (one flat tuple; the goals are the classes' own objects)."""
         collector = self.bundle.collector
-        completions = collector.completions_by_class()
-        progress: Dict[str, Dict] = {}
+        completions = collector.class_completions
+        fields: List[object] = []
         for service_class in self.bundle.classes:
-            name = service_class.name
-            progress[name] = {
-                "completions": completions.get(name, 0),
-                "attainment": collector.goal_attainment(service_class),
-                "goal_metric": service_class.goal.metric,
-                "goal_target": service_class.goal.target,
-            }
-        return progress
+            fields += (
+                completions.get(service_class.name, 0),
+                collector.goal_attainment(service_class),
+                service_class.goal,
+            )
+        return ClassRows(self._class_index, class_progress, tuple(fields))
 
     def on_plan(self, record: "ControlIntervalRecord") -> None:
         """Plan-listener hook: publish this control interval."""

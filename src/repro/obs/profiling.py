@@ -20,6 +20,7 @@ results are dicts of ``<section>_s`` wall-second entries plus ``total_s``;
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
@@ -62,13 +63,14 @@ class IntervalProfiler:
         """Time one named stage of the current interval.
 
         Re-entered sections accumulate (an early-triggered re-plan inside
-        the same interval adds to the same key).
+        the same interval adds to the same key).  The key is interned: every
+        interval's dict shares one string per section.
         """
         if self._current is None:
             raise SimulationError(
                 "profiler section {!r} outside begin()/finish()".format(name)
             )
-        key = name + _SUFFIX
+        key = sys.intern(name + _SUFFIX)
         start = self.clock.now
         try:
             yield

@@ -712,7 +712,7 @@ def scenario_from_mapping(mapping: Mapping) -> ScenarioSpec:
         classes=classes,
         version=version,
         description=str(mapping.get("description", "") or "").strip(),
-        seed=_integer(mapping.get("seed", 7), "seed"),
+        seed=_integer(mapping.get("seed", 7), "seed", 0),
         controller=str(mapping.get("controller", "qs")),
         backend=str(mapping.get("backend", "sim")),
         backend_options=dict(backend_options),
@@ -747,10 +747,10 @@ def to_experiment_spec(
     from repro.experiments.sensitivity import set_config_field
 
     spec = spec.validate()
-    if seed is not None and int(seed) != spec.seed:
+    if seed is not None and _integer(seed, "seed", 0) != spec.seed:
         from dataclasses import replace as _replace
 
-        spec = _replace(spec, seed=int(seed))
+        spec = _replace(spec, seed=seed)
     config = spec.build_config()
 
     period_seconds = spec.period_seconds

@@ -1,8 +1,10 @@
 """Tests for the controller telemetry subsystem."""
 
+import dataclasses
 import json
 import math
 import pickle
+from itertools import chain
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.experiments.parallel import summarize_result
 from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import prediction_error_table
 from repro.metrics.telemetry import (
+    ClassRows,
     ControlIntervalRecord,
     DispatcherClassTelemetry,
     PredictionTelemetry,
@@ -289,6 +292,11 @@ class TestLiveTelemetry:
             assert {"time", "interval_index", "trigger", "measurements",
                     "predictions", "solver", "dispatcher"} <= set(row)
 
+    def test_the_planner_packs_every_class_section(self, qs_run):
+        for record in qs_run.extras["telemetry"]:
+            for section in (record.measurements, record.predictions, record.dispatcher):
+                assert isinstance(section, ClassRows)
+
     def test_record_round_trips_through_pickle_and_summarize_result(self, qs_run):
         """Records cross the process boundary inside a RunSummary unchanged."""
         records = qs_run.extras["telemetry"].records
@@ -451,3 +459,67 @@ class TestSaveJsonlStreams:
         with pytest.raises(RuntimeError, match="to_dict failed"):
             store.save_jsonl(str(path), overwrite=True)
         assert_export_untouched(path, existing)
+
+
+def _packed(section, row):
+    """``section`` (a dict of rows) as the planner packs it."""
+    index = {name: position for position, name in enumerate(section)}
+    return ClassRows(index, row, tuple(chain.from_iterable(section.values())))
+
+
+class TestClassRows:
+    def rows(self):
+        return _wide_record(3).dispatcher, DispatcherClassTelemetry
+
+    def test_iterates_in_class_order_with_in_and_len(self):
+        plain, row = self.rows()
+        packed = _packed(dict(reversed(list(plain.items()))), row)
+        assert list(packed) == list(reversed(list(plain))) == list(packed.keys())
+        assert len(packed) == 8 and "class3" in packed and "class8" not in packed
+        assert [name for name, _ in packed.items()] == list(packed)
+
+    def test_builds_each_row_on_access_and_equals_a_dict_of_the_rows(self):
+        plain, row = self.rows()
+        packed = _packed(plain, row)
+        assert packed["class5"] == plain["class5"]
+        assert type(packed["class5"]) is DispatcherClassTelemetry
+        assert packed == plain and plain == packed
+        assert packed != {**plain, "class5": plain["class5"]._replace(queue_length=99)}
+        assert packed != dict(list(plain.items())[:-1])
+        assert _packed({}, row) == {}
+
+    def test_an_unknown_class_is_a_key_error(self):
+        packed = _packed(*self.rows())
+        with pytest.raises(KeyError):
+            packed["class8"]
+        assert packed.get("class8") is None
+        with pytest.raises(KeyError):
+            _packed({}, DispatcherClassTelemetry)["class1"]
+
+    def test_is_read_only(self):
+        packed = _packed(*self.rows())
+        with pytest.raises(TypeError):
+            packed["class1"] = None
+        with pytest.raises(AttributeError):
+            packed.extra = 1
+
+    def test_round_trips_through_pickle_equal(self):
+        plain, row = self.rows()
+        packed = _packed(plain, row)
+        clone = pickle.loads(pickle.dumps(packed))
+        assert clone == packed == plain and clone is not packed
+        assert list(clone) == list(packed)
+
+    def test_a_packed_record_renders_the_bytes_of_one_built_from_dicts(self):
+        plain = _wide_record(5)
+        packed = dataclasses.replace(
+            plain,
+            measurements=_packed(plain.measurements, ClassMeasurement),
+            predictions=_packed(plain.predictions, PredictionTelemetry),
+            dispatcher=_packed(plain.dispatcher, DispatcherClassTelemetry),
+        )
+        assert packed == plain
+        assert json.dumps(packed.to_dict()) == json.dumps(plain.to_dict())
+        store = TelemetryStore([packed])
+        assert store.prediction_errors("class2") == [-0.1 / 6]
+        assert store.dispatcher_balance() == TelemetryStore([plain]).dispatcher_balance()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.scenarios.loader import LIBRARY_DIR
 
 pytest.importorskip("yaml")
 
@@ -88,6 +89,21 @@ class TestScenariosCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "7 of 7 scenarios valid" in out
+
+    def test_validate_all_lists_a_negative_seed_as_invalid(self, tmp_path, capsys):
+        bad = tmp_path / "neg.yaml"
+        source = (LIBRARY_DIR / "flash-crowd.yaml").read_text()
+        bad.write_text("\n".join(
+            line for line in source.splitlines() if not line.startswith("seed:")
+        ) + "\nseed: -5\n")
+        code = main(["scenarios", "--validate-all", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "seed must be >= 0" in captured.err
+        assert main(["run", "--scenario", str(bad), "--smoke"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
+        assert "seed" in err and "Traceback" not in err
 
     def test_validate_all_fails_on_a_broken_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -64,6 +64,13 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="unknown keys \\['schdule'\\]"):
             scenario_from_mapping(minimal_mapping(schdule={}))
 
+    def test_a_negative_seed_is_one_scenario_error_naming_seed(self):
+        with pytest.raises(ScenarioError, match="seed must be >= 0"):
+            scenario_from_mapping(minimal_mapping(seed=-5))
+        spec = scenario_from_mapping(minimal_mapping())
+        with pytest.raises(ScenarioError, match="seed must be >= 0"):
+            to_experiment_spec(spec, seed=-1)
+
     def test_version_must_be_integer(self):
         with pytest.raises(ScenarioError, match="integer format version"):
             scenario_from_mapping(minimal_mapping(scenario="1"))

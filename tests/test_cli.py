@@ -85,6 +85,35 @@ def test_check_command_clean_run(capsys):
     assert "mode=strict" in out
 
 
+def test_check_that_checked_nothing_is_an_error_not_a_success(capsys):
+    # The 30 s default interval never comes up inside a 20 s horizon.
+    code = main(["check", "--periods", "1", "--period-seconds", "20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no violations" not in captured.out
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
+    assert "30 s control interval" in captured.err and "20 s horizon" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "-5", "--periods", "1", "--period-seconds", "10"],
+        ["check", "--seed", "-1", "--periods", "1", "--period-seconds", "10"],
+        ["trace", "--control-interval", "nan", "--periods", "1", "--period-seconds", "10"],
+        ["trace", "--control-interval", "inf", "--periods", "1", "--period-seconds", "10"],
+    ],
+)
+def test_a_bad_seed_or_control_interval_is_one_configuration_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert ("seed" if "--seed" in argv else "control_interval") in captured.err
+    assert "(0 control intervals)" not in captured.out
+
+
 def test_check_command_list(capsys):
     code = main(["check", "--list"] + FAST_RUN)
     out = capsys.readouterr().out

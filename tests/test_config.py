@@ -136,6 +136,27 @@ def test_nan_fails_every_range_check(path):
         config.validate()
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ConfigurationError, match="seed"):
+        SimulationConfig(seed=seed).validate()
+
+
+@pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0])
+def test_control_interval_must_be_positive_and_finite(interval):
+    with pytest.raises(ConfigurationError, match="control_interval"):
+        PlannerConfig(control_interval=interval).validate()
+
+
+def test_a_bad_control_interval_is_named_before_the_windows_derived_from_it():
+    config = SimulationConfig(
+        monitor=MonitorConfig(response_time_window=float("nan")),
+        planner=PlannerConfig(control_interval=float("nan")),
+    )
+    with pytest.raises(ConfigurationError, match="control_interval"):
+        config.validate()
+
+
 def test_invalid_section_rejected_through_tree():
     config = SimulationConfig(planner=PlannerConfig(control_interval=-5.0))
     with pytest.raises(ConfigurationError):

@@ -31,9 +31,16 @@ from tests.conftest import dense_smoke_spec, paper_smoke_spec, trained_model
 MAX_CLASS_STATE_LOOKUPS = 50
 
 #: Ceiling on Python-level calls under ``run_interval``, listeners included:
-#: 876 today, 901 when every record built the model's ``describe()`` dict,
+#: 874 today (876 before the record sections and the events' class progress
+#: were packed), 901 when every record built the model's ``describe()`` dict,
 #: 1,316 when the publisher rendered the record every interval.
 MAX_CALLS_PER_INTERVAL = 1035
+
+#: Ceiling on the bytes one control interval leaves behind in
+#: ``planner.history`` and the hub's ``interval`` events (what dropping them
+#: frees): 3,883 today on CPython 3.11; 7,070 when each record section and
+#: each event's class progress held one object per class.
+MAX_BYTES_PER_INTERVAL = 5000
 
 #: Ceilings on Python-level calls under ``PerformanceSolver.solve``, per solve.
 #: Three classes, exhaustive: 575 today, 5,472 when each of the 406
@@ -150,6 +157,25 @@ def test_calls_and_class_state_lookups_per_interval_stay_under_the_ceilings(
     )
     assert 0 < lookups / intervals <= MAX_CLASS_STATE_LOOKUPS
     assert stats.total_calls / intervals <= MAX_CALLS_PER_INTERVAL
+
+
+def test_the_bytes_an_interval_retains_stay_under_the_ceiling():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result, _, events = run_with_hub()
+        history = result.bundle.controller.planner.history
+        intervals = len(history)
+        others = [e for e in events if e.type != "interval"]  # stay alive, not weighed
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del events[:], history[:]
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert intervals == 40 and others
+    assert 0 < freed / intervals <= MAX_BYTES_PER_INTERVAL
 
 
 @pytest.mark.parametrize(
