@@ -234,8 +234,8 @@ class WorkloadScaleConfig:
     think_time: float = 0.0
 
     def validate(self) -> None:
-        if not self.period_seconds > 0:
-            raise ConfigurationError("period_seconds must be positive")
+        if not (0 < self.period_seconds < math.inf):  # NaN too
+            raise ConfigurationError("period_seconds must be positive and finite")
         if not self.num_periods >= 1:
             raise ConfigurationError("num_periods must be >= 1")
         if not self.think_time >= 0:

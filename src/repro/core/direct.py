@@ -77,7 +77,7 @@ class CompletionMeasurement:
             c.name: (c.goal.metric, SlidingWindow(capacity=1024)) for c in classes
         }
         self._retained: Dict[str, ClassMeasurement] = {}
-        patroller.subscribe("completed", self._on_completion)
+        patroller.subscribe("completed", self._on_completion, self._windows)
 
     def _on_completion(self, query: Query) -> None:
         if query.class_name in self._windows:
@@ -94,7 +94,9 @@ class CompletionMeasurement:
             window.evict_older_than(now - self.config.velocity_window)
             fresh = None
             if len(window):
-                fresh = ClassMeasurement(name, metric, window.mean, len(window), now)
+                fresh = tuple.__new__(
+                    ClassMeasurement, (name, metric, window.mean, len(window), now)
+                )
             value = fresh_or_retained(
                 self._retained, name, fresh, now, self.config.max_measurement_age
             )
@@ -133,7 +135,7 @@ class DirectScheduler:
             gated=names,
             discipline=config.planner.queue_discipline,
         )
-        patroller.subscribe("completed", self.dispatcher.on_completion)
+        patroller.subscribe("completed", self.dispatcher.on_completion, names)
         engine.set_admission_gate(DispatcherGate(self.dispatcher, sim))
         self.measurement = CompletionMeasurement(
             sim, patroller, classes, config.monitor

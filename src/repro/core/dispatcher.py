@@ -253,16 +253,20 @@ class Dispatcher:
         """Everything kept for the class in one look-up: what the planner
         and the validation harness read each interval, once per class."""
         state = self._state(class_name)
-        return ClassAccounting(
-            len(state.queue),
-            state.in_flight_cost,
-            state.in_flight_count,
-            state.released,
-            state.completed,
-            state.cancelled,
-            state.enqueued,
-            state.queue_cancelled,
-            MappingProxyType(state.in_flight),
+        # tuple.__new__: the row without its generated constructor's frame.
+        return tuple.__new__(
+            ClassAccounting,
+            (
+                len(state.queue),
+                state.in_flight_cost,
+                state.in_flight_count,
+                state.released,
+                state.completed,
+                state.cancelled,
+                state.enqueued,
+                state.queue_cancelled,
+                MappingProxyType(state.in_flight),
+            ),
         )
 
     def register_instruments(self, registry: "MetricsRegistry") -> None:  # noqa: F821

@@ -490,13 +490,16 @@ class LearnedPerformanceModel:
             predictor = self._classes[name]
             values.append(predictor.observations)
             values.extend(predictor.w)
-        return LearnedModelState(
-            self.name,
-            self.ridge,
-            self.forgetting,
-            self._corrupted,
-            keys,
-            array("d", values),
+        return tuple.__new__(
+            LearnedModelState,
+            (
+                self.name,
+                self.ridge,
+                self.forgetting,
+                self._corrupted,
+                keys,
+                array("d", values),
+            ),
         )
 
     def describe(self) -> Dict[str, object]:

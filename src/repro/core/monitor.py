@@ -22,7 +22,7 @@ Two measurement paths, one per metric (Section 3.1):
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import MonitorConfig
 from repro.core.service_class import ServiceClass
@@ -137,6 +137,11 @@ class Monitor:
         """The intercepted-and-unfinished queries (a copy of the open rows)."""
         return list(self.tables.open())
 
+    @property
+    def velocity_classes(self) -> Tuple[str, ...]:
+        """The classes whose completions :meth:`on_completed` samples."""
+        return tuple(self._velocity_samples)
+
     def register_instruments(self, registry: "MetricsRegistry") -> None:  # noqa: F821
         """Publish the Monitor's live state into an instrument registry."""
         registry.gauge(
@@ -241,12 +246,16 @@ class Monitor:
             values.append(min(1.0, executing / age))
         if not values:
             return None
-        return ClassMeasurement(
-            class_name=service_class.name,
-            metric="velocity",
-            value=sequential_sum(values) / len(values),
-            sample_count=len(values),
-            measured_at=now,
+        # tuple.__new__: ClassMeasurement's fields, without its constructor frame.
+        return tuple.__new__(
+            ClassMeasurement,
+            (
+                service_class.name,
+                "velocity",
+                sequential_sum(values) / len(values),
+                len(values),
+                now,
+            ),
         )
 
     def _measure_response_time(
@@ -258,10 +267,7 @@ class Monitor:
         window.evict_older_than(now - self.config.response_time_window)
         if len(window) == 0:
             return None
-        return ClassMeasurement(
-            class_name=service_class.name,
-            metric="response_time",
-            value=window.mean,
-            sample_count=len(window),
-            measured_at=now,
+        return tuple.__new__(
+            ClassMeasurement,
+            (service_class.name, "response_time", window.mean, len(window), now),
         )

@@ -80,8 +80,8 @@ class MPLController:
         self._started = True
         self.patroller.intercept_only(self.mpl)  # keyed by the controlled classes
         self.patroller.set_release_handler(self._on_intercepted)
-        self.patroller.subscribe("completed", self._on_completed)
-        self.patroller.subscribe("cancelled", self._on_cancelled)
+        self.patroller.subscribe("completed", self._on_completed, self.mpl)
+        self.patroller.subscribe("cancelled", self._on_cancelled, self.mpl)
         self.sim.schedule(self.control_interval, self._tick, label="mpl:tick")
 
     def describe(self) -> str:

@@ -367,22 +367,26 @@ class SchedulingPlanner:
         for service_class in self.classes:
             name = service_class.name
             accounting = self.dispatcher.class_accounting(name)
+            # ClassMixState's fields, in order, without its constructor frame.
             states.append(
-                ClassMixState(
-                    name=name,
-                    kind=service_class.kind,
-                    limit=self.dispatcher.plan.limit(name),
-                    value=self._value_of(measurements, name),
-                    queue_length=accounting.queue_length,
-                    in_flight_count=accounting.in_flight_count,
-                    in_flight_cost=accounting.in_flight_cost,
+                tuple.__new__(
+                    ClassMixState,
+                    (
+                        name,
+                        service_class.kind,
+                        self.dispatcher.plan.limit(name),
+                        self._value_of(measurements, name),
+                        accounting.queue_length,
+                        accounting.in_flight_count,
+                        accounting.in_flight_cost,
+                    ),
                 )
             )
-        return MixSnapshot(time=now, classes=tuple(states))
+        return tuple.__new__(MixSnapshot, (now, tuple(states)))
 
     def _observe_model(self, mix: MixSnapshot) -> None:
         """Hand the performance model this interval's observation."""
         model = self.model
         if model is None:
             return
-        model.observe(IntervalObservation(time=mix.time, mix=mix))
+        model.observe(tuple.__new__(IntervalObservation, (mix.time, mix)))

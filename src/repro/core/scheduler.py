@@ -92,12 +92,16 @@ class QueryScheduler:
             gated=controlled,
             discipline=config.planner.queue_discipline,
         )
-        patroller.subscribe("completed", self.dispatcher.on_completion)
-        patroller.subscribe("cancelled", self.dispatcher.on_cancellation)
+        # Each listener hears only the classes it acts on: the bypassing
+        # OLTP statements reach neither the dispatcher nor the monitor.
+        patroller.subscribe("completed", self.dispatcher.on_completion, controlled)
+        patroller.subscribe("cancelled", self.dispatcher.on_cancellation, controlled)
         self.monitor = Monitor(
             sim, engine, patroller.tables, self.classes, config.monitor
         )
-        patroller.subscribe("completed", self.monitor.on_completed)
+        patroller.subscribe(
+            "completed", self.monitor.on_completed, self.monitor.velocity_classes
+        )
         self.solver = make_solver(config)
         self.planner = SchedulingPlanner(
             sim, self.monitor, self.dispatcher, self.solver, self.classes, config.planner

@@ -16,6 +16,7 @@ the timestamps from which the paper's two performance metrics derive:
 from __future__ import annotations
 
 import enum
+from math import inf
 from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -208,15 +209,23 @@ def make_phases(
     """
     if rounds < 1:
         raise SimulationError("make_phases needs rounds >= 1")
-    if cpu_demand < 0 or io_demand < 0:
-        raise SimulationError("demands must be non-negative")
+    # Chained comparisons, not math.isfinite: this runs once per statement.
+    # NaN fails both, so it cannot drop a phase or empty a statement.
+    if not (0.0 <= cpu_demand < inf and 0.0 <= io_demand < inf):
+        raise SimulationError(
+            "demands must be finite and non-negative (cpu {!r}, io {!r})".format(
+                cpu_demand, io_demand
+            )
+        )
     cpu_slice = cpu_demand / rounds
     io_slice = io_demand / rounds
+    # tuple.__new__ is what Phase's generated constructor calls; calling it
+    # directly saves a Python frame per phase on the per-statement path.
     one_round: Tuple[Phase, ...] = ()
     if cpu_slice > 0:
-        one_round = (Phase(CPU, cpu_slice),)
+        one_round = (tuple.__new__(Phase, (CPU, cpu_slice)),)
     if io_slice > 0:
-        one_round += (Phase(IO, io_slice),)
+        one_round += (tuple.__new__(Phase, (IO, io_slice)),)
     # Degenerate zero-demand query: keep one empty CPU phase so the
     # lifecycle still transits the engine.
     return one_round * rounds or (Phase(CPU, 0.0),)

@@ -72,30 +72,37 @@ class SnapshotMonitor:
             Drop samples whose statement finished before this time (stale
             connections that have gone idle).
         """
-        samples = []
-        for query in self._last.values():
-            if class_name is not None and query.class_name != class_name:
-                continue
-            if since is not None and query.finish_time < since:
-                continue
-            samples.append(
-                SnapshotSample(
-                    query.client_id,
-                    query.class_name,
-                    query.finish_time,
-                    query.execution_time,
-                    query.response_time,
-                )
+        return [
+            SnapshotSample(
+                query.client_id,
+                query.class_name,
+                query.finish_time,
+                query.execution_time,
+                query.response_time,
             )
-        return samples
+            for query in self._kept(class_name, since)
+        ]
 
     def average_response_time(
         self,
         class_name: Optional[str] = None,
         since: Optional[float] = None,
     ) -> Optional[float]:
-        """Mean response time across connections, or None with no samples."""
-        samples = self.snapshot(class_name=class_name, since=since)
-        if not samples:
+        """Mean response time across connections, or None with no samples.
+
+        The mean of :meth:`snapshot`'s ``response_time`` values, in the same
+        order and left fold, read straight off the kept statements.
+        """
+        times = [query.response_time for query in self._kept(class_name, since)]
+        if not times:
             return None
-        return sequential_sum(s.response_time for s in samples) / len(samples)
+        return sequential_sum(times) / len(times)
+
+    def _kept(self, class_name: Optional[str], since: Optional[float]) -> List[Query]:
+        """The last statement per connection, filtered as a snapshot is."""
+        return [
+            query
+            for query in self._last.values()
+            if (class_name is None or query.class_name == class_name)
+            and (since is None or not query.finish_time < since)
+        ]

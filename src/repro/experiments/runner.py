@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from math import inf
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import SimulationConfig, default_config
@@ -136,6 +137,10 @@ class ExperimentSpec:
         # ``backend_options`` per run.
         self.backend_options = copy.deepcopy(self.backend_options)
         self.faults = tuple(self.faults)
+        if self.horizon is not None and not 0 < self.horizon < inf:  # NaN too
+            raise ConfigurationError(
+                "horizon must be finite and > 0 (got {!r})".format(self.horizon)
+            )
 
     def with_overrides(self, **changes: Any) -> "ExperimentSpec":
         """A copy with the given fields replaced (no shared mutable state)."""

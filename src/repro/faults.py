@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.dbms.query import Query, QueryState
-from repro.errors import SchedulingError
+from repro.errors import PatrollerError, SchedulingError
 
 #: Behavioral fault kinds a :class:`ScheduledFault` may name.  These drive
 #: public APIs only, so a correct controller must absorb them with its
@@ -244,32 +244,35 @@ class FaultInjector:
         drops to one class's completions (by default any completion counts,
         including bypassing OLTP traffic the dispatcher may not even
         track).  Drops stack: each wraps what the previous one left in
-        place.
+        place, through :meth:`QueryPatroller.wrap_subscriber
+        <repro.patroller.patroller.QueryPatroller.wrap_subscriber>`, which
+        hands the wrapper every completion although the dispatcher itself
+        hears only its gated classes'.
         """
         target = self._need_dispatcher("drop_completions").on_completion
 
         def install() -> None:
-            listeners = self.patroller._listeners["completed"]
+            remaining = count
+
+            def wrap(inner: Callable[[Query], None]) -> Callable[[Query], None]:
+                def dropping(query: Query) -> None:
+                    nonlocal remaining
+                    if remaining > 0 and (
+                        class_name is None or query.class_name == class_name
+                    ):
+                        remaining -= 1
+                        return
+                    inner(query)
+
+                return dropping
+
             try:
-                index = [getattr(f, "__wrapped__", f) for f in listeners].index(target)
-            except ValueError:
+                self.patroller.wrap_subscriber("completed", target, wrap)
+            except PatrollerError:
                 raise SchedulingError(
                     "the dispatcher is not subscribed to the patroller's "
                     "completed event"
                 )
-            inner = listeners[index]
-            remaining = {"count": count}
-
-            def dropping(query: Query) -> None:
-                if remaining["count"] > 0 and (
-                    class_name is None or query.class_name == class_name
-                ):
-                    remaining["count"] -= 1
-                    return
-                inner(query)
-
-            dropping.__wrapped__ = target
-            listeners[index] = dropping
             self._log("drop_completions", count=count, class_name=class_name)
 
         self._at(delay, install, "drop_completions")

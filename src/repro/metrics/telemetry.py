@@ -61,9 +61,12 @@ class ClassRows(Mapping[str, Row]):
     shared by every section built over the same class set; ``row`` builds
     one row from its fields — a ``NamedTuple`` type or a module-level
     function, so the view pickles; ``fields`` holds every row's fields back
-    to back, in class order.  ``rows[name]`` builds that class's row on
-    access.  Like :class:`~repro.core.plan.PlanLimits`, it compares equal
-    to a dict of the same rows.
+    to back, in class order (all of a ``NamedTuple``'s fields, defaulted
+    ones too).  ``rows[name]`` builds that class's row on access; a
+    ``NamedTuple`` row is the slice itself, made by ``tuple.__new__``
+    without its generated constructor.  Like
+    :class:`~repro.core.plan.PlanLimits`, it compares equal to a dict of
+    the same rows.
     """
 
     __slots__ = ("_index", "_row", "_fields")
@@ -78,7 +81,11 @@ class ClassRows(Mapping[str, Row]):
     def __getitem__(self, class_name: str) -> Row:
         position = self._index[class_name]
         width = len(self._fields) // len(self._index)
-        return self._row(*self._fields[position * width : (position + 1) * width])
+        fields = self._fields[position * width : (position + 1) * width]
+        row = self._row
+        if isinstance(row, type):
+            return tuple.__new__(row, fields)
+        return row(*fields)
 
     def __contains__(self, class_name: object) -> bool:
         return class_name in self._index

@@ -18,12 +18,23 @@ handed every intercepted query; it then decides when to call ``release``.
 
 :meth:`QueryPatroller.subscribe` is the one place to observe a statement's
 lifecycle: the patroller also installs the engine's completion hook and
-re-announces each completion as ``completed``.
+re-announces each completion as ``completed``.  A subscriber may name the
+classes it handles; the patroller then calls it for those classes only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.config import PatrollerConfig
 from repro.dbms.query import CPU, Phase, Query, QueryState
@@ -45,6 +56,11 @@ LIFECYCLE_EVENTS = (
     "rejected",
     "completed",
 )
+
+#: One subscription: the callable the patroller calls, the classes it is
+#: delivered for (None: every statement), and the listener it was made with
+#: (what :meth:`QueryPatroller.wrap_subscriber` looks it up by).
+_Subscription = Tuple[LifecycleListener, Optional[FrozenSet[str]], LifecycleListener]
 
 
 class QueryPatroller:
@@ -68,8 +84,15 @@ class QueryPatroller:
         self._pending_release: Dict[int, TimerHandle] = {}
         self._intercepted_count = 0
         self._bypassed_count = 0
-        self._listeners: Dict[str, List[LifecycleListener]] = {
+        self._subscriptions: Dict[str, List[_Subscription]] = {
             event: [] for event in LIFECYCLE_EVENTS
+        }
+        #: Per event, class name -> the listeners a statement of that class
+        #: reaches, in subscription order: built on the class's first
+        #: statement (:meth:`_route`), emptied whenever that event's
+        #: subscriptions change.
+        self._routes: Dict[str, Dict[str, Tuple[LifecycleListener, ...]]] = {
+            event: {} for event in LIFECYCLE_EVENTS
         }
         engine.set_completion_hook(self._on_completion)
 
@@ -97,9 +120,20 @@ class QueryPatroller:
         """Install the controller that decides when held queries release."""
         self._release_handler = handler
 
-    def subscribe(self, event: str, listener: LifecycleListener) -> None:
+    def subscribe(
+        self,
+        event: str,
+        listener: LifecycleListener,
+        classes: Optional[Collection[str]] = None,
+    ) -> None:
         """Observe one of :data:`LIFECYCLE_EVENTS`; ``listener(query)`` runs
         synchronously at the transition instant, in subscription order.
+
+        ``classes`` names the service classes whose statements the listener
+        handles; the patroller calls it for those only.  ``None`` (the
+        default) delivers every statement.  Route a subscriber only when its
+        class set is fixed when it subscribes and it ignores every other
+        class.
 
         ``submitted`` sees every statement (bypassed ones too — workload
         detection needs the OLTP traffic the control tables never hold);
@@ -108,14 +142,72 @@ class QueryPatroller:
         never complete; ``completed`` fires once per statement the engine
         finishes, bypassed ones too; the tracer subscribes to all six.
         """
-        listeners = self._listeners.get(event)
+        if isinstance(classes, str):
+            raise PatrollerError(
+                "subscribe() takes a collection of class names, not the "
+                "string {!r}".format(classes)
+            )
+        routed = None if classes is None else frozenset(classes)
+        self._subscribers(event).append((listener, routed, listener))
+        self._routes[event].clear()
+
+    def wrap_subscriber(
+        self,
+        event: str,
+        listener: LifecycleListener,
+        wrap: Callable[[LifecycleListener], LifecycleListener],
+    ) -> None:
+        """Put ``wrap(inner)`` in the place of ``listener``'s subscription to
+        ``event``, delivered to every statement.
+
+        ``inner`` calls what held that place — ``listener`` itself, or an
+        earlier wrapper of it — for the classes its subscription named and
+        returns at once for any other, so a wrapper sees every statement,
+        also those the wrapped listener is routed away from.  Wrappers
+        stack: naming ``listener`` again wraps the wrapper in place.  A
+        :class:`~repro.errors.PatrollerError` if ``listener`` does not
+        observe ``event``.
+        """
+        subscriptions = self._subscribers(event)
+        for position, (current, classes, subscribed) in enumerate(subscriptions):
+            if subscribed == listener:
+                break
+        else:
+            raise PatrollerError(
+                "{!r} is not subscribed to the {!r} event".format(listener, event)
+            )
+        if classes is None:
+            inner = current
+        else:
+
+            def inner(query: Query) -> None:
+                if query.class_name in classes:
+                    current(query)
+
+        subscriptions[position] = (wrap(inner), None, subscribed)
+        self._routes[event].clear()
+
+    def _route(self, event: str, class_name: str) -> Tuple[LifecycleListener, ...]:
+        """The listeners ``event`` reaches for a statement of ``class_name``."""
+        routes = self._routes[event]
+        listeners = routes.get(class_name)
         if listeners is None:
+            listeners = routes[class_name] = tuple(
+                listener
+                for listener, classes, _ in self._subscriptions[event]
+                if classes is None or class_name in classes
+            )
+        return listeners
+
+    def _subscribers(self, event: str) -> List[_Subscription]:
+        subscriptions = self._subscriptions.get(event)
+        if subscriptions is None:
             raise PatrollerError(
                 "unknown lifecycle event {!r}; expected one of {}".format(
                     event, LIFECYCLE_EVENTS
                 )
             )
-        listeners.append(listener)
+        return subscriptions
 
     # ------------------------------------------------------------------
     # Introspection
@@ -160,7 +252,13 @@ class QueryPatroller:
     def submit(self, query: Query) -> None:
         """Entry point for every statement leaving a client."""
         query.submit_time = self.sim.now
-        for listener in self._listeners["submitted"]:
+        # The two per-statement announcements read the route inline (a hit
+        # is one dict read, no call); the rarer transitions call _route.
+        try:
+            listeners = self._routes["submitted"][query.class_name]
+        except KeyError:
+            listeners = self._route("submitted", query.class_name)
+        for listener in listeners:
             listener(query)
         if query.class_name not in self._intercepted_classes:
             self._bypassed_count += 1
@@ -177,11 +275,13 @@ class QueryPatroller:
         query.intercept_time = self.sim.now
         if self.config.overhead_cpu_demand > 0:
             # QP's bookkeeping burns server CPU on behalf of the statement.
-            query.phases = (Phase(CPU, self.config.overhead_cpu_demand),) + query.phases
+            query.phases = (
+                tuple.__new__(Phase, (CPU, self.config.overhead_cpu_demand)),
+            ) + query.phases
         query.state = QueryState.QUEUED
         self.tables.record(query)
         query.queue_time = self.sim.now
-        for listener in self._listeners["intercepted"]:
+        for listener in self._route("intercepted", query.class_name):
             listener(query)
         if self._release_handler is None:
             raise PatrollerError(
@@ -201,7 +301,7 @@ class QueryPatroller:
         # The release decision marks the start of "running in the DBMS":
         # the release latency is execution overhead, not scheduler hold time.
         query.release_time = self.sim.now
-        for listener in self._listeners["released"]:
+        for listener in self._route("released", query.class_name):
             listener(query)
         if self.config.release_latency > 0:
             self._pending_release[query.query_id] = self.sim.schedule(
@@ -235,7 +335,7 @@ class QueryPatroller:
         query.state = QueryState.CANCELLED
         query.finish_time = self.sim.now
         self.tables.close(query)
-        for listener in self._listeners["cancelled"]:
+        for listener in self._route("cancelled", query.class_name):
             listener(query)
         return True
 
@@ -252,7 +352,7 @@ class QueryPatroller:
         query.state = QueryState.REJECTED
         query.finish_time = self.sim.now
         self.tables.close(query)
-        for listener in self._listeners["rejected"]:
+        for listener in self._route("rejected", query.class_name):
             listener(query)
         if query.on_complete is not None:
             query.on_complete(query)
@@ -269,5 +369,9 @@ class QueryPatroller:
         # Only queries that went through interception have table rows.
         if query.intercept_time is not None:
             self.tables.close(query)
-        for listener in self._listeners["completed"]:
+        try:
+            listeners = self._routes["completed"][query.class_name]
+        except KeyError:
+            listeners = self._route("completed", query.class_name)
+        for listener in listeners:
             listener(query)

@@ -571,8 +571,8 @@ class ScenarioSpec:
                     self.invariants, MODES
                 )
             )
-        if self.horizon is not None and not self.horizon > 0:
-            raise ScenarioError("horizon must be positive when given")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ScenarioError("horizon must be positive and finite when given")
         schedule = self.build_schedule()
         self.build_classes()
         self.build_config()

@@ -178,9 +178,11 @@ class Simulator:
         everything drains early, so periodic post-run measurements see a
         consistent horizon.
         """
-        if end_time < self.now:
+        if not end_time >= self.now:  # NaN too
             raise SimulationError(
-                "run_until({}) is in the past (now={})".format(end_time, self.now)
+                "run_until({}) is in the past or not a time (now={})".format(
+                    end_time, self.now
+                )
             )
         if self._running:
             raise SimulationError("run_until() called re-entrantly from a callback")

@@ -255,9 +255,49 @@ class ProcessorSharingResource:
             )
         if efficiency == self._efficiency:
             return
-        self._advance()
+        # _advance() and _reschedule() inlined: over the saturation knee the
+        # overload model re-applies efficiency about once per statement.  The
+        # arithmetic must stay identical to the out-of-line twins.
+        sim = self.sim
+        now = sim.now
+        heap = self._heap
+        if now != self._vtime_updated_at or now != self._last_stat_time:
+            njobs = len(heap)
+            dt = now - self._last_stat_time
+            if dt > 0:
+                busy = njobs if njobs < self.servers else self.servers
+                self._busy_integral += busy * dt
+                self._jobs_integral += njobs * dt
+                self._last_stat_time = now
+            dt = now - self._vtime_updated_at
+            if dt > 0 and njobs > 0:
+                if njobs <= self.servers:
+                    self._vtime += dt * (self.speed * self._efficiency)
+                else:
+                    self._vtime += dt * (self.speed * (self.servers / njobs) * self._efficiency)
+            self._vtime_updated_at = now
         self._efficiency = float(efficiency)
-        self._reschedule()
+        if not heap:
+            self._timer.cancel()
+            self._timer_seq = -1
+            return
+        njobs = len(heap)
+        if njobs <= self.servers:
+            rate = self.speed * self._efficiency
+        else:
+            rate = self.speed * (self.servers / njobs) * self._efficiency
+        head_vtime, head_seq, _, _, _ = heap[0]
+        if head_seq != self._timer_seq or rate != self._timer_rate:
+            remaining_v = head_vtime - self._vtime
+            seq = sim._seq
+            self._timer._key = (
+                now + (remaining_v / rate if remaining_v > 0.0 else 0.0),
+                DEFAULT_PRIORITY,
+                seq,
+            )
+            sim._seq = seq + 1
+            self._timer_seq = head_seq
+            self._timer_rate = rate
 
     # ------------------------------------------------------------------
     # Internals

@@ -11,6 +11,7 @@ scheduling decisions will see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,6 +60,13 @@ class QueryTemplate:
     def validate(self) -> None:
         if self.kind not in ("olap", "oltp"):
             raise WorkloadError("template {!r}: unknown kind {!r}".format(self.name, self.kind))
+        for field_name in ("cpu_demand", "io_demand", "weight", "variability"):
+            if not math.isfinite(getattr(self, field_name)):
+                raise WorkloadError(
+                    "template {!r}: {} must be finite (got {!r})".format(
+                        self.name, field_name, getattr(self, field_name)
+                    )
+                )
         if self.cpu_demand < 0 or self.io_demand < 0:
             raise WorkloadError("template {!r}: negative demand".format(self.name))
         if self.cpu_demand == 0 and self.io_demand == 0:

@@ -188,3 +188,26 @@ def test_offline_mode_never_feeds_regression():
         planner.run_interval()
     assert len({record.plan.limit("class3") for record in planner.history}) > 1
     assert planner.model.oltp.slope == -4.2e-6
+
+
+def test_interval_rows_are_real_named_tuples():
+    # The per-interval rows skip their generated constructors (tuple.__new__)
+    # yet keep their type, fields, repr, _replace and pickling.
+    import pickle
+
+    from repro.core.dispatcher import ClassAccounting
+    from repro.core.modeling.protocol import ClassMixState, MixSnapshot
+
+    sim, engine, monitor, dispatcher, planner = make_planner()
+    accounting = dispatcher.class_accounting("class1")
+    assert type(accounting) is ClassAccounting
+    assert accounting == ClassAccounting(*accounting)
+    assert repr(accounting) == repr(ClassAccounting(*accounting))
+    mix = planner._mix_snapshot({}, now=3.0)
+    assert type(mix) is MixSnapshot and mix.time == 3.0
+    for state in mix.classes:
+        assert type(state) is ClassMixState
+        assert repr(state) == repr(ClassMixState(*state))
+        assert state._replace(limit=1.0).limit == 1.0
+        assert pickle.loads(pickle.dumps(state)) == state
+    assert [state.name for state in mix.classes] == [c.name for c in planner.classes]

@@ -1,5 +1,8 @@
 """Tests for query objects, phases and timing metrics."""
 
+import math
+import pickle
+
 import pytest
 
 from repro.dbms.query import CPU, IO, Phase, Query, QueryState, make_phases
@@ -50,6 +53,36 @@ class TestMakePhases:
             make_phases(1.0, 1.0, rounds=0)
         with pytest.raises(SimulationError):
             make_phases(-1.0, 1.0, rounds=1)
+
+    @pytest.mark.parametrize(
+        "cpu, io",
+        [
+            (math.nan, 1.0),  # used to return only the IO phase
+            (math.nan, math.nan),  # used to return one zero-demand phase
+            (1.0, math.nan),
+            (math.inf, 1.0),
+            (1.0, math.inf),
+            (1.0, -math.inf),
+        ],
+    )
+    def test_non_finite_demands_are_refused(self, cpu, io):
+        with pytest.raises(SimulationError, match="finite"):
+            make_phases(cpu, io, rounds=2)
+
+    def test_phases_are_real_phase_rows(self):
+        # Built without Phase's generated constructor, yet the same rows.
+        phases = make_phases(1.5, 2.5, rounds=1)
+        assert [type(phase) for phase in phases] == [Phase, Phase]
+        assert phases == (Phase(CPU, 1.5), Phase(IO, 2.5))
+        assert [repr(phase) for phase in phases] == [
+            repr(Phase(CPU, 1.5)),
+            repr(Phase(IO, 2.5)),
+        ]
+        assert phases[0]._replace(demand=3.0) == Phase(CPU, 3.0)
+        assert phases[1].kind == IO and phases[1].demand == 2.5
+        restored = pickle.loads(pickle.dumps(phases))
+        assert restored == phases
+        assert [type(phase) for phase in restored] == [Phase, Phase]
 
 
 class TestQueryLifecycle:

@@ -81,3 +81,28 @@ def test_average_reflects_only_most_recent_per_client():
     monitor.record_completion(completed_query(1, "a", submit=0.0, finish=10.0))
     monitor.record_completion(completed_query(2, "a", submit=10.0, finish=10.5))
     assert monitor.average_response_time() == pytest.approx(0.5)
+
+
+def test_average_response_time_is_the_mean_of_the_snapshot_samples():
+    # Read straight off the kept statements: the same values, filters and
+    # left fold as averaging snapshot()'s rows.
+    monitor = SnapshotMonitor()
+    for query_id, (client, class_name, submit, finish) in enumerate(
+        [
+            ("a", "class3", 0.0, 0.7),
+            ("b", "class3", 0.1, 12.3),
+            ("c", "class1", 0.2, 14.0),
+            ("d", "class3", 5.0, 15.1),
+        ]
+    ):
+        monitor.record_completion(
+            completed_query(query_id, client, class_name, submit, finish)
+        )
+    for class_name, since in [(None, None), ("class3", None), ("class3", 10.0), (None, 13.0)]:
+        samples = monitor.snapshot(class_name=class_name, since=since)
+        expected = 0.0
+        for sample in samples:
+            expected += sample.response_time
+        assert monitor.average_response_time(class_name, since) == expected / len(samples)
+    assert monitor.average_response_time("class3", since=20.0) is None
+

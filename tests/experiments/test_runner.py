@@ -158,6 +158,18 @@ class TestExperimentSpecIsolation:
         options["busy_timeout"] = 5.0
         assert spec.backend_options == {"busy_timeout": 1.0}
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -5.0, 0.0])
+    def test_a_horizon_must_be_finite_and_positive(self, horizon):
+        # nan / inf used to run forever, -5 to end in a kernel traceback.
+        with pytest.raises(ConfigurationError, match="horizon"):
+            ExperimentSpec(horizon=horizon)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            ExperimentSpec().with_overrides(horizon=horizon)
+
+    def test_a_finite_horizon_is_kept(self):
+        assert ExperimentSpec(horizon=12.5).horizon == 12.5
+        assert ExperimentSpec().horizon is None
+
     def test_faults_normalized_to_tuple(self):
         from repro.faults import ScheduledFault
 

@@ -488,6 +488,17 @@ class TestClassRows:
         assert packed != dict(list(plain.items())[:-1])
         assert _packed({}, row) == {}
 
+    def test_a_named_tuple_row_is_a_real_row(self):
+        # Built by tuple.__new__, without the generated constructor: the
+        # same type, fields, repr, _replace, pickling and rendering.
+        plain, row = self.rows()
+        built, expected = _packed(plain, row)["class2"], plain["class2"]
+        assert type(built) is row and built._fields == row._fields
+        assert repr(built) == repr(expected)
+        assert built._replace(queue_length=7) == expected._replace(queue_length=7)
+        assert pickle.loads(pickle.dumps(built)) == expected
+        assert built.to_dict() == expected.to_dict()
+
     def test_an_unknown_class_is_a_key_error(self):
         packed = _packed(*self.rows())
         with pytest.raises(KeyError):

@@ -177,3 +177,116 @@ def test_oltp_interception_overhead_dominates_sub_second_query():
     bare_execution = 0.012 + 0.004
     overhead = query.response_time - bare_execution
     assert overhead > 5 * bare_execution
+
+
+def test_overhead_phase_is_a_real_phase_row():
+    config = PatrollerConfig(interception_latency=0.0, release_latency=0.0,
+                             overhead_cpu_demand=0.25)
+    sim, engine, patroller = make_stack(config)
+    patroller.enable_for_class("class1")
+    patroller.set_release_handler(lambda q: None)
+    query = make_query()
+    patroller.submit(query)
+    sim.run()
+    overhead = query.phases[0]
+    assert type(overhead) is Phase
+    assert overhead == Phase(CPU, 0.25)
+    assert repr(overhead) == repr(Phase(CPU, 0.25))
+
+
+class TestRoutedSubscribers:
+    """``subscribe(event, listener, classes)`` delivers only those classes."""
+
+    def run_statements(self, patroller, sim, class_names):
+        for query_id, class_name in enumerate(class_names, start=1):
+            patroller.submit(make_query(query_id, class_name))
+        sim.run()
+
+    def test_a_routed_listener_hears_only_its_classes(self):
+        sim, engine, patroller = make_stack()
+        heard = {"all": [], "olap": [], "class3": []}
+        patroller.subscribe("completed", lambda q: heard["all"].append(q.query_id))
+        patroller.subscribe(
+            "completed", lambda q: heard["olap"].append(q.query_id), ["class1", "class2"]
+        )
+        patroller.subscribe(
+            "submitted", lambda q: heard["class3"].append(q.query_id), classes=("class3",)
+        )
+        self.run_statements(patroller, sim, ["class1", "class3", "class2", "class3"])
+        assert sorted(heard["all"]) == [1, 2, 3, 4]
+        assert sorted(heard["olap"]) == [1, 3]
+        assert heard["class3"] == [2, 4]
+
+    def test_each_class_hears_its_listeners_in_subscription_order(self):
+        sim, engine, patroller = make_stack()
+        calls = []
+        patroller.subscribe("completed", lambda q: calls.append(("a", q.class_name)), ["class3"])
+        patroller.subscribe("completed", lambda q: calls.append(("b", q.class_name)))
+        patroller.subscribe("completed", lambda q: calls.append(("c", q.class_name)), ["class1", "class3"])
+        self.run_statements(patroller, sim, ["class3"])
+        self.run_statements(patroller, sim, ["class1"])
+        self.run_statements(patroller, sim, ["class2"])
+        assert calls == [
+            ("a", "class3"), ("b", "class3"), ("c", "class3"),
+            ("b", "class1"), ("c", "class1"),
+            ("b", "class2"),
+        ]
+
+    def test_a_subscription_after_the_first_event_takes_effect(self):
+        # The per-class listener tuples are built on first use; a later
+        # subscription must not be hidden behind one already built.
+        sim, engine, patroller = make_stack()
+        early, late, late_routed = [], [], []
+        patroller.subscribe("completed", early.append)
+        self.run_statements(patroller, sim, ["class3"])
+        patroller.subscribe("completed", late.append)
+        patroller.subscribe("completed", late_routed.append, {"class3"})
+        self.run_statements(patroller, sim, ["class3", "class1"])
+        assert [q.class_name for q in early] == ["class3", "class3", "class1"]
+        assert [q.class_name for q in late] == ["class3", "class1"]
+        assert [q.class_name for q in late_routed] == ["class3"]
+
+    def test_an_unknown_event_is_one_patroller_error(self):
+        sim, engine, patroller = make_stack()
+        with pytest.raises(PatrollerError, match="unknown lifecycle event 'finished'"):
+            patroller.subscribe("finished", lambda q: None)
+        with pytest.raises(PatrollerError, match="unknown lifecycle event 'finished'"):
+            patroller.subscribe("finished", lambda q: None, ["class1"])
+        with pytest.raises(PatrollerError, match="unknown lifecycle event"):
+            patroller.wrap_subscriber("finished", print, lambda inner: inner)
+
+    def test_a_class_name_string_is_not_a_class_set(self):
+        sim, engine, patroller = make_stack()
+        with pytest.raises(PatrollerError, match="collection of class names"):
+            patroller.subscribe("completed", lambda q: None, "class1")
+
+    def test_a_wrapper_hears_every_statement_and_the_wrapped_only_its_own(self):
+        sim, engine, patroller = make_stack()
+        inner_heard, wrapper_heard = [], []
+
+        def listener(query):
+            inner_heard.append(query.class_name)
+
+        def wrap(inner):
+            def wrapper(query):
+                wrapper_heard.append(query.class_name)
+                inner(query)
+
+            return wrapper
+
+        patroller.subscribe("completed", listener, ["class1"])
+        patroller.wrap_subscriber("completed", listener, wrap)
+        self.run_statements(patroller, sim, ["class1", "class3"])
+        assert wrapper_heard == ["class1", "class3"]
+        assert inner_heard == ["class1"]
+        # Wrapping again finds the place by the original listener.
+        patroller.wrap_subscriber("completed", listener, wrap)
+        self.run_statements(patroller, sim, ["class3"])
+        assert wrapper_heard == ["class1", "class3", "class3", "class3"]
+        assert inner_heard == ["class1"]
+
+    def test_wrapping_a_listener_that_is_not_subscribed_fails(self):
+        sim, engine, patroller = make_stack()
+        patroller.subscribe("cancelled", print)
+        with pytest.raises(PatrollerError, match="not subscribed"):
+            patroller.wrap_subscriber("completed", print, lambda inner: inner)

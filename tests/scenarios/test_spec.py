@@ -517,6 +517,8 @@ MALFORMED = [
     (("schedule", "num_periods"), 2.5, "num_periods"),
     (("horizon",), "long", "horizon"),
     (("horizon",), float("nan"), "horizon"),
+    (("horizon",), float("inf"), "horizon"),
+    (("schedule", "period_seconds"), float("inf"), "period_seconds"),
     (("classes", 0, "importance"), "high", "importance"),
     (("classes", 0, "importance"), float("nan"), "importance"),
     (("classes", 0, "goal"), {"velocity": "fast"}, "velocity"),

@@ -173,3 +173,12 @@ def test_fired_event_count(sim):
         sim.schedule(delay, lambda: None)
     sim.run()
     assert sim.fired_events == 3
+
+
+def test_run_until_rejects_nan(sim):
+    # NaN compares false both ways: it used to slip past the "in the past"
+    # check, leave the clock where it was, and with a periodic timer pending
+    # never return.
+    with pytest.raises(SimulationError, match="run_until"):
+        sim.run_until(float("nan"))
+    assert sim.now == 0.0

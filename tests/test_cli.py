@@ -114,6 +114,34 @@ def test_a_bad_seed_or_control_interval_is_one_configuration_error_line(argv, ca
     assert "(0 control intervals)" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--horizon", "nan"], "horizon"),
+        (["--horizon", "inf"], "horizon"),
+        (["--horizon", "-5"], "horizon"),
+        (["--period-seconds", "inf"], "period_seconds"),
+    ],
+)
+def test_a_bad_horizon_or_period_length_is_one_configuration_error_line(
+    flags, named, capsys, monkeypatch
+):
+    # Refused before anything runs: a run that reached the kernel with a
+    # non-finite end would never return, so reaching it fails the test.
+    from repro.sim.engine import Simulator
+
+    def refuse(self, end_time):
+        pytest.fail("the run started with end time {!r}".format(end_time))
+
+    monkeypatch.setattr(Simulator, "run_until", refuse)
+    argv = ["run", "--periods", "1", "--period-seconds", "10"] + flags
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert named in captured.err
+
+
 def test_check_command_list(capsys):
     code = main(["check", "--list"] + FAST_RUN)
     out = capsys.readouterr().out

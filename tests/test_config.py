@@ -148,6 +148,13 @@ def test_control_interval_must_be_positive_and_finite(interval):
         PlannerConfig(control_interval=interval).validate()
 
 
+@pytest.mark.parametrize("seconds", [float("inf"), float("nan"), 0.0, -1.0])
+def test_period_seconds_must_be_positive_and_finite(seconds):
+    # inf used to pass and then fail as "cannot schedule event ... at nan".
+    with pytest.raises(ConfigurationError, match="period_seconds"):
+        WorkloadScaleConfig(period_seconds=seconds).validate()
+
+
 def test_a_bad_control_interval_is_named_before_the_windows_derived_from_it():
     config = SimulationConfig(
         monitor=MonitorConfig(response_time_window=float("nan")),

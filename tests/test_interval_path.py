@@ -31,9 +31,12 @@ from tests.conftest import dense_smoke_spec, paper_smoke_spec, trained_model
 MAX_CLASS_STATE_LOOKUPS = 50
 
 #: Ceiling on Python-level calls under ``run_interval``, listeners included:
-#: 874 today (876 before the record sections and the events' class progress
-#: were packed), 901 when every record built the model's ``describe()`` dict,
-#: 1,316 when the publisher rendered the record every interval.
+#: 867 today (the per-interval rows are built with ``tuple.__new__``, but
+#: ``pstats`` merges every ``NamedTuple`` constructor into one ``<string>:1``
+#: entry, so that barely shows), 876 before the record sections and the
+#: events' class progress were packed, 901 when every record built the
+#: model's ``describe()`` dict, 1,316 when the publisher rendered the record
+#: every interval.
 MAX_CALLS_PER_INTERVAL = 1035
 
 #: Ceiling on the bytes one control interval leaves behind in

@@ -289,6 +289,36 @@ class TestScheduledFaults:
         heard = result.bundle.controller.dispatcher.completed_count("class2")
         assert result.collector.completions_by_class()["class2"] - heard == 2 + 3
 
+    def test_drops_without_a_class_count_bypassing_completions_too(self):
+        """``class_name=None`` counts any completion, the OLTP statements
+        the dispatcher is never handed included — although the dispatcher
+        itself now hears only its gated classes' completions."""
+        from repro.experiments.runner import ExperimentSpec, assemble_run, finish_run
+        from repro.faults import ScheduledFault
+        from repro.workloads.schedule import constant_schedule
+        from tests.validation.conftest import small_config
+
+        count, at = 300, 5.0
+        result = assemble_run(ExperimentSpec(
+            controller="qs",
+            config=small_config(),
+            schedule=constant_schedule(30.0, 2, {"class1": 2, "class2": 2, "class3": 3}),
+            faults=(ScheduledFault("drop_completions", at=at, params={"count": count}),),
+        ))
+        finished = []
+        result.bundle.patroller.subscribe("completed", finished.append)
+        result.bundle.run()
+        finish_run(result)
+        dropped = [q.class_name for q in finished if q.finish_time >= at][:count]
+        gated = [name for name in dropped if name != "class3"]
+        dispatcher = result.bundle.controller.dispatcher
+        heard = sum(dispatcher.completed_count(name) for name in ("class1", "class2"))
+        completed = result.collector.completions_by_class()
+        # Pinned: of the 300 completions swallowed, 298 were bypassing OLTP
+        # statements and two were gated ones the dispatcher never heard of.
+        assert (len(dropped), len(gated)) == (300, 2)
+        assert completed["class1"] + completed["class2"] - heard == len(gated)
+
     def test_missing_dispatcher_named_for_drop_completions(self):
         injector = FaultInjector(self._none_bundle())
         with pytest.raises(SchedulingError) as excinfo:

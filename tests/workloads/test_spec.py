@@ -125,3 +125,25 @@ class TestQueryFactory:
         factory, _ = make_factory()
         mix = WorkloadMix("m", [template("p", parallelism=3)])
         assert factory.create(mix, "c", "cl").parallelism == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cpu_demand", float("nan")),
+        ("cpu_demand", float("inf")),
+        ("io_demand", float("nan")),
+        ("io_demand", float("inf")),
+        ("weight", float("nan")),
+        ("weight", float("inf")),
+        ("variability", float("nan")),
+        ("variability", float("inf")),
+    ],
+)
+def test_template_numbers_must_be_finite(field, value):
+    # A NaN weight mis-weights template picks; a NaN variability silently
+    # turned demand noise off (``sigma > 0.0`` is false).
+    fields = dict(name="t", kind="oltp", cpu_demand=0.1, io_demand=0.1)
+    fields[field] = value
+    with pytest.raises(WorkloadError, match=field):
+        QueryTemplate(**fields).validate()

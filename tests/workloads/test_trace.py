@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PatrollerConfig, default_config
 from repro.dbms.engine import DatabaseEngine
-from repro.errors import WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -125,6 +125,20 @@ class TestReplayer:
         assert replayer.replayed == 1  # only the t=2.0 arrival fired
         sim.run_until(4.0)
         assert replayer.replayed == 2
+
+    def test_a_nan_demand_in_a_trace_is_refused_at_replay(self):
+        # JSON accepts NaN; replaying it used to drop the statement's CPU
+        # phase (or, with both demands NaN, complete it at once).
+        trace = WorkloadTrace.from_json(
+            '[{"time": 1.0, "class_name": "class3", "client_id": "c", '
+            '"template": "t", "kind": "oltp", "cpu_demand": NaN, '
+            '"io_demand": 0.01, "rounds": 1, "parallelism": 1}]'
+        )
+        sim, engine, patroller, factory, _ = make_world()
+        TraceReplayer(sim, patroller, factory, trace).start()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.run_until(2.0)
+        assert engine.completed_queries == 0
 
     def test_invalid_time_scale(self):
         sim, engine, patroller, factory, _ = make_world()
