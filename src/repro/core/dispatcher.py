@@ -211,47 +211,12 @@ class Dispatcher:
         """The classes this dispatcher queues and releases for."""
         return [state.service_class for state in self._controlled.values()]
 
-    def queue_length(self, class_name: str) -> int:
-        """Queries of the class waiting for release."""
-        return len(self._state(class_name).queue)
-
-    def in_flight_cost(self, class_name: str) -> float:
-        """Estimated cost of the class's released-but-unfinished queries."""
-        return self._state(class_name).in_flight_cost
-
-    def in_flight_count(self, class_name: str) -> int:
-        """Number of the class's released-but-unfinished queries."""
-        return self._state(class_name).in_flight_count
-
-    def released_count(self, class_name: str) -> int:
-        """Total queries of the class released so far."""
-        return self._state(class_name).released
-
-    def completed_count(self, class_name: str) -> int:
-        """Total released queries of the class that finished execution."""
-        return self._state(class_name).completed
-
-    def cancelled_count(self, class_name: str) -> int:
-        """Total released queries of the class cancelled before completion."""
-        return self._state(class_name).cancelled
-
-    def enqueued_count(self, class_name: str) -> int:
-        """Total queries of the class ever placed in its queue."""
-        return self._state(class_name).enqueued
-
-    def queue_cancelled_count(self, class_name: str) -> int:
-        """Total queries of the class cancelled while still queued.
-
-        Queue-level cancels never consume in-flight budget, so they are
-        counted separately from :meth:`cancelled_count` (post-release
-        cancels); without this counter QP cancel storms would be invisible
-        in telemetry.
-        """
-        return self._state(class_name).queue_cancelled
-
     def class_accounting(self, class_name: str) -> ClassAccounting:
-        """Everything kept for the class in one look-up: what the planner
-        and the validation harness read each interval, once per class."""
+        """Everything kept for the class in one look-up — the one read path
+        for its numbers: what the planner and the validation harness read
+        each interval, once per class.  Queue-level cancels never consume
+        in-flight budget, so ``queue_cancelled`` counts them apart from
+        ``cancelled`` (post-release cancels)."""
         state = self._state(class_name)
         # tuple.__new__: the row without its generated constructor's frame.
         return tuple.__new__(

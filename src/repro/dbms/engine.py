@@ -1,14 +1,22 @@
-"""The simulated database engine.
+"""The execution-engine contract and the simulated database engine.
+
+:class:`ExecutionEngine` is the query-execution surface the control stack
+programs against (Monitor, Patroller, MPL/Direct controllers, validation
+harness), written once.  It owns everything around a statement's run:
+the agent pool, the snapshot monitor, the cost estimator, the executing
+set and completion count, the one completion hook and the in-engine
+admission gate.  A subclass adds only how an admitted statement runs:
+
+* ``_start(query)`` — called when the statement gets an agent; it must
+  eventually call ``_finish(query)`` on the control-plane thread;
+* optionally its own ``_finish`` (the simulator's retires overload cost
+  before anyone is told of the completion);
+* optionally ``close`` to release OS resources.
 
 :class:`DatabaseEngine` executes queries phase by phase on two
-processor-sharing pools (CPU and disks), under an agent pool and the
-overload model.  It exposes exactly the hooks the rest of the system needs:
-
-* ``execute(query)`` — run a statement (the Query Patroller calls this when
-  a blocked agent is released; bypassing clients call it directly);
-* ``set_completion_hook`` — the one callback told of each finished
-  statement (the Query Patroller's, which fans it out as ``completed``);
-* ``snapshot_monitor`` — the substrate for OLTP response-time sampling.
+processor-sharing pools (CPU and disks) under the overload model;
+:class:`~repro.runtime.sqlite_engine.SQLiteEngine` runs real SQL on
+worker threads.
 
 Execution timing: a query's ``start_time`` is when it gets an agent and its
 first phase enters service; ``finish_time`` is when its last phase leaves
@@ -33,8 +41,16 @@ from repro.sim.resources import ProcessorSharingResource
 from repro.sim.rng import RandomStreams
 
 
-class DatabaseEngine:
-    """DB2-like execution engine over simulated hardware."""
+class ExecutionEngine:
+    """The query-execution contract shared by every engine.
+
+    Subclasses implement ``_start``; everything the control stack calls
+    lives here.  Completions reach observers through the one completion
+    hook (the Query Patroller's), never through the engine directly.
+    """
+
+    #: DB2-snapshot-style per-connection last-statement sampling substrate.
+    snapshot_monitor: SnapshotMonitor
 
     def __init__(
         self,
@@ -46,16 +62,7 @@ class DatabaseEngine:
         self.sim = sim
         self.config = config
         self.rng = rng
-        resources = config.resources
-        self.cpu = ProcessorSharingResource(
-            sim, "cpu", resources.cpu_servers, resources.cpu_speed
-        )
-        self.disk = ProcessorSharingResource(
-            sim, "disk", resources.disk_servers, resources.disk_speed
-        )
-        self._pools: Dict[str, ProcessorSharingResource] = {CPU: self.cpu, IO: self.disk}
         self.agents = AgentPool(config.agents)
-        self.overload = OverloadModel(config.overload, [self.cpu, self.disk])
         self.snapshot_monitor = SnapshotMonitor()
         self.estimator = CostEstimator(config.optimizer, rng)
         self._completion_hook: Optional[Callable[[Query], None]] = None
@@ -131,6 +138,46 @@ class DatabaseEngine:
         self.agents.acquire(query, self._start)
 
     def _start(self, query: Query) -> None:
+        """Run an admitted statement; call ``_finish`` when it is done."""
+        raise NotImplementedError
+
+    def _finish(self, query: Query) -> None:
+        query.state = QueryState.COMPLETED
+        query.finish_time = self.sim.now
+        del self._executing[query.query_id]
+        self._completed += 1
+        self.snapshot_monitor.record_completion(query)
+        self.agents.release()
+        if query.on_complete is not None:
+            query.on_complete(query)
+        if self._completion_hook is not None:
+            self._completion_hook(query)
+
+    def close(self) -> None:
+        """Release OS resources (threads, files).  Idempotent."""
+
+
+class DatabaseEngine(ExecutionEngine):
+    """DB2-like execution engine over simulated hardware."""
+
+    def __init__(
+        self,
+        sim: TimerService,
+        config: SimulationConfig,
+        rng: RandomStreams,
+    ) -> None:
+        super().__init__(sim, config, rng)
+        resources = config.resources
+        self.cpu = ProcessorSharingResource(
+            sim, "cpu", resources.cpu_servers, resources.cpu_speed
+        )
+        self.disk = ProcessorSharingResource(
+            sim, "disk", resources.disk_servers, resources.disk_speed
+        )
+        self._pools: Dict[str, ProcessorSharingResource] = {CPU: self.cpu, IO: self.disk}
+        self.overload = OverloadModel(config.overload, [self.cpu, self.disk])
+
+    def _start(self, query: Query) -> None:
         query.state = QueryState.EXECUTING
         query.start_time = self.sim.now
         self._executing[query.query_id] = query
@@ -167,6 +214,9 @@ class DatabaseEngine:
             pool.submit(share, self._sub_done, barrier)
 
     def _finish(self, query: Query) -> None:
+        # The shared tail plus the overload retire, inlined: the retire
+        # must precede on_complete and the hook, because the client's next
+        # submission re-prices the pools.
         query.state = QueryState.COMPLETED
         query.finish_time = self.sim.now
         del self._executing[query.query_id]

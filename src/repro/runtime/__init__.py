@@ -2,8 +2,9 @@
 
 ``repro.runtime`` is the seam between the controller stack and whatever
 actually executes queries: the protocols (:class:`Clock`,
-:class:`TimerService`, :class:`ExecutionEngine`, :class:`ExecutionBackend`),
-clock helpers and the concrete backends (:class:`SimulationBackend`,
+:class:`TimerService`, :class:`ExecutionBackend`), the engine base class
+:class:`ExecutionEngine` (defined in :mod:`repro.dbms.engine`), clock
+helpers and the concrete backends (:class:`SimulationBackend`,
 :class:`RealTimeBackend`, :class:`SQLiteEngine`).  Like every package's,
 its exports load on first use — the backends depend on
 ``repro.dbms.engine``/``repro.sim.engine``, which themselves annotate
@@ -18,7 +19,7 @@ _EXPORTS = {
     "Clock": "repro.runtime.protocols",
     "DEFAULT_PRIORITY": "repro.runtime.protocols",
     "ExecutionBackend": "repro.runtime.protocols",
-    "ExecutionEngine": "repro.runtime.protocols",
+    "ExecutionEngine": "repro.dbms.engine",
     "make_backend": "repro.runtime.factory",
     "RealTimeBackend": "repro.runtime.realtime",
     "RealTimeTimerService": "repro.runtime.realtime",

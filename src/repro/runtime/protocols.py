@@ -15,35 +15,32 @@ Three layers, narrow to wide:
   returning cancellable :class:`TimerHandle`\\ s.  Anything that *reacts*
   to time (control loops, snapshot sampling, detection buckets, client
   think time) depends on this.
-* :class:`ExecutionEngine` — the query-execution surface: submit, the
-  one completion hook, active-cost accounting, snapshot sampling and
-  the admission-gate hook.
+* :class:`~repro.dbms.engine.ExecutionEngine` — the query-execution
+  surface: submit, the one completion hook, active-cost accounting,
+  snapshot sampling and the admission-gate hook.  It is a concrete base
+  class, not a protocol: both engines subclass it and differ only in how
+  an admitted statement runs.
 
-An :class:`ExecutionBackend` bundles one of each plus run/close lifecycle.
+An :class:`ExecutionBackend` bundles a clock, a timer service and an
+engine plus run/close lifecycle.
 Two implementations ship: :class:`~repro.runtime.sim_backend.SimulationBackend`
 (the DES engine, bit-identical to the pre-seam behaviour under fixed
 seeds) and :class:`~repro.runtime.realtime.RealTimeBackend` (wall-clock
 time, thread agents, real SQL against in-process SQLite).
 
-All protocols are structural (:class:`typing.Protocol`): the existing
-:class:`~repro.sim.engine.Simulator` and
-:class:`~repro.dbms.engine.DatabaseEngine` satisfy them unchanged, which
-is what makes the refactor behaviour-preserving.
+All protocols here are structural (:class:`typing.Protocol`): the
+existing :class:`~repro.sim.engine.Simulator` satisfies them unchanged,
+which is what makes the refactor behaviour-preserving.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    List,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from repro.dbms.query import Query
-from repro.dbms.snapshot import SnapshotMonitor
+
+if TYPE_CHECKING:
+    from repro.dbms.engine import ExecutionEngine
 
 #: Default timer priority; ties at equal time break on scheduling order.
 #: (Mirrors :data:`repro.sim.events.DEFAULT_PRIORITY` without importing the
@@ -122,56 +119,6 @@ class AdmissionGate(Protocol):
 
     def admit(self, query: Query) -> bool:
         """True to admit now; False to take ownership and admit later."""
-        ...
-
-
-@runtime_checkable
-class ExecutionEngine(Protocol):
-    """The query-execution surface the control stack programs against.
-
-    This is exactly the set of members the Monitor, Patroller, MPL/Direct
-    controllers and validation harness use — nothing more; completions
-    reach everyone else through the Patroller.  A backend author
-    implements this plus a :class:`TimerService` and has the entire
-    controller stack for free.
-    """
-
-    #: DB2-snapshot-style per-connection last-statement sampling substrate.
-    snapshot_monitor: SnapshotMonitor
-
-    @property
-    def executing_queries(self) -> int:
-        """Statements currently executing (holding an agent)."""
-        ...
-
-    @property
-    def completed_queries(self) -> int:
-        """Total statements completed since the backend started."""
-        ...
-
-    def executing_snapshot(self) -> List[Query]:
-        """The currently executing statements (a copy)."""
-        ...
-
-    def executing_cost(self, class_name: Optional[str] = None) -> float:
-        """Summed *estimated* cost of executing statements."""
-        ...
-
-    def execute(self, query: Query) -> None:
-        """Submit a statement for execution (may wait for an agent)."""
-        ...
-
-    def admit_released(self, query: Query) -> None:
-        """Admit a statement previously held by the admission gate."""
-        ...
-
-    def set_completion_hook(self, hook: Callable[[Query], None]) -> None:
-        """Install the one callback called once per finished statement (the
-        Query Patroller's)."""
-        ...
-
-    def set_admission_gate(self, gate: Optional[AdmissionGate]) -> None:
-        """Install an in-engine admission gate (None to remove)."""
         ...
 
 

@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Any, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
 
 from repro.config import SimulationConfig
 from repro.errors import SimulationError
 from repro.runtime.clock import WallClock, as_clock
 from repro.runtime.protocols import DEFAULT_PRIORITY, Clock
+
+if TYPE_CHECKING:
+    from repro.dbms.engine import ExecutionEngine
 
 #: Longest uninterruptible sleep of the timer loop.  Bounds how stale the
 #: loop's view of "now" can get if a notify is ever missed; small enough
@@ -267,7 +270,7 @@ class RealTimeBackend:
         config: SimulationConfig,
         rng: "RandomStreams",  # noqa: F821 - annotation only
         clock: Optional[Union[Clock, Callable[[], float]]] = None,
-        engine: Optional[object] = None,
+        engine: Optional[ExecutionEngine] = None,
         **engine_options: Any,
     ) -> None:
         self._clock = as_clock(clock)
@@ -295,7 +298,7 @@ class RealTimeBackend:
         return self._timers
 
     @property
-    def engine(self):
+    def engine(self) -> ExecutionEngine:
         """The SQLite execution engine."""
         return self._engine
 
@@ -308,9 +311,7 @@ class RealTimeBackend:
         if self._closed:
             return
         self._closed = True
-        close = getattr(self._engine, "close", None)
-        if close is not None:
-            close()
+        self._engine.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "RealTimeBackend(now={:.3f}, closed={})".format(

@@ -1,8 +1,10 @@
 """A real execution engine over in-process SQLite.
 
-Implements the :class:`~repro.runtime.protocols.ExecutionEngine` protocol
-by actually running SQL: each :class:`~repro.dbms.query.Query` coming out
-of the existing ``workloads`` specs is mapped to generated TPC-H-like
+Subclasses :class:`~repro.dbms.engine.ExecutionEngine`, which owns the
+whole engine contract (admission, accounting, the completion hook and the
+admission gate); this module adds only how an admitted statement runs:
+each :class:`~repro.dbms.query.Query` coming out of the existing
+``workloads`` specs is mapped to generated TPC-H-like
 (aggregate/join scans over ``lineitem``/``orders``) or TPC-C-like
 (``new_order``/``payment``/... transactions over ``stock``/``district``)
 statements, executed on worker threads against a temporary on-disk SQLite
@@ -37,12 +39,10 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SimulationConfig
-from repro.dbms.agent import AgentPool
-from repro.dbms.optimizer import CostEstimator
+from repro.dbms.engine import ExecutionEngine
 from repro.dbms.query import Query, QueryState
-from repro.dbms.snapshot import SnapshotMonitor
 from repro.errors import SimulationError
-from repro.runtime.protocols import AdmissionGate, TimerService
+from repro.runtime.protocols import TimerService
 from repro.sim.rng import RandomStreams
 
 #: One SQL statement with bound parameters.
@@ -100,7 +100,7 @@ _OLAP_STATEMENTS: Tuple[Statement, ...] = (
 )
 
 
-class SQLiteEngine:
+class SQLiteEngine(ExecutionEngine):
     """Executes the workload's statements for real, against SQLite.
 
     Parameters
@@ -143,24 +143,14 @@ class SQLiteEngine:
         stock_rows: int = 500,
         districts: int = 10,
     ) -> None:
-        config.validate()
+        super().__init__(sim, config, rng)
         if statements_per_demand_second <= 0:
             raise SimulationError("statements_per_demand_second must be positive")
-        self.sim = sim
-        self.config = config
-        self.rng = rng
-        self.agents = AgentPool(config.agents)
-        self.snapshot_monitor = SnapshotMonitor()
-        self.estimator = CostEstimator(config.optimizer, rng)
         self.statements_per_demand_second = statements_per_demand_second
         self.max_statements_per_query = max_statements_per_query
         self._districts = districts
         self._stock_rows = stock_rows
         self._lineitem_rows = max(1, lineitem_rows)
-        self._completion_hook: Optional[Callable[[Query], None]] = None
-        self._executing: Dict[int, Query] = {}
-        self._completed = 0
-        self._admission_gate: Optional[AdmissionGate] = None
         self._closed = False
         self._statements_issued = 0
         self.execution_errors = 0
@@ -243,64 +233,14 @@ class SQLiteEngine:
         )
         conn.commit()
 
-    # ------------------------------------------------------------------
-    # Introspection (ExecutionEngine protocol)
-    # ------------------------------------------------------------------
-    @property
-    def executing_queries(self) -> int:
-        """Statements currently holding an agent (SQL possibly in flight)."""
-        return len(self._executing)
-
-    @property
-    def completed_queries(self) -> int:
-        """Total statements completed since the engine started."""
-        return self._completed
-
     @property
     def statements_issued(self) -> int:
         """Real SQL statements generated so far (diagnostics)."""
         return self._statements_issued
 
-    def executing_snapshot(self) -> List[Query]:
-        """The statements currently executing (a copy)."""
-        return list(self._executing.values())
-
-    def executing_cost(self, class_name: Optional[str] = None) -> float:
-        """Summed *estimated* cost of executing statements."""
-        total = 0.0
-        for query in self._executing.values():
-            if class_name is None or query.class_name == class_name:
-                total += query.estimated_cost
-        return total
-
-    def set_completion_hook(self, hook: Callable[[Query], None]) -> None:
-        """Install the one callback told of each finished statement."""
-        self._completion_hook = hook
-
-    def set_admission_gate(self, gate: Optional[AdmissionGate]) -> None:
-        """Install an in-engine admission gate (None to remove)."""
-        self._admission_gate = gate
-
     # ------------------------------------------------------------------
     # Execution (timer thread)
     # ------------------------------------------------------------------
-    def execute(self, query: Query) -> None:
-        """Admit ``query`` for execution (possibly waiting for an agent)."""
-        if query.state in (QueryState.EXECUTING, QueryState.COMPLETED):
-            raise SimulationError("query {} executed twice".format(query.query_id))
-        if self._admission_gate is not None and not self._admission_gate.admit(query):
-            # The gate took ownership; it calls admit_released() later.
-            return
-        if query.release_time is None:
-            query.release_time = self.sim.now
-        self.agents.acquire(query, self._start)
-
-    def admit_released(self, query: Query) -> None:
-        """Admit a statement previously held by the admission gate."""
-        if query.release_time is None:
-            query.release_time = self.sim.now
-        self.agents.acquire(query, self._start)
-
     def _start(self, query: Query) -> None:
         query.state = QueryState.EXECUTING
         query.start_time = self.sim.now
@@ -333,18 +273,6 @@ class SQLiteEngine:
             lambda: self._finish(query),
             label="sqlite:finish:q{}".format(query.query_id),
         )
-
-    def _finish(self, query: Query) -> None:
-        query.state = QueryState.COMPLETED
-        query.finish_time = self.sim.now
-        del self._executing[query.query_id]
-        self._completed += 1
-        self.snapshot_monitor.record_completion(query)
-        self.agents.release()
-        if query.on_complete is not None:
-            query.on_complete(query)
-        if self._completion_hook is not None:
-            self._completion_hook(query)
 
     # ------------------------------------------------------------------
     # Statement generation

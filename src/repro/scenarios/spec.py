@@ -535,6 +535,7 @@ class ScenarioSpec:
         """
         from repro.core.controllers import CONTROLLER_NAMES
         from repro.runtime import BACKEND_NAMES
+        from repro.runtime.factory import check_backend_options
         from repro.validation import MODES
 
         if self.version != SCENARIO_FORMAT_VERSION:
@@ -565,6 +566,10 @@ class ScenarioSpec:
                     self.backend, BACKEND_NAMES
                 )
             )
+        try:
+            check_backend_options(self.backend, self.backend_options)
+        except ConfigurationError as exc:
+            raise ScenarioError(str(exc))
         if self.invariants not in MODES:
             raise ScenarioError(
                 "unknown invariant mode {!r}; expected one of {}".format(

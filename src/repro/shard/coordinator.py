@@ -207,15 +207,15 @@ def run_sharded(
         summaries = [outcome.summary for outcome in outcomes]
         final_limits = [_spec_cost_limit(s) for s in shard_specs]
 
-    violations = _global_violations(spec, shard_specs, summaries, final_limits)
     report = build_sharded_report(
         summaries=summaries,
         shards=spec.shards,
         router=spec.router,
         rebalance=spec.rebalance,
         cost_limits=final_limits,
-        violations=violations,
     )
+    violations = _global_violations(spec, shard_specs, summaries, final_limits, report)
+    report.violations = violations
     result = ShardedRunResult(
         spec=spec,
         summaries=summaries,
@@ -248,8 +248,10 @@ def _global_violations(
     shard_specs: Sequence[ExperimentSpec],
     summaries: Sequence[RunSummary],
     final_limits: Sequence[float],
+    report: ShardedRunReport,
 ) -> List[Violation]:
-    """Evaluate every cross-shard invariant against the finished run."""
+    """Evaluate every cross-shard invariant against the finished run and
+    its merged report."""
     global_schedule = spec.resolved_schedule()
     shard_schedules = [s.schedule for s in shard_specs if s.schedule is not None]
     config = (spec.base.config or default_config()).validate()
@@ -258,12 +260,12 @@ def _global_violations(
     violations += check_cost_partition(
         config.system_cost_limit, final_limits, time=end
     )
-    merged = {}
-    for summary in summaries:
-        for name, count in summary.class_completions.items():
-            merged[name] = merged.get(name, 0) + int(count)
     violations += check_completion_conservation(
-        [summary.class_completions for summary in summaries], merged, time=end
+        [summary.class_completions for summary in summaries],
+        report.completions,
+        time=end,
+        shard_totals=[summary.total_completions for summary in summaries],
+        merged_total=report.total_completions,
     )
     return violations
 

@@ -20,7 +20,7 @@ harness.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.validation import Severity, Violation
 from repro.workloads.schedule import PeriodSchedule
@@ -116,8 +116,15 @@ def check_completion_conservation(
     shard_completions: Sequence[Dict[str, int]],
     merged_completions: Dict[str, int],
     time: float = 0.0,
+    shard_totals: Sequence[int] = (),
+    merged_total: Optional[int] = None,
 ) -> List[Violation]:
-    """The merged report must account for every shard's completions."""
+    """The merged report must account for every shard's completions.
+
+    ``merged_completions`` and ``merged_total`` are the report's own
+    numbers, never a sum recomputed from the same summaries; the total is
+    checked against ``shard_totals`` when given.
+    """
     violations: List[Violation] = []
     summed: Dict[str, int] = {}
     for completions in shard_completions:
@@ -138,4 +145,14 @@ def check_completion_conservation(
                     time=time,
                 )
             )
+    if merged_total is not None and sum(shard_totals) != merged_total:
+        violations.append(
+            Violation(
+                name="shard_completion_conservation",
+                message="shards completed {} queries in total, merged report "
+                "says {}".format(sum(shard_totals), merged_total),
+                severity=Severity.ERROR,
+                time=time,
+            )
+        )
     return violations

@@ -79,7 +79,7 @@ class TestEngineGate:
         engine.execute(make_query(cost=1_500.0))
         sim.run_until(0.1)
         assert engine.executing_queries == 1
-        assert gate.in_flight_cost("class1") == pytest.approx(1_500.0)
+        assert gate.class_accounting("class1").in_flight_cost == pytest.approx(1_500.0)
 
     def test_queues_past_limit_and_drains_on_completion(self):
         sim, engine, gate = make_gate()
@@ -87,10 +87,10 @@ class TestEngineGate:
             engine.execute(make_query(cost=1_500.0, demand=1.0))
         sim.run_until(0.1)
         assert engine.executing_queries == 1
-        assert gate.queue_length("class1") == 2
+        assert gate.class_accounting("class1").queue_length == 2
         sim.run_until(10.0)
-        assert gate.released_count("class1") == 3
-        assert gate.queue_length("class1") == 0
+        assert gate.class_accounting("class1").released == 3
+        assert gate.class_accounting("class1").queue_length == 0
 
     def test_gates_oltp_too(self):
         """The whole point of in-engine control: OLTP is controllable."""
@@ -102,7 +102,7 @@ class TestEngineGate:
                                       demand=0.02, kind="oltp"))
         sim.run_until(0.001)
         assert engine.executing_queries == 1
-        assert gate.queue_length("class3") == 3
+        assert gate.class_accounting("class3").queue_length == 3
 
     def test_gating_adds_no_overhead(self):
         """Admitted statements run at bare speed: zero added latency."""
@@ -142,7 +142,7 @@ class TestEngineGate:
         for _ in range(3):
             engine.execute(make_query(cost=1_500.0, demand=10.0))
         sim.run_until(0.1)
-        assert gate.queue_length("class1") == 2
+        assert gate.class_accounting("class1").queue_length == 2
         admitted = gate.install_plan(
             SchedulingPlan({"class1": 10_000.0, "class2": 1_000.0, "class3": 1_000.0},
                            30_000.0)
@@ -158,7 +158,7 @@ class TestEngineGate:
         engine.execute(head)  # 400 + 1800 > 2000: queued
         late = make_query(cost=400.0, demand=1.0)
         engine.execute(late)  # would fit, but the head is older
-        assert gate.queue_length("class1") == 2
+        assert gate.class_accounting("class1").queue_length == 2
         sim.run_until(10.0)
         assert head.start_time is not None and late.start_time is not None
         assert head.start_time <= late.start_time

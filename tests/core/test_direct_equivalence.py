@@ -103,15 +103,20 @@ class World:
         return {
             "admitted": list(self.admitted),
             "times": [(q.release_time, q.start_time, q.finish_time) for q in self.queries],
-            "classes": {
-                name: (
-                    self.gate.queue_length(name),
-                    self.gate.in_flight_cost(name),
-                    self.gate.released_count(name),
-                )
-                for name in NAMES
-            },
+            "classes": {name: self.class_facts(name) for name in NAMES},
         }
+
+    def class_facts(self, name):
+        # The reference gate keeps its own per-field accessors; the
+        # dispatcher is read through its one accounting row.
+        if isinstance(self.gate, Dispatcher):
+            row = self.gate.class_accounting(name)
+            return (row.queue_length, row.in_flight_cost, row.released)
+        return (
+            self.gate.queue_length(name),
+            self.gate.in_flight_cost(name),
+            self.gate.released_count(name),
+        )
 
 
 def reference_gate(sim, engine, patroller, initial_plan):

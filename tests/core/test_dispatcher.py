@@ -59,9 +59,9 @@ def test_release_within_limit():
     patroller.submit(make_query(4_000.0))
     patroller.submit(make_query(4_000.0))
     sim.run_until(0.1)
-    assert dispatcher.in_flight_count("class1") == 2
-    assert dispatcher.in_flight_cost("class1") == pytest.approx(8_000.0)
-    assert dispatcher.queue_length("class1") == 0
+    assert dispatcher.class_accounting("class1").in_flight_count == 2
+    assert dispatcher.class_accounting("class1").in_flight_cost == pytest.approx(8_000.0)
+    assert dispatcher.class_accounting("class1").queue_length == 0
 
 
 def test_queueing_past_limit():
@@ -70,8 +70,8 @@ def test_queueing_past_limit():
         patroller.submit(make_query(4_000.0))
     sim.run_until(0.1)
     # 2 x 4000 fit under 10000; the 3rd would exceed.
-    assert dispatcher.in_flight_count("class1") == 2
-    assert dispatcher.queue_length("class1") == 2
+    assert dispatcher.class_accounting("class1").in_flight_count == 2
+    assert dispatcher.class_accounting("class1").queue_length == 2
 
 
 def test_completion_frees_budget_fifo():
@@ -79,8 +79,8 @@ def test_completion_frees_budget_fifo():
     for i in range(3):
         patroller.submit(make_query(6_000.0, demand=float(i + 1)))
     sim.run()
-    assert dispatcher.released_count("class1") == 3
-    assert dispatcher.in_flight_count("class1") == 0
+    assert dispatcher.class_accounting("class1").released == 3
+    assert dispatcher.class_accounting("class1").in_flight_count == 0
 
 
 def test_classes_isolated():
@@ -89,16 +89,16 @@ def test_classes_isolated():
     patroller.submit(make_query(9_000.0, class_name="class2"))
     patroller.submit(make_query(9_000.0, class_name="class2"))
     sim.run_until(0.1)
-    assert dispatcher.in_flight_count("class1") == 1
-    assert dispatcher.in_flight_count("class2") == 1
-    assert dispatcher.queue_length("class2") == 1
+    assert dispatcher.class_accounting("class1").in_flight_count == 1
+    assert dispatcher.class_accounting("class2").in_flight_count == 1
+    assert dispatcher.class_accounting("class2").queue_length == 1
 
 
 def test_starvation_guard_releases_oversized_query_alone():
     sim, engine, patroller, dispatcher = make_world()
     patroller.submit(make_query(50_000.0))  # above the whole class limit
     sim.run_until(0.1)
-    assert dispatcher.in_flight_count("class1") == 1
+    assert dispatcher.class_accounting("class1").in_flight_count == 1
 
 
 def test_oversized_query_waits_while_class_busy():
@@ -106,10 +106,10 @@ def test_oversized_query_waits_while_class_busy():
     patroller.submit(make_query(8_000.0, demand=3.0))
     patroller.submit(make_query(50_000.0, demand=3.0))
     sim.run_until(0.1)
-    assert dispatcher.in_flight_count("class1") == 1
-    assert dispatcher.queue_length("class1") == 1
+    assert dispatcher.class_accounting("class1").in_flight_count == 1
+    assert dispatcher.class_accounting("class1").queue_length == 1
     sim.run()
-    assert dispatcher.released_count("class1") == 2
+    assert dispatcher.class_accounting("class1").released == 2
 
 
 def test_install_plan_with_higher_limit_releases_queued():
@@ -117,12 +117,12 @@ def test_install_plan_with_higher_limit_releases_queued():
     for _ in range(4):
         patroller.submit(make_query(4_000.0, demand=50.0))
     sim.run_until(0.1)
-    assert dispatcher.queue_length("class1") == 2
+    assert dispatcher.class_accounting("class1").queue_length == 2
     released = dispatcher.install_plan(
         SchedulingPlan({"class1": 20_000.0, "class2": 5_000.0, "class3": 5_000.0}, 30_000.0)
     )
     assert released == 2
-    assert dispatcher.in_flight_count("class1") == 4
+    assert dispatcher.class_accounting("class1").in_flight_count == 4
 
 
 def test_lowered_limit_never_revokes_in_flight():
@@ -132,11 +132,11 @@ def test_lowered_limit_never_revokes_in_flight():
     dispatcher.install_plan(
         SchedulingPlan({"class1": 1_000.0, "class2": 1_000.0, "class3": 1_000.0}, 30_000.0)
     )
-    assert dispatcher.in_flight_count("class1") == 1  # still running
+    assert dispatcher.class_accounting("class1").in_flight_count == 1  # still running
     patroller.submit(make_query(500.0))
     sim.run_until(0.2)
     # New query blocked: 8000 in flight > 1000 limit.
-    assert dispatcher.queue_length("class1") == 1
+    assert dispatcher.class_accounting("class1").queue_length == 1
 
 
 def test_enqueue_indirect_class_rejected():
@@ -149,7 +149,7 @@ def test_enqueue_indirect_class_rejected():
 def test_unknown_class_rejected():
     sim, engine, patroller, dispatcher = make_world()
     with pytest.raises(SchedulingError):
-        dispatcher.queue_length("ghost")
+        dispatcher.class_accounting("ghost").queue_length
     with pytest.raises(SchedulingError):
         dispatcher.install_plan(SchedulingPlan({"ghost": 1.0}, 30_000.0))
 
@@ -162,8 +162,8 @@ def test_foreign_completions_ignored():
     foreign.submit_time = sim.now
     engine.execute(foreign)  # bypasses the dispatcher entirely
     sim.run()
-    assert dispatcher.in_flight_count("class1") == 0
-    assert dispatcher.in_flight_cost("class1") == 0.0
+    assert dispatcher.class_accounting("class1").in_flight_count == 0
+    assert dispatcher.class_accounting("class1").in_flight_cost == 0.0
 
 
 class TestQueueDisciplines:
@@ -268,7 +268,7 @@ class TestQueueDisciplines:
         # it is selected first — but it cannot fit while the blocker runs.
         # Pre-fix, the release loop broke there and young never released.
         assert order == ["blocker", "young_small"]
-        assert dispatcher.queue_length("class1") == 1
+        assert dispatcher.class_accounting("class1").queue_length == 1
 
     def test_fifo_head_of_line_still_blocks(self):
         """FIFO semantics unchanged: a later query that would fit must not
@@ -278,8 +278,8 @@ class TestQueueDisciplines:
         patroller.submit(make_query(3_000.0, demand=0.5))
         patroller.submit(make_query(800.0, demand=0.5))
         sim.run_until(1.0)
-        assert dispatcher.in_flight_count("class1") == 1
-        assert dispatcher.queue_length("class1") == 2
+        assert dispatcher.class_accounting("class1").in_flight_count == 1
+        assert dispatcher.class_accounting("class1").queue_length == 2
 
 
 class TestQueueCancellationAccounting:
@@ -289,17 +289,17 @@ class TestQueueCancellationAccounting:
         victim = make_query(5_000.0)
         patroller.submit(victim)
         sim.run_until(0.1)
-        assert dispatcher.queue_length("class1") == 1
+        assert dispatcher.class_accounting("class1").queue_length == 1
         assert patroller.cancel(victim)
-        assert dispatcher.queue_length("class1") == 0
-        assert dispatcher.queue_cancelled_count("class1") == 1
+        assert dispatcher.class_accounting("class1").queue_length == 0
+        assert dispatcher.class_accounting("class1").queue_cancelled == 1
         # A queue-level cancel never consumed in-flight budget, so it must
         # not count as a post-release cancellation.
-        assert dispatcher.cancelled_count("class1") == 0
-        assert dispatcher.enqueued_count("class1") == (
-            dispatcher.queue_length("class1")
-            + dispatcher.queue_cancelled_count("class1")
-            + dispatcher.released_count("class1")
+        assert dispatcher.class_accounting("class1").cancelled == 0
+        assert dispatcher.class_accounting("class1").enqueued == (
+            dispatcher.class_accounting("class1").queue_length
+            + dispatcher.class_accounting("class1").queue_cancelled
+            + dispatcher.class_accounting("class1").released
         )
 
     def test_lazy_purge_counts_unwired_cancellations(self):
@@ -317,13 +317,13 @@ class TestQueueCancellationAccounting:
                 30_000.0,
             )
         )
-        assert dispatcher.queue_length("class1") == 0
-        assert dispatcher.queue_cancelled_count("class1") == 1
+        assert dispatcher.class_accounting("class1").queue_length == 0
+        assert dispatcher.class_accounting("class1").queue_cancelled == 1
 
     def test_enqueued_count_tracks_every_enqueue(self):
         sim, engine, patroller, dispatcher = make_world()
         for _ in range(4):
             patroller.submit(make_query(4_000.0, demand=50.0))
         sim.run_until(0.1)
-        assert dispatcher.enqueued_count("class1") == 4
-        assert dispatcher.enqueued_count("class2") == 0
+        assert dispatcher.class_accounting("class1").enqueued == 4
+        assert dispatcher.class_accounting("class2").enqueued == 0

@@ -172,9 +172,9 @@ class TestLiveWiring:
                 continue
             labels = {"class": service_class.name}
             released = registry.get("dispatcher_released_total", labels)
-            assert released.value == dispatcher.released_count(service_class.name)
+            assert released.value == dispatcher.class_accounting(service_class.name).released
             completed = registry.get("dispatcher_completed_total", labels)
-            assert completed.value == dispatcher.completed_count(service_class.name)
+            assert completed.value == dispatcher.class_accounting(service_class.name).completed
 
     def test_second_registry_reads_the_same_values(self, qs_result):
         first = qs_result.extras["metrics_registry"]

@@ -190,3 +190,43 @@ class TestMalformedScenarioFiles:
         assert "control override {!r}".format(path) in captured.err
         assert "Traceback" not in captured.err
         assert "7 of 8 scenarios valid" in captured.out
+
+
+class TestBackendOptions:
+    CASES = {
+        "zero-districts": ("sqlite", {"districts": 0, "workers": 2, "lineitem_rows": 50},
+                           "backend_options.districts must be an integer >= 1"),
+        "zero-stock-rows": ("sqlite", {"stock_rows": 0},
+                            "backend_options.stock_rows must be an integer >= 1"),
+        "nan-rate": ("sqlite", {"statements_per_demand_second": ".nan"},
+                     "backend_options.statements_per_demand_second must be a finite"),
+        "negative-districts": ("sqlite", {"districts": -3},
+                               "backend_options.districts must be an integer >= 1"),
+        "sim-takes-none": ("sim", {"worker": 2},
+                           "backend_options.worker: unknown option for the 'sim' "
+                           "backend (allowed: none)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_backend_options_are_invalid_and_fail_cleanly(self, tmp_path, capsys, case):
+        from repro.scenarios import find_scenario, scenario_to_yaml
+
+        backend, options, message = self.CASES[case]
+        text = scenario_to_yaml(find_scenario("flash-crowd"))
+        assert "backend" not in text
+        lines = ["backend: {}".format(backend), "backend_options:"]
+        lines += ["  {}: {}".format(key, value) for key, value in options.items()]
+        bad = tmp_path / "options.yaml"
+        bad.write_text(text + "\n".join(lines) + "\n")
+
+        code = main(["scenarios", "--validate-all", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "INVALID {}".format(bad) in captured.err
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+        assert main(["run", "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
+        assert message in err

@@ -196,3 +196,39 @@ def test_sharded_sweep_smoke():
     outcomes = run_requests(requests, jobs=2)
     assert [o.index for o in outcomes] == list(range(len(requests)))
     assert all(o.ok for o in outcomes)
+
+
+def dropping_report(monkeypatch, dropped=5):
+    """Make the merged report lose ``dropped`` class3 completions."""
+    from repro.shard import coordinator
+
+    build = coordinator.build_sharded_report
+
+    def lossy_build(**kwargs):
+        report = build(**kwargs)
+        report.completions["class3"] -= dropped
+        report.total_completions -= dropped
+        return report
+
+    monkeypatch.setattr(coordinator, "build_sharded_report", lossy_build)
+
+
+def test_completion_conservation_checks_the_merged_report(monkeypatch):
+    dropping_report(monkeypatch)
+    result = run_sharded(
+        ShardedExperimentSpec(base=tiny_base(invariants="warn"), shards=2)
+    )
+    assert not result.ok
+    names = [violation.name for violation in result.violations]
+    assert names == ["shard_completion_conservation"] * 2
+    assert result.report.violations == result.violations
+    shard_total = sum(summary.total_completions for summary in result.summaries)
+    assert result.report.total_completions == shard_total - 5
+
+
+def test_lost_completions_raise_in_strict_mode(monkeypatch):
+    from repro.errors import InvariantViolation
+
+    dropping_report(monkeypatch)
+    with pytest.raises(InvariantViolation, match="shard_completion_conservation"):
+        run_sharded(ShardedExperimentSpec(base=tiny_base(), shards=2))

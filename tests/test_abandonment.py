@@ -120,13 +120,13 @@ class TestCancelDuringReleaseWindow:
         sim.run_until(0.1)
         # Released (slot charged) but the unblock event fires at t=1.0.
         assert doomed.state == QueryState.RELEASED
-        assert dispatcher.in_flight_count("class1") == 1
-        assert dispatcher.in_flight_cost("class1") == pytest.approx(900.0)
+        assert dispatcher.class_accounting("class1").in_flight_count == 1
+        assert dispatcher.class_accounting("class1").in_flight_cost == pytest.approx(900.0)
         assert patroller.cancel(doomed)
         assert doomed.state == QueryState.CANCELLED
-        assert dispatcher.in_flight_count("class1") == 0
-        assert dispatcher.in_flight_cost("class1") == 0.0
-        assert dispatcher.cancelled_count("class1") == 1
+        assert dispatcher.class_accounting("class1").in_flight_count == 0
+        assert dispatcher.class_accounting("class1").in_flight_cost == 0.0
+        assert dispatcher.class_accounting("class1").cancelled == 1
         sim.run_until(10.0)
         assert engine.completed_queries == 0  # never reached the engine
 
@@ -140,16 +140,16 @@ class TestCancelDuringReleaseWindow:
         sim.run_until(0.1)
         patroller.submit(successor)
         sim.run_until(0.3)
-        assert dispatcher.queue_length("class1") == 1  # successor waits
+        assert dispatcher.class_accounting("class1").queue_length == 1  # successor waits
         patroller.cancel(doomed)
         sim.run_until(30.0)
         assert successor.state == QueryState.COMPLETED
         assert engine.completed_queries == 1
-        assert dispatcher.released_count("class1") == 2
-        assert dispatcher.completed_count("class1") == 1
-        assert dispatcher.cancelled_count("class1") == 1
-        assert dispatcher.in_flight_count("class1") == 0
-        assert dispatcher.in_flight_cost("class1") == 0.0
+        assert dispatcher.class_accounting("class1").released == 2
+        assert dispatcher.class_accounting("class1").completed == 1
+        assert dispatcher.class_accounting("class1").cancelled == 1
+        assert dispatcher.class_accounting("class1").in_flight_count == 0
+        assert dispatcher.class_accounting("class1").in_flight_cost == 0.0
 
     def test_cancel_after_execution_starts_refused(self):
         sim, engine, patroller, dispatcher = self.make_windowed_stack()
@@ -158,7 +158,7 @@ class TestCancelDuringReleaseWindow:
         sim.run_until(2.0)  # unblock event fired; query is executing
         assert query.state == QueryState.EXECUTING
         assert not patroller.cancel(query)
-        assert dispatcher.in_flight_count("class1") == 1
+        assert dispatcher.class_accounting("class1").in_flight_count == 1
 
     def test_cancelled_in_window_query_purged_from_monitor(self):
         """The open control-table rows the monitor reads must not retain
@@ -194,7 +194,7 @@ class TestQueueSkipping:
         for q in (blocker, doomed, survivor):
             patroller.submit(q)
         sim.run_until(0.1)
-        assert dispatcher.queue_length("class1") == 2
+        assert dispatcher.class_accounting("class1").queue_length == 2
         patroller.cancel(doomed)
         sim.run_until(30.0)
         # blocker and survivor ran; doomed never did.
@@ -295,7 +295,7 @@ def test_abandonment_under_query_scheduler_end_to_end():
     completed = sum(c.queries_completed for c in clients)
     assert completed > 0
     # Accounting stayed consistent despite any abandonments.
-    assert scheduler.dispatcher.in_flight_count("class1") >= 0
-    assert scheduler.dispatcher.in_flight_cost("class1") >= 0.0
+    assert scheduler.dispatcher.class_accounting("class1").in_flight_count >= 0
+    assert scheduler.dispatcher.class_accounting("class1").in_flight_cost >= 0.0
     assert engine.completed_queries == completed
     assert abandoned + completed <= sum(c.queries_submitted for c in clients)

@@ -188,9 +188,9 @@ class TestPlanChurn:
             )
         sim.run_until(60.0)
         assert engine.completed_queries == 10
-        assert dispatcher.in_flight_count("class1") == 0
-        assert dispatcher.in_flight_cost("class1") == pytest.approx(0.0)
-        assert dispatcher.queue_length("class1") == 0
+        assert dispatcher.class_accounting("class1").in_flight_count == 0
+        assert dispatcher.class_accounting("class1").in_flight_cost == pytest.approx(0.0)
+        assert dispatcher.class_accounting("class1").queue_length == 0
 
 
 class TestMonitorBoundaries:

@@ -86,5 +86,5 @@ def test_oltp_class_still_bypasses(five_class_run):
 def test_dispatcher_isolates_five_queues(five_class_run):
     bundle, scheduler = five_class_run
     for name in ("adhoc", "reports", "dashboards", "exec"):
-        assert scheduler.dispatcher.queue_length(name) >= 0
-        assert scheduler.dispatcher.in_flight_cost(name) >= 0.0
+        assert scheduler.dispatcher.class_accounting(name).queue_length >= 0
+        assert scheduler.dispatcher.class_accounting(name).in_flight_cost >= 0.0

@@ -425,10 +425,10 @@ def test_engine_gate_conserves_queries_and_accounting(costs, limit):
     sim.run()
     # Every statement eventually ran (starvation guard included)...
     assert engine.completed_queries == len(costs)
-    assert gate.released_count("g") == len(costs)
+    assert gate.class_accounting("g").released == len(costs)
     # ...and the accounting returned exactly to zero.
-    assert gate.in_flight_cost("g") == pytest.approx(0.0, abs=1e-6)
-    assert gate.queue_length("g") == 0
+    assert gate.class_accounting("g").in_flight_cost == pytest.approx(0.0, abs=1e-6)
+    assert gate.class_accounting("g").queue_length == 0
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +515,14 @@ def test_dispatcher_accounting_survives_any_cancel_interleaving(
             sim.schedule(cancel_at, lambda q=query: patroller.cancel(q))
     sim.run()
     # In-flight accounting returned exactly to zero...
-    assert dispatcher.in_flight_count("c") == 0
-    assert dispatcher.in_flight_cost("c") == 0.0
-    assert dispatcher.queue_length("c") == 0
+    assert dispatcher.class_accounting("c").in_flight_count == 0
+    assert dispatcher.class_accounting("c").in_flight_cost == 0.0
+    assert dispatcher.class_accounting("c").queue_length == 0
     # ...the release ledger balances...
-    assert dispatcher.released_count("c") == (
-        dispatcher.completed_count("c") + dispatcher.cancelled_count("c")
+    assert dispatcher.class_accounting("c").released == (
+        dispatcher.class_accounting("c").completed + dispatcher.class_accounting("c").cancelled
     )
     # ...and the dispatcher agrees with the engine about completions.
     completed = sum(1 for q in queries if q.state == QueryState.COMPLETED)
     assert engine.completed_queries == completed
-    assert dispatcher.completed_count("c") == completed
+    assert dispatcher.class_accounting("c").completed == completed

@@ -152,7 +152,7 @@ class TestBehavioralFaultsStayClean:
         )
         dispatcher = qs_bundle.controller.dispatcher
         queue_level = sum(
-            dispatcher.queue_cancelled_count(c.name)
+            dispatcher.class_accounting(c.name).queue_cancelled
             for c in qs_bundle.classes
             if c.directly_controlled
         )
@@ -286,7 +286,7 @@ class TestScheduledFaults:
         assert [(f["time"], f["count"]) for f in dropped] == [(5.0, 2), (10.0, 3)]
         # Every class2 statement is released by the dispatcher, so each
         # completion it did not hear of was dropped.
-        heard = result.bundle.controller.dispatcher.completed_count("class2")
+        heard = result.bundle.controller.dispatcher.class_accounting("class2").completed
         assert result.collector.completions_by_class()["class2"] - heard == 2 + 3
 
     def test_drops_without_a_class_count_bypassing_completions_too(self):
@@ -312,7 +312,7 @@ class TestScheduledFaults:
         dropped = [q.class_name for q in finished if q.finish_time >= at][:count]
         gated = [name for name in dropped if name != "class3"]
         dispatcher = result.bundle.controller.dispatcher
-        heard = sum(dispatcher.completed_count(name) for name in ("class1", "class2"))
+        heard = sum(dispatcher.class_accounting(name).completed for name in ("class1", "class2"))
         completed = result.collector.completions_by_class()
         # Pinned: of the 300 completions swallowed, 298 were bypassing OLTP
         # statements and two were gated ones the dispatcher never heard of.
