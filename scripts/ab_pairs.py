@@ -19,7 +19,11 @@ further apart than the parent's spread").  Exit code 1 when
 moved a simulated fact) or a run failed its own checks; speed is no gate.
 
 Refuses to start while another measuring run is alive (``pgrep -f
-perf/measure.py``): with two cores a second run skews every number.
+perf/measure.py``): with two cores a second run skews every number.  Refuses
+too when one checkout holds compiled bytecode under ``src/`` or ``perf/`` and
+the other does not: with ``PYTHONDONTWRITEBYTECODE`` set, the side without
+it compiles every imported module in every run, and ``setup_s`` then
+measures the compiler (~0.1 s a run), not the change.
 """
 
 import argparse
@@ -40,6 +44,15 @@ def measuring_runs():
     except OSError:
         return []
     return found.stdout.split()
+
+
+def cached_bytecode(directory):
+    """Whether a checkout holds compiled bytecode under ``src/`` or ``perf/``."""
+    for top in ("src", "perf"):
+        for _, _, files in os.walk(os.path.join(directory, top)):
+            if any(name.endswith(".pyc") for name in files):
+                return True
+    return False
 
 
 def one_run(directory, workload, seed, smoke):
@@ -78,6 +91,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    cached = [d for d in (args.parent_dir, args.change_dir) if cached_bytecode(d)]
+    if len(cached) == 1:
+        sys.exit(
+            "{} holds cached bytecode under src/ or perf/ and the other checkout does "
+            "not; setup_s would time compiling on one side only. Not starting: clone "
+            "both afresh or delete its __pycache__ directories".format(cached[0])
+        )
     busy = measuring_runs()
     if busy:
         sys.exit("a measuring run is alive (pid {}); not starting".format(", ".join(busy)))

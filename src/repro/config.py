@@ -39,8 +39,8 @@ class ResourceConfig:
     def validate(self) -> None:
         if not (self.cpu_servers >= 1 and self.disk_servers >= 1):
             raise ConfigurationError("resource pools need at least one server")
-        if not (self.cpu_speed > 0 and self.disk_speed > 0):
-            raise ConfigurationError("resource speeds must be positive")
+        if not (0 < self.cpu_speed < math.inf and 0 < self.disk_speed < math.inf):
+            raise ConfigurationError("resource speeds must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,16 @@ time* ``v(t)`` whose derivative is the common per-job rate.  A job arriving
 with demand ``d`` then completes exactly when ``v`` reaches ``v_arrival + d``
 — a constant — so completions live in an ordinary min-heap keyed by finish
 virtual time, and every state change costs O(log n).
+
+A pool keeps one clock (the instant ``v`` was last integrated to) and no
+statistics beyond the jobs and demand it completed.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import ulp
-from typing import Any, Callable, List, Optional, Tuple
+from math import inf, ulp
+from typing import Any, Callable, List, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -67,8 +70,10 @@ class ProcessorSharingResource:
     def __init__(self, sim: Simulator, name: str, servers: int, speed: float = 1.0) -> None:
         if servers < 1:
             raise SimulationError("resource {!r} needs >= 1 server".format(name))
-        if not speed > 0:
-            raise SimulationError("resource {!r} needs positive speed".format(name))
+        if not 0 < speed < inf:  # also rejects NaN
+            raise SimulationError(
+                "resource {!r} needs a positive finite speed (got {})".format(name, speed)
+            )
         self.sim = sim
         self.name = name
         self.servers = int(servers)
@@ -84,16 +89,15 @@ class ProcessorSharingResource:
         # Head job seq and per-job rate the armed timer was computed for:
         # while both are unchanged the timer's absolute fire time is still
         # exact, so state changes that touch neither leave it alone.  The
-        # seq is -1 (no job's) whenever the timer is not armed.
+        # seq is -1 (no job's) whenever the timer is not armed.  Every
+        # change to the job count or the efficiency re-arms or keeps an
+        # equal rate, so while a job is in service ``_rate`` *is* the
+        # per-job rate, and the clock integrates by it; with no job in
+        # service it is 0.0 and the clock stands still.
         self._timer_seq = -1
-        self._timer_rate = 0.0
-        # Statistics.
-        self._start_time = sim.now
+        self._rate = 0.0
         self._completed_jobs = 0
         self._completed_demand = 0.0
-        self._busy_integral = 0.0  # integral of min(njobs, servers) over time
-        self._jobs_integral = 0.0  # integral of njobs over time
-        self._last_stat_time = sim.now
 
     # ------------------------------------------------------------------
     # State inspection
@@ -126,39 +130,6 @@ class ProcessorSharingResource:
         share = min(1.0, self.servers / njobs)
         return self.speed * share * self._efficiency
 
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        """Average fraction of servers busy since this resource was built.
-
-        ``horizon``, when given, is the averaging window length measured
-        from the resource's construction time; it may extend *past* the
-        current instant (idle tail included in the average) but never fall
-        short of it — busy time is integrated up to ``sim.now``, so a
-        shorter window would report utilization above 1.0.  A stale
-        horizon raises :class:`~repro.errors.SimulationError`.
-        """
-        self._accumulate_stats()
-        elapsed = self.sim.now - self._start_time
-        if horizon is not None:
-            if horizon < elapsed:
-                raise SimulationError(
-                    "stale horizon {} for resource {!r}: busy time is "
-                    "integrated over {} seconds already".format(
-                        horizon, self.name, elapsed
-                    )
-                )
-            elapsed = horizon
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_integral / (elapsed * self.servers)
-
-    def mean_jobs_in_service(self) -> float:
-        """Time-averaged number of jobs in service since construction."""
-        self._accumulate_stats()
-        elapsed = self.sim.now - self._start_time
-        if elapsed <= 0:
-            return 0.0
-        return self._jobs_integral / elapsed
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -177,28 +148,18 @@ class ProcessorSharingResource:
         # _advance(), _reschedule() and Timer.arm() inlined: submit is (with
         # _on_timer) one of the two hottest entry points in the simulator,
         # and the call round-trips are measurable at replication scale.  The
-        # arithmetic must stay identical to the out-of-line twins.
-        if not demand >= 0:  # also rejects NaN
+        # arithmetic must stay identical to the out-of-line twins, whose
+        # rate expression is per_job_rate()'s with the share branched
+        # (multiplying by an exact 1.0 preserves the other factors).
+        if not 0.0 <= demand < inf:  # also rejects NaN
             raise SimulationError(
                 "resource {!r} got a job of demand {}".format(self.name, demand)
             )
         sim = self.sim
         now = sim.now
         heap = self._heap
-        if now != self._vtime_updated_at or now != self._last_stat_time:
-            njobs = len(heap)
-            dt = now - self._last_stat_time
-            if dt > 0:
-                busy = njobs if njobs < self.servers else self.servers
-                self._busy_integral += busy * dt
-                self._jobs_integral += njobs * dt
-                self._last_stat_time = now
-            dt = now - self._vtime_updated_at
-            if dt > 0 and njobs > 0:
-                if njobs <= self.servers:
-                    self._vtime += dt * (self.speed * self._efficiency)
-                else:
-                    self._vtime += dt * (self.speed * (self.servers / njobs) * self._efficiency)
+        if now != self._vtime_updated_at:
+            self._vtime += (now - self._vtime_updated_at) * self._rate
             self._vtime_updated_at = now
         handle = self._seq
         self._seq = handle + 1
@@ -209,7 +170,7 @@ class ProcessorSharingResource:
         else:
             rate = self.speed * (self.servers / njobs) * self._efficiency
         head_vtime, head_seq, _, _, _ = heap[0]
-        if head_seq != self._timer_seq or rate != self._timer_rate:
+        if head_seq != self._timer_seq or rate != self._rate:
             remaining_v = head_vtime - self._vtime
             seq = sim._seq
             self._timer._key = (
@@ -219,7 +180,7 @@ class ProcessorSharingResource:
             )
             sim._seq = seq + 1
             self._timer_seq = head_seq
-            self._timer_rate = rate
+            self._rate = rate
         return handle
 
     def cancel(self, handle: int) -> bool:
@@ -247,9 +208,9 @@ class ProcessorSharingResource:
 
     def set_efficiency(self, efficiency: float) -> None:
         """Install a new efficiency multiplier (from the overload model)."""
-        if not efficiency > 0:  # also rejects NaN
+        if not 0.0 < efficiency < inf:  # also rejects NaN
             raise SimulationError(
-                "resource {!r} efficiency must stay positive (got {})".format(
+                "resource {!r} efficiency must stay positive and finite (got {})".format(
                     self.name, efficiency
                 )
             )
@@ -261,20 +222,8 @@ class ProcessorSharingResource:
         sim = self.sim
         now = sim.now
         heap = self._heap
-        if now != self._vtime_updated_at or now != self._last_stat_time:
-            njobs = len(heap)
-            dt = now - self._last_stat_time
-            if dt > 0:
-                busy = njobs if njobs < self.servers else self.servers
-                self._busy_integral += busy * dt
-                self._jobs_integral += njobs * dt
-                self._last_stat_time = now
-            dt = now - self._vtime_updated_at
-            if dt > 0 and njobs > 0:
-                if njobs <= self.servers:
-                    self._vtime += dt * (self.speed * self._efficiency)
-                else:
-                    self._vtime += dt * (self.speed * (self.servers / njobs) * self._efficiency)
+        if now != self._vtime_updated_at:
+            self._vtime += (now - self._vtime_updated_at) * self._rate
             self._vtime_updated_at = now
         self._efficiency = float(efficiency)
         if not heap:
@@ -287,7 +236,7 @@ class ProcessorSharingResource:
         else:
             rate = self.speed * (self.servers / njobs) * self._efficiency
         head_vtime, head_seq, _, _, _ = heap[0]
-        if head_seq != self._timer_seq or rate != self._timer_rate:
+        if head_seq != self._timer_seq or rate != self._rate:
             remaining_v = head_vtime - self._vtime
             seq = sim._seq
             self._timer._key = (
@@ -297,7 +246,7 @@ class ProcessorSharingResource:
             )
             sim._seq = seq + 1
             self._timer_seq = head_seq
-            self._timer_rate = rate
+            self._rate = rate
 
     # ------------------------------------------------------------------
     # Internals
@@ -309,42 +258,17 @@ class ProcessorSharingResource:
                 return index
         return -1
 
-    def _accumulate_stats(self) -> None:
-        now = self.sim.now
-        dt = now - self._last_stat_time
-        if dt > 0:
-            njobs = len(self._heap)
-            busy = njobs if njobs < self.servers else self.servers
-            self._busy_integral += busy * dt
-            self._jobs_integral += njobs * dt
-            self._last_stat_time = now
-
     def _advance(self) -> None:
-        """Integrate virtual time and statistics up to the current instant."""
+        """Integrate virtual time up to the current instant.
+
+        The per-job rate is the one the last re-arm stored (0.0 with no job
+        in service); several state changes in one event cascade share a
+        timestamp and integrate once.
+        """
         now = self.sim.now
-        if now == self._vtime_updated_at and now == self._last_stat_time:
-            # Already integrated to this instant (several state changes in
-            # one event cascade share a timestamp).
-            return
-        njobs = len(self._heap)
-        dt = now - self._last_stat_time
-        if dt > 0:
-            busy = njobs if njobs < self.servers else self.servers
-            self._busy_integral += busy * dt
-            self._jobs_integral += njobs * dt
-            self._last_stat_time = now
-        dt = now - self._vtime_updated_at
-        if dt > 0 and njobs > 0:
-            # Inline per_job_rate(): this integrator is the hottest code
-            # in the simulator (expression order is load-bearing for
-            # bit-reproducibility — keep it identical to per_job_rate,
-            # including the branched share: multiplying by an exact 1.0
-            # preserves the other factors bit-for-bit).
-            if njobs <= self.servers:
-                self._vtime += dt * (self.speed * self._efficiency)
-            else:
-                self._vtime += dt * (self.speed * (self.servers / njobs) * self._efficiency)
-        self._vtime_updated_at = now
+        if now != self._vtime_updated_at:
+            self._vtime += (now - self._vtime_updated_at) * self._rate
+            self._vtime_updated_at = now
 
     def _reschedule(self) -> None:
         """(Re-)arm the completion timer for the earliest-finishing job.
@@ -358,6 +282,7 @@ class ProcessorSharingResource:
         if not heap:
             self._timer.cancel()
             self._timer_seq = -1
+            self._rate = 0.0
             return
         njobs = len(heap)
         if njobs <= self.servers:
@@ -365,7 +290,7 @@ class ProcessorSharingResource:
         else:
             rate = self.speed * (self.servers / njobs) * self._efficiency
         head_vtime, head_seq, _, _, _ = heap[0]
-        if head_seq != self._timer_seq or rate != self._timer_rate:
+        if head_seq != self._timer_seq or rate != self._rate:
             # Timer.arm() inlined, as in submit().
             sim = self.sim
             remaining_v = head_vtime - self._vtime
@@ -377,7 +302,7 @@ class ProcessorSharingResource:
             )
             sim._seq = seq + 1
             self._timer_seq = head_seq
-            self._timer_rate = rate
+            self._rate = rate
 
     def _on_timer(self) -> None:
         self._timer_seq = -1  # fired, so no longer armed
@@ -386,20 +311,8 @@ class ProcessorSharingResource:
         sim = self.sim
         now = sim.now
         heap = self._heap
-        if now != self._vtime_updated_at or now != self._last_stat_time:
-            njobs = len(heap)
-            dt = now - self._last_stat_time
-            if dt > 0:
-                busy = njobs if njobs < self.servers else self.servers
-                self._busy_integral += busy * dt
-                self._jobs_integral += njobs * dt
-                self._last_stat_time = now
-            dt = now - self._vtime_updated_at
-            if dt > 0 and njobs > 0:
-                if njobs <= self.servers:
-                    self._vtime += dt * (self.speed * self._efficiency)
-                else:
-                    self._vtime += dt * (self.speed * (self.servers / njobs) * self._efficiency)
+        if now != self._vtime_updated_at:
+            self._vtime += (now - self._vtime_updated_at) * self._rate
             self._vtime_updated_at = now
         vtime = self._vtime
         drift = _ULPS * ulp(vtime)
@@ -438,7 +351,9 @@ class ProcessorSharingResource:
             )
             sim._seq = seq + 1
             self._timer_seq = head_seq
-            self._timer_rate = rate
+            self._rate = rate
+        else:
+            self._rate = 0.0
         first[3](first[4])
         for entry in rest:
             entry[3](entry[4])

@@ -37,14 +37,12 @@ class HeapTimerPool:
         self.speed = speed
         self.efficiency = 1.0
         self.vtime = 0.0
-        self.updated_at = sim.now  # virtual time and statistics, both
-        self.start_time = sim.now
+        self.updated_at = sim.now  # the instant vtime was integrated to
         self.jobs = {}  # handle -> Job, every job ever submitted
         self.heap = []  # (finish_vtime, handle, Job), tombstones included
         self.active_jobs = 0
         self.completed_jobs = 0
         self.completed_demand = 0.0
-        self.busy_integral = 0.0
         self.event = None
         self.event_key = None  # (head handle, per-job rate) it was armed for
 
@@ -53,20 +51,11 @@ class HeapTimerPool:
         return self.speed * share * self.efficiency
 
     def advance(self):
-        """Integrate virtual time and busy time up to the current instant."""
+        """Integrate virtual time up to the current instant."""
         dt = self.sim.now - self.updated_at
-        if dt > 0:
-            self.busy_integral += min(self.active_jobs, self.servers) * dt
-            if self.active_jobs:
-                self.vtime += dt * self.per_job_rate()
+        if dt > 0 and self.active_jobs:
+            self.vtime += dt * self.per_job_rate()
         self.updated_at = self.sim.now
-
-    def utilization(self):
-        self.advance()
-        elapsed = self.sim.now - self.start_time
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_integral / (elapsed * self.servers)
 
     def submit(self, demand, on_complete, owner=None):
         self.advance()

@@ -1,13 +1,13 @@
 """Regression tests for PS-pool accounting.
 
 These pin the fixes that rode along with the hot-path optimization work:
-the utilization horizon window, elapsed-since-construction averaging, and
-the demand-proportional completion tolerance at large virtual times.
+accounting from construction, a clock that stands still while the pool is
+idle, and the demand-proportional completion tolerance at large virtual
+times.
 """
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.resources import ProcessorSharingResource
 
@@ -17,32 +17,11 @@ def ignore(owner):
 
 
 # ----------------------------------------------------------------------
-# Utilization / mean-jobs accounting
+# Accounting and the pool's one clock
 # ----------------------------------------------------------------------
-def test_utilization_horizon_extends_window():
-    sim = Simulator()
-    pool = ProcessorSharingResource(sim, "pool", servers=1)
-    pool.submit(2.0, ignore)
-    sim.run()
-    assert pool.utilization() == pytest.approx(1.0)
-    # A horizon past "now" dilutes the average with the idle tail.
-    assert pool.utilization(horizon=4.0) == pytest.approx(0.5)
-
-
-def test_utilization_rejects_stale_horizon():
-    sim = Simulator()
-    pool = ProcessorSharingResource(sim, "pool", servers=1)
-    pool.submit(2.0, ignore)
-    sim.run()
-    # Busy time is already integrated over 2 seconds; a 1-second window
-    # would report utilization above 1.0.
-    with pytest.raises(SimulationError, match="stale horizon"):
-        pool.utilization(horizon=1.0)
-
-
 def test_accounting_measures_from_construction_not_time_zero():
-    # A pool built at t=10 that is then busy for 2 seconds is 100% busy,
-    # not 2/12 busy: both averages must use elapsed-since-construction.
+    # A pool built at t=10 serves a 2-second job in 2 seconds: its clock
+    # starts at construction, and the 10 seconds before it are no service.
     sim = Simulator()
     sim.schedule(10.0, lambda: None)
     sim.run()
@@ -50,16 +29,24 @@ def test_accounting_measures_from_construction_not_time_zero():
     pool = ProcessorSharingResource(sim, "late", servers=1)
     pool.submit(2.0, ignore)
     sim.run()
-    assert sim.now == pytest.approx(12.0)
-    assert pool.utilization() == pytest.approx(1.0)
-    assert pool.mean_jobs_in_service() == pytest.approx(1.0)
+    assert sim.now == 12.0
+    assert (pool.completed_jobs, pool.completed_demand) == (1, 2.0)
 
 
-def test_idle_pool_reports_zero_averages():
+def test_idle_pool_clock_stands_still():
+    # Between the last completion and the next arrival no job is in
+    # service, so virtual time must not move however long the gap.
     sim = Simulator()
     pool = ProcessorSharingResource(sim, "idle", servers=2)
-    assert pool.utilization() == 0.0
-    assert pool.mean_jobs_in_service() == 0.0
+    pool.submit(2.0, ignore)
+    sim.run()
+    finish_vtime = pool._vtime
+    finish = []
+    sim.schedule(8.0, lambda: pool.submit(3.0, lambda owner: finish.append(sim.now)))
+    sim.run()
+    assert finish == [13.0]
+    assert pool._vtime == finish_vtime + 3.0
+    assert (pool.completed_jobs, pool.completed_demand) == (2, 5.0)
 
 
 # ----------------------------------------------------------------------

@@ -101,6 +101,16 @@ def test_nan_efficiency_rejected(sim):
     assert pool.completed_jobs == 1 and sim.now == 1.0
 
 
+def test_infinite_efficiency_rejected(sim):
+    # An infinite rate makes every remaining demand finish "now": the run
+    # would never return.
+    pool = make_pool(sim)
+    pool.submit(1.0, ignore)
+    with pytest.raises(SimulationError):
+        pool.set_efficiency(float("inf"))
+    assert pool.efficiency == 1.0
+
+
 def test_zero_demand_job_completes_immediately(sim):
     pool = make_pool(sim)
     done = []
@@ -123,6 +133,15 @@ def test_nan_demand_rejected(sim):
     with pytest.raises(SimulationError):
         pool.submit(float("nan"), ignore)
     assert pool.active_jobs == 0 and sim.run() == 0
+
+
+def test_infinite_demand_rejected(sim):
+    # Its completion slack _EPS * (1 + demand) is infinite too, so the job
+    # would "complete" at the pool's next firing.
+    pool = make_pool(sim)
+    with pytest.raises(SimulationError):
+        pool.submit(float("inf"), ignore)
+    assert pool.active_jobs == 0
 
 
 def test_cancel_removes_job(sim):
@@ -175,28 +194,19 @@ def test_work_conservation_counters(sim):
     assert pool.completed_demand == pytest.approx(10.0)
 
 
-def test_utilization_of_saturated_pool(sim):
-    pool = make_pool(sim, servers=1)
-    pool.submit(5.0, ignore)
-    sim.run()
-    assert pool.utilization() == pytest.approx(1.0)
-
-
-def test_mean_jobs_in_service(sim):
-    pool = make_pool(sim, servers=2)
-    pool.submit(2.0, ignore)
-    pool.submit(2.0, ignore)
-    sim.run()
-    # Two jobs for the whole (2s) horizon.
-    assert pool.mean_jobs_in_service() == pytest.approx(2.0)
-
-
 def test_invalid_construction():
     sim = Simulator()
     with pytest.raises(SimulationError):
         ProcessorSharingResource(sim, "bad", 0)
     with pytest.raises(SimulationError):
         ProcessorSharingResource(sim, "bad", 1, speed=0.0)
+
+
+def test_infinite_speed_rejected():
+    # An infinite-speed pool woke 100,000 times at t = 0 and completed
+    # nothing (remaining virtual time / inf is 0 before the job is due).
+    with pytest.raises(SimulationError):
+        ProcessorSharingResource(Simulator(), "bad", 1, speed=float("inf"))
 
 
 def test_many_jobs_finish_in_demand_order_when_equal_arrival(sim):

@@ -7,7 +7,10 @@ efficiency changes and marker events at colliding instants and other
 priorities — once with the production pool, once with the heap-event
 reference (``reference_pool.HeapTimerPool``).  Everything observable must
 match as exact floats: the completion trace, its interleaving with the
-markers, the event count and the pools' accounting.
+markers, the event count, the pools' accounting and their final virtual
+clocks.  The production pool integrates its clock by the rate its timer was
+last armed for, so after every operation and in every completion callback
+that rate must be the per-job rate while a job is in service.
 """
 
 from hypothesis import given, settings
@@ -41,6 +44,19 @@ STEPS = st.lists(
 )
 
 
+def check_rates(pools):
+    """The rate the production pool integrates by is its per-job rate."""
+    for pool in pools:
+        if isinstance(pool, ProcessorSharingResource) and pool.active_jobs:
+            assert pool._rate == pool.per_job_rate()
+
+
+def virtual_clock(pool):
+    if isinstance(pool, ProcessorSharingResource):
+        return pool._vtime
+    return pool.vtime
+
+
 def run_world(pool_class, servers, steps):
     sim = Simulator()
     pools = [pool_class(sim, "p{}".format(i), servers[i]) for i in range(2)]
@@ -49,6 +65,7 @@ def run_world(pool_class, servers, steps):
 
     def submit(pool_index, quanta, follow_ups):
         def done(name):
+            check_rates(pools)
             trace.append((name, sim.now))
             if follow_ups:
                 submit(pool_index, quanta, follow_ups - 1)
@@ -71,6 +88,7 @@ def run_world(pool_class, servers, steps):
             sim.schedule(
                 op[1] * QUANTUM, lambda: trace.append((tag, sim.now)), tag, priority=op[2]
             )
+        check_rates(pools)
 
     def drive(index):
         if index == len(steps):
@@ -91,7 +109,7 @@ def run_world(pool_class, servers, steps):
     sim.run_until(sum(step[0] for step in steps) * QUANTUM / 2)
     sim.run()
     accounting = [
-        (p.completed_jobs, p.completed_demand, p.active_jobs, p.utilization())
+        (p.completed_jobs, p.completed_demand, p.active_jobs, virtual_clock(p))
         for p in pools
     ]
     return trace, sim.now, sim.fired_events, accounting

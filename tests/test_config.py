@@ -148,6 +148,14 @@ def test_control_interval_must_be_positive_and_finite(interval):
         PlannerConfig(control_interval=interval).validate()
 
 
+@pytest.mark.parametrize("field", ["cpu_speed", "disk_speed"])
+def test_resource_speeds_must_be_finite(field):
+    # inf used to pass and then stall the pool it built (every wake-up at
+    # t = 0, no completion).
+    with pytest.raises(ConfigurationError, match="finite"):
+        ResourceConfig(**{field: float("inf")}).validate()
+
+
 @pytest.mark.parametrize("seconds", [float("inf"), float("nan"), 0.0, -1.0])
 def test_period_seconds_must_be_positive_and_finite(seconds):
     # inf used to pass and then fail as "cannot schedule event ... at nan".

@@ -123,6 +123,7 @@ def test_tutorial_engine_probes_exist():
     bundle.manager.start()
     bundle.run()
     assert bundle.engine.executing_cost("analytics") >= 0.0
-    assert bundle.engine.cpu.utilization() > 0.0
+    assert bundle.engine.cpu.completed_jobs > 0
+    assert bundle.engine.cpu.completed_demand > 0.0
     rt = bundle.engine.snapshot_monitor.average_response_time("checkout")
     assert rt is None or rt > 0.0
