@@ -37,8 +37,11 @@ class ResourceConfig:
     disk_speed: float = 1.0
 
     def validate(self) -> None:
-        if not (self.cpu_servers >= 1 and self.disk_servers >= 1):
-            raise ConfigurationError("resource pools need at least one server")
+        for name, servers in (("cpu", self.cpu_servers), ("disk", self.disk_servers)):
+            if isinstance(servers, bool) or not isinstance(servers, int) or servers < 1:
+                raise ConfigurationError(
+                    "{}_servers must be an integer >= 1, got {!r}".format(name, servers)
+                )
         if not (0 < self.cpu_speed < math.inf and 0 < self.disk_speed < math.inf):
             raise ConfigurationError("resource speeds must be positive and finite")
 

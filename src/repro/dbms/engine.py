@@ -33,7 +33,7 @@ from repro.config import SimulationConfig
 from repro.dbms.agent import AgentPool
 from repro.dbms.optimizer import CostEstimator
 from repro.dbms.overload import OverloadModel
-from repro.dbms.query import CPU, IO, Query, QueryState
+from repro.dbms.query import COMPLETED, CPU, EXECUTING, IO, Query
 from repro.dbms.snapshot import SnapshotMonitor
 from repro.errors import SimulationError
 from repro.runtime.protocols import AdmissionGate, TimerService
@@ -120,7 +120,8 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     def execute(self, query: Query) -> None:
         """Admit ``query`` for execution (possibly waiting for an agent)."""
-        if query.state in (QueryState.EXECUTING, QueryState.COMPLETED):
+        state = query.state
+        if state is EXECUTING or state is COMPLETED:
             raise SimulationError(
                 "query {} executed twice".format(query.query_id)
             )
@@ -142,7 +143,7 @@ class ExecutionEngine:
         raise NotImplementedError
 
     def _finish(self, query: Query) -> None:
-        query.state = QueryState.COMPLETED
+        query.state = COMPLETED
         query.finish_time = self.sim.now
         del self._executing[query.query_id]
         self._completed += 1
@@ -178,7 +179,7 @@ class DatabaseEngine(ExecutionEngine):
         self.overload = OverloadModel(config.overload, [self.cpu, self.disk])
 
     def _start(self, query: Query) -> None:
-        query.state = QueryState.EXECUTING
+        query.state = EXECUTING
         query.start_time = self.sim.now
         self._executing[query.query_id] = query
         self.overload.admit(query.true_cost)
@@ -217,7 +218,7 @@ class DatabaseEngine(ExecutionEngine):
         # The shared tail plus the overload retire, inlined: the retire
         # must precede on_complete and the hook, because the client's next
         # submission re-prices the pools.
-        query.state = QueryState.COMPLETED
+        query.state = COMPLETED
         query.finish_time = self.sim.now
         del self._executing[query.query_id]
         self.overload.retire(query.true_cost)

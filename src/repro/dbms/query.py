@@ -17,20 +17,18 @@ from __future__ import annotations
 
 import enum
 from math import inf
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.sim.stats import sequential_sum
 
 #: Resource kinds a phase can execute on.
 CPU = "cpu"
 IO = "io"
 
-
-class Phase(NamedTuple):
-    """One stage of query execution on a single resource pool."""
-
-    kind: str  # CPU or IO
-    demand: float  # seconds-at-full-speed
+#: One stage of query execution on a single resource pool: a plain
+#: ``(kind, demand)`` pair — CPU or IO, seconds-at-full-speed.
+Phase = Tuple[str, float]
 
 
 class QueryState(enum.Enum):
@@ -43,6 +41,17 @@ class QueryState(enum.Enum):
     COMPLETED = "completed"
     CANCELLED = "cancelled"  # abandoned while still queued (never ran)
     REJECTED = "rejected"  # refused by policy (e.g. over QP's max cost)
+
+
+# The members as module names, compared with ``is``: on CPython 3.11 a global
+# read costs a tenth of a read through the enum class (six per statement).
+CREATED = QueryState.CREATED
+QUEUED = QueryState.QUEUED
+RELEASED = QueryState.RELEASED
+EXECUTING = QueryState.EXECUTING
+COMPLETED = QueryState.COMPLETED
+CANCELLED = QueryState.CANCELLED
+REJECTED = QueryState.REJECTED
 
 
 class Query:
@@ -113,7 +122,7 @@ class Query:
         self.phases: Tuple[Phase, ...] = tuple(phases)
         self.true_cost = float(true_cost)
         self.estimated_cost = float(estimated_cost)
-        self.state = QueryState.CREATED
+        self.state = CREATED
         self.submit_time: Optional[float] = None
         self.intercept_time: Optional[float] = None
         self.queue_time: Optional[float] = None
@@ -134,13 +143,13 @@ class Query:
     # ------------------------------------------------------------------
     @property
     def cpu_demand(self) -> float:
-        """Total CPU seconds-at-full-speed across phases."""
-        return sum(p.demand for p in self.phases if p.kind == CPU)
+        """Total CPU seconds-at-full-speed across phases (left fold)."""
+        return sequential_sum(demand for kind, demand in self.phases if kind == CPU)
 
     @property
     def io_demand(self) -> float:
-        """Total IO seconds-at-full-speed across phases."""
-        return sum(p.demand for p in self.phases if p.kind == IO)
+        """Total IO seconds-at-full-speed across phases (left fold)."""
+        return sequential_sum(demand for kind, demand in self.phases if kind == IO)
 
     @property
     def phases_remaining(self) -> int:
@@ -219,13 +228,11 @@ def make_phases(
         )
     cpu_slice = cpu_demand / rounds
     io_slice = io_demand / rounds
-    # tuple.__new__ is what Phase's generated constructor calls; calling it
-    # directly saves a Python frame per phase on the per-statement path.
     one_round: Tuple[Phase, ...] = ()
     if cpu_slice > 0:
-        one_round = (tuple.__new__(Phase, (CPU, cpu_slice)),)
+        one_round = ((CPU, cpu_slice),)
     if io_slice > 0:
-        one_round += (tuple.__new__(Phase, (IO, io_slice)),)
+        one_round += ((IO, io_slice),)
     # Degenerate zero-demand query: keep one empty CPU phase so the
     # lifecycle still transits the engine.
-    return one_round * rounds or (Phase(CPU, 0.0),)
+    return one_round * rounds or ((CPU, 0.0),)

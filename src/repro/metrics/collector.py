@@ -17,7 +17,7 @@ from repro.dbms.query import Query
 from repro.errors import MetricsError
 from repro.metrics.telemetry import ControlIntervalRecord
 from repro.patroller.patroller import QueryPatroller
-from repro.sim.stats import Histogram, WelfordAccumulator
+from repro.sim.stats import Histogram
 from repro.workloads.schedule import PeriodSchedule
 
 #: Response-time histogram range for tail-latency queries (seconds).
@@ -25,7 +25,7 @@ _RT_HISTOGRAM_RANGE = (0.0, 600.0)
 _RT_HISTOGRAM_BINS = 240
 
 #: Completions a cell holds before folding them: enough to spread a fold's fixed
-#: cost (five calls, four lists) thin; a larger block only keeps more floats.
+#: cost (one loop, one histogram call) thin; a larger block only keeps more floats.
 _FOLD_BLOCK = 64
 
 #: Metric names :meth:`MetricsCollector.metric_series` understands.
@@ -52,11 +52,15 @@ class PeriodClassMetrics:
     that is folded into the aggregates in arrival order — when it holds
     :data:`_FOLD_BLOCK`, when the collector closes the period, and before
     any read — so every statistic equals the completion-by-completion fold.
+    It keeps only what the collector reports: each metric's running mean,
+    updated as :class:`~repro.sim.stats.WelfordAccumulator` updates its
+    mean, and the response-time histogram.
     """
 
     __slots__ = (
         "completions",
         "_pending",
+        "_folded_count",
         "_velocity",
         "_response_time",
         "_execution_time",
@@ -74,10 +78,11 @@ class PeriodClassMetrics:
         self.completions = 0
         #: ``response, execution`` of the completions not folded yet, flat.
         self._pending: List[float] = []
-        self._velocity = WelfordAccumulator()
-        self._response_time = WelfordAccumulator()
-        self._execution_time = WelfordAccumulator()
-        self._wait_time = WelfordAccumulator()
+        self._folded_count = 0
+        self._velocity = 0.0
+        self._response_time = 0.0
+        self._execution_time = 0.0
+        self._wait_time = 0.0
         self._response_histogram = Histogram(
             _RT_HISTOGRAM_RANGE[0], _RT_HISTOGRAM_RANGE[1], bins=_RT_HISTOGRAM_BINS
         )
@@ -101,17 +106,30 @@ class PeriodClassMetrics:
             self.fold()
 
     def fold(self) -> None:
-        """Fold the pending block into the aggregates (no-op when empty)."""
+        """Fold the pending block in one pass (no-op when empty)."""
         pending = self._pending
         if not pending:
             return
-        responses, executions = pending[0::2], pending[1::2]
-        pairs = list(zip(responses, executions))
-        self._velocity.add_many([1.0 if r <= 0 else min(1.0, e / r) for r, e in pairs])
-        self._response_time.add_many(responses)
-        self._execution_time.add_many(executions)
-        self._wait_time.add_many([r - e for r, e in pairs])
-        self._response_histogram.add_many(responses)
+        count = self._folded_count
+        velocity_mean, response_mean = self._velocity, self._response_time
+        execution_mean, wait_mean = self._execution_time, self._wait_time
+        values = iter(pending)
+        for response, execution in zip(values, values):
+            count += 1
+            # Query.velocity: min(1.0, e / r), NaN included; 1.0 if r <= 0.
+            velocity = 1.0
+            if response > 0:
+                velocity = execution / response
+                if not velocity < 1.0:
+                    velocity = 1.0
+            velocity_mean += (velocity - velocity_mean) / count
+            response_mean += (response - response_mean) / count
+            execution_mean += (execution - execution_mean) / count
+            wait_mean += (response - execution - wait_mean) / count
+        self._folded_count = count
+        self._velocity, self._response_time = velocity_mean, response_mean
+        self._execution_time, self._wait_time = execution_mean, wait_mean
+        self._response_histogram.add_many(pending[0::2])
         del pending[:]
 
     def response_percentile(self, q: float) -> float:
@@ -228,7 +246,7 @@ class MetricsCollector:
             elif metric == "response_p99":
                 series.append(cell.response_percentile(99.0))
             else:
-                series.append(getattr(cell, metric).mean)
+                series.append(getattr(cell, metric))
         return series
 
     @staticmethod
@@ -250,7 +268,7 @@ class MetricsCollector:
             if cell is None or cell.completions == 0:
                 continue
             observed += 1
-            if service_class.goal.satisfied(getattr(cell, metric).mean):
+            if service_class.goal.satisfied(getattr(cell, metric)):
                 met += 1
         return met, observed
 

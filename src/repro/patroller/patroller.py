@@ -37,7 +37,7 @@ from typing import (
 )
 
 from repro.config import PatrollerConfig
-from repro.dbms.query import CPU, Phase, Query, QueryState
+from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import PatrollerError
 from repro.patroller.tables import ControlTables
 from repro.runtime import ExecutionEngine, TimerHandle, TimerService
@@ -275,9 +275,7 @@ class QueryPatroller:
         query.intercept_time = self.sim.now
         if self.config.overhead_cpu_demand > 0:
             # QP's bookkeeping burns server CPU on behalf of the statement.
-            query.phases = (
-                tuple.__new__(Phase, (CPU, self.config.overhead_cpu_demand)),
-            ) + query.phases
+            query.phases = ((CPU, self.config.overhead_cpu_demand),) + query.phases
         query.state = QueryState.QUEUED
         self.tables.record(query)
         query.queue_time = self.sim.now

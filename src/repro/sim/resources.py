@@ -68,15 +68,17 @@ class ProcessorSharingResource:
     """
 
     def __init__(self, sim: Simulator, name: str, servers: int, speed: float = 1.0) -> None:
-        if servers < 1:
-            raise SimulationError("resource {!r} needs >= 1 server".format(name))
+        if isinstance(servers, bool) or not isinstance(servers, int) or servers < 1:
+            raise SimulationError(
+                "resource {!r} needs an integer >= 1 of servers (got {!r})".format(name, servers)
+            )
         if not 0 < speed < inf:  # also rejects NaN
             raise SimulationError(
                 "resource {!r} needs a positive finite speed (got {})".format(name, speed)
             )
         self.sim = sim
         self.name = name
-        self.servers = int(servers)
+        self.servers = servers
         self.speed = float(speed)
         self._efficiency = 1.0
         self._vtime = 0.0

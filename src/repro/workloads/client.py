@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.dbms.query import Query, QueryState
+from repro.dbms.query import REJECTED, Query
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import TimerService
 from repro.workloads.spec import QueryFactory, WorkloadMix
@@ -108,7 +108,7 @@ class ClosedLoopClient:
 
     def _on_complete(self, query: Query) -> None:
         self._in_flight = None
-        if query.state == QueryState.REJECTED:
+        if query.state is REJECTED:
             # Policy refused the statement (e.g. QP max-cost): the user
             # sees an error and moves on to their next request.
             self.queries_rejected += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import List, NamedTuple, Optional
 
-from repro.dbms.query import Query, make_phases
+from repro.dbms.query import CPU, Query, make_phases
 from repro.errors import WorkloadError
 from repro.metrics.export import open_export
 from repro.patroller.patroller import QueryPatroller
@@ -102,7 +102,7 @@ class TraceRecorder:
                 kind=query.kind,
                 cpu_demand=query.cpu_demand,
                 io_demand=query.io_demand,
-                rounds=max(1, sum(1 for p in query.phases if p.kind == "cpu")),
+                rounds=max(1, sum(1 for kind, _ in query.phases if kind == CPU)),
                 parallelism=query.parallelism,
             )
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.classifier import Classifier
 from repro.core.service_class import paper_classes
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Query
 from repro.errors import SchedulingError
 
 
@@ -15,7 +15,7 @@ def make_query(class_name="class1", kind="olap", cost=1000.0):
         client_id="c0",
         template="t",
         kind=kind,
-        phases=(Phase(CPU, 1.0),),
+        phases=((CPU, 1.0),),
         true_cost=cost,
         estimated_cost=cost,
     )

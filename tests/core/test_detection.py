@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.detection import ShiftEvent, WorkloadDetector
 from repro.core.service_class import paper_classes
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Query
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 
@@ -28,7 +28,7 @@ def arrival(class_name="class3", cost=30.0):
         client_id="c",
         template="t",
         kind="oltp",
-        phases=(Phase(CPU, 0.01),),
+        phases=((CPU, 0.01),),
         true_cost=cost,
         estimated_cost=cost,
     )

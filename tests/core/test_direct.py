@@ -18,7 +18,7 @@ from repro.core.service_class import (
     paper_classes,
 )
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Query
 from repro.errors import SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
@@ -43,7 +43,7 @@ def make_query(class_name="class1", cost=1_000.0, demand=2.0, kind="olap"):
         client_id="c{}".format(_qid[0]),
         template="t",
         kind=kind,
-        phases=(Phase(CPU, demand),),
+        phases=((CPU, demand),),
         true_cost=cost,
         estimated_cost=cost,
     )

@@ -26,7 +26,7 @@ from repro.core.dispatcher import Dispatcher
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Query
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -87,7 +87,7 @@ class World:
                 client_id="c",
                 template="t",
                 kind=KINDS[name],
-                phases=(Phase(CPU, demand),),
+                phases=((CPU, demand),),
                 true_cost=cost,
                 estimated_cost=cost,
             )

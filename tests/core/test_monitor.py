@@ -8,7 +8,7 @@ from repro.config import MonitorConfig, PatrollerConfig, default_config
 from repro.core.monitor import Monitor
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, IO, Phase, Query
+from repro.dbms.query import CPU, IO, Query
 from repro.errors import PatrollerError, SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
@@ -50,7 +50,7 @@ def make_query(class_name="class1", kind="olap", demand=1.0):
         client_id="client-{}".format(_qid[0]),
         template="t",
         kind=kind,
-        phases=(Phase(CPU, demand / 2), Phase(IO, demand / 2)),
+        phases=((CPU, demand / 2), (IO, demand / 2)),
         true_cost=100.0,
         estimated_cost=100.0,
     )

@@ -6,7 +6,7 @@ from repro.config import PatrollerConfig, default_config
 from repro.core.mpl import MPLController
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query, QueryState
+from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import ConfigurationError, SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
@@ -41,7 +41,7 @@ def olap_query(class_name="class1", demand=5.0):
         client_id="c",
         template="t",
         kind="olap",
-        phases=(Phase(CPU, demand),),
+        phases=((CPU, demand),),
         true_cost=1_000.0,
         estimated_cost=1_000.0,
     )
@@ -55,7 +55,7 @@ def oltp_query(demand=0.02):
         client_id="oltp-{}".format(_qid[0]),
         template="t",
         kind="oltp",
-        phases=(Phase(CPU, demand),),
+        phases=((CPU, demand),),
         true_cost=30.0,
         estimated_cost=30.0,
     )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import AgentConfig
 from repro.dbms.agent import AgentPool
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Query
 from repro.errors import ConfigurationError, SimulationError
 
 
@@ -15,7 +15,7 @@ def make_query(query_id):
         client_id="cl",
         template="t",
         kind="oltp",
-        phases=(Phase(CPU, 0.1),),
+        phases=((CPU, 0.1),),
         true_cost=10.0,
         estimated_cost=10.0,
     )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import default_config, AgentConfig
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, IO, Phase, Query, make_phases
+from repro.dbms.query import CPU, IO, Query, make_phases
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -33,7 +33,7 @@ def make_query(query_id, phases, cost=100.0, parallelism=1, kind="olap"):
 
 def test_single_query_executes_phases_sequentially():
     sim, engine = make_engine()
-    query = make_query(1, (Phase(CPU, 2.0), Phase(IO, 3.0)))
+    query = make_query(1, ((CPU, 2.0), (IO, 3.0)))
     query.submit_time = 0.0
     engine.execute(query)
     # Phases are consumed in order: the CPU one is in service, IO is next.
@@ -51,7 +51,7 @@ def test_single_query_executes_phases_sequentially():
 
 def test_release_time_defaults_to_execute_instant():
     sim, engine = make_engine()
-    query = make_query(1, (Phase(CPU, 1.0),))
+    query = make_query(1, ((CPU, 1.0),))
     query.submit_time = 0.0
     sim.schedule(4.0, lambda: engine.execute(query))
     sim.run()
@@ -63,7 +63,7 @@ def test_release_time_defaults_to_execute_instant():
 def test_cpu_contention_stretches_execution():
     sim, engine = make_engine()
     # 4 CPU-only queries on 2 CPUs: each takes twice its demand.
-    queries = [make_query(i, (Phase(CPU, 2.0),)) for i in range(4)]
+    queries = [make_query(i, ((CPU, 2.0),)) for i in range(4)]
     for q in queries:
         q.submit_time = 0.0
         engine.execute(q)
@@ -74,7 +74,7 @@ def test_cpu_contention_stretches_execution():
 
 def test_parallel_phase_uses_multiple_servers():
     sim, engine = make_engine()
-    query = make_query(1, (Phase(CPU, 2.0),), parallelism=2)
+    query = make_query(1, ((CPU, 2.0),), parallelism=2)
     query.submit_time = 0.0
     engine.execute(query)
     sim.run()
@@ -84,7 +84,7 @@ def test_parallel_phase_uses_multiple_servers():
 
 def test_parallel_phase_barrier_before_next_phase():
     sim, engine = make_engine()
-    query = make_query(1, (Phase(CPU, 2.0), Phase(IO, 1.0)), parallelism=2)
+    query = make_query(1, ((CPU, 2.0), (IO, 1.0)), parallelism=2)
     query.submit_time = 0.0
     engine.execute(query)
     sim.run()
@@ -110,7 +110,7 @@ def test_multi_round_statement_consumes_its_phases_in_order():
     # (the job's owner) and starts the next one: CPU 1 s, IO 2 s, thrice.
     sim, engine = make_engine()
     query = make_query(1, make_phases(3.0, 6.0, rounds=3))
-    assert [p.kind for p in query.phases] == [CPU, IO] * 3
+    assert [kind for kind, _ in query.phases] == [CPU, IO] * 3
     query.submit_time = 0.0
     seen = occupancy(sim, engine, query, [0.5, 2.0, 3.5, 5.0, 6.5, 8.0])
     engine.execute(query)
@@ -137,7 +137,7 @@ def test_parallel_statement_consumes_its_phases_in_order():
 
 def test_double_execute_rejected():
     sim, engine = make_engine()
-    query = make_query(1, (Phase(CPU, 1.0),))
+    query = make_query(1, ((CPU, 1.0),))
     query.submit_time = 0.0
     engine.execute(query)
     sim.run()
@@ -149,7 +149,7 @@ def test_completion_listener_and_per_query_callback_order():
     sim, engine = make_engine()
     calls = []
     engine.set_completion_hook(lambda q: calls.append("hook"))
-    query = make_query(1, (Phase(CPU, 1.0),))
+    query = make_query(1, ((CPU, 1.0),))
     query.submit_time = 0.0
     query.on_complete = lambda q: calls.append("query")
     engine.execute(query)
@@ -159,8 +159,8 @@ def test_completion_listener_and_per_query_callback_order():
 
 def test_executing_cost_by_class():
     sim, engine = make_engine()
-    q1 = make_query(1, (Phase(CPU, 5.0),), cost=100.0)
-    q2 = make_query(2, (Phase(CPU, 5.0),), cost=50.0)
+    q1 = make_query(1, ((CPU, 5.0),), cost=100.0)
+    q2 = make_query(2, ((CPU, 5.0),), cost=50.0)
     q2.class_name = "other"
     for q in (q1, q2):
         q.submit_time = 0.0
@@ -175,7 +175,7 @@ def test_executing_cost_by_class():
 
 def test_overload_admission_accounting():
     sim, engine = make_engine()
-    query = make_query(1, (Phase(CPU, 1.0),), cost=40000.0)
+    query = make_query(1, ((CPU, 1.0),), cost=40000.0)
     query.submit_time = 0.0
     engine.execute(query)
     sim.run_until(0.5)
@@ -188,8 +188,8 @@ def test_overload_admission_accounting():
 
 def test_agent_pool_limits_concurrency():
     sim, engine = make_engine(agents=AgentConfig(max_agents=1))
-    first = make_query(1, (Phase(CPU, 2.0),))
-    second = make_query(2, (Phase(CPU, 2.0),))
+    first = make_query(1, ((CPU, 2.0),))
+    second = make_query(2, ((CPU, 2.0),))
     for q in (first, second):
         q.submit_time = 0.0
         engine.execute(q)
@@ -201,7 +201,7 @@ def test_agent_pool_limits_concurrency():
 
 def test_snapshot_monitor_sees_completions():
     sim, engine = make_engine()
-    query = make_query(1, (Phase(CPU, 1.0),), kind="oltp")
+    query = make_query(1, ((CPU, 1.0),), kind="oltp")
     query.class_name = "class3"
     query.submit_time = 0.0
     engine.execute(query)

@@ -1,17 +1,16 @@
 """Tests for query objects, phases and timing metrics."""
 
 import math
-import pickle
 
 import pytest
 
-from repro.dbms.query import CPU, IO, Phase, Query, QueryState, make_phases
+from repro.dbms.query import CPU, IO, Query, QueryState, make_phases
 from repro.errors import SimulationError
 
 
 def make_query(phases=None, **kwargs):
     if phases is None:
-        phases = (Phase(CPU, 1.0), Phase(IO, 2.0))
+        phases = ((CPU, 1.0), (IO, 2.0))
     defaults = dict(
         query_id=1,
         class_name="class1",
@@ -29,24 +28,24 @@ def make_query(phases=None, **kwargs):
 class TestMakePhases:
     def test_single_round(self):
         phases = make_phases(1.0, 2.0, rounds=1)
-        assert phases == (Phase(CPU, 1.0), Phase(IO, 2.0))
+        assert phases == ((CPU, 1.0), (IO, 2.0))
 
     def test_multiple_rounds_alternate_and_conserve_demand(self):
         phases = make_phases(4.0, 8.0, rounds=4)
         assert len(phases) == 8
-        assert [p.kind for p in phases] == [CPU, IO] * 4
-        assert sum(p.demand for p in phases if p.kind == CPU) == pytest.approx(4.0)
-        assert sum(p.demand for p in phases if p.kind == IO) == pytest.approx(8.0)
+        assert [kind for kind, _ in phases] == [CPU, IO] * 4
+        assert sum(demand for kind, demand in phases if kind == CPU) == pytest.approx(4.0)
+        assert sum(demand for kind, demand in phases if kind == IO) == pytest.approx(8.0)
 
     def test_zero_cpu_omits_cpu_phases(self):
         phases = make_phases(0.0, 6.0, rounds=3)
-        assert all(p.kind == IO for p in phases)
+        assert all(kind == IO for kind, _ in phases)
         assert len(phases) == 3
 
     def test_zero_both_yields_single_empty_phase(self):
         phases = make_phases(0.0, 0.0, rounds=2)
         assert len(phases) == 1
-        assert phases[0].demand == 0.0
+        assert phases == ((CPU, 0.0),)
 
     def test_invalid_inputs(self):
         with pytest.raises(SimulationError):
@@ -69,20 +68,53 @@ class TestMakePhases:
         with pytest.raises(SimulationError, match="finite"):
             make_phases(cpu, io, rounds=2)
 
-    def test_phases_are_real_phase_rows(self):
-        # Built without Phase's generated constructor, yet the same rows.
-        phases = make_phases(1.5, 2.5, rounds=1)
-        assert [type(phase) for phase in phases] == [Phase, Phase]
-        assert phases == (Phase(CPU, 1.5), Phase(IO, 2.5))
-        assert [repr(phase) for phase in phases] == [
-            repr(Phase(CPU, 1.5)),
-            repr(Phase(IO, 2.5)),
-        ]
-        assert phases[0]._replace(demand=3.0) == Phase(CPU, 3.0)
-        assert phases[1].kind == IO and phases[1].demand == 2.5
-        restored = pickle.loads(pickle.dumps(phases))
-        assert restored == phases
-        assert [type(phase) for phase in restored] == [Phase, Phase]
+    def test_phases_are_plain_pairs_every_reader_unpacks(self):
+        from repro.config import PatrollerConfig, default_config
+        from repro.dbms.engine import DatabaseEngine
+        from repro.patroller.patroller import QueryPatroller
+        from repro.sim.engine import Simulator
+        from repro.sim.rng import RandomStreams
+        from repro.workloads.spec import QueryFactory
+        from repro.workloads.trace import TraceRecorder, TraceReplayer
+
+        phases = make_phases(1.5, 2.5, rounds=2)
+        assert phases == ((CPU, 0.75), (IO, 1.25)) * 2
+        assert all(type(phase) is tuple and len(phase) == 2 for phase in phases)
+        query = make_query(phases=phases)
+        assert (query.cpu_demand, query.io_demand) == (1.5, 2.5)
+
+        # Recorded on submit, re-split on replay, with QP's overhead phase
+        # prepended to the intercepted original.
+        sim = Simulator()
+        config = default_config(patroller=PatrollerConfig(
+            interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.25))
+        engine = DatabaseEngine(sim, config, RandomStreams(3))
+        patroller = QueryPatroller(sim, engine, config.patroller)
+        patroller.enable_for_class("class1")
+        patroller.set_release_handler(patroller.release)
+        recorder = TraceRecorder(sim, patroller)
+        patroller.submit(query)
+        sim.run()
+        assert query.phases == ((CPU, 0.25),) + phases
+        assert type(query.phases[0]) is tuple
+        (entry,) = recorder.trace.entries
+        assert (entry.cpu_demand, entry.io_demand, entry.rounds) == (1.5, 2.5, 2)
+        replay = Simulator()
+        replay_engine = DatabaseEngine(replay, config, RandomStreams(3))
+        replay_patroller = QueryPatroller(replay, replay_engine, config.patroller)
+        replayed = []
+        replay_patroller.subscribe("submitted", replayed.append)
+        factory = QueryFactory(replay_engine.estimator, RandomStreams(3))
+        TraceReplayer(replay, replay_patroller, factory, recorder.trace).start()
+        replay.run()
+        assert [q.phases for q in replayed] == [phases]
+
+    def test_total_demand_is_the_left_fold(self):
+        # The same total on every interpreter: builtin sum, compensated on
+        # Python >= 3.12, gives 0.1 there and 0.09999999999999999 before.
+        query = make_query(phases=make_phases(0.1, 0.0, rounds=6))
+        assert query.cpu_demand == 0.09999999999999999
+        assert query.io_demand == 0.0
 
 
 class TestQueryLifecycle:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Query
 from repro.dbms.snapshot import SnapshotMonitor
 
 
@@ -13,7 +13,7 @@ def completed_query(query_id, client_id, class_name="class3", submit=0.0, finish
         client_id=client_id,
         template="t",
         kind="oltp",
-        phases=(Phase(CPU, 0.1),),
+        phases=((CPU, 0.1),),
         true_cost=10.0,
         estimated_cost=10.0,
     )

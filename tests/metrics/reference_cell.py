@@ -2,7 +2,8 @@
 
 :class:`EagerCollector` is ``MetricsCollector`` as it was before cells
 folded in blocks: every completion asks the schedule for its period and is
-folded into its cell's four accumulators and histogram on the spot.  The
+folded into its cell's four full accumulators and histogram on the spot;
+the cell reports each accumulator's mean under the metric's name.  The
 production collector must report exactly the same numbers at any point
 (``test_collector.py``).  Written for reading, not speed.
 """
@@ -16,22 +17,31 @@ from repro.sim.stats import Histogram
 from tests.sim.reference_stats import EagerWelford, histogram_add
 
 
+def _mean(name):
+    return property(lambda cell: cell.accumulators[name].mean)
+
+
 class EagerCell:
+    velocity = _mean("velocity")
+    response_time = _mean("response_time")
+    execution_time = _mean("execution_time")
+    wait_time = _mean("wait_time")
+
     def __init__(self):
         self.completions = 0
-        self.velocity = EagerWelford()
-        self.response_time = EagerWelford()
-        self.execution_time = EagerWelford()
-        self.wait_time = EagerWelford()
+        self.accumulators = {
+            name: EagerWelford()
+            for name in ("velocity", "response_time", "execution_time", "wait_time")
+        }
         self.response_histogram = Histogram(*_RT_HISTOGRAM_RANGE, bins=_RT_HISTOGRAM_BINS)
 
     def add(self, query):
         self.completions += 1
         response, execution = query.response_time, query.execution_time
-        self.velocity.add(query.velocity)
-        self.response_time.add(response)
-        self.execution_time.add(execution)
-        self.wait_time.add(response - execution)
+        self.accumulators["velocity"].add(query.velocity)
+        self.accumulators["response_time"].add(response)
+        self.accumulators["execution_time"].add(execution)
+        self.accumulators["wait_time"].add(response - execution)
         histogram_add(self.response_histogram, response)
 
     def response_percentile(self, q):

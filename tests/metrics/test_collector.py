@@ -10,7 +10,7 @@ from repro.config import default_config
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Query
 from repro.metrics import collector as collector_module
 from repro.metrics.collector import METRIC_NAMES, MetricsCollector
 from repro.patroller.patroller import QueryPatroller
@@ -18,7 +18,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.schedule import constant_schedule
 from tests.conftest import decision_record
-from tests.metrics.reference_cell import EagerCollector
+from tests.metrics.reference_cell import EagerCell, EagerCollector
 
 
 def make_collector(period=10.0, periods=3, collector_type=MetricsCollector):
@@ -43,7 +43,7 @@ def completed_query(class_name, kind, submit, release, finish):
         client_id="c",
         template="t",
         kind=kind,
-        phases=(Phase(CPU, 0.1),),
+        phases=((CPU, 0.1),),
         true_cost=10.0,
         estimated_cost=10.0,
     )
@@ -209,7 +209,7 @@ def test_engine_completions_flow_in_automatically():
         client_id="c",
         template="t",
         kind="olap",
-        phases=(Phase(CPU, 1.0),),
+        phases=((CPU, 1.0),),
         true_cost=10.0,
         estimated_cost=10.0,
     )
@@ -271,6 +271,20 @@ def test_metric_names_constant_matches_dispatch():
         assert len(series) == 3  # one slot per period, no exceptions
 
 
+def test_velocity_is_clamped_as_query_velocity_clamps_it():
+    # r == 0, e > r (released before it was submitted), a NaN execution
+    # time, and an ordinary 0.5.
+    cases = [(3.0, 3.0, 3.0), (2.0, 1.0, 4.0), (0.0, float("nan"), 4.0), (0.0, 2.0, 4.0)]
+    queries = [completed_query("class1", "olap", *case) for case in cases]
+    assert [query.velocity for query in queries] == [1.0, 1.0, 1.0, 0.5]
+    cell, eager = collector_module.PeriodClassMetrics(), EagerCell()
+    for query in queries:
+        cell.add(query)
+        eager.add(query)
+    assert cell.velocity == eager.velocity == 0.875
+    assert cell.response_time == eager.response_time == 2.5
+
+
 # ----------------------------------------------------------------------
 # Folded is eager: the block-folding cells against the reference collector
 # ----------------------------------------------------------------------
@@ -295,7 +309,7 @@ def assert_blocks_are_bounded(collector):
     block = 2 * collector_module._FOLD_BLOCK  # response, execution per completion
     for (period, _), cell in collector._cells.items():
         assert len(cell._pending) < block
-        assert len(cell._pending) == 2 * (cell.completions - cell._response_time.count)
+        assert len(cell._pending) == 2 * (cell.completions - cell._folded_count)
         if period < collector._open_period:
             assert len(cell._pending) == 0  # a closed period holds nothing back
 

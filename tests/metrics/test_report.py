@@ -4,7 +4,7 @@ from repro.config import default_config
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query
+from repro.dbms.query import CPU, Query
 from repro.metrics.collector import MetricsCollector
 from repro.patroller.patroller import QueryPatroller
 from repro.metrics.report import (
@@ -31,13 +31,13 @@ def make_populated_collector():
     collector = MetricsCollector(patroller, schedule, classes)
     query = Query(
         query_id=1, class_name="class1", client_id="c", template="t", kind="olap",
-        phases=(Phase(CPU, 0.1),), true_cost=1.0, estimated_cost=1.0,
+        phases=((CPU, 0.1),), true_cost=1.0, estimated_cost=1.0,
     )
     query.submit_time, query.release_time, query.finish_time = 0.0, 2.0, 4.0
     collector.on_completion(query)
     oltp = Query(
         query_id=2, class_name="class3", client_id="c", template="t", kind="oltp",
-        phases=(Phase(CPU, 0.1),), true_cost=1.0, estimated_cost=1.0,
+        phases=((CPU, 0.1),), true_cost=1.0, estimated_cost=1.0,
     )
     oltp.submit_time, oltp.release_time, oltp.finish_time = 0.0, 0.0, 0.2
     collector.on_completion(oltp)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PatrollerConfig, default_config
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, IO, Phase, Query, QueryState
+from repro.dbms.query import CPU, IO, Query, QueryState
 from repro.errors import PatrollerError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
@@ -28,7 +28,7 @@ def make_query(query_id=1, class_name="class1"):
         client_id="c0",
         template="q1",
         kind="olap",
-        phases=(Phase(CPU, 1.0), Phase(IO, 1.0)),
+        phases=((CPU, 1.0), (IO, 1.0)),
         true_cost=100.0,
         estimated_cost=100.0,
     )
@@ -168,7 +168,7 @@ def test_oltp_interception_overhead_dominates_sub_second_query():
         client_id="c0",
         template="payment",
         kind="oltp",
-        phases=(Phase(CPU, 0.012), Phase(IO, 0.004)),
+        phases=((CPU, 0.012), (IO, 0.004)),
         true_cost=30.0,
         estimated_cost=30.0,
     )
@@ -189,9 +189,8 @@ def test_overhead_phase_is_a_real_phase_row():
     patroller.submit(query)
     sim.run()
     overhead = query.phases[0]
-    assert type(overhead) is Phase
-    assert overhead == Phase(CPU, 0.25)
-    assert repr(overhead) == repr(Phase(CPU, 0.25))
+    assert type(overhead) is tuple
+    assert overhead == (CPU, 0.25)
 
 
 class TestRoutedSubscribers:

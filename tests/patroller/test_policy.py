@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PatrollerConfig, default_config
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query, QueryState
+from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import ConfigurationError
 from repro.patroller.patroller import QueryPatroller
 from repro.patroller.policy import (
@@ -46,7 +46,7 @@ def make_query(query_id, cost, class_name="class1", demand=10.0):
         client_id="c{}".format(query_id),
         template="t",
         kind="olap",
-        phases=(Phase(CPU, demand),),
+        phases=((CPU, demand),),
         true_cost=cost,
         estimated_cost=cost,
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dbms.query import CPU, Phase, Query, QueryState
+from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import PatrollerError
 from repro.patroller.tables import ControlTables
 
@@ -14,7 +14,7 @@ def intercepted(query_id, state=QueryState.QUEUED):
         client_id="c0",
         template="q1",
         kind="olap",
-        phases=(Phase(CPU, 1.0),),
+        phases=((CPU, 1.0),),
         true_cost=100.0,
         estimated_cost=100.0,
     )

@@ -202,6 +202,14 @@ def test_invalid_construction():
         ProcessorSharingResource(sim, "bad", 1, speed=0.0)
 
 
+@pytest.mark.parametrize("servers", [1.5, 2.7, True, float("inf")])
+def test_server_count_must_be_an_integer(servers):
+    # Fractions used to run int(servers) servers, True one server, and inf
+    # failed in int(inf) with a bare OverflowError.
+    with pytest.raises(SimulationError, match="integer"):
+        ProcessorSharingResource(Simulator(), "bad", servers)
+
+
 def test_infinite_speed_rejected():
     # An infinite-speed pool woke 100,000 times at t = 0 and completed
     # nothing (remaining virtual time / inf is 0 before the job is due).

@@ -6,7 +6,7 @@ from repro.config import PatrollerConfig, default_config
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, Phase, Query, QueryState
+from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import PatrollerError
 from repro.patroller.patroller import QueryPatroller
 from repro.patroller.policy import QPStaticPolicy
@@ -40,7 +40,7 @@ def make_query(cost=1_000.0, demand=5.0, class_name="class1"):
         client_id="c",
         template="t",
         kind="olap",
-        phases=(Phase(CPU, demand),),
+        phases=((CPU, demand),),
         true_cost=cost,
         estimated_cost=cost,
     )

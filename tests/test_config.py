@@ -156,6 +156,18 @@ def test_resource_speeds_must_be_finite(field):
         ResourceConfig(**{field: float("inf")}).validate()
 
 
+@pytest.mark.parametrize(
+    "field, servers",
+    [("cpu_servers", 1.5), ("disk_servers", 2.7), ("cpu_servers", True),
+     ("cpu_servers", float("inf"))],
+)
+def test_server_counts_must_be_integers(field, servers):
+    # 1.5 and 2.7 used to pass and run int(servers) servers, True one
+    # server, and inf to pass and then fail in int(inf) with OverflowError.
+    with pytest.raises(ConfigurationError, match=field):
+        ResourceConfig(**{field: servers}).validate()
+
+
 @pytest.mark.parametrize("seconds", [float("inf"), float("nan"), 0.0, -1.0])
 def test_period_seconds_must_be_positive_and_finite(seconds):
     # inf used to pass and then fail as "cannot schedule event ... at nan".

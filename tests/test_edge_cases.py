@@ -18,7 +18,7 @@ from repro.config import (
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
-from repro.dbms.query import CPU, IO, Phase, Query
+from repro.dbms.query import CPU, IO, Query
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -39,9 +39,9 @@ def make_query(cost=100.0, cpu=1.0, io=0.0, class_name="class1", kind="olap"):
     _qid[0] += 1
     phases = []
     if cpu > 0:
-        phases.append(Phase(CPU, cpu))
+        phases.append((CPU, cpu))
     if io > 0:
-        phases.append(Phase(IO, io))
+        phases.append((IO, io))
     query = Query(
         query_id=_qid[0],
         class_name=class_name,

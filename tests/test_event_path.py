@@ -25,6 +25,19 @@ from repro.workloads.schedule import constant_schedule
 #: A ceiling, so interpreters that count calls slightly differently fit.
 MAX_CALLS_PER_QUERY = 28
 
+#: The per-statement functions that read a lifecycle state (file suffix,
+#: class, function): they read the members bound as module names in
+#: ``dbms/query.py``, never ``QueryState.<member>`` — on CPython 3.11 a
+#: read through the enum class costs about ten module-global reads.
+STATE_READERS = (
+    ("dbms/query.py", "Query", "__init__"),
+    ("dbms/engine.py", "ExecutionEngine", "execute"),
+    ("dbms/engine.py", "ExecutionEngine", "_finish"),
+    ("dbms/engine.py", "DatabaseEngine", "_start"),
+    ("dbms/engine.py", "DatabaseEngine", "_finish"),
+    ("workloads/client.py", "ClosedLoopClient", "_on_complete"),
+)
+
 #: The engine's one completion hook: the patroller's table bookkeeping and
 #: ``completed`` fan-out, run exactly once per finished statement.
 COMPLETION_HOOK = ("patroller/patroller.py", "_on_completion")
@@ -112,3 +125,25 @@ def test_every_pinned_function_is_defined_in_the_package():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         assert name in defined, (path, name)
+
+
+def test_per_statement_state_reads_are_module_names():
+    root = Path(repro.__file__).parent
+    for path, class_name, name in STATE_READERS:
+        tree = ast.parse((root / path).read_text())
+        (owner,) = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == class_name
+        ]
+        (function,) = [
+            node for node in owner.body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        reads = [
+            node.attr
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "QueryState"
+        ]
+        assert reads == [], (path, class_name, name, reads)

@@ -120,11 +120,11 @@ def test_ps_equal_arrivals_finish_in_demand_order(demands):
 def test_make_phases_conserves_demand(cpu, io, rounds):
     assume(cpu + io > 0)
     phases = make_phases(cpu, io, rounds)
-    total_cpu = sum(p.demand for p in phases if p.kind == "cpu")
-    total_io = sum(p.demand for p in phases if p.kind == "io")
+    total_cpu = sum(demand for kind, demand in phases if kind == "cpu")
+    total_io = sum(demand for kind, demand in phases if kind == "io")
     assert math.isclose(total_cpu, cpu, abs_tol=1e-9)
     assert math.isclose(total_io, io, abs_tol=1e-9)
-    assert all(p.demand >= 0 for p in phases)
+    assert all(demand >= 0 for _, demand in phases)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ def test_engine_gate_conserves_queries_and_accounting(costs, limit):
     from repro.core.plan import SchedulingPlan
     from repro.core.service_class import ServiceClass, VelocityGoal
     from repro.dbms.engine import DatabaseEngine
-    from repro.dbms.query import CPU, Phase, Query
+    from repro.dbms.query import CPU, Query
     from repro.patroller.patroller import QueryPatroller
     from repro.sim.rng import RandomStreams
 
@@ -416,7 +416,7 @@ def test_engine_gate_conserves_queries_and_accounting(costs, limit):
             client_id="c{}".format(index),
             template="t",
             kind="olap",
-            phases=(Phase(CPU, 0.1),),
+            phases=((CPU, 0.1),),
             true_cost=cost,
             estimated_cost=cost,
         )
@@ -477,7 +477,7 @@ def test_dispatcher_accounting_survives_any_cancel_interleaving(
     (released == completed + cancelled)."""
     from repro.config import PatrollerConfig, default_config
     from repro.dbms.engine import DatabaseEngine
-    from repro.dbms.query import CPU, Phase, Query, QueryState
+    from repro.dbms.query import CPU, Query, QueryState
     from repro.patroller.patroller import QueryPatroller
     from repro.sim.rng import RandomStreams
 
@@ -505,7 +505,7 @@ def test_dispatcher_accounting_survives_any_cancel_interleaving(
             client_id="p{}".format(index),
             template="t",
             kind="olap",
-            phases=(Phase(CPU, demand),),
+            phases=((CPU, demand),),
             true_cost=cost,
             estimated_cost=cost,
         )
