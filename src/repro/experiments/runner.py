@@ -32,13 +32,7 @@ from repro.core.service_class import ServiceClass, paper_classes
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
 from repro.patroller.patroller import QueryPatroller
-from repro.runtime import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ExecutionEngine,
-    TimerService,
-    make_backend,
-)
+from repro.runtime import BACKEND_NAMES, ExecutionEngine, TimerService, make_backend
 from repro.sim.rng import RandomStreams
 from repro.workloads.client import ClosedLoopClient
 from repro.workloads.schedule import (
@@ -57,9 +51,8 @@ class SimulationBundle:
     """Everything that makes up one runnable deployment.
 
     ``sim`` is the backend's timer service and ``engine`` its execution
-    engine — under the simulation backend these are the familiar
-    ``Simulator``/``DatabaseEngine`` pair, kept as first-class fields so
-    existing code and tests keep reading ``bundle.sim``/``bundle.engine``.
+    engine (the pair :func:`~repro.runtime.make_backend` builds), and
+    ``backend`` is that backend's name (``"sim"`` or ``"sqlite"``).
     """
 
     config: SimulationConfig
@@ -73,7 +66,7 @@ class SimulationBundle:
     schedule: PeriodSchedule
     manager: ClientPoolManager
     collector: MetricsCollector
-    backend: ExecutionBackend
+    backend: str
     controller: Optional[object] = None
 
     def historical_olap_costs(self) -> List[float]:
@@ -98,11 +91,11 @@ class SimulationBundle:
     def run(self, horizon: Optional[float] = None) -> None:
         """Run the deployment to its schedule horizon (or ``horizon``)."""
         end = horizon if horizon is not None else self.schedule.horizon
-        self.backend.run_until(end)
+        self.sim.run_until(end)
 
     def close(self) -> None:
-        """Release backend resources (idempotent; no-op for the sim)."""
-        self.backend.close()
+        """Release engine resources (idempotent; no-op for the sim)."""
+        self.engine.close()
 
 
 @dataclass
@@ -226,7 +219,7 @@ def build_bundle(
 
     ``backend`` selects the execution substrate (see
     :data:`repro.runtime.BACKEND_NAMES`); ``backend_options`` pass through
-    to the backend constructor.  With a real-time backend and no explicit
+    to the engine constructor.  With a real-time backend and no explicit
     ``schedule``, :func:`realtime_smoke_schedule` is used — the paper
     schedule's client counts are sized for virtual time.
     """
@@ -248,9 +241,7 @@ def build_bundle(
         raise ConfigurationError("schedule covers unknown classes {}".format(unknown))
 
     rng = RandomStreams(config.seed)
-    backend_obj = make_backend(backend, config, rng, **(backend_options or {}))
-    sim = backend_obj.timers
-    engine = backend_obj.engine
+    sim, engine = make_backend(backend, config, rng, **(backend_options or {}))
     patroller = QueryPatroller(sim, engine, config.patroller)
     factory = QueryFactory(engine.estimator, rng)
     collector = MetricsCollector(patroller, schedule, classes)
@@ -279,7 +270,7 @@ def build_bundle(
         schedule=schedule,
         manager=manager,
         collector=collector,
-        backend=backend_obj,
+        backend=backend,
     )
 
 

@@ -308,15 +308,6 @@ class TelemetryHub:
         with self._lock:
             return len(self._subscribers)
 
-    def subscriber_stats(self) -> List[Dict[str, int]]:
-        """Queue depth and drop counter per subscriber (dashboard data)."""
-        with self._lock:
-            subscribers = list(self._subscribers)
-        return [
-            {"queued": s.queued, "dropped": s.dropped, "max_queue": s.max_queue}
-            for s in subscribers
-        ]
-
     # ------------------------------------------------------------------
     # Snapshot
     # ------------------------------------------------------------------

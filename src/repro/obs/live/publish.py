@@ -54,7 +54,7 @@ def run_start_data(bundle: "SimulationBundle", controller_name: str) -> Dict:
     schedule = bundle.schedule
     return {
         "controller": controller_name,
-        "backend": type(bundle.backend).__name__,
+        "backend": bundle.backend,
         "seed": bundle.config.seed,
         "system_cost_limit": bundle.config.system_cost_limit,
         "control_interval": bundle.config.planner.control_interval,

@@ -21,11 +21,11 @@ results are dicts of ``<section>_s`` wall-second entries plus ``total_s``;
 from __future__ import annotations
 
 import sys
+import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
-from repro.runtime import Clock, as_clock
 
 #: Key suffix for per-section wall-clock seconds.
 _SUFFIX = "_s"
@@ -37,17 +37,14 @@ class IntervalProfiler:
     Parameters
     ----------
     clock:
-        Monotonic wall-clock source — a :class:`~repro.runtime.Clock` or a
-        bare ``() -> float`` callable (coerced via
-        :func:`~repro.runtime.as_clock`); injectable for deterministic
-        tests.  Defaults to a fresh wall clock.  All profiler time reads go
-        exclusively through this clock, never through a simulator.
+        Monotonic wall-clock source, a ``() -> float`` callable returning
+        seconds; injectable for deterministic tests.  Defaults to
+        :func:`time.perf_counter`.  All profiler time reads go exclusively
+        through this clock, never through a simulator.
     """
 
-    def __init__(
-        self, clock: Union[Clock, Callable[[], float], None] = None
-    ) -> None:
-        self.clock: Clock = as_clock(clock)
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+        self.clock = clock
         self._current: Optional[Dict[str, float]] = None
         self._started_at = 0.0
 
@@ -56,7 +53,7 @@ class IntervalProfiler:
         if self._current is not None:
             raise SimulationError("profiler interval begun twice")
         self._current = {}
-        self._started_at = self.clock.now
+        self._started_at = self.clock()
 
     @contextmanager
     def section(self, name: str) -> Iterator[None]:
@@ -71,13 +68,11 @@ class IntervalProfiler:
                 "profiler section {!r} outside begin()/finish()".format(name)
             )
         key = sys.intern(name + _SUFFIX)
-        start = self.clock.now
+        start = self.clock()
         try:
             yield
         finally:
-            self._current[key] = self._current.get(key, 0.0) + (
-                self.clock.now - start
-            )
+            self._current[key] = self._current.get(key, 0.0) + (self.clock() - start)
 
     def finish(self) -> Dict[str, float]:
         """Close the interval; returns its ``{section_s: wall_seconds}``.
@@ -89,7 +84,7 @@ class IntervalProfiler:
             raise SimulationError("profiler finish() without begin()")
         record = self._current
         self._current = None
-        record["total_s"] = self.clock.now - self._started_at
+        record["total_s"] = self.clock() - self._started_at
         return record
 
 

@@ -1,21 +1,8 @@
-"""Concrete clocks.
-
-* :class:`WallClock` — monotonic wall-clock seconds, zeroed at creation.
-  The time source of the real-time backend and the default source of the
-  :class:`~repro.obs.profiling.IntervalProfiler` (controller overhead is
-  always wall time, even under the simulation backend).
-* :class:`CallableClock` — adapts a plain ``() -> float`` callable (a fake
-  clock in tests, ``time.perf_counter`` itself) to the :class:`Clock`
-  protocol.
-* :func:`as_clock` — coercion helper accepting either form.
-"""
+"""The wall clock of the real-time timer service."""
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Union
-
-from repro.runtime.protocols import Clock
 
 
 class WallClock:
@@ -30,32 +17,3 @@ class WallClock:
     def now(self) -> float:
         """Seconds elapsed since this clock was created."""
         return time.perf_counter() - self._origin
-
-
-class CallableClock:
-    """Adapt a zero-argument callable returning seconds to :class:`Clock`."""
-
-    __slots__ = ("_read",)
-
-    def __init__(self, read: Callable[[], float]) -> None:
-        self._read = read
-
-    @property
-    def now(self) -> float:
-        """Whatever the wrapped callable currently returns."""
-        return self._read()
-
-
-def as_clock(source: Union[Clock, Callable[[], float], None]) -> Clock:
-    """Coerce ``source`` to a :class:`Clock`.
-
-    ``None`` yields a fresh :class:`WallClock`; an object with a ``now``
-    attribute is used as-is; a bare callable is wrapped in
-    :class:`CallableClock`.  This keeps older call sites that injected
-    ``time.perf_counter``-style callables working unchanged.
-    """
-    if source is None:
-        return WallClock()
-    if hasattr(source, "now"):
-        return source  # type: ignore[return-value]
-    return CallableClock(source)

@@ -2,17 +2,21 @@
 
 The single place that maps the user-facing backend identifiers
 (``repro run --backend {sim,sqlite}``, ``ExperimentSpec(backend=...)``)
-to concrete :class:`~repro.runtime.protocols.ExecutionBackend` instances.
+to what a backend is: one timer service and one execution engine.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
+
+if TYPE_CHECKING:
+    from repro.dbms.engine import ExecutionEngine
+    from repro.runtime.protocols import TimerService
 
 
 def _count(value: Any) -> Optional[str]:
@@ -80,18 +84,28 @@ def make_backend(
     config: SimulationConfig,
     rng: RandomStreams,
     **options: Any,
-):
-    """Build the execution backend called ``name`` (``"sim"``/``"sqlite"``).
+) -> Tuple["TimerService", "ExecutionEngine"]:
+    """Build the ``(timers, engine)`` pair of backend ``name``.
 
-    Extra keyword ``options`` pass through to the backend constructor
-    (e.g. ``workers=`` or ``statements_per_demand_second=`` for sqlite),
-    once :func:`check_backend_options` has accepted them.
+    ``"sim"`` is a :class:`~repro.sim.engine.Simulator` driving a
+    :class:`~repro.dbms.engine.DatabaseEngine`; ``"sqlite"`` is a
+    :class:`~repro.runtime.realtime.RealTimeTimerService` driving a
+    :class:`~repro.runtime.sqlite_engine.SQLiteEngine`, which takes the
+    keyword ``options`` (e.g. ``workers=``) once
+    :func:`check_backend_options` has accepted them.  The caller runs the
+    timer service and closes the engine.
     """
     check_backend_options(name, options)
+    # Imported here, so that checking options (scenario validation) loads
+    # no engine and a sim run never loads sqlite3.
     if name == "sim":
-        from repro.runtime.sim_backend import SimulationBackend
+        from repro.dbms.engine import DatabaseEngine
+        from repro.sim.engine import Simulator
 
-        return SimulationBackend(config, rng)
-    from repro.runtime.realtime import RealTimeBackend
+        sim = Simulator()
+        return sim, DatabaseEngine(sim, config, rng)
+    from repro.runtime.realtime import RealTimeTimerService
+    from repro.runtime.sqlite_engine import SQLiteEngine
 
-    return RealTimeBackend(config, rng, **options)
+    timers = RealTimeTimerService()
+    return timers, SQLiteEngine(timers, config, rng, **options)

@@ -21,31 +21,23 @@ Three layers, narrow to wide:
   class, not a protocol: both engines subclass it and differ only in how
   an admitted statement runs.
 
-An :class:`ExecutionBackend` bundles a clock, a timer service and an
-engine plus run/close lifecycle.
-Two implementations ship: :class:`~repro.runtime.sim_backend.SimulationBackend`
-(the DES engine, bit-identical to the pre-seam behaviour under fixed
-seeds) and :class:`~repro.runtime.realtime.RealTimeBackend` (wall-clock
-time, thread agents, real SQL against in-process SQLite).
+A backend is one timer service and one engine, built as a pair by
+:func:`~repro.runtime.factory.make_backend`: the discrete-event
+:class:`~repro.sim.engine.Simulator` with
+:class:`~repro.dbms.engine.DatabaseEngine` (``sim``), or the wall-clock
+:class:`~repro.runtime.realtime.RealTimeTimerService` with
+:class:`~repro.runtime.sqlite_engine.SQLiteEngine` (``sqlite``).
 
-All protocols here are structural (:class:`typing.Protocol`): the
-existing :class:`~repro.sim.engine.Simulator` satisfies them unchanged,
-which is what makes the refactor behaviour-preserving.
+All protocols here are structural (:class:`typing.Protocol`): both timer
+services satisfy them without subclassing anything.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.dbms.query import Query
-
-if TYPE_CHECKING:
-    from repro.dbms.engine import ExecutionEngine
-
-#: Default timer priority; ties at equal time break on scheduling order.
-#: (Mirrors :data:`repro.sim.events.DEFAULT_PRIORITY` without importing the
-#: sim layer — the runtime protocols must not depend on any one backend.)
-DEFAULT_PRIORITY = 0
+from repro.sim.events import DEFAULT_PRIORITY
 
 
 @runtime_checkable
@@ -119,46 +111,4 @@ class AdmissionGate(Protocol):
 
     def admit(self, query: Query) -> bool:
         """True to admit now; False to take ownership and admit later."""
-        ...
-
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """One runnable execution substrate: clock + timers + engine.
-
-    ``clock`` and ``timers`` may be the same object (the simulator is
-    both); they are exposed separately so components can declare the
-    narrowest dependency that suffices.
-    """
-
-    #: Short backend identifier (``"sim"``, ``"sqlite"``, ...).
-    name: str
-
-    @property
-    def clock(self) -> Clock:
-        """The backend's time source."""
-        ...
-
-    @property
-    def timers(self) -> TimerService:
-        """The backend's timer service."""
-        ...
-
-    @property
-    def engine(self) -> ExecutionEngine:
-        """The backend's execution engine."""
-        ...
-
-    def run_until(self, end_time: float) -> None:
-        """Drive the backend until ``clock.now`` reaches ``end_time``.
-
-        For the simulation backend this fires queued events and advances
-        virtual time; for a real-time backend it blocks the calling thread
-        while timers fire and queries execute, returning once the horizon
-        has passed.
-        """
-        ...
-
-    def close(self) -> None:
-        """Release backend resources (threads, connections).  Idempotent."""
         ...

@@ -1,15 +1,15 @@
-"""The real-time execution backend.
+"""The real-time timer service.
 
-Where :class:`~repro.runtime.sim_backend.SimulationBackend` advances a
-virtual clock over an event heap, this backend runs against *wall-clock*
-time: timers fire when the monotonic clock actually reaches their due
-time, and queries execute real SQL on worker threads (see
-:mod:`repro.runtime.sqlite_engine`).
+Where :class:`~repro.sim.engine.Simulator` advances a virtual clock over
+an event heap, this service runs against *wall-clock* time: timers fire
+when the monotonic clock actually reaches their due time.  Paired with
+:class:`~repro.runtime.sqlite_engine.SQLiteEngine`, whose worker threads
+execute real SQL, it is the ``sqlite`` backend.
 
 Concurrency model — deliberately the same shape as the simulator:
 
 * The **control plane is single-threaded.**  The thread that calls
-  :meth:`RealTimeBackend.run_until` becomes the timer loop; every
+  :meth:`RealTimeTimerService.run_until` becomes the timer loop; every
   controller callback (planner ticks, monitor snapshots, client
   submissions, completion listeners) fires on that thread, in
   ``(time, priority, sequence)`` order, exactly like simulator events.
@@ -26,78 +26,17 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.config import SimulationConfig
 from repro.errors import SimulationError
-from repro.runtime.clock import WallClock, as_clock
-from repro.runtime.protocols import DEFAULT_PRIORITY, Clock
-
-if TYPE_CHECKING:
-    from repro.dbms.engine import ExecutionEngine
+from repro.runtime.clock import WallClock
+from repro.runtime.protocols import Clock
+from repro.sim.events import DEFAULT_PRIORITY, Event
 
 #: Longest uninterruptible sleep of the timer loop.  Bounds how stale the
 #: loop's view of "now" can get if a notify is ever missed; small enough
 #: that horizon overshoot stays well under human-visible latency.
 _MAX_WAIT = 0.05
-
-
-class _Timer:
-    """One pending real-time timer (heap entry, tombstone-cancellable)."""
-
-    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[], Any],
-        label: str,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.label = label
-        self.cancelled = False
-
-    def sort_key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "_Timer") -> bool:
-        return self.sort_key() < other.sort_key()
-
-
-class RealTimeTimerHandle:
-    """Cancellable reference to a scheduled real-time timer."""
-
-    __slots__ = ("_timer",)
-
-    def __init__(self, timer: _Timer) -> None:
-        self._timer = timer
-
-    @property
-    def time(self) -> float:
-        """The wall time at which the timer is due."""
-        return self._timer.time
-
-    @property
-    def label(self) -> str:
-        """The diagnostic label attached at scheduling time."""
-        return self._timer.label
-
-    @property
-    def active(self) -> bool:
-        """True while the timer is pending (not fired, not cancelled)."""
-        return not self._timer.cancelled
-
-    def cancel(self) -> bool:
-        """Cancel if still pending; True iff this call cancelled it."""
-        if self._timer.cancelled:
-            return False
-        self._timer.cancelled = True
-        return True
 
 
 class RealTimeTimerService:
@@ -118,7 +57,8 @@ class RealTimeTimerService:
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock: Clock = clock if clock is not None else WallClock()
-        self._heap: List[_Timer] = []
+        # ``(time, priority, seq, event)`` entries, as on the simulator's heap.
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._fired = 0
         self._running = False
@@ -151,7 +91,7 @@ class RealTimeTimerService:
         callback: Callable[[], Any],
         label: str = "",
         priority: int = DEFAULT_PRIORITY,
-    ) -> RealTimeTimerHandle:
+    ) -> Event:
         """Fire ``callback`` ``delay`` seconds from now.
 
         "Now" is read under the service lock, in the same critical section
@@ -164,8 +104,7 @@ class RealTimeTimerService:
                 "cannot schedule timer {!r}: negative delay or NaN ({})".format(label, delay)
             )
         with self._cond:
-            timer = self._push(self.clock.now + delay, callback, label, priority)
-        return RealTimeTimerHandle(timer)
+            return self._push(self.clock.now + delay, callback, label, priority)
 
     def schedule_at(
         self,
@@ -173,7 +112,7 @@ class RealTimeTimerService:
         callback: Callable[[], Any],
         label: str = "",
         priority: int = DEFAULT_PRIORITY,
-    ) -> RealTimeTimerHandle:
+    ) -> Event:
         """Fire ``callback`` once the wall clock reaches ``time``.
 
         A time already past fires at once (``past_deadline_policy``); NaN
@@ -182,8 +121,7 @@ class RealTimeTimerService:
         if time != time:
             raise SimulationError("cannot schedule timer {!r} at NaN".format(label))
         with self._cond:
-            timer = self._push(time, callback, label, priority)
-        return RealTimeTimerHandle(timer)
+            return self._push(time, callback, label, priority)
 
     def _push(
         self,
@@ -191,18 +129,18 @@ class RealTimeTimerService:
         callback: Callable[[], Any],
         label: str,
         priority: int,
-    ) -> _Timer:
+    ) -> Event:
         """Enqueue one timer and wake the loop (caller holds the lock)."""
-        timer = _Timer(time, priority, self._seq, callback, label)
+        event = Event(time, priority, self._seq, callback, label)
+        heapq.heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, timer)
         self._cond.notify_all()
-        return timer
+        return event
 
     # ------------------------------------------------------------------
     # The loop (caller thread only)
     # ------------------------------------------------------------------
-    def _next_due(self, end_time: float) -> Optional[_Timer]:
+    def _next_due(self, end_time: float) -> Optional[Event]:
         """Pop the next timer due within the horizon, or None.
 
         Caller must hold the lock.  A timer is due only when the clock has
@@ -212,16 +150,17 @@ class RealTimeTimerService:
         beyond the horizon must stay pending for the next ``run_until``
         call rather than firing early.
         """
-        while self._heap:
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, _, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
                 continue
-            if head.time <= self.clock.now and head.time <= end_time:
-                heapq.heappop(self._heap)
+            if time <= self.clock.now and time <= end_time:
+                heapq.heappop(heap)
                 # Mark consumed so late cancel() calls become no-ops.
-                head.cancelled = True
-                return head
+                event.cancelled = True
+                return event
             return None
         return None
 
@@ -230,8 +169,12 @@ class RealTimeTimerService:
 
         The calling thread becomes the timer loop.  Timers due at or
         before ``end_time`` are executed; later ones stay pending.
-        Returns once ``now >= end_time`` with nothing due.
+        Returns once ``now >= end_time`` with nothing due.  A horizon in
+        the past fires what is already due and returns; a NaN horizon is
+        never reached and raises.
         """
+        if end_time != end_time:
+            raise SimulationError("run_until({}) is not a time".format(end_time))
         if self._running:
             raise SimulationError("run_until() called re-entrantly from a callback")
         self._running = True
@@ -245,7 +188,7 @@ class RealTimeTimerService:
                             return
                         horizon = end_time - now
                         if self._heap:
-                            horizon = min(horizon, self._heap[0].time - now)
+                            horizon = min(horizon, self._heap[0][0] - now)
                         self._cond.wait(timeout=max(0.0, min(horizon, _MAX_WAIT)))
                         continue
                 # Fire outside the lock: callbacks schedule new timers.
@@ -257,63 +200,4 @@ class RealTimeTimerService:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "RealTimeTimerService(now={:.3f}, pending={}, fired={})".format(
             self.now, len(self._heap), self._fired
-        )
-
-
-class RealTimeBackend:
-    """Wall-clock backend: real timers, real SQL, thread-based agents."""
-
-    name = "sqlite"
-
-    def __init__(
-        self,
-        config: SimulationConfig,
-        rng: "RandomStreams",  # noqa: F821 - annotation only
-        clock: Optional[Union[Clock, Callable[[], float]]] = None,
-        engine: Optional[ExecutionEngine] = None,
-        **engine_options: Any,
-    ) -> None:
-        self._clock = as_clock(clock)
-        self._timers = RealTimeTimerService(self._clock)
-        if engine is None:
-            # Imported here so the protocols/clock layer stays importable
-            # without the sqlite engine (and vice versa).
-            from repro.runtime.sqlite_engine import SQLiteEngine
-
-            engine = SQLiteEngine(self._timers, config, rng, **engine_options)
-        self._engine = engine
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # ExecutionBackend protocol
-    # ------------------------------------------------------------------
-    @property
-    def clock(self) -> Clock:
-        """Wall-clock seconds since backend construction."""
-        return self._clock
-
-    @property
-    def timers(self) -> RealTimeTimerService:
-        """The wall-clock timer service (the control-plane loop)."""
-        return self._timers
-
-    @property
-    def engine(self) -> ExecutionEngine:
-        """The SQLite execution engine."""
-        return self._engine
-
-    def run_until(self, end_time: float) -> None:
-        """Block the calling thread driving the loop until ``end_time``."""
-        self._timers.run_until(end_time)
-
-    def close(self) -> None:
-        """Stop worker threads and release database resources."""
-        if self._closed:
-            return
-        self._closed = True
-        self._engine.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "RealTimeBackend(now={:.3f}, closed={})".format(
-            self._clock.now, self._closed
         )

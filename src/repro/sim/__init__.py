@@ -18,7 +18,6 @@ _EXPORTS = {
     "RandomStreams": "repro.sim.rng",
     "WelfordAccumulator": "repro.sim.stats",
     "SlidingWindow": "repro.sim.stats",
-    "TimeWeightedValue": "repro.sim.stats",
     "Histogram": "repro.sim.stats",
 }
 

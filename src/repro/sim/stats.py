@@ -146,55 +146,6 @@ class SlidingWindow:
         return len(self._items)
 
 
-class TimeWeightedValue:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Feed it every change point; query the average over the elapsed span.
-    Used for "average number of concurrent queries" and "average cost in
-    flight" style metrics.
-    """
-
-    def __init__(self, initial: float = 0.0, start_time: float = 0.0) -> None:
-        self._value = initial
-        self._last_time = start_time
-        self._start_time = start_time
-        self._integral = 0.0
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError("TimeWeightedValue updates must be monotone in time")
-        self._integral += self._value * (time - self._last_time)
-        self._value = value
-        self._last_time = time
-
-    @property
-    def current(self) -> float:
-        """The most recently recorded value of the signal."""
-        return self._value
-
-    def average(self, now: float) -> float:
-        """Time-weighted average over [start, now].
-
-        On an empty span (``now <= start``, e.g. immediately after
-        :meth:`reset`) the average degenerates to the current value — the
-        limit of the average as the span shrinks to zero — so a caller
-        sampling right at a reset boundary sees the live signal rather
-        than a spurious zero.
-        """
-        span = now - self._start_time
-        if span <= 0:
-            return self._value
-        integral = self._integral + self._value * (now - self._last_time)
-        return integral / span
-
-    def reset(self, now: float) -> None:
-        """Restart averaging from ``now``, keeping the current value."""
-        self._integral = 0.0
-        self._last_time = now
-        self._start_time = now
-
-
 class Histogram:
     """Fixed-bin histogram over [low, high) with overflow/underflow bins.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import List, NamedTuple, Optional
 
-from repro.dbms.query import CPU, Query, make_phases
+from repro.dbms.query import CPU, IO, Query, make_phases
 from repro.errors import WorkloadError
 from repro.metrics.export import open_export
 from repro.patroller.patroller import QueryPatroller
@@ -93,6 +93,10 @@ class TraceRecorder:
         patroller.subscribe("submitted", self._on_submit)
 
     def _on_submit(self, query: Query) -> None:
+        # make_phases gives each kind with demand one phase a round, so the
+        # round count is the larger of the two phase counts (the overhead
+        # phase is prepended at interception, after ``submitted`` fires).
+        kinds = [kind for kind, _ in query.phases]
         self.trace.append(
             TraceEntry(
                 time=self.sim.now,
@@ -102,7 +106,7 @@ class TraceRecorder:
                 kind=query.kind,
                 cpu_demand=query.cpu_demand,
                 io_demand=query.io_demand,
-                rounds=max(1, sum(1 for kind, _ in query.phases if kind == CPU)),
+                rounds=max(kinds.count(CPU), kinds.count(IO)),
                 parallelism=query.parallelism,
             )
         )

@@ -2,9 +2,9 @@
 
 The executable backend contract (run by ``tests/runtime/test_conformance.py``
 against both shipped backends; a new backend's tests import it the same
-way).  It verifies that an
-:class:`~repro.runtime.protocols.ExecutionBackend` honours the contract
-the controller stack depends on:
+way).  A backend is the ``(timers, engine)`` pair
+:func:`~repro.runtime.make_backend` builds; the checks verify that it
+honours the contract the controller stack depends on:
 
 * **clock monotonicity** — ``now`` never goes backwards, timers never fire
   before their due time;
@@ -16,11 +16,14 @@ the controller stack depends on:
   one completion hook exactly once and leaves the engine's executing set
   and counters balanced;
 * **cost accounting** — ``executing_cost`` equals the sum of estimated
-  costs over ``executing_snapshot`` at all times and drains to zero.
+  costs over ``executing_snapshot`` at all times and drains to zero;
+* **past deadlines** — the timer service declares and honours a policy
+  for ``schedule_at`` in the past, and rejects negative or NaN delays;
+* **NaN horizon** — ``run_until(nan)`` raises instead of running forever.
 
-Each check takes a *fresh* backend and returns a list of human-readable
+Each check takes a *fresh* pair and returns a list of human-readable
 problems (empty = conformant).  :func:`run_conformance` runs the whole
-suite through a backend factory, closing each instance.
+suite through a backend factory, closing each engine.
 
 Checks use sub-second horizons so they are cheap in wall-clock time on
 real-time backends and in event count on the simulator.
@@ -28,11 +31,15 @@ real-time backends and in event count on the simulator.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, List, Tuple
 
 from repro.dbms.query import Query, QueryState, make_phases
 from repro.errors import SimulationError
-from repro.runtime.protocols import ExecutionBackend
+from repro.runtime import ExecutionEngine, TimerService
+
+#: What a backend factory builds: the timer service and the engine.
+Backend = Tuple[TimerService, ExecutionEngine]
 
 #: The two admissible past-deadline contracts a timer service may declare.
 PAST_DEADLINE_POLICIES = ("raise", "clamp")
@@ -45,7 +52,7 @@ _DRAIN_LIMIT = 30.0
 
 
 def _make_query(
-    backend: ExecutionBackend,
+    engine: ExecutionEngine,
     index: int,
     kind: str = "oltp",
     class_name: str = "class3",
@@ -58,7 +65,7 @@ def _make_query(
     accounting is exactly checkable.
     """
     template = "q1" if kind == "olap" else "payment"
-    cost = backend.engine.estimator.true_cost(cpu, io)
+    cost = engine.estimator.true_cost(cpu, io)
     return Query(
         query_id=_ID_BASE + index,
         class_name=class_name,
@@ -72,16 +79,16 @@ def _make_query(
 
 
 def _drain(
-    backend: ExecutionBackend,
+    timers: TimerService,
     done: Callable[[], bool],
     step: float = 0.05,
     limit: float = _DRAIN_LIMIT,
     on_step: Callable[[], None] = lambda: None,
 ) -> bool:
-    """Run the backend in ``step``-sized slices until ``done()`` or ``limit``."""
+    """Run the timers in ``step``-sized slices until ``done()`` or ``limit``."""
     waited = 0.0
     while not done() and waited < limit:
-        backend.run_until(backend.clock.now + step)
+        timers.run_until(timers.now + step)
         on_step()
         waited += step
     return done()
@@ -90,21 +97,21 @@ def _drain(
 # ----------------------------------------------------------------------
 # Checks
 # ----------------------------------------------------------------------
-def check_clock_monotonicity(backend: ExecutionBackend) -> List[str]:
+def check_clock_monotonicity(timers: TimerService, engine: ExecutionEngine) -> List[str]:
     """``now`` is non-decreasing; timers fire at or after their due time."""
     problems: List[str] = []
     samples: List[Tuple[float, float]] = []  # (due_time, observed_now)
-    start = backend.clock.now
-    if backend.clock.now < start:
+    start = timers.now
+    if timers.now < start:
         problems.append("clock moved backwards between consecutive reads")
     due_times = [start + d for d in (0.01, 0.05, 0.12, 0.2)]
     for due in due_times:
-        backend.timers.schedule_at(
+        timers.schedule_at(
             due,
-            lambda due=due: samples.append((due, backend.clock.now)),
+            lambda due=due: samples.append((due, timers.now)),
             label="conformance:tick",
         )
-    backend.run_until(start + 0.3)
+    timers.run_until(start + 0.3)
     if len(samples) != len(due_times):
         problems.append(
             "expected {} timer firings, saw {}".format(len(due_times), len(samples))
@@ -120,36 +127,36 @@ def check_clock_monotonicity(backend: ExecutionBackend) -> List[str]:
                 "clock went backwards: {:.4f} after {:.4f}".format(observed, previous)
             )
         previous = observed
-    if backend.clock.now < start + 0.3 - 1e-9:
+    if timers.now < start + 0.3 - 1e-9:
         problems.append("run_until returned before the requested horizon")
     return problems
 
 
-def check_timer_ordering(backend: ExecutionBackend) -> List[str]:
+def check_timer_ordering(timers: TimerService, engine: ExecutionEngine) -> List[str]:
     """Timers fire in (time, priority, scheduling-order) order."""
     problems: List[str] = []
     fired: List[str] = []
-    start = backend.clock.now
+    start = timers.now
     # Scheduled deliberately out of due-time order; b/c/d share a due time
     # and exercise priority (lower first) then scheduling order.
-    backend.timers.schedule_at(start + 0.10, lambda: fired.append("c"), "c", priority=5)
-    backend.timers.schedule_at(start + 0.15, lambda: fired.append("e"), "e")
-    backend.timers.schedule_at(start + 0.10, lambda: fired.append("b"), "b", priority=-5)
-    backend.timers.schedule_at(start + 0.05, lambda: fired.append("a"), "a")
-    backend.timers.schedule_at(start + 0.10, lambda: fired.append("d"), "d", priority=5)
-    backend.run_until(start + 0.25)
+    timers.schedule_at(start + 0.10, lambda: fired.append("c"), "c", priority=5)
+    timers.schedule_at(start + 0.15, lambda: fired.append("e"), "e")
+    timers.schedule_at(start + 0.10, lambda: fired.append("b"), "b", priority=-5)
+    timers.schedule_at(start + 0.05, lambda: fired.append("a"), "a")
+    timers.schedule_at(start + 0.10, lambda: fired.append("d"), "d", priority=5)
+    timers.run_until(start + 0.25)
     expected = ["a", "b", "c", "d", "e"]
     if fired != expected:
         problems.append("firing order {} != expected {}".format(fired, expected))
     return problems
 
 
-def check_timer_cancellation(backend: ExecutionBackend) -> List[str]:
+def check_timer_cancellation(timers: TimerService, engine: ExecutionEngine) -> List[str]:
     """Cancelled timers never fire; cancel() is exactly-once."""
     problems: List[str] = []
     fired: List[str] = []
-    start = backend.clock.now
-    early = backend.timers.schedule_at(
+    start = timers.now
+    early = timers.schedule_at(
         start + 0.05, lambda: fired.append("early"), "early"
     )
     if not early.active:
@@ -161,15 +168,15 @@ def check_timer_cancellation(backend: ExecutionBackend) -> List[str]:
     if early.active:
         problems.append("cancelled timer still reports active")
 
-    victim = backend.timers.schedule_at(
+    victim = timers.schedule_at(
         start + 0.15, lambda: fired.append("victim"), "victim"
     )
     # A timer cancelling a later one from inside a callback.
-    backend.timers.schedule_at(start + 0.08, lambda: victim.cancel(), "canceller")
-    survivor = backend.timers.schedule_at(
+    timers.schedule_at(start + 0.08, lambda: victim.cancel(), "canceller")
+    survivor = timers.schedule_at(
         start + 0.12, lambda: fired.append("survivor"), "survivor"
     )
-    backend.run_until(start + 0.25)
+    timers.run_until(start + 0.25)
     if fired != ["survivor"]:
         problems.append(
             "expected only 'survivor' to fire, saw {}".format(fired)
@@ -181,7 +188,7 @@ def check_timer_cancellation(backend: ExecutionBackend) -> List[str]:
     return problems
 
 
-def check_completion_balance(backend: ExecutionBackend) -> List[str]:
+def check_completion_balance(timers: TimerService, engine: ExecutionEngine) -> List[str]:
     """Every submitted query reaches the completion hook once and is retired.
 
     The hook is the engine's only completion path (the Query Patroller
@@ -189,22 +196,21 @@ def check_completion_balance(backend: ExecutionBackend) -> List[str]:
     subscribers), so this stands in for it.
     """
     problems: List[str] = []
-    engine = backend.engine
     completions: Dict[int, int] = {}
     engine.set_completion_hook(
         lambda q: completions.__setitem__(q.query_id, completions.get(q.query_id, 0) + 1)
     )
     queries = [
-        _make_query(backend, i, kind="olap" if i % 3 == 0 else "oltp")
+        _make_query(engine, i, kind="olap" if i % 3 == 0 else "oltp")
         for i in range(6)
     ]
     completed_before = engine.completed_queries
     for query in queries:
         # Normally the patroller stamps submission; conformance bypasses it.
-        query.submit_time = backend.clock.now
+        query.submit_time = timers.now
         engine.execute(query)
     done = lambda: engine.completed_queries >= completed_before + len(queries)  # noqa: E731
-    if not _drain(backend, done):
+    if not _drain(timers, done):
         problems.append(
             "only {}/{} queries completed within the drain budget".format(
                 engine.completed_queries - completed_before, len(queries)
@@ -249,13 +255,12 @@ def check_completion_balance(backend: ExecutionBackend) -> List[str]:
     return problems
 
 
-def check_cost_accounting(backend: ExecutionBackend) -> List[str]:
+def check_cost_accounting(timers: TimerService, engine: ExecutionEngine) -> List[str]:
     """``executing_cost`` tracks the executing set exactly, then drains."""
     problems: List[str] = []
-    engine = backend.engine
     queries = [
         _make_query(
-            backend,
+            engine,
             100 + i,
             kind="olap" if i % 2 == 0 else "oltp",
             class_name="class1" if i % 2 == 0 else "class3",
@@ -267,7 +272,7 @@ def check_cost_accounting(backend: ExecutionBackend) -> List[str]:
     completed_before = engine.completed_queries
     for query in queries:
         # Normally the patroller stamps submission; conformance bypasses it.
-        query.submit_time = backend.clock.now
+        query.submit_time = timers.now
         engine.execute(query)
 
     def probe() -> None:
@@ -297,7 +302,7 @@ def check_cost_accounting(backend: ExecutionBackend) -> List[str]:
                 )
 
     done = lambda: engine.completed_queries >= completed_before + len(queries)  # noqa: E731
-    if not _drain(backend, done, on_step=probe):
+    if not _drain(timers, done, on_step=probe):
         problems.append("cost-accounting queries did not drain in budget")
     probe()
     if abs(engine.executing_cost()) > 1e-9:
@@ -307,7 +312,7 @@ def check_cost_accounting(backend: ExecutionBackend) -> List[str]:
     return problems
 
 
-def check_past_deadline_contract(backend: ExecutionBackend) -> List[str]:
+def check_past_deadline_contract(timers: TimerService, engine: ExecutionEngine) -> List[str]:
     """The timer service declares and honours a past-deadline policy.
 
     Negative and NaN *delays* are caller bugs on every backend and must
@@ -323,7 +328,6 @@ def check_past_deadline_contract(backend: ExecutionBackend) -> List[str]:
       was scheduled).
     """
     problems: List[str] = []
-    timers = backend.timers
     policy = getattr(timers, "past_deadline_policy", None)
     if policy not in PAST_DEADLINE_POLICIES:
         problems.append(
@@ -344,12 +348,12 @@ def check_past_deadline_contract(backend: ExecutionBackend) -> List[str]:
     else:
         problems.append("schedule() accepted a NaN delay without raising")
     # Advance a little so "the past" exists even on a fresh clock.
-    backend.run_until(backend.clock.now + 0.05)
-    past = backend.clock.now - 0.02
+    timers.run_until(timers.now + 0.05)
+    past = timers.now - 0.02
     fired: List[float] = []
     if policy == "raise":
         try:
-            timers.schedule_at(past, lambda: fired.append(backend.clock.now),
+            timers.schedule_at(past, lambda: fired.append(timers.now),
                                label="conformance:past")
         except SimulationError:
             pass
@@ -360,14 +364,14 @@ def check_past_deadline_contract(backend: ExecutionBackend) -> List[str]:
         if fired:
             problems.append("past-deadline timer fired under policy 'raise'")
     else:
-        scheduled_at = backend.clock.now
+        scheduled_at = timers.now
         try:
-            timers.schedule_at(past, lambda: fired.append(backend.clock.now),
+            timers.schedule_at(past, lambda: fired.append(timers.now),
                                label="conformance:past")
         except SimulationError:
             problems.append("policy 'clamp' but schedule_at() in the past raised")
             return problems
-        if not _drain(backend, lambda: bool(fired), step=0.02, limit=2.0):
+        if not _drain(timers, lambda: bool(fired), step=0.02, limit=2.0):
             problems.append(
                 "policy 'clamp' but the past-deadline timer never fired"
             )
@@ -379,30 +383,58 @@ def check_past_deadline_contract(backend: ExecutionBackend) -> List[str]:
     return problems
 
 
-#: The suite, in execution order.  Each check gets a fresh backend.
-CONFORMANCE_CHECKS: Dict[str, Callable[[ExecutionBackend], List[str]]] = {
+def check_nan_horizon(timers: TimerService, engine: ExecutionEngine) -> List[str]:
+    """``run_until(nan)`` raises :class:`~repro.errors.SimulationError`.
+
+    No clock ever reaches NaN, so a loop that waits for it never returns.
+    The call runs in a daemon thread joined with a timeout, so a service
+    that spins reports a problem instead of hanging the caller.
+    """
+    outcome: List[str] = []
+
+    def call() -> None:
+        try:
+            timers.run_until(float("nan"))
+        except SimulationError:
+            outcome.append("raised")
+        except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
+            outcome.append("raised {!r}".format(exc))
+        else:
+            outcome.append("returned")
+
+    thread = threading.Thread(target=call, name="conformance:nan-horizon", daemon=True)
+    thread.start()
+    thread.join(timeout=2.0)
+    if thread.is_alive():
+        return ["run_until(nan) had not returned after 2 s"]
+    if outcome != ["raised"]:
+        return ["run_until(nan) {} instead of raising SimulationError".format(outcome[0])]
+    return []
+
+
+#: The suite, in execution order.  Each check gets a fresh pair.
+CONFORMANCE_CHECKS: Dict[str, Callable[[TimerService, ExecutionEngine], List[str]]] = {
     "clock_monotonicity": check_clock_monotonicity,
     "timer_ordering": check_timer_ordering,
     "timer_cancellation": check_timer_cancellation,
     "completion_balance": check_completion_balance,
     "cost_accounting": check_cost_accounting,
     "past_deadline_contract": check_past_deadline_contract,
+    "nan_horizon": check_nan_horizon,
 }
 
 
-def run_conformance(
-    backend_factory: Callable[[], ExecutionBackend],
-) -> Dict[str, List[str]]:
-    """Run every conformance check against fresh backends from the factory.
+def run_conformance(backend_factory: Callable[[], Backend]) -> Dict[str, List[str]]:
+    """Run every conformance check against fresh pairs from the factory.
 
     Returns ``{check_name: [problems]}`` — all lists empty for a
     conformant backend.
     """
     results: Dict[str, List[str]] = {}
     for name, check in CONFORMANCE_CHECKS.items():
-        backend = backend_factory()
+        timers, engine = backend_factory()
         try:
-            results[name] = check(backend)
+            results[name] = check(timers, engine)
         finally:
-            backend.close()
+            engine.close()
     return results

@@ -55,11 +55,11 @@ def test_the_run_path_raises_a_configuration_error():
 
 
 def test_good_sqlite_options_build_a_backend():
-    backend = build(
+    _, engine = build(
         "sqlite", workers=2, lineitem_rows=50, stock_rows=20, districts=3,
         statements_per_demand_second=1.5, max_statements_per_query=10,
     )
     try:
-        assert backend.engine.statements_per_demand_second == 1.5
+        assert engine.statements_per_demand_second == 1.5
     finally:
-        backend.close()
+        engine.close()

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimulationConfig, default_config
-from repro.runtime import make_backend
+from repro.dbms.engine import DatabaseEngine
+from repro.runtime import RealTimeTimerService, SQLiteEngine, make_backend
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from tests.runtime.conformance import CONFORMANCE_CHECKS, run_conformance
 
@@ -29,11 +31,11 @@ def _factory(name):
 @pytest.mark.parametrize("backend_name", ["sim", "sqlite"])
 @pytest.mark.parametrize("check_name", sorted(CONFORMANCE_CHECKS))
 def test_conformance_check_passes(backend_name, check_name):
-    backend = _factory(backend_name)()
+    timers, engine = _factory(backend_name)()
     try:
-        problems = CONFORMANCE_CHECKS[check_name](backend)
+        problems = CONFORMANCE_CHECKS[check_name](timers, engine)
     finally:
-        backend.close()
+        engine.close()
     assert problems == []
 
 
@@ -45,19 +47,21 @@ def test_full_suite_via_runner(backend_name):
 
 
 def test_backend_names_match_protocol():
-    sim = _factory("sim")()
-    sqlite = _factory("sqlite")()
+    pairs = {name: _factory(name)() for name in ("sim", "sqlite")}
     try:
-        assert sim.name == "sim"
-        assert sqlite.name == "sqlite"
-        # clock/timers/engine are live on both.
-        for backend in (sim, sqlite):
-            assert backend.clock.now >= 0.0
-            assert backend.timers.now >= 0.0
-            assert backend.engine.executing_queries == 0
+        assert [type(part) for part in pairs["sim"]] == [Simulator, DatabaseEngine]
+        assert [type(part) for part in pairs["sqlite"]] == [
+            RealTimeTimerService,
+            SQLiteEngine,
+        ]
+        # Each engine runs on the timer service it was built with.
+        for timers, engine in pairs.values():
+            assert engine.sim is timers
+            assert timers.now >= 0.0
+            assert engine.executing_queries == 0
     finally:
-        sim.close()
-        sqlite.close()
+        for _, engine in pairs.values():
+            engine.close()
 
 
 def test_unknown_backend_rejected():

@@ -16,7 +16,6 @@ from repro.config import (
 from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.runtime import RealTimeTimerService, WallClock
-from repro.runtime.clock import CallableClock, as_clock
 
 
 class SteppedClock:
@@ -35,15 +34,6 @@ def test_wall_clock_starts_near_zero_and_advances():
     first = clock.now
     assert 0.0 <= first < 1.0
     assert clock.now >= first
-
-
-def test_as_clock_coercions():
-    wall = WallClock()
-    assert as_clock(wall) is wall
-    wrapped = as_clock(lambda: 4.5)
-    assert isinstance(wrapped, CallableClock)
-    assert wrapped.now == 4.5
-    assert as_clock(None).now >= 0.0
 
 
 def test_timer_service_fires_in_order_with_fake_clock():

@@ -3,7 +3,7 @@
 The golden values below were captured from a seeded run of the
 quality-of-service controller *before* the execution-backend abstraction
 was introduced.  Routing the same experiment through
-``SimulationBackend`` must reproduce every per-period performance value,
+the ``sim`` backend must reproduce every per-period performance value,
 the attainment summary, and each of the eight planner decisions exactly
 (plans to the timeron; performance bit-for-bit).  Any drift means the
 refactor changed construction order, RNG stream consumption, or event
@@ -11,8 +11,6 @@ scheduling — all of which are supposed to be frozen.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.config import (
     MonitorConfig,
@@ -97,10 +95,7 @@ def test_seeded_sim_run_is_reproducible_across_invocations():
 
 
 def test_backend_object_is_attached_to_bundle():
-    result = run_spec(_golden_spec())
-    backend = result.bundle.backend
-    assert backend is not None and backend.name == "sim"
-    # The bundle's sim and engine are the backend's own.
-    assert result.bundle.sim is backend.timers
-    assert result.bundle.engine is backend.engine
-    assert backend.clock.now == pytest.approx(result.bundle.sim.now)
+    bundle = run_spec(_golden_spec()).bundle
+    assert bundle.backend == "sim"
+    # The bundle's engine runs on the bundle's own timer service.
+    assert bundle.engine.sim is bundle.sim

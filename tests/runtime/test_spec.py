@@ -67,10 +67,10 @@ def test_manual_lifecycle_in_slices_equals_run_spec():
 def test_failed_assembly_closes_the_backend(monkeypatch):
     from repro.errors import SchedulingError
     from repro.faults import ScheduledFault
-    from repro.runtime.sim_backend import SimulationBackend
+    from repro.dbms.engine import DatabaseEngine
 
     closed = []
-    monkeypatch.setattr(SimulationBackend, "close", lambda self: closed.append(self))
+    monkeypatch.setattr(DatabaseEngine, "close", lambda self: closed.append(self))
     spec = ExperimentSpec(
         controller="none",
         config=_cheap_config(),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.sim.stats import (
     Histogram,
     SlidingWindow,
-    TimeWeightedValue,
     WelfordAccumulator,
     sequential_sum,
 )
@@ -130,43 +129,6 @@ class TestSlidingWindow:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             SlidingWindow(0)
-
-
-class TestTimeWeightedValue:
-    def test_piecewise_constant_average(self):
-        signal = TimeWeightedValue(initial=0.0, start_time=0.0)
-        signal.update(2.0, 10.0)  # 0 for [0,2), 10 afterwards
-        assert signal.average(4.0) == pytest.approx((0 * 2 + 10 * 2) / 4)
-
-    def test_current(self):
-        signal = TimeWeightedValue()
-        signal.update(1.0, 7.0)
-        assert signal.current == 7.0
-
-    def test_monotone_time_enforced(self):
-        signal = TimeWeightedValue()
-        signal.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            signal.update(4.0, 2.0)
-
-    def test_reset(self):
-        signal = TimeWeightedValue()
-        signal.update(2.0, 4.0)
-        signal.reset(2.0)
-        assert signal.average(4.0) == pytest.approx(4.0)
-
-    def test_reset_then_average_on_empty_span_returns_current_value(self):
-        # Documented contract: an empty span degenerates to the current
-        # value (the limit of the average as the span shrinks), not 0.0.
-        signal = TimeWeightedValue()
-        signal.update(2.0, 4.0)
-        signal.reset(5.0)
-        assert signal.average(5.0) == 4.0
-        assert signal.current == 4.0
-
-    def test_empty_span_before_any_update_returns_initial(self):
-        signal = TimeWeightedValue(initial=3.0, start_time=1.0)
-        assert signal.average(1.0) == 3.0
 
 
 class TestHistogram:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import PatrollerConfig, default_config
 from repro.dbms.engine import DatabaseEngine
+from repro.dbms.query import CPU, IO, Query, make_phases
 from repro.errors import SimulationError, WorkloadError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
@@ -112,6 +113,33 @@ class TestReplayer:
         demands_a = [e.cpu_demand for e in trace.entries]
         demands_b = [e.cpu_demand for e in recorder2.trace.entries]
         assert demands_b == pytest.approx(demands_a)
+
+    @pytest.mark.parametrize(
+        "cpu, io, rounds, expected",
+        [
+            # No CPU demand: the rounds are the IO phases.
+            (0.0, 6.0, 3, ((IO, 2.0),) * 3),
+            (1.5, 3.0, 3, ((CPU, 0.5), (IO, 1.0)) * 3),
+        ],
+    )
+    def test_replay_keeps_the_recorded_phase_structure(self, cpu, io, rounds, expected):
+        sim, _, patroller, _, _ = make_world()
+        recorder = TraceRecorder(sim, patroller)
+        phases = make_phases(cpu, io, rounds)
+        assert phases == expected
+        patroller.submit(Query(
+            query_id=1, class_name="class1", client_id="c0", template="q1",
+            kind="olap", phases=phases, true_cost=100.0, estimated_cost=100.0,
+        ))
+        sim.run()
+        assert [e.rounds for e in recorder.trace.entries] == [rounds]
+
+        sim2, _, patroller2, factory2, _ = make_world()
+        replayed = []
+        patroller2.subscribe("submitted", replayed.append)
+        TraceReplayer(sim2, patroller2, factory2, recorder.trace).start()
+        sim2.run()
+        assert [q.phases for q in replayed] == [expected]
 
     def test_time_scale_stretches_replay(self):
         trace = WorkloadTrace([
