@@ -19,7 +19,8 @@ ephemeral port, then — while the run executes — exercises every endpoint:
 
 and finally asserts the run process exits 0 (clean server shutdown).
 
-Used as the CI "dashboard smoke" step; runnable locally::
+Run by ``tests/obs/test_live.py::test_dashboard_smoke_script_passes``
+(``python -m pytest -m slow``); runnable on its own::
 
     PYTHONPATH=src python scripts/dashboard_smoke.py
 """

@@ -26,6 +26,7 @@ hub and serves it over HTTP: ``/`` (the embedded dashboard), ``/events``
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -246,6 +247,27 @@ def _cmd_run_sharded(args: argparse.Namespace, scenario) -> int:
         print("wrote {}".format(args.output))
     _linger_live(args)
     return 0 if result.ok else 1
+
+
+def _check_numeric_flags(args: argparse.Namespace) -> None:
+    """Refuse an out-of-range ``--shards``/``--port``/``--linger``/``--top``
+    before anything runs (a negative ``--linger`` still means "until
+    Ctrl-C")."""
+    option = vars(args).get
+    shards, port, linger, top = (option(n) for n in ("shards", "port", "linger", "top"))
+    if shards is not None and shards < 1:
+        raise errors.ConfigurationError("--shards must be >= 1, got {}".format(shards))
+    if port is not None and not 0 <= port <= 65535:
+        raise errors.ConfigurationError(
+            "--port must be within 0-65535, got {}".format(port)
+        )
+    if linger is not None and not linger < math.inf:
+        raise errors.ConfigurationError(
+            "--linger must be a number of seconds (negative = until Ctrl-C), "
+            "got {}".format(linger)
+        )
+    if top is not None and top < 0:
+        raise errors.ConfigurationError("--top must be >= 0, got {}".format(top))
 
 
 def _check_model_arg(args: argparse.Namespace) -> Optional[str]:
@@ -1118,6 +1140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.live_server = None
     usage_error = None
     try:
+        _check_numeric_flags(args)
         for option in ("output", "trace_events"):
             target = vars(args).get(option)
             if target:

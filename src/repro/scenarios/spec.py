@@ -100,6 +100,35 @@ def _number(value, context: str) -> float:
     return float(value)
 
 
+def _check_float_range(value, context: str) -> None:
+    """Refuse any integer under ``value`` that ``float()`` cannot hold.
+
+    Every number in a scenario ends up in float arithmetic somewhere (a
+    schedule, a utility, a generator), where an integer beyond the float
+    range raises ``OverflowError`` mid-load or mid-run.  ``control:``
+    keys are dotted override paths, named as the override errors name them.
+    """
+    if isinstance(value, Mapping):
+        for key, item in value.items():
+            if context == "control":
+                inner = "control override {!r}".format(key)
+            else:
+                inner = "{}.{}".format(context, key) if context else str(key)
+            _check_float_range(item, inner)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _check_float_range(item, "{}[{}]".format(context, index))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            raise ScenarioError(
+                "{}: a {}-bit integer is too large for a float".format(
+                    context, value.bit_length()
+                )
+            )
+
+
 def _check_keys(mapping: Mapping, allowed, context: str) -> None:
     if not isinstance(mapping, Mapping):
         raise ScenarioError("{}: expected a mapping, got {!r}".format(
@@ -646,6 +675,7 @@ def scenario_from_mapping(mapping: Mapping) -> ScenarioSpec:
             )
         )
     _check_keys(mapping, _TOP_LEVEL_KEYS, "scenario")
+    _check_float_range(mapping, "")
     version = _require(mapping, "scenario", "scenario")
     if not isinstance(version, int) or isinstance(version, bool):
         raise ScenarioError(

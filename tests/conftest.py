@@ -7,7 +7,12 @@ stays fast while still exercising the full pipeline.
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +46,44 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.schedule import PeriodSchedule, constant_schedule
 from repro.workloads.spec import QueryFactory
+
+
+#: The root of the source tree these tests belong to.
+CHECKOUT = Path(__file__).resolve().parents[1]
+
+
+def run_from_checkout(argv, timeout=300.0):
+    """``python *argv`` from the checkout root, as a reader runs the entry
+    points: ``src`` importable, no bytecode written, output captured."""
+    path = os.pathsep.join(filter(None, [str(CHECKOUT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable] + list(argv),
+        cwd=CHECKOUT,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
+    )
+
+
+@pytest.fixture
+def unchanged_checkout():
+    """Fails the test if it changed what ``git status --porcelain`` reports
+    for the checkout (it wrote a file no ignore rule covers); skipped when
+    the tree is not a git checkout."""
+    if shutil.which("git") is None or not (CHECKOUT / ".git").exists():
+        pytest.skip("not a git checkout")
+
+    def status():
+        return subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=CHECKOUT, capture_output=True, text=True, check=True,
+        ).stdout
+
+    before = status()
+    yield
+    after = status()
+    assert after == before, "git status --porcelain was\n{}and is now\n{}".format(before, after)
 
 
 def patroller_dispatcher(patroller, classes, plan, discipline="fifo"):

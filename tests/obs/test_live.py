@@ -31,6 +31,7 @@ from repro.obs.live.publish import SPANS_PER_EVENT
 from repro.obs.registry import MetricsRegistry
 from repro.shard.coordinator import run_sharded
 from repro.shard.spec import ShardedExperimentSpec
+from tests.conftest import run_from_checkout
 from tests.runtime.test_sim_regression import (
     GOLDEN_ATTAINMENT,
     GOLDEN_PLANS,
@@ -537,3 +538,12 @@ class TestCLIWiring:
         assert args.func.__name__ == "_cmd_serve"
         assert args.backend == "sqlite"
         assert args.shards == 2
+
+
+@pytest.mark.slow
+def test_dashboard_smoke_script_passes(unchanged_checkout):
+    # A sharded sqlite run served over real HTTP: SSE, /metrics,
+    # /api/snapshot and the page, then a clean exit (~20 s).
+    done = run_from_checkout(["scripts/dashboard_smoke.py"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "clean shutdown OK" in done.stdout

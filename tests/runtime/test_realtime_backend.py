@@ -15,6 +15,7 @@ from repro.config import (
 )
 from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentSpec, run_spec
+from repro.obs import validate_spans
 from repro.runtime import RealTimeTimerService, WallClock
 
 
@@ -141,7 +142,7 @@ def _sqlite_spec(controller="qs", invariants="strict"):
 
 
 def test_sqlite_experiment_end_to_end():
-    result = run_spec(_sqlite_spec())
+    result = run_spec(_sqlite_spec().with_overrides(tracing=True))
     engine = result.bundle.engine
     # Real statements ran and every started query was retired.
     assert engine.completed_queries > 0
@@ -161,6 +162,16 @@ def test_sqlite_experiment_end_to_end():
     # The goal-attainment report is computable for every class.
     attainment = result.goal_attainment()
     assert set(attainment) == {c.name for c in result.classes}
+    # Completions posted from the worker threads reached the engine's one
+    # completion hook: each completed intercepted statement closed its own
+    # execute span (only statements in flight at the horizon are left to
+    # the end-of-run truncation; this run cancels nothing).
+    tracer = result.extras["tracer"]
+    assert tracer.balanced
+    assert validate_spans(tracer.spans) == []
+    completed = result.bundle.patroller.tables.counts_by_status().get("completed", 0)
+    closed = [s for s in tracer.spans if s.phase == "execute" and not s.truncated]
+    assert len(closed) == completed > 0
     # The backend was closed by run_spec (idempotent second close).
     result.bundle.close()
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.scenarios.loader import LIBRARY_DIR
+from tests.conftest import CHECKOUT
 
 pytest.importorskip("yaml")
 
@@ -85,10 +86,13 @@ class TestScenariosCommand:
             assert name in out
 
     def test_validate_all_reports_clean_library(self, capsys):
-        code = main(["scenarios", "--validate-all"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "7 of 7 scenarios valid" in out
+        # The benchmark's own scenario file is read, never changed.
+        fleet = CHECKOUT / "perf" / "scenarios" / "fleet-lockstep.yaml"
+        for extra, valid in (([], "7 of 7"), ([str(fleet)], "8 of 8")):
+            code = main(["scenarios", "--validate-all"] + extra)
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "{} scenarios valid".format(valid) in out
 
     def test_validate_all_lists_a_negative_seed_as_invalid(self, tmp_path, capsys):
         bad = tmp_path / "neg.yaml"
@@ -147,20 +151,51 @@ class TestSweepScenario:
         assert "--smoke requires --scenario" in capsys.readouterr().err
 
 
+#: An integer no float can hold (``float(HUGE)`` raises ``OverflowError``).
+HUGE = "1" + "0" * 400
+TOO_LARGE = "-bit integer is too large for a float"
+
+
 class TestMalformedScenarioFiles:
-    @pytest.mark.parametrize("line", ["seed: seven", "seed: 7.9"])
-    def test_validate_all_lists_a_malformed_file_as_invalid(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("seed: seven", "seed must be an integer", id="seed: seven"),
+        pytest.param("seed: 7.9", "seed must be an integer", id="seed: 7.9"),
+        pytest.param("  period_seconds: " + HUGE, "schedule.period_seconds: a 1329" + TOO_LARGE,
+                     id="huge-period-seconds"),
+        pytest.param("  num_periods: " + HUGE, "schedule.num_periods: a 1329" + TOO_LARGE,
+                     id="huge-num-periods"),
+        pytest.param("  importance: " + HUGE, "classes[0].importance: a 1329" + TOO_LARGE,
+                     id="huge-importance"),
+        pytest.param("    velocity: " + HUGE, "classes[0].goal.velocity: a 1329" + TOO_LARGE,
+                     id="huge-goal-target"),
+        pytest.param("    value: " + HUGE, "classes[0].clients.value: a 1329" + TOO_LARGE,
+                     id="huge-generator-value"),
+        pytest.param("    base: " + HUGE, "classes[2].clients.base: a 1329" + TOO_LARGE,
+                     id="huge-generator-base"),
+        pytest.param("faults: [{kind: cancel_storm, at: " + HUGE + "}]",
+                     "faults[0].at: a 1329" + TOO_LARGE, id="huge-fault-at"),
+    ])
+    def test_validate_all_lists_a_malformed_file_as_invalid(
+        self, tmp_path, capsys, line, message
+    ):
         from repro.scenarios import find_scenario, scenario_to_yaml
 
-        text = scenario_to_yaml(find_scenario("flash-crowd"))
-        assert "seed: 7\n" in text
+        # ``line`` replaces the first line with the same key, or is appended.
+        lines = scenario_to_yaml(find_scenario("flash-crowd")).splitlines()
+        assert "seed: 7" in lines
+        key = line.split(":")[0] + ":"
+        same_key = [i for i, text in enumerate(lines) if text.startswith(key)]
+        if same_key:
+            lines[same_key[0]] = line
+        else:
+            lines.append(line)
         bad = tmp_path / "bad.yaml"
-        bad.write_text(text.replace("seed: 7\n", line + "\n"))
+        bad.write_text("\n".join(lines) + "\n")
         code = main(["scenarios", "--validate-all", str(bad)])
         captured = capsys.readouterr()
         assert code == 1
         assert "INVALID {}".format(bad) in captured.err
-        assert "seed must be an integer" in captured.err
+        assert message in captured.err
         assert "Traceback" not in captured.err
         assert "of 8 scenarios valid" in captured.out
 
@@ -168,21 +203,38 @@ class TestMalformedScenarioFiles:
         assert code == 2
         assert "scenario error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("path", [
-        "system_cost_limit",
-        "monitor.snapshot_interval",
-        "planner.grid_timerons",
-        "planner.importance_base",
-        "planner.surplus_slope",
-        "planner.oltp_slope_prior",
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, ".nan", id=path) for path in (
+            "system_cost_limit",
+            "monitor.snapshot_interval",
+            "planner.grid_timerons",
+            "planner.importance_base",
+            "planner.surplus_slope",
+            "planner.oltp_slope_prior",
+        )
+    ] + [
+        # These reach float arithmetic only mid-run (scale.think_time: when
+        # compiled for a run), so the load-time check is what refuses them.
+        pytest.param(path, HUGE, id=path + "-huge") for path in (
+            "system_cost_limit",
+            "planner.grid_timerons",
+            "planner.importance_base",
+            "planner.surplus_slope",
+            "overload.knee_cost",
+            "overload.beta",
+            "optimizer.noise_sigma",
+            "scale.think_time",
+        )
     ])
-    def test_validate_all_lists_a_nan_override_as_invalid(self, tmp_path, capsys, path):
+    def test_validate_all_lists_a_nan_override_as_invalid(
+        self, tmp_path, capsys, path, value
+    ):
         from repro.scenarios import find_scenario, scenario_to_yaml
 
         text = scenario_to_yaml(find_scenario("paper-figure3"))
         assert "control:" not in text
         bad = tmp_path / "nan.yaml"
-        bad.write_text(text + "control:\n  {}: .nan\n".format(path))
+        bad.write_text(text + "control:\n  {}: {}\n".format(path, value))
         code = main(["scenarios", "--validate-all", str(bad)])
         captured = capsys.readouterr()
         assert code == 1

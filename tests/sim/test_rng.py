@@ -1,9 +1,6 @@
 """Tests for the named random stream factory."""
 
 import gc
-import os
-import subprocess
-import sys
 import weakref
 import zlib
 from bisect import bisect_right
@@ -14,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.rng import RandomStreams
+from tests.conftest import run_from_checkout
 
 
 def test_same_seed_same_stream_same_draws():
@@ -230,9 +228,5 @@ query = bundle.factory.create(bundle.mixes["class3"], "class3", "client")
 assert sorted(bundle.rng._streams) == ["demand:" + query.template, "mix:tpcc", "optimizer"]
 assert "numpy.random" in sys.modules
 """
-    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = run_from_checkout(["-c", probe], timeout=120)
     assert done.returncode == 0, done.stderr

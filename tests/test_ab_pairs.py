@@ -1,19 +1,26 @@
 """``scripts/ab_pairs.py`` refuses to compare checkouts with unequal bytecode
-caches, before any benchmark runs."""
+caches, before any benchmark runs, and agrees with itself on one smoke pair."""
 
 import importlib.util
-from pathlib import Path
+import shutil
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
+from tests.conftest import CHECKOUT
+
+SCRIPT = CHECKOUT / "scripts" / "ab_pairs.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def ab_pairs(monkeypatch):
-    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script()
 
     def no_run(*args):
         raise AssertionError("a benchmark ran")
@@ -62,3 +69,25 @@ def test_equal_caches_are_no_reason_to_refuse(ab_pairs, tmp_path):
     for parent, change in (bare, cached):
         with pytest.raises(FileNotFoundError, match="BENCHMARK.json"):
             ab_pairs.main(arguments(parent, change))
+
+
+def test_one_smoke_pair_of_two_alike_copies_agrees(tmp_path, monkeypatch, capsys):
+    # Both sides are this tree, copied alike (no bytecode caches, no
+    # benchmark output), so the facts must be equal; speed is no gate.  The
+    # pair times nothing, so a measuring run alive elsewhere is no reason
+    # to refuse here.
+    module = load_script()
+    monkeypatch.setattr(module, "measuring_runs", lambda: [])
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc", "out")
+    sides = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        for top in ("src", "perf"):
+            shutil.copytree(CHECKOUT / top, root / top, ignore=skip)
+        shutil.copy(CHECKOUT / "BENCHMARK.json", root)
+        sides.append(str(root))
+    code = module.main(sides + ["--workload", "paper_qs", "--seed", "3", "--pairs", "1", "--smoke"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "(result_digest, attempted, failed): equal on both sides" in out
+    assert "CHECKS FAILED" not in out

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import run_from_checkout
 
 FAST_RUN = ["--periods", "2", "--period-seconds", "20",
             "--control-interval", "10"]
@@ -114,6 +115,19 @@ def test_a_bad_seed_or_control_interval_is_one_configuration_error_line(argv, ca
     assert "(0 control intervals)" not in captured.out
 
 
+@pytest.fixture
+def refuse_to_run(monkeypatch):
+    """Reaching the simulation kernel fails the test: what it checks must be
+    refused before anything runs (a run with a non-finite end would never
+    return)."""
+    from repro.sim.engine import Simulator
+
+    def refuse(self, end_time):
+        pytest.fail("the run started with end time {!r}".format(end_time))
+
+    monkeypatch.setattr(Simulator, "run_until", refuse)
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [
@@ -124,22 +138,35 @@ def test_a_bad_seed_or_control_interval_is_one_configuration_error_line(argv, ca
     ],
 )
 def test_a_bad_horizon_or_period_length_is_one_configuration_error_line(
-    flags, named, capsys, monkeypatch
+    flags, named, capsys, refuse_to_run
 ):
-    # Refused before anything runs: a run that reached the kernel with a
-    # non-finite end would never return, so reaching it fails the test.
-    from repro.sim.engine import Simulator
-
-    def refuse(self, end_time):
-        pytest.fail("the run started with end time {!r}".format(end_time))
-
-    monkeypatch.setattr(Simulator, "run_until", refuse)
     argv = ["run", "--periods", "1", "--period-seconds", "10"] + flags
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert named in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--shards", "0"],
+        ["run", "--shards", "-2"],
+        ["run", "--dashboard", "--port", "-1"],
+        ["run", "--dashboard", "--port", "70000"],
+        ["run", "--dashboard", "--linger", "nan"],
+        ["run", "--dashboard", "--linger", "inf"],
+        ["spans", "--top", "-3"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_an_out_of_range_flag_is_one_configuration_error_line(argv, capsys, refuse_to_run):
+    assert main(argv + FAST_RUN) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: {} ".format(argv[-2]))
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "dashboard:" not in captured.err  # no server was started either
 
 
 def test_check_command_list(capsys):
@@ -275,17 +302,18 @@ def test_replicate_command_serial(capsys):
 
 
 def test_replicate_command_parallel_matches_serial(capsys):
-    serial_code = main([
-        "replicate", "--controllers", "none", "--seeds", "1", "2", "--quiet",
-    ] + FAST_RUN)
-    serial_out = capsys.readouterr().out
-    parallel_code = main([
-        "replicate", "--controllers", "none", "--seeds", "1", "2",
-        "--jobs", "2", "--quiet",
-    ] + FAST_RUN)
-    parallel_out = capsys.readouterr().out
-    assert serial_code == parallel_code == 0
-    assert serial_out == parallel_out
+    for controllers in (["none"], ["none", "qs"]):
+        serial_code = main([
+            "replicate", "--controllers", *controllers, "--seeds", "1", "2", "--quiet",
+        ] + FAST_RUN)
+        serial_out = capsys.readouterr().out
+        parallel_code = main([
+            "replicate", "--controllers", *controllers, "--seeds", "1", "2",
+            "--jobs", "2", "--quiet",
+        ] + FAST_RUN)
+        parallel_out = capsys.readouterr().out
+        assert serial_code == parallel_code == 0
+        assert serial_out == parallel_out
 
 
 def test_replicate_rejects_unknown_controller():
@@ -342,11 +370,12 @@ def test_spans_command_from_saved_trace(tmp_path, capsys):
     path = str(tmp_path / "trace.json")
     main(["run", "--trace-events", path] + FAST_RUN)
     capsys.readouterr()
-    code = main(["spans", path])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "loaded" in out
-    assert "Per-class phase breakdown" in out
+    for saved in (path, str(tmp_path)):  # the trace file, or its directory
+        code = main(["spans", saved])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "loaded" in out
+        assert "Per-class phase breakdown" in out
 
 
 @pytest.mark.parametrize(
@@ -399,18 +428,23 @@ def test_run_sharded_smoke(capsys, tmp_path):
     import json
 
     path = str(tmp_path / "sharded.json")
-    code = main(
-        ["run", "--shards", "2", "--router", "least-loaded",
-         "--invariants", "strict", "--jobs", "2", "--output", path] + FAST_RUN
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "sharded run" in out
-    assert "2 shards" in out
-    assert "global invariants: ok" in out
-    payload = json.loads(open(path).read())
-    assert payload["shards"] == 2
-    assert payload["ok"] is True
+    for shards, workload in (
+        (2, FAST_RUN),
+        (4, ["--scenario", "flash-crowd", "--smoke"]),
+    ):
+        code = main(
+            ["run", "--shards", str(shards), "--router", "least-loaded",
+             "--invariants", "strict", "--jobs", "2", "--output", path] + workload
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "sharded run" in out
+        assert "{} shards".format(shards) in out
+        assert "global invariants: ok" in out
+        payload = json.loads(open(path).read())
+        assert payload["shards"] == shards
+        assert payload["ok"] is True
+        assert len(payload["per_shard"]) == shards
 
 
 def test_run_shards_one_uses_unsharded_path(capsys):
@@ -580,3 +614,35 @@ def test_a_failed_run_still_stops_the_dashboard(monkeypatch, capsys):
     assert main(["run", "--dashboard"] + FAST_RUN) == 1
     assert "invariant violation: boom" in capsys.readouterr().err
     assert len(stopped) == 1 and not stopped[0].running
+
+
+def _bad_backend_options(tmp_path):
+    pytest.importorskip("yaml")
+    from repro.scenarios.loader import LIBRARY_DIR
+
+    path = tmp_path / "sim-option.yaml"
+    path.write_text((LIBRARY_DIR / "flash-crowd.yaml").read_text()
+                    + "backend_options:\n  worker: 2\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, prefix",
+    [
+        (lambda tmp: ["spans", "missing.jsonl"], 2, "spans error: "),
+        (lambda tmp: ["run", "--seed", "-1", "--periods", "1", "--period-seconds", "10"],
+         2, "configuration error: "),
+        (lambda tmp: ["scenarios", "--validate-all", _bad_backend_options(tmp)], 1, None),
+    ],
+    ids=["spans-missing-file", "run-negative-seed", "validate-all-bad-backend-options"],
+)
+def test_the_entry_point_fails_cleanly_and_writes_nothing(
+    make_argv, code, prefix, tmp_path, unchanged_checkout
+):
+    done = run_from_checkout(["-m", "repro"] + make_argv(tmp_path))
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if prefix is None:
+        assert "INVALID" in done.stderr and "backend_options" in done.stderr
+    else:
+        assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1

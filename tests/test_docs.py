@@ -8,10 +8,10 @@ and the README's command lines are real.
 import glob
 import os
 import re
-import subprocess
-import sys
 
 import pytest
+
+from tests.conftest import run_from_checkout
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -57,6 +57,15 @@ def test_readme_examples_exist():
     text = read("README.md")
     for example in set(re.findall(r"examples/[a-z_]+\.py", text)):
         assert os.path.exists(os.path.join(REPO, example)), example
+
+
+@pytest.mark.slow
+def test_every_example_runs_to_completion(unchanged_checkout):
+    examples = sorted(glob.glob(os.path.join(REPO, "examples", "*.py")))
+    assert examples
+    for example in examples:
+        done = run_from_checkout([example])
+        assert done.returncode == 0, "{}\n{}".format(example, done.stderr)
 
 
 def test_calibration_doc_constants_match_code():
@@ -113,19 +122,10 @@ def test_quoted_subcommands_are_registered():
 def test_paper_claims_suite_runs_under_stock_pytest():
     """``benchmarks/`` needs no plugin: two of its fastest files pass with
     the ``benchmark`` fixture's plugin disabled (or absent)."""
-    search_path = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search_path)))
-    completed = subprocess.run(
-        [
-            sys.executable, "-m", "pytest",
-            "benchmarks/bench_figure3.py",
-            "benchmarks/bench_ablation_interception.py",
-            "-q", "-p", "no:benchmark", "-p", "no:cacheprovider",
-        ],
-        cwd=REPO,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    completed = run_from_checkout([
+        "-m", "pytest",
+        "benchmarks/bench_figure3.py",
+        "benchmarks/bench_ablation_interception.py",
+        "-q", "-p", "no:benchmark", "-p", "no:cacheprovider",
+    ])
     assert completed.returncode == 0, completed.stdout + completed.stderr

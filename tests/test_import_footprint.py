@@ -7,13 +7,9 @@ interpreter: ``sys.modules`` of the test process says nothing, other tests
 have long since imported everything.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from tests.conftest import run_from_checkout
 
 #: Modules a plain ``qs`` run never executes, so never loads.
 NOT_LOADED_BY_A_QS_RUN = [
@@ -58,14 +54,7 @@ def loaded(names):
 
 
 def run_python(code):
-    path = SRC + os.pathsep + os.environ.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=dict(os.environ, PYTHONPATH=path.rstrip(os.pathsep)),
-    )
+    done = run_from_checkout(["-c", code])
     assert done.returncode == 0, done.stderr
     return done.stdout
 

@@ -4,11 +4,7 @@ Each check runs in a fresh interpreter — ``sys.modules`` of the test
 process says nothing, other tests have long since imported everything.
 """
 
-import os
-import subprocess
-import sys
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from tests.conftest import run_from_checkout
 
 PACKAGES = (
     "import repro, repro.experiments, repro.obs.live, repro.shard, "
@@ -27,14 +23,7 @@ UNUSED_BY_A_PLAIN_RUN = [
 
 
 def run_python(code):
-    path = SRC + os.pathsep + os.environ.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=dict(os.environ, PYTHONPATH=path.rstrip(os.pathsep)),
-    )
+    done = run_from_checkout(["-c", code])
     assert done.returncode == 0, done.stderr
     return done.stdout
 
