@@ -2,8 +2,9 @@
 
 This subpackage implements the workload adaptation framework of Section 2
 and its mixed-workload extension of Section 3: service classes with
-per-class goals and business importance, the Monitor / Classifier /
-Dispatcher / Scheduling Planner / Performance Solver pipeline of Figure 1,
+per-class goals and business importance, the Monitor / Dispatcher /
+Scheduling Planner / Performance Solver pipeline of Figure 1 (the
+dispatcher's per-class queue lookup does the Classifier's job),
 the OLAP velocity and OLTP linear performance models, utility-function
 objectives, and the table of controllers an experiment can run.
 """
@@ -17,7 +18,6 @@ _EXPORTS = {
     "VelocityGoal": "repro.core.service_class",
     "ResponseTimeGoal": "repro.core.service_class",
     "SchedulingPlan": "repro.core.plan",
-    "Classifier": "repro.core.classifier",
     "Monitor": "repro.core.monitor",
     "ClassMeasurement": "repro.core.monitor",
     "Dispatcher": "repro.core.dispatcher",
@@ -40,7 +40,6 @@ _EXPORTS = {
     "MPLController": "repro.core.mpl",
     "DirectScheduler": "repro.core.direct",
     "WorkloadDetector": "repro.core.detection",
-    "WorkloadCharacterization": "repro.core.detection",
     "ShiftEvent": "repro.core.detection",
     "DeficitAllocator": "repro.core.heuristic",
 }

@@ -10,14 +10,15 @@ controller it is looking at.
 
 :data:`CONTROLLERS` maps each experiment-level name to a builder taking the
 assembled bundle (``sim``, ``engine``, ``patroller``, ``classes``,
-``config``) and the optional static OLAP limit:
+``config``):
 
 ``"none"``          -- Section 4.2.1, "no control was exerted over the
                        workload except for the system cost limit": OLAP is
                        intercepted, one FIFO system-wide limit (Figure 4)
 ``"qp"``            -- Section 4.2.2, DB2 QP's own static strategy: cost
-                       groups (top 5% / next 15% / rest) with fixed slots, a
-                       static OLAP limit, Class 2 above Class 1 (Figure 5)
+                       groups (top 5% / next 15% / rest) with fixed slots,
+                       the system cost limit as a static OLAP limit, Class 2
+                       above Class 1 (Figure 5)
 ``"qp_nopriority"`` -- the same with priority control off
 ``"qs"``            -- the Query Scheduler (Figures 6-7)
 ``"qs_detect"``     -- Query Scheduler + explicit workload detection
@@ -34,7 +35,7 @@ QP "is turned off" for the OLTP class under every patroller-based entry.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 if TYPE_CHECKING:
     from repro.core.direct import DirectScheduler
@@ -54,7 +55,7 @@ def _static_policy(bundle, name: str, description: str, **policy) -> QPStaticPol
     )
 
 
-def _no_control(bundle, static_olap_limit: Optional[float]) -> QPStaticPolicy:
+def _no_control(bundle) -> QPStaticPolicy:
     limit = bundle.config.system_cost_limit
     return _static_policy(
         bundle,
@@ -64,16 +65,10 @@ def _no_control(bundle, static_olap_limit: Optional[float]) -> QPStaticPolicy:
     )
 
 
-def _qp_static(
-    bundle, static_olap_limit: Optional[float], priority_control: bool
-) -> QPStaticPolicy:
+def _qp_static(bundle, priority_control: bool) -> QPStaticPolicy:
     from repro.patroller.policy import standard_groups
 
-    limit = (
-        static_olap_limit
-        if static_olap_limit is not None
-        else bundle.config.system_cost_limit
-    )
+    limit = bundle.config.system_cost_limit
     # Submitter priority mirrors business importance among OLAP classes
     # (the paper sets Class 2's priority above Class 1's).
     priorities = {
@@ -90,9 +85,7 @@ def _qp_static(
     )
 
 
-def _query_scheduler(
-    bundle, static_olap_limit: Optional[float], detection: bool
-) -> QueryScheduler:
+def _query_scheduler(bundle, detection: bool) -> QueryScheduler:
     from repro.core.scheduler import QueryScheduler
 
     scheduler = QueryScheduler(
@@ -103,7 +96,7 @@ def _query_scheduler(
     return scheduler
 
 
-def _mpl(bundle, static_olap_limit: Optional[float]) -> MPLController:
+def _mpl(bundle) -> MPLController:
     from repro.core.mpl import MPLController
 
     return MPLController(
@@ -115,7 +108,7 @@ def _mpl(bundle, static_olap_limit: Optional[float]) -> MPLController:
     )
 
 
-def _direct(bundle, static_olap_limit: Optional[float]) -> DirectScheduler:
+def _direct(bundle) -> DirectScheduler:
     from repro.core.direct import DirectScheduler
 
     return DirectScheduler(

@@ -8,13 +8,12 @@ workloads and predicting future workload trends."
 The prototype evaluated in the paper re-plans on a fixed interval, so
 detection is implicit.  This module makes it explicit (and ablatable):
 
-* :class:`WorkloadCharacterization` — per-class arrival rate and mean
-  estimated cost over bucketed windows;
-* :class:`WorkloadDetector` — compares the latest bucket against an
-  exponentially weighted baseline per class and fires *shift* callbacks
-  when intensity changes by more than a configurable factor.  Wired to the
-  planner's early-trigger hook, a detected shift cuts the worst-case
-  reaction latency from a full control interval to one detection bucket.
+:class:`WorkloadDetector` measures each class's arrival rate over bucketed
+windows, compares the latest bucket against an exponentially weighted
+baseline per class and fires *shift* callbacks when intensity changes by
+more than :data:`SHIFT_FACTOR`.  Wired to the planner's early-trigger hook,
+a detected shift cuts the worst-case reaction latency from a full control
+interval to one detection bucket.
 """
 
 from __future__ import annotations
@@ -26,15 +25,17 @@ from repro.dbms.query import Query
 from repro.errors import ConfigurationError
 from repro.runtime import TimerService
 
-
-class WorkloadCharacterization(NamedTuple):
-    """One class's observed workload over a detection bucket."""
-
-    class_name: str
-    bucket_start: float
-    arrivals: int
-    arrival_rate: float  # statements per second
-    mean_cost: float  # mean estimated timerons (0 with no arrivals)
+#: Width (seconds) of one observation bucket.
+BUCKET_SECONDS = 10.0
+#: Weight of the newest bucket in a class's baseline rate.
+EWMA_ALPHA = 0.3
+#: A shift fires when the observed rate leaves
+#: ``[baseline / SHIFT_FACTOR, baseline * SHIFT_FACTOR]``.
+SHIFT_FACTOR = 1.4
+#: Buckets observed before any shift may fire (baseline settling).
+WARMUP_BUCKETS = 2
+#: Minimum seconds between two fired shifts (rate-limits early re-plans).
+MIN_SHIFT_GAP = 20.0
 
 
 class ShiftEvent(NamedTuple):
@@ -57,56 +58,13 @@ ShiftListener = Callable[[ShiftEvent], None]
 
 
 class WorkloadDetector:
-    """Bucketed arrival-rate change detector with an EWMA baseline.
+    """Bucketed arrival-rate change detector with an EWMA baseline over the
+    ``classes`` it characterises; buckets close on ``sim``'s events."""
 
-    Parameters
-    ----------
-    sim:
-        The simulator (buckets close on scheduled events).
-    classes:
-        Service classes to characterise.
-    bucket_seconds:
-        Width of one observation bucket.
-    ewma_alpha:
-        Weight of the newest bucket in the baseline (0..1).
-    shift_factor:
-        Fire a shift when the observed rate leaves
-        ``[baseline/shift_factor, baseline*shift_factor]``.
-    warmup_buckets:
-        Buckets observed before any shift may fire (baseline settling).
-    min_shift_gap:
-        Minimum seconds between two fired shifts (rate-limits triggers).
-    """
-
-    def __init__(
-        self,
-        sim: TimerService,
-        classes: Sequence[ServiceClass],
-        bucket_seconds: float = 10.0,
-        ewma_alpha: float = 0.3,
-        shift_factor: float = 1.4,
-        warmup_buckets: int = 2,
-        min_shift_gap: float = 20.0,
-    ) -> None:
-        if bucket_seconds <= 0:
-            raise ConfigurationError("bucket_seconds must be positive")
-        if not 0 < ewma_alpha <= 1:
-            raise ConfigurationError("ewma_alpha must be in (0, 1]")
-        if shift_factor <= 1:
-            raise ConfigurationError("shift_factor must exceed 1")
-        if warmup_buckets < 1:
-            raise ConfigurationError("warmup_buckets must be >= 1")
-        if min_shift_gap < 0:
-            raise ConfigurationError("min_shift_gap must be non-negative")
+    def __init__(self, sim: TimerService, classes: Sequence[ServiceClass]) -> None:
         self.sim = sim
-        self.bucket_seconds = bucket_seconds
-        self.ewma_alpha = ewma_alpha
-        self.shift_factor = shift_factor
-        self.warmup_buckets = warmup_buckets
-        self.min_shift_gap = min_shift_gap
         self._class_names = [c.name for c in classes]
         self._arrivals: Dict[str, int] = {name: 0 for name in self._class_names}
-        self._cost_sum: Dict[str, float] = {name: 0.0 for name in self._class_names}
         self._baseline: Dict[str, Optional[float]] = {
             name: None for name in self._class_names
         }
@@ -114,7 +72,6 @@ class WorkloadDetector:
         self._bucket_start = sim.now
         self._last_shift_at = -float("inf")
         self._listeners: List[ShiftListener] = []
-        self.history: List[WorkloadCharacterization] = []
         self.shifts: List[ShiftEvent] = []
         self._started = False
 
@@ -130,7 +87,6 @@ class WorkloadDetector:
         if query.class_name not in self._arrivals:
             return
         self._arrivals[query.class_name] += 1
-        self._cost_sum[query.class_name] += query.estimated_cost
 
     def start(self) -> None:
         """Begin closing buckets on schedule."""
@@ -138,7 +94,7 @@ class WorkloadDetector:
             raise ConfigurationError("WorkloadDetector started twice")
         self._started = True
         self._bucket_start = self.sim.now
-        self.sim.schedule(self.bucket_seconds, self._close_bucket, label="detector:bucket")
+        self.sim.schedule(BUCKET_SECONDS, self._close_bucket, label="detector:bucket")
 
     def register_instruments(self, registry: "MetricsRegistry") -> None:  # noqa: F821
         """Publish the detector's live counters into a registry."""
@@ -165,39 +121,6 @@ class WorkloadDetector:
         """Buckets closed so far."""
         return self._buckets_seen
 
-    def forecast_rate(
-        self,
-        class_name: str,
-        horizon: float,
-        lookback_buckets: int = 6,
-    ) -> Optional[float]:
-        """Predict a class's arrival rate ``horizon`` seconds ahead.
-
-        "Predicting future workload trends" (Section 2): a least-squares
-        linear trend over the last ``lookback_buckets`` closed buckets,
-        extrapolated and floored at zero.  Returns None until at least two
-        buckets exist for the class.
-        """
-        if horizon < 0:
-            raise ConfigurationError("forecast horizon must be non-negative")
-        recent = [
-            h for h in self.history if h.class_name == class_name
-        ][-lookback_buckets:]
-        if len(recent) < 2:
-            return None
-        times = [h.bucket_start for h in recent]
-        rates = [h.arrival_rate for h in recent]
-        n = len(recent)
-        mean_t = sum(times) / n
-        mean_r = sum(rates) / n
-        sxx = sum((t - mean_t) ** 2 for t in times)
-        if sxx <= 0:
-            return max(0.0, mean_r)
-        slope = sum((t - mean_t) * (r - mean_r) for t, r in zip(times, rates)) / sxx
-        intercept = mean_r - slope * mean_t
-        predicted = intercept + slope * (self.sim.now + horizon)
-        return max(0.0, predicted)
-
     # ------------------------------------------------------------------
     # Bucket lifecycle
     # ------------------------------------------------------------------
@@ -206,41 +129,27 @@ class WorkloadDetector:
         span = max(now - self._bucket_start, 1e-9)
         self._buckets_seen += 1
         for name in self._class_names:
-            arrivals = self._arrivals[name]
-            rate = arrivals / span
-            mean_cost = self._cost_sum[name] / arrivals if arrivals else 0.0
-            self.history.append(
-                WorkloadCharacterization(
-                    class_name=name,
-                    bucket_start=self._bucket_start,
-                    arrivals=arrivals,
-                    arrival_rate=rate,
-                    mean_cost=mean_cost,
-                )
-            )
+            rate = self._arrivals[name] / span
             self._maybe_fire(name, rate, now)
             baseline = self._baseline[name]
             if baseline is None:
                 self._baseline[name] = rate
             else:
-                self._baseline[name] = (
-                    self.ewma_alpha * rate + (1 - self.ewma_alpha) * baseline
-                )
+                self._baseline[name] = EWMA_ALPHA * rate + (1 - EWMA_ALPHA) * baseline
             self._arrivals[name] = 0
-            self._cost_sum[name] = 0.0
         self._bucket_start = now
-        self.sim.schedule(self.bucket_seconds, self._close_bucket, label="detector:bucket")
+        self.sim.schedule(BUCKET_SECONDS, self._close_bucket, label="detector:bucket")
 
     def _maybe_fire(self, name: str, rate: float, now: float) -> None:
         baseline = self._baseline[name]
-        if baseline is None or self._buckets_seen <= self.warmup_buckets:
+        if baseline is None or self._buckets_seen <= WARMUP_BUCKETS:
             return
-        if now - self._last_shift_at < self.min_shift_gap:
+        if now - self._last_shift_at < MIN_SHIFT_GAP:
             return
         if baseline <= 0 and rate <= 0:
             return
-        shifted_up = rate > baseline * self.shift_factor
-        shifted_down = rate < baseline / self.shift_factor
+        shifted_up = rate > baseline * SHIFT_FACTOR
+        shifted_down = rate < baseline / SHIFT_FACTOR
         if not (shifted_up or shifted_down):
             return
         event = ShiftEvent(

@@ -25,6 +25,15 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import ExecutionEngine, TimerService
 
+#: Every controlled class's MPL at start, and the bounds the loop keeps it in.
+INITIAL_MPL = 4
+MIN_MPL = 1
+MAX_MPL = 64
+#: The multiplicative cut applied to every OLAP MPL while OLTP violates.
+DECREASE_FACTOR = 0.5
+#: How far back (seconds) the OLTP response-time average reaches.
+SNAPSHOT_STALENESS = 30.0
+
 
 class MPLController:
     """Per-class MPL admission control with AIMD adaptation."""
@@ -37,30 +46,17 @@ class MPLController:
         patroller: QueryPatroller,
         engine: ExecutionEngine,
         classes: List[ServiceClass],
-        initial_mpl: int = 4,
-        min_mpl: int = 1,
-        max_mpl: int = 64,
         control_interval: float = 60.0,
-        decrease_factor: float = 0.5,
-        snapshot_staleness: float = 30.0,
     ) -> None:
-        if initial_mpl < min_mpl or min_mpl < 1 or max_mpl < initial_mpl:
-            raise ConfigurationError("inconsistent MPL bounds")
-        if not 0 < decrease_factor < 1:
-            raise ConfigurationError("decrease_factor must be in (0, 1)")
         if control_interval <= 0:
             raise ConfigurationError("control_interval must be positive")
         self.sim = sim
         self.patroller = patroller
         self.engine = engine
         self.classes = list(classes)
-        self.min_mpl = min_mpl
-        self.max_mpl = max_mpl
         self.control_interval = control_interval
-        self.decrease_factor = decrease_factor
-        self.snapshot_staleness = snapshot_staleness
         self.mpl: Dict[str, int] = {
-            c.name: initial_mpl for c in self.classes if c.directly_controlled
+            c.name: INITIAL_MPL for c in self.classes if c.directly_controlled
         }
         self._queues: Dict[str, Deque[Query]] = {name: deque() for name in self.mpl}
         self._executing: Dict[str, int] = {name: 0 for name in self.mpl}
@@ -142,7 +138,7 @@ class MPLController:
             return None
         average = self.engine.snapshot_monitor.average_response_time(
             class_name=self._oltp_class.name,
-            since=self.sim.now - self.snapshot_staleness,
+            since=self.sim.now - SNAPSHOT_STALENESS,
         )
         if average is None:
             return None
@@ -152,12 +148,11 @@ class MPLController:
         violating = self._oltp_violating()
         if violating is True:
             for name in self.mpl:
-                reduced = int(self.mpl[name] * self.decrease_factor)
-                self.mpl[name] = max(self.min_mpl, reduced)
+                self.mpl[name] = max(MIN_MPL, int(self.mpl[name] * DECREASE_FACTOR))
             self.adjustments += 1
         elif violating is False:
             for name in self.mpl:
-                self.mpl[name] = min(self.max_mpl, self.mpl[name] + 1)
+                self.mpl[name] = min(MAX_MPL, self.mpl[name] + 1)
                 self._release_eligible(name)
             self.adjustments += 1
         self.sim.schedule(self.control_interval, self._tick, label="mpl:tick")

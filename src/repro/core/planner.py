@@ -172,16 +172,15 @@ class SchedulingPlanner:
             self.config.control_interval, self._tick, label="planner:tick"
         )
 
-    def trigger_early(self, min_spacing: Optional[float] = None) -> bool:
+    def trigger_early(self) -> bool:
         """Run an off-schedule control interval now (detection hook).
 
         Workload detection (Section 2) can request immediate re-planning
         when it sees an intensity shift, instead of waiting out the fixed
-        interval.  ``min_spacing`` (default: a quarter interval) rate-limits
-        back-to-back triggers.  Returns True if an interval actually ran.
+        interval.  Triggers closer than a quarter interval to the last
+        interval are refused.  Returns True if an interval actually ran.
         """
-        if min_spacing is None:
-            min_spacing = self.config.control_interval / 4.0
+        min_spacing = self.config.control_interval / 4.0
         now = self.sim.now
         if self._last_interval_at is not None and now - self._last_interval_at < min_spacing:
             return False

@@ -3,9 +3,9 @@
 Wires the full pipeline onto a database engine and its Query Patroller:
 
 * QP intercepts queries of the directly controlled (OLAP) classes into its
-  control tables, which the **Monitor** reads;
-* the **Classifier** assigns each intercepted query to its service class
-  and places it in the class queue of the **Dispatcher**;
+  control tables, which the **Monitor** reads, and hands each to the
+  **Dispatcher**, whose per-class queue lookup is the paper's **Classifier**
+  (a statement of a class it does not gate is refused);
 * the **Scheduling Planner** periodically consults the **Performance
   Solver** (utility maximisation over the performance models) and installs
   the resulting plan on the Dispatcher;
@@ -22,13 +22,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import SimulationConfig
-from repro.core.classifier import Classifier
 from repro.core.dispatcher import Dispatcher
 from repro.core.monitor import Monitor
 from repro.core.plan import SchedulingPlan
 from repro.core.planner import SchedulingPlanner, make_solver
 from repro.core.service_class import ServiceClass
-from repro.dbms.query import Query
 from repro.errors import SchedulingError
 from repro.metrics.telemetry import TelemetryStore
 from repro.obs.registry import MetricsRegistry
@@ -51,11 +49,13 @@ class QueryScheduler:
         patroller: QueryPatroller,
         classes: List[ServiceClass],
         config: SimulationConfig,
-        initial_plan: Optional[SchedulingPlan] = None,
     ) -> None:
         config.validate()
         if not classes:
             raise SchedulingError("QueryScheduler needs at least one service class")
+        names = [c.name for c in classes]
+        if len(set(names)) != len(names):
+            raise SchedulingError("duplicate service class names: {}".format(names))
         oltp_classes = [c.name for c in classes if c.kind == "oltp"]
         if len(oltp_classes) > 1:
             # Indirect control cannot tell two bypassing classes apart: one
@@ -73,20 +73,15 @@ class QueryScheduler:
 
         controlled = [c.name for c in self.classes if c.directly_controlled]
         patroller.intercept_only(controlled)
-        if initial_plan is None:
-            initial_plan = SchedulingPlan.even_split(
-                [c.name for c in self.classes],
-                config.system_cost_limit,
-                created_at=sim.now,
-            )
         #: One instrument registry for the whole controller: the Dispatcher,
         #: Monitor, Planner, Solver, Patroller and (optional) detector all
         #: publish their live reads into it.
         self.registry = MetricsRegistry()
-        self.classifier = Classifier(self.classes)
         self.dispatcher = Dispatcher(
             self.classes,
-            initial_plan,
+            SchedulingPlan.even_split(
+                names, config.system_cost_limit, created_at=sim.now
+            ),
             release=patroller.release,
             clock=sim,
             gated=controlled,
@@ -108,7 +103,7 @@ class QueryScheduler:
         )
         #: Queryable/exportable view over the planner's own record list.
         self.telemetry = TelemetryStore(self.planner.history)
-        patroller.set_release_handler(self._classify_and_enqueue)
+        patroller.set_release_handler(self.dispatcher.enqueue)
         self.dispatcher.register_instruments(self.registry)
         self.monitor.register_instruments(self.registry)
         self.solver.register_instruments(self.registry)
@@ -117,11 +112,7 @@ class QueryScheduler:
         self.detector: Optional[WorkloadDetector] = None
         self._started = False
 
-    def _classify_and_enqueue(self, query: Query) -> None:
-        self.classifier.classify(query)
-        self.dispatcher.enqueue(query)
-
-    def enable_detection(self, **detector_kwargs) -> WorkloadDetector:
+    def enable_detection(self) -> WorkloadDetector:
         """Attach explicit workload detection (Section 2's first process).
 
         The detector characterises per-class arrival rates from the submit
@@ -133,7 +124,7 @@ class QueryScheduler:
             raise SchedulingError("detection already enabled")
         from repro.core.detection import WorkloadDetector
 
-        detector = WorkloadDetector(self.sim, self.classes, **detector_kwargs)
+        detector = WorkloadDetector(self.sim, self.classes)
         self.patroller.subscribe("submitted", detector.observe)
         detector.add_shift_listener(lambda event: self.planner.trigger_early())
         detector.register_instruments(self.registry)

@@ -18,6 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.config import PAPER_CLASSES
 from repro.errors import ConfigurationError
 
 #: Floor applied to measured/predicted response times when computing ratios,
@@ -154,16 +155,17 @@ class ServiceClass:
         return self.kind == "olap"
 
 
-def paper_classes(
-    class1_goal: float = 0.40,
-    class2_goal: float = 0.60,
-    class3_goal: float = 0.25,
-) -> "tuple[ServiceClass, ServiceClass, ServiceClass]":
-    """The three service classes of the paper's Section 4 experiments."""
-    return (
-        ServiceClass("class1", "olap", VelocityGoal(class1_goal), importance=1),
-        ServiceClass("class2", "olap", VelocityGoal(class2_goal), importance=2),
-        ServiceClass("class3", "oltp", ResponseTimeGoal(class3_goal), importance=3),
+def paper_classes() -> "tuple[ServiceClass, ServiceClass, ServiceClass]":
+    """The three service classes of the paper's Section 4 experiments, built
+    from :data:`repro.config.PAPER_CLASSES`."""
+    return tuple(
+        ServiceClass(
+            name,
+            kind,
+            VelocityGoal(goal) if kind == "olap" else ResponseTimeGoal(goal),
+            importance=importance,
+        )
+        for name, kind, goal, importance in PAPER_CLASSES
     )
 
 

@@ -33,6 +33,14 @@ _SURPLUS_CAP = 2.0
 #: Default base of the exponential importance weighting (see below).
 DEFAULT_IMPORTANCE_BASE = 4.0
 
+#: :class:`SigmoidUtility`'s steepness ``k`` below goal and its
+#: importance-free surplus slope above goal.
+SIGMOID_STEEPNESS = 4.0
+SIGMOID_EPSILON = 0.01
+
+#: :class:`StepUtility`'s linear term below goal and surplus slope above it.
+STEP_RAMP = 0.10
+
 
 def effective_weight(importance: float, base: float) -> float:
     """Below-goal weight of a class: ``base ** (importance - 1)``.
@@ -97,23 +105,13 @@ class SigmoidUtility(UtilityFunction):
     ``u = W * sigmoid(k * (min(r, 1) - 1))`` — smooth diminishing urgency as
     a violation closes — plus an importance-free ramp ``epsilon * (r - 1)``
     above goal (capped), preserving the shared contract that importance
-    stops mattering once the goal is met.
+    stops mattering once the goal is met (``k`` :data:`SIGMOID_STEEPNESS`,
+    ``epsilon`` :data:`SIGMOID_EPSILON`).
     """
 
-    def __init__(
-        self,
-        steepness: float = 4.0,
-        epsilon: float = 0.01,
-        importance_base: float = DEFAULT_IMPORTANCE_BASE,
-    ) -> None:
-        if steepness <= 0:
-            raise ConfigurationError("steepness must be positive")
-        if epsilon < 0:
-            raise ConfigurationError("epsilon must be non-negative")
+    def __init__(self, importance_base: float = DEFAULT_IMPORTANCE_BASE) -> None:
         if importance_base < 1:
             raise ConfigurationError("importance_base must be >= 1")
-        self.steepness = steepness
-        self.epsilon = epsilon
         self.importance_base = importance_base
 
     def value(self, achievement: float, importance: float) -> float:
@@ -121,36 +119,30 @@ class SigmoidUtility(UtilityFunction):
         weight = effective_weight(importance, self.importance_base)
         below = min(r, 1.0)
         # Clamp the exponent so absurd violations cannot overflow exp().
-        exponent = max(-60.0, -self.steepness * (below - 1.0))
+        exponent = max(-60.0, -SIGMOID_STEEPNESS * (below - 1.0))
         sigmoid = 1.0 / (1.0 + math.exp(exponent))
-        surplus = self.epsilon * (min(r, _SURPLUS_CAP) - 1.0) if r > 1.0 else 0.0
+        surplus = SIGMOID_EPSILON * (min(r, _SURPLUS_CAP) - 1.0) if r > 1.0 else 0.0
         return weight * sigmoid + surplus
 
 class StepUtility(UtilityFunction):
     """All-or-nothing family: the full importance on meeting the goal.
 
     A small linear term below goal keeps the solver's search surface from
-    being totally flat (otherwise every failing allocation looks alike).
+    being totally flat (otherwise every failing allocation looks alike);
+    its slope is :data:`STEP_RAMP`.
     """
 
-    def __init__(
-        self,
-        ramp: float = 0.10,
-        importance_base: float = DEFAULT_IMPORTANCE_BASE,
-    ) -> None:
-        if ramp < 0:
-            raise ConfigurationError("ramp must be non-negative")
+    def __init__(self, importance_base: float = DEFAULT_IMPORTANCE_BASE) -> None:
         if importance_base < 1:
             raise ConfigurationError("importance_base must be >= 1")
-        self.ramp = ramp
         self.importance_base = importance_base
 
     def value(self, achievement: float, importance: float) -> float:
         r = achievement
         weight = effective_weight(importance, self.importance_base)
         if r >= 1.0:
-            return weight + self.ramp * (min(r, _SURPLUS_CAP) - 1.0)
-        return weight * self.ramp * r
+            return weight + STEP_RAMP * (min(r, _SURPLUS_CAP) - 1.0)
+        return weight * STEP_RAMP * r
 
 
 def make_utility(

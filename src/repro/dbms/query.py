@@ -40,7 +40,6 @@ class QueryState(enum.Enum):
     EXECUTING = "executing"
     COMPLETED = "completed"
     CANCELLED = "cancelled"  # abandoned while still queued (never ran)
-    REJECTED = "rejected"  # refused by policy (e.g. over QP's max cost)
 
 
 # The members as module names, compared with ``is``: on CPython 3.11 a global
@@ -51,7 +50,6 @@ RELEASED = QueryState.RELEASED
 EXECUTING = QueryState.EXECUTING
 COMPLETED = QueryState.COMPLETED
 CANCELLED = QueryState.CANCELLED
-REJECTED = QueryState.REJECTED
 
 
 class Query:

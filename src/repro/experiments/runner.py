@@ -115,7 +115,6 @@ class ExperimentSpec:
     config: Optional[SimulationConfig] = None
     schedule: Optional[PeriodSchedule] = None
     classes: Optional[List[ServiceClass]] = None
-    static_olap_limit: Optional[float] = None
     invariants: str = "off"
     tracing: bool = False
     backend: str = "sim"
@@ -274,11 +273,7 @@ def build_bundle(
     )
 
 
-def make_controller(
-    bundle: SimulationBundle,
-    name: str,
-    static_olap_limit: Optional[float] = None,
-) -> object:
+def make_controller(bundle: SimulationBundle, name: str) -> object:
     """Build the named entry of :data:`~repro.core.controllers.CONTROLLERS`
     (which documents each name) and attach it to the bundle."""
     if name not in CONTROLLERS:
@@ -286,7 +281,7 @@ def make_controller(
             "unknown controller {!r}; expected one of {}".format(name, CONTROLLER_NAMES)
         )
     build, _ = CONTROLLERS[name]
-    bundle.controller = build(bundle, static_olap_limit)
+    bundle.controller = build(bundle)
     return bundle.controller
 
 
@@ -332,9 +327,7 @@ def assemble_run(
     )
     extras = result.extras
     try:
-        built = make_controller(
-            bundle, spec.controller, static_olap_limit=spec.static_olap_limit
-        )
+        built = make_controller(bundle, spec.controller)
         if hasattr(built, "planner"):  # qs, qs_detect, direct
             built.planner.add_plan_listener(bundle.collector.on_plan)
             extras["telemetry"] = built.telemetry

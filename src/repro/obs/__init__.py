@@ -4,7 +4,7 @@ Three pillars on top of the interval-level telemetry of
 :mod:`repro.metrics.telemetry`:
 
 * :class:`QueryTracer` — one balanced span per query phase (``intercept``,
-  ``queue_wait``, ``execute``, terminal ``cancelled``/``rejected``),
+  ``queue_wait``, ``execute``, terminal ``cancelled``),
   exportable as JSONL or Chrome trace-event JSON (Perfetto);
 * :class:`MetricsRegistry` — named Counter/Gauge live reads the
   controller components register themselves into, renderable as

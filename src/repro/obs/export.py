@@ -8,7 +8,7 @@ Two interchange formats:
   loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
   Each service class renders as one process (named via metadata events),
   each query as one thread within it, lifecycle spans as complete events
-  (``"ph": "X"``) and terminal cancel/reject markers as instant events
+  (``"ph": "X"``) and terminal ``cancelled`` markers as instant events
   (``"ph": "i"``).  Sim seconds map to trace microseconds.
 
 :func:`load_spans` dispatches on path shape (directory / ``.jsonl`` /

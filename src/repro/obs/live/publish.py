@@ -22,17 +22,19 @@ attached is bit-identical to the same run without them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.metrics.telemetry import ClassRows
 from repro.obs.live.hub import TelemetryHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.service_class import PerformanceGoal
+    from repro.config import SimulationConfig
+    from repro.core.service_class import PerformanceGoal, ServiceClass
     from repro.experiments.runner import ExperimentResult, SimulationBundle
     from repro.metrics.telemetry import ControlIntervalRecord
     from repro.obs.spans import Span
     from repro.obs.tracer import QueryTracer
+    from repro.workloads.schedule import PeriodSchedule
 
 #: Slowest spans carried per ``spans`` event.
 SPANS_PER_EVENT = 8
@@ -49,15 +51,21 @@ def class_progress(completions: int, attainment: float, goal: "PerformanceGoal")
     }
 
 
-def run_start_data(bundle: "SimulationBundle", controller_name: str) -> Dict:
-    """The ``snapshot`` event payload describing one deployment."""
-    schedule = bundle.schedule
+def run_start_data(
+    controller: str,
+    backend: str,
+    config: "SimulationConfig",
+    schedule: "PeriodSchedule",
+    classes: Sequence["ServiceClass"],
+) -> Dict:
+    """The ``snapshot`` event payload describing one deployment; a fleet's
+    adds its shard layout."""
     return {
-        "controller": controller_name,
-        "backend": bundle.backend,
-        "seed": bundle.config.seed,
-        "system_cost_limit": bundle.config.system_cost_limit,
-        "control_interval": bundle.config.planner.control_interval,
+        "controller": controller,
+        "backend": backend,
+        "seed": config.seed,
+        "system_cost_limit": config.system_cost_limit,
+        "control_interval": config.planner.control_interval,
         "periods": schedule.num_periods,
         "period_seconds": schedule.period_seconds,
         "horizon": schedule.horizon,
@@ -69,7 +77,7 @@ def run_start_data(bundle: "SimulationBundle", controller_name: str) -> Dict:
                 "goal_target": c.goal.target,
                 "importance": c.importance,
             }
-            for c in bundle.classes
+            for c in classes
         ],
     }
 
@@ -175,9 +183,16 @@ class RunPublisher:
     def publish_start(self) -> None:
         """Publish the run-metadata ``snapshot`` event (unsharded runs)."""
         controller_name = getattr(self.controller, "name", type(self.controller).__name__)
+        bundle = self.bundle
         self.hub.publish(
             "snapshot",
-            run_start_data(self.bundle, controller_name),
+            run_start_data(
+                controller_name,
+                bundle.backend,
+                bundle.config,
+                bundle.schedule,
+                bundle.classes,
+            ),
             time=0.0,
             shard=self.shard,
         )

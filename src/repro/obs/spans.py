@@ -11,8 +11,8 @@ phases the adaptation mechanism adds around execution:
 * ``queue_wait`` — held in a service-class queue awaiting release;
 * ``execute``    — release to completion (the paper's execution time);
 
-plus two zero-length *terminal* markers, ``cancelled`` and ``rejected``,
-for statements that never complete.  A :class:`Span` is one phase of one
+plus a zero-length *terminal* marker, ``cancelled``, for statements that
+never complete.  A :class:`Span` is one phase of one
 query with sim-time begin/end and enough identity (class, template, period,
 timeron cost) to aggregate by any of them.
 """
@@ -28,7 +28,7 @@ from repro.errors import SimulationError
 PHASES = ("intercept", "queue_wait", "execute")
 
 #: Terminal markers for queries that never complete (zero-length spans).
-TERMINAL_PHASES = ("cancelled", "rejected")
+TERMINAL_PHASES = ("cancelled",)
 
 #: Order index used to validate per-query phase sequencing.
 _PHASE_ORDER = {name: index for index, name in enumerate(PHASES)}

@@ -7,7 +7,7 @@ Subscribes to the Query Patroller's lifecycle events and turns them into
 * ``intercepted``                     → close ``intercept``, open ``queue_wait``;
 * ``released``                        → close ``queue_wait``, open ``execute``;
 * ``completed``                       → close ``execute``;
-* ``cancelled`` / ``rejected``        → close whatever is open, emit a
+* ``cancelled``                       → close whatever is open, emit a
   zero-length terminal marker.
 
 The tracer holds its own ``completed`` subscription (it does not hear of
@@ -62,7 +62,6 @@ class QueryTracer:
         patroller.subscribe("intercepted", self._on_intercepted)
         patroller.subscribe("released", self._on_released)
         patroller.subscribe("cancelled", self._on_cancelled)
-        patroller.subscribe("rejected", self._on_rejected)
         patroller.subscribe("completed", self._on_completion)
 
     # ------------------------------------------------------------------
@@ -185,11 +184,6 @@ class QueryTracer:
         now = self.clock.now
         if self._close_open(query.query_id, now) is not None:
             self._terminal(query, "cancelled", now)
-
-    def _on_rejected(self, query: "Query") -> None:
-        now = self.clock.now
-        if self._close_open(query.query_id, now) is not None:
-            self._terminal(query, "rejected", now)
 
     def _on_completion(self, query: "Query") -> None:
         self._close_open(query.query_id, self.clock.now)

@@ -6,7 +6,7 @@ Responsibilities, mirroring DB2 QP as the paper uses it (Section 2):
   interception latency the statement opens a row in the control tables,
   extra CPU overhead is charged to it, and the submitting agent blocks.  A
   held statement is an open row in state ``QUEUED``; its row closes when it
-  is cancelled, rejected or completes.
+  is cancelled or completes.
 * **Bypass** — queries of classes QP is turned off for (the OLTP class in
   every experiment, Section 3) go straight to the engine with no overhead.
 * **Release** — the unblocking API: ``release(query)`` lets a held query
@@ -53,7 +53,6 @@ LIFECYCLE_EVENTS = (
     "intercepted",
     "released",
     "cancelled",
-    "rejected",
     "completed",
 )
 
@@ -140,7 +139,7 @@ class QueryPatroller:
         ``cancelled`` is where accounting layers (dispatcher, monitor,
         static policy) release what they hold for a statement that will
         never complete; ``completed`` fires once per statement the engine
-        finishes, bypassed ones too; the tracer subscribes to all six.
+        finishes, bypassed ones too; the tracer subscribes to all five.
         """
         if isinstance(classes, str):
             raise PatrollerError(
@@ -336,24 +335,6 @@ class QueryPatroller:
         for listener in self._route("cancelled", query.class_name):
             listener(query)
         return True
-
-    def reject(self, query: Query) -> None:
-        """Refuse a held query outright (QP's max-cost rejection).
-
-        The submitter is notified through the query's completion callback
-        with state REJECTED; the statement never reaches the engine.
-        """
-        if not self._holds(query):
-            raise PatrollerError(
-                "reject of query {} which is not held".format(query.query_id)
-            )
-        query.state = QueryState.REJECTED
-        query.finish_time = self.sim.now
-        self.tables.close(query)
-        for listener in self._route("rejected", query.class_name):
-            listener(query)
-        if query.on_complete is not None:
-            query.on_complete(query)
 
     def _holds(self, query: Query) -> bool:
         """Whether ``query`` is held: its open row is in state ``QUEUED``."""

@@ -54,42 +54,38 @@ class CostGroup:
             )
 
 
-def percentile_thresholds(
-    costs: Sequence[float],
-    large_fraction: float = 0.05,
-    medium_fraction: float = 0.15,
-) -> Tuple[float, float]:
+#: Section 4.2.2's split: the top 5 % of historical costs are *large*, the
+#: next 15 % *medium*, the remaining 80 % *small*.
+LARGE_FRACTION = 0.05
+MEDIUM_FRACTION = 0.15
+
+#: Concurrency slots of the small / medium / large groups.
+SMALL_SLOTS, MEDIUM_SLOTS, LARGE_SLOTS = 10, 3, 1
+
+
+def percentile_thresholds(costs: Sequence[float]) -> Tuple[float, float]:
     """Cost thresholds splitting a historical workload into QP's groups.
 
     Returns ``(small_upper, medium_upper)``: queries above ``medium_upper``
-    are *large* (top ``large_fraction`` of the workload), queries in
-    ``(small_upper, medium_upper]`` are *medium* (next ``medium_fraction``),
-    and the rest are *small* — the 5%/15%/80% split of Section 4.2.2.
+    are *large* (top :data:`LARGE_FRACTION` of the workload), queries in
+    ``(small_upper, medium_upper]`` are *medium* (next
+    :data:`MEDIUM_FRACTION`), and the rest are *small*.
     """
     if not costs:
         raise ConfigurationError("percentile_thresholds needs historical costs")
-    if large_fraction <= 0 or medium_fraction <= 0:
-        raise ConfigurationError("group fractions must be positive")
-    if large_fraction + medium_fraction >= 1:
-        raise ConfigurationError("large + medium fractions must be < 1")
     arr = np.asarray(costs, dtype=float)
-    medium_upper = float(np.quantile(arr, 1.0 - large_fraction))
-    small_upper = float(np.quantile(arr, 1.0 - large_fraction - medium_fraction))
+    medium_upper = float(np.quantile(arr, 1.0 - LARGE_FRACTION))
+    small_upper = float(np.quantile(arr, 1.0 - LARGE_FRACTION - MEDIUM_FRACTION))
     return small_upper, medium_upper
 
 
-def standard_groups(
-    costs: Sequence[float],
-    small_slots: int = 10,
-    medium_slots: int = 3,
-    large_slots: int = 1,
-) -> List[CostGroup]:
+def standard_groups(costs: Sequence[float]) -> List[CostGroup]:
     """Build the large/medium/small groups from a historical cost sample."""
     small_upper, medium_upper = percentile_thresholds(costs)
     return [
-        CostGroup("small", 0.0, small_upper, small_slots),
-        CostGroup("medium", small_upper, medium_upper, medium_slots),
-        CostGroup("large", medium_upper, float("inf"), large_slots),
+        CostGroup("small", 0.0, small_upper, SMALL_SLOTS),
+        CostGroup("medium", small_upper, medium_upper, MEDIUM_SLOTS),
+        CostGroup("large", medium_upper, float("inf"), LARGE_SLOTS),
     ]
 
 
@@ -112,10 +108,6 @@ class QPStaticPolicy:
     global_cost_limit:
         Cap on total estimated cost executing, across all intercepted
         classes; ``None`` disables it.
-    max_query_cost:
-        QP's hard rejection threshold: an intercepted query whose estimated
-        cost exceeds this is *refused* (never queued, never run); ``None``
-        disables rejection.
     name, description:
         The controller identity reports print (:meth:`describe`); the
         ``none`` / ``qp`` / ``qp_nopriority`` entries of
@@ -128,12 +120,9 @@ class QPStaticPolicy:
         groups: Optional[Sequence[CostGroup]] = None,
         priorities: Optional[Dict[str, int]] = None,
         global_cost_limit: Optional[float] = None,
-        max_query_cost: Optional[float] = None,
         name: str = "qp_static",
         description: str = "QP static policy (cost groups, priorities, cost limit)",
     ) -> None:
-        if max_query_cost is not None and max_query_cost <= 0:
-            raise ConfigurationError("max_query_cost must be positive (or None)")
         if global_cost_limit is not None and global_cost_limit <= 0:
             raise ConfigurationError("global_cost_limit must be positive (or None)")
         self.name = name
@@ -144,8 +133,6 @@ class QPStaticPolicy:
             group.validate()
         self.priorities = dict(priorities or {})
         self.global_cost_limit = global_cost_limit
-        self.max_query_cost = max_query_cost
-        self._rejected = 0
         self._queue: List[Tuple[int, int, Query]] = []  # (-priority, seq, query)
         self._seq = 0
         self._in_flight_cost = 0.0
@@ -193,20 +180,8 @@ class QPStaticPolicy:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    @property
-    def rejected(self) -> int:
-        """Total queries refused by the max-cost threshold."""
-        return self._rejected
-
     def on_intercepted(self, query: Query) -> None:
-        """Release-handler hook: reject over-threshold, else enqueue."""
-        if (
-            self.max_query_cost is not None
-            and query.estimated_cost > self.max_query_cost
-        ):
-            self._rejected += 1
-            self.patroller.reject(query)
-            return
+        """Release-handler hook: queue the query by priority, release what fits."""
         priority = self.priorities.get(query.class_name, 0)
         query.priority = priority
         heapq.heappush(self._queue, (-priority, self._seq, query))

@@ -33,6 +33,10 @@ if TYPE_CHECKING:
 #: The scenario format version this package reads and writes.
 SCENARIO_FORMAT_VERSION = 1
 
+#: The most periods a scenario may schedule: loading builds per-period
+#: client lists, so an unbounded count is unbounded memory.
+MAX_NUM_PERIODS = 10_000
+
 #: Period length (seconds) scenarios are scaled down to by ``smoke=True``.
 SMOKE_PERIOD_SECONDS = 8.0
 
@@ -501,11 +505,6 @@ class ScenarioSpec:
     faults: Tuple[ScenarioFault, ...] = ()
     shards: Optional[ShardPlan] = None
 
-    @property
-    def horizon_seconds(self) -> float:
-        """Scheduled run length (before any explicit ``horizon`` cut)."""
-        return self.period_seconds * self.num_periods
-
     def class_names(self) -> List[str]:
         return [c.name for c in self.classes]
 
@@ -576,8 +575,12 @@ class ScenarioSpec:
             raise ScenarioError("scenario needs a non-empty name")
         if not self.period_seconds > 0:
             raise ScenarioError("schedule.period_seconds must be positive")
-        if self.num_periods < 1:
-            raise ScenarioError("schedule.num_periods must be >= 1")
+        if not 1 <= self.num_periods <= MAX_NUM_PERIODS:
+            raise ScenarioError(
+                "schedule.num_periods must be in [1, {}], got {}".format(
+                    MAX_NUM_PERIODS, self.num_periods
+                )
+            )
         if not self.classes:
             raise ScenarioError("scenario needs at least one class")
         names = [c.name for c in self.classes]

@@ -96,33 +96,25 @@ def _fleet_start_data(
     spec: ShardedExperimentSpec, shard_specs: Sequence[ExperimentSpec]
 ) -> dict:
     """The fleet-level ``snapshot`` event payload (shard layout + goals)."""
-    config = (spec.base.config or default_config()).validate()
-    schedule = spec.resolved_schedule()
-    classes = spec.resolved_classes()
-    return {
-        "controller": spec.base.controller,
-        "backend": spec.base.backend,
-        "seed": config.seed,
-        "system_cost_limit": config.system_cost_limit,
-        "control_interval": config.planner.control_interval,
-        "periods": schedule.num_periods,
-        "period_seconds": schedule.period_seconds,
-        "horizon": schedule.horizon,
-        "shards": spec.shards,
-        "router": spec.router,
-        "rebalance": spec.rebalance,
-        "shard_cost_limits": [_spec_cost_limit(s) for s in shard_specs],
-        "classes": [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "goal_metric": c.goal.metric,
-                "goal_target": c.goal.target,
-                "importance": c.importance,
-            }
-            for c in classes
-        ],
-    }
+    from repro.obs.live.publish import run_start_data
+
+    data = run_start_data(
+        spec.base.controller,
+        spec.base.backend,
+        (spec.base.config or default_config()).validate(),
+        spec.resolved_schedule(),
+        spec.resolved_classes(),
+    )
+    # The shard keys go before ``classes``, where the wire has always had them.
+    classes = data.pop("classes")
+    data.update(
+        shards=spec.shards,
+        router=spec.router,
+        rebalance=spec.rebalance,
+        shard_cost_limits=[_spec_cost_limit(s) for s in shard_specs],
+        classes=classes,
+    )
+    return data
 
 
 def run_sharded(

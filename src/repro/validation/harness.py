@@ -200,7 +200,7 @@ def _check_plan_spends_system_limit(world: ControlLoopWorld):
 
 def _check_control_tables_are_live(world: ControlLoopWorld):
     for query in world.patroller.tables.open():
-        if query.state in (QueryState.COMPLETED, QueryState.CANCELLED, QueryState.REJECTED):
+        if query.state in (QueryState.COMPLETED, QueryState.CANCELLED):
             return "query {} of class {!r} is {} but still an open row".format(
                 query.query_id, query.class_name, query.state.name
             )

@@ -7,19 +7,13 @@ thinks, and submits again.  Clients are activated and deactivated by the
 period schedule; a deactivated client finishes its in-flight statement and
 then goes idle, which is how "workload intensity was controlled by the
 number of clients".
-
-Clients may additionally have *patience*: if a statement is still held by
-the workload-control layer (not yet released into the engine) after
-``patience`` seconds, the client cancels it through QP's cancel command and
-moves on — the classic user-abandonment behaviour that workload managers
-must tolerate.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.dbms.query import REJECTED, Query
+from repro.dbms.query import Query
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import TimerService
 from repro.workloads.spec import QueryFactory, WorkloadMix
@@ -37,10 +31,7 @@ class ClosedLoopClient:
         class_name: str,
         client_id: str,
         think_time: float = 0.0,
-        patience: Optional[float] = None,
     ) -> None:
-        if patience is not None and patience <= 0:
-            raise ValueError("patience must be positive (or None)")
         self.sim = sim
         self.patroller = patroller
         self.factory = factory
@@ -48,19 +39,15 @@ class ClosedLoopClient:
         self.class_name = class_name
         self.client_id = client_id
         self.think_time = think_time
-        self.patience = patience
         self.active = False
         self.queries_submitted = 0
         self.queries_completed = 0
-        self.queries_abandoned = 0
-        self.queries_rejected = 0
         self._in_flight: Optional[Query] = None
         #: Optional hook fired on every completion (used by tests).
         self.on_query_complete: Optional[Callable[[Query], None]] = None
-        # Event labels are fixed per client; formatting them per statement
+        # The event label is fixed per client; formatting it per statement
         # shows up in profiles at replication scale.
         self._think_label = "client:{}:think".format(client_id)
-        self._patience_label = "client:{}:patience".format(client_id)
 
     @property
     def busy(self) -> bool:
@@ -85,37 +72,12 @@ class ClosedLoopClient:
         self._in_flight = query
         self.queries_submitted += 1
         self.patroller.submit(query)
-        if self.patience is not None:
-            self.sim.schedule(
-                self.patience,
-                lambda q=query: self._maybe_abandon(q),
-                self._patience_label,
-            )
-
-    def _maybe_abandon(self, query: Query) -> None:
-        if self._in_flight is not query:
-            return  # already completed
-        if not self.patroller.cancel(query):
-            return  # already released; let it finish
-        self._in_flight = None
-        self.queries_abandoned += 1
-        if not self.active:
-            return
-        if self.think_time > 0:
-            self.sim.schedule(self.think_time, self._maybe_submit)
-        else:
-            self._submit_next()
 
     def _on_complete(self, query: Query) -> None:
         self._in_flight = None
-        if query.state is REJECTED:
-            # Policy refused the statement (e.g. QP max-cost): the user
-            # sees an error and moves on to their next request.
-            self.queries_rejected += 1
-        else:
-            self.queries_completed += 1
-            if self.on_query_complete is not None:
-                self.on_query_complete(query)
+        self.queries_completed += 1
+        if self.on_query_complete is not None:
+            self.on_query_complete(query)
         if not self.active:
             return
         if self.think_time > 0:

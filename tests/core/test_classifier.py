@@ -1,11 +1,36 @@
-"""Tests for the Classifier."""
+"""Tests for classification: the submitter's class tag picks the service
+class.  The paper's Classifier is the Query Scheduler's per-class lookup;
+these tests pin what it refuses."""
 
 import pytest
 
-from repro.core.classifier import Classifier
+from repro.config import default_config
+from repro.core.plan import SchedulingPlan
+from repro.core.scheduler import QueryScheduler
 from repro.core.service_class import paper_classes
+from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Query
 from repro.errors import SchedulingError
+from repro.patroller.patroller import QueryPatroller
+from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
+from tests.conftest import patroller_dispatcher
+
+
+def make_world():
+    sim = Simulator()
+    config = default_config()
+    engine = DatabaseEngine(sim, config, RandomStreams(1))
+    patroller = QueryPatroller(sim, engine, config.patroller)
+    return sim, engine, patroller, config
+
+
+def make_dispatcher():
+    sim, engine, patroller, config = make_world()
+    plan = SchedulingPlan(
+        {"class1": 10_000.0, "class2": 10_000.0, "class3": 10_000.0}, 30_000.0
+    )
+    return patroller_dispatcher(patroller, list(paper_classes()), plan)
 
 
 def make_query(class_name="class1", kind="olap", cost=1000.0):
@@ -21,40 +46,19 @@ def make_query(class_name="class1", kind="olap", cost=1000.0):
     )
 
 
-def test_default_rule_trusts_submitter_tag():
-    classifier = Classifier(paper_classes())
-    query = make_query(class_name="class2")
-    assigned = classifier.classify(query)
-    assert assigned.name == "class2"
-    assert query.class_name == "class2"
-
-
 def test_unknown_tag_rejected():
-    classifier = Classifier(paper_classes())
+    dispatcher = make_dispatcher()
     with pytest.raises(SchedulingError):
-        classifier.classify(make_query(class_name="marketing"))
+        dispatcher.enqueue(make_query(class_name="marketing"))
 
 
 def test_untagged_query_with_no_matching_rule_rejected():
-    classifier = Classifier(paper_classes())
+    dispatcher = make_dispatcher()
     with pytest.raises(SchedulingError):
-        classifier.classify(make_query(class_name=""))
-
-
-def test_duplicate_classes_rejected():
-    classes = list(paper_classes())
-    with pytest.raises(SchedulingError):
-        Classifier(classes + [classes[0]])
+        dispatcher.enqueue(make_query(class_name=""))
 
 
 def test_empty_classes_rejected():
-    with pytest.raises(SchedulingError):
-        Classifier([])
-
-
-def test_get_lookup():
-    classifier = Classifier(paper_classes())
-    assert classifier.get("class3").kind == "oltp"
-    with pytest.raises(SchedulingError):
-        classifier.get("nope")
-    assert classifier.class_names == ["class1", "class2", "class3"]
+    sim, engine, patroller, config = make_world()
+    with pytest.raises(SchedulingError, match="at least one service class"):
+        QueryScheduler(sim, engine, patroller, [], config)

@@ -59,9 +59,9 @@ DESCRIPTIONS = {
 }
 
 
-def build(name, **kwargs):
+def build(name):
     bundle = build_bundle(config=default_config())
-    return bundle, make_controller(bundle, name, **kwargs)
+    return bundle, make_controller(bundle, name)
 
 
 class TestNoControl:
@@ -107,14 +107,9 @@ class TestQPPriority:
         with pytest.raises(ConfigurationError):
             make_controller(bundle, "qp")
 
-    def test_requires_positive_limit(self):
-        with pytest.raises(ConfigurationError):
-            build("qp", static_olap_limit=0.0)
-
     def test_describe_reports_priority_state(self):
         assert "priorities on" in build("qp")[1].describe()
         assert "priorities off" in build("qp_nopriority")[1].describe()
-        assert "limit 12345)" in build("qp", static_olap_limit=12_345.0)[1].describe()
 
 
 class TestTable:
@@ -162,7 +157,7 @@ class TestTable:
 
         patroller.subscribe("intercepted", on_intercepted)
         patroller.subscribe("released", lambda q: held.discard(q.query_id))
-        for event in ("cancelled", "rejected", "completed"):
+        for event in ("cancelled", "completed"):
             patroller.subscribe(event, lambda q: (held.discard(q.query_id),
                                                   ended.add(q.query_id)))
         result.bundle.run()

@@ -9,7 +9,6 @@ from repro.config import (
     WorkloadScaleConfig,
     default_config,
 )
-from repro.core.plan import SchedulingPlan
 from repro.core.scheduler import QueryScheduler
 from repro.core.service_class import ResponseTimeGoal, ServiceClass, paper_classes
 from repro.dbms.engine import DatabaseEngine
@@ -23,7 +22,7 @@ from repro.workloads.tpcc import tpcc_mix
 from repro.workloads.tpch import tpch_mix
 
 
-def make_scheduler(initial_plan=None):
+def make_scheduler():
     sim = Simulator()
     config = default_config(
         planner=PlannerConfig(control_interval=10.0),
@@ -34,8 +33,7 @@ def make_scheduler(initial_plan=None):
     engine = DatabaseEngine(sim, config, RandomStreams(17))
     patroller = QueryPatroller(sim, engine, config.patroller)
     classes = list(paper_classes())
-    scheduler = QueryScheduler(sim, engine, patroller, classes, config,
-                               initial_plan=initial_plan)
+    scheduler = QueryScheduler(sim, engine, patroller, classes, config)
     return sim, engine, patroller, scheduler
 
 
@@ -52,12 +50,15 @@ def test_initial_plan_even_split_by_default():
     assert scheduler.plan.total_allocated == pytest.approx(30_000.0)
 
 
-def test_explicit_initial_plan_honoured():
-    plan = SchedulingPlan(
-        {"class1": 5_000.0, "class2": 5_000.0, "class3": 20_000.0}, 30_000.0
-    )
-    sim, engine, patroller, scheduler = make_scheduler(initial_plan=plan)
-    assert scheduler.plan.limit("class3") == 20_000.0
+def test_intercepted_query_lands_in_its_tagged_class_queue():
+    """The submitter's class tag picks the queue: the dispatcher's per-class
+    lookup is the paper's Classifier."""
+    sim, engine, patroller, scheduler = make_scheduler()
+    factory = QueryFactory(engine.estimator, RandomStreams(20))
+    patroller.submit(factory.create(tpch_mix(), "class2", "c0"))
+    sim.run_until(1.0)
+    assert scheduler.dispatcher.class_accounting("class2").enqueued == 1
+    assert scheduler.dispatcher.class_accounting("class1").enqueued == 0
 
 
 def test_double_start_rejected():
@@ -74,6 +75,16 @@ def test_no_classes_rejected():
     patroller = QueryPatroller(sim, engine, config.patroller)
     with pytest.raises(SchedulingError):
         QueryScheduler(sim, engine, patroller, [], config)
+
+
+def test_duplicate_class_names_rejected():
+    sim = Simulator()
+    config = default_config()
+    engine = DatabaseEngine(sim, config, RandomStreams(1))
+    patroller = QueryPatroller(sim, engine, config.patroller)
+    classes = list(paper_classes())
+    with pytest.raises(SchedulingError, match="duplicate"):
+        QueryScheduler(sim, engine, patroller, classes + [classes[0]], config)
 
 
 def test_two_oltp_classes_rejected():
@@ -125,12 +136,12 @@ def test_end_to_end_flow_under_load():
 class TestDetectionWiring:
     def test_enable_detection_attaches_and_triggers(self):
         sim, engine, patroller, scheduler = make_scheduler()
-        detector = scheduler.enable_detection(
-            bucket_seconds=5.0, warmup_buckets=1, min_shift_gap=0.0,
-            shift_factor=1.3,
-        )
-        assert scheduler.detector is detector
         scheduler.start()
+        # Buckets close 5 s off the 10 s control intervals, so an early
+        # re-plan is never within a quarter interval of a scheduled one.
+        sim.run_until(5.0)
+        detector = scheduler.enable_detection()
+        assert scheduler.detector is detector
         factory = QueryFactory(engine.estimator, RandomStreams(19))
         mix = tpcc_mix()
         clients = [
@@ -143,7 +154,7 @@ class TestDetectionWiring:
         for client in clients:
             client.activate()
         sim.run_until(60.0)
-        assert detector.buckets_seen >= 10
+        assert detector.buckets_seen >= 5
         assert len(detector.shifts) >= 1
         assert scheduler.planner.early_triggers >= 1
 
@@ -156,6 +167,6 @@ class TestDetectionWiring:
     def test_enable_after_start_begins_immediately(self):
         sim, engine, patroller, scheduler = make_scheduler()
         scheduler.start()
-        detector = scheduler.enable_detection(bucket_seconds=5.0)
-        sim.run_until(11.0)
+        detector = scheduler.enable_detection()
+        sim.run_until(21.0)
         assert detector.buckets_seen == 2

@@ -79,19 +79,17 @@ class TestPiecewiseLinear:
 
 class TestSigmoid:
     def test_half_weight_at_goal(self):
-        utility = SigmoidUtility(steepness=4.0, epsilon=0.0, importance_base=1.0)
+        utility = SigmoidUtility(importance_base=1.0)
         assert utility.value(1.0, 2) == pytest.approx(1.0)
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
-            SigmoidUtility(steepness=0.0)
-        with pytest.raises(ConfigurationError):
-            SigmoidUtility(epsilon=-1.0)
+            SigmoidUtility(importance_base=0.5)
 
 
 class TestStep:
     def test_jump_at_goal(self):
-        utility = StepUtility(ramp=0.1, importance_base=1.0)
+        utility = StepUtility(importance_base=1.0)
         below = utility.value(0.99, 2)
         at_goal = utility.value(1.0, 2)
         assert at_goal - below > 1.5

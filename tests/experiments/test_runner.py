@@ -103,11 +103,6 @@ class TestMakeController:
         bundle = build_bundle(config=quick_config(), schedule=tiny_schedule())
         assert make_controller(bundle, "qp_nopriority").priorities == {}
 
-    def test_static_olap_limit_override(self):
-        bundle = build_bundle(config=quick_config(), schedule=tiny_schedule())
-        controller = make_controller(bundle, "qp", static_olap_limit=12_345.0)
-        assert controller.global_cost_limit == 12_345.0
-
     def test_unknown_name_rejected(self):
         bundle = build_bundle(config=quick_config(), schedule=tiny_schedule())
         with pytest.raises(ConfigurationError):

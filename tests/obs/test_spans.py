@@ -170,7 +170,7 @@ class TestValidateSpans:
     def test_double_terminal_reported(self):
         spans = [
             span(1, "cancelled", 1.0, 1.0),
-            span(1, "rejected", 2.0, 2.0),
+            span(1, "cancelled", 2.0, 2.0),
         ]
         assert any("terminal markers" in p for p in validate_spans(spans))
 
@@ -184,4 +184,4 @@ class TestValidateSpans:
 
 def test_phase_constants():
     assert PHASES == ("intercept", "queue_wait", "execute")
-    assert TERMINAL_PHASES == ("cancelled", "rejected")
+    assert TERMINAL_PHASES == ("cancelled",)

@@ -86,15 +86,6 @@ class TestHandDrivenLifecycle:
         assert terminal.begin == terminal.end == 3.0
         assert spans[1].end == 3.0  # queue_wait cut at cancellation
 
-    def test_reject_marks_terminal(self, rig):
-        sim, patroller, tracer = rig
-        q = query()
-        patroller.emit("submitted", q)
-        sim.now = 0.25
-        patroller.emit("rejected", q)
-        assert [s.phase for s in tracer.spans_for(1)] == ["intercept", "rejected"]
-        assert tracer.balanced
-
     def test_bypassed_class_produces_no_spans(self, rig):
         sim, patroller, tracer = rig
         q = query(qid=2, class_name="class3")

@@ -156,6 +156,9 @@ HUGE = "1" + "0" * 400
 TOO_LARGE = "-bit integer is too large for a float"
 
 
+PERIODS_BOUND = "schedule.num_periods must be in [1, 10000]"
+
+
 class TestMalformedScenarioFiles:
     @pytest.mark.parametrize("line, message", [
         pytest.param("seed: seven", "seed must be an integer", id="seed: seven"),
@@ -164,6 +167,11 @@ class TestMalformedScenarioFiles:
                      id="huge-period-seconds"),
         pytest.param("  num_periods: " + HUGE, "schedule.num_periods: a 1329" + TOO_LARGE,
                      id="huge-num-periods"),
+        # A count a float holds still builds per-period lists; the bound
+        # refuses it before they are built.
+        pytest.param("  num_periods: 100000000000000000000", PERIODS_BOUND,
+                     id="num-periods-1e20"),
+        pytest.param("  num_periods: 10001", PERIODS_BOUND, id="num-periods-over-bound"),
         pytest.param("  importance: " + HUGE, "classes[0].importance: a 1329" + TOO_LARGE,
                      id="huge-importance"),
         pytest.param("    velocity: " + HUGE, "classes[0].goal.velocity: a 1329" + TOO_LARGE,

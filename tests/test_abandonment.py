@@ -1,4 +1,4 @@
-"""Tests for query cancellation (QP cancel command) and client abandonment."""
+"""Tests for query cancellation (QP cancel command) and abandonment."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.patroller.policy import QPStaticPolicy
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.client import ClosedLoopClient
-from repro.workloads.spec import QueryFactory, QueryTemplate, WorkloadMix
+from repro.workloads.spec import QueryFactory
 from tests.conftest import patroller_dispatcher
 
 
@@ -217,58 +217,15 @@ class TestQueueSkipping:
         assert policy.queued == 0
 
 
-class TestClientPatience:
-    def _client(self, patience):
-        sim, engine, patroller = make_stack()
-        factory = QueryFactory(engine.estimator, RandomStreams(52))
-        mix = WorkloadMix(
-            "m", [QueryTemplate("t", "olap", cpu_demand=1.0, io_demand=0.5,
-                                variability=0.0)]
-        )
-        client = ClosedLoopClient(
-            sim, patroller, factory, mix, "class1", "c0",
-            think_time=0.0, patience=patience,
-        )
-        return sim, engine, patroller, client
-
-    def test_impatient_client_abandons_held_queries(self):
-        sim, engine, patroller, client = self._client(patience=2.0)
-        patroller.set_release_handler(lambda q: None)  # nothing ever releases
-        client.activate()
-        sim.run_until(10.0)
-        assert client.queries_abandoned >= 4
-        assert client.queries_completed == 0
-        # The client keeps resubmitting after each abandonment.
-        assert client.queries_submitted == client.queries_abandoned + 1
-
-    def test_patient_enough_client_completes(self):
-        sim, engine, patroller, client = self._client(patience=60.0)
-        patroller.set_release_handler(patroller.release)
-        client.activate()
-        sim.run_until(10.0)
-        assert client.queries_abandoned == 0
-        assert client.queries_completed > 0
-
-    def test_patience_ignores_released_queries(self):
-        """A query that got released before the patience timer is left to
-        finish normally."""
-        sim, engine, patroller, client = self._client(patience=0.5)
-        patroller.set_release_handler(patroller.release)  # instant release
-        client.activate()
-        sim.run_until(5.0)
-        assert client.queries_abandoned == 0
-        assert client.queries_completed >= 3
-
-    def test_invalid_patience(self):
-        with pytest.raises(ValueError):
-            self._client(patience=0.0)
-
-
 def test_abandonment_under_query_scheduler_end_to_end():
-    """Full-stack: impatient clients + QS; the system keeps functioning and
-    cancelled queries never corrupt the dispatcher accounting."""
-    from repro.core.scheduler import QueryScheduler
+    """Full-stack: scheduled cancel storms + QS; the system keeps functioning
+    and cancelled queries never corrupt the dispatcher accounting."""
+    from types import SimpleNamespace
+
     from repro.config import MonitorConfig, PlannerConfig
+    from repro.core.scheduler import QueryScheduler
+    from repro.faults import FaultInjector, ScheduledFault
+    from repro.workloads.tpch import tpch_mix
 
     sim = Simulator()
     config = default_config(
@@ -280,22 +237,30 @@ def test_abandonment_under_query_scheduler_end_to_end():
     classes = list(paper_classes())
     scheduler = QueryScheduler(sim, engine, patroller, classes, config)
     factory = QueryFactory(engine.estimator, RandomStreams(54))
-    from repro.workloads.tpch import tpch_mix
-
     clients = [
         ClosedLoopClient(sim, patroller, factory, tpch_mix(), "class1",
-                         "c{}".format(i), patience=15.0)
+                         "c{}".format(i))
         for i in range(6)
     ]
+    injector = FaultInjector(SimpleNamespace(
+        sim=sim, patroller=patroller, factory=factory, controller=scheduler
+    ))
+    for at in (15.0, 45.0, 75.0, 105.0):
+        injector.apply(ScheduledFault(
+            "cancel_storm", at=at, params={"class_name": "class1", "fraction": 0.5}
+        ))
     scheduler.start()
     for client in clients:
         client.activate()
     sim.run_until(120.0)
-    abandoned = sum(c.queries_abandoned for c in clients)
+    abandoned = sum(entry["cancelled"] for entry in injector.injected)
     completed = sum(c.queries_completed for c in clients)
+    assert len(injector.injected) == 4
+    assert abandoned > 0
     assert completed > 0
     # Accounting stayed consistent despite any abandonments.
     assert scheduler.dispatcher.class_accounting("class1").in_flight_count >= 0
     assert scheduler.dispatcher.class_accounting("class1").in_flight_cost >= 0.0
+    assert scheduler.dispatcher.class_accounting("class1").queue_cancelled == abandoned
     assert engine.completed_queries == completed
     assert abandoned + completed <= sum(c.queries_submitted for c in clients)

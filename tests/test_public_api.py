@@ -108,3 +108,55 @@ def test_controller_names_match_runner():
         assert hasattr(controller, "start")
         assert hasattr(controller, "describe")
         assert controller.describe()
+
+
+#: Values no entry point sets are module constants, not arguments.
+CONSTANT_NOT_ARGUMENT = [
+    ("repro.workloads.client", "ClosedLoopClient", ("patience",)),
+    ("repro.patroller.policy", "QPStaticPolicy", ("max_query_cost",)),
+    ("repro.core.mpl", "MPLController", (
+        "initial_mpl", "min_mpl", "max_mpl", "decrease_factor", "snapshot_staleness",
+    )),
+    ("repro.core.detection", "WorkloadDetector", (
+        "bucket_seconds", "ewma_alpha", "shift_factor", "warmup_buckets", "min_shift_gap",
+    )),
+    ("repro.core.scheduler", "QueryScheduler", ("initial_plan",)),
+    ("repro.core.utility", "SigmoidUtility", ("steepness", "epsilon")),
+    ("repro.core.utility", "StepUtility", ("ramp",)),
+    ("repro.patroller.policy", "percentile_thresholds", (
+        "large_fraction", "medium_fraction",
+    )),
+    ("repro.patroller.policy", "standard_groups", (
+        "small_slots", "medium_slots", "large_slots",
+    )),
+    ("repro.core.service_class", "paper_classes", (
+        "class1_goal", "class2_goal", "class3_goal",
+    )),
+    ("repro.experiments.runner", "make_controller", ("static_olap_limit",)),
+]
+
+
+@pytest.mark.parametrize("module, name, gone", CONSTANT_NOT_ARGUMENT)
+def test_constants_are_not_arguments(module, name, gone):
+    parameters = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+    assert not set(gone) & set(parameters)
+
+
+def test_removed_behaviours_are_not_reachable():
+    from repro.core.planner import SchedulingPlanner
+    from repro.core.scheduler import QueryScheduler
+    from repro.dbms.query import QueryState
+    from repro.experiments.runner import ExperimentSpec
+    from repro.patroller.patroller import LIFECYCLE_EVENTS, QueryPatroller
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.core.classifier")
+    assert "Classifier" not in importlib.import_module("repro.core").__all__
+    assert not hasattr(QueryPatroller, "reject")
+    assert "rejected" not in LIFECYCLE_EVENTS
+    assert "REJECTED" not in QueryState.__members__
+    assert list(inspect.signature(QueryScheduler.enable_detection).parameters) == ["self"]
+    assert list(inspect.signature(SchedulingPlanner.trigger_early).parameters) == ["self"]
+    assert not hasattr(importlib.import_module("repro.core.detection").WorkloadDetector,
+                       "forecast_rate")
+    assert "static_olap_limit" not in inspect.signature(ExperimentSpec).parameters
