@@ -18,6 +18,12 @@ further apart than the parent's spread").  Exit code 1 when
 ``result_digest``, attempted or failed differ between the sides (the change
 moved a simulated fact) or a run failed its own checks; speed is no gate.
 
+The header names what moves ``setup_s`` outside the code, since both
+sides inherit it from this shell: ``OPENBLAS_NUM_THREADS`` and the CPU
+affinity.  With the variable unset and two or more CPUs, numpy's OpenBLAS
+would start a spinning worker pool at import, unless the package sets the
+variable itself; a preset value or a one-CPU affinity hides that difference.
+
 Refuses to start while another measuring run is alive (``pgrep -f
 perf/measure.py``): with two cores a second run skews every number.  Refuses
 too when one checkout holds compiled bytecode under ``src/`` or ``perf/`` and
@@ -53,6 +59,21 @@ def cached_bytecode(directory):
             if any(name.endswith(".pyc") for name in files):
                 return True
     return False
+
+
+def host_header():
+    """The inherited settings that move ``setup_s``, as one line."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        affinity = "{} ({} CPU{})".format(
+            ",".join(map(str, cpus)), len(cpus), "" if len(cpus) == 1 else "s"
+        )
+    except AttributeError:  # no sched_getaffinity on this platform
+        affinity = "unknown"
+    return "inherited by both sides: OPENBLAS_NUM_THREADS={}, CPU affinity {}".format(
+        "unset" if threads is None else repr(threads), affinity
+    )
 
 
 def one_run(directory, workload, seed, smoke):
@@ -104,6 +125,7 @@ def main(argv=None):
     with open(os.path.join(args.parent_dir, "BENCHMARK.json")) as handle:
         declared = json.load(handle)["end_to_end"]
 
+    print(host_header(), flush=True)
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):

@@ -15,10 +15,21 @@ Quick start::
 
 Every package's exports resolve on first use (:func:`lazy_exports`):
 ``import repro`` loads nothing else, and a run loads what it executes.
+
+Importing ``repro`` sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already
+set.  No simulation path calls BLAS, but on a multi-CPU host the OpenBLAS
+inside numpy's wheel starts an idle worker pool when numpy is imported, and
+that pool spins: about as much CPU again as the import itself.  Set the
+variable before importing ``repro`` (or numpy) to choose another count.
 """
 
 import importlib
+import os
 import sys
+
+# Before any module of the package can import numpy; a value the caller set
+# is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def lazy_exports(package, exports):

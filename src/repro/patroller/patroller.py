@@ -320,9 +320,10 @@ class QueryPatroller:
         statements whose agent unblock is still in flight (the release
         latency window); once execution begins the request is refused
         (returns False).  A cancelled query never reaches the engine: its
-        state becomes CANCELLED, its control-table row closes, and every
+        state becomes CANCELLED, its control-table row closes, every
         ``cancelled`` subscriber is notified so accounting layers
-        (dispatcher, static policy) release what they hold for it.
+        (dispatcher, static policy) release what they hold for it, and
+        then its submitter's ``on_complete`` ends the wait for it.
         """
         if not self._holds(query):
             pending = self._pending_release.pop(query.query_id, None)
@@ -334,6 +335,8 @@ class QueryPatroller:
         self.tables.close(query)
         for listener in self._route("cancelled", query.class_name):
             listener(query)
+        if query.on_complete is not None:
+            query.on_complete(query)
         return True
 
     def _holds(self, query: Query) -> bool:

@@ -2,18 +2,18 @@
 
 "Each client submitted queries one after another with zero think time"
 (Section 4).  A :class:`ClosedLoopClient` keeps exactly one statement in the
-system at a time: it submits, waits for the completion callback, optionally
-thinks, and submits again.  Clients are activated and deactivated by the
-period schedule; a deactivated client finishes its in-flight statement and
-then goes idle, which is how "workload intensity was controlled by the
-number of clients".
+system at a time: it submits, waits for the completion callback (or QP's
+cancellation of the statement), optionally thinks, and submits again.
+Clients are activated and deactivated by the period schedule; a deactivated
+client finishes its in-flight statement and then goes idle, which is how
+"workload intensity was controlled by the number of clients".
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.dbms.query import Query
+from repro.dbms.query import COMPLETED, Query
 from repro.patroller.patroller import QueryPatroller
 from repro.runtime import TimerService
 from repro.workloads.spec import QueryFactory, WorkloadMix
@@ -74,10 +74,13 @@ class ClosedLoopClient:
         self.patroller.submit(query)
 
     def _on_complete(self, query: Query) -> None:
+        # Also the end of a statement QP cancelled: the client stops
+        # waiting for it and goes on, but it did not complete.
         self._in_flight = None
-        self.queries_completed += 1
-        if self.on_query_complete is not None:
-            self.on_query_complete(query)
+        if query.state is COMPLETED:
+            self.queries_completed += 1
+            if self.on_query_complete is not None:
+                self.on_query_complete(query)
         if not self.active:
             return
         if self.think_time > 0:

@@ -1,5 +1,6 @@
 """``scripts/ab_pairs.py`` refuses to compare checkouts with unequal bytecode
-caches, before any benchmark runs, and agrees with itself on one smoke pair."""
+caches, before any benchmark runs, names the inherited settings that move
+``setup_s``, and agrees with itself on one smoke pair."""
 
 import importlib.util
 import shutil
@@ -89,5 +90,21 @@ def test_one_smoke_pair_of_two_alike_copies_agrees(tmp_path, monkeypatch, capsys
     code = module.main(sides + ["--workload", "paper_qs", "--seed", "3", "--pairs", "1", "--smoke"])
     out = capsys.readouterr().out
     assert code == 0, out
+    assert out.splitlines()[0] == module.host_header()
     assert "(result_digest, attempted, failed): equal on both sides" in out
     assert "CHECKS FAILED" not in out
+
+
+@pytest.mark.parametrize("preset", [None, "4"])
+def test_the_header_names_the_inherited_thread_count_and_affinity(monkeypatch, preset):
+    module = load_script()
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    header = module.host_header()
+    expected = "unset" if preset is None else "'4'"
+    assert header.startswith("inherited by both sides: OPENBLAS_NUM_THREADS={}, ".format(expected))
+    if hasattr(module.os, "sched_getaffinity"):
+        cpus = len(module.os.sched_getaffinity(0))
+        assert header.endswith("({} CPU{})".format(cpus, "" if cpus == 1 else "s"))

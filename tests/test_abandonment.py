@@ -264,3 +264,53 @@ def test_abandonment_under_query_scheduler_end_to_end():
     assert scheduler.dispatcher.class_accounting("class1").queue_cancelled == abandoned
     assert engine.completed_queries == completed
     assert abandoned + completed <= sum(c.queries_submitted for c in clients)
+
+
+def test_a_cancelled_statement_ends_its_clients_wait():
+    """A client whose statement a cancel storm cancels submits its next
+    one, as after a completion, and does not count the cancelled one as
+    completed.  (It used to keep the cancelled statement in flight and
+    never submit again: the storm removed it from the population.)"""
+    from types import SimpleNamespace
+
+    from repro.config import MonitorConfig, PlannerConfig
+    from repro.core.scheduler import QueryScheduler
+    from repro.faults import FaultInjector, ScheduledFault
+    from repro.workloads.tpch import tpch_mix
+
+    sim = Simulator()
+    config = default_config(
+        planner=PlannerConfig(control_interval=10.0),
+        monitor=MonitorConfig(snapshot_interval=5.0),
+    )
+    engine = DatabaseEngine(sim, config, RandomStreams(53))
+    patroller = QueryPatroller(sim, engine, config.patroller)
+    scheduler = QueryScheduler(sim, engine, patroller, list(paper_classes()), config)
+    factory = QueryFactory(engine.estimator, RandomStreams(54))
+    clients = [
+        ClosedLoopClient(sim, patroller, factory, tpch_mix(), "class1", "c{}".format(i))
+        for i in range(6)
+    ]
+    cancelled = []
+    patroller.subscribe("cancelled", cancelled.append)
+    injector = FaultInjector(SimpleNamespace(
+        sim=sim, patroller=patroller, factory=factory, controller=scheduler
+    ))
+    injector.apply(ScheduledFault(
+        "cancel_storm", at=15.0, params={"class_name": "class1", "fraction": 0.5}
+    ))
+    scheduler.start()
+    for client in clients:
+        client.activate()
+    sim.run_until(20.0)
+    submitted_after_storm = [client.queries_submitted for client in clients]
+    sim.run_until(300.0)
+
+    assert injector.injected[0]["cancelled"] == len(cancelled) > 0
+    for client, before in zip(clients, submitted_after_storm):
+        assert client.queries_submitted > before + 2, client.client_id
+        mine = sum(query.client_id == client.client_id for query in cancelled)
+        assert client.queries_submitted == (
+            client.queries_completed + mine + (1 if client.busy else 0)
+        )
+    assert engine.completed_queries == sum(c.queries_completed for c in clients)
