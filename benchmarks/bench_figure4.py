@@ -9,14 +9,14 @@ Only the system cost limit is enforced.  Paper claims reproduced:
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure4
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import attainment_table, period_table
 
 HEAVY_PERIODS = (3, 6, 9, 12, 15, 18)
 
 
 def test_no_class_control(report, paper_config):
-    result = figure4(paper_config)
+    result = run_spec(ExperimentSpec(controller="none", config=paper_config))
     report("")
     report(
         period_table(

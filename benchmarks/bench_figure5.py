@@ -11,14 +11,14 @@ Paper claims reproduced:
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure5
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import attainment_table, period_table
 
 HEAVY_PERIODS = (3, 6, 9, 12, 15, 18)
 
 
 def test_qp_priority_control(report, paper_config):
-    result = figure5(paper_config, priority_control=True)
+    result = run_spec(ExperimentSpec(controller="qp", config=paper_config))
     report("")
     report(
         period_table(
@@ -51,7 +51,7 @@ def test_qp_priority_control(report, paper_config):
 def test_qp_without_priorities_resembles_no_control(report, paper_config):
     """Section 4.2.2: 'the performance was similar to the case with no
     control' when priority control is off."""
-    result = figure5(paper_config, priority_control=False)
+    result = run_spec(ExperimentSpec(controller="qp_nopriority", config=paper_config))
     report("")
     report(
         period_table(

@@ -11,7 +11,7 @@ Paper claims reproduced:
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure6
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import attainment_table, period_table
 
 HEAVY = (3, 6, 9, 12, 15, 18)
@@ -20,7 +20,7 @@ LIGHT = (1, 4, 7, 10, 13, 16)
 
 
 def test_query_scheduler_control(report, paper_config):
-    result = figure6(paper_config)
+    result = run_spec(ExperimentSpec(controller="qs", config=paper_config))
     report("")
     report(
         period_table(

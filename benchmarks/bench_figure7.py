@@ -14,7 +14,7 @@ Paper claims reproduced:
 
 from __future__ import annotations
 
-from repro.experiments.figures import figure6, figure7
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import plan_table
 
 HEAVY = (3, 6, 9, 12, 15, 18)
@@ -34,8 +34,10 @@ def _end_of_period_limits(result, class_name):
 
 
 def test_cost_limit_adjustment(report, paper_config):
-    result = figure6(paper_config)
-    plans = figure7(result=result)
+    result = run_spec(ExperimentSpec(controller="qs", config=paper_config))
+    plans = {
+        c.name: result.collector.plan_period_means(c.name) for c in result.classes
+    }
     report("")
     report(
         plan_table(

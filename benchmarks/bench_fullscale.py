@@ -10,7 +10,7 @@ control loop's lag shrinks relative to the period length).
 from __future__ import annotations
 
 from repro.config import WorkloadScaleConfig, default_config
-from repro.experiments.figures import figure6
+from repro.experiments.runner import ExperimentSpec, run_spec
 from repro.metrics.report import attainment_table
 
 HEAVY = (3, 6, 9, 12, 15, 18)
@@ -21,7 +21,7 @@ def test_fullscale_paper_periods(report):
     config = default_config(
         scale=WorkloadScaleConfig(period_seconds=480.0, num_periods=18)
     )
-    result = figure6(config)
+    result = run_spec(ExperimentSpec(controller="qs", config=config))
     report("")
     report("=== Full scale: 18 x 480s periods (the paper's dimensions) ===")
     report(attainment_table(result.collector, result.classes).text())

@@ -5,22 +5,25 @@ Subcommands::
     python -m repro run        # run a controller on the paper workload
     python -m repro run --scenario flash-crowd   # ... or on a named scenario
     python -m repro run --dashboard              # ... streaming a live dashboard
-    python -m repro serve      # run + live dashboard, held open until Ctrl-C
+    python -m repro spans      # lifecycle span tables of a saved trace
     python -m repro scenarios  # list / validate the YAML scenario library
     python -m repro calibrate  # throughput-vs-system-cost-limit sweep
-    python -m repro figure     # regenerate one of the paper's figures
-    python -m repro trace      # run the Query Scheduler, dump telemetry JSONL
-    python -m repro check      # run with the invariant harness in strict mode
+    python -m repro figure     # Figure 2 or 3 (4-7 are runs)
     python -m repro replicate  # multi-seed controller comparison (--jobs N)
     python -m repro sweep      # config-field sensitivity sweep (--jobs N)
+    python -m repro train      # fit a learned model from telemetry JSONL
+    python -m repro ablate-models  # scenario replay per performance model
 
-Every command prints the same ASCII tables the ``benchmarks/`` suite uses, so
-the CLI is the quickest way to poke at the system without writing code.
-``replicate`` and ``sweep`` fan their runs over worker processes with
-``--jobs`` (0 = one per CPU); results are identical at any worker count.
-``--dashboard`` (or ``serve``) attaches the stdlib-only live telemetry
-hub and serves it over HTTP: ``/`` (the embedded dashboard), ``/events``
-(SSE), ``/api/snapshot`` and ``/metrics``.
+One experiment is one ``run``: its options pick what it writes
+(``--output`` .json / .csv / .jsonl telemetry, ``--trace-events``), what
+watches it (``--invariants``, ``--dashboard``) and how long the dashboard
+stays up afterwards (``--linger``).  Every command prints the same ASCII
+tables the ``benchmarks/`` suite uses.  ``replicate`` and ``sweep`` fan
+their runs over worker processes with ``--jobs`` (0 = one per CPU);
+results are identical at any worker count.  ``--dashboard`` attaches the
+stdlib-only live telemetry hub and serves it over HTTP: ``/`` (the
+embedded dashboard), ``/events`` (SSE), ``/api/snapshot`` and
+``/metrics``.
 """
 
 from __future__ import annotations
@@ -49,14 +52,9 @@ from repro.metrics.report import (
     Table,
     calibration_table,
     fault_table,
-    invariant_table,
-    period_table,
-    plan_table,
-    render_series_chart,
     run_tables,
     series_table,
     span_tables,
-    telemetry_tables,
 )
 from repro.runtime import BACKEND_NAMES
 
@@ -93,9 +91,9 @@ def _sweep_value(text: str):
 def _build_config(args: argparse.Namespace):
     """The configuration the scale options describe.
 
-    Only ``run``/``serve`` leave those options unset (``None``): their
-    defaults depend on the backend — the sim runs minutes of virtual time
-    for free, the sqlite backend burns real wall-clock.
+    The options default to ``None``, resolved here: the defaults depend on
+    the backend — the sim runs minutes of virtual time for free, the
+    sqlite backend burns real wall-clock.
     """
     sim = (vars(args).get("backend") or "sim") == "sim"
     defaults = (9, 120.0, 60.0) if sim else (3, 2.0, 1.0)
@@ -125,13 +123,13 @@ def _spec_from_args(
     base: Optional[ExperimentSpec] = None,
     **fields,
 ) -> ExperimentSpec:
-    """The one args -> ``ExperimentSpec`` mapping every run-like subcommand uses.
+    """The one args -> ``ExperimentSpec`` mapping of ``run``, sharded or not.
 
     Without ``base`` the spec is the paper workload at the scale options'
     size.  ``base`` is a compiled scenario spec, which owns everything the
     explicit ``--backend``/``--horizon``/``--model`` flags do not override.
-    ``fields`` are what the subcommand itself fixes (``spans`` always
-    traces, ``check`` takes its mode from ``--mode``).
+    ``fields`` are what the caller fixes on top (``tracing`` for
+    ``--trace-events``).
     """
     option = vars(args).get
     if base is None:
@@ -161,7 +159,7 @@ def _start_live(args: argparse.Namespace):
     ``--port-file`` writes the bound port for harnesses that need to find
     the server.
     """
-    if not getattr(args, "dashboard", False):
+    if not args.dashboard:
         return None
     from repro.obs.live import LiveServer, TelemetryHub
 
@@ -249,12 +247,32 @@ def _cmd_run_sharded(args: argparse.Namespace, scenario) -> int:
     return 0 if result.ok else 1
 
 
+def _refuse_scenario_overrides(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse any of ``flags`` given next to ``--scenario``, which owns what they set."""
+    given = [f for f in flags if vars(args)[f[2:].replace("-", "_")] is not None]
+    if given:
+        raise errors.ConfigurationError(
+            "{} conflict with --scenario: the scenario file owns "
+            "them".format(", ".join(given))
+        )
+
+
 def _check_numeric_flags(args: argparse.Namespace) -> None:
-    """Refuse an out-of-range ``--shards``/``--port``/``--linger``/``--top``
-    before anything runs (a negative ``--linger`` still means "until
-    Ctrl-C")."""
+    """Refuse an out-of-range ``--shards``/``--port``/``--linger``/``--top``/
+    ``--period-seconds``/``--clients`` before anything runs (a negative
+    ``--linger`` still means "until Ctrl-C")."""
     option = vars(args).get
-    shards, port, linger, top = (option(n) for n in ("shards", "port", "linger", "top"))
+    shards, port, linger, top, period_seconds, clients = (
+        option(n)
+        for n in ("shards", "port", "linger", "top", "period_seconds", "clients")
+    )
+    if period_seconds is not None and not 0 < period_seconds < math.inf:
+        raise errors.ConfigurationError(
+            "--period-seconds sets period_seconds, which must be positive and "
+            "finite; got {}".format(period_seconds)
+        )
+    if clients is not None and clients < 1:
+        raise errors.ConfigurationError("--clients must be >= 1, got {}".format(clients))
     if shards is not None and shards < 1:
         raise errors.ConfigurationError("--shards must be >= 1, got {}".format(shards))
     if port is not None and not 0 <= port <= 65535:
@@ -316,24 +334,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if scenario is None:
         spec = _spec_from_args(args, tracing=tracing)
     else:
-        conflicting = [
-            flag
-            for flag, value in (
-                ("--periods", args.periods),
-                ("--period-seconds", args.period_seconds),
-                ("--control-interval", args.control_interval),
-            )
-            if value is not None
-        ]
-        if conflicting:
-            print(
-                "{} conflict with --scenario (the scenario owns the "
-                "schedule; use 'control:' overrides in the file)".format(
-                    ", ".join(conflicting)
-                ),
-                file=sys.stderr,
-            )
-            return 2
+        _refuse_scenario_overrides(
+            args, "--periods", "--period-seconds", "--control-interval"
+        )
         from repro.scenarios import to_experiment_spec
 
         spec = _spec_from_args(
@@ -360,7 +363,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         if scenario.description:
             print(scenario.description.strip())
+    if (args.output or "").endswith(".jsonl") and (
+        spec.controller not in PLANNER_CONTROLLER_NAMES
+    ):
+        raise errors.ConfigurationError(
+            "--output {} writes control-interval telemetry, which only a "
+            "planner-based controller ({}) records; controller {!r} has "
+            "none".format(
+                args.output, ", ".join(PLANNER_CONTROLLER_NAMES), spec.controller
+            )
+        )
     result = run_spec(spec, hub=_start_live(args))
+    harness = result.extras.get("validation")
+    if harness is not None and not harness.checks_run:
+        # A clean table over zero checks would claim a success nothing earned.
+        raise errors.ConfigurationError(
+            "no invariant check ran: the {:g} s control interval never came "
+            "up within the {:g} s horizon; pass a shorter --control-interval".format(
+                spec.config.planner.control_interval,
+                result.bundle.schedule.horizon if spec.horizon is None else spec.horizon,
+            )
+        )
     if args.output:
         save_result(result, args.output)
         print("wrote {}".format(args.output))
@@ -377,32 +400,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(result.bundle.controller.describe())
     _print_tables(run_tables(result))
     _linger_live(args)
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: a run with the dashboard on, held open afterwards."""
-    args.dashboard = True
-    if args.linger == 0:
-        args.linger = -1.0  # serve until Ctrl-C unless told otherwise
-    return _cmd_run(args)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    result = run_spec(_spec_from_args(args))
-    store = result.extras["telemetry"]  # --controller only offers planner-based ones
-    if args.output:
-        store.save_jsonl(args.output, overwrite=True)
-        print("wrote {} ({} control intervals)".format(args.output, len(store)))
-    else:
-        sys.stdout.write(store.to_jsonl())
-    if args.summary:
-        tables = telemetry_tables(store)
-        harness = result.extras.get("validation")
-        if harness is not None:
-            tables.append(invariant_table(harness))
-        _print_tables(tables)
-    return 0
+    return 1 if harness is not None and harness.violations else 0
 
 
 def _cmd_spans(args: argparse.Namespace) -> int:
@@ -413,19 +411,8 @@ def _cmd_spans(args: argparse.Namespace) -> int:
         validate_spans,
     )
 
-    if args.input is not None:
-        spans = load_spans(args.input)
-        print("loaded {} spans from {}".format(len(spans), args.input))
-    else:
-        result = run_spec(_spec_from_args(args, tracing=True))
-        tracer = result.extras["tracer"]
-        tracer.assert_balanced()
-        spans = tracer.spans
-        print(
-            "traced {} spans across {} queries (balanced)".format(
-                len(spans), len({s.query_id for s in spans})
-            )
-        )
+    spans = load_spans(args.input)
+    print("loaded {} spans from {}".format(len(spans), args.input))
     problems = validate_spans(spans)
     if problems:
         for problem in problems:
@@ -530,37 +517,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import build_bundle, make_controller
-    from repro.validation import ControlLoopWorld, core_invariants
-
-    if args.list:
-        bundle = build_bundle(config=_build_config(args))
-        make_controller(bundle, args.controller)
-        registry = core_invariants(ControlLoopWorld.from_bundle(bundle))
-        print(Table(
-            [Column(name) for name in ("invariant", "severity", "message")],
-            [[i.name, i.severity.name, i.message] for i in registry],
-        ).text())
-        return 0
-    spec = _spec_from_args(args, invariants=args.mode)
-    result = run_spec(spec)
-    harness = result.extras["validation"]
-    if not harness.checks_run:
-        # A clean table over zero checks would claim a success nothing earned.
-        horizon = spec.horizon
-        if horizon is None:
-            horizon = result.bundle.schedule.horizon
-        raise errors.ConfigurationError(
-            "no invariant check ran: the {:g} s control interval never came "
-            "up within the {:g} s horizon; pass a shorter --control-interval".format(
-                spec.config.planner.control_interval, horizon
-            )
-        )
-    print(invariant_table(harness).text())
-    return 1 if harness.violations else 0
-
-
 def _progress_printer(args: argparse.Namespace):
     """A run_requests progress hook printing one stderr line per run."""
     if args.quiet:
@@ -617,11 +573,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.scenario:
         from repro.scenarios import find_scenario, to_experiment_spec
 
+        _refuse_scenario_overrides(
+            args, "--controller", "--periods", "--period-seconds",
+            "--control-interval", "--seed",
+        )
         scenario = find_scenario(args.scenario)
         base = dict(base_spec=to_experiment_spec(scenario, smoke=args.smoke))
         print("sweeping {} over scenario '{}'".format(args.path, scenario.name))
     else:
-        base = dict(controller=args.controller, config=_build_config(args))
+        base = dict(controller=args.controller or "qs", config=_build_config(args))
     entries = sweep(
         args.path,
         args.values,
@@ -670,29 +630,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             counts, title="Figure 3: clients per period", digits=0
         ).text())
         return 0
-    if number in (4, 5, 6, 7):
-        controller = {4: "none", 5: "qp", 6: "qs", 7: "qs"}[number]
-        result = run_spec(_spec_from_args(args, controller=controller))
-        print(period_table(
-            result.collector, result.classes,
-            title="Figure {}: controller={}".format(number, controller),
-        ).text())
-        print()
-        print(render_series_chart(
-            {c.name: result.collector.performance_series(c) for c in result.classes},
-            goal_lines={c.name: c.goal.target for c in result.classes},
-            title="goal metrics per period (velocity / seconds)",
-        ))
-        if number == 7:
-            print()
-            print(plan_table(
-                result.collector,
-                [c.name for c in result.classes],
-                title="Figure 7: class cost limits (period means)",
-            ).text())
-        return 0
-    print("unknown figure {}; expected 2-7".format(number), file=sys.stderr)
-    return 2
+    controller = {4: "none", 5: "qp", 6: "qs", 7: "qs"}.get(number)
+    if controller is None:
+        raise errors.ConfigurationError(
+            "unknown figure {}; expected 2 or 3 (figures 4-7 are runs: repro "
+            "run --controller none|qp|qs)".format(number)
+        )
+    raise errors.ConfigurationError(
+        "figure {} is one run: repro run --controller {}".format(number, controller)
+    )
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -760,17 +706,29 @@ def _cmd_ablate_models(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.reportgen import quick_report_config, write_report
+def _scale_args(parser: argparse.ArgumentParser) -> None:
+    """The run-size options; ``None`` until ``_build_config`` resolves them."""
+    parser.add_argument("--periods", type=int, default=None)
+    parser.add_argument("--period-seconds", type=float, default=None)
+    parser.add_argument("--control-interval", type=float, default=None)
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="RNG seed (default 7, or the scenario's own seed)",
+    )
 
-    config = quick_report_config().with_updates(seed=args.seed)
-    text = write_report(args.output, config=config)
-    print("wrote {} ({} lines)".format(args.output, text.count("\n") + 1))
-    return 0
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of 'Adapting Mixed Workloads to Meet SLOs "
+                    "in Autonomic DBMSs' (ICDE 2007)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-def _add_run_arguments(run_parser: argparse.ArgumentParser) -> None:
-    """The full ``run`` option set (shared verbatim by ``serve``)."""
+    run_parser = sub.add_parser(
+        "run",
+        help="run a controller on the paper workload or a YAML scenario",
+    )
     run_parser.add_argument("--controller", choices=CONTROLLER_NAMES, default="qs")
     run_parser.add_argument(
         "--scenario", default=None, metavar="NAME|PATH",
@@ -792,21 +750,17 @@ def _add_run_arguments(run_parser: argparse.ArgumentParser) -> None:
         "--horizon", type=float, default=None, metavar="SECONDS",
         help="stop the run at this time instead of the schedule horizon",
     )
-    run_parser.add_argument("--periods", type=int, default=None)
-    run_parser.add_argument("--period-seconds", type=float, default=None)
-    run_parser.add_argument("--control-interval", type=float, default=None)
+    _scale_args(run_parser)
     run_parser.add_argument(
-        "--seed", type=int, default=None,
-        help="RNG seed (default 7, or the scenario's own seed)",
-    )
-    run_parser.add_argument(
-        "--output", default=None,
-        help="write results to a .json or .csv file",
+        "--output", default=None, metavar="PATH",
+        help="write results to a .json or .csv file, or the control-"
+             "interval telemetry (planner-based controllers) to a .jsonl file",
     )
     run_parser.add_argument(
         "--invariants", choices=("off", "warn", "strict"), default=None,
         help="runtime invariant checking at every control interval "
-             "(default off, or the scenario's own mode)",
+             "(default off, or the scenario's own mode); exit 1 on any "
+             "violation",
     )
     run_parser.add_argument(
         "--model", default=None, metavar="SPEC",
@@ -817,7 +771,8 @@ def _add_run_arguments(run_parser: argparse.ArgumentParser) -> None:
     )
     run_parser.add_argument(
         "--trace-events", default=None, metavar="PATH",
-        help="trace query lifecycles, write Chrome trace-event JSON here",
+        help="trace query lifecycles, write Chrome trace-event JSON here "
+             "(read it back with 'repro spans')",
     )
     run_parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -859,61 +814,19 @@ def _add_run_arguments(run_parser: argparse.ArgumentParser) -> None:
     run_parser.add_argument(
         "--linger", type=float, default=0.0, metavar="SECONDS",
         help="keep serving the dashboard this long after the run finishes "
-             "(negative = until Ctrl-C; 'serve' defaults to that)",
+             "(negative = until Ctrl-C)",
     )
-
-
-def _scale_args(
-    parser: argparse.ArgumentParser,
-    periods: int = 9,
-    period_seconds: float = 120.0,
-    control_interval: float = 60.0,
-) -> None:
-    """The run-size options of a subcommand whose defaults are fixed."""
-    parser.add_argument("--periods", type=int, default=periods)
-    parser.add_argument("--period-seconds", type=float, default=period_seconds)
-    parser.add_argument("--control-interval", type=float, default=control_interval)
-    parser.add_argument("--seed", type=int, default=7)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of 'Adapting Mixed Workloads to Meet SLOs "
-                    "in Autonomic DBMSs' (ICDE 2007)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = sub.add_parser(
-        "run",
-        help="run a controller on the paper workload or a YAML scenario",
-    )
-    _add_run_arguments(run_parser)
     run_parser.set_defaults(func=_cmd_run)
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run an experiment with the live dashboard attached and hold "
-             "the server open afterwards (Ctrl-C to exit); accepts every "
-             "'run' option",
-    )
-    _add_run_arguments(serve_parser)
-    serve_parser.set_defaults(func=_cmd_serve)
 
     spans_parser = sub.add_parser(
         "spans",
-        help="per-query lifecycle span breakdown (fresh traced run, or a "
-             "saved spans JSONL / trace-event JSON / directory)",
+        help="per-query lifecycle span breakdown of a saved trace (run "
+             "--trace-events, a spans JSONL, or a directory holding one)",
     )
     spans_parser.add_argument(
-        "input", nargs="?", default=None,
-        help="spans .jsonl, trace-event .json, or a directory holding one "
-             "(default: run a fresh traced experiment)",
+        "input",
+        help="spans .jsonl, trace-event .json, or a directory holding one",
     )
-    spans_parser.add_argument(
-        "--controller", choices=PLANNER_CONTROLLER_NAMES, default="qs"
-    )
-    _scale_args(spans_parser)
     spans_parser.add_argument(
         "--top", type=int, default=5,
         help="how many slowest queue waits to list",
@@ -927,45 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write Chrome trace-event JSON here",
     )
     spans_parser.set_defaults(func=_cmd_spans, usage_error="spans error")
-
-    trace_parser = sub.add_parser(
-        "trace", help="run a planner-based controller and export its telemetry"
-    )
-    trace_parser.add_argument(
-        "--controller", choices=PLANNER_CONTROLLER_NAMES, default="qs"
-    )
-    _scale_args(trace_parser)
-    trace_parser.add_argument(
-        "--output", default=None,
-        help="write telemetry JSONL here (default: stdout)",
-    )
-    trace_parser.add_argument(
-        "--summary", action="store_true",
-        help="also print prediction-error and accounting summaries",
-    )
-    trace_parser.add_argument(
-        "--invariants", choices=("off", "warn", "strict"), default="warn",
-        help="runtime invariant checking (violations ride in the JSONL)",
-    )
-    trace_parser.set_defaults(func=_cmd_trace)
-
-    check_parser = sub.add_parser(
-        "check",
-        help="run a seeded simulation under the runtime invariant harness",
-    )
-    check_parser.add_argument(
-        "--controller", choices=PLANNER_CONTROLLER_NAMES, default="qs"
-    )
-    _scale_args(check_parser, periods=3, period_seconds=60.0, control_interval=30.0)
-    check_parser.add_argument(
-        "--mode", choices=("warn", "strict"), default="strict",
-        help="warn records violations; strict fails fast on the first",
-    )
-    check_parser.add_argument(
-        "--list", action="store_true",
-        help="print the registered invariants and exit without running",
-    )
-    check_parser.set_defaults(func=_cmd_check)
 
     scen_parser = sub.add_parser(
         "scenarios",
@@ -1018,13 +892,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", nargs="+", required=True, type=_sweep_value,
         help="values to sweep (numbers are auto-converted)",
     )
-    sweep_parser.add_argument("--controller", choices=CONTROLLER_NAMES, default="qs")
+    sweep_parser.add_argument(
+        "--controller", choices=CONTROLLER_NAMES, default=None,
+        help="controller of the paper-workload runs (default qs)",
+    )
     sweep_parser.add_argument(
         "--scenario", default=None, metavar="NAME|PATH",
         help="sweep over a scenario instead of the paper workload; the "
              "scenario supplies the controller, schedule, seed and faults "
              "(--controller/--periods/--period-seconds/--control-interval/"
-             "--seed are ignored)",
+             "--seed are refused next to it)",
     )
     sweep_parser.add_argument(
         "--smoke", action="store_true",
@@ -1044,15 +921,21 @@ def build_parser() -> argparse.ArgumentParser:
     cal_parser.add_argument("--seed", type=int, default=7)
     cal_parser.set_defaults(func=_cmd_calibrate)
 
-    fig_parser = sub.add_parser("figure", help="regenerate a paper figure (2-7)")
+    fig_parser = sub.add_parser(
+        "figure",
+        help="regenerate paper Figure 2 or 3 (Figures 4-7 are runs: "
+             "'repro run --controller none|qp|qs')",
+    )
     fig_parser.add_argument("number", type=int)
-    _scale_args(fig_parser)
+    fig_parser.add_argument("--period-seconds", type=float, default=120.0)
+    fig_parser.add_argument("--seed", type=int, default=7)
     fig_parser.set_defaults(func=_cmd_figure)
 
     train_parser = sub.add_parser(
         "train",
         help="fit a learned performance model from exported telemetry "
-             "JSONL (see 'repro trace'); load it with run --model learned:PATH",
+             "JSONL (see 'repro run --output FILE.jsonl'); load it with run "
+             "--model learned:PATH",
     )
     train_parser.add_argument(
         "--telemetry", required=True, metavar="PATH",
@@ -1116,13 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablate_parser.set_defaults(
         func=_cmd_ablate_models, usage_error="ablation error"
     )
-
-    report_parser = sub.add_parser(
-        "report", help="run the figure 4/5/6/7 comparison, write a Markdown report"
-    )
-    report_parser.add_argument("--output", default="experiment_report.md")
-    report_parser.add_argument("--seed", type=int, default=7)
-    report_parser.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -131,7 +131,7 @@ CONTROLLERS: Dict[str, Tuple[Callable[..., object], bool]] = {
 CONTROLLER_NAMES = tuple(CONTROLLERS)
 
 #: The names whose controller records a ``ControlIntervalRecord`` per
-#: interval (what ``repro trace`` / ``spans`` / ``check`` can run).
+#: interval (what ``repro run --output FILE.jsonl`` can export).
 PLANNER_CONTROLLER_NAMES = tuple(
     name for name, (_, planned) in CONTROLLERS.items() if planned
 )

@@ -1,6 +1,6 @@
 """Offline training from exported controller telemetry.
 
-``repro trace`` (and every Query Scheduler run) exports one
+``repro run --output FILE.jsonl`` (any planner-based run) exports one
 :class:`~repro.metrics.telemetry.ControlIntervalRecord` per control
 interval as JSONL: per-class measurements, the solver's chosen
 allocation, and the dispatcher's queue/in-flight accounting.  That is

@@ -13,7 +13,8 @@ the Dispatcher" (Section 2).  Each control interval the planner:
 4. installs the plan on the dispatcher and records the whole decision as
    one :class:`~repro.metrics.telemetry.ControlIntervalRecord` — appended
    to :attr:`SchedulingPlanner.history` and handed to every plan listener
-   (the record is what Figure 7 plots and what ``repro trace`` exports).
+   (the record is what Figure 7 plots and what ``repro run --output
+   FILE.jsonl`` exports).
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Experiment harness: builds full simulations and reproduces the paper's
-calibration sweep and Figures 2-7."""
+calibration sweep and Figures 2-3 (Figures 4-7 are one ``run_spec`` each)."""
 
 from repro import lazy_exports
 
@@ -16,10 +16,6 @@ _EXPORTS = {
     "fit_oltp_slope": "repro.experiments.calibration",
     "figure2": "repro.experiments.figures",
     "figure3": "repro.experiments.figures",
-    "figure4": "repro.experiments.figures",
-    "figure5": "repro.experiments.figures",
-    "figure6": "repro.experiments.figures",
-    "figure7": "repro.experiments.figures",
     "replicate": "repro.experiments.replication",
     "compare": "repro.experiments.replication",
     "comparison_table": "repro.experiments.replication",
@@ -34,8 +30,6 @@ _EXPORTS = {
     "sweep": "repro.experiments.sensitivity",
     "sweep_table": "repro.experiments.sensitivity",
     "set_config_field": "repro.experiments.sensitivity",
-    "generate_report": "repro.experiments.reportgen",
-    "write_report": "repro.experiments.reportgen",
     "DEFAULT_MODELS": "repro.experiments.model_ablation",
     "DEFAULT_SCENARIOS": "repro.experiments.model_ablation",
     "ablation_table": "repro.experiments.model_ablation",

@@ -17,7 +17,6 @@ _EXPORTS = {
     "period_table": "repro.metrics.report",
     "plan_table": "repro.metrics.report",
     "prediction_error_table": "repro.metrics.report",
-    "render_series_chart": "repro.metrics.report",
     "run_tables": "repro.metrics.report",
     "series_table": "repro.metrics.report",
     "span_tables": "repro.metrics.report",

@@ -193,7 +193,12 @@ def result_to_csv(result: "ExperimentResult") -> str:
 
 
 def save_result(result: "ExperimentResult", path: str) -> None:
-    """Write a result to ``path`` as JSON (.json) or CSV (anything else)."""
+    """Write a result to ``path`` as JSON (.json), its control-interval
+    telemetry as JSON Lines (.jsonl; a planner-based controller's run
+    only) or CSV (anything else)."""
+    if path.endswith(".jsonl"):
+        result.extras["telemetry"].save_jsonl(path, overwrite=True)
+        return
     text = result_to_json(result) if path.endswith(".json") else result_to_csv(result)
     with open_export(path, overwrite=True) as handle:
         handle.write(text)

@@ -1,10 +1,9 @@
-"""Report sections: one :class:`Table` each, two renderers.
+"""Report sections: one :class:`Table` each.
 
-Every table the CLI prints and ``repro report`` writes is built once, by
-one of the section functions below (or by the single builder that
-``replication``, ``sensitivity``, ``model_ablation`` and ``shard.report``
-keep for their own data).  Where the output goes picks the renderer:
-``text()`` for a terminal, ``markdown()`` for a document.
+Every table the CLI prints is built once, by one of the section functions
+below (or by the single builder that ``replication``, ``sensitivity``,
+``model_ablation`` and ``shard.report`` keep for their own data), and
+rendered by ``Table.text()``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class Table:
     empty: str = "(none)"
 
     def cells(self) -> List[List[str]]:
-        """Each row's cell strings, exactly as both renderers show them."""
+        """Each row's cell strings, exactly as :meth:`text` shows them."""
         return [
             [
                 "-" if value is None
@@ -77,17 +76,6 @@ class Table:
         ]
         lines.insert(1, "-" * (sum(widths) + 3 * (len(widths) - 1)))
         return "\n".join(([self.title] if self.title else []) + lines)
-
-    def markdown(self) -> str:
-        """A Markdown heading and pipe table with the same cell strings."""
-        lines = ["### " + self.title, ""] if self.title else []
-        cells = self.cells()
-        if not cells:
-            return "\n".join(lines + [self.empty])
-        headers = [column.header for column in self.columns]
-        for row in [headers, ["---"] * len(headers)] + cells:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
 
 
 def period_table(
@@ -281,8 +269,9 @@ def run_tables(result) -> List[Table]:
     """The sections of one finished run, in the order they are shown.
 
     Goal metrics and attainment always; class cost limits for a Query
-    Scheduler run; injected faults and the invariant summary when the run
-    carried an injector or a validation harness.
+    Scheduler run; the control-loop telemetry sections when the controller
+    recorded telemetry; injected faults and the invariant summary (last)
+    when the run carried an injector or a validation harness.
     """
     tables = [
         period_table(result.collector, result.classes),
@@ -290,6 +279,9 @@ def run_tables(result) -> List[Table]:
     ]
     if result.controller_name in ("qs", "qs_detect"):
         tables.append(plan_table(result.collector, [c.name for c in result.classes]))
+    store = result.extras.get("telemetry")
+    if store is not None:
+        tables += telemetry_tables(store)
     injector = result.extras.get("faults")
     if injector is not None:
         tables.append(fault_table(injector.injected))
@@ -303,61 +295,3 @@ def calibration_table(curve: Sequence[Sequence[float]]) -> Table:
     """Throughput per system cost limit (``sweep_system_cost_limit``)."""
     columns = [Column("limit (tim)", "{:.0f}"), Column("queries/sec", "{:.4f}")]
     return Table(columns, curve)
-
-
-def render_series_chart(
-    series: Dict[str, Sequence[Optional[float]]],
-    height: int = 12,
-    goal_lines: Optional[Dict[str, float]] = None,
-    title: str = "",
-) -> str:
-    """Render one or more per-period series as an ASCII chart.
-
-    Each series gets a marker (its name's first letter, upper-cased per
-    series order); optional ``goal_lines`` draw a ``-`` row at a series'
-    goal value.  Values are scaled to a shared y-axis; None values leave
-    gaps.  Purely cosmetic but makes bench logs reviewable at a glance.
-    """
-    if height < 3:
-        raise ValueError("chart height must be >= 3")
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    values = [
-        v for s in series.values() for v in s if v is not None
-    ]
-    if not values:
-        lines.append("(no data)")
-        return "\n".join(lines)
-    lo = min(values + list((goal_lines or {}).values()))
-    hi = max(values + list((goal_lines or {}).values()))
-    if hi <= lo:
-        hi = lo + 1.0
-    width = max(len(s) for s in series.values())
-    markers = {}
-    for index, name in enumerate(series):
-        markers[name] = chr(ord("A") + (index % 26))
-
-    def row_of(value: float) -> int:
-        scaled = (value - lo) / (hi - lo)
-        return min(height - 1, max(0, int(round(scaled * (height - 1)))))
-
-    grid = [[" "] * width for _ in range(height)]
-    for name, goal in (goal_lines or {}).items():
-        r = row_of(goal)
-        for column in range(width):
-            if grid[height - 1 - r][column] == " ":
-                grid[height - 1 - r][column] = "-"
-    for name, points in series.items():
-        for column, value in enumerate(points):
-            if value is None:
-                continue
-            r = row_of(value)
-            grid[height - 1 - r][column] = markers[name]
-    for index, row in enumerate(grid):
-        level = hi - (hi - lo) * index / (height - 1)
-        lines.append("{:>8.3f} |{}".format(level, "".join(row)))
-    lines.append(" " * 9 + "+" + "-" * width)
-    legend = "  ".join("{}={}".format(markers[name], name) for name in series)
-    lines.append(" " * 10 + legend)
-    return "\n".join(lines)

@@ -20,7 +20,8 @@ the only record of that decision; every plan listener receives that object:
   accounting is leak-free.
 
 A :class:`TelemetryStore` is the queryable view over the planner's list of
-records and exports it as JSONL (`repro trace` on the command line).
+records and exports it as JSONL (`repro run --output FILE.jsonl` on the
+command line).
 """
 
 from __future__ import annotations

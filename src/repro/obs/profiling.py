@@ -13,7 +13,7 @@ what a production deployment of this controller would actually burn).
 planner can wrap its existing stages without restructuring.  Per-interval
 results are dicts of ``<section>_s`` wall-second entries plus ``total_s``;
 :func:`summarize_overhead` aggregates them to mean/max per section for the
-``repro trace --summary`` overhead line and the telemetry export
+overhead table ``repro run`` prints and the telemetry export
 (:meth:`TelemetryStore.overhead_summary
 <repro.metrics.telemetry.TelemetryStore.overhead_summary>`).
 """

@@ -4,8 +4,8 @@ The closed loop of Monitor → Planner → Solver → Dispatcher adapts *around*
 internal accounting bugs instead of failing on them, so this package keeps
 an explicit oracle: a registry of named invariants evaluated against the
 live components at every control-interval boundary.  See
-docs/VALIDATION.md for the authoring guide and ``repro check`` for the CLI
-entry point.
+docs/VALIDATION.md for the authoring guide and ``repro run --invariants
+warn|strict`` for the CLI entry point.
 """
 
 from repro import lazy_exports

@@ -359,8 +359,8 @@ class ValidationHarness:
         """Plan-listener hook: validate at a control-interval boundary.
 
         Violations are embedded into ``record`` — before strict mode
-        raises — so they ride along in exports, ``repro trace`` and the
-        live hub's ``interval`` events.
+        raises — so they ride along in exports, the telemetry JSONL and
+        the live hub's ``interval`` events.
         """
         found = self._evaluate(record.time)
         record.violations.extend(v.to_dict() for v in found)

@@ -40,8 +40,8 @@ class PeriodSchedule:
         period_seconds: float,
         counts: Dict[str, Sequence[int]],
     ) -> None:
-        if period_seconds <= 0:
-            raise WorkloadError("period_seconds must be positive")
+        if not 0 < period_seconds < inf:  # NaN too
+            raise WorkloadError("period_seconds must be positive and finite")
         if not counts:
             raise WorkloadError("schedule needs at least one class")
         lengths = {len(series) for series in counts.values()}

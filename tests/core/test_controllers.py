@@ -190,8 +190,7 @@ class TestTable:
             )
 
         assert tuple(choices("run")) == CONTROLLER_NAMES
-        for command in ("trace", "spans", "check"):
-            assert tuple(choices(command)) == PLANNER_CONTROLLER_NAMES
+        assert tuple(choices("sweep")) == CONTROLLER_NAMES
 
     def test_scenario_validation_accepts_exactly_the_table(self):
         scenario = load_library_scenario("paper-figure3")

@@ -1,30 +1,7 @@
-"""Tests for the per-figure entry points (scaled down for speed)."""
+"""Tests for the Figure 2 and 3 entry points (scaled down for speed)."""
 
-import pytest
-
-from repro.config import (
-    MonitorConfig,
-    PlannerConfig,
-    WorkloadScaleConfig,
-    default_config,
-)
-from repro.experiments.figures import (
-    FIGURE2_PAIRS,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-)
-
-
-def quick_config(periods=2, period_seconds=30.0):
-    return default_config(
-        scale=WorkloadScaleConfig(period_seconds=period_seconds, num_periods=periods),
-        monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=15.0),
-        planner=PlannerConfig(control_interval=15.0),
-    )
+from repro.config import default_config
+from repro.experiments.figures import FIGURE2_PAIRS, figure2, figure3
 
 
 def test_figure2_default_pairs_are_digit_reconstruction():
@@ -49,22 +26,3 @@ def test_figure3_schedule_payload():
     counts = figure3()
     assert set(counts) == {"class1", "class2", "class3"}
     assert len(counts["class3"]) == 18
-
-
-def test_figures_4_5_6_use_expected_controllers():
-    config = quick_config()
-    assert figure4(config).controller_name == "none"
-    assert figure5(config).controller_name == "qp"
-    assert figure5(config, priority_control=False).controller_name == "qp_nopriority"
-    result6 = figure6(config)
-    assert result6.controller_name == "qs"
-    # Figure 7 reuses the run without re-simulating.
-    plans = figure7(result=result6)
-    assert set(plans) == {"class1", "class2", "class3"}
-    assert any(v is not None for v in plans["class3"])
-
-
-def test_figure7_rejects_non_qs_result():
-    config = quick_config()
-    with pytest.raises(ValueError):
-        figure7(result=figure4(config))

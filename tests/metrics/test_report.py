@@ -88,49 +88,6 @@ def test_figure_series_handles_ragged_and_missing():
     assert lines[4].count("-") >= 2  # None slots in row 2 for both series
 
 
-class TestSeriesChart:
-    def _chart(self, **kwargs):
-        from repro.metrics.report import render_series_chart
-        return render_series_chart(**kwargs)
-
-    def test_chart_has_height_rows_plus_axis_and_legend(self):
-        text = self._chart(series={"one": [0.1, 0.5, 0.9]}, height=6, title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert len(lines) == 1 + 6 + 2  # title + rows + axis + legend
-        assert "A=one" in lines[-1]
-
-    def test_extremes_hit_top_and_bottom_rows(self):
-        text = self._chart(series={"s": [0.0, 1.0]}, height=5)
-        lines = text.splitlines()
-        assert "A" in lines[0]   # max lands on the top row
-        assert "A" in lines[4]   # min lands on the bottom row
-
-    def test_goal_line_drawn(self):
-        text = self._chart(
-            series={"s": [0.2, 0.8]}, height=8, goal_lines={"s": 0.5}
-        )
-        assert "-" in text
-
-    def test_none_values_leave_gaps(self):
-        text = self._chart(series={"s": [0.5, None, 0.5]}, height=4)
-        marked_rows = [l for l in text.splitlines() if "A" in l]
-        assert all("A A" in row or row.count("A") <= 2 for row in marked_rows)
-
-    def test_empty_series(self):
-        text = self._chart(series={"s": [None, None]}, height=4)
-        assert "(no data)" in text
-
-    def test_invalid_height(self):
-        import pytest
-        with pytest.raises(ValueError):
-            self._chart(series={"s": [1.0]}, height=2)
-
-    def test_multiple_series_distinct_markers(self):
-        text = self._chart(series={"x": [0.1], "y": [0.9]}, height=5)
-        assert "A=x" in text and "B=y" in text
-
-
 class TestTable:
     COLUMNS = [
         Column("class"),
@@ -144,13 +101,7 @@ class TestTable:
         return [[cell.strip() for cell in line.split(" | ")]
                 for line in text.splitlines() if " | " in line]
 
-    @staticmethod
-    def markdown_cells(text):
-        return [[cell.strip() for cell in line.strip("|").split("|")]
-                for line in text.splitlines()
-                if line.startswith("|") and "---" not in line]
-
-    def test_both_renderers_show_the_same_cells_in_the_same_order(self):
+    def test_text_shows_the_cells_in_column_order(self):
         table = Table(self.COLUMNS, self.ROWS, title="Perf")
         expected = [["class", "mean", "goal"]] + table.cells()
         assert table.cells() == [
@@ -158,7 +109,6 @@ class TestTable:
             ["class3", "-", "0.25 MISS"],
         ]
         assert self.text_cells(table.text()) == expected
-        assert self.markdown_cells(table.markdown()) == expected
 
     def test_text_layout_is_title_header_rule_rows(self):
         lines = Table(self.COLUMNS, self.ROWS, title="Perf").text().splitlines()
@@ -169,23 +119,14 @@ class TestTable:
         assert lines[4] == "class3 |     - | 0.25 MISS"
         assert len(lines) == 5
 
-    def test_markdown_layout_is_heading_and_pipe_table(self):
-        lines = Table(self.COLUMNS, self.ROWS, title="Perf").markdown().splitlines()
-        assert lines[:2] == ["### Perf", ""]
-        assert lines[2] == "| class | mean | goal |"
-        assert lines[3] == "| --- | --- | --- |"
-        assert lines[5] == "| class3 | - | 0.25 MISS |"
-
     def test_a_table_without_a_title_starts_at_its_header(self):
         table = Table(self.COLUMNS, self.ROWS)
         assert table.text().splitlines()[0].startswith("class")
-        assert table.markdown().splitlines()[0] == "| class | mean | goal |"
 
     def test_an_empty_table_says_so_in_place_of_the_grid(self):
         table = Table(self.COLUMNS, [], title="Perf", empty="nothing recorded")
         assert table.cells() == []
         assert table.text() == "Perf: nothing recorded"
-        assert table.markdown() == "### Perf\n\nnothing recorded"
         assert Table(self.COLUMNS, []).text() == "(none)"
 
 

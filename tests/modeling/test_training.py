@@ -182,7 +182,7 @@ class TestTrainCLI:
         telemetry = str(tmp_path / "telemetry.jsonl")
         model_path = str(tmp_path / "model.json")
         assert main([
-            "trace", "--periods", "2", "--period-seconds", "20",
+            "run", "--periods", "2", "--period-seconds", "20",
             "--control-interval", "10", "--output", telemetry,
         ]) == 0
         assert main([

@@ -529,16 +529,6 @@ class TestCLIWiring:
         assert args.port == 0
         assert args.linger == 2.5
 
-    def test_serve_parser_shares_run_options(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["serve", "--backend", "sqlite", "--shards", "2", "--port", "0"]
-        )
-        assert args.func.__name__ == "_cmd_serve"
-        assert args.backend == "sqlite"
-        assert args.shards == 2
-
 
 @pytest.mark.slow
 def test_dashboard_smoke_script_passes(unchanged_checkout):

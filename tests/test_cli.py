@@ -42,53 +42,73 @@ def test_retired_bench_subcommand_is_an_invalid_choice():
     assert excinfo.value.code == 2
 
 
-def test_trace_command_stdout_jsonl(capsys):
-    import json
+def test_the_parser_has_nine_subcommands_and_at_most_66_options():
+    import argparse
 
-    code = main(["trace"] + FAST_RUN)
-    out = capsys.readouterr().out
-    assert code == 0
-    lines = [line for line in out.splitlines() if line.strip()]
-    assert lines, "trace produced no JSONL records"
-    for line in lines:
-        record = json.loads(line)
-        assert {"time", "interval_index", "trigger", "solver",
-                "dispatcher"} <= set(record)
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: [a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        for name, parser in subparsers.choices.items()
+    }
+    assert sorted(options) == sorted([
+        "run", "spans", "scenarios", "replicate", "sweep", "calibrate",
+        "figure", "train", "ablate-models",
+    ])
+    assert sum(map(len, options.values())) <= 66
+    assert len(options["run"]) == 22
+    for folded_into_run in ("serve", "trace", "check", "report"):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([folded_into_run])
+        assert excinfo.value.code == 2
 
 
-def test_trace_command_writes_file(tmp_path, capsys):
+def test_run_output_jsonl_writes_the_telemetry(tmp_path, capsys):
     import json
 
     path = str(tmp_path / "trace.jsonl")
-    code = main(["trace", "--output", path, "--summary"] + FAST_RUN)
+    code = main(["run", "--output", path] + FAST_RUN)
     out = capsys.readouterr().out
     assert code == 0
     assert "wrote" in out
-    assert "One-step prediction error" in out
-    assert "Dispatcher balance" in out
     with open(path) as handle:
         rows = [json.loads(line) for line in handle if line.strip()]
     assert rows
     assert rows[0]["interval_index"] == 0
 
 
-def test_trace_rejects_non_qs_controller():
-    with pytest.raises(SystemExit):
-        main(["trace", "--controller", "none"] + FAST_RUN)
+def test_run_output_jsonl_records_carry_the_trace_fields(tmp_path, capsys):
+    import json
+
+    path = str(tmp_path / "trace.jsonl")
+    assert main(["run", "--output", path] + FAST_RUN) == 0
+    capsys.readouterr()
+    with open(path) as handle:
+        lines = [line for line in handle if line.strip()]
+    assert lines, "run --output .jsonl wrote no JSONL records"
+    for line in lines:
+        record = json.loads(line)
+        assert {"time", "interval_index", "trigger", "solver",
+                "dispatcher"} <= set(record)
 
 
-def test_check_command_clean_run(capsys):
-    code = main(["check"] + FAST_RUN)
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "Invariants" in out
-    assert "no violations" in out
-    assert "mode=strict" in out
+def test_run_output_jsonl_refuses_a_controller_without_a_planner(
+    tmp_path, capsys, refuse_to_run
+):
+    path = tmp_path / "trace.jsonl"
+    assert main(["run", "--controller", "none", "--output", str(path)] + FAST_RUN) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: --output ")
+    assert captured.err.count("\n") == 1 and "'none'" in captured.err
+    assert not path.exists()
 
 
 def test_check_that_checked_nothing_is_an_error_not_a_success(capsys):
-    # The 30 s default interval never comes up inside a 20 s horizon.
-    code = main(["check", "--periods", "1", "--period-seconds", "20"])
+    # A 30 s interval never comes up inside a 20 s horizon.
+    code = main(["run", "--invariants", "strict", "--periods", "1",
+                 "--period-seconds", "20", "--control-interval", "30"])
     captured = capsys.readouterr()
     assert code == 2
     assert "no violations" not in captured.out
@@ -101,9 +121,10 @@ def test_check_that_checked_nothing_is_an_error_not_a_success(capsys):
     "argv",
     [
         ["run", "--seed", "-5", "--periods", "1", "--period-seconds", "10"],
-        ["check", "--seed", "-1", "--periods", "1", "--period-seconds", "10"],
-        ["trace", "--control-interval", "nan", "--periods", "1", "--period-seconds", "10"],
-        ["trace", "--control-interval", "inf", "--periods", "1", "--period-seconds", "10"],
+        ["replicate", "--seed", "-1", "--periods", "1", "--period-seconds", "10"],
+        ["run", "--control-interval", "nan", "--periods", "1", "--period-seconds", "10"],
+        ["sweep", "optimizer.noise_sigma", "--values", "0.1", "--control-interval",
+         "inf", "--periods", "1", "--period-seconds", "10"],
     ],
 )
 def test_a_bad_seed_or_control_interval_is_one_configuration_error_line(argv, capsys):
@@ -158,24 +179,23 @@ def test_a_bad_horizon_or_period_length_is_one_configuration_error_line(
         ["run", "--dashboard", "--linger", "nan"],
         ["run", "--dashboard", "--linger", "inf"],
         ["spans", "--top", "-3"],
+        ["calibrate", "--period-seconds", "0"],
+        ["calibrate", "--period-seconds", "nan"],
+        ["calibrate", "--clients", "-3"],
+        ["calibrate", "--clients", "0"],
+        ["figure", "2", "--period-seconds", "-1"],
+        ["figure", "3", "--period-seconds", "inf"],
+        ["figure", "3", "--period-seconds", "nan"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )
 def test_an_out_of_range_flag_is_one_configuration_error_line(argv, capsys, refuse_to_run):
-    assert main(argv + FAST_RUN) == 2
+    rest = {"run": FAST_RUN, "spans": ["trace.json"]}.get(argv[0], [])
+    assert main(argv + rest) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error: {} ".format(argv[-2]))
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert "dashboard:" not in captured.err  # no server was started either
-
-
-def test_check_command_list(capsys):
-    code = main(["check", "--list"] + FAST_RUN)
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "dispatcher_in_flight_consistent" in out
-    assert "velocity_in_unit_interval" in out
-    assert "CRITICAL" in out
 
 
 def test_run_with_invariants_prints_summary(capsys):
@@ -186,17 +206,42 @@ def test_run_with_invariants_prints_summary(capsys):
     assert "no violations" in out
 
 
-def test_trace_embeds_violations_field(capsys):
-    import json
-
-    code = main(["trace", "--invariants", "warn"] + FAST_RUN)
+def test_run_invariants_strict_ends_in_a_clean_invariants_line(capsys):
+    code = main(["run", "--invariants", "strict"] + FAST_RUN)
     out = capsys.readouterr().out
     assert code == 0
-    lines = [line for line in out.splitlines() if line.strip()]
-    records = [json.loads(line) for line in lines if line.startswith("{")]
+    assert "Invariants" in out
+    assert "no violations" in out
+    assert "mode=strict" in out
+    assert out.rstrip().splitlines()[-1].endswith("mode=strict): no violations")
+
+
+def test_run_output_jsonl_embeds_violations_field(tmp_path, capsys):
+    import json
+
+    path = str(tmp_path / "trace.jsonl")
+    code = main(["run", "--invariants", "warn", "--output", path] + FAST_RUN)
+    assert code == 0
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
     assert records
     assert all("violations" in record for record in records)
     assert all(record["violations"] == [] for record in records)
+
+
+def test_a_recorded_violation_makes_a_warn_run_exit_1(monkeypatch, capsys):
+    from repro.validation.invariants import InvariantRegistry, Severity, Violation
+
+    evaluate = InvariantRegistry.evaluate
+    injected = Violation("injected_invariant", "injected", Severity.ERROR, 0.0)
+
+    def with_one_violation(self, world, now):
+        return evaluate(self, world, now=now) + [injected]
+
+    monkeypatch.setattr(InvariantRegistry, "evaluate", with_one_violation)
+    assert main(["run", "--invariants", "warn"] + FAST_RUN) == 1
+    out = capsys.readouterr().out
+    assert "mode=warn" in out and out.rstrip().endswith(injected.describe())
 
 
 def test_calibrate_command(capsys):
@@ -218,15 +263,17 @@ def test_figure3_command(capsys):
     assert out.count("\n") >= 20  # 18 period rows plus header
 
 
-def test_figure4_command(capsys):
-    code = main(["figure", "4"] + FAST_RUN)
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "controller=none" in out
+def test_figure4_command(capsys, refuse_to_run):
+    for number, controller in ((4, "none"), (5, "qp"), (6, "qs"), (7, "qs")):
+        assert main(["figure", str(number)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: figure {} is one run: repro run " \
+            "--controller {}\n".format(number, controller)
 
 
 def test_figure_unknown_number(capsys):
-    code = main(["figure", "12"] + FAST_RUN)
+    code = main(["figure", "12"])
     assert code == 2
     assert "unknown figure" in capsys.readouterr().err
 
@@ -259,33 +306,6 @@ def test_run_output_csv(tmp_path, capsys):
     assert code == 0
     with open(path) as handle:
         assert handle.readline().startswith("period,")
-
-
-def test_report_command(tmp_path, capsys, monkeypatch):
-    """`repro report` writes a Markdown comparison (patched to a tiny
-    config so the test stays fast)."""
-    from repro.config import (
-        MonitorConfig,
-        PlannerConfig,
-        WorkloadScaleConfig,
-        default_config,
-    )
-    import repro.cli as cli_module
-    import repro.experiments.reportgen as reportgen
-
-    tiny = default_config(
-        scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=1),
-        monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=10.0),
-        planner=PlannerConfig(control_interval=10.0),
-    )
-    monkeypatch.setattr(reportgen, "quick_report_config", lambda: tiny)
-    path = str(tmp_path / "report.md")
-    code = main(["report", "--output", path])
-    assert code == 0
-    assert "wrote" in capsys.readouterr().out
-    with open(path) as handle:
-        text = handle.read()
-    assert "Generated experiment report" in text
 
 
 def test_replicate_command_serial(capsys):
@@ -332,6 +352,20 @@ def test_sweep_command(capsys):
     assert "class3" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--controller", "none"], ["--periods", "2"], ["--period-seconds", "20"],
+    ["--control-interval", "10"], ["--seed", "3"],
+])
+def test_sweep_refuses_the_flags_a_scenario_owns(flags, capsys, refuse_to_run):
+    pytest.importorskip("yaml")
+    argv = ["sweep", "optimizer.noise_sigma", "--values", "0.1",
+            "--scenario", "flash-crowd", "--smoke", "--quiet"]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: {} conflict with --scenario: " \
+        "the scenario file owns them\n".format(flags[0])
+
+
 def test_sweep_rejects_unknown_field(capsys):
     code = main([
         "sweep", "planner.warp_speed", "--values", "1", "--quiet",
@@ -355,17 +389,6 @@ def test_run_trace_events_writes_chrome_trace(tmp_path, capsys):
     assert any(event.get("ph") == "X" for event in events)
 
 
-def test_spans_command_fresh_run(capsys):
-    code = main(["spans"] + FAST_RUN)
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "balanced" in out
-    assert "Per-class phase breakdown" in out
-    assert "queue_wait" in out
-    assert "execute" in out
-    assert "slowest queue waits" in out
-
-
 def test_spans_command_from_saved_trace(tmp_path, capsys):
     path = str(tmp_path / "trace.json")
     main(["run", "--trace-events", path] + FAST_RUN)
@@ -376,6 +399,19 @@ def test_spans_command_from_saved_trace(tmp_path, capsys):
         assert code == 0
         assert "loaded" in out
         assert "Per-class phase breakdown" in out
+
+
+def test_spans_command_reads_a_run_trace_events_file(tmp_path, capsys):
+    path = str(tmp_path / "trace.json")
+    assert main(["run", "--trace-events", path] + FAST_RUN) == 0
+    assert "balanced" in capsys.readouterr().out
+    code = main(["spans", path])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "Per-class phase breakdown" in out
+    assert "queue_wait" in out
+    assert "execute" in out
+    assert "slowest queue waits" in out
 
 
 @pytest.mark.parametrize(
@@ -405,8 +441,10 @@ def _write(path, text):
 def test_spans_command_writes_jsonl(tmp_path, capsys):
     import json
 
+    trace = str(tmp_path / "trace.json")
+    assert main(["run", "--trace-events", trace] + FAST_RUN) == 0
     path = str(tmp_path / "spans.jsonl")
-    code = main(["spans", "--output", path] + FAST_RUN)
+    code = main(["spans", trace, "--output", path])
     assert code == 0
     assert "wrote" in capsys.readouterr().out
     with open(path) as handle:
@@ -415,10 +453,12 @@ def test_spans_command_writes_jsonl(tmp_path, capsys):
     assert {"query_id", "class", "phase", "begin", "end"} <= set(rows[0])
 
 
-def test_trace_summary_prints_controller_overhead(capsys):
-    code = main(["trace", "--summary"] + FAST_RUN)
+def test_run_prints_the_telemetry_tables(capsys):
+    code = main(["run"] + FAST_RUN)
     out = capsys.readouterr().out
     assert code == 0
+    assert "One-step prediction error" in out
+    assert "Dispatcher balance" in out
     assert "Controller overhead (wall-clock per control interval)" in out
     assert "total_s" in out
     assert "mean (s)" in out and "max (s)" in out
@@ -460,8 +500,8 @@ def test_every_run_like_subcommand_derives_its_spec_from_one_helper():
     def spec_for(*argv, **fields):
         return _spec_from_args(build_parser().parse_args(list(argv)), **fields)
 
-    # run / serve: scale defaults follow the backend, once, for the
-    # sharded and the unsharded path alike.
+    # Scale defaults follow the backend, once, for the sharded and the
+    # unsharded path alike.
     sim = spec_for("run")
     assert (sim.backend, sim.invariants, sim.horizon) == ("sim", "off", None)
     assert sim.config.seed == 7
@@ -480,13 +520,8 @@ def test_every_run_like_subcommand_derives_its_spec_from_one_helper():
     assert explicit.config.scale.num_periods == 5
     assert explicit.config.planner.model == "oracle"
     assert explicit.config.seed == 3
-    # the other subcommands fix one field each on top of the same mapping
-    assert spec_for("trace").invariants == "warn"
-    assert spec_for("spans", tracing=True).tracing is True
-    check = spec_for("check", "--controller", "qs_detect", invariants="strict")
-    assert (check.controller, check.invariants) == ("qs_detect", "strict")
-    assert check.config.scale.num_periods == 3
-    assert spec_for("figure", "5", controller="qp").controller == "qp"
+    # --trace-events fixes one field on top of the same mapping
+    assert spec_for("run", tracing=True).tracing is True
 
 
 def test_scenario_flags_override_only_what_they_name():
@@ -545,18 +580,20 @@ def _raising(error):
     "argv, raised, code, prefix",
     [
         (["run", "--periods", "0"], None, 2, "configuration error: "),
-        (["figure", "4", "--periods", "0"], None, 2, "configuration error: "),
+        (["figure", "4"], None, 2, "configuration error: "),
         (["run", "--scenario", "atlantis"], None, 2, "scenario error: "),
         (["scenarios", "atlantis"], None, 2, "scenario error: "),
         (["run", "--output", "/no/such/dir/x.json"], None, 2, "export error: "),
-        (["spans", "--trace-events", "/no/such/dir/t.json"], None, 2, "export error: "),
-        (["trace", "--output", "/no/such/dir/t.jsonl"], None, 2, "export error: "),
-        (["report", "--output", "/no/such/dir/r.md"], None, 2, "export error: "),
+        (["spans", "t.json", "--trace-events", "/no/such/dir/t.json"], None, 2,
+         "export error: "),
+        (["run", "--output", "/no/such/dir/t.jsonl"], None, 2, "export error: "),
+        (["run", "--trace-events", "/no/such/dir/t.json"], None, 2, "export error: "),
         (["train", "--telemetry", "/no/such/dir", "--output", "m.json"], None, 2,
          "train error: "),
         (["ablate-models", "--scenarios", "atlantis"], None, 2, "ablation error: "),
         (["run"], "MetricsError", 2, "metrics error: "),
-        (["check"], "InvariantViolation", 1, "invariant violation: "),
+        (["run", "--invariants", "strict"], "InvariantViolation", 1,
+         "invariant violation: "),
         (["run"], "ExperimentError", 1, "experiment error: "),
     ],
 )

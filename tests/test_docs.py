@@ -101,22 +101,59 @@ def test_paper_goals_quoted_consistently():
     assert "0.40 / 0.60" in read("EXPERIMENTS.md")
 
 
-def test_quoted_subcommands_are_registered():
-    """Every ``python -m repro <sub>`` / ```repro <sub>``` the docs quote
-    is a subcommand the parser knows (``<sub> --help`` exits 0, not 2)."""
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    quoted = re.compile(r"(?:python3? -m repro|`repro) ([a-z][a-z-]*)")
+def quoted_commands():
+    """``(document, subcommand, flags)`` for every ``python -m repro <sub>
+    ...`` / ```repro <sub> ...``` the docs quote: the flags are the
+    ``--options`` up to the end of the span or line (a ``\\`` continues
+    it), before a shell comment, ``&&``, ``;`` or a pipe."""
+    quoted = re.compile(r"(?:python3? -m repro|`repro) ([a-z][a-z-]*)([^\n`]*)")
     documents = ["README.md", "EXPERIMENTS.md", "DESIGN.md"] + glob.glob(
         os.path.join(REPO, "docs", "*.md")
     )
-    names = {name for document in documents for name in quoted.findall(read(document))}
+    for document in documents:
+        text = read(document).replace("\\\n", " ")
+        for name, rest in quoted.findall(text):
+            rest = re.split(r"\s#|&&|;|\s\|\s", rest)[0]
+            yield document, name, set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", rest))
+
+
+def test_quoted_subcommands_are_registered():
+    """Every ``python -m repro <sub>`` / ```repro <sub>``` the docs quote
+    is a subcommand the parser knows (``<sub> --help`` exits 0, not 2),
+    and every ``--flag`` quoted after it is an option of that subcommand."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    commands = list(quoted_commands())
+    names = {name for _, name, _ in commands}
     assert "run" in names, "the pattern matches nothing"
+    assert any(flags for _, _, flags in commands), "no quoted flag found"
     for name in sorted(names):
         with pytest.raises(SystemExit) as excinfo:
             parser.parse_args([name, "--help"])
         assert excinfo.value.code == 0, "the docs quote 'repro {}'".format(name)
+    subparsers = parser._subparsers._group_actions[0].choices
+    for document, name, flags in commands:
+        options = {o for a in subparsers[name]._actions for o in a.option_strings}
+        assert flags <= options, "{} quotes 'repro {} {}'".format(
+            os.path.relpath(document, REPO), name, " ".join(sorted(flags - options))
+        )
+
+
+def test_validation_core_suite_table_is_the_registry():
+    """docs/VALIDATION.md's core-suite table lists ``core_invariants`` of a
+    Query Scheduler deployment: same names, same order, same severities."""
+    from repro.experiments.runner import build_bundle, make_controller
+    from repro.validation import ControlLoopWorld, core_invariants
+
+    text = read("docs/VALIDATION.md")
+    section = text[text.index("## The core suite"):]
+    section = section[:section.index("\n## ", 1)]
+    rows = re.findall(r"^\| `([a-z_]+)` \| ([A-Z]+) \|", section, re.MULTILINE)
+    bundle = build_bundle()
+    make_controller(bundle, "qs")
+    registry = core_invariants(ControlLoopWorld.from_bundle(bundle))
+    assert rows == [(i.name, i.severity.name) for i in registry]
 
 
 def test_paper_claims_suite_runs_under_stock_pytest():

@@ -216,31 +216,3 @@ class TestMonitorBoundaries:
         later = monitor.measure("class3")
         assert later is not None  # retained, not lost
         assert later.value == pytest.approx(first.value)
-
-
-class TestReportChartIntegration:
-    def test_figure_chart_from_real_run(self):
-        """render_series_chart digests a real experiment's series."""
-        from repro.config import (
-            MonitorConfig, PlannerConfig, WorkloadScaleConfig, default_config,
-        )
-        from repro.experiments.runner import ExperimentSpec, run_spec
-        from repro.metrics.report import render_series_chart
-        from repro.workloads.schedule import constant_schedule
-
-        config = default_config(
-            scale=WorkloadScaleConfig(period_seconds=20.0, num_periods=2),
-            monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=10.0),
-            planner=PlannerConfig(control_interval=10.0),
-        )
-        result = run_spec(ExperimentSpec(
-            controller="none", config=config,
-            schedule=constant_schedule(20.0, 2, {"class1": 2, "class2": 2, "class3": 4}),
-        ))
-        chart = render_series_chart(
-            {c.name: result.collector.performance_series(c) for c in result.classes},
-            goal_lines={c.name: c.goal.target for c in result.classes},
-            title="smoke",
-        )
-        assert "smoke" in chart
-        assert "C=class3" in chart

@@ -23,7 +23,6 @@ NOT_LOADED_BY_A_QS_RUN = [
     "repro.experiments.figures",
     "repro.experiments.model_ablation",
     "repro.experiments.replication",
-    "repro.experiments.reportgen",
     "repro.experiments.sensitivity",
     "repro.metrics.report",
     "repro.obs.live.publish",

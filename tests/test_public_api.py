@@ -160,3 +160,11 @@ def test_removed_behaviours_are_not_reachable():
     assert not hasattr(importlib.import_module("repro.core.detection").WorkloadDetector,
                        "forecast_rate")
     assert "static_olap_limit" not in inspect.signature(ExperimentSpec).parameters
+    # Figures 4-7 are runs, and a run's report is what `repro run` prints.
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.experiments.reportgen")
+    figures = importlib.import_module("repro.experiments.figures")
+    assert not any(hasattr(figures, "figure{}".format(n)) for n in (4, 5, 6, 7))
+    report = importlib.import_module("repro.metrics.report")
+    assert not hasattr(report.Table, "markdown")
+    assert not hasattr(report, "render_series_chart")

@@ -143,7 +143,7 @@ class TestTelemetryEmbedding:
         assert any(
             v["name"] == "dispatcher_in_flight_consistent" for v in embedded
         )
-        # And they survive the JSONL export (what `repro trace` emits).
+        # And they survive the JSONL export (what `repro run --output FILE.jsonl` writes).
         rows = [json.loads(line) for line in store.to_jsonl().splitlines()]
         assert any(row["violations"] for row in rows)
         assert harness.violations

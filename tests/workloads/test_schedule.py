@@ -64,6 +64,11 @@ class TestPeriodSchedule:
                 # A hair into the period still maps to k.
                 assert schedule.period_at(t + period_seconds * 1e-9) == k
 
+    @pytest.mark.parametrize("period_seconds", [0.0, -1.0, math.nan, math.inf])
+    def test_period_length_must_be_positive_and_finite(self, period_seconds):
+        with pytest.raises(WorkloadError, match="positive and finite"):
+            PeriodSchedule(period_seconds, {"a": [1, 2, 3]})
+
     def test_horizon_clamps_to_last_period(self):
         schedule = PeriodSchedule(10.0, {"a": [1, 2, 3]})
         assert schedule.period_at(schedule.horizon) == 2
