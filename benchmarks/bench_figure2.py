@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.modeling.analytic import OLTP_SLOPE_PRIOR
 from repro.experiments.figures import FIGURE2_LIMITS, FIGURE2_PAIRS, figure2
 
 
@@ -77,7 +78,7 @@ def test_oltp_response_vs_olap_limit(report, paper_config):
     # where the limit stops binding for 2 clients.
     assert data[(30, 8)][-1][1] > data[(30, 2)][-1][1]
     report(
-        "model slope prior in config: {:.3e} (negated vs OLTP limit)".format(
-            -paper_config.planner.oltp_slope_prior
+        "model slope prior: {:.3e} (negated vs OLTP limit)".format(
+            -OLTP_SLOPE_PRIOR
         )
     )

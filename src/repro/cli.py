@@ -98,12 +98,13 @@ def _build_config(args: argparse.Namespace):
     sim = (vars(args).get("backend") or "sim") == "sim"
     defaults = (9, 120.0, 60.0) if sim else (3, 2.0, 1.0)
     given = (args.periods, args.period_seconds, args.control_interval)
+    seed = vars(args).get("seed")  # replicate has --seeds instead
     periods, period_seconds, control_interval = (
         value if value is not None else default
         for value, default in zip(given, defaults)
     )
     return default_config(
-        seed=args.seed if args.seed is not None else 7,
+        seed=7 if seed is None else seed,
         scale=WorkloadScaleConfig(
             period_seconds=period_seconds, num_periods=periods
         ),
@@ -191,11 +192,18 @@ def _cmd_run_sharded(args: argparse.Namespace, scenario) -> int:
     """The ``run --shards`` path: fleet run, merged cross-shard report."""
     from repro.shard import (
         ShardedExperimentSpec,
+        export_shard_telemetry,
         run_sharded,
         save_sharded_report,
         sharded_tables,
     )
 
+    output = args.output or ""
+    if output and not output.endswith((".json", ".jsonl")):
+        raise errors.ConfigurationError(
+            "--output {} with --shards: a sharded run writes its merged report "
+            "to a .json file or each shard's telemetry to .jsonl files".format(output)
+        )
     if args.trace_events:
         print(
             "--trace-events is not supported with sharded runs (each shard "
@@ -227,6 +235,8 @@ def _cmd_run_sharded(args: argparse.Namespace, scenario) -> int:
             rebalance=args.rebalance or "static",
         ).validate()
         source = "paper workload"
+    if output.endswith(".jsonl"):
+        _check_telemetry_output(output, spec.base.controller)
     print(
         "sharded run: {} ({} shards, router={}, rebalance={}, "
         "controller={}, invariants={})".format(
@@ -240,11 +250,25 @@ def _cmd_run_sharded(args: argparse.Namespace, scenario) -> int:
     )
     result = run_sharded(spec, jobs=_jobs_arg(args), hub=_start_live(args))
     _print_tables(sharded_tables(result.report))
-    if args.output:
-        save_sharded_report(result.report, args.output, overwrite=True)
-        print("wrote {}".format(args.output))
+    if output.endswith(".jsonl"):
+        for path in export_shard_telemetry(result.summaries, output, overwrite=True):
+            print("wrote {}".format(path))
+    elif output:
+        save_sharded_report(result.report, output, overwrite=True)
+        print("wrote {}".format(output))
     _linger_live(args)
     return 0 if result.ok else 1
+
+
+def _check_telemetry_output(output: str, controller: str) -> None:
+    """Refuse a ``.jsonl`` ``--output`` for a controller that records no
+    control-interval telemetry."""
+    if controller not in PLANNER_CONTROLLER_NAMES:
+        raise errors.ConfigurationError(
+            "--output {} writes control-interval telemetry, which only a "
+            "planner-based controller ({}) records; controller {!r} has "
+            "none".format(output, ", ".join(PLANNER_CONTROLLER_NAMES), controller)
+        )
 
 
 def _refuse_scenario_overrides(args: argparse.Namespace, *flags: str) -> None:
@@ -363,16 +387,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         if scenario.description:
             print(scenario.description.strip())
-    if (args.output or "").endswith(".jsonl") and (
-        spec.controller not in PLANNER_CONTROLLER_NAMES
-    ):
-        raise errors.ConfigurationError(
-            "--output {} writes control-interval telemetry, which only a "
-            "planner-based controller ({}) records; controller {!r} has "
-            "none".format(
-                args.output, ", ".join(PLANNER_CONTROLLER_NAMES), spec.controller
-            )
-        )
+    if (args.output or "").endswith(".jsonl"):
+        _check_telemetry_output(args.output, spec.controller)
     result = run_spec(spec, hub=_start_live(args))
     harness = result.extras.get("validation")
     if harness is not None and not harness.checks_run:
@@ -706,15 +722,17 @@ def _cmd_ablate_models(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scale_args(parser: argparse.ArgumentParser) -> None:
-    """The run-size options; ``None`` until ``_build_config`` resolves them."""
+def _scale_args(parser: argparse.ArgumentParser, seed: bool = True) -> None:
+    """The run-size options and (unless ``seed`` is false) ``--seed``;
+    ``None`` until ``_build_config`` resolves them."""
     parser.add_argument("--periods", type=int, default=None)
     parser.add_argument("--period-seconds", type=float, default=None)
     parser.add_argument("--control-interval", type=float, default=None)
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="RNG seed (default 7, or the scenario's own seed)",
-    )
+    if seed:
+        parser.add_argument(
+            "--seed", type=int, default=None,
+            help="RNG seed (default 7, or the scenario's own seed)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -754,7 +772,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="write results to a .json or .csv file, or the control-"
-             "interval telemetry (planner-based controllers) to a .jsonl file",
+             "interval telemetry (planner-based controllers) to a .jsonl file; "
+             "with --shards, the merged report (.json) or one telemetry file "
+             "per shard (.jsonl, as PATH.shardNN.jsonl)",
     )
     run_parser.add_argument(
         "--invariants", choices=("off", "warn", "strict"), default=None,
@@ -857,8 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen_parser.set_defaults(func=_cmd_scenarios)
 
-    def _experiment_scale_args(p: argparse.ArgumentParser) -> None:
-        _scale_args(p)
+    def _experiment_scale_args(p: argparse.ArgumentParser, seed: bool = True) -> None:
+        _scale_args(p, seed)
         p.add_argument(
             "--jobs", type=int, default=1,
             help="worker processes for the run fan-out (0 = one per CPU)",
@@ -879,7 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep_parser.add_argument(
         "--seeds", type=int, nargs="+", default=[7, 21, 42],
     )
-    _experiment_scale_args(rep_parser)
+    # Seeds come from --seeds.
+    _experiment_scale_args(rep_parser, seed=False)
     rep_parser.set_defaults(func=_cmd_replicate)
 
     sweep_parser = sub.add_parser(
@@ -945,8 +966,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", required=True, metavar="PATH",
         help="where to write the trained model JSON",
     )
+    from repro.core.modeling.analytic import OLTP_SLOPE_PRIOR
+
     train_parser.add_argument(
-        "--prior-slope", type=float, default=-4.2e-6,
+        "--prior-slope", type=float, default=OLTP_SLOPE_PRIOR,
         help="OLTP slope prior of the analytic base model (default %(default)s)",
     )
     train_parser.add_argument(

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.config import MonitorConfig, SimulationConfig
+from repro.config import SimulationConfig
 from repro.core.dispatcher import Dispatcher
-from repro.core.monitor import ClassMeasurement, fresh_or_retained
+from repro.core.monitor import VELOCITY_WINDOW, ClassMeasurement, fresh_or_retained
 from repro.core.plan import SchedulingPlan
 from repro.core.planner import SchedulingPlanner, make_solver
 from repro.core.service_class import ServiceClass
@@ -67,10 +67,8 @@ class CompletionMeasurement:
         clock: Clock,
         patroller: QueryPatroller,
         classes: List[ServiceClass],
-        config: MonitorConfig,
     ) -> None:
         self.clock = clock
-        self.config = config
         #: Per class: the goal metric's name — also the ``Query`` attribute
         #: that carries it — and the window of completed statements' values.
         self._windows = {
@@ -86,20 +84,18 @@ class CompletionMeasurement:
 
     def measure_all(self) -> Dict[str, ClassMeasurement]:
         """Windowed mean per class; a class whose window ran dry reports its
-        last measurement while that is younger than ``max_measurement_age``
+        last measurement while that is younger than ``MAX_MEASUREMENT_AGE``
         and nothing after (the rule the Monitor applies)."""
         now = self.clock.now
         measured = {}
         for name, (metric, window) in self._windows.items():
-            window.evict_older_than(now - self.config.velocity_window)
+            window.evict_older_than(now - VELOCITY_WINDOW)
             fresh = None
             if len(window):
                 fresh = tuple.__new__(
                     ClassMeasurement, (name, metric, window.mean, len(window), now)
                 )
-            value = fresh_or_retained(
-                self._retained, name, fresh, now, self.config.max_measurement_age
-            )
+            value = fresh_or_retained(self._retained, name, fresh, now)
             if value is not None:
                 measured[name] = value
         return measured
@@ -137,9 +133,7 @@ class DirectScheduler:
         )
         patroller.subscribe("completed", self.dispatcher.on_completion, names)
         engine.set_admission_gate(DispatcherGate(self.dispatcher, sim))
-        self.measurement = CompletionMeasurement(
-            sim, patroller, classes, config.monitor
-        )
+        self.measurement = CompletionMeasurement(sim, patroller, classes)
         self.solver = make_solver(config)
         self.planner = SchedulingPlanner(
             sim, self.measurement, self.dispatcher, self.solver, classes, config.planner

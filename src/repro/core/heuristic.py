@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.plan import SchedulingPlan
-from repro.core.solver import ClassStatus
+from repro.core.solver import GRID_TIMERONS, MIN_CLASS_LIMIT, ClassStatus
 from repro.errors import SchedulingError
 
 #: Deficit assigned to a class exactly at its goal, so satisfied classes
@@ -34,21 +34,10 @@ _FLOOR_DEFICIT = 0.05
 class DeficitAllocator:
     """Importance-x-deficit proportional allocation of the system limit."""
 
-    def __init__(
-        self,
-        system_cost_limit: float,
-        grid_timerons: float = 1000.0,
-        min_class_limit: float = 1000.0,
-    ) -> None:
+    def __init__(self, system_cost_limit: float) -> None:
         if system_cost_limit <= 0:
             raise SchedulingError("system_cost_limit must be positive")
-        if grid_timerons <= 0:
-            raise SchedulingError("grid_timerons must be positive")
-        if min_class_limit < 0:
-            raise SchedulingError("min_class_limit must be non-negative")
         self.system_cost_limit = system_cost_limit
-        self.grid = grid_timerons
-        self.min_class_limit = min_class_limit
         self._solve_calls = 0
 
     @property
@@ -92,7 +81,7 @@ class DeficitAllocator:
         if not statuses:
             raise SchedulingError("allocator needs at least one class status")
         self._solve_calls += 1
-        minimum = max(self.min_class_limit, self.grid)
+        minimum = max(MIN_CLASS_LIMIT, GRID_TIMERONS)
         budget = self.system_cost_limit - minimum * len(statuses)
         if budget < 0:
             raise SchedulingError(
@@ -106,7 +95,7 @@ class DeficitAllocator:
         limits = {}
         for status, weight in zip(statuses, weights):
             share = budget * weight / total_weight if total_weight > 0 else 0.0
-            quantised = minimum + self.grid * round(share / self.grid)
+            quantised = minimum + GRID_TIMERONS * round(share / GRID_TIMERONS)
             limits[status.service_class.name] = quantised
         # Quantisation can overshoot the budget; shave the largest class.
         total = sum(limits.values())
@@ -114,6 +103,6 @@ class DeficitAllocator:
             largest = max(limits, key=lambda name: limits[name])
             if limits[largest] <= minimum:
                 break
-            limits[largest] -= self.grid
-            total -= self.grid
+            limits[largest] -= GRID_TIMERONS
+            total -= GRID_TIMERONS
         return SchedulingPlan(limits, self.system_cost_limit, created_at=now)

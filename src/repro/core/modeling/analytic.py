@@ -40,6 +40,13 @@ if TYPE_CHECKING:
 #: Guard for divisions by a previous cost limit of (near) zero.
 _MIN_LIMIT = 1.0
 
+#: Slope of the OLTP linear model every run uses (:func:`~repro.core.
+#: modeling.registry.make_model`): seconds of OLTP response time per
+#: timeron of OLTP class limit.  The paper obtains it offline by linear
+#: regression on the Figure 2 experiment; this value matches the
+#: calibration sweep on the simulated server.
+OLTP_SLOPE_PRIOR = -4.2e-6
+
 
 class OLAPVelocityModel:
     """The paper's multiplicative velocity model for directly controlled

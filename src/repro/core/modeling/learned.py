@@ -29,6 +29,7 @@ from array import array
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.modeling.analytic import (
+    OLTP_SLOPE_PRIOR,
     OLAPVelocityModel,
     OLTPResponseTimeModel,
 )
@@ -329,7 +330,7 @@ class LearnedPerformanceModel:
 
     def __init__(
         self,
-        prior_slope: float = -4.2e-6,
+        prior_slope: float = OLTP_SLOPE_PRIOR,
         ridge: float = 4.0,
         forgetting: float = 0.995,
     ) -> None:
@@ -565,7 +566,7 @@ class LearnedPerformanceModel:
                 "learned model 'hyper' and 'classes' must be objects"
             )
         model = LearnedPerformanceModel(
-            prior_slope=_hyperparameter(hyper, "prior_slope", -4.2e-6),
+            prior_slope=_hyperparameter(hyper, "prior_slope", OLTP_SLOPE_PRIOR),
             ridge=_hyperparameter(hyper, "ridge", 4.0),
             forgetting=_hyperparameter(hyper, "forgetting", 0.995),
         )

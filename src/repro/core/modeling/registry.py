@@ -11,13 +11,14 @@ controller is assembled.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.modeling.analytic import OLTPResponseTimeModel, PaperAnalyticModel
+from repro.core.modeling.analytic import (
+    OLTP_SLOPE_PRIOR,
+    OLTPResponseTimeModel,
+    PaperAnalyticModel,
+)
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.config import PlannerConfig
 
 #: Base model names the registry understands.
 MODEL_NAMES = ("paper", "learned", "oracle")
@@ -45,19 +46,16 @@ def parse_model_spec(spec: str) -> Tuple[str, Optional[str]]:
     return base, argument or None
 
 
-def make_model(spec: str, planner: Optional["PlannerConfig"] = None):
-    """Construct the model a spec names, calibrated from planner config.
+def make_model(spec: str):
+    """Construct the model a spec names.
 
-    ``planner`` supplies the calibrated OLTP slope; None falls back to the
-    models' own defaults.  A ``learned:<path>`` spec loads trained weights
-    — the file's stored hyperparameters win over the run's config so
-    predictions match what was trained.
+    A ``learned:<path>`` spec loads trained weights — the file's stored
+    hyperparameters win over the calibrated defaults so predictions match
+    what was trained.
     """
     base, argument = parse_model_spec(spec)
     if base == "paper":
-        if planner is not None:
-            return PaperAnalyticModel(OLTPResponseTimeModel(planner.oltp_slope_prior))
-        return PaperAnalyticModel()
+        return PaperAnalyticModel(OLTPResponseTimeModel(OLTP_SLOPE_PRIOR))
     from repro.core.modeling.learned import LearnedPerformanceModel, OracleLastValueModel
 
     if base == "oracle":
@@ -66,6 +64,4 @@ def make_model(spec: str, planner: Optional["PlannerConfig"] = None):
         from repro.core.modeling.training import load_model
 
         return load_model(argument)
-    if planner is not None:
-        return LearnedPerformanceModel(prior_slope=planner.oltp_slope_prior)
     return LearnedPerformanceModel()

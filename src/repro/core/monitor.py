@@ -32,6 +32,12 @@ from repro.patroller.tables import ControlTables
 from repro.runtime import Clock, ExecutionEngine, TimerService
 from repro.sim.stats import SlidingWindow, sequential_sum
 
+#: Seconds of OLAP completions behind each velocity estimate.
+VELOCITY_WINDOW = 120.0
+#: How long a class's last measurement stays usable as a fallback once its
+#: sample windows run dry (see :func:`fresh_or_retained`).
+MAX_MEASUREMENT_AGE = 300.0
+
 
 class ClassMeasurement(NamedTuple):
     """One per-class performance measurement handed to the planner."""
@@ -48,22 +54,21 @@ def fresh_or_retained(
     class_name: str,
     fresh: Optional[ClassMeasurement],
     now: float,
-    max_age: float,
 ) -> Optional[ClassMeasurement]:
     """This interval's measurement, or the class's last one while it is young.
 
     When a class's sample windows run dry its last measurement stands in,
-    but only while it is younger than ``max_age`` (``monitor.
-    max_measurement_age``) — an idle class must not keep feeding the solver
-    an arbitrarily old value forever; past that age it is dropped and the
-    planner treats the class as unmeasured (at-goal).  ``retained`` is the
+    but only while it is younger than :data:`MAX_MEASUREMENT_AGE` — an idle
+    class must not keep feeding the solver an arbitrarily old value forever;
+    past that age it is dropped and the planner treats the class as
+    unmeasured (at-goal).  ``retained`` is the
     caller's per-class store, updated in place.
     """
     if fresh is not None:
         retained[class_name] = fresh
         return fresh
     kept = retained.get(class_name)
-    if kept is not None and now - kept.measured_at > max_age:
+    if kept is not None and now - kept.measured_at > MAX_MEASUREMENT_AGE:
         del retained[class_name]
         return None
     return kept
@@ -211,7 +216,6 @@ class Monitor:
             class_name,
             measurement,
             self.clock.now,
-            self.config.max_measurement_age,
         )
 
     def measure_all(self) -> Dict[str, ClassMeasurement]:
@@ -226,7 +230,7 @@ class Monitor:
     def _measure_velocity(self, service_class: ServiceClass) -> Optional[ClassMeasurement]:
         now = self.clock.now
         window = self._velocity_samples[service_class.name]
-        window.evict_older_than(now - self.config.velocity_window)
+        window.evict_older_than(now - VELOCITY_WINDOW)
         values = window.values()
         # Blend in queries currently in the system (released or queued):
         # their velocity-so-far is the freshest signal of queueing pressure.

@@ -58,22 +58,11 @@ def make_solver(config: SimulationConfig):
     if planner.allocator == "deficit":
         from repro.core.heuristic import DeficitAllocator
 
-        return DeficitAllocator(
-            system_cost_limit=config.system_cost_limit,
-            grid_timerons=planner.grid_timerons,
-            min_class_limit=planner.min_class_limit,
-        )
+        return DeficitAllocator(system_cost_limit=config.system_cost_limit)
     return PerformanceSolver(
-        utility=make_utility(
-            planner.utility,
-            surplus_slope=planner.surplus_slope,
-            importance_base=planner.importance_base,
-        ),
-        model=make_model(planner.model, planner),
+        utility=make_utility(planner.utility),
+        model=make_model(planner.model),
         system_cost_limit=config.system_cost_limit,
-        grid_timerons=planner.grid_timerons,
-        min_class_limit=planner.min_class_limit,
-        oltp_target_margin=planner.oltp_target_margin,
     )
 
 

@@ -31,6 +31,15 @@ from repro.errors import SchedulingError
 #: Class counts up to which the solver enumerates the simplex exhaustively.
 _EXHAUSTIVE_MAX_CLASSES = 3
 
+#: Timeron granularity of the allocation simplex.
+GRID_TIMERONS = 1_000.0
+#: Smallest cost limit any class is given.
+MIN_CLASS_LIMIT = 1_000.0
+#: Fraction of the OLTP response-time goal the solver actually aims at
+#: (< 1 leaves control headroom so measurement noise does not park the
+#: class permanently just above its SLO).
+OLTP_TARGET_MARGIN = 0.92
+
 
 class ClassStatus:
     """Solver input for one class: where it is now."""
@@ -59,9 +68,9 @@ class PerformanceSolver:
         self,
         utility: UtilityFunction,
         system_cost_limit: float = 0.0,
-        grid_timerons: float = 1000.0,
-        min_class_limit: float = 1000.0,
-        oltp_target_margin: float = 1.0,
+        grid_timerons: float = GRID_TIMERONS,
+        min_class_limit: float = MIN_CLASS_LIMIT,
+        oltp_target_margin: float = OLTP_TARGET_MARGIN,
         model: Optional[PerformanceModel] = None,
     ) -> None:
         if grid_timerons <= 0:

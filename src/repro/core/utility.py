@@ -30,8 +30,11 @@ from repro.errors import ConfigurationError
 #: Achievement beyond which extra performance earns nothing at all.
 _SURPLUS_CAP = 2.0
 
-#: Default base of the exponential importance weighting (see below).
-DEFAULT_IMPORTANCE_BASE = 4.0
+#: Base of the exponential importance weighting (see below).
+IMPORTANCE_BASE = 4.0
+
+#: :class:`PiecewiseLinearUtility`'s slope above goal.
+SURPLUS_SLOPE = 0.05
 
 #: :class:`SigmoidUtility`'s steepness ``k`` below goal and its
 #: importance-free surplus slope above goal.
@@ -79,8 +82,8 @@ class PiecewiseLinearUtility(UtilityFunction):
 
     def __init__(
         self,
-        surplus_slope: float = 0.05,
-        importance_base: float = DEFAULT_IMPORTANCE_BASE,
+        surplus_slope: float = SURPLUS_SLOPE,
+        importance_base: float = IMPORTANCE_BASE,
     ) -> None:
         if surplus_slope < 0:
             raise ConfigurationError("surplus_slope must be non-negative")
@@ -109,7 +112,7 @@ class SigmoidUtility(UtilityFunction):
     ``epsilon`` :data:`SIGMOID_EPSILON`).
     """
 
-    def __init__(self, importance_base: float = DEFAULT_IMPORTANCE_BASE) -> None:
+    def __init__(self, importance_base: float = IMPORTANCE_BASE) -> None:
         if importance_base < 1:
             raise ConfigurationError("importance_base must be >= 1")
         self.importance_base = importance_base
@@ -132,7 +135,7 @@ class StepUtility(UtilityFunction):
     its slope is :data:`STEP_RAMP`.
     """
 
-    def __init__(self, importance_base: float = DEFAULT_IMPORTANCE_BASE) -> None:
+    def __init__(self, importance_base: float = IMPORTANCE_BASE) -> None:
         if importance_base < 1:
             raise ConfigurationError("importance_base must be >= 1")
         self.importance_base = importance_base
@@ -145,18 +148,12 @@ class StepUtility(UtilityFunction):
         return weight * STEP_RAMP * r
 
 
-def make_utility(
-    name: str,
-    surplus_slope: float = 0.05,
-    importance_base: float = DEFAULT_IMPORTANCE_BASE,
-) -> UtilityFunction:
+def make_utility(name: str) -> UtilityFunction:
     """Factory keyed by the :class:`~repro.config.PlannerConfig` name."""
     if name == "piecewise":
-        return PiecewiseLinearUtility(
-            surplus_slope=surplus_slope, importance_base=importance_base
-        )
+        return PiecewiseLinearUtility()
     if name == "sigmoid":
-        return SigmoidUtility(importance_base=importance_base)
+        return SigmoidUtility()
     if name == "step":
-        return StepUtility(importance_base=importance_base)
+        return StepUtility()
     raise ConfigurationError("unknown utility family {!r}".format(name))

@@ -4,10 +4,10 @@ In DB2 UDB every active statement is served by an *agent*; Query Patroller
 blocks a query by blocking its agent and releases it through an unblocking
 API (Section 2).  The pool here enforces a maximum number of concurrently
 active agents; statements arriving when the pool is exhausted wait FIFO.
-With the default configuration the pool is sized so it never binds — the
-paper's control acts through cost limits, not agents — but it exists so the
-substrate degrades the way a real server would if driven without any
-admission control at all.
+At :data:`MAX_AGENTS` agents the pool never binds — the paper's control
+acts through cost limits, not agents — but it exists so the substrate
+degrades the way a real server would if driven without any admission
+control at all.
 """
 
 from __future__ import annotations
@@ -15,17 +15,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
-from repro.config import AgentConfig
 from repro.dbms.query import Query
 from repro.errors import SimulationError
+
+#: Concurrently active agents; statements past it wait FIFO.
+MAX_AGENTS = 400
 
 
 class AgentPool:
     """Bounded pool of statement agents with FIFO overflow queueing."""
 
-    def __init__(self, config: AgentConfig) -> None:
-        config.validate()
-        self.config = config
+    def __init__(self) -> None:
+        self.max_agents = MAX_AGENTS
         self._active = 0
         self._waiting: Deque[Tuple[Query, Callable[[Query], None]]] = deque()
         self._peak_active = 0
@@ -58,7 +59,7 @@ class AgentPool:
         returned; otherwise the request queues and False is returned —
         ``on_granted`` will fire when an agent frees up.
         """
-        if self._active < self.config.max_agents:
+        if self._active < self.max_agents:
             self._active += 1
             if self._active > self._peak_active:
                 self._peak_active = self._active

@@ -40,6 +40,13 @@ from repro.runtime.protocols import AdmissionGate, TimerService
 from repro.sim.resources import ProcessorSharingResource
 from repro.sim.rng import RandomStreams
 
+#: The paper's testbed, an IBM xSeries 240: 2 CPUs and 17 disks, each
+#: serving one second of demand per second at full efficiency.
+CPU_SERVERS = 2
+DISK_SERVERS = 17
+CPU_SPEED = 1.0
+DISK_SPEED = 1.0
+
 
 class ExecutionEngine:
     """The query-execution contract shared by every engine.
@@ -62,7 +69,7 @@ class ExecutionEngine:
         self.sim = sim
         self.config = config
         self.rng = rng
-        self.agents = AgentPool(config.agents)
+        self.agents = AgentPool()
         self.snapshot_monitor = SnapshotMonitor()
         self.estimator = CostEstimator(config.optimizer, rng)
         self._completion_hook: Optional[Callable[[Query], None]] = None
@@ -168,13 +175,8 @@ class DatabaseEngine(ExecutionEngine):
         rng: RandomStreams,
     ) -> None:
         super().__init__(sim, config, rng)
-        resources = config.resources
-        self.cpu = ProcessorSharingResource(
-            sim, "cpu", resources.cpu_servers, resources.cpu_speed
-        )
-        self.disk = ProcessorSharingResource(
-            sim, "disk", resources.disk_servers, resources.disk_speed
-        )
+        self.cpu = ProcessorSharingResource(sim, "cpu", CPU_SERVERS, CPU_SPEED)
+        self.disk = ProcessorSharingResource(sim, "disk", DISK_SERVERS, DISK_SPEED)
         self._pools: Dict[str, ProcessorSharingResource] = {CPU: self.cpu, IO: self.disk}
         self.overload = OverloadModel(config.overload, [self.cpu, self.disk])
 

@@ -6,7 +6,7 @@ DB2 UDB optimizer to express the combined resource usage to execute a query"
 decision, and the paper closes by noting that "cost-based resource allocation
 is somehow inaccurate" — so the estimator here computes the exact cost from a
 query's true demands and then perturbs it with multiplicative lognormal noise
-whose magnitude is configurable (and ablatable; see
+whose magnitude is ``optimizer.noise_sigma`` (ablated by
 ``benchmarks/bench_ablation_noise.py``).
 """
 
@@ -17,6 +17,12 @@ from typing import Tuple
 from repro.config import OptimizerConfig
 from repro.sim.rng import RandomStreams
 
+#: Timerons per second of CPU and of I/O demand, plus a fixed per-statement
+#: cost: a query's exact price is ``BASE_COST + CPU * cpu + IO * io``.
+CPU_TIMERONS_PER_SECOND = 600.0
+IO_TIMERONS_PER_SECOND = 240.0
+BASE_COST = 25.0
+
 
 class CostEstimator:
     """Prices queries in timerons with configurable estimation error.
@@ -24,14 +30,13 @@ class CostEstimator:
     Parameters
     ----------
     config:
-        Timeron rates and noise magnitude.
+        Noise magnitude.
     rng:
         Random streams; the estimator draws from stream ``"optimizer"``.
     """
 
     def __init__(self, config: OptimizerConfig, rng: RandomStreams) -> None:
         config.validate()
-        self.config = config
         self._noise = rng.lognormal_draws("optimizer", config.noise_sigma)
         self._estimates = 0
 
@@ -42,7 +47,11 @@ class CostEstimator:
 
     def true_cost(self, cpu_demand: float, io_demand: float) -> float:
         """Exact timeron cost of the given demands (no noise)."""
-        return self.config.true_cost(cpu_demand, io_demand)
+        return (
+            BASE_COST
+            + CPU_TIMERONS_PER_SECOND * cpu_demand
+            + IO_TIMERONS_PER_SECOND * io_demand
+        )
 
     def price(self, cpu_demand: float, io_demand: float) -> Tuple[float, float]:
         """``(true cost, noisy estimate)`` of one statement, priced once.
@@ -52,12 +61,11 @@ class CostEstimator:
         ``"optimizer"`` stream per call.
         """
         self._estimates += 1
-        config = self.config
-        # OptimizerConfig.true_cost, read here: once per statement.
+        # true_cost, inlined: this runs once per statement.
         exact = (
-            config.base_cost
-            + config.cpu_timerons_per_second * cpu_demand
-            + config.io_timerons_per_second * io_demand
+            BASE_COST
+            + CPU_TIMERONS_PER_SECOND * cpu_demand
+            + IO_TIMERONS_PER_SECOND * io_demand
         )
         return exact, exact * self._noise()
 

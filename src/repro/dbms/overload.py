@@ -11,7 +11,8 @@ multiplier applied to both resource pools:
     efficiency(cost) = 1                                   cost <= knee
                        1 / (1 + beta * (cost - knee)/knee) cost >  knee
 
-where ``cost`` is the summed *true* timeron cost of all executing queries.
+where ``cost`` is the summed *true* timeron cost of all executing queries,
+``knee`` is ``overload.knee_cost`` and ``beta`` is :data:`BETA`.
 Below the knee the server behaves like a plain processor-sharing system
 (hence the linear Figure 2 regime); above it, every additional admitted
 timeron slows everyone down, producing the throughput knee of the
@@ -25,6 +26,10 @@ from typing import List
 from repro.config import OverloadConfig
 from repro.sim.resources import ProcessorSharingResource
 
+#: How fast efficiency falls past the knee: at ``(1 + x) * knee`` it is
+#: ``1 / (1 + BETA * x)``.
+BETA = 1.5
+
 
 class OverloadModel:
     """Tracks total in-flight cost and keeps pool efficiencies in sync."""
@@ -35,7 +40,6 @@ class OverloadModel:
         resources: List[ProcessorSharingResource],
     ) -> None:
         config.validate()
-        self.config = config
         self._resources = list(resources)
         self._total_cost = 0.0
         self._peak_cost = 0.0
@@ -55,7 +59,11 @@ class OverloadModel:
     @property
     def efficiency(self) -> float:
         """Current efficiency multiplier."""
-        return self.config.efficiency(self._total_cost)
+        knee = self._knee
+        if self._total_cost <= knee:
+            return 1.0
+        excess = (self._total_cost - knee) / knee
+        return 1.0 / (1.0 + BETA * excess)
 
     def admit(self, cost: float) -> None:
         """Account for a query entering execution."""

@@ -241,19 +241,17 @@ def build_bundle(
 
     rng = RandomStreams(config.seed)
     sim, engine = make_backend(backend, config, rng, **(backend_options or {}))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     factory = QueryFactory(engine.estimator, rng)
     collector = MetricsCollector(patroller, schedule, classes)
 
     def client_builder(class_name: str, client_id: str) -> ClosedLoopClient:
         return ClosedLoopClient(
-            sim=sim,
             patroller=patroller,
             factory=factory,
             mix=mixes[class_name],
             class_name=class_name,
             client_id=client_id,
-            think_time=config.scale.think_time,
         )
 
     manager = ClientPoolManager(sim, schedule, client_builder)

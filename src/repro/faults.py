@@ -19,7 +19,6 @@ correlate violations with their seeded faults.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -224,9 +223,7 @@ class FaultInjector:
         """
 
         def jitter() -> None:
-            self.patroller.config = dataclasses.replace(
-                self.patroller.config, release_latency=release_latency
-            )
+            self.patroller.release_latency = release_latency
             self._log("release_latency_jitter", release_latency=release_latency)
 
         self._at(delay, jitter, "release_latency_jitter")

@@ -36,11 +36,18 @@ from typing import (
     Tuple,
 )
 
-from repro.config import PatrollerConfig
 from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import PatrollerError
 from repro.patroller.tables import ControlTables
 from repro.runtime import ExecutionEngine, TimerHandle, TimerService
+
+#: QP's costs per intercepted statement: seconds before it becomes eligible
+#: for release, seconds added when it is released, and CPU seconds burned on
+#: the server on its behalf.  They are what make direct OLTP interception
+#: impractical (Section 3): they dwarf a sub-second transaction.
+INTERCEPTION_LATENCY = 0.20
+RELEASE_LATENCY = 0.05
+OVERHEAD_CPU_DEMAND = 0.03
 
 ReleaseHandler = Callable[[Query], None]
 #: Observer of one lifecycle transition; called with the query.
@@ -69,12 +76,13 @@ class QueryPatroller:
         self,
         sim: TimerService,
         engine: ExecutionEngine,
-        config: PatrollerConfig,
     ) -> None:
-        config.validate()
         self.sim = sim
         self.engine = engine
-        self.config = config
+        #: Per-instance, so a fault can change one run's release latency.
+        self.interception_latency = INTERCEPTION_LATENCY
+        self.release_latency = RELEASE_LATENCY
+        self.overhead_cpu_demand = OVERHEAD_CPU_DEMAND
         self.tables = ControlTables()
         self._intercepted_classes: Set[str] = set()
         self._release_handler: Optional[ReleaseHandler] = None
@@ -265,16 +273,16 @@ class QueryPatroller:
             return
         self._intercepted_count += 1
         self.sim.schedule(
-            self.config.interception_latency,
+            self.interception_latency,
             lambda: self._intercept(query),
             "qp:intercept",
         )
 
     def _intercept(self, query: Query) -> None:
         query.intercept_time = self.sim.now
-        if self.config.overhead_cpu_demand > 0:
+        if self.overhead_cpu_demand > 0:
             # QP's bookkeeping burns server CPU on behalf of the statement.
-            query.phases = ((CPU, self.config.overhead_cpu_demand),) + query.phases
+            query.phases = ((CPU, self.overhead_cpu_demand),) + query.phases
         query.state = QueryState.QUEUED
         self.tables.record(query)
         query.queue_time = self.sim.now
@@ -300,9 +308,9 @@ class QueryPatroller:
         query.release_time = self.sim.now
         for listener in self._route("released", query.class_name):
             listener(query)
-        if self.config.release_latency > 0:
+        if self.release_latency > 0:
             self._pending_release[query.query_id] = self.sim.schedule(
-                self.config.release_latency,
+                self.release_latency,
                 lambda: self._begin_execution(query),
                 "qp:release",
             )

@@ -13,8 +13,8 @@ Three layers, narrow to wide:
   tracer, staleness bounds, measurement windows) depends on this.
 * :class:`TimerService` — a clock plus ``schedule``/``schedule_at``
   returning cancellable :class:`TimerHandle`\\ s.  Anything that *reacts*
-  to time (control loops, snapshot sampling, detection buckets, client
-  think time) depends on this.
+  to time (control loops, snapshot sampling, detection buckets, the
+  period schedule) depends on this.
 * :class:`~repro.dbms.engine.ExecutionEngine` — the query-execution
   surface: submit, the one completion hook, active-cost accounting,
   snapshot sampling and the admission-gate hook.  It is a concrete base

@@ -39,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SimulationConfig
+from repro.dbms.agent import MAX_AGENTS
 from repro.dbms.engine import ExecutionEngine
 from repro.dbms.query import Query, QueryState
 from repro.errors import SimulationError
@@ -110,15 +111,15 @@ class SQLiteEngine(ExecutionEngine):
         parity with :class:`~repro.dbms.engine.DatabaseEngine`, which the
         patroller and controllers rely on).
     config:
-        The shared simulation configuration; only ``agents`` and
-        ``optimizer`` sections are consumed here.
+        The shared simulation configuration; only the ``optimizer``
+        section is consumed here.
     rng:
         Random streams for the cost estimator's noise.
     db_path:
         Existing path for the database file; default is a fresh temp
         directory removed on :meth:`close`.
     workers:
-        SQL worker threads.  Defaults to ``min(max_agents, 16)`` — the
+        SQL worker threads.  Defaults to ``min(MAX_AGENTS, 16)`` — the
         agent pool bounds admitted concurrency, the executor bounds actual
         hardware parallelism, mirroring agents-vs-cores on a real server.
     statements_per_demand_second:
@@ -167,7 +168,7 @@ class SQLiteEngine(ExecutionEngine):
         self._all_connections: List[sqlite3.Connection] = []
         self._populate()
         if workers is None:
-            workers = min(config.agents.max_agents, 16)
+            workers = min(MAX_AGENTS, 16)
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, workers), thread_name_prefix="repro-sql"
         )

@@ -548,9 +548,7 @@ class ScenarioSpec:
             except ConfigurationError as exc:
                 raise ScenarioError("control override {!r}: {}".format(path, exc))
         scale = WorkloadScaleConfig(
-            period_seconds=self.period_seconds,
-            num_periods=self.num_periods,
-            think_time=config.scale.think_time,
+            period_seconds=self.period_seconds, num_periods=self.num_periods
         )
         return config.with_updates(scale=scale)
 
@@ -799,9 +797,7 @@ def to_experiment_spec(
     if scale != 1.0:
         config = config.with_updates(
             scale=WorkloadScaleConfig(
-                period_seconds=period_seconds,
-                num_periods=spec.num_periods,
-                think_time=config.scale.think_time * scale,
+                period_seconds=period_seconds, num_periods=spec.num_periods
             )
         )
     # Keep at least two control intervals per period so the planner reacts
@@ -817,11 +813,9 @@ def to_experiment_spec(
                 snapshot_interval=min(
                     monitor.snapshot_interval, max(0.05, effective / 2.0)
                 ),
-                velocity_window=monitor.velocity_window,
                 response_time_window=min(
                     monitor.response_time_window, max(effective / 2.0, 10.0)
                 ),
-                max_measurement_age=monitor.max_measurement_age,
             )
         )
     return ExperimentSpec(

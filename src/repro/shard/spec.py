@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import default_config
 from repro.core.service_class import ServiceClass, paper_classes
-from repro.core.solver import min_class_units
+from repro.core.solver import GRID_TIMERONS, MIN_CLASS_LIMIT, min_class_units
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentSpec, default_schedule
 from repro.shard.router import (
@@ -76,7 +76,7 @@ def split_cost_limit(
 
     Every shard gets at least ``floor`` (the solver's per-deployment
     minimum — below it the per-shard :class:`PerformanceSolver` cannot
-    give every class its ``min_class_limit``); the remainder is spread
+    give every class its ``MIN_CLASS_LIMIT``); the remainder is spread
     proportionally to ``demands`` (equally when total demand is zero).
     The returned shares sum *exactly* to ``total`` — the last share is
     pinned to the remainder so float error can never break the
@@ -172,10 +172,8 @@ class ShardedExperimentSpec:
         refuses a limit that cannot give every class its
         :func:`min_class_units`; a shard gives each class at least one.
         """
-        config = (self.base.config or default_config()).validate()
-        grid = config.planner.grid_timerons
-        units = max(min_class_units(config.planner.min_class_limit, grid), 1)
-        return units * grid * len(self.resolved_classes())
+        units = max(min_class_units(MIN_CLASS_LIMIT, GRID_TIMERONS), 1)
+        return units * GRID_TIMERONS * len(self.resolved_classes())
 
     def shard_schedules(self) -> List[PeriodSchedule]:
         """The routed per-shard schedules (global schedule for 1 shard)."""

@@ -27,11 +27,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.config import SimulationConfig
 from repro.core.dispatcher import Dispatcher
 from repro.core.monitor import Monitor
 from repro.core.planner import SchedulingPlanner
 from repro.core.service_class import ServiceClass
+from repro.core.solver import GRID_TIMERONS
 from repro.dbms.query import QueryState
 from repro.errors import InvariantViolation, SchedulingError
 from repro.metrics.telemetry import ControlIntervalRecord
@@ -66,7 +66,6 @@ class ControlLoopWorld:
     sim: TimerService
     engine: ExecutionEngine
     classes: Sequence[ServiceClass]
-    config: Optional[SimulationConfig] = None
     patroller: Optional[QueryPatroller] = None
     dispatcher: Optional[Dispatcher] = None
     monitor: Optional[Monitor] = None
@@ -90,7 +89,6 @@ class ControlLoopWorld:
             sim=scheduler.sim,
             engine=scheduler.engine,
             classes=scheduler.classes,
-            config=scheduler.config,
             patroller=scheduler.patroller,
             dispatcher=scheduler.dispatcher,
             monitor=scheduler.monitor,
@@ -111,7 +109,6 @@ class ControlLoopWorld:
             sim=bundle.sim,
             engine=bundle.engine,
             classes=bundle.classes,
-            config=bundle.config,
             patroller=bundle.patroller,
             dispatcher=getattr(controller, "dispatcher", None),
             monitor=getattr(controller, "monitor", None),
@@ -185,10 +182,7 @@ def _check_plan_spends_system_limit(world: ControlLoopWorld):
     system = plan.system_cost_limit
     # Grid quantisation may legitimately leave up to one grid step per
     # class unallocated; anything beyond that is a solver/plan bug.
-    grid = (
-        world.config.planner.grid_timerons if world.config is not None else 1_000.0
-    )
-    tolerance = max(grid * max(1, len(world.classes)), _COST_TOLERANCE)
+    tolerance = max(GRID_TIMERONS * max(1, len(world.classes)), _COST_TOLERANCE)
     if total > system * (1 + _COST_TOLERANCE):
         return "limits sum to {:.1f} > system cost limit {:.1f}".format(total, system)
     if total < system - tolerance:

@@ -3,7 +3,7 @@
 "Each client submitted queries one after another with zero think time"
 (Section 4).  A :class:`ClosedLoopClient` keeps exactly one statement in the
 system at a time: it submits, waits for the completion callback (or QP's
-cancellation of the statement), optionally thinks, and submits again.
+cancellation of the statement), and submits again at once.
 Clients are activated and deactivated by the period schedule; a deactivated
 client finishes its in-flight statement and then goes idle, which is how
 "workload intensity was controlled by the number of clients".
@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 from repro.dbms.query import COMPLETED, Query
 from repro.patroller.patroller import QueryPatroller
-from repro.runtime import TimerService
 from repro.workloads.spec import QueryFactory, WorkloadMix
 
 
@@ -24,30 +23,23 @@ class ClosedLoopClient:
 
     def __init__(
         self,
-        sim: TimerService,
         patroller: QueryPatroller,
         factory: QueryFactory,
         mix: WorkloadMix,
         class_name: str,
         client_id: str,
-        think_time: float = 0.0,
     ) -> None:
-        self.sim = sim
         self.patroller = patroller
         self.factory = factory
         self.mix = mix
         self.class_name = class_name
         self.client_id = client_id
-        self.think_time = think_time
         self.active = False
         self.queries_submitted = 0
         self.queries_completed = 0
         self._in_flight: Optional[Query] = None
         #: Optional hook fired on every completion (used by tests).
         self.on_query_complete: Optional[Callable[[Query], None]] = None
-        # The event label is fixed per client; formatting it per statement
-        # shows up in profiles at replication scale.
-        self._think_label = "client:{}:think".format(client_id)
 
     @property
     def busy(self) -> bool:
@@ -81,19 +73,7 @@ class ClosedLoopClient:
             self.queries_completed += 1
             if self.on_query_complete is not None:
                 self.on_query_complete(query)
-        if not self.active:
-            return
-        if self.think_time > 0:
-            self.sim.schedule(
-                self.think_time,
-                self._maybe_submit,
-                self._think_label,
-            )
-        else:
-            self._submit_next()
-
-    def _maybe_submit(self) -> None:
-        if self.active and self._in_flight is None:
+        if self.active:
             self._submit_next()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

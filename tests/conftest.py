@@ -251,8 +251,7 @@ def quick_config() -> SimulationConfig:
     """A scaled-down configuration for integration tests."""
     return default_config(
         scale=WorkloadScaleConfig(period_seconds=40.0, num_periods=3),
-        monitor=MonitorConfig(snapshot_interval=5.0, velocity_window=40.0,
-                              response_time_window=20.0),
+        monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=20.0),
         planner=PlannerConfig(control_interval=20.0),
     )
 
@@ -263,8 +262,21 @@ def engine(sim, quick_config, rng) -> DatabaseEngine:
 
 
 @pytest.fixture
-def patroller(sim, engine, quick_config) -> QueryPatroller:
-    return QueryPatroller(sim, engine, quick_config.patroller)
+def patroller(sim, engine) -> QueryPatroller:
+    return QueryPatroller(sim, engine)
+
+
+def patroller_with(
+    sim, engine, interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.0
+) -> QueryPatroller:
+    """A Query Patroller with these overheads — none unless named, so a
+    test's timings are the engine's alone.  A run's patroller has QP's
+    (``repro.patroller.patroller.INTERCEPTION_LATENCY`` and its siblings)."""
+    patroller = QueryPatroller(sim, engine)
+    patroller.interception_latency = interception_latency
+    patroller.release_latency = release_latency
+    patroller.overhead_cpu_demand = overhead_cpu_demand
+    return patroller
 
 
 @pytest.fixture

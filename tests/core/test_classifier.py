@@ -21,7 +21,7 @@ def make_world():
     sim = Simulator()
     config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(1))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     return sim, engine, patroller, config
 
 

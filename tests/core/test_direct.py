@@ -10,6 +10,7 @@ from repro.config import (
 )
 from repro.core.direct import DirectScheduler, DispatcherGate
 from repro.core.dispatcher import Dispatcher
+from repro.core.monitor import MAX_MEASUREMENT_AGE, VELOCITY_WINDOW
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import (
     ResponseTimeGoal,
@@ -29,7 +30,7 @@ def make_engine():
     sim = Simulator()
     config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(41))
-    return sim, engine, QueryPatroller(sim, engine, config.patroller)
+    return sim, engine, QueryPatroller(sim, engine)
 
 
 _qid = [20000]
@@ -206,17 +207,16 @@ class TestDirectScheduler:
 
     def test_idle_class_measurement_expires(self):
         """The last value stands in for an idle class only while it is
-        younger than ``monitor.max_measurement_age``."""
+        younger than ``MAX_MEASUREMENT_AGE``."""
         sim, engine, scheduler = self._scheduler()
-        monitor = scheduler.config.monitor
         engine.execute(make_query(class_name="class3", cost=40.0, demand=0.2,
                                   kind="oltp"))
         sim.run_until(1.0)
         fresh = scheduler.measurement.measure_all()["class3"]
         # Past the sample window but inside the age: the retained value.
-        sim.run_until(1.0 + monitor.velocity_window + 1.0)
+        sim.run_until(1.0 + VELOCITY_WINDOW + 1.0)
         assert scheduler.measurement.measure_all() == {"class3": fresh}
-        sim.run_until(1.0 + monitor.max_measurement_age + 1.0)
+        sim.run_until(1.0 + MAX_MEASUREMENT_AGE + 1.0)
         assert scheduler.measurement.measure_all() == {}
 
     def test_replan_moves_limits_toward_violator(self):

@@ -66,7 +66,7 @@ class World:
         self.sim = Simulator()
         config = default_config()
         self.engine = DatabaseEngine(self.sim, config, RandomStreams(5))
-        patroller = QueryPatroller(self.sim, self.engine, config.patroller)
+        patroller = QueryPatroller(self.sim, self.engine)
         self.gate = make_gate(self.sim, self.engine, patroller, plan(initial_limits))
         self.queries = []
         self.admitted = []

@@ -2,27 +2,22 @@
 
 import pytest
 
-from repro.config import PatrollerConfig, default_config
+from repro.config import default_config
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import SchedulingError
-from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from tests.conftest import patroller_dispatcher
+from tests.conftest import patroller_dispatcher, patroller_with
 
 
 def make_world(limits=None):
     sim = Simulator()
-    config = default_config(
-        patroller=PatrollerConfig(
-            interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.0
-        )
-    )
+    config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(9))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine)
     classes = list(paper_classes())
     for c in classes:
         if c.directly_controlled:
@@ -169,14 +164,9 @@ def test_foreign_completions_ignored():
 class TestQueueDisciplines:
     def _world(self, discipline):
         sim = Simulator()
-        config = default_config(
-            patroller=PatrollerConfig(
-                interception_latency=0.0, release_latency=0.0,
-                overhead_cpu_demand=0.0,
-            )
-        )
+        config = default_config()
         engine = DatabaseEngine(sim, config, RandomStreams(9))
-        patroller = QueryPatroller(sim, engine, config.patroller)
+        patroller = patroller_with(sim, engine)
         classes = list(paper_classes())
         for c in classes:
             if c.directly_controlled:

@@ -24,11 +24,8 @@ def oltp_status(name, goal, importance, rt, limit=10_000.0):
     )
 
 
-def make_allocator(**kwargs):
-    defaults = dict(system_cost_limit=30_000.0, grid_timerons=1_000.0,
-                    min_class_limit=1_000.0)
-    defaults.update(kwargs)
-    return DeficitAllocator(**defaults)
+def make_allocator(system_cost_limit=30_000.0):
+    return DeficitAllocator(system_cost_limit)
 
 
 def test_respects_budget_and_minimums():
@@ -87,10 +84,6 @@ def test_validation():
     with pytest.raises(SchedulingError):
         make_allocator(system_cost_limit=0.0)
     with pytest.raises(SchedulingError):
-        make_allocator(grid_timerons=0.0)
-    with pytest.raises(SchedulingError):
-        make_allocator(min_class_limit=-1.0)
-    with pytest.raises(SchedulingError):
         make_allocator().solve([])
     tiny = make_allocator(system_cost_limit=1_500.0)
     with pytest.raises(SchedulingError):
@@ -111,7 +104,7 @@ def test_scheduler_accepts_deficit_allocator():
     config = default_config(planner=PlannerConfig(allocator="deficit",
                                                   control_interval=10.0))
     engine = DatabaseEngine(sim, config, RandomStreams(81))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     scheduler = QueryScheduler(sim, engine, patroller, list(paper_classes()), config)
     assert isinstance(scheduler.solver, DeficitAllocator)
     scheduler.start()

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.config import MonitorConfig, PatrollerConfig, default_config
-from repro.core.monitor import Monitor
+from repro.config import MonitorConfig, default_config
+from repro.core.monitor import MAX_MEASUREMENT_AGE, VELOCITY_WINDOW, Monitor
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, IO, Query
@@ -13,24 +13,18 @@ from repro.errors import PatrollerError, SchedulingError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.conftest import patroller_with
 
 
-def make_world(snapshot_interval=5.0, velocity_window=60.0, rt_window=30.0,
-               max_measurement_age=300.0):
+def make_world(snapshot_interval=5.0, rt_window=30.0):
     sim = Simulator()
     config = default_config(
         monitor=MonitorConfig(
-            snapshot_interval=snapshot_interval,
-            velocity_window=velocity_window,
-            response_time_window=rt_window,
-            max_measurement_age=max_measurement_age,
-        ),
-        patroller=PatrollerConfig(
-            interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.0
+            snapshot_interval=snapshot_interval, response_time_window=rt_window
         ),
     )
     engine = DatabaseEngine(sim, config, RandomStreams(11))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine)
     patroller.enable_for_class("class1")
     patroller.set_release_handler(lambda query: None)  # hold until released
     classes = list(paper_classes())
@@ -95,12 +89,12 @@ class TestVelocityMeasurement:
         assert monitor.measure("class1") is None
 
     def test_old_completions_age_out_but_last_measurement_kept(self):
-        sim, engine, patroller, monitor = make_world(velocity_window=20.0)
+        sim, engine, patroller, monitor = make_world()
         run_query_with_wait(sim, patroller, wait=5.0, demand=5.0)
         sim.run()
         first = monitor.measure("class1")
         assert first is not None
-        sim.run_until(sim.now + 100.0)
+        sim.run_until(sim.now + VELOCITY_WINDOW + 1.0)
         # Window empty now; measure() returns the retained last measurement.
         second = monitor.measure("class1")
         assert second is not None
@@ -109,22 +103,20 @@ class TestVelocityMeasurement:
     def test_retained_measurement_expires_past_max_age(self):
         """Regression: the last-measurement fallback must not feed the
         solver an arbitrarily stale value forever."""
-        sim, engine, patroller, monitor = make_world(
-            velocity_window=20.0, max_measurement_age=60.0
-        )
+        sim, engine, patroller, monitor = make_world()
         run_query_with_wait(sim, patroller, wait=5.0, demand=5.0)
         sim.run()
         first = monitor.measure("class1")
         assert first is not None
-        sim.run_until(sim.now + 30.0)
+        sim.run_until(sim.now + VELOCITY_WINDOW + 1.0)  # the window ran dry
         assert monitor.measure("class1") is not None  # still fresh enough
-        sim.run_until(sim.now + 100.0)  # now older than max_measurement_age
+        sim.run_until(first.measured_at + MAX_MEASUREMENT_AGE + 1.0)
         assert monitor.measure("class1") is None
         # The expired entry is dropped outright, not merely masked.
         assert monitor.retained_measurement("class1") is None
 
     def test_retained_measurement_is_a_pure_read(self):
-        sim, engine, patroller, monitor = make_world(velocity_window=20.0)
+        sim, engine, patroller, monitor = make_world()
         assert monitor.retained_measurement("class1") is None
         run_query_with_wait(sim, patroller, wait=5.0, demand=5.0)
         sim.run()
@@ -132,12 +124,6 @@ class TestVelocityMeasurement:
         assert monitor.retained_measurement("class1") == first
         with pytest.raises(SchedulingError):
             monitor.retained_measurement("ghost")
-
-    def test_nonpositive_max_measurement_age_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            MonitorConfig(max_measurement_age=0.0).validate()
 
 
     def test_velocity_mean_is_a_plain_left_fold_on_every_python(self):
@@ -257,7 +243,7 @@ class TestCancellationPurge:
         sim = Simulator()
         config = default_config()
         engine = DatabaseEngine(sim, config, RandomStreams(12))
-        patroller = QueryPatroller(sim, engine, config.patroller)
+        patroller = QueryPatroller(sim, engine)
         patroller.enable_for_class("class3")
         patroller.set_release_handler(patroller.cancel)
         oltp_only = [

@@ -2,26 +2,22 @@
 
 import pytest
 
-from repro.config import PatrollerConfig, default_config
+from repro.config import default_config
 from repro.core.mpl import INITIAL_MPL, MIN_MPL, MPLController
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import ConfigurationError, SchedulingError
-from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.conftest import patroller_with
 
 
 def make_stack(control_interval=10.0, release_latency=0.0):
     sim = Simulator()
-    config = default_config(
-        patroller=PatrollerConfig(interception_latency=0.0,
-                                  release_latency=release_latency,
-                                  overhead_cpu_demand=0.0)
-    )
+    config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(23))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine, release_latency=release_latency)
     classes = list(paper_classes())
     controller = MPLController(
         sim, patroller, engine, classes, control_interval=control_interval

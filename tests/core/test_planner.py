@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import (
     MonitorConfig,
-    PatrollerConfig,
     PlannerConfig,
     default_config,
 )
@@ -21,10 +20,9 @@ from repro.core.solver import PerformanceSolver
 from repro.core.utility import PiecewiseLinearUtility
 from repro.dbms.engine import DatabaseEngine
 from repro.errors import SchedulingError
-from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from tests.conftest import patroller_dispatcher
+from tests.conftest import patroller_dispatcher, patroller_with
 
 
 def make_planner(classes=None):
@@ -33,12 +31,9 @@ def make_planner(classes=None):
     config = default_config(
         planner=planner_config,
         monitor=MonitorConfig(snapshot_interval=2.0),
-        patroller=PatrollerConfig(
-            interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.0
-        ),
     )
     engine = DatabaseEngine(sim, config, RandomStreams(13))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine)
     classes = list(classes if classes is not None else paper_classes())
     for c in classes:
         if c.directly_controlled:
@@ -54,6 +49,7 @@ def make_planner(classes=None):
             oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
         ),
         system_cost_limit=30_000.0,
+        oltp_target_margin=1.0,  # at goal means no reason to move
     )
     planner = SchedulingPlanner(sim, monitor, dispatcher, solver, classes, planner_config)
     return sim, engine, monitor, dispatcher, planner

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import (
     MonitorConfig,
-    PatrollerConfig,
     PlannerConfig,
     WorkloadScaleConfig,
     default_config,
@@ -20,6 +19,7 @@ from repro.workloads.client import ClosedLoopClient
 from repro.workloads.spec import QueryFactory
 from repro.workloads.tpcc import tpcc_mix
 from repro.workloads.tpch import tpch_mix
+from tests.conftest import patroller_with
 
 
 def make_scheduler():
@@ -27,11 +27,9 @@ def make_scheduler():
     config = default_config(
         planner=PlannerConfig(control_interval=10.0),
         monitor=MonitorConfig(snapshot_interval=2.0),
-        patroller=PatrollerConfig(interception_latency=0.05, release_latency=0.0,
-                                  overhead_cpu_demand=0.0),
     )
     engine = DatabaseEngine(sim, config, RandomStreams(17))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine, interception_latency=0.05)
     classes = list(paper_classes())
     scheduler = QueryScheduler(sim, engine, patroller, classes, config)
     return sim, engine, patroller, scheduler
@@ -72,7 +70,7 @@ def test_no_classes_rejected():
     sim = Simulator()
     config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(1))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     with pytest.raises(SchedulingError):
         QueryScheduler(sim, engine, patroller, [], config)
 
@@ -81,7 +79,7 @@ def test_duplicate_class_names_rejected():
     sim = Simulator()
     config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(1))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     classes = list(paper_classes())
     with pytest.raises(SchedulingError, match="duplicate"):
         QueryScheduler(sim, engine, patroller, classes + [classes[0]], config)
@@ -92,7 +90,7 @@ def test_two_oltp_classes_rejected():
     sim = Simulator()
     config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(1))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     classes = [
         ServiceClass("a", "oltp", ResponseTimeGoal(0.2), 1),
         ServiceClass("b", "oltp", ResponseTimeGoal(0.3), 2),
@@ -116,10 +114,10 @@ def test_end_to_end_flow_under_load():
     olap_mix, oltp_mix = tpch_mix(), tpcc_mix()
     clients = []
     for i in range(3):
-        clients.append(ClosedLoopClient(sim, patroller, factory, olap_mix,
+        clients.append(ClosedLoopClient(patroller, factory, olap_mix,
                                         "class1", "c1-{}".format(i)))
     for i in range(6):
-        clients.append(ClosedLoopClient(sim, patroller, factory, oltp_mix,
+        clients.append(ClosedLoopClient(patroller, factory, oltp_mix,
                                         "class3", "c3-{}".format(i)))
     scheduler.start()
     for client in clients:
@@ -145,7 +143,7 @@ class TestDetectionWiring:
         factory = QueryFactory(engine.estimator, RandomStreams(19))
         mix = tpcc_mix()
         clients = [
-            ClosedLoopClient(sim, patroller, factory, mix, "class3",
+            ClosedLoopClient(patroller, factory, mix, "class3",
                              "c{}".format(i))
             for i in range(3)
         ]

@@ -238,6 +238,7 @@ class TestMemoizedSearchConformance:
                     oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
                 ),
                 system_cost_limit=30_000.0,
+                oltp_target_margin=1.0,
             )
 
         statuses = [

@@ -104,8 +104,3 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
             make_utility("parabolic")
-
-    def test_params_forwarded(self):
-        utility = make_utility("piecewise", surplus_slope=0.2, importance_base=2.0)
-        assert utility.surplus_slope == 0.2
-        assert utility.importance_base == 2.0

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.config import AgentConfig
 from repro.dbms.agent import AgentPool
 from repro.dbms.query import CPU, Query
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 
 
 def make_query(query_id):
@@ -21,8 +20,14 @@ def make_query(query_id):
     )
 
 
+def pool_of(max_agents):
+    pool = AgentPool()
+    pool.max_agents = max_agents
+    return pool
+
+
 def test_grant_below_capacity_is_synchronous():
-    pool = AgentPool(AgentConfig(max_agents=2))
+    pool = pool_of(2)
     granted = []
     assert pool.acquire(make_query(1), lambda q: granted.append(q.query_id))
     assert granted == [1]
@@ -30,7 +35,7 @@ def test_grant_below_capacity_is_synchronous():
 
 
 def test_overflow_queues_fifo():
-    pool = AgentPool(AgentConfig(max_agents=1))
+    pool = pool_of(1)
     granted = []
     pool.acquire(make_query(1), lambda q: granted.append(q.query_id))
     assert not pool.acquire(make_query(2), lambda q: granted.append(q.query_id))
@@ -44,14 +49,14 @@ def test_overflow_queues_fifo():
 
 
 def test_release_without_waiters_frees_agent():
-    pool = AgentPool(AgentConfig(max_agents=1))
+    pool = pool_of(1)
     pool.acquire(make_query(1), lambda q: None)
     assert pool.release() is None
     assert pool.active == 0
 
 
 def test_release_hands_agent_directly_to_waiter():
-    pool = AgentPool(AgentConfig(max_agents=1))
+    pool = pool_of(1)
     pool.acquire(make_query(1), lambda q: None)
     pool.acquire(make_query(2), lambda q: None)
     granted = pool.release()
@@ -60,13 +65,13 @@ def test_release_hands_agent_directly_to_waiter():
 
 
 def test_release_with_no_active_agents_raises():
-    pool = AgentPool(AgentConfig(max_agents=1))
+    pool = pool_of(1)
     with pytest.raises(SimulationError):
         pool.release()
 
 
 def test_peak_active_high_water_mark():
-    pool = AgentPool(AgentConfig(max_agents=5))
+    pool = pool_of(5)
     for i in range(4):
         pool.acquire(make_query(i), lambda q: None)
     for _ in range(4):
@@ -74,7 +79,3 @@ def test_peak_active_high_water_mark():
     assert pool.peak_active == 4
     assert pool.active == 0
 
-
-def test_invalid_config():
-    with pytest.raises(ConfigurationError):
-        AgentPool(AgentConfig(max_agents=0))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import default_config, AgentConfig
+from repro.config import default_config
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, IO, Query, make_phases
 from repro.errors import SimulationError
@@ -187,7 +187,8 @@ def test_overload_admission_accounting():
 
 
 def test_agent_pool_limits_concurrency():
-    sim, engine = make_engine(agents=AgentConfig(max_agents=1))
+    sim, engine = make_engine()
+    engine.agents.max_agents = 1
     first = make_query(1, ((CPU, 2.0),))
     second = make_query(2, ((CPU, 2.0),))
     for q in (first, second):

@@ -3,47 +3,51 @@
 import pytest
 
 from repro.config import OverloadConfig
-from repro.dbms.overload import OverloadModel
+from repro.dbms.overload import BETA, OverloadModel
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.resources import ProcessorSharingResource
 
 
-def make_model(knee=1000.0, beta=2.0):
+def make_model(knee=1000.0):
     sim = Simulator()
     pools = [
         ProcessorSharingResource(sim, "cpu", 2),
         ProcessorSharingResource(sim, "disk", 4),
     ]
-    return OverloadModel(OverloadConfig(knee_cost=knee, beta=beta), pools), pools
+    return OverloadModel(OverloadConfig(knee_cost=knee), pools), pools
+
+
+def efficiency_at(cost, knee=1000.0):
+    model, _ = make_model(knee)
+    model.admit(cost)
+    return model.efficiency
 
 
 def test_efficiency_is_one_below_knee():
-    config = OverloadConfig(knee_cost=1000.0, beta=2.0)
-    assert config.efficiency(0.0) == 1.0
-    assert config.efficiency(999.0) == 1.0
-    assert config.efficiency(1000.0) == 1.0
+    assert efficiency_at(0.0) == 1.0
+    assert efficiency_at(999.0) == 1.0
+    assert efficiency_at(1000.0) == 1.0
 
 
 def test_efficiency_degrades_hyperbolically_past_knee():
-    config = OverloadConfig(knee_cost=1000.0, beta=2.0)
-    # 50% past the knee with beta=2: 1 / (1 + 2*0.5) = 0.5
-    assert config.efficiency(1500.0) == pytest.approx(0.5)
-    assert config.efficiency(2000.0) == pytest.approx(1.0 / 3.0)
+    # x past the knee (as a fraction of it): 1 / (1 + BETA * x).
+    assert BETA == 1.5
+    assert efficiency_at(1500.0) == pytest.approx(1.0 / 1.75)
+    assert efficiency_at(2000.0) == pytest.approx(1.0 / 2.5)
 
 
 def test_efficiency_monotone_decreasing():
-    config = OverloadConfig(knee_cost=1000.0, beta=1.5)
-    values = [config.efficiency(c) for c in range(0, 5000, 100)]
+    values = [efficiency_at(c) for c in range(0, 5000, 100)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_admit_retire_tracks_total_and_applies_to_pools():
-    model, pools = make_model(knee=1000.0, beta=2.0)
+    model, pools = make_model(knee=1000.0)
     model.admit(600.0)
     model.admit(600.0)
     assert model.total_cost == pytest.approx(1200.0)
-    expected = OverloadConfig(knee_cost=1000.0, beta=2.0).efficiency(1200.0)
+    expected = 1.0 / (1.0 + BETA * 0.2)
     for pool in pools:
         assert pool.efficiency == pytest.approx(expected)
     model.retire(600.0)
@@ -69,5 +73,3 @@ def test_retire_clamps_float_drift():
 def test_invalid_config():
     with pytest.raises(ConfigurationError):
         OverloadConfig(knee_cost=0.0).validate()
-    with pytest.raises(ConfigurationError):
-        OverloadConfig(beta=-1.0).validate()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.dbms.query import CPU, IO, Query, QueryState, make_phases
 from repro.errors import SimulationError
+from tests.conftest import patroller_with
 
 
 def make_query(phases=None, **kwargs):
@@ -69,7 +70,7 @@ class TestMakePhases:
             make_phases(cpu, io, rounds=2)
 
     def test_phases_are_plain_pairs_every_reader_unpacks(self):
-        from repro.config import PatrollerConfig, default_config
+        from repro.config import default_config
         from repro.dbms.engine import DatabaseEngine
         from repro.patroller.patroller import QueryPatroller
         from repro.sim.engine import Simulator
@@ -86,10 +87,9 @@ class TestMakePhases:
         # Recorded on submit, re-split on replay, with QP's overhead phase
         # prepended to the intercepted original.
         sim = Simulator()
-        config = default_config(patroller=PatrollerConfig(
-            interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.25))
+        config = default_config()
         engine = DatabaseEngine(sim, config, RandomStreams(3))
-        patroller = QueryPatroller(sim, engine, config.patroller)
+        patroller = patroller_with(sim, engine, overhead_cpu_demand=0.25)
         patroller.enable_for_class("class1")
         patroller.set_release_handler(patroller.release)
         recorder = TraceRecorder(sim, patroller)
@@ -101,7 +101,7 @@ class TestMakePhases:
         assert (entry.cpu_demand, entry.io_demand, entry.rounds) == (1.5, 2.5, 2)
         replay = Simulator()
         replay_engine = DatabaseEngine(replay, config, RandomStreams(3))
-        replay_patroller = QueryPatroller(replay, replay_engine, config.patroller)
+        replay_patroller = QueryPatroller(replay, replay_engine)
         replayed = []
         replay_patroller.subscribe("submitted", replayed.append)
         factory = QueryFactory(replay_engine.estimator, RandomStreams(3))

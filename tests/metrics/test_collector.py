@@ -25,7 +25,7 @@ def make_collector(period=10.0, periods=3, collector_type=MetricsCollector):
     sim = Simulator()
     config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(31))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     classes = list(paper_classes())
     schedule = constant_schedule(period, periods, {c.name: 1 for c in classes})
     collector = collector_type(patroller, schedule, classes)

@@ -25,7 +25,7 @@ def make_populated_collector():
     sim = Simulator()
     config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(37))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     classes = list(paper_classes())
     schedule = constant_schedule(10.0, 2, {c.name: 1 for c in classes})
     collector = MetricsCollector(patroller, schedule, classes)

@@ -14,6 +14,7 @@ from repro.core.modeling import (
     parse_model_spec,
     save_model,
 )
+from repro.core.modeling.analytic import OLTP_SLOPE_PRIOR
 from repro.core.solver import ClassStatus, PerformanceSolver
 from repro.core.utility import PiecewiseLinearUtility
 from repro.errors import ConfigurationError
@@ -105,16 +106,15 @@ class TestRegistry:
             parse_model_spec("")
 
     def test_make_paper_uses_planner_calibration(self):
-        planner = PlannerConfig(oltp_slope_prior=-3e-6)
-        model = make_model("paper", planner)
+        model = make_model("paper")
         assert isinstance(model, PaperAnalyticModel)
-        assert model.oltp.slope == -3e-6
+        assert model.oltp.slope == OLTP_SLOPE_PRIOR
 
     def test_make_oracle(self):
         assert isinstance(make_model("oracle"), OracleLastValueModel)
 
     def test_make_learned_fresh(self):
-        model = make_model("learned", PlannerConfig())
+        model = make_model("learned")
         assert isinstance(model, LearnedPerformanceModel)
         assert model.observations == 0
 

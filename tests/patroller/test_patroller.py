@@ -2,23 +2,23 @@
 
 import pytest
 
-from repro.config import PatrollerConfig, default_config
+from repro.config import default_config
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, IO, Query, QueryState
 from repro.errors import PatrollerError
 from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.conftest import patroller_with
 
 
-def make_stack(patroller_config=None):
+def make_stack(**overheads):
+    """QP's own overheads unless any is named; then the unnamed are 0."""
     sim = Simulator()
-    config = default_config()
-    if patroller_config is not None:
-        config = config.with_updates(patroller=patroller_config)
-    engine = DatabaseEngine(sim, config, RandomStreams(seed=2))
-    patroller = QueryPatroller(sim, engine, config.patroller)
-    return sim, engine, patroller
+    engine = DatabaseEngine(sim, default_config(), RandomStreams(seed=2))
+    if overheads:
+        return sim, engine, patroller_with(sim, engine, **overheads)
+    return sim, engine, QueryPatroller(sim, engine)
 
 
 def make_query(query_id=1, class_name="class1"):
@@ -61,9 +61,7 @@ def test_interception_blocks_until_release():
 
 
 def test_interception_latency_applied():
-    config = PatrollerConfig(interception_latency=0.5, release_latency=0.0,
-                             overhead_cpu_demand=0.0)
-    sim, engine, patroller = make_stack(config)
+    sim, engine, patroller = make_stack(interception_latency=0.5)
     patroller.enable_for_class("class1")
     patroller.set_release_handler(lambda q: None)
     query = make_query()
@@ -88,9 +86,7 @@ def test_release_executes_and_marks_tables():
 
 
 def test_release_latency_counts_as_execution_time():
-    config = PatrollerConfig(interception_latency=0.2, release_latency=0.3,
-                             overhead_cpu_demand=0.0)
-    sim, engine, patroller = make_stack(config)
+    sim, engine, patroller = make_stack(interception_latency=0.2, release_latency=0.3)
     patroller.enable_for_class("class1")
     patroller.set_release_handler(lambda q: None)
     query = make_query()
@@ -105,9 +101,7 @@ def test_release_latency_counts_as_execution_time():
 
 
 def test_interception_overhead_charged_to_statement():
-    config = PatrollerConfig(interception_latency=0.0, release_latency=0.0,
-                             overhead_cpu_demand=0.25)
-    sim, engine, patroller = make_stack(config)
+    sim, engine, patroller = make_stack(overhead_cpu_demand=0.25)
     patroller.enable_for_class("class1")
     patroller.set_release_handler(patroller.release)  # release immediately
     query = make_query()
@@ -158,8 +152,7 @@ def test_enable_disable_class():
 
 def test_oltp_interception_overhead_dominates_sub_second_query():
     """Section 3: interception overhead outweighs OLTP execution time."""
-    config = PatrollerConfig()  # defaults: 0.2s latency + 0.05 release + 0.03 cpu
-    sim, engine, patroller = make_stack(config)
+    sim, engine, patroller = make_stack()  # QP's 0.2 s + 0.05 s + 0.03 CPU s
     patroller.enable_for_class("class3")
     patroller.set_release_handler(patroller.release)
     query = Query(
@@ -180,9 +173,7 @@ def test_oltp_interception_overhead_dominates_sub_second_query():
 
 
 def test_overhead_phase_is_a_real_phase_row():
-    config = PatrollerConfig(interception_latency=0.0, release_latency=0.0,
-                             overhead_cpu_demand=0.25)
-    sim, engine, patroller = make_stack(config)
+    sim, engine, patroller = make_stack(overhead_cpu_demand=0.25)
     patroller.enable_for_class("class1")
     patroller.set_release_handler(lambda q: None)
     query = make_query()

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.config import PatrollerConfig, default_config
+from repro.config import default_config
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, Query, QueryState
 from repro.errors import ConfigurationError
-from repro.patroller.patroller import QueryPatroller
 from repro.patroller.policy import (
     CostGroup,
     QPStaticPolicy,
@@ -15,19 +14,14 @@ from repro.patroller.policy import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.conftest import patroller_with
 
 
 def make_stack(release_latency=0.0):
     sim = Simulator()
-    config = default_config(
-        patroller=PatrollerConfig(
-            interception_latency=0.0,
-            release_latency=release_latency,
-            overhead_cpu_demand=0.0,
-        )
-    )
+    config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(seed=3))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine, release_latency=release_latency)
     patroller.enable_for_class("class1")
     patroller.enable_for_class("class2")
     return sim, engine, patroller

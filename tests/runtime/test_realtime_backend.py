@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import (
     MonitorConfig,
-    PatrollerConfig,
     PlannerConfig,
     WorkloadScaleConfig,
     default_config,
@@ -127,10 +126,9 @@ def test_run_until_is_not_reentrant():
 def _sqlite_spec(controller="qs", invariants="strict"):
     config = default_config(
         seed=3,
-        scale=WorkloadScaleConfig(period_seconds=1.0, num_periods=2, think_time=0.0),
+        scale=WorkloadScaleConfig(period_seconds=1.0, num_periods=2),
         monitor=MonitorConfig(snapshot_interval=0.25, response_time_window=1.0),
         planner=PlannerConfig(control_interval=0.5),
-        patroller=PatrollerConfig(interception_latency=0.02, release_latency=0.01),
     )
     return ExperimentSpec(
         controller=controller,

@@ -215,22 +215,25 @@ class TestMalformedScenarioFiles:
         pytest.param(path, ".nan", id=path) for path in (
             "system_cost_limit",
             "monitor.snapshot_interval",
+        )
+    ] + [
+        # These reach float arithmetic only mid-run, so the load-time check
+        # is what refuses them.
+        pytest.param(path, HUGE, id=path + "-huge") for path in (
+            "system_cost_limit",
+            "overload.knee_cost",
+            "optimizer.noise_sigma",
+        )
+    ] + [
+        # Retired paths: each value is a module constant now, so any value
+        # is refused, in range or not.
+        pytest.param(path, 1, id=path + "-retired") for path in (
+            "resources.cpu_servers",
             "planner.grid_timerons",
             "planner.importance_base",
             "planner.surplus_slope",
             "planner.oltp_slope_prior",
-        )
-    ] + [
-        # These reach float arithmetic only mid-run (scale.think_time: when
-        # compiled for a run), so the load-time check is what refuses them.
-        pytest.param(path, HUGE, id=path + "-huge") for path in (
-            "system_cost_limit",
-            "planner.grid_timerons",
-            "planner.importance_base",
-            "planner.surplus_slope",
-            "overload.knee_cost",
             "overload.beta",
-            "optimizer.noise_sigma",
             "scale.think_time",
         )
     ])

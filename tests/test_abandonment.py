@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import PatrollerConfig, default_config
+from repro.config import default_config
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
@@ -14,17 +14,14 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.client import ClosedLoopClient
 from repro.workloads.spec import QueryFactory
-from tests.conftest import patroller_dispatcher
+from tests.conftest import patroller_dispatcher, patroller_with
 
 
 def make_stack():
     sim = Simulator()
-    config = default_config(
-        patroller=PatrollerConfig(interception_latency=0.0, release_latency=0.0,
-                                  overhead_cpu_demand=0.0)
-    )
+    config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(51))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine)
     patroller.enable_for_class("class1")
     return sim, engine, patroller
 
@@ -95,15 +92,9 @@ class TestCancelDuringReleaseWindow:
 
     def make_windowed_stack(self, release_latency=1.0):
         sim = Simulator()
-        config = default_config(
-            patroller=PatrollerConfig(
-                interception_latency=0.0,
-                release_latency=release_latency,
-                overhead_cpu_demand=0.0,
-            )
-        )
+        config = default_config()
         engine = DatabaseEngine(sim, config, RandomStreams(55))
-        patroller = QueryPatroller(sim, engine, config.patroller)
+        patroller = patroller_with(sim, engine, release_latency=release_latency)
         patroller.enable_for_class("class1")
         classes = list(paper_classes())
         plan = SchedulingPlan(
@@ -233,12 +224,12 @@ def test_abandonment_under_query_scheduler_end_to_end():
         monitor=MonitorConfig(snapshot_interval=5.0),
     )
     engine = DatabaseEngine(sim, config, RandomStreams(53))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     classes = list(paper_classes())
     scheduler = QueryScheduler(sim, engine, patroller, classes, config)
     factory = QueryFactory(engine.estimator, RandomStreams(54))
     clients = [
-        ClosedLoopClient(sim, patroller, factory, tpch_mix(), "class1",
+        ClosedLoopClient(patroller, factory, tpch_mix(), "class1",
                          "c{}".format(i))
         for i in range(6)
     ]
@@ -284,11 +275,11 @@ def test_a_cancelled_statement_ends_its_clients_wait():
         monitor=MonitorConfig(snapshot_interval=5.0),
     )
     engine = DatabaseEngine(sim, config, RandomStreams(53))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     scheduler = QueryScheduler(sim, engine, patroller, list(paper_classes()), config)
     factory = QueryFactory(engine.estimator, RandomStreams(54))
     clients = [
-        ClosedLoopClient(sim, patroller, factory, tpch_mix(), "class1", "c{}".format(i))
+        ClosedLoopClient(patroller, factory, tpch_mix(), "class1", "c{}".format(i))
         for i in range(6)
     ]
     cancelled = []

@@ -42,7 +42,7 @@ def test_retired_bench_subcommand_is_an_invalid_choice():
     assert excinfo.value.code == 2
 
 
-def test_the_parser_has_nine_subcommands_and_at_most_66_options():
+def test_the_parser_has_nine_subcommands_and_at_most_65_options():
     import argparse
 
     (subparsers,) = [
@@ -57,7 +57,8 @@ def test_the_parser_has_nine_subcommands_and_at_most_66_options():
         "run", "spans", "scenarios", "replicate", "sweep", "calibrate",
         "figure", "train", "ablate-models",
     ])
-    assert sum(map(len, options.values())) <= 66
+    assert sum(map(len, options.values())) <= 65
+    assert "seed" not in options["replicate"]  # its seeds are --seeds
     assert len(options["run"]) == 22
     for folded_into_run in ("serve", "trace", "check", "report"):
         with pytest.raises(SystemExit) as excinfo:
@@ -121,7 +122,7 @@ def test_check_that_checked_nothing_is_an_error_not_a_success(capsys):
     "argv",
     [
         ["run", "--seed", "-5", "--periods", "1", "--period-seconds", "10"],
-        ["replicate", "--seed", "-1", "--periods", "1", "--period-seconds", "10"],
+        ["replicate", "--seeds", "-1", "--periods", "1", "--period-seconds", "10"],
         ["run", "--control-interval", "nan", "--periods", "1", "--period-seconds", "10"],
         ["sweep", "optimizer.noise_sigma", "--values", "0.1", "--control-interval",
          "inf", "--periods", "1", "--period-seconds", "10"],
@@ -132,7 +133,8 @@ def test_a_bad_seed_or_control_interval_is_one_configuration_error_line(argv, ca
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert ("seed" if "--seed" in argv else "control_interval") in captured.err
+    seeded = {"--seed", "--seeds"} & set(argv)
+    assert ("seed" if seeded else "control_interval") in captured.err
     assert "(0 control intervals)" not in captured.out
 
 
@@ -374,6 +376,14 @@ def test_sweep_rejects_unknown_field(capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_retired_path(capsys, refuse_to_run):
+    # overload.beta is the module constant BETA now, not a config field.
+    assert main(["sweep", "overload.beta", "--values", "1"] + FAST_RUN) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1 and "overload.beta" in captured.err
+
+
 def test_run_trace_events_writes_chrome_trace(tmp_path, capsys):
     import json
 
@@ -485,6 +495,34 @@ def test_run_sharded_smoke(capsys, tmp_path):
         assert payload["shards"] == shards
         assert payload["ok"] is True
         assert len(payload["per_shard"]) == shards
+
+
+def test_run_sharded_output_suffix_is_refused_before_anything_runs(
+    tmp_path, capsys, refuse_to_run
+):
+    for controller, name in (("qs", "s.csv"), ("qs", "s"), ("qp", "s.jsonl")):
+        path = tmp_path / name
+        argv = ["run", "--shards", "2", "--controller", controller,
+                "--output", str(path)]
+        assert main(argv + FAST_RUN) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: --output ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_run_sharded_output_jsonl_writes_each_shards_telemetry(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "t.jsonl"
+    assert main(["run", "--shards", "2", "--output", str(path)] + FAST_RUN) == 0
+    out = capsys.readouterr().out
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["t.shard00.jsonl", "t.shard01.jsonl"]
+    for name in written:
+        assert "wrote {}".format(tmp_path / name) in out
+        rows = [json.loads(line) for line in open(tmp_path / name)]
+        assert rows and rows[0]["interval_index"] == 0
 
 
 def test_run_shards_one_uses_unsharded_path(capsys):

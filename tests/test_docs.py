@@ -70,15 +70,64 @@ def test_every_example_runs_to_completion(unchanged_checkout):
 
 def test_calibration_doc_constants_match_code():
     from repro.config import default_config
+    from repro.core.modeling.analytic import OLTP_SLOPE_PRIOR
+    from repro.dbms.optimizer import CPU_TIMERONS_PER_SECOND, IO_TIMERONS_PER_SECOND
 
-    config = default_config()
     text = read("docs/CALIBRATION.md")
-    assert str(int(config.optimizer.cpu_timerons_per_second)) in text  # 600
-    assert str(int(config.optimizer.io_timerons_per_second)) in text  # 240
-    assert "{:.1e}".format(abs(config.planner.oltp_slope_prior)) in text.replace(
+    assert str(int(CPU_TIMERONS_PER_SECOND)) in text  # 600
+    assert str(int(IO_TIMERONS_PER_SECOND)) in text  # 240
+    assert "{:.1e}".format(abs(OLTP_SLOPE_PRIOR)) in text.replace(
         "-", ""
     ) or "4.2e-6" in text
-    assert str(int(config.overload.knee_cost // 1000)) in text  # 26
+    assert str(int(default_config().overload.knee_cost // 1000)) in text  # 26
+
+
+def quoted_config_paths(text):
+    """Every dotted config path ``text`` quotes after ``repro sweep`` and
+    every key of a ``control:`` block, inline (``control: {k: v}``) or
+    indented below it (``model`` is the scenario sugar for
+    ``planner.model``)."""
+    path = r"[a-z_][a-z0-9_]*(?:\.[a-z_][a-z0-9_]*)*"
+    text = text.replace("\\\n", " ")
+    keys = re.findall(r"repro sweep (" + path + r")\b", text)
+    for inline in re.findall(r"control: \{([^}]*)\}", text):
+        keys += re.findall(r"(" + path + r"):", inline)
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        block = re.match(r"(\s*)control:\s*(#.*)?$", line)
+        if not block:
+            continue
+        for below in lines[index + 1:]:
+            if not below.strip() or len(below) - len(below.lstrip()) <= len(block.group(1)):
+                break
+            entry = re.match(r"\s*(" + path + r"):", below)
+            if entry:
+                keys.append(entry.group(1))
+    return ["planner.model" if key == "model" else key for key in keys]
+
+
+def test_docs_quote_only_live_config_paths():
+    """A path the docs tell a reader to sweep or override is one the
+    config tree has: each resolves through ``set_config_field``."""
+    from repro.config import default_config
+    from repro.experiments.sensitivity import set_config_field
+
+    config = default_config()
+    documents = ["README.md"] + sorted(glob.glob(os.path.join(REPO, "docs", "*.md")))
+    quoted = [
+        (os.path.relpath(os.path.join(REPO, document), REPO), path)
+        for document in documents
+        for path in quoted_config_paths(read(document))
+    ]
+    assert {"planner.model", "optimizer.noise_sigma"} <= {p for _, p in quoted}
+    for document, path in quoted:
+        value = config
+        for name in path.split("."):
+            value = getattr(value, name, None)
+        try:
+            set_config_field(config, path, value)
+        except Exception as exc:
+            pytest.fail("{} quotes config path {!r}: {}".format(document, path, exc))
 
 
 def test_design_md_confirms_paper_match():

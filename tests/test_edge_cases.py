@@ -10,7 +10,6 @@ import pytest
 from repro.config import (
     MonitorConfig,
     OverloadConfig,
-    PatrollerConfig,
     PlannerConfig,
     WorkloadScaleConfig,
     default_config,
@@ -19,10 +18,9 @@ from repro.core.plan import SchedulingPlan
 from repro.core.service_class import paper_classes
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, IO, Query
-from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from tests.conftest import patroller_dispatcher
+from tests.conftest import patroller_dispatcher, patroller_with
 
 
 def make_engine(**overrides):
@@ -58,9 +56,7 @@ def make_query(cost=100.0, cpu=1.0, io=0.0, class_name="class1", kind="olap"):
 
 class TestOverloadInteraction:
     def test_efficiency_recovers_after_retirement(self):
-        sim, config, engine = make_engine(
-            overload=OverloadConfig(knee_cost=100.0, beta=2.0)
-        )
+        sim, config, engine = make_engine(overload=OverloadConfig(knee_cost=100.0))
         heavy = make_query(cost=300.0, cpu=1.0)
         engine.execute(heavy)
         sim.run_until(0.1)
@@ -73,18 +69,16 @@ class TestOverloadInteraction:
         assert heavy.finish_time == pytest.approx(expected, rel=0.02)
 
     def test_two_queries_slow_each_other_through_the_knee(self):
-        sim, config, engine = make_engine(
-            overload=OverloadConfig(knee_cost=100.0, beta=1.0)
-        )
+        sim, config, engine = make_engine(overload=OverloadConfig(knee_cost=100.0))
         a = make_query(cost=80.0, cpu=1.0)
         b = make_query(cost=80.0, cpu=1.0)
         engine.execute(a)
         engine.execute(b)
         sim.run()
-        # Total cost 160 -> efficiency 1/(1+0.6) = 0.625 while both run;
-        # 2 CPUs so no PS sharing.  Both finish at 1/0.625 = 1.6.
-        assert a.finish_time == pytest.approx(1.6, rel=0.01)
-        assert b.finish_time == pytest.approx(1.6, rel=0.01)
+        # Total cost 160 -> efficiency 1/(1+1.5*0.6) = 1/1.9 while both
+        # run; 2 CPUs so no PS sharing.  Both finish at 1.9.
+        assert a.finish_time == pytest.approx(1.9, rel=0.01)
+        assert b.finish_time == pytest.approx(1.9, rel=0.01)
 
 
 class TestMixedPhaseExecution:
@@ -110,12 +104,8 @@ class TestMixedPhaseExecution:
 
 class TestPatrollerEdges:
     def _patroller(self):
-        sim, config, engine = make_engine(
-            patroller=PatrollerConfig(interception_latency=0.1,
-                                      release_latency=0.0,
-                                      overhead_cpu_demand=0.0)
-        )
-        patroller = QueryPatroller(sim, engine, config.patroller)
+        sim, config, engine = make_engine()
+        patroller = patroller_with(sim, engine, interception_latency=0.1)
         patroller.enable_for_class("class1")
         return sim, engine, patroller
 
@@ -157,13 +147,9 @@ class TestPatrollerEdges:
 
 class TestPlanChurn:
     def test_rapid_plan_swaps_keep_accounting_exact(self):
-        sim, config, engine = make_engine(
-            patroller=PatrollerConfig(interception_latency=0.0,
-                                      release_latency=0.0,
-                                      overhead_cpu_demand=0.0)
-        )
+        sim, config, engine = make_engine()
 
-        patroller = QueryPatroller(sim, engine, config.patroller)
+        patroller = patroller_with(sim, engine)
         classes = list(paper_classes())
         for c in classes:
             if c.directly_controlled:

@@ -31,8 +31,7 @@ def mini_config(seed=7):
     return default_config(
         seed=seed,
         scale=WorkloadScaleConfig(period_seconds=60.0, num_periods=4),
-        monitor=MonitorConfig(snapshot_interval=5.0, velocity_window=60.0,
-                              response_time_window=30.0),
+        monitor=MonitorConfig(snapshot_interval=5.0, response_time_window=30.0),
         planner=PlannerConfig(control_interval=30.0),
     )
 

@@ -18,6 +18,7 @@ from repro.core.service_class import (
     ServiceClass,
     VelocityGoal,
 )
+from repro.core.solver import MIN_CLASS_LIMIT
 from repro.experiments.runner import build_bundle, make_controller
 from repro.workloads.schedule import constant_schedule
 from repro.workloads.tpcc import tpcc_mix
@@ -66,7 +67,7 @@ def test_plans_cover_all_five_classes(five_class_run):
     assert len(plan) == 5
     assert plan.total_allocated <= bundle.config.system_cost_limit + 1e-6
     for name in plan:
-        assert plan.limit(name) >= bundle.config.planner.min_class_limit - 1e-9
+        assert plan.limit(name) >= MIN_CLASS_LIMIT - 1e-9
 
 
 def test_all_classes_complete_work(five_class_run):

@@ -38,7 +38,7 @@ from repro.workloads.trace import TraceEntry
 from repro.sim.engine import Simulator
 from repro.sim.resources import ProcessorSharingResource
 from repro.sim.stats import WelfordAccumulator
-from tests.conftest import patroller_dispatcher
+from tests.conftest import patroller_dispatcher, patroller_with
 from tests.core.reference_solver import _compositions
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,7 @@ def test_engine_gate_conserves_queries_and_accounting(costs, limit):
     sim = Simulator()
     config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(7))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = QueryPatroller(sim, engine)
     gate_class = ServiceClass("g", "olap", VelocityGoal(0.5), 1)
     gate = Dispatcher(
         [gate_class],
@@ -475,22 +475,16 @@ def test_dispatcher_accounting_survives_any_cancel_interleaving(
     """After any interleaving of release/complete/cancel the in-flight
     accounting returns exactly to zero and the release ledger balances
     (released == completed + cancelled)."""
-    from repro.config import PatrollerConfig, default_config
+    from repro.config import default_config
     from repro.dbms.engine import DatabaseEngine
     from repro.dbms.query import CPU, Query, QueryState
     from repro.patroller.patroller import QueryPatroller
     from repro.sim.rng import RandomStreams
 
     sim = Simulator()
-    config = default_config(
-        patroller=PatrollerConfig(
-            interception_latency=0.0,
-            release_latency=release_latency,
-            overhead_cpu_demand=0.0,
-        )
-    )
+    config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(17))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine, release_latency=release_latency)
     patroller.enable_for_class("c")
     service_class = ServiceClass("c", "olap", VelocityGoal(0.5), 1)
     dispatcher = patroller_dispatcher(

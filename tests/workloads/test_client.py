@@ -2,32 +2,26 @@
 
 import pytest
 
-from repro.config import PatrollerConfig, default_config
+from repro.config import default_config
 from repro.dbms.engine import DatabaseEngine
-from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.client import ClosedLoopClient
 from repro.workloads.spec import QueryFactory, QueryTemplate, WorkloadMix
+from tests.conftest import patroller_with
 
 
-def make_world(think_time=0.0):
+def make_world():
     sim = Simulator()
-    config = default_config(
-        patroller=PatrollerConfig(
-            interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.0
-        )
-    )
+    config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(4))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine)
     factory = QueryFactory(engine.estimator, RandomStreams(4))
     mix = WorkloadMix(
         "simple",
         [QueryTemplate("one", "oltp", cpu_demand=0.5, io_demand=0.5, variability=0.0)],
     )
-    client = ClosedLoopClient(
-        sim, patroller, factory, mix, "class3", "c0", think_time=think_time
-    )
+    client = ClosedLoopClient(patroller, factory, mix, "class3", "c0")
     return sim, engine, client
 
 
@@ -48,17 +42,9 @@ def test_closed_loop_one_in_flight():
 
 
 def test_zero_think_time_back_to_back():
-    sim, engine, client = make_world(think_time=0.0)
+    sim, engine, client = make_world()
     client.activate()
     sim.run_until(5.0)
-    assert client.queries_completed == 5
-
-
-def test_think_time_spaces_submissions():
-    sim, engine, client = make_world(think_time=1.0)
-    client.activate()
-    sim.run_until(10.0)
-    # Cycle = 1.0 execution + 1.0 think = 2.0s.
     assert client.queries_completed == 5
 
 
@@ -116,13 +102,9 @@ def make_pooled_world():
     from repro.workloads.schedule import ClientPoolManager, PeriodSchedule
 
     sim = Simulator()
-    config = default_config(
-        patroller=PatrollerConfig(
-            interception_latency=0.0, release_latency=0.0, overhead_cpu_demand=0.0
-        )
-    )
+    config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(4))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine)
     factory = QueryFactory(engine.estimator, RandomStreams(4))
     mix = WorkloadMix(
         "simple",
@@ -130,9 +112,7 @@ def make_pooled_world():
     )
 
     def build(class_name, client_id):
-        return ClosedLoopClient(
-            sim, patroller, factory, mix, class_name, client_id
-        )
+        return ClosedLoopClient(patroller, factory, mix, class_name, client_id)
 
     schedule = PeriodSchedule(4.5, {"class3": [1, 0, 1]})
     manager = ClientPoolManager(sim, schedule, build)

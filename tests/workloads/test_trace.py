@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.config import PatrollerConfig, default_config
+from repro.config import default_config
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.query import CPU, IO, Query, make_phases
 from repro.errors import SimulationError, WorkloadError
-from repro.patroller.patroller import QueryPatroller
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.client import ClosedLoopClient
@@ -17,16 +16,14 @@ from repro.workloads.trace import (
     TraceReplayer,
     WorkloadTrace,
 )
+from tests.conftest import patroller_with
 
 
 def make_world(seed=71):
     sim = Simulator()
-    config = default_config(
-        patroller=PatrollerConfig(interception_latency=0.0, release_latency=0.0,
-                                  overhead_cpu_demand=0.0)
-    )
+    config = default_config()
     engine = DatabaseEngine(sim, config, RandomStreams(seed))
-    patroller = QueryPatroller(sim, engine, config.patroller)
+    patroller = patroller_with(sim, engine)
     factory = QueryFactory(engine.estimator, RandomStreams(seed))
     mix = WorkloadMix(
         "m",
@@ -78,7 +75,7 @@ class TestRecorder:
     def test_records_closed_loop_submissions(self):
         sim, engine, patroller, factory, mix = make_world()
         recorder = TraceRecorder(sim, patroller)
-        client = ClosedLoopClient(sim, patroller, factory, mix, "class3", "c0")
+        client = ClosedLoopClient(patroller, factory, mix, "class3", "c0")
         client.activate()
         sim.run_until(2.0)
         assert len(recorder.trace) == client.queries_submitted
@@ -93,7 +90,7 @@ class TestReplayer:
         # Record a run...
         sim, engine, patroller, factory, mix = make_world(seed=71)
         recorder = TraceRecorder(sim, patroller)
-        client = ClosedLoopClient(sim, patroller, factory, mix, "class3", "c0")
+        client = ClosedLoopClient(patroller, factory, mix, "class3", "c0")
         client.activate()
         sim.run_until(3.0)
         trace = recorder.trace
